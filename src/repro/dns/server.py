@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import logging
 import struct
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..telemetry import NULL_TELEMETRY
@@ -23,6 +24,8 @@ from .types import (
     FLAG_QR,
     FLAG_RD,
     MAX_UDP_PAYLOAD,
+    RCODE_BY_CODE,
+    RRTYPE_BY_CODE,
     Opcode,
     Rcode,
     RRClass,
@@ -60,8 +63,17 @@ class _ResponseTemplate:
     log_rrtype: RRType
 
 #: default query-log capacity — high enough that no tracked experiment
-#: drops entries, low enough to bound memory on week-long runs.
+#: drops entries, low enough to bound memory on week-long runs: a full
+#: log is ~60 MB per engine at ~60 B/entry (columns, see
+#: :class:`BoundedQueryLog`; a dataclass + ``Name`` per entry was ~570 B,
+#: 570 MB per engine).
 DEFAULT_QUERY_LOG_MAX = 1_000_000
+
+#: entries per column chunk.  The ring sheds whole chunks, so at most
+#: one chunk's worth of already-evicted entries is ever retained; a
+#: chunk's distinct clients can never outnumber its entries, which keeps
+#: their ids inside an ``array('H')``.
+_LOG_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,48 @@ class ServerStats:
     chaos: int = 0
 
 
+class _LogChunk:
+    """Up to ``_LOG_CHUNK`` consecutive log entries, one column per field.
+
+    A chunk is self-contained (its own client table and qname blob), so
+    dropping the oldest chunk frees everything its entries held.
+    """
+
+    __slots__ = (
+        "timestamps", "clients", "client_ids",
+        "qnames", "qname_ends", "qtypes", "rcodes",
+    )
+
+    def __init__(self) -> None:
+        self.timestamps = array("d")
+        #: client string -> id; ids are handed out in insertion order,
+        #: so ``list(clients)`` is the id -> string table.
+        self.clients: dict[str, int] = {}
+        self.client_ids = array("H")
+        #: uncompressed qname wire forms (case as received), back to
+        #: back, with cumulative end offsets.
+        self.qnames = bytearray()
+        self.qname_ends = array("I")
+        self.qtypes = array("H")
+        self.rcodes = array("H")
+
+    def entries(self, start: int, stop: int) -> Iterator[QueryLogEntry]:
+        """Materialise entries ``start..stop-1``."""
+        clients = list(self.clients)
+        begin = self.qname_ends[start - 1] if start else 0
+        for index in range(start, stop):
+            end = self.qname_ends[index]
+            qtype, rcode = self.qtypes[index], self.rcodes[index]
+            yield QueryLogEntry(
+                timestamp=self.timestamps[index],
+                client=clients[self.client_ids[index]],
+                qname=Name.from_wire(bytes(self.qnames[begin:end]), 0)[0],
+                qtype=RRTYPE_BY_CODE.get(qtype, qtype),
+                rcode=RCODE_BY_CODE.get(rcode, rcode),
+            )
+            begin = end
+
+
 class BoundedQueryLog:
     """A ring buffer of :class:`QueryLogEntry` with a drop counter.
 
@@ -95,20 +149,37 @@ class BoundedQueryLog:
     now capped (oldest entries evicted first) and counts what it sheds
     in :attr:`dropped`.  It behaves like a read-only list for existing
     consumers (iteration, indexing, ``len``, equality).
+
+    Entries are stored as columns (timestamps, per-chunk interned client
+    ids, qname wire bytes in one blob, qtype and rcode codes) in chunks
+    of ``_LOG_CHUNK``; a :class:`QueryLogEntry` with its case-preserved
+    :class:`Name` exists only while a reader holds it.
     """
 
     def __init__(self, maxlen: int | None = DEFAULT_QUERY_LOG_MAX):
         if maxlen is not None and maxlen <= 0:
             raise ValueError(f"query log capacity must be positive, got {maxlen}")
         self.maxlen = maxlen
-        self._entries: deque[QueryLogEntry] = deque(maxlen=maxlen)
+        self._chunks: deque[_LogChunk] = deque()
+        #: entries at the front of ``_chunks[0]`` already evicted
+        self._head = 0
+        self._len = 0
         self.dropped = 0
 
     def append(self, entry: QueryLogEntry) -> bool:
         """Record one entry; returns True when an old entry was evicted."""
-        evicting = (
-            self.maxlen is not None and len(self._entries) == self.maxlen
+        return self.record(
+            entry.timestamp, entry.client, entry.qname.to_wire(),
+            entry.qtype, entry.rcode,
         )
+
+    def record(
+        self, timestamp: float, client: str, qname_wire: bytes,
+        qtype: int, rcode: int,
+    ) -> bool:
+        """:meth:`append` from bare fields (``qname_wire`` uncompressed)."""
+        chunks = self._chunks
+        evicting = self._len == self.maxlen
         if evicting:
             if self.dropped == 0:
                 log.warning(
@@ -116,26 +187,56 @@ class BoundedQueryLog:
                     self.maxlen,
                 )
             self.dropped += 1
-        self._entries.append(entry)
+            self._head += 1
+            if self._head == len(chunks[0].timestamps):
+                chunks.popleft()
+                self._head = 0
+        else:
+            self._len += 1
+        if not chunks or len(chunks[-1].timestamps) == _LOG_CHUNK:
+            chunks.append(_LogChunk())
+        chunk = chunks[-1]
+        client_id = chunk.clients.get(client)
+        if client_id is None:
+            client_id = chunk.clients[client] = len(chunk.clients)
+        chunk.timestamps.append(timestamp)
+        chunk.client_ids.append(client_id)
+        chunk.qnames += qname_wire
+        chunk.qname_ends.append(len(chunk.qnames))
+        chunk.qtypes.append(qtype)
+        chunk.rcodes.append(rcode)
         return evicting
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._chunks.clear()
+        self._head = 0
+        self._len = 0
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
+        return self._len
 
     def __iter__(self) -> Iterator[QueryLogEntry]:
-        return iter(self._entries)
+        start = self._head
+        for chunk in self._chunks:
+            yield from chunk.entries(start, len(chunk.timestamps))
+            start = 0
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(self._entries)[index]
-        return self._entries[index]
+            return list(self)[index]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("query log index out of range")
+        # Every chunk but the last is full, so only the first (partly
+        # evicted) one needs a look before plain division finds the rest.
+        position = self._head + index
+        number, first = 0, len(self._chunks[0].timestamps)
+        if position >= first:
+            number, position = divmod(position - first, _LOG_CHUNK)
+            number += 1
+        return next(self._chunks[number].entries(position, position + 1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BoundedQueryLog):
@@ -146,7 +247,7 @@ class BoundedQueryLog:
 
     def __repr__(self) -> str:
         return (
-            f"BoundedQueryLog(len={len(self._entries)}, "
+            f"BoundedQueryLog(len={self._len}, "
             f"maxlen={self.maxlen}, dropped={self.dropped})"
         )
 
@@ -452,16 +553,14 @@ class AuthoritativeServer:
         dropped = False
         if self.log_queries and response.questions:
             question = response.questions[0]
-            dropped = self.query_log.append(
-                QueryLogEntry(
-                    timestamp=now,
-                    client=client,
-                    qname=question.name,
-                    qtype=question.rrtype
-                    if isinstance(question.rrtype, RRType)
-                    else RRType.ANY,
-                    rcode=response.rcode,
-                )
+            dropped = self.query_log.record(
+                now,
+                client,
+                question.name.to_wire(),
+                question.rrtype
+                if isinstance(question.rrtype, RRType)
+                else RRType.ANY,
+                response.rcode,
             )
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -642,14 +741,8 @@ class AuthoritativeServer:
             self.stats.nxdomain += 1
         self.stats.responses += 1
         if self.log_queries:
-            self.query_log.append(
-                QueryLogEntry(
-                    timestamp=now,
-                    client=client,
-                    qname=qname,
-                    qtype=entry.log_rrtype,
-                    rcode=entry.rcode,
-                )
+            self.query_log.record(
+                now, client, qname_wire, entry.log_rrtype, entry.rcode
             )
         return bytes(out)
 

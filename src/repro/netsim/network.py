@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from ..dns.message import ResponseDecodeMemo
 from ..telemetry import NULL_TELEMETRY
 from .anycast import AnycastGroup, AnycastSite, DatagramHandler
 from .clock import SimClock
@@ -84,6 +85,11 @@ class SimNetwork:
         # The path-diversity multiplier is a pure hash of the pair (and
         # sigma); one sha256+erfinv per exchange adds up, so memoize.
         self._path_mult: dict[tuple[str, str, float], float] = {}
+        #: decode memo shared by every resolver on this network: its key
+        #: is the wire minus id and first-label content and each entry
+        #: is certified from the wire alone, so nothing in it belongs to
+        #: one resolver.
+        self.response_memo = ResponseDecodeMemo()
 
     def _pair_multiplier(self, client_key: str, dst_address: str) -> float:
         sigma = self.latency.params.path_diversity_sigma

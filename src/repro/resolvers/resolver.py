@@ -12,12 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..dns.message import (
-    HEADER_STRUCT,
-    QUESTION_TAIL_STRUCT,
-    Message,
-    ResponseDecodeMemo,
-)
+from ..dns.message import HEADER_STRUCT, QUESTION_TAIL_STRUCT, Message
 from ..dns.name import Name
 from ..dns.rdata import TXT
 from ..dns.records import ResourceRecord
@@ -163,8 +158,8 @@ class RecursiveResolver:
         self.case_randomization = case_randomization
         self.spoofs_rejected = 0
         # Template-shaped responses (same server template, different
-        # probe label) decode through a canary-certified memo.
-        self._response_memo = ResponseDecodeMemo()
+        # probe label) decode through the network's canary-certified memo.
+        self._response_memo = network.response_memo
 
     # -- configuration -----------------------------------------------------
 

@@ -6,6 +6,7 @@ passive-trace generators rely on it to reproduce warm-cache behavior.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..dns.name import Name
@@ -39,11 +40,26 @@ class RecordCache:
     ``clock.now`` — a plain attribute kept current by the event kernel's
     heap — instead of threading a ``now`` argument through every call.
     The explicit-``now`` methods remain for unbound use.
+
+    Memory is bounded by what is *alive*, not by what was ever asked:
+    an expiry-ordered heap sits beside the two tables, every
+    :meth:`put`/:meth:`put_negative` first drops whatever has expired at
+    its ``now``, and ``max_entries`` caps positive and negative entries
+    together (the earliest-expiring entry goes first).  An expired entry
+    already reads as a miss, so sweeping it is invisible to readers —
+    **provided ``now`` never decreases** from one call to the next, which
+    the simulation clock guarantees; a caller that rewinds ``now`` may
+    miss an entry a later-stamped put already swept.
     """
 
     max_entries: int = 100_000
     _positive: dict[tuple[Name, RRType], CacheEntry] = field(default_factory=dict)
     _negative: dict[tuple[Name, RRType], NegativeEntry] = field(default_factory=dict)
+    #: min-heap of ``(expires_at, seq, table, key)``, one item per store;
+    #: an item whose entry was since replaced or removed is stale and
+    #: skipped when popped (its ``expires_at`` no longer matches).
+    _expiry: list[tuple] = field(default_factory=list)
+    _stored: int = 0
     hits: int = 0
     misses: int = 0
     clock: object | None = None
@@ -87,29 +103,58 @@ class RecordCache:
         """Cache a positive answer for min(record TTLs) seconds."""
         if not records:
             return
-        if len(self._positive) >= self.max_entries:
-            self._evict(now)
+        key = (name, rrtype)
         ttl = min(record.ttl for record in records)
-        self._positive[(name, rrtype)] = CacheEntry(records, now + ttl)
-        self._negative.pop((name, rrtype), None)
+        self._negative.pop(key, None)
+        self._store(self._positive, key, CacheEntry(records, now + ttl), now)
 
     def put_negative(
         self, name: Name, rrtype: RRType, nxdomain: bool, ttl: int, now: float
     ) -> None:
-        self._negative[(name, rrtype)] = NegativeEntry(nxdomain, now + ttl)
+        self._store(
+            self._negative, (name, rrtype), NegativeEntry(nxdomain, now + ttl), now
+        )
 
-    def _evict(self, now: float) -> None:
-        """Drop expired entries; if still full, drop the oldest-expiring."""
-        expired = [key for key, entry in self._positive.items() if now >= entry.expires_at]
-        for key in expired:
-            del self._positive[key]
-        while len(self._positive) >= self.max_entries:
-            victim = min(self._positive, key=lambda key: self._positive[key].expires_at)
-            del self._positive[victim]
+    def _store(self, table: dict, key: tuple[Name, RRType], entry, now: float) -> None:
+        """Sweep what expired at ``now``, make room, then store ``entry``."""
+        heap = self._expiry
+        while heap and heap[0][0] <= now:
+            self._pop_earliest()
+        if key not in table:
+            while heap and len(self) >= self.max_entries:
+                self._pop_earliest()
+        table[key] = entry
+        self._stored += 1
+        heapq.heappush(heap, (entry.expires_at, self._stored, table, key))
+        if len(heap) > 2 * len(self) + 64:
+            # Re-puts of live keys leave stale items behind; rebuilding
+            # from the tables keeps the heap O(live entries).
+            live = [
+                (table, key, entry)
+                for table in (self._positive, self._negative)
+                for key, entry in table.items()
+            ]
+            heap[:] = [
+                (entry.expires_at, seq, table, key)
+                for seq, (table, key, entry) in enumerate(live)
+            ]
+            heapq.heapify(heap)
+
+    def _pop_earliest(self) -> None:
+        """Pop the heap's head and drop its entry if that entry is still it."""
+        expires_at, _seq, table, key = heapq.heappop(self._expiry)
+        entry = table.get(key)
+        if entry is not None and entry.expires_at == expires_at:
+            del table[key]
 
     def flush(self) -> None:
         self._positive.clear()
         self._negative.clear()
+        self._expiry.clear()
+
+    @property
+    def negative_entries(self) -> int:
+        return len(self._negative)
 
     def __len__(self) -> int:
-        return len(self._positive)
+        return len(self._positive) + len(self._negative)

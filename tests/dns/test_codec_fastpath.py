@@ -264,3 +264,97 @@ def test_flyweight_slices_equal_validated_names():
     again = Name(tuple(name.labels))
     assert name.to_wire() == again.to_wire()
     assert hash(name) == hash(again)
+
+
+# -- ResponseDecodeMemo shared across resolvers ------------------------------
+
+
+def _templated_response(label: bytes, marker: str, msg_id: int = 7) -> tuple[bytes, Name]:
+    """A server-template-shaped response: answer owned by the question name."""
+    qname = Name.from_text("probe.example.org.").child(label)
+    message = Message(msg_id=msg_id, flags=FLAG_QR | FLAG_AA)
+    message.questions.append(Question(qname, RRType.TXT, RRClass.IN))
+    message.answers.append(
+        ResourceRecord(qname, RRType.TXT, RRClass.IN, 5, TXT.from_value(marker))
+    )
+    message.authorities.append(
+        ResourceRecord(
+            Name.from_text("example.org."), RRType.NS, RRClass.IN, 3600,
+            NS(Name.from_text("ns1.example.org.")),
+        )
+    )
+    message.additionals.append(
+        ResourceRecord(
+            Name.from_text("ns1.example.org."), RRType.A, RRClass.IN, 3600,
+            A("192.0.2.53"),
+        )
+    )
+    return message.to_wire(), qname
+
+
+def test_memo_at_capacity_still_decodes_new_shapes_and_keeps_old_hits(monkeypatch):
+    from repro.dns.message import ResponseDecodeMemo
+
+    memo = ResponseDecodeMemo()
+    for shape in range(ResponseDecodeMemo.MAX_ENTRIES):
+        wire, qname = _templated_response(b"warm", f"site-{shape}")
+        memo.decode(wire, qname)
+    assert len(memo._entries) == ResponseDecodeMemo.MAX_ENTRIES
+
+    full_decodes = []
+    from_wire = Message.from_wire
+    monkeypatch.setattr(
+        Message, "from_wire",
+        staticmethod(lambda wire, *rest: full_decodes.append(wire) or from_wire(wire, *rest)),
+    )
+    # A shape past the cap takes the full decode, every time, correctly.
+    for label in (b"new1", b"new2"):
+        wire, qname = _templated_response(label, "site-over-the-cap")
+        assert memo.decode(wire, qname) == from_wire(wire)
+    assert len(full_decodes) == 2
+    assert len(memo._entries) == ResponseDecodeMemo.MAX_ENTRIES
+    # Shapes certified before the cap still hit: no full decode, same fields.
+    del full_decodes[:]
+    for shape in (0, 100, ResponseDecodeMemo.MAX_ENTRIES - 1):
+        wire, qname = _templated_response(b"hit!", f"site-{shape}", msg_id=shape)
+        assert memo.decode(wire, qname) == from_wire(wire)
+    assert full_decodes == []
+
+
+def test_memo_hands_out_only_frozen_hashable_records():
+    """One memo serves every resolver on a network, and a hit reuses the
+    decoded records of the wire that built the entry: nothing handed out
+    may be mutable, or one resolver could edit another's answers."""
+    import dataclasses
+
+    from repro.dns.message import ResponseDecodeMemo
+    from repro.dns.rdata import Rdata
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in (ResourceRecord, Question, *subclasses(Rdata)):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
+
+    memo = ResponseDecodeMemo()
+    first, qname = _templated_response(b"aaaa", "site-FRA")
+    memo.decode(first, qname)
+    wire, qname = _templated_response(b"bbbb", "site-FRA", msg_id=9)
+    message = memo.decode(wire, qname)
+    records = message.answers + message.authorities + message.additionals
+    assert len(records) == 3
+    for item in (*message.questions, *records):
+        hash(item)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            item.name = Name.from_text("mutated.example.")
+    for record in records:
+        hash(record.rdata)
+        field = dataclasses.fields(record.rdata)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record.rdata, field, None)
+    # The per-decode containers are fresh: editing one result's section
+    # list does not show up in the next hit.
+    message.answers.clear()
+    assert len(memo.decode(wire, qname).answers) == 1

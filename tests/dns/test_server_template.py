@@ -73,6 +73,36 @@ def test_fast_path_is_byte_identical_to_slow_path():
     assert list(fast.query_log) == list(slow.query_log)
 
 
+def test_fast_path_logs_what_the_slow_path_logs_case_included():
+    """The template path records bare fields, the slow path a decoded
+    question: same entries, same DNS-0x20 spelling, for the same wires."""
+    zone = build_zone()
+    ledger = Telemetry.enabled_bundle(
+        metrics=False, tracing=False, profiling=False, costs=True
+    )
+    fast = AuthoritativeServer("site-a", [zone], telemetry=ledger)
+    slow = slow_server(zone)
+    names = [
+        "m-3-0.probe.example.org.",
+        "M-3-1.pRoBe.eXaMpLe.OrG.",
+        "m-3-2.pRoBe.eXaMpLe.OrG.",
+        "m-3-3.probe.example.org.",
+    ] * 2
+    for tick, name in enumerate(names):
+        wire = Message.make_query(name, RRType.TXT, msg_id=tick).to_wire()
+        for server in (fast, slow):
+            server.handle_wire(wire, client=f"10.0.0.{tick % 3}", now=tick * 0.5)
+    assert ledger.costs.totals()["template_hit"] >= 6
+    fast_log, slow_log = list(fast.query_log), list(slow.query_log)
+    assert fast_log == slow_log
+    spelled = [Name.from_text(name).labels for name in names]
+    assert [entry.qname.labels for entry in fast_log] == spelled
+    assert [entry.qname.labels for entry in slow_log] == spelled
+    assert [entry.client for entry in fast_log] == [
+        f"10.0.0.{tick % 3}" for tick in range(len(names))
+    ]
+
+
 def test_template_survives_repeats_and_counts_queries():
     server = AuthoritativeServer("site-a", [build_zone()])
     wire = Message.make_query(

@@ -80,6 +80,27 @@ class TestForwarding:
         assert forwarder.forwarded == 2
         assert second.succeeded
 
+    def test_cache_full_evicts_exactly_the_earliest_expiring(self, setup):
+        network, _, make_resolver = setup
+        forwarder = DnsForwarder("192.168.1.1", [make_resolver(1)])
+        cap = forwarder.cache.max_entries
+        assert cap == 1000
+        for index in range(cap):
+            forwarder.resolve(f"c{index}.probe.{DOMAIN}", RRType.TXT)
+            network.clock.advance(0.001)  # all 1000 inside the 5 s TTL
+        assert len(forwarder.cache) == cap
+        forwarder.resolve(f"c{cap}.probe.{DOMAIN}", RRType.TXT)
+        assert len(forwarder.cache) == cap
+        assert forwarder.forwarded == cap + 1
+        # c0 expires first and is the one victim (its repeat is relayed to
+        # the upstream, whose own cache answers); everyone else still hits.
+        served = []
+        for index in range(cap + 1):
+            before = forwarder.served_from_cache
+            forwarder.resolve(f"c{index}.probe.{DOMAIN}", RRType.TXT)
+            served.append(forwarder.served_from_cache - before)
+        assert served == [0] + [1] * cap
+
 
 class TestPolicies:
     def test_round_robin_spreads_upstreams(self, setup):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.dns.server as server_module
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT
@@ -53,8 +54,9 @@ class TestBoundedQueryLog:
         log.append(second)
         assert len(log) == 2
         assert bool(log)
-        assert log[0] is first
-        assert log[-1] is second
+        # Entries are materialised from columns on read: equal, not identical.
+        assert log[0] == first
+        assert log[-1] == second
         assert log[0:2] == [first, second]
         assert list(log) == [first, second]
         assert log == [first, second]
@@ -70,6 +72,51 @@ class TestBoundedQueryLog:
         assert results == [False, False, False, True, True]
         assert log.dropped == 2
         assert list(log) == entries[2:]  # oldest two evicted
+
+    def test_wraps_around_many_times_in_order(self, monkeypatch, caplog):
+        # A small chunk makes the ring shed whole chunks several times.
+        monkeypatch.setattr(server_module, "_LOG_CHUNK", 4)
+        log = BoundedQueryLog(maxlen=6)
+        entries = [entry(i) for i in range(40)]
+        with caplog.at_level("WARNING", logger="repro.dns.server"):
+            for count, item in enumerate(entries, start=1):
+                assert log.append(item) is (count > 6)
+                assert list(log) == entries[max(0, count - 6):count]
+        assert log.dropped == 34
+        assert len(log._chunks) <= 3  # live entries + at most one stale chunk
+        warnings = [r for r in caplog.records if "query log full" in r.message]
+        assert len(warnings) == 1  # first eviction only
+
+    def test_index_slice_and_equality_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_LOG_CHUNK", 4)
+        log = BoundedQueryLog(maxlen=10)
+        entries = [entry(i) for i in range(15)]
+        for item in entries:
+            log.append(item)
+        kept = entries[5:]
+        assert [log[i] for i in range(10)] == kept
+        assert [log[i] for i in range(-10, 0)] == kept
+        assert log[2:9:3] == kept[2:9:3]
+        assert log[-3:] == kept[-3:]
+        assert log == kept and log == tuple(kept)
+        assert log != kept[1:]
+        other = BoundedQueryLog(maxlen=None)
+        for item in kept:
+            other.append(item)
+        assert log == other
+        for bad in (10, -11):
+            with pytest.raises(IndexError):
+                log[bad]
+
+    def test_qname_case_survives_the_columns(self):
+        log = BoundedQueryLog()
+        mixed = Name.from_text("pRoBe-7.OurTestDomain.NL.")
+        log.append(QueryLogEntry(1.5, "vp", mixed, RRType.TXT, Rcode.NXDOMAIN))
+        (stored,) = log
+        assert stored.qname.labels == mixed.labels  # Name == folds case
+        assert stored.qname.to_text() == "pRoBe-7.OurTestDomain.NL."
+        assert (stored.qtype, stored.rcode) == (RRType.TXT, Rcode.NXDOMAIN)
+        assert isinstance(stored.qtype, RRType) and isinstance(stored.rcode, Rcode)
 
     def test_unbounded_never_drops(self):
         log = BoundedQueryLog(maxlen=None)
