@@ -121,10 +121,20 @@ class PassiveTraceGenerator:
         )[0]
         return self.rng.choice(cities_by_continent(continent))
 
-    def _base_rtts(self, location: Location, client_key: str) -> dict[str, float]:
-        """Deterministic RTT per server via its anycast catchment, with
-        stable per-(recursive, server) peering diversity on top."""
+    def _paths(
+        self, location: Location, client_key: str
+    ) -> tuple[dict[str, float], set[str]]:
+        """One recursive's path to every server, from one catchment each.
+
+        Returns the deterministic RTT per server (via its anycast
+        catchment, with stable per-(recursive, server) peering diversity
+        on top) and the observed servers whose catchment site is part of
+        the capture: whether this recursive's queries to a server are
+        seen depends on which site its (stable) catchment lands on.
+        """
         rtts = {}
+        captured = set()
+        observed = self.servers.observed
         for server_id, group in self._groups.items():
             site = group.catchment(location, client_key, self.latency)
             rtt = self.latency.base_rtt_ms(location.point, site.location.point)
@@ -132,36 +142,36 @@ class PassiveTraceGenerator:
                 draw = random.Random(f"{client_key}|{server_id}|peering")
                 rtt *= math.exp(draw.gauss(0.0, self.config.peering_sigma))
             rtts[server_id] = rtt
-        return rtts
+            if server_id in observed and site.code in self._captured_sites[server_id]:
+                captured.add(server_id)
+        return rtts, captured
 
     def generate(self) -> Trace:
         """Run warm-up plus capture; the trace covers observed servers only."""
         config = self.config
         server_ids = self.servers.server_ids
+        zone = self.servers.zone
         records: list[TraceRecord] = []
-        observed = set(self.servers.observed)
+        rng = self.rng
+        expovariate, gauss, exp = rng.expovariate, rng.gauss, math.exp
+        is_lost = self.latency.is_lost
+        jitter_sigma = self.latency.params.jitter_sigma
+        end = config.capture_s
 
         for index in range(config.num_recursives):
             address = f"198.18.{index // 250}.{index % 250 + 1}"
             location = self._recursive_location()
             sample = self.population.sample()
-            selector = sample.selector
+            select = sample.selector.select
+            on_response = sample.selector.on_response
+            on_timeout = sample.selector.on_timeout
             cache = InfrastructureCache(
                 ttl_s=INFRA_TTL_S.get(sample.impl_name, 600.0)
             )
-            rtts = self._base_rtts(location, address)
-            # Whether this recursive's queries to a server are captured
-            # depends on which site its (stable) catchment lands on.
-            visible = {
-                server_id: self._groups[server_id]
-                .catchment(location, address, self.latency)
-                .code
-                in self._captured_sites[server_id]
-                for server_id in server_ids
-            }
+            rtts, captured = self._paths(location, address)
             rate_per_s = (
                 config.mean_queries_per_hour
-                * math.exp(self.rng.gauss(0.0, config.rate_sigma))
+                * exp(gauss(0.0, config.rate_sigma))
                 / 3600.0
             )
             if config.diurnal_amplitude > 0.0:
@@ -174,26 +184,23 @@ class PassiveTraceGenerator:
                 )
                 rate_per_s *= max(0.05, modulation)
             now = -config.warmup_s
-            end = config.capture_s
             while now < end:
-                now += self.rng.expovariate(rate_per_s) if rate_per_s > 0 else end
+                now += expovariate(rate_per_s) if rate_per_s > 0 else end
                 if now >= end:
                     break
-                choice = selector.select(server_ids, cache, now)
-                if self.latency.is_lost():
-                    selector.on_timeout(choice, server_ids, cache, now)
+                choice = select(server_ids, cache, now)
+                if is_lost():
+                    on_timeout(choice, server_ids, cache, now)
                     continue
-                rtt = rtts[choice] * math.exp(
-                    self.rng.gauss(0.0, self.latency.params.jitter_sigma)
-                )
-                selector.on_response(choice, rtt, server_ids, cache, now)
-                if now >= 0.0 and choice in observed and visible[choice]:
+                rtt = rtts[choice] * exp(gauss(0.0, jitter_sigma))
+                on_response(choice, rtt, server_ids, cache, now)
+                if now >= 0.0 and choice in captured:
                     records.append(
                         TraceRecord(
                             timestamp=now,
                             recursive=address,
                             server_id=choice,
-                            qname=f"q{len(records)}.{self.servers.zone}",
+                            qname=f"q{len(records)}.{zone}",
                         )
                     )
         records.sort(key=lambda record: record.timestamp)

@@ -4,6 +4,11 @@ A :class:`ServerSelector` decides, per outgoing query, which of a zone's
 authoritative addresses to contact, and learns from the outcome.  One
 selector instance belongs to one recursive resolver (its state *is* the
 resolver's preference).
+
+Feedback is folded in here, once, for every family: a subclass tunes
+``alpha`` / ``timeout_floor_ms`` and extends ``on_response`` /
+``on_timeout`` through ``super()`` only when it keeps state of its own,
+so the ``selector_events_total`` count cannot be lost in an override.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ class ServerSelector(abc.ABC):
     name: str = "abstract"
     #: whether the implementation keeps an infrastructure cache at all
     uses_infra_cache: bool = True
+    #: EWMA weight of a new RTT sample
+    alpha: float = 0.3
+    #: SRTT a timed-out server is raised to at least (doubling otherwise)
+    timeout_floor_ms: float = 400.0
     #: telemetry bundle; the owning resolver overwrites this when it is
     #: itself instrumented (class-level default keeps it zero-cost)
     telemetry = NULL_TELEMETRY
@@ -40,7 +49,10 @@ class ServerSelector(abc.ABC):
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
-        """Pick the authoritative address for the next query."""
+        """Pick the authoritative address for the next query.
+
+        ``addresses`` are the zone's distinct server addresses.
+        """
 
     def on_response(
         self,
@@ -51,13 +63,9 @@ class ServerSelector(abc.ABC):
         now: float,
     ) -> None:
         """Fold a successful exchange into the selector's state."""
-        cache.observe_rtt(address, rtt_ms, now)
+        cache.observe_rtt(address, rtt_ms, now, self.alpha)
         if self.telemetry.enabled:
-            self.telemetry.registry.counter(
-                "selector_events_total",
-                "selection-feedback events, by selector family and kind",
-                ("selector", "event"),
-            ).labels(selector=self.name, event="response").inc()
+            self._count_event("response")
 
     def on_timeout(
         self,
@@ -67,13 +75,16 @@ class ServerSelector(abc.ABC):
         now: float,
     ) -> None:
         """Fold a timeout into the selector's state."""
-        cache.observe_timeout(address, now)
+        cache.observe_timeout(address, now, self.timeout_floor_ms)
         if self.telemetry.enabled:
-            self.telemetry.registry.counter(
-                "selector_events_total",
-                "selection-feedback events, by selector family and kind",
-                ("selector", "event"),
-            ).labels(selector=self.name, event="timeout").inc()
+            self._count_event("timeout")
+
+    def _count_event(self, event: str) -> None:
+        self.telemetry.registry.counter(
+            "selector_events_total",
+            "selection-feedback events, by selector family and kind",
+            ("selector", "event"),
+        ).labels(selector=self.name, event=event).inc()
 
     def reset(self) -> None:
         """Forget per-zone transient state (not the infra cache)."""

@@ -32,30 +32,32 @@ class BindSelector(ServerSelector):
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
-        best_address: str | None = None
+        entries = cache.entries(addresses)
+        best = -1
         best_srtt = float("inf")
-        for address in addresses:
-            srtt = cache.srtt(address, now)
-            if srtt is None:
-                stale = cache.stale_entry(address, now)
-                if stale is not None:
+        for index, entry in enumerate(entries):
+            if entry is None or now >= entry.expires_at:
+                if entry is not None:
                     # ADB entry expired, but the implementation retains
                     # latency history — the behavior behind the paper's
                     # §4.4 finding that preferences outlive the timeout.
-                    srtt = stale.srtt_ms
+                    seed = entry.srtt_ms
                 else:
                     # Never tried: seed a small random SRTT so the server
                     # is probed ahead of everything already measured.
-                    srtt = self.rng.uniform(0.0, self.untried_max_ms)
-                cache.observe_rtt(address, srtt, now, alpha=1.0)
+                    seed = self.rng.uniform(0.0, self.untried_max_ms)
+                entry = entries[index] = cache.observe_rtt(
+                    addresses[index], seed, now, alpha=1.0
+                )
+            srtt = entry.srtt_ms
             if srtt < best_srtt:
                 best_srtt = srtt
-                best_address = address
-        assert best_address is not None
-        for address in addresses:
-            if address != best_address:
-                cache.decay(address, now, self.decay_factor)
-        return best_address
-
-    def on_response(self, address, rtt_ms, addresses, cache, now) -> None:
-        cache.observe_rtt(address, rtt_ms, now, alpha=self.alpha)
+                best = index
+        assert best >= 0
+        # Every server not chosen decays, so a neglected one is retried.
+        chosen = entries[best]
+        decay_factor = self.decay_factor
+        for entry in entries:
+            if entry is not chosen and now < entry.expires_at:
+                entry.srtt_ms *= decay_factor
+        return addresses[best]

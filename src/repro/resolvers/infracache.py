@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class InfraEntry:
-    """Latency state for one authoritative server address."""
+    """Latency state for one authoritative server address.
+
+    Live while ``now < expires_at``; the boundary itself is expired.
+    Every reader in this package tests that inline.
+    """
 
     srtt_ms: float
     updated_at: float
@@ -41,6 +45,15 @@ class InfrastructureCache:
     ttl_s: float = 600.0
     _entries: dict[str, InfraEntry] = field(default_factory=dict)
 
+    def entries(self, addresses: list[str]) -> list[InfraEntry | None]:
+        """The stored entry per address, live *or stale*; None if never seen.
+
+        The selectors' one read per ``select``: a single C-level pass
+        over the zone's address list.  The caller applies the liveness
+        rule (``now < entry.expires_at``) to what it gets back.
+        """
+        return list(map(self._entries.get, addresses))
+
     def get(self, address: str, now: float) -> InfraEntry | None:
         """The live entry for an address, or None if absent/expired.
 
@@ -50,12 +63,12 @@ class InfrastructureCache:
         implementations achieve by not fully discarding latency history.
         """
         entry = self._entries.get(address)
-        if entry is None or entry.expired(now):
+        if entry is None or now >= entry.expires_at:
             return None
         return entry
 
-    #: canonical accessor name; every liveness-respecting read goes
-    #: through this so expiry semantics cannot drift between accessors.
+    #: canonical accessor name; `entry` and `srtt` funnel into `get` so
+    #: expiry semantics cannot drift between the single-address accessors.
     def entry(self, address: str, now: float) -> InfraEntry | None:
         """Alias of :meth:`get` — the live entry, or None if expired."""
         return self.get(address, now)
@@ -71,19 +84,18 @@ class InfrastructureCache:
         here too; it never serves a latency figure :meth:`entry` would
         reject as expired.
         """
-        entry = self.entry(address, now)
+        entry = self.get(address, now)
         return entry.srtt_ms if entry is not None else None
 
     def observe_rtt(
         self, address: str, rtt_ms: float, now: float, alpha: float = 0.3
     ) -> InfraEntry:
         """Fold one RTT sample into the SRTT: new = α·sample + (1-α)·old."""
-        entry = self.get(address, now)
-        if entry is None:
-            entry = InfraEntry(
-                srtt_ms=rtt_ms, updated_at=now, expires_at=now + self.ttl_s, samples=1
+        entry = self._entries.get(address)
+        if entry is None or now >= entry.expires_at:
+            entry = self._entries[address] = InfraEntry(
+                rtt_ms, now, now + self.ttl_s, 1
             )
-            self._entries[address] = entry
             return entry
         entry.srtt_ms = alpha * rtt_ms + (1.0 - alpha) * entry.srtt_ms
         entry.updated_at = now
@@ -95,12 +107,11 @@ class InfrastructureCache:
         self, address: str, now: float, floor_ms: float = 400.0
     ) -> InfraEntry:
         """Penalize a timed-out server: double its SRTT (with a floor)."""
-        entry = self.get(address, now)
-        if entry is None:
-            entry = InfraEntry(
-                srtt_ms=floor_ms, updated_at=now, expires_at=now + self.ttl_s
+        entry = self._entries.get(address)
+        if entry is None or now >= entry.expires_at:
+            entry = self._entries[address] = InfraEntry(
+                floor_ms, now, now + self.ttl_s
             )
-            self._entries[address] = entry
         else:
             entry.srtt_ms = max(entry.srtt_ms * 2.0, floor_ms)
             entry.updated_at = now
@@ -110,8 +121,8 @@ class InfrastructureCache:
 
     def decay(self, address: str, now: float, factor: float = 0.98) -> None:
         """Decay an (unselected) server's SRTT so it gets re-probed (BIND)."""
-        entry = self.get(address, now)
-        if entry is not None:
+        entry = self._entries.get(address)
+        if entry is not None and now < entry.expires_at:
             entry.srtt_ms *= factor
 
     def forget(self, address: str) -> None:
@@ -121,7 +132,9 @@ class InfrastructureCache:
         self._entries.clear()
 
     def known_addresses(self, now: float) -> list[str]:
-        return [addr for addr in list(self._entries) if self.get(addr, now)]
+        return [
+            addr for addr, entry in self._entries.items() if now < entry.expires_at
+        ]
 
     def live_count(self, now: float) -> int:
         """Entries :meth:`entry` would still serve at ``now``."""

@@ -26,28 +26,20 @@ class PowerDnsSelector(ServerSelector):
         #: probability that a query is a speed-test of a non-best server
         self.explore_probability = explore_probability
 
-    def _estimate(self, address: str, cache: InfrastructureCache, now: float) -> float | None:
-        srtt = cache.srtt(address, now)
-        if srtt is not None:
-            return srtt
-        # PowerDNS decays speedtest values rather than discarding them;
-        # an expired infra entry still orders the servers.
-        stale = cache.stale_entry(address, now)
-        return stale.srtt_ms if stale is not None else None
-
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
+        entries = cache.entries(addresses)
         unknown = [
-            addr for addr in addresses if self._estimate(addr, cache, now) is None
+            address for address, entry in zip(addresses, entries) if entry is None
         ]
         if unknown:
             return self.rng.choice(unknown)
-        best = min(addresses, key=lambda addr: self._estimate(addr, cache, now))
+        # PowerDNS decays speedtest values rather than discarding them;
+        # an expired infra entry still orders the servers.
+        estimates = [entry.srtt_ms for entry in entries]
+        best = addresses[estimates.index(min(estimates))]
         others = [addr for addr in addresses if addr != best]
         if others and self.rng.random() < self.explore_probability:
             return self.rng.choice(others)
         return best
-
-    def on_response(self, address, rtt_ms, addresses, cache, now) -> None:
-        cache.observe_rtt(address, rtt_ms, now, alpha=self.alpha)

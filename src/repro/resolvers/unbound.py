@@ -25,28 +25,21 @@ class UnboundSelector(ServerSelector):
     band_ms = 400.0
     #: RTT assumed for servers never measured (unbound's 376 ms default)
     unknown_ms = 376.0
+    #: a timeout doubles the estimate, from at least the unknown default
+    timeout_floor_ms = unknown_ms
     #: EWMA weight of a new sample
     alpha = 0.5
-
-    def _estimate(self, address: str, cache: InfrastructureCache, now: float) -> float:
-        srtt = cache.srtt(address, now)
-        return self.unknown_ms if srtt is None else srtt
 
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
-        estimates = {
-            address: self._estimate(address, cache, now) for address in addresses
-        }
-        best = min(estimates.values())
+        unknown_ms = self.unknown_ms
+        estimates = [
+            unknown_ms if entry is None or now >= entry.expires_at else entry.srtt_ms
+            for entry in cache.entries(addresses)
+        ]
+        limit = min(estimates) + self.band_ms
         eligible = [
-            address for address, est in estimates.items() if est <= best + self.band_ms
+            address for address, est in zip(addresses, estimates) if est <= limit
         ]
         return self.rng.choice(eligible)
-
-    def on_response(self, address, rtt_ms, addresses, cache, now) -> None:
-        cache.observe_rtt(address, rtt_ms, now, alpha=self.alpha)
-
-    def on_timeout(self, address, addresses, cache, now) -> None:
-        # Unbound doubles the RTT estimate on timeout (capped by the cache).
-        cache.observe_timeout(address, now, floor_ms=self.unknown_ms)

@@ -37,7 +37,9 @@ class WindowsSelector(ServerSelector):
         if now >= self._next_reprobe_at:
             # Begin a probe round: visit every server once, then re-rank.
             self._probing = [
-                addr for addr in addresses if cache.srtt(addr, now) is None
+                address
+                for address, entry in zip(addresses, cache.entries(addresses))
+                if entry is None or now >= entry.expires_at
             ] or list(addresses)
             self.rng.shuffle(self._probing)
             self._next_reprobe_at = now + self.reprobe_interval_s
@@ -45,17 +47,17 @@ class WindowsSelector(ServerSelector):
         if self._probing:
             return self._probing.pop()
         if self._favorite is None or self._favorite not in addresses:
-            measured = [addr for addr in addresses if cache.srtt(addr, now) is not None]
-            pool = measured or addresses
-            self._favorite = min(
-                pool, key=lambda addr: cache.srtt(addr, now) or float("inf")
-            )
+            # Lowest live SRTT, first listed on a tie; with nothing
+            # measured, the first server.
+            live = [
+                (entry.srtt_ms, index)
+                for index, entry in enumerate(cache.entries(addresses))
+                if entry is not None and now < entry.expires_at
+            ]
+            self._favorite = addresses[min(live)[1] if live else 0]
         return self._favorite
 
-    def on_response(self, address, rtt_ms, addresses, cache, now) -> None:
-        cache.observe_rtt(address, rtt_ms, now, alpha=self.alpha)
-
     def on_timeout(self, address, addresses, cache, now) -> None:
-        cache.observe_timeout(address, now)
+        super().on_timeout(address, addresses, cache, now)
         if address == self._favorite:
             self._favorite = None  # fail over immediately

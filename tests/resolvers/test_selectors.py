@@ -126,6 +126,18 @@ class TestWindows:
         after = selector.select(addresses, cache, 3.0)
         assert after != favorite
 
+    def test_zero_ms_srtt_is_measured_not_unknown(self):
+        # Regression: `srtt or inf` ranked a measured 0.0 ms server as
+        # unmeasured, so the 5 ms one (listed first or not) won.
+        selector = WindowsSelector(rng=random.Random(10))
+        cache = InfrastructureCache()
+        addresses = [SLOW, FAST]
+        cache.observe_rtt(SLOW, 5.0, now=0.0)
+        cache.observe_rtt(FAST, 0.0, now=0.0)
+        for _ in addresses:  # the opening probe round visits both
+            selector.select(addresses, cache, 1.0)
+        assert selector.select(addresses, cache, 1.0) == FAST
+
 
 class TestNaive:
     def test_random_near_uniform(self):
