@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.store import (
     MeasurementRun,
@@ -19,9 +20,9 @@ from ..core.store import (
 )
 from ..dns.name import Name
 from ..dns.types import RRType
-from ..netsim.events import EventScheduler
 from ..netsim.geo import Continent, cities_by_continent
 from ..netsim.network import SimNetwork
+from ..netsim.sched import EventKernel
 from ..resolvers.population import ResolverPopulation
 from ..resolvers.resolver import RecursiveResolver
 from ..seeding import derive_rng
@@ -211,41 +212,14 @@ class AtlasPlatform:
             for vp in self.vantage_points
         ]
 
-    def _record(
-        self,
-        store: ObservationStore,
-        vp: VantagePoint,
-        profile_id: int,
-        label: bytes,
-        suffix_id: int,
-        now: float,
-        result,
-    ) -> None:
-        """Record one finished resolution as a store row.
-
-        ``now`` is the query *issue* time (the measurement tick), not the
-        completion time: observations sort by (timestamp, vp_id) in the
-        canonical merge, and the issue time is the layout-invariant key
-        both the synchronous loop and the event kernel agree on.  The
-        qname is stored as its unique ``label`` bytes plus the interned
-        campaign suffix (``suffix_id``) — no qname string materializes.
-        """
+    def _observe(self, result) -> tuple:
+        """One finished resolution as the store's per-row outcome columns
+        ``(site, address, rtt_ms, attempts, succeeded)``, counted in the
+        measurement metrics when telemetry is on."""
         site = ""
         if result.succeeded:
             marker = result.txt_value() or ""
             site = marker.rsplit("-", 1)[-1] if marker else ""
-        store.append(
-            vp.vp_id,
-            profile_id,
-            now,
-            label,
-            suffix_id,
-            site,
-            result.final_address,
-            result.rtt_ms,
-            result.attempts,
-            result.succeeded,
-        )
         telemetry = self.telemetry
         if telemetry.enabled:
             registry = telemetry.registry
@@ -266,6 +240,10 @@ class AtlasPlatform:
                     "measurements with no successful answer",
                 ).inc()
             telemetry.profiler.count("observations")
+        return (
+            site, result.final_address, result.rtt_ms, result.attempts,
+            result.succeeded,
+        )
 
     def measure(
         self,
@@ -275,27 +253,35 @@ class AtlasPlatform:
         label_prefix: str = "m",
         heartbeat_every: int = 0,
         shard: int | None = None,
-        kernel: bool = False,
     ) -> MeasurementRun:
         """Run the paper's campaign: a TXT query per VP per interval.
 
         Labels are unique per (VP, tick) so recursive record caches never
         short-circuit a query (§3.1 "cold caches").
 
-        ``heartbeat_every`` > 0 emits a ``shard.heartbeat`` note to the
-        event sink after every N completed ticks — the live monitor's
-        progress feed.  Heartbeats are deterministic (virtual
-        timestamps, tick counts) and the parallel engine excludes them
-        from the canonical merged log, so enabling them never perturbs
-        a result.  The default 0 skips everything, including the flush.
+        The campaign is one event-kernel drain: every tick is a timer
+        event issuing one query per VP (in vp_id order, which pins the
+        heap's tie-break sequence), responses are delivery events and
+        retries are timeout events.  The drain runs past the campaign
+        end so in-flight retries finish — then the clock is brought to
+        the nominal campaign end if the last event fell short of it.
 
-        ``kernel=True`` drives the campaign through the discrete-event
-        kernel: ticks are timer events, responses are delivery events,
-        and retries are timeout events, so the whole campaign is one
-        heap drain interleaving every in-flight query.  Observations
-        carry the same content as the synchronous loop — issue-time
-        timestamps, layout-invariant RNG streams — so the canonical
-        merged output stays byte-identical across worker layouts.
+        Observations draw from layout-invariant RNG streams and are
+        stamped with the query *issue* time (the tick), not the
+        completion time.  Completions arrive in completion order but
+        rows are appended in issue order — a tick's rows once its last
+        VP has finished, ticks in turn — so the store is built in the
+        canonical ``(timestamp, vp_id)`` order and a serial run equals
+        the sorted merge of any worker layout as it stands.  The qname
+        is stored as its unique label bytes plus the interned campaign
+        suffix; no qname string materializes.
+
+        ``heartbeat_every`` > 0 emits a ``shard.heartbeat`` note to the
+        event sink after every N ticks — the live monitor's progress
+        feed.  Heartbeats are deterministic (virtual timestamps, tick
+        counts) and the parallel engine excludes them from the
+        canonical merged log, so enabling them never perturbs a result.
+        The default 0 schedules nothing.
         """
         if not self.vantage_points:
             self.build_vantage_points()
@@ -316,95 +302,36 @@ class AtlasPlatform:
         # any shard conscripts the same VPs the serial run would.
         plan = self.attack_plan
         bots = plan.bot_ids(vp.vp_id for vp, _ in profiled) if plan else frozenset()
-        if kernel:
-            self._measure_kernel(
-                run, ticks, interval_s, label_prefix, suffix, suffix_id,
-                profiled, heartbeat_every, shard, plan, bots,
-            )
-        else:
-            clock = self.network.clock
-            record = self._record
-            txt = RRType.TXT
-            child = suffix.child
-            epoch = clock.now
-            with self.telemetry.profiler.phase("platform.measure"):
-                for tick in range(ticks):
-                    if costs_on:
-                        # One virtual-time timer firing per measurement
-                        # tick — the synchronous stand-in for the
-                        # kernel's tick event.
-                        costs.count("timer_event")
-                    now = clock.now
-                    attacking = plan is not None and plan.active(now - epoch)
-                    for vp, pid in profiled:
-                        if attacking and vp.vp_id in bots:
-                            qname, label, s_text = plan.query_for(
-                                vp.vp_id, tick
-                            )
-                            sid = store.intern(s_text)
-                            if costs_on:
-                                costs.count("attack_query")
-                        else:
-                            label = f"{label_prefix}-{vp.vp_id}-{tick}".encode(
-                                "ascii"
-                            )
-                            qname, sid = child(label), suffix_id
-                        result = vp.resolver.resolve(qname, txt)
-                        record(store, vp, pid, label, sid, now, result)
-                    clock.advance(interval_s)
-                    if heartbeat_every and (tick + 1) % heartbeat_every == 0:
-                        self._emit_heartbeat(
-                            tick + 1, ticks, len(store), shard
-                        )
-        self._emit_campaign_note(
-            "measure.end", domain, interval_s, duration_s,
-            observations=len(run.store),
-        )
-        return run
-
-    def _measure_kernel(
-        self,
-        run: MeasurementRun,
-        ticks: int,
-        interval_s: float,
-        label_prefix: str,
-        suffix: Name,
-        suffix_id: int,
-        profiled: list[tuple[VantagePoint, int]],
-        heartbeat_every: int,
-        shard: int | None,
-        plan=None,
-        bots: frozenset = frozenset(),
-    ) -> None:
-        """The campaign as one event-kernel drain.
-
-        Every tick is a timer event issuing one query per VP (in vp_id
-        order, which pins the heap's tie-break sequence to the same
-        order the synchronous loop uses); completions append to the run
-        via per-query callbacks.  The drain runs past the campaign end
-        so in-flight retries finish — then the clock is brought to the
-        nominal campaign end if the last event fell short of it.
-        """
-        from functools import partial
-
-        from ..netsim.sched import EventKernel
-
         clock = self.network.clock
-        costs = self.telemetry.costs
         kernel = EventKernel(clock=clock, costs=costs)
         epoch = clock.now
-        store = run.store
-        record = self._record
-        costs_on = costs.enabled
+        observe = self._observe
+        # Reorder buffer: per issued tick, its issue time and one
+        # ``[label, suffix id, outcome]`` row per VP (dropped once
+        # appended); ``unfinished`` counts the outcomes still missing.
+        issued: list[tuple[float, list[list]] | None] = []
+        unfinished = [len(profiled)] * ticks
+        appended = 0
+
+        def finish(tick: int, row: list, result) -> None:
+            nonlocal appended
+            row.append(observe(result))
+            unfinished[tick] -= 1
+            while appended < len(issued) and not unfinished[appended]:
+                now, rows = issued[appended]
+                for (vp, pid), (label, sid, outcome) in zip(profiled, rows):
+                    store.append(vp.vp_id, pid, now, label, sid, *outcome)
+                issued[appended] = None
+                appended += 1
 
         def tick_event(tick: int) -> None:
             if costs_on:
                 costs.count("timer_event")
             now = clock.now
-            # Same per-VP attack decision as the synchronous loop — the
-            # qname stream must not depend on the engine.
+            rows: list[list] = []
+            issued.append((now, rows))
             attacking = plan is not None and plan.active(now - epoch)
-            for vp, pid in profiled:
+            for vp, _ in profiled:
                 if attacking and vp.vp_id in bots:
                     qname, label, s_text = plan.query_for(vp.vp_id, tick)
                     sid = store.intern(s_text)
@@ -413,31 +340,30 @@ class AtlasPlatform:
                 else:
                     label = f"{label_prefix}-{vp.vp_id}-{tick}".encode("ascii")
                     qname, sid = suffix.child(label), suffix_id
+                row = [label, sid]
+                rows.append(row)
                 vp.resolver.resolve_event(
-                    qname,
-                    RRType.TXT,
-                    kernel,
-                    partial(record, store, vp, pid, label, sid, now),
+                    qname, RRType.TXT, kernel, partial(finish, tick, row)
                 )
+
+        def heartbeat(tick: int) -> None:
+            self._emit_heartbeat(tick, ticks, len(store), shard)
 
         for tick in range(ticks):
             kernel.call_at(epoch + tick * interval_s, tick_event, tick)
         if heartbeat_every:
             for tick in range(heartbeat_every, ticks + 1, heartbeat_every):
-                kernel.call_at(
-                    epoch + tick * interval_s,
-                    partial(self._emit_kernel_heartbeat, run, tick, ticks, shard),
-                )
+                kernel.call_at(epoch + tick * interval_s, heartbeat, tick)
         with self.telemetry.profiler.phase("platform.measure"):
             kernel.run()
         end = epoch + ticks * interval_s
         if end > clock.now:
             clock.advance_to(end)
-
-    def _emit_kernel_heartbeat(
-        self, run: MeasurementRun, tick: int, ticks: int, shard: int | None
-    ) -> None:
-        self._emit_heartbeat(tick, ticks, len(run.store), shard)
+        self._emit_campaign_note(
+            "measure.end", domain, interval_s, duration_s,
+            observations=len(store),
+        )
+        return run
 
     def _emit_heartbeat(
         self, tick: int, ticks: int, observations: int, shard: int | None
@@ -483,58 +409,3 @@ class AtlasPlatform:
                 **extra,
             },
         ))
-
-    def measure_event_driven(
-        self,
-        domain: str,
-        interval_s: float = 120.0,
-        duration_s: float = 3600.0,
-        label_prefix: str = "e",
-    ) -> MeasurementRun:
-        """Like :meth:`measure`, but on the discrete-event engine.
-
-        Real Atlas probes are not synchronized: each VP fires at its own
-        phase within the interval.  Queries are events on the shared
-        virtual clock, so interleavings are realistic while remaining
-        fully deterministic for a given platform RNG.
-        """
-        if not self.vantage_points:
-            self.build_vantage_points()
-        run = MeasurementRun(domain, interval_s, duration_s)
-        scheduler = EventScheduler(
-            clock=self.network.clock, telemetry=self.telemetry
-        )
-        epoch = self.network.clock.now
-
-        suffix = Name.from_text(f"probe.{domain}").intern()
-        store = run.store
-        suffix_id = store.intern(f".probe.{domain}")
-
-        def fire(vp: VantagePoint, pid: int, tick: int) -> None:
-            now = self.network.clock.now
-            label = f"{label_prefix}-{vp.vp_id}-{tick}".encode("ascii")
-            result = vp.resolver.resolve(suffix.child(label), RRType.TXT)
-            self._record(store, vp, pid, label, suffix_id, now, result)
-            next_at = now + interval_s
-            if next_at - epoch < duration_s:
-                scheduler.schedule_at(next_at, lambda: fire(vp, pid, tick + 1))
-
-        for vp, pid in self._profiled_vps(store):
-            # Phase derives from the VP identity, not a shared stream, so
-            # the firing schedule survives population resharding.
-            phase = derive_rng(self.seed, "phase", vp.vp_id).uniform(
-                0.0, interval_s
-            )
-            scheduler.schedule_at(
-                epoch + phase, lambda vp=vp, pid=pid: fire(vp, pid, 0)
-            )
-        self._emit_campaign_note(
-            "measure.start", domain, interval_s, duration_s,
-        )
-        with self.telemetry.profiler.phase("platform.measure"):
-            scheduler.run_until(epoch + duration_s)
-        self._emit_campaign_note(
-            "measure.end", domain, interval_s, duration_s,
-            observations=len(run.store),
-        )
-        return run

@@ -140,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ipv6=args.ipv6,
         scenario=args.scenario,
         heartbeat_every_ticks=args.heartbeat_every,
-        kernel=args.kernel,
     )
     io.status(
         f"running {args.combo} ({', '.join(COMBINATIONS[args.combo].sites)}): "
@@ -251,7 +250,6 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         duration_s=duration_s,
         seed=args.seed,
         scenario=scenario,
-        kernel=args.kernel,
     )
     io.status(
         f"running {args.combo} under scenario {scenario.name!r} "
@@ -407,7 +405,6 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
         duration_s=duration_s,
         seed=args.seed,
         attack=profile,
-        kernel=args.kernel,
     )
     mitigations = []
     if profile.max_fetch is not None:
@@ -853,8 +850,7 @@ def _render_cost_decomposition(ledger, measure_s, sampler) -> str:
     """The per-query overhead table: where a simulated query's time goes.
 
     ``measure_s`` is the wall-clock measure phase; divided by the
-    ledger's query count it is the per-query cost the DES kernel has to
-    beat.  When a sampling profiler covered the phase, its subsystem
+    ledger's query count it is the per-query cost.  When a sampling profiler covered the phase, its subsystem
     self-times split that number further.
     """
     lines = ["=== Per-query overhead decomposition ==="]
@@ -944,7 +940,6 @@ def _cmd_costs(args: argparse.Namespace) -> int:
         duration_s=args.duration * 60.0,
         seed=args.seed,
         scenario=args.scenario,
-        kernel=args.kernel,
     )
     io.status(
         f"costing {args.combo}: {args.probes} probes, "
@@ -1312,11 +1307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for 'repro-dns top' (0 = off; never affects results)",
     )
     run_parser.add_argument(
-        "--kernel", action="store_true",
-        help="drive the campaign through the discrete-event kernel "
-        "(ticks, deliveries, and retries as heap events)",
-    )
-    run_parser.add_argument(
         "--no-analyze", action="store_true",
         help="skip the post-run figure tables (for smoke campaigns too "
         "short or too large for the per-VP query thresholds)",
@@ -1566,11 +1556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a telemetry event log (JSONL) carrying the costs "
         "record to FILE",
     )
-    costs_parser.add_argument(
-        "--kernel", action="store_true",
-        help="cost the campaign on the discrete-event kernel instead "
-        "of the synchronous per-query loop",
-    )
     costs_parser.set_defaults(func=_cmd_costs)
 
     history_parser = sub.add_parser(
@@ -1723,10 +1708,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--export", metavar="FILE",
         help="save the resolved scenario as a scenario JSON file",
     )
-    faults_run.add_argument(
-        "--kernel", action="store_true",
-        help="drive the campaign through the discrete-event kernel",
-    )
     faults_run.set_defaults(func=_cmd_faults_run)
 
     attack_parser = sub.add_parser(
@@ -1802,10 +1783,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack_run.add_argument(
         "--export", metavar="FILE",
         help="save the resolved attack profile as a JSON file",
-    )
-    attack_run.add_argument(
-        "--kernel", action="store_true",
-        help="drive the campaign through the discrete-event kernel",
     )
     attack_run.set_defaults(func=_cmd_attack_run)
 

@@ -69,15 +69,34 @@ class Capture:
 
 
 class CapturingNetwork:
-    """A :class:`SimNetwork` proxy that records every round trip.
+    """A :class:`SimNetwork` proxy that records every exchange.
 
     Drop-in: hand it wherever a network is expected; all attribute
-    access is forwarded, only :meth:`round_trip` is intercepted.
+    access is forwarded, only the two send paths are intercepted —
+    :meth:`round_trip` (direct probes) and :meth:`transmit` (resolvers
+    on the event kernel).  An exchange is stamped with its send time
+    and captured when its fate is known, lost ones included.
     """
 
     def __init__(self, network: SimNetwork, capture: Capture | None = None):
         self._network = network
         self.capture = capture if capture is not None else Capture()
+
+    def _record(
+        self, sent_at: float, client: str, server: str, payload: bytes,
+        trip: RoundTrip,
+    ) -> None:
+        self.capture.exchanges.append(
+            CapturedExchange(
+                timestamp=sent_at,
+                client=client,
+                server=server,
+                served_by=trip.served_by,
+                rtt_ms=trip.rtt_ms,
+                query_wire=payload,
+                response_wire=trip.response,
+            )
+        )
 
     def round_trip(
         self,
@@ -89,18 +108,31 @@ class CapturingNetwork:
         trip = self._network.round_trip(
             client_location, client_address, dst_address, payload
         )
-        self.capture.exchanges.append(
-            CapturedExchange(
-                timestamp=self._network.clock.now,
-                client=client_address,
-                server=dst_address,
-                served_by=trip.served_by,
-                rtt_ms=trip.rtt_ms,
-                query_wire=payload,
-                response_wire=trip.response,
-            )
+        self._record(
+            self._network.clock.now, client_address, dst_address, payload, trip
         )
         return trip
+
+    def transmit(
+        self,
+        kernel,
+        client_location: Location,
+        client_address: str,
+        dst_address: str,
+        payload: bytes,
+        on_result,
+        parent=None,
+    ) -> None:
+        sent_at = self._network.clock.now
+
+        def capture_then(trip: RoundTrip) -> None:
+            self._record(sent_at, client_address, dst_address, payload, trip)
+            on_result(trip)
+
+        self._network.transmit(
+            kernel, client_location, client_address, dst_address, payload,
+            capture_then, parent=parent,
+        )
 
     def __getattr__(self, name):
         return getattr(self._network, name)

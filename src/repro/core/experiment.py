@@ -49,10 +49,6 @@ class ExperimentConfig:
     #: live monitor (0 = off; heartbeats never enter the canonical
     #: merged event log, so results are identical either way).
     heartbeat_every_ticks: int = 0
-    #: drive the measurement through the discrete-event kernel: ticks,
-    #: deliveries, and retry timeouts become heap events and the whole
-    #: campaign is one drain interleaving every in-flight query.
-    kernel: bool = False
 
     @classmethod
     def for_combination(cls, combo_id: str, **overrides) -> "ExperimentConfig":
@@ -180,7 +176,6 @@ class TestbedExperiment:
                 "ipv6": self.config.ipv6,
                 "scenario": scenario.name if scenario is not None else None,
                 "attack": attack.name if attack is not None else None,
-                "kernel": self.config.kernel,
             }))
         base = "2001:db8:53" if self.config.ipv6 else "10.0"
         with profiler.phase("experiment.deploy"), \
@@ -285,7 +280,6 @@ class TestbedExperiment:
                 duration_s=self.config.duration_s,
                 heartbeat_every=self.config.heartbeat_every_ticks,
                 shard=self.shard,
-                kernel=self.config.kernel,
             )
         profiler.record("config.combo_sites", [
             list(spec.sites) for spec in self.config.authoritatives

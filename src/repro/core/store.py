@@ -426,7 +426,8 @@ class ObservationStore:
         """Stable-sort rows by ``(timestamp, vp_id)`` — the serial order.
 
         Ticks share one timestamp and VPs fire in vp_id order, so this
-        reproduces exactly the sequence a serial synchronous run emits.
+        is the order queries were issued in, whatever order they
+        completed in and whichever shard ran them.
         """
         t_col = self._t
         vp_col = self._vp

@@ -3,7 +3,6 @@
 from .addressing import Ipv4Allocator, Ipv6Allocator
 from .anycast import AnycastGroup, AnycastSite
 from .clock import SimClock
-from .events import EventScheduler
 from .sched import EventKernel
 from .geo import (
     ATLAS_CONTINENT_WEIGHTS,
@@ -45,7 +44,6 @@ __all__ = [
     "DATACENTERS",
     "DeliveryError",
     "EventKernel",
-    "EventScheduler",
     "FaultEvent",
     "FaultPlan",
     "FIBER_KM_PER_SECOND",

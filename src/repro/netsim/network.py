@@ -174,10 +174,11 @@ class SimNetwork:
         destinations (unknown address or fully withdrawn anycast group).
 
         This is the single place exchange outcomes are drawn: the
-        synchronous :meth:`round_trip` and the event kernel's send path
-        both call it, so every draw comes from the same per-(client,
-        destination) streams in the same order — the property the
-        serial≡K-worker byte-identity contract rests on.  The draw
+        blocking :meth:`round_trip` (direct probes) and the kernel send
+        :meth:`transmit` (resolvers) both call it, so every draw comes
+        from the same per-(client, destination) streams in the same
+        order — the property the serial≡K-worker byte-identity
+        contract rests on.  The draw
         count depends only on which faults are active (a pure function
         of ``(dst_address, now)``), never on outcomes.
         """
@@ -245,10 +246,12 @@ class SimNetwork:
         dst_address: str,
         payload: bytes,
     ) -> RoundTrip:
-        """One query/response exchange from a client to a service address.
+        """One blocking query/response exchange, answered at virtual now.
 
-        Loss applies to the whole round trip; the caller decides whether
-        and when to retry (resolvers time out and retry or move on).
+        The direct-probe path (catchment mapping, ad-hoc checks): the
+        clock does not move and the caller gets the RTT as a number.
+        Resolvers send through :meth:`transmit` instead.  Loss applies
+        to the whole round trip; the caller decides whether to retry.
 
         When a fault plan is installed its state at the current virtual
         time degrades the exchange: an outage (or fully withdrawn
@@ -272,66 +275,67 @@ class SimNetwork:
 
         now = self.clock.now
         tracer = telemetry.tracer
-        registry = telemetry.registry
         span = tracer.start_span(
             "net.round_trip", at=now, client=client_address, dst=dst_address
         )
+        end = now
         try:
-            (
-                lost, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault,
-            ) = self.sample_path(client_location, client_address, dst_address)
-            if fault_drop == "ns_outage":
-                span.set(lost=True, fault="ns_outage")
-                span.event("fault_outage", at=now)
-                registry.counter(
-                    "sim_fault_drops_total",
-                    "round trips dropped by an injected fault",
-                    ("dst", "fault"),
-                ).labels(dst=dst_address, fault="ns_outage").inc()
-                return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-            span.set(site=code)
-            if is_anycast:
-                span.event("anycast_catchment", at=now, site=code)
+            fate = self.sample_path(client_location, client_address, dst_address)
+            self._trace_fate(span, now, dst_address, fate)
+            lost, rtt_ms, handler, code = fate[:4]
             if lost:
-                span.set(lost=True)
-                span.event("loss", at=now)
-                if fault_drop is not None:
-                    span.set(fault=fault_drop)
-                    registry.counter(
-                        "sim_fault_drops_total",
-                        "round trips dropped by an injected fault",
-                        ("dst", "fault"),
-                    ).labels(dst=dst_address, fault=fault_drop).inc()
-                else:
-                    registry.counter(
-                        "sim_lost_total",
-                        "round trips lost in the simulated network",
-                        ("dst",),
-                    ).labels(dst=dst_address).inc()
                 return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-            if latency_fault:
-                span.set(fault="latency")
-            span.set(lost=False, rtt_ms=round(rtt_ms, 3))
-            span.event("rtt_draw", at=now, rtt_ms=round(rtt_ms, 3))
-            registry.counter(
-                "sim_round_trips_total",
-                "query/response exchanges delivered, by destination and site",
-                ("dst", "site"),
-            ).labels(dst=dst_address, site=code).inc()
-            registry.histogram(
-                "sim_rtt_ms", "sampled round-trip time (ms)", ("site",)
-            ).labels(site=code).observe(rtt_ms)
+            end = now + round(rtt_ms, 3) / 1000.0
             response = handler(payload, client_address, now)
             span.set(answered=response is not None)
             return RoundTrip(
                 response=response, rtt_ms=rtt_ms, lost=False, served_by=code
             )
         finally:
-            end = now
-            rtt = span.attributes.get("rtt_ms")
-            if isinstance(rtt, (int, float)):
-                end = now + rtt / 1000.0
             tracer.finish_span(span, at=end)
+
+    def _trace_fate(self, span, at: float, dst_address: str, fate: tuple) -> None:
+        """Book one drawn exchange fate on its ``net.round_trip`` span:
+        attributes, point events and the ``sim_*`` counters."""
+        lost, rtt_ms, _handler, code, fault_drop, is_anycast, latency_fault = fate
+        registry = self.telemetry.registry
+        if fault_drop is not None:
+            registry.counter(
+                "sim_fault_drops_total",
+                "round trips dropped by an injected fault",
+                ("dst", "fault"),
+            ).labels(dst=dst_address, fault=fault_drop).inc()
+        if fault_drop == "ns_outage":
+            span.set(lost=True, fault="ns_outage")
+            span.event("fault_outage", at=at)
+            return
+        span.set(site=code)
+        if is_anycast:
+            span.event("anycast_catchment", at=at, site=code)
+        if lost:
+            span.set(lost=True)
+            span.event("loss", at=at)
+            if fault_drop is not None:
+                span.set(fault=fault_drop)
+            else:
+                registry.counter(
+                    "sim_lost_total",
+                    "round trips lost in the simulated network",
+                    ("dst",),
+                ).labels(dst=dst_address).inc()
+            return
+        if latency_fault:
+            span.set(fault="latency")
+        span.set(lost=False, rtt_ms=round(rtt_ms, 3))
+        span.event("rtt_draw", at=at, rtt_ms=round(rtt_ms, 3))
+        registry.counter(
+            "sim_round_trips_total",
+            "query/response exchanges delivered, by destination and site",
+            ("dst", "site"),
+        ).labels(dst=dst_address, site=code).inc()
+        registry.histogram(
+            "sim_rtt_ms", "sampled round-trip time (ms)", ("site",)
+        ).labels(site=code).observe(rtt_ms)
 
     def transmit(
         self,
@@ -361,9 +365,10 @@ class SimNetwork:
         identity carries over unchanged.
 
         With telemetry enabled the same ``net.round_trip`` span
-        content, events, and counters as the synchronous path are
-        emitted; ``parent`` anchors the span explicitly (interleaved
-        resolutions cannot use the tracer's active-span stack).  The
+        content, events, and counters as :meth:`round_trip` are
+        emitted (:meth:`_trace_fate`); ``parent`` anchors the span
+        explicitly (interleaved resolutions cannot use the tracer's
+        active-span stack).  The
         span finishes at delivery time, and the handler runs with the
         span activated so authoritative spans nest beneath it.
         """
@@ -393,63 +398,21 @@ class SimNetwork:
             return
 
         tracer = telemetry.tracer
-        registry = telemetry.registry
         span = tracer.start_span(
             "net.round_trip", at=send_time, parent=parent,
             client=client_address, dst=dst_address,
         )
         try:
-            (
-                lost, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault,
-            ) = self.sample_path(client_location, client_address, dst_address)
+            fate = self.sample_path(client_location, client_address, dst_address)
         except Exception:
             tracer.finish_span(span, at=send_time)
             raise
-        if fault_drop == "ns_outage":
-            span.set(lost=True, fault="ns_outage")
-            span.event("fault_outage", at=send_time)
-            registry.counter(
-                "sim_fault_drops_total",
-                "round trips dropped by an injected fault",
-                ("dst", "fault"),
-            ).labels(dst=dst_address, fault="ns_outage").inc()
-            tracer.finish_span(span, at=send_time)
-            on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
-            return
-        span.set(site=code)
-        if is_anycast:
-            span.event("anycast_catchment", at=send_time, site=code)
+        self._trace_fate(span, send_time, dst_address, fate)
+        lost, rtt_ms, handler, code = fate[:4]
         if lost:
-            span.set(lost=True)
-            span.event("loss", at=send_time)
-            if fault_drop is not None:
-                span.set(fault=fault_drop)
-                registry.counter(
-                    "sim_fault_drops_total",
-                    "round trips dropped by an injected fault",
-                    ("dst", "fault"),
-                ).labels(dst=dst_address, fault=fault_drop).inc()
-            else:
-                registry.counter(
-                    "sim_lost_total",
-                    "round trips lost in the simulated network",
-                    ("dst",),
-                ).labels(dst=dst_address).inc()
             tracer.finish_span(span, at=send_time)
             on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
             return
-        if latency_fault:
-            span.set(fault="latency")
-        span.set(lost=False, rtt_ms=round(rtt_ms, 3))
-        span.event("rtt_draw", at=send_time, rtt_ms=round(rtt_ms, 3))
-        registry.counter(
-            "sim_round_trips_total",
-            "query/response exchanges delivered, by destination and site",
-            ("dst", "site"),
-        ).labels(dst=dst_address, site=code).inc()
-        registry.histogram(
-            "sim_rtt_ms", "sampled round-trip time (ms)", ("site",)
-        ).labels(site=code).observe(rtt_ms)
 
         def deliver():
             tracer.activate(span)

@@ -22,10 +22,8 @@ seq — the callback is never compared), which keeps the per-event cost
 far below a Python ``__lt__`` on a handle class.  The entry list itself
 is the cancellation handle.
 
-:class:`~repro.netsim.events.EventScheduler` — the telemetry-counting
-scheduler the event-driven measurement mode has always used — is a thin
-subclass; this module is the single implementation of virtual-time
-event ordering in the repo.
+This module is the single implementation of virtual-time event
+ordering in the repo: every resolution and every campaign runs on it.
 """
 
 from __future__ import annotations

@@ -82,7 +82,8 @@ class DnsForwarder:
         """Answer from the forwarder cache or relay to an upstream."""
         if isinstance(qname, str):
             qname = Name.from_text(qname)
-        now = self.upstreams[0].network.clock.now
+        clock = self.upstreams[0].network.clock
+        now = clock.now
         if self.cache is not None and rrclass == RRClass.IN:
             entry = self.cache.get(qname, qtype, now)
             if entry is not None:
@@ -119,5 +120,6 @@ class DnsForwarder:
             and result.succeeded
             and not result.from_cache
         ):
-            self.cache.put(qname, qtype, list(result.answers), now)
+            # The relay took virtual time: the TTL runs from arrival.
+            self.cache.put(qname, qtype, list(result.answers), clock.now)
         return result

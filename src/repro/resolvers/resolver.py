@@ -17,18 +17,19 @@ from ..dns.name import Name
 from ..dns.rdata import TXT
 from ..dns.records import ResourceRecord
 from ..dns.types import Rcode, RRClass, RRType
-
-CHAOS_SELF_NAMES = (
-    Name.from_text("id.server."),
-    Name.from_text("hostname.bind."),
-)
 from ..netsim.geo import Location
 from ..netsim.network import SimNetwork
+from ..netsim.sched import EventKernel
 from ..seeding import default_rng
 from ..telemetry import NULL_SPAN, NULL_TELEMETRY
 from .base import ServerSelector
 from .infracache import InfrastructureCache
 from .rrcache import RecordCache
+
+CHAOS_SELF_NAMES = (
+    Name.from_text("id.server."),
+    Name.from_text("hostname.bind."),
+)
 
 MAX_REFERRALS = 16
 
@@ -38,9 +39,7 @@ MAX_REFERRALS = 16
 #: recurse indefinitely.
 MAX_FETCH_DEPTH = 4
 
-#: response classification codes shared by the synchronous referral
-#: loop and the event-driven resolution path, so both engines apply
-#: identical semantics (including the dead-referral SERVFAIL fix).
+#: response classification codes of the referral walk.
 _NXDOMAIN, _ERROR, _REFERRAL, _DEAD_REFERRAL, _DESCEND, _ANSWER, _NODATA = range(7)
 
 
@@ -194,6 +193,38 @@ class RecursiveResolver:
     ) -> ResolutionResult:
         """Resolve a name, using caches, selection, retries, and referrals.
 
+        Runs :meth:`resolve_event`'s state machine on a private kernel
+        over the network's clock and drains it, so the clock advances
+        to the resolution's completion time (every RTT and timeout wait
+        included).  This is a top-level call: never make it from inside
+        a kernel event on the same clock, nor while another kernel
+        holds queued events on it — the drain would move time past
+        them.  Code already on a kernel calls :meth:`resolve_event`.
+        """
+        kernel = EventKernel(clock=self.network.clock, costs=self.telemetry.costs)
+        finished: list[ResolutionResult] = []
+        self._begin(qname, qtype, rrclass, kernel, finished.append)
+        kernel.run()
+        return finished[0]
+
+    def resolve_event(
+        self,
+        qname: Name | str,
+        qtype: RRType,
+        kernel,
+        done,
+        rrclass: RRClass = RRClass.IN,
+    ) -> None:
+        """Begin a resolution driven by the event kernel.
+
+        ``done(result)`` fires when the resolution completes —
+        synchronously for CHAOS self-queries and cache hits, otherwise
+        from a kernel event at the virtual completion time.  Retries
+        are real timer events (attempt N fires at ``send + N×timeout``)
+        and responses are delivery events at ``send + rtt``, so one
+        process interleaves thousands of in-flight resolutions and the
+        clock advances through the kernel, never per query.
+
         CHAOS-class identification queries (``id.server.``,
         ``hostname.bind.``) are answered by the recursive itself and
         never forwarded — the §3.1 pitfall that makes CHAOS useless for
@@ -203,57 +234,39 @@ class RecursiveResolver:
         ``resolver.resolve`` root span whose children trace each
         exchange attempt down through the network and authoritative.
         """
+        self._begin(qname, qtype, rrclass, kernel, done)
+
+    def _begin(self, qname, qtype, rrclass, kernel, done) -> None:
+        """Bill the query, open its root span, answer from the resolver
+        itself or its caches if possible, else start the referral walk."""
         if isinstance(qname, str):
             qname = Name.from_text(qname)
         telemetry = self.telemetry
         # Ledger denominator: one "query" per resolution entering the
-        # resolver, counted on both the traced and untraced paths.
+        # resolver.
         costs = telemetry.costs
         if costs.enabled:
             costs.count("query")
-        if not telemetry.enabled:
-            return self._resolve(qname, qtype, rrclass, NULL_SPAN)
-        tracer = telemetry.tracer
-        start = self.network.clock.now
-        span = tracer.start_span(
-            "resolver.resolve",
-            at=start,
-            resolver=self.address,
-            qname=qname.to_text(),
-            qtype=getattr(qtype, "name", str(int(qtype))),
-        )
-        try:
-            result = self._resolve(qname, qtype, rrclass, span)
-            rcode = (
-                getattr(result.rcode, "name", str(result.rcode))
-                if result.rcode is not None
-                else "NONE"
+        span = NULL_SPAN
+        if telemetry.enabled:
+            # Explicit parent: interleaved resolutions would corrupt the
+            # tracer's active-span stack, so resolver spans never use it.
+            span = telemetry.tracer.start_span(
+                "resolver.resolve",
+                at=kernel.now,
+                parent=None,
+                resolver=self.address,
+                qname=qname.to_text(),
+                qtype=getattr(qtype, "name", str(int(qtype))),
             )
-            span.set(rcode=rcode, site=result.served_by)
-            registry = telemetry.registry
-            registry.counter(
-                "resolver_queries_total", "resolutions attempted by recursives"
-            ).inc()
-            registry.counter(
-                "resolver_resolutions_total",
-                "completed resolutions, by outcome rcode",
-                ("rcode",),
-            ).labels(rcode=rcode).inc()
-            cache_outcome = str(span.attributes.get("cache", "miss"))
-            registry.counter(
-                "resolver_cache_total",
-                "record-cache outcomes per resolution",
-                ("result",),
-            ).labels(result=cache_outcome).inc()
-            return result
-        finally:
-            # Virtual end: the latest child end (exchanges carry the RTT
-            # and timeout waits); the clock itself does not advance.
-            end = max(
-                [child.end for child in span.children if child.end is not None]
-                + [start]
-            )
-            tracer.finish_span(span, at=end)
+        result = ResolutionResult(qname=qname, qtype=qtype)
+        state = _EventResolution(self, kernel, qname, qtype, done, span, result)
+        start = self._resolution_prologue(qname, qtype, rrclass, span, result)
+        if start is None:
+            state._complete()
+            return
+        state.current_zone, state.addresses = start
+        state._begin_iteration()
 
     def _resolution_prologue(
         self,
@@ -263,7 +276,7 @@ class RecursiveResolver:
         span,
         result: ResolutionResult,
     ) -> tuple[Name, list[str]] | None:
-        """CHAOS self-answers and cache lookups, shared by both engines.
+        """CHAOS self-answers and cache lookups, before any exchange.
 
         Returns ``None`` when ``result`` is already complete (no network
         exchange needed), else the starting ``(zone, addresses)`` for
@@ -317,16 +330,14 @@ class RecursiveResolver:
     ) -> tuple[int, list[str] | None, Name | None]:
         """Classify one authoritative response for the referral walk.
 
-        Returns ``(kind, referral_addresses, referral_cut)``.  Both the
-        synchronous loop and the event-driven path route through this,
-        so fixes to the walk semantics apply to each identically.
+        Returns ``(kind, referral_addresses, referral_cut)``.
         """
         if message.rcode == Rcode.NXDOMAIN:
             return _NXDOMAIN, None, None
         if message.rcode != Rcode.NOERROR:
             return _ERROR, None, None
         if not message.answers:
-            referral = self._referral_addresses(message)
+            referral = self._routable_addresses(message.additionals)
             cut = self._referral_cut(message)
             if referral:
                 return _REFERRAL, referral, cut
@@ -345,84 +356,6 @@ class RecursiveResolver:
             return _ANSWER, None, None
         return _NODATA, None, None
 
-    def _resolve(
-        self,
-        qname: Name,
-        qtype: RRType,
-        rrclass: RRClass,
-        span,
-        depth: int = 0,
-        budget: ResolutionResult | None = None,
-        pending: tuple[Name, ...] = (),
-    ) -> ResolutionResult:
-        result = ResolutionResult(qname=qname, qtype=qtype)
-        if budget is None:
-            # ``budget`` is the top-level client result: nested NS
-            # fetches all bill their amplification against it, so
-            # ``max_fetch`` bounds the whole tree, not each level.
-            budget = result
-        start = self._resolution_prologue(qname, qtype, rrclass, span, result)
-        if start is None:
-            return result
-        current_zone, addresses = start
-
-        for _ in range(MAX_REFERRALS):
-            send_name, send_type = self._minimized_question(
-                qname, qtype, current_zone
-            )
-            response = self._query_with_retries(
-                send_name, send_type, addresses, result
-            )
-            if response is None:
-                result.rcode = Rcode.SERVFAIL
-                return result
-            message, address, served_by, rtt_ms = response
-            kind, referral, cut = self._classify_response(message, send_name, qname)
-            if kind == _NXDOMAIN:
-                self._cache_negative(message, send_name, send_type, nxdomain=True)
-                self._finalize(result, message, address, served_by, rtt_ms)
-                result.rcode = Rcode.NXDOMAIN
-                return result
-            if kind == _ERROR:
-                result.rcode = message.rcode
-                self._finalize(result, message, address, served_by, rtt_ms)
-                return result
-            if kind == _REFERRAL:
-                addresses = referral
-                if cut is not None:
-                    current_zone = cut
-                continue
-            if kind == _DEAD_REFERRAL:
-                # Glueless (or unroutable-glue) delegation: chase the NS
-                # target names with sub-resolutions — the fetch fan-out
-                # the NXNSAttack amplifies, bounded by ``max_fetch`` /
-                # ``max_fetch_per_delegation`` / MAX_FETCH_DEPTH.
-                fetched = self._fetch_ns_addresses(
-                    message, span, depth, budget, pending
-                )
-                if fetched:
-                    addresses = fetched
-                    if cut is not None:
-                        current_zone = cut
-                    continue
-                result.rcode = Rcode.SERVFAIL
-                return result
-            if kind == _DESCEND:
-                current_zone = send_name
-                continue
-            if kind == _ANSWER:
-                self.record_cache.put(
-                    qname, qtype, list(message.answers), self.network.clock.now
-                )
-                self._finalize(result, message, address, served_by, rtt_ms)
-                return result
-            # NODATA: name exists but not this type.
-            self._cache_negative(message, qname, qtype, nxdomain=False)
-            self._finalize(result, message, address, served_by, rtt_ms)
-            return result
-        result.rcode = Rcode.SERVFAIL
-        return result
-
     def _minimized_question(
         self, qname: Name, qtype: RRType, current_zone: Name
     ) -> tuple[Name, RRType]:
@@ -436,57 +369,6 @@ class RecursiveResolver:
             return qname, qtype
         child = current_zone.child(relative[-1])
         return child, RRType.NS
-
-    # -- event-driven resolution ------------------------------------------------
-
-    def resolve_event(
-        self,
-        qname: Name | str,
-        qtype: RRType,
-        kernel,
-        done,
-        rrclass: RRClass = RRClass.IN,
-    ) -> None:
-        """Begin a resolution driven by the event kernel.
-
-        ``done(result)`` fires when the resolution completes —
-        synchronously for CHAOS self-queries and cache hits, otherwise
-        from a kernel event at the virtual completion time.  Retries
-        are real timer events (attempt N fires at ``send + N×timeout``)
-        and responses are delivery events at ``send + rtt``, so one
-        process interleaves thousands of in-flight resolutions and the
-        clock advances through the kernel, never per query.
-
-        Semantics (caches, selection, referral walk, retry budget,
-        telemetry counters) are shared with :meth:`resolve` via
-        :meth:`_resolution_prologue` and :meth:`_classify_response`.
-        """
-        if isinstance(qname, str):
-            qname = Name.from_text(qname)
-        telemetry = self.telemetry
-        costs = telemetry.costs
-        if costs.enabled:
-            costs.count("query")
-        span = NULL_SPAN
-        if telemetry.enabled:
-            # Explicit parent: interleaved resolutions would corrupt the
-            # tracer's active-span stack, so event-path spans never use it.
-            span = telemetry.tracer.start_span(
-                "resolver.resolve",
-                at=kernel.now,
-                parent=None,
-                resolver=self.address,
-                qname=qname.to_text(),
-                qtype=getattr(qtype, "name", str(int(qtype))),
-            )
-        result = ResolutionResult(qname=qname, qtype=qtype)
-        state = _EventResolution(self, kernel, qname, qtype, done, span, result)
-        start = self._resolution_prologue(qname, qtype, rrclass, span, result)
-        if start is None:
-            state._complete()
-            return
-        state.current_zone, state.addresses = start
-        state._begin_iteration()
 
     def _emit_resolution_metrics(self, result: ResolutionResult, span) -> None:
         """Completion-side counters + root-span close, one per resolution."""
@@ -520,160 +402,6 @@ class RecursiveResolver:
 
     # -- internals ---------------------------------------------------------------
 
-    def _query_with_retries(
-        self,
-        qname: Name,
-        qtype: RRType,
-        addresses: list[str],
-        result: ResolutionResult,
-    ) -> tuple[Message, str, str, float] | None:
-        now = self.network.clock.now
-        telemetry = self.telemetry
-        costs = telemetry.costs
-        costs_on = costs.enabled
-        record_exchanges = self.record_exchanges
-        question_tail = QUESTION_TAIL_STRUCT.pack(int(qtype), int(RRClass.IN))
-        # Failed attempts wait out the full timeout before the next try:
-        # attempt N's span starts at now + N×timeout, so serialized
-        # waits stack in the trace instead of overlapping (which made
-        # forensics undercount wasted wait).  The clock itself does not
-        # advance on this synchronous path; the event kernel realizes
-        # the same schedule as actual timer events.
-        waited_s = 0.0
-        for attempt in range(self.max_retries + 1):
-            attempt_at = now + waited_s
-            address = self.selector.select(addresses, self.infra_cache, now)
-            send_name = (
-                self._randomize_case(qname) if self.case_randomization else qname
-            )
-            # Wire built directly: byte-identical to Message.make_query(
-            # ..., recursion_desired=False).to_wire() — header flags are
-            # all zero for an iterative QUERY and a lone question never
-            # compresses — without a Message/Question round trip.
-            msg_id = self.rng.randrange(0x10000)
-            query_wire = (
-                HEADER_STRUCT.pack(msg_id, 0, 1, 0, 0, 0)
-                + send_name.to_wire()
-                + question_tail
-            )
-            if costs_on:
-                # One seeded draw (the message id) and one wire build
-                # per attempt, whatever the exchange outcome.
-                costs.count("rng_draw")
-                costs.count("encode")
-            self.queries_sent += 1
-            span = NULL_SPAN
-            if telemetry.enabled:
-                span = telemetry.tracer.start_span(
-                    "resolver.exchange", at=attempt_at, ns=address, attempt=attempt + 1
-                )
-            outcome = "ok"
-            try:
-                try:
-                    trip = self.network.round_trip(
-                        self.location, self.address, address, query_wire
-                    )
-                except Exception:
-                    # Host gone (withdrawn mid-measurement): a timeout to us.
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
-                    outcome = "unreachable"
-                    continue
-                if trip.lost or trip.response is None:
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
-                    outcome = "timeout"
-                    continue
-                if costs_on:
-                    costs.count("decode")
-                try:
-                    message = self._response_memo.decode(trip.response, send_name)
-                except Exception:
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
-                    outcome = "garbled"
-                    continue
-                if message.msg_id != msg_id:
-                    # Spoofed/mismatched id: the response is discarded,
-                    # so the attempt failed exactly like a garbled one —
-                    # the selector must learn it and the attempt must be
-                    # booked on the result.
-                    result.attempts += 1
-                    if record_exchanges:
-                        if costs_on:
-                            costs.count("exchange_record")
-                        result.exchanges.append(
-                            ExchangeRecord(address, None, True, "")
-                        )
-                    self.selector.on_timeout(
-                        address, addresses, self.infra_cache, now
-                    )
-                    outcome = "id_mismatch"
-                    continue
-                if self.case_randomization and message.questions:
-                    echoed = message.questions[0].name.labels
-                    if echoed != send_name.labels:
-                        # Case mismatch: off-path spoof; discard the response.
-                        self.spoofs_rejected += 1
-                        outcome = "spoof_rejected"
-                        continue
-                result.attempts += 1
-                if record_exchanges:
-                    if costs_on:
-                        costs.count("exchange_record")
-                    result.exchanges.append(
-                        ExchangeRecord(address, trip.rtt_ms, False, trip.served_by)
-                    )
-                self.selector.on_response(
-                    address, trip.rtt_ms, addresses, self.infra_cache, now
-                )
-                span.set(site=trip.served_by, rtt_ms=round(trip.rtt_ms, 3))
-                return message, address, trip.served_by, trip.rtt_ms
-            finally:
-                if telemetry.enabled:
-                    span.set(outcome=outcome)
-                    # Virtual end: the answer's RTT, or the full timeout
-                    # the resolver waits before moving on — measured
-                    # from this attempt's (offset) start.
-                    if outcome == "ok":
-                        rtt_ms = span.attributes.get("rtt_ms", 0.0)
-                        end = attempt_at + float(rtt_ms) / 1000.0
-                    else:
-                        end = attempt_at + self.timeout_ms / 1000.0
-                    telemetry.tracer.finish_span(span, at=end)
-                    telemetry.registry.counter(
-                        "resolver_exchanges_total",
-                        "exchange attempts against authoritatives, by outcome",
-                        ("outcome",),
-                    ).labels(outcome=outcome).inc()
-                if outcome != "ok":
-                    waited_s += self.timeout_ms / 1000.0
-        return None
-
     def _referral_cut(self, message: Message) -> Name | None:
         """The delegation point named by a referral's authority NS set."""
         for record in message.authorities:
@@ -703,66 +431,6 @@ class RecursiveResolver:
         if costs.enabled:
             costs.count("ns_fetch")
 
-    @staticmethod
-    def _capped_fetch_targets(
-        targets: list[Name], cap: int | None, pending: tuple[Name, ...]
-    ) -> list[Name]:
-        """Drop targets already being fetched up-stack, apply the per-
-        delegation cap.  Shared by both engines so the scan order (and
-        therefore every seeded draw downstream) is identical."""
-        targets = [target for target in targets if target not in pending]
-        if cap is not None:
-            targets = targets[:cap]
-        return targets
-
-    def _fetch_ns_addresses(
-        self,
-        message: Message,
-        span,
-        depth: int,
-        budget: ResolutionResult,
-        pending: tuple[Name, ...],
-    ) -> list[str]:
-        """Resolve glueless NS target names to routable addresses.
-
-        Each target costs one sub-resolution ("NS fetch") billed against
-        the top-level query's ``budget`` — the quantity the NXNSAttack
-        inflates and ``max_fetch`` caps.  Scanning stops at the first
-        target that yields routable addresses: the walk only needs one
-        reachable server, so eager fan-out would overstate benign cost
-        (while a bomb's never-resolving targets still consume the full
-        fan-out).
-        """
-        if depth >= MAX_FETCH_DEPTH:
-            return []
-        targets = self._capped_fetch_targets(
-            self._referral_ns_targets(message),
-            self.max_fetch_per_delegation,
-            pending,
-        )
-        addresses: list[str] = []
-        for target in targets:
-            if not self._fetch_budget_left(budget):
-                break
-            self._bill_ns_fetch(budget)
-            sub = self._resolve(
-                target, RRType.A, RRClass.IN, span,
-                depth=depth + 1, budget=budget, pending=pending + (target,),
-            )
-            addresses = self._routable_answer_addresses(sub)
-            if addresses:
-                break
-        return addresses
-
-    def _routable_answer_addresses(self, sub: ResolutionResult) -> list[str]:
-        addresses = []
-        for record in sub.answers:
-            if record.rrtype in (RRType.A, RRType.AAAA):
-                address = record.rdata.address
-                if self.network.knows(address):
-                    addresses.append(address)
-        return addresses
-
     def _randomize_case(self, name: Name) -> Name:
         """DNS-0x20: flip each ASCII letter's case with probability 1/2."""
         labels = []
@@ -779,10 +447,10 @@ class RecursiveResolver:
         # form is the input's: the flyweight skips both re-checks.
         return Name._from_validated(tuple(labels), name._folded)
 
-    def _referral_addresses(self, message: Message) -> list[str]:
-        """Glue addresses from a referral response that we can route to."""
+    def _routable_addresses(self, records) -> list[str]:
+        """A/AAAA addresses among ``records`` that we can route to."""
         addresses = []
-        for record in message.additionals:
+        for record in records:
             if record.rrtype in (RRType.A, RRType.AAAA):
                 address = record.rdata.address
                 if self.network.knows(address):
@@ -821,11 +489,11 @@ class RecursiveResolver:
 class _EventResolution:
     """One in-flight resolution on the event kernel.
 
-    Owns the referral-walk state the synchronous loop keeps on its call
-    stack.  Each network send becomes either a delivery event (response
-    arrives at ``send + rtt``) or a retry timer (attempt N+1 fires at
-    ``send + timeout``); the state machine advances inside those events
-    and calls ``done(result)`` when the walk terminates.
+    Owns the referral-walk state.  Each network send becomes either a
+    delivery event (response arrives at ``send + rtt``) or a retry timer
+    (attempt N+1 fires at ``send + timeout``); the state machine
+    advances inside those events and calls ``done(result)`` when the
+    walk terminates.
     """
 
     __slots__ = (
@@ -833,13 +501,12 @@ class _EventResolution:
         "current_zone", "addresses", "iterations", "attempt",
         "send_name", "send_type", "sent_name", "question_tail",
         "msg_id", "address", "exch_span", "send_time", "exch_outcome",
-        "depth", "budget", "pending", "emit_metrics",
-        "fetch_targets", "fetch_addresses", "fetch_cut",
+        "depth", "budget", "pending", "fetch_targets", "fetch_cut",
     )
 
     def __init__(
         self, resolver, kernel, qname, qtype, done, span, result,
-        depth=0, budget=None, pending=(), emit_metrics=True,
+        depth=0, budget=None, pending=(),
     ):
         self.resolver = resolver
         self.kernel = kernel
@@ -853,15 +520,14 @@ class _EventResolution:
         self.iterations = 0
         self.attempt = 0
         # Glueless-NS fetch state: ``budget`` is the top-level client
-        # result (fetch amplification bills against it across nesting
-        # levels); child fetch resolutions carry depth+1 and skip the
+        # result (nested NS fetches all bill their amplification against
+        # it, so ``max_fetch`` bounds the whole tree, not each level);
+        # child fetch resolutions carry depth+1 and skip the
         # per-resolution metrics so the root span closes exactly once.
         self.depth = depth
         self.budget = budget if budget is not None else result
         self.pending: tuple[Name, ...] = pending
-        self.emit_metrics = emit_metrics
         self.fetch_targets: list[Name] = []
-        self.fetch_addresses: list[str] = []
         self.fetch_cut: Name | None = None
 
     # -- referral walk -----------------------------------------------------
@@ -903,8 +569,8 @@ class _EventResolution:
             + self.question_tail
         )
         if costs.enabled:
-            # Same per-attempt accounting as the synchronous path: one
-            # seeded draw (the message id) and one wire build.
+            # One seeded draw (the message id) and one wire build per
+            # attempt, whatever the exchange outcome.
             costs.count("rng_draw")
             costs.count("encode")
         resolver.queries_sent += 1
@@ -943,8 +609,8 @@ class _EventResolution:
         resolver = self.resolver
         outcome = self.exch_outcome
         if outcome != "spoof_rejected":
-            # Spoof rejections mirror the synchronous path: counted on
-            # the resolver, no exchange record, no selector feedback.
+            # Spoof rejections are counted on the resolver only: no
+            # exchange record, no selector feedback.
             self.result.attempts += 1
             if resolver.record_exchanges:
                 costs = resolver.telemetry.costs
@@ -1033,9 +699,11 @@ class _EventResolution:
             self._begin_iteration()
             return
         if kind == _DEAD_REFERRAL:
-            # Mirror of the synchronous glueless-NS fetch: chase the NS
-            # target names with child event-resolutions, sequentially,
-            # so the seeded draw order matches the sync engine exactly.
+            # Glueless (or unroutable-glue) delegation: chase the NS
+            # target names with child resolutions, one at a time — the
+            # fetch fan-out the NXNSAttack amplifies, bounded by
+            # ``max_fetch`` / ``max_fetch_per_delegation`` /
+            # MAX_FETCH_DEPTH.
             self._begin_ns_fetch(message, cut)
             return
         if kind == _DESCEND:
@@ -1058,26 +726,39 @@ class _EventResolution:
     # -- glueless-NS fetching ----------------------------------------------
 
     def _begin_ns_fetch(self, message: Message, cut: Name | None) -> None:
+        """Resolve glueless NS target names to routable addresses.
+
+        Each target costs one sub-resolution ("NS fetch") billed against
+        the top-level query's ``budget`` — the quantity the NXNSAttack
+        inflates and ``max_fetch`` caps.  Scanning stops at the first
+        target that yields routable addresses: the walk only needs one
+        reachable server, so eager fan-out would overstate benign cost
+        (while a bomb's never-resolving targets still consume the full
+        fan-out).
+        """
         resolver = self.resolver
         if self.depth >= MAX_FETCH_DEPTH:
             self.result.rcode = Rcode.SERVFAIL
             self._complete()
             return
-        self.fetch_targets = resolver._capped_fetch_targets(
-            resolver._referral_ns_targets(message),
-            resolver.max_fetch_per_delegation,
-            self.pending,
-        )
-        self.fetch_addresses = []
+        # Targets already being fetched up-stack would loop; the rest
+        # are capped per delegation and popped in referral order.
+        targets = [
+            target for target in resolver._referral_ns_targets(message)
+            if target not in self.pending
+        ]
+        if resolver.max_fetch_per_delegation is not None:
+            targets = targets[:resolver.max_fetch_per_delegation]
+        targets.reverse()
+        self.fetch_targets = targets
         self.fetch_cut = cut
         self._next_fetch()
 
     def _next_fetch(self) -> None:
         resolver = self.resolver
-        while self.fetch_targets:
-            if not resolver._fetch_budget_left(self.budget):
-                break
-            target = self.fetch_targets.pop(0)
+        targets = self.fetch_targets
+        while targets and resolver._fetch_budget_left(self.budget):
+            target = targets.pop()
             resolver._bill_ns_fetch(self.budget)
             sub_result = ResolutionResult(qname=target, qtype=RRType.A)
             start = resolver._resolution_prologue(
@@ -1087,40 +768,34 @@ class _EventResolution:
                 # Cache hit (or immediate failure): harvest inline and
                 # keep scanning — no kernel round needed.
                 if self._harvest(sub_result):
-                    break
+                    return
                 continue
             child = _EventResolution(
                 resolver, self.kernel, target, RRType.A, self._fetch_done,
                 self.span, sub_result,
                 depth=self.depth + 1, budget=self.budget,
-                pending=self.pending + (target,), emit_metrics=False,
+                pending=self.pending + (target,),
             )
             child.current_zone, child.addresses = start
             child._begin_iteration()
             return
-        self._finish_ns_fetch()
-
-    def _fetch_done(self, sub_result: ResolutionResult) -> None:
-        if self._harvest(sub_result):
-            self._finish_ns_fetch()
-            return
-        self._next_fetch()
-
-    def _harvest(self, sub_result: ResolutionResult) -> bool:
-        self.fetch_addresses.extend(
-            self.resolver._routable_answer_addresses(sub_result)
-        )
-        return bool(self.fetch_addresses)
-
-    def _finish_ns_fetch(self) -> None:
-        if self.fetch_addresses:
-            self.addresses = self.fetch_addresses
-            if self.fetch_cut is not None:
-                self.current_zone = self.fetch_cut
-            self._begin_iteration()
-            return
         self.result.rcode = Rcode.SERVFAIL
         self._complete()
+
+    def _fetch_done(self, sub_result: ResolutionResult) -> None:
+        if not self._harvest(sub_result):
+            self._next_fetch()
+
+    def _harvest(self, sub_result: ResolutionResult) -> bool:
+        """Resume the walk at the fetched addresses, if there are any."""
+        addresses = self.resolver._routable_addresses(sub_result.answers)
+        if not addresses:
+            return False
+        self.addresses = addresses
+        if self.fetch_cut is not None:
+            self.current_zone = self.fetch_cut
+        self._begin_iteration()
+        return True
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -1143,6 +818,6 @@ class _EventResolution:
 
     def _complete(self) -> None:
         resolver = self.resolver
-        if resolver.telemetry.enabled and self.emit_metrics:
+        if resolver.telemetry.enabled and self.depth == 0:
             resolver._emit_resolution_metrics(self.result, self.span)
         self.done(self.result)

@@ -10,9 +10,9 @@ other reducer in this repo — mergeable across parallel shards: a serial
 run and a K-worker run over the same shard partition produce the *same
 ledger, byte for byte* (CI ``cmp``-enforces this on the exported JSON).
 
-Normalised per query, the ledger is the "per-event cost" baseline the
-planned discrete-event kernel must beat: it tells you *how many* codec,
-RNG, cache, and fault operations one observation costs today, while the
+Normalised per query, the ledger is the "per-event cost" baseline: it
+tells you *how many* codec, RNG, cache, fault, and kernel-event
+operations one observation costs, while the
 sampling profiler (``repro.telemetry.profiling``) tells you how much
 *time* each subsystem spends on them.
 

@@ -1,5 +1,6 @@
-"""Tests for the kernel-driven measurement mode (``measure(kernel=True)``)."""
+"""Tests for ``AtlasPlatform.measure``: the campaign as one kernel drain."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,13 @@ from repro.resolvers.population import ResolverPopulation
 from repro.telemetry import Telemetry, read_events
 
 DOMAIN = "ourtestdomain.nl."
+
+#: 40 probes (49 VPs) x 3 ticks, loss-free.  Recorded when the kernel
+#: became the only engine; equal to what commit ``165769b`` produced on
+#: its kernel path, canonically sorted.
+OBSERVATIONS_SHA256 = (
+    "76f7f0ae8a9428b2e078cf3fb117446981ea20b93d27e599383df1360cfaa36b"
+)
 
 
 def build_platform(telemetry=None, loss_rate=0.0):
@@ -36,23 +44,25 @@ def build_platform(telemetry=None, loss_rate=0.0):
 
 
 class TestKernelMeasure:
-    def test_observation_values_match_sync_mode(self):
-        sync_run = build_platform().measure(
+    def test_observation_values_are_pinned(self):
+        run = build_platform().measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=360.0
         )
-        kernel_run = build_platform().measure(
-            DOMAIN.rstrip("."), interval_s=120.0, duration_s=360.0,
-            kernel=True,
+        observations = list(run.observations)
+        # Handed back in canonical order, not completion order.
+        assert observations == sorted(
+            observations, key=lambda obs: (obs.timestamp, obs.vp_id)
         )
-        key = lambda obs: (obs.timestamp, obs.vp_id)
-        assert sorted(kernel_run.observations, key=key) == sorted(
-            sync_run.observations, key=key
-        )
+        digest = hashlib.sha256()
+        for row in run.store.iter_rows():
+            digest.update(repr(row).encode())
+        assert len(run.store) == 3 * 49
+        assert all(obs.succeeded and obs.attempts == 1 for obs in observations)
+        assert digest.hexdigest() == OBSERVATIONS_SHA256
 
     def test_timestamps_are_tick_issue_times(self):
         run = build_platform().measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=360.0,
-            kernel=True,
         )
         assert {obs.timestamp for obs in run.observations} == {
             0.0, 120.0, 240.0
@@ -64,7 +74,6 @@ class TestKernelMeasure:
         platform = build_platform()
         platform.measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=360.0,
-            kernel=True,
         )
         # The drain finishes well before 360 s of virtual time (RTTs are
         # milliseconds); the mode must still advance to the nominal end.
@@ -73,7 +82,6 @@ class TestKernelMeasure:
     def test_retries_keep_campaign_complete_under_loss(self):
         run = build_platform(loss_rate=0.3).measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=240.0,
-            kernel=True,
         )
         per_vp = run.by_vp()
         # Every VP still reports every tick — lost exchanges turn into
@@ -87,7 +95,7 @@ class TestKernelMeasure:
         platform = build_platform(telemetry=telemetry)
         platform.measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=360.0,
-            kernel=True, heartbeat_every=1, shard=0,
+            heartbeat_every=1, shard=0,
         )
         telemetry.events.close()
         beats = [
@@ -106,9 +114,10 @@ class TestKernelMeasure:
         platform = build_platform(telemetry=telemetry)
         run = platform.measure(
             DOMAIN.rstrip("."), interval_s=120.0, duration_s=240.0,
-            kernel=True,
         )
         totals = telemetry.costs.totals()
         assert totals["timer_event"] == 2
-        # At least one delivery event per observation, plus the ticks.
-        assert totals["sched_event"] >= len(run.observations) + 2
+        # Loss-free: exactly one delivery event per observation, plus
+        # the two ticks — no retry timer ever fires.
+        assert all(obs.attempts == 1 for obs in run.observations)
+        assert totals["sched_event"] == len(run.observations) + 2

@@ -3,8 +3,9 @@
 The NXNSAttack invariants, quantified over selector implementations,
 seeds, and bomb shapes: a MaxFetch-mitigated resolver never exceeds its
 fetch budget for *any* delegation bomb, an unmitigated one amplifies
-linearly in the bomb's fan-out, and both engines (synchronous and
-event-kernel) agree on the bill.  Styled after
+linearly in the bomb's fan-out, and the bill is exact whether the
+resolution is driven by ``resolve()`` or on a caller's kernel.  Styled
+after
 ``tests/resolvers/test_selector_properties.py``.
 """
 
@@ -58,9 +59,12 @@ def victim_engine() -> AuthoritativeServer:
     return AuthoritativeServer("victim", [zone])
 
 
-def bombed_resolver(selector, bomb, seed, **limits):
+def bombed_resolver(selector, bomb, seed, telemetry=None, **limits):
     """A resolver wired to the victim and the attacker's bomb zone."""
-    network = SimNetwork(latency=LatencyModel(LatencyParameters(loss_rate=0.0)))
+    network = SimNetwork(
+        latency=LatencyModel(LatencyParameters(loss_rate=0.0)),
+        telemetry=telemetry,
+    )
     network.register_host(
         VICTIM_ADDRESS, DATACENTERS["FRA"], victim_engine().handle_wire
     )
@@ -80,12 +84,14 @@ def bombed_resolver(selector, bomb, seed, **limits):
     return network, resolver
 
 
-def resolve_bomb(selector, bomb, seed, kernel=False, **limits):
+def resolve_bomb(selector, bomb, seed, own_kernel=False, **limits):
+    """Detonate one bomb through ``resolve()``, or — ``own_kernel`` — the
+    way campaigns do, with ``resolve_event`` on a caller-owned kernel."""
     network, resolver = bombed_resolver(selector, bomb, seed, **limits)
     qname = bomb.qname(0, b"probe")
-    if not kernel:
+    if not own_kernel:
         return resolver, resolver.resolve(qname, RRType.TXT)
-    engine = EventKernel(clock=network.clock)
+    engine = EventKernel(clock=network.clock, costs=network.telemetry.costs)
     results = []
     resolver.resolve_event(qname, RRType.TXT, engine, results.append)
     engine.run()
@@ -155,19 +161,37 @@ class TestAmplificationBounds:
     def test_sync_and_kernel_engines_bill_identically(
         self, name, fan_out, max_fetch, seed
     ):
+        """The bomb's bill in closed form, identical on both drivers.
+
+        Loss-free: one exchange fetches the bomb referral, then each
+        chased target costs one NXDOMAIN exchange at the victim — the
+        whole fan-out with no cap, ``max_fetch`` of it under the cap.
+        """
         limits = {} if max_fetch is None else {"max_fetch": max_fetch}
         bomb = DelegationBomb(
             "attacker.example.", VICTIM, fan_out=fan_out, seed=seed
         )
-        results = {}
-        for kernel in (False, True):
+        fetches = fan_out if max_fetch is None else min(fan_out, max_fetch)
+        for own_kernel in (False, True):
+            telemetry = Telemetry.enabled_bundle(
+                metrics=False, tracing=False, costs=True
+            )
             resolver, result = resolve_bomb(
-                name, bomb, seed, kernel=kernel, **limits
+                name, bomb, seed, own_kernel=own_kernel,
+                telemetry=telemetry, **limits
             )
-            results[kernel] = (
-                result.rcode, result.ns_fetches, resolver.queries_sent
-            )
-        assert results[False] == results[True]
+            assert result.rcode == Rcode.SERVFAIL
+            assert result.ns_fetches == resolver.ns_fetches == fetches
+            # The client query itself made one attempt; every fetch
+            # made one more on its own (sub-)result.
+            assert result.attempts == 1
+            assert resolver.queries_sent == 1 + fetches
+            totals = telemetry.costs.totals()
+            assert totals["query"] == 1
+            assert totals["ns_fetch"] == fetches
+            assert totals["encode"] == 1 + fetches
+            # Every exchange is one delivery event; no timer ever fires.
+            assert totals["sched_event"] == 1 + fetches
 
 
 class TestAttackProfiles:
@@ -249,10 +273,9 @@ def attack_config(**overrides):
 
 
 class TestAttackCampaignDeterminism:
-    """Serial ≡ K-worker with an attack active, per engine."""
+    """Serial ≡ K-worker with an attack active."""
 
-    @pytest.mark.parametrize("kernel", [False, True])
-    def test_workers_match_serial_under_attack(self, kernel):
+    def test_workers_match_serial_under_attack(self):
         profile = scaled_profile(
             BUILTIN_ATTACKS["nxns-mitigated"][0], rrl_qps=5
         )
@@ -263,7 +286,7 @@ class TestAttackCampaignDeterminism:
                 metrics=False, tracing=False, costs=True
             )
             results[label] = run_parallel(
-                attack_config(attack=profile, kernel=kernel),
+                attack_config(attack=profile),
                 workers=workers,
                 shards=2,
                 telemetry=telemetry,

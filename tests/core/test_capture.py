@@ -73,6 +73,64 @@ class TestCapturingNetwork:
         assert network.capture.loss_rate() == 0.0
 
 
+class TestResolverBehindProxy:
+    """Resolvers send through ``transmit``; the proxy must see it all."""
+
+    def _resolver(self, loss_rate):
+        inner = SimNetwork(
+            latency=LatencyModel(
+                LatencyParameters(loss_rate=loss_rate), rng=random.Random(5)
+            )
+        )
+        addresses = Deployment.from_sites(DOMAIN, ("FRA", "SYD")).deploy(inner)
+        network = CapturingNetwork(inner)
+        resolver = RecursiveResolver(
+            "10.53.0.1",
+            PROBE_CITIES["AMS"],
+            network,
+            RandomSelector(rng=random.Random(2)),
+            rng=random.Random(3),
+        )
+        resolver.add_stub_zone(DOMAIN, addresses)
+        return network, resolver
+
+    def test_one_exchange_per_attempt_lost_ones_included(self):
+        network, resolver = self._resolver(loss_rate=0.5)
+        attempts = lost = 0
+        for index in range(20):
+            result = resolver.resolve(f"l{index}.probe.{DOMAIN}", RRType.TXT)
+            attempts += result.attempts
+            lost += result.attempts - (1 if result.succeeded else 0)
+        assert len(network.capture) == attempts == resolver.queries_sent
+        assert lost > 0
+        captured_lost = [
+            ex for ex in network.capture if ex.response_wire is None
+        ]
+        assert len(captured_lost) == lost
+        assert all(
+            ex.rtt_ms is None and ex.served_by == "" for ex in captured_lost
+        )
+        assert network.capture.loss_rate() == pytest.approx(lost / attempts)
+
+    def test_exchanges_are_stamped_at_send_time(self):
+        network, resolver = self._resolver(loss_rate=1.0)
+        resolver.resolve(f"probe.{DOMAIN}", RRType.TXT)
+        wait_s = resolver.timeout_ms / 1000.0
+        # 1 try + 3 retries, each sent one timeout after the previous.
+        assert [ex.timestamp for ex in network.capture] == [
+            attempt * wait_s for attempt in range(resolver.max_retries + 1)
+        ]
+        assert network.capture.loss_rate() == 1.0
+
+    def test_answered_exchange_keeps_send_time_not_delivery_time(self):
+        network, resolver = self._resolver(loss_rate=0.0)
+        result = resolver.resolve(f"probe.{DOMAIN}", RRType.TXT)
+        (exchange,) = network.capture.exchanges
+        assert exchange.timestamp == 0.0
+        assert exchange.rtt_ms == result.rtt_ms
+        assert network.clock.now == pytest.approx(result.rtt_ms / 1000.0)
+
+
 class TestPersistence:
     def test_roundtrip(self, capturing_setup, tmp_path):
         network, resolver, _ = capturing_setup

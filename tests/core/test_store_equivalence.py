@@ -64,7 +64,7 @@ class TestExportEquivalence:
     ):
         serial_events = tmp_path / "serial.events.jsonl"
         parallel_events = tmp_path / "parallel.events.jsonl"
-        config = faulted_config(kernel=True)
+        config = faulted_config()
 
         telemetry = Telemetry.enabled_bundle(event_log=str(serial_events))
         serial = run_parallel(config, workers=1, shards=4, telemetry=telemetry)

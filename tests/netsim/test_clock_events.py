@@ -1,9 +1,14 @@
-"""Tests for the virtual clock and event scheduler."""
+"""Tests for the virtual clock and the event kernel's scheduling basics.
+
+``tests/netsim/test_sched.py`` holds the kernel's property suite; these
+are the small directed cases the scheduler has been held to since before
+the kernel existed, run on :class:`EventKernel` — the only scheduler.
+"""
 
 import pytest
 
 from repro.netsim.clock import SimClock
-from repro.netsim.events import EventScheduler
+from repro.netsim.sched import EventKernel
 
 
 class TestSimClock:
@@ -36,92 +41,92 @@ class TestSimClock:
 
 class TestEventScheduler:
     def test_events_run_in_time_order(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         order = []
-        sched.schedule_at(3.0, lambda: order.append("c"))
-        sched.schedule_at(1.0, lambda: order.append("a"))
-        sched.schedule_at(2.0, lambda: order.append("b"))
+        sched.call_at(3.0, lambda: order.append("c"))
+        sched.call_at(1.0, lambda: order.append("a"))
+        sched.call_at(2.0, lambda: order.append("b"))
         sched.run()
         assert order == ["a", "b", "c"]
 
     def test_same_time_fifo(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         order = []
         for tag in "abc":
-            sched.schedule_at(1.0, lambda tag=tag: order.append(tag))
+            sched.call_at(1.0, lambda tag=tag: order.append(tag))
         sched.run()
         assert order == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         seen = []
-        sched.schedule_at(5.0, lambda: seen.append(sched.now))
+        sched.call_at(5.0, lambda: seen.append(sched.now))
         sched.run()
         assert seen == [5.0]
 
     def test_schedule_in_relative(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         seen = []
-        sched.schedule_at(2.0, lambda: sched.schedule_in(3.0, lambda: seen.append(sched.now)))
+        sched.call_at(2.0, lambda: sched.call_later(3.0, lambda: seen.append(sched.now)))
         sched.run()
         assert seen == [5.0]
 
     def test_schedule_in_past_rejected(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         sched.clock.advance(10.0)
         with pytest.raises(ValueError):
-            sched.schedule_at(5.0, lambda: None)
+            sched.call_at(5.0, lambda: None)
         with pytest.raises(ValueError):
-            sched.schedule_in(-1.0, lambda: None)
+            sched.call_later(-1.0, lambda: None)
 
     def test_cancel(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         fired = []
-        event = sched.schedule_at(1.0, lambda: fired.append(1))
+        event = sched.call_at(1.0, lambda: fired.append(1))
         sched.cancel(event)
         sched.run()
         assert fired == []
 
     def test_run_until_stops_at_boundary(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         fired = []
-        sched.schedule_at(1.0, lambda: fired.append(1))
-        sched.schedule_at(10.0, lambda: fired.append(10))
+        sched.call_at(1.0, lambda: fired.append(1))
+        sched.call_at(10.0, lambda: fired.append(10))
         sched.run_until(5.0)
         assert fired == [1]
         assert sched.now == 5.0
         assert sched.pending == 1
 
     def test_run_until_processes_boundary_event(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         fired = []
-        sched.schedule_at(5.0, lambda: fired.append(5))
+        sched.call_at(5.0, lambda: fired.append(5))
         sched.run_until(5.0)
         assert fired == [5]
 
     def test_events_scheduled_during_run(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         order = []
 
         def first():
             order.append("first")
-            sched.schedule_in(1.0, lambda: order.append("second"))
+            sched.call_later(1.0, lambda: order.append("second"))
 
-        sched.schedule_at(1.0, first)
+        sched.call_at(1.0, first)
         sched.run()
         assert order == ["first", "second"]
         assert sched.now == 2.0
 
     def test_run_max_events(self):
-        sched = EventScheduler()
+        sched = EventKernel()
         for i in range(5):
-            sched.schedule_at(float(i + 1), lambda: None)
+            sched.call_at(float(i + 1), lambda: None)
         assert sched.run(max_events=3) == 3
         assert sched.pending == 2
 
     def test_processed_counter(self):
-        sched = EventScheduler()
-        sched.schedule_at(1.0, lambda: None)
-        sched.schedule_at(2.0, lambda: None)
+        sched = EventKernel()
+        sched.call_at(1.0, lambda: None)
+        sched.call_at(2.0, lambda: None)
         sched.run()
         assert sched.processed == 2

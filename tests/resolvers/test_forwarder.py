@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import deployment as deployment_module
 from repro.core.deployment import Deployment
 from repro.dns.types import Rcode, RRType
 from repro.netsim.geo import PROBE_CITIES
@@ -16,8 +17,7 @@ from repro.resolvers.resolver import RecursiveResolver
 DOMAIN = "ourtestdomain.nl."
 
 
-@pytest.fixture
-def setup():
+def build_setup():
     network = SimNetwork(
         latency=LatencyModel(LatencyParameters(loss_rate=0.0), rng=random.Random(1))
     )
@@ -36,6 +36,11 @@ def setup():
         return resolver
 
     return network, deployment, make_resolver
+
+
+@pytest.fixture
+def setup():
+    return build_setup()
 
 
 class TestForwarding:
@@ -80,14 +85,17 @@ class TestForwarding:
         assert forwarder.forwarded == 2
         assert second.succeeded
 
-    def test_cache_full_evicts_exactly_the_earliest_expiring(self, setup):
-        network, _, make_resolver = setup
+    def test_cache_full_evicts_exactly_the_earliest_expiring(self, monkeypatch):
+        # Every relayed query takes its RTT in virtual time, so 1000 of
+        # them outlast the campaign's 5 s TXT TTL; an hour holds them all.
+        monkeypatch.setattr(deployment_module, "TXT_TTL", 3600)
+        network, _, make_resolver = build_setup()
         forwarder = DnsForwarder("192.168.1.1", [make_resolver(1)])
         cap = forwarder.cache.max_entries
         assert cap == 1000
         for index in range(cap):
             forwarder.resolve(f"c{index}.probe.{DOMAIN}", RRType.TXT)
-            network.clock.advance(0.001)  # all 1000 inside the 5 s TTL
+        assert network.clock.now < 3600.0
         assert len(forwarder.cache) == cap
         forwarder.resolve(f"c{cap}.probe.{DOMAIN}", RRType.TXT)
         assert len(forwarder.cache) == cap

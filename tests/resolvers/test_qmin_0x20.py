@@ -144,14 +144,16 @@ class TestCaseRandomization:
         addresses = self.deploy_simple(network)
 
         seen_wire_names = []
-        original = network.round_trip
+        original = network.transmit
 
-        def spy(client_location, client_address, dst, payload):
+        def spy(kernel, client_location, client_address, dst, payload, on_result, **kw):
             message = Message.from_wire(payload)
             seen_wire_names.append(message.questions[0].name.to_text())
-            return original(client_location, client_address, dst, payload)
+            return original(
+                kernel, client_location, client_address, dst, payload, on_result, **kw
+            )
 
-        network.round_trip = spy
+        network.transmit = spy
         resolver = RecursiveResolver(
             "10.53.0.1", PROBE_CITIES["AMS"], network,
             RandomSelector(rng=random.Random(6)),

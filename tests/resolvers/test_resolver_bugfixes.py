@@ -2,8 +2,8 @@
 
 Three distinct bugs, each pinned here:
 
-1. ``_query_with_retries`` span math: attempt N's exchange span must
-   start after the N preceding timeout waits, not overlap attempt 0.
+1. Retry span math: attempt N's exchange span must start after the N
+   preceding timeout waits, not overlap attempt 0.
 2. ``id_mismatch`` responses must be recorded (exchange appended,
    selector told) exactly like garbled ones — previously they silently
    vanished from both.
@@ -106,6 +106,8 @@ class TestRetrySpanMath:
         # The root span covers the whole serialized wait, not one timeout.
         (root,) = telemetry.tracer.spans("resolver.resolve")
         assert root.end == pytest.approx(4 * wait_s)
+        # ...and resolve() advanced the clock through all of it.
+        assert dead.clock.now == pytest.approx(4 * wait_s)
 
     def test_success_after_failures_starts_at_offset(self):
         # loss_rate=0.5 with this rng: some attempts fail before one
@@ -123,11 +125,17 @@ class TestRetrySpanMath:
         wait_s = resolver.timeout_ms / 1000.0
         for i in range(10):
             telemetry.tracer.clear()
+            began = lossy.clock.now
             result = resolver.resolve(f"x{i}.probe.ourtestdomain.nl.", RRType.TXT)
+            (root,) = telemetry.tracer.spans("resolver.resolve")
+            assert root.start == began
             spans = telemetry.tracer.spans("resolver.exchange")
+            # Offsets are relative to this resolution's start: the clock
+            # has moved on by every earlier resolution's waits.
             for attempt, span in enumerate(spans):
-                assert span.start == pytest.approx(attempt * wait_s)
+                assert span.start - began == pytest.approx(attempt * wait_s)
                 assert span.end > span.start
+            assert lossy.clock.now == pytest.approx(root.end)
             ok = [s for s in spans if s.attributes.get("outcome") == "ok"]
             if result.succeeded:
                 assert len(ok) == 1
@@ -257,6 +265,7 @@ class TestDeadReferral:
         assert result.txt_value() == "site-FRA"
 
     def test_dead_referral_via_event_kernel(self, dead_referral_network):
+        # Same walk on a caller-owned kernel (how campaigns drive it).
         resolver = self._parent_resolver(dead_referral_network)
         kernel = EventKernel(clock=dead_referral_network.clock)
         qname = Name.from_text("probe.ourtestdomain.nl.")
@@ -298,7 +307,9 @@ class TestDeadReferral:
 
 
 class TestKernelSyncEquivalence:
-    """The event-driven path must mirror the synchronous resolver."""
+    """``resolve()`` is ``resolve_event`` drained on a private kernel:
+    the blocking call and a caller-owned kernel give the same result
+    and leave the clock at the same completion time."""
 
     def test_kernel_and_sync_agree_on_clean_resolution(self):
         def build():
@@ -323,13 +334,15 @@ class TestKernelSyncEquivalence:
         )
         kernel.run()
         (evented,) = results
-        assert evented.succeeded and sync.succeeded
-        assert evented.txt_value() == sync.txt_value()
-        assert evented.rtt_ms == sync.rtt_ms
-        assert evented.served_by == sync.served_by
-        assert len(evented.exchanges) == len(sync.exchanges)
-        # The kernel clock actually advanced to the delivery time.
-        assert network_b.clock.now == pytest.approx(sync.rtt_ms / 1000.0)
+        assert evented == sync
+        assert sync.succeeded
+        assert sync.txt_value() == "site-FRA"
+        assert sync.served_by == "FRA"
+        assert sync.attempts == len(sync.exchanges) == 1
+        # Both clocks advanced to the delivery time, and nowhere else.
+        assert network_a.clock.now == sync.rtt_ms / 1000.0
+        assert network_b.clock.now == sync.rtt_ms / 1000.0
+        assert kernel.processed == 1
 
     def test_kernel_retries_fire_at_timeout_offsets(self):
         telemetry = Telemetry.enabled_bundle()

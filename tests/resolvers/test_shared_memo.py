@@ -1,8 +1,8 @@
 """One ``ResponseDecodeMemo`` per ``SimNetwork``, shared by its resolvers.
 
 A memo entry is keyed on wire bytes and certified from the wire alone,
-so any resolver may reuse what another one's response built — on the
-synchronous and the event-kernel path alike — and every decode must
+so any resolver may reuse what another one's response built — through
+``resolve()`` and on a caller's kernel alike — and every decode must
 still equal ``Message.from_wire`` field for field.
 """
 
@@ -71,12 +71,16 @@ def test_resolvers_on_one_network_share_its_memo(audited_decodes):
     kernel = EventKernel(clock=network.clock)
     results = []
     for tick in range(4):
+        # Blocking calls first: resolve() is top-level only, never made
+        # while another kernel holds events on the same clock.
+        for index, resolver in enumerate(resolvers):
+            qname = f"p{index}-t{tick}.probe.{DOMAIN}"
+            if index % 2 == 0:
+                results.append(resolver.resolve(qname, RRType.TXT))
         for index, resolver in enumerate(resolvers):
             qname = f"p{index}-t{tick}.probe.{DOMAIN}"
             if index % 2:
                 resolver.resolve_event(qname, RRType.TXT, kernel, results.append)
-            else:
-                results.append(resolver.resolve(qname, RRType.TXT))
         kernel.run()
         network.clock.advance(120.0)
     assert len(results) == 24 and all(result.succeeded for result in results)

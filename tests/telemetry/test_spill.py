@@ -100,7 +100,7 @@ class TestSpillingEventSink:
 
 class TestSpillingParallelRuns:
     def test_merged_log_identical_with_and_without_spilling(self, tmp_path):
-        config = small_config(scenario="ns-outage", kernel=True)
+        config = small_config(scenario="ns-outage")
 
         in_memory = tmp_path / "in-memory.events.jsonl"
         telemetry = Telemetry.enabled_bundle(event_log=str(in_memory))
