@@ -1,7 +1,7 @@
 """Sharded engine: serial-equivalence and parallel speedup.
 
-Runs the 2C campaign once serially and once through
-:func:`repro.core.parallel.run_parallel` with 4 spawn workers, checks
+Runs the 2C campaign once serially and once through the sharded engine
+(:func:`repro.core.run_campaign`, ``workers=4``: spawn workers), checks
 the merged output is *identical* (the engine's load-bearing invariant),
 and records the speedup in the bench sidecar.
 
@@ -23,8 +23,7 @@ Two speedup figures are reported:
 import gc
 import os
 
-from repro.core.experiment import ExperimentConfig, run_combination
-from repro.core.parallel import run_parallel
+from repro.core.experiment import ExperimentConfig, run_campaign, run_combination
 
 from .conftest import BENCH_PROBES, BENCH_SEED
 
@@ -65,7 +64,7 @@ def test_parallel_speedup(benchmark, run_cache):
     gc.collect()
     gc.disable()
     try:
-        inline = run_parallel(
+        inline = run_campaign(
             ExperimentConfig.for_combination(
                 "2C",
                 num_probes=BENCH_PROBES,
@@ -73,7 +72,6 @@ def test_parallel_speedup(benchmark, run_cache):
                 duration_s=3600.0,
                 seed=BENCH_SEED,
             ),
-            workers=1,
             shards=PARALLEL_WORKERS,
         )
     finally:

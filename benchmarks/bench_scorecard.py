@@ -6,97 +6,21 @@ passive traces, and prints a single verdict table — the one-look answer
 to "does the reproduction hold?".
 """
 
-from repro.analysis.interval import analyze_interval_sweep
-from repro.analysis.paper import Scorecard
-from repro.analysis.preference import analyze_preference, table2_rows
-from repro.analysis.probe_all import analyze_probe_all
-from repro.analysis.rank_bands import analyze_rank_bands
+from repro.analysis.paper import build_scorecard
 from repro.core.combinations import COMBINATIONS
-from repro.core.experiment import run_combination
-from repro.netsim.geo import Continent
-from repro.passive.ditl import generate_ditl_trace
-from repro.passive.nl import generate_nl_trace
 
 from .conftest import BENCH_PROBES, BENCH_SEED
-
-
-def build_scorecard(run_cache) -> Scorecard:
-    card = Scorecard()
-
-    # Figure 2.
-    probe_all = {
-        combo_id: analyze_probe_all(
-            run_cache.get(combo_id).observations,
-            set(COMBINATIONS[combo_id].sites),
-            combo_id=combo_id,
-        )
-        for combo_id in COMBINATIONS
-    }
-    card.record(
-        "fig2_probed_all_min",
-        min(result.probed_all_pct for result in probe_all.values()),
-    )
-    card.record(
-        "fig2_2ns_median_queries",
-        max(probe_all[c].queries_to_all.median for c in ("2A", "2B", "2C")),
-    )
-    card.record(
-        "fig2_4ns_median_queries",
-        max(probe_all[c].queries_to_all.median for c in ("4A", "4B")),
-    )
-
-    # Figure 4 + Table 2.
-    for combo_id in ("2A", "2B", "2C"):
-        sites = set(COMBINATIONS[combo_id].sites)
-        pref = analyze_preference(
-            run_cache.get(combo_id).observations, sites, combo_id=combo_id
-        )
-        card.record(f"fig4_{combo_id.lower()}_weak", pref.weak_pct)
-        card.record(f"fig4_{combo_id.lower()}_strong", pref.strong_pct)
-    rows = table2_rows(run_cache.get("2C").observations, {"FRA", "SYD"})
-    eu = next(row for row in rows if row.continent == Continent.EU)
-    card.record("table2_2c_eu_fra_share", eu.share_pct_by_site["FRA"])
-    card.record("table2_2c_eu_fra_rtt", eu.median_rtt_by_site["FRA"])
-    card.record("table2_2c_eu_syd_rtt", eu.median_rtt_by_site["SYD"])
-
-    # Figure 6 (2 runs at the extremes).
-    runs = {}
-    for minutes in (2, 30):
-        result = run_combination(
-            "2C",
-            num_probes=BENCH_PROBES // 2,
-            interval_s=minutes * 60.0,
-            duration_s=3600.0 if minutes == 2 else minutes * 60.0 * 6,
-            seed=BENCH_SEED,
-        )
-        runs[float(minutes)] = result.observations
-    sweep = analyze_interval_sweep(runs, "FRA")
-    eu_series = dict(sweep.series(Continent.EU))
-    card.record("fig6_eu_2min", eu_series[2.0])
-    card.record("fig6_eu_30min_persists", eu_series[30.0])
-
-    # Figure 7.
-    root = analyze_rank_bands(
-        generate_ditl_trace(num_recursives=250, seed=2).queries_by_recursive(),
-        target_count=10,
-        min_queries=250,
-    )
-    card.record("fig7_root_one_letter", root.pct_querying_exactly(1))
-    card.record("fig7_root_six_plus", root.pct_querying_at_least(6))
-    card.record("fig7_root_all_ten", root.pct_querying_all())
-    nl = analyze_rank_bands(
-        generate_nl_trace(num_recursives=250, seed=3).queries_by_recursive(),
-        target_count=4,
-        min_queries=250,
-    )
-    card.record("fig7_nl_all_four", nl.pct_querying_all())
-    return card
 
 
 def test_scorecard(benchmark, run_cache):
     for combo_id in COMBINATIONS:
         run_cache.get(combo_id)
-    card = benchmark.pedantic(build_scorecard, args=(run_cache,), rounds=1, iterations=1)
+    card = benchmark.pedantic(
+        build_scorecard,
+        args=(run_cache.get, BENCH_PROBES // 2, 250, BENCH_SEED),
+        rounds=1,
+        iterations=1,
+    )
     print()
     print(card.render())
     misses = card.misses()

@@ -33,7 +33,7 @@ from .ground_truth import (
     breakdown_by_implementation,
     render_implementation_breakdown,
 )
-from .paper import PAPER_CLAIMS, PaperClaim, Scorecard
+from .paper import PAPER_CLAIMS, PaperClaim, Scorecard, build_scorecard
 from .probe_all import ProbeAllResult, analyze_probe_all, queries_until_all
 from .streams import iter_observation_fields, site_completion_times
 from .query_share import (
@@ -91,6 +91,7 @@ __all__ = [
     "StrengtheningResult",
     "analyze_strengthening",
     "bootstrap_ci",
+    "build_scorecard",
     "ViewComparison",
     "VpPreference",
     "WEAK_THRESHOLD",

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..netsim.geo import Continent
+from .interval import analyze_interval_sweep
+from .preference import analyze_preference, table2_rows
+from .probe_all import analyze_probe_all
+from .rank_bands import analyze_rank_bands
 from .report import render_table
 
 
@@ -150,3 +155,92 @@ class Scorecard:
             rows,
             title="Paper-vs-measured scorecard",
         )
+
+
+def build_scorecard(
+    get_run, sweep_probes: int, recursives: int, seed: int
+) -> Scorecard:
+    """Measure every claim in :data:`PAPER_CLAIMS`, in one pass.
+
+    ``get_run(combo_id)`` returns the default-campaign result of a
+    Table 1 combination (a fresh run, or a cache).  The Figure 6 sweep
+    runs 2C itself with ``sweep_probes`` probes at ``seed``; the Figure 7
+    traces are ``recursives`` wide at their own fixed seeds.
+    """
+    # Imported here only: the campaign and trace generators sit above
+    # the analysis layer, which otherwise just reads observations.
+    from ..core import COMBINATIONS, run_combination
+    from ..passive import generate_ditl_trace, generate_nl_trace
+
+    card = Scorecard()
+    runs = {combo_id: get_run(combo_id) for combo_id in COMBINATIONS}
+
+    # Figure 2.
+    probe_all = {
+        combo_id: analyze_probe_all(
+            runs[combo_id].observations, set(combo.sites), combo_id=combo_id
+        )
+        for combo_id, combo in COMBINATIONS.items()
+    }
+    card.record(
+        "fig2_probed_all_min",
+        min(result.probed_all_pct for result in probe_all.values()),
+    )
+    card.record(
+        "fig2_2ns_median_queries",
+        max(probe_all[c].queries_to_all.median for c in ("2A", "2B", "2C")),
+    )
+    card.record(
+        "fig2_4ns_median_queries",
+        max(probe_all[c].queries_to_all.median for c in ("4A", "4B")),
+    )
+
+    # Figure 4 + Table 2.
+    for combo_id in ("2A", "2B", "2C"):
+        sites = set(COMBINATIONS[combo_id].sites)
+        pref = analyze_preference(runs[combo_id].observations, sites, combo_id)
+        card.record(f"fig4_{combo_id.lower()}_weak", pref.weak_pct)
+        card.record(f"fig4_{combo_id.lower()}_strong", pref.strong_pct)
+    rows = table2_rows(runs["2C"].observations, {"FRA", "SYD"})
+    eu = next(row for row in rows if row.continent == Continent.EU)
+    card.record("table2_2c_eu_fra_share", eu.share_pct_by_site["FRA"])
+    card.record("table2_2c_eu_fra_rtt", eu.median_rtt_by_site["FRA"])
+    card.record("table2_2c_eu_syd_rtt", eu.median_rtt_by_site["SYD"])
+
+    # Figure 6 (2 runs at the extremes).
+    sweep_runs = {}
+    for minutes in (2, 30):
+        result = run_combination(
+            "2C",
+            num_probes=sweep_probes,
+            interval_s=minutes * 60.0,
+            duration_s=3600.0 if minutes == 2 else minutes * 60.0 * 6,
+            seed=seed,
+        )
+        sweep_runs[float(minutes)] = result.observations
+    eu_series = dict(
+        analyze_interval_sweep(sweep_runs, "FRA").series(Continent.EU)
+    )
+    card.record("fig6_eu_2min", eu_series[2.0])
+    card.record("fig6_eu_30min_persists", eu_series[30.0])
+
+    # Figure 7.
+    root = analyze_rank_bands(
+        generate_ditl_trace(
+            num_recursives=recursives, seed=2
+        ).queries_by_recursive(),
+        target_count=10,
+        min_queries=250,
+    )
+    card.record("fig7_root_one_letter", root.pct_querying_exactly(1))
+    card.record("fig7_root_six_plus", root.pct_querying_at_least(6))
+    card.record("fig7_root_all_ten", root.pct_querying_all())
+    nl = analyze_rank_bands(
+        generate_nl_trace(
+            num_recursives=recursives, seed=3
+        ).queries_by_recursive(),
+        target_count=4,
+        min_queries=250,
+    )
+    card.record("fig7_nl_all_four", nl.pct_querying_all())
+    return card

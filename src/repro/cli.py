@@ -38,6 +38,7 @@ from .analysis import (
     analyze_probe_all,
     analyze_query_share,
     analyze_rank_bands,
+    build_scorecard,
     render_interval_sweep,
     render_preference,
     render_probe_all,
@@ -54,8 +55,8 @@ from .core import (
     DeploymentPlanner,
     ExperimentConfig,
     SelectionModel,
-    TestbedExperiment,
     load_run,
+    run_campaign,
     run_combination,
     save_run,
     sidn_style_designs,
@@ -129,51 +130,80 @@ def _cmd_combos(args: argparse.Namespace) -> int:
     return 0
 
 
+class CliError(Exception):
+    """A bad option value found after parsing: ``main`` reports it, exit 2."""
+
+
+def _campaign_config(
+    args: argparse.Namespace, *, interval_s=None, duration_s=None, **overrides
+) -> ExperimentConfig:
+    """The campaign the shared option group describes (minutes → seconds).
+
+    ``trace`` counts ticks instead and passes its own timing.  A
+    ``--scenario`` is resolved here, against the campaign duration, so
+    an unknown one is the same error from every command that takes it.
+    """
+    if duration_s is None:
+        interval_s, duration_s = args.interval * 60.0, args.duration * 60.0
+    if getattr(args, "scenario", None) is not None:
+        from .netsim.faults import ScenarioError, resolve_scenario
+
+        try:
+            overrides["scenario"] = resolve_scenario(args.scenario, duration_s)
+        except ScenarioError as exc:
+            raise CliError(str(exc)) from exc
+    return ExperimentConfig.for_combination(
+        args.combo, num_probes=args.probes, seed=args.seed,
+        interval_s=interval_s, duration_s=duration_s, **overrides,
+    )
+
+
+def _run_campaign(args: argparse.Namespace, config: ExperimentConfig, telemetry=None):
+    """The CLI's one door to :func:`repro.core.run_campaign`.
+
+    Commands choose the telemetry pillars (default: the event log alone,
+    when asked for) and print the result; the sharding flags, the status
+    notes, closing ``--events`` and writing ``--out`` happen here.
+    """
+    io = args.io
+    flags = vars(args)  # not every command has sharding, --out or --events
+    if telemetry is None and flags.get("events"):
+        from .telemetry import Telemetry
+
+        telemetry = Telemetry.enabled_bundle(event_log=args.events)
+    result = run_campaign(
+        config,
+        telemetry=telemetry,
+        workers=flags.get("workers", 1),
+        shards=flags.get("shards"),
+        spill_dir=flags.get("spill_events"),
+    )
+    if result.shard_profiles:
+        io.status(
+            f"merged {result.shards} shards from {result.workers} worker(s)"
+        )
+    io.status(
+        f"{len(result.observations)} observations from {result.run.vp_count} VPs"
+    )
+    if flags.get("events"):
+        telemetry.events.close()
+        io.status(f"wrote event log to {args.events}")
+    if flags.get("out"):
+        written = save_run(result.run, args.out)
+        io.status(f"wrote {written} observations to {args.out}")
+    return result
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     io = args.io
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=args.duration * 60.0,
-        seed=args.seed,
-        ipv6=args.ipv6,
-        scenario=args.scenario,
-        heartbeat_every_ticks=args.heartbeat_every,
+    config = _campaign_config(
+        args, ipv6=args.ipv6, heartbeat_every_ticks=args.heartbeat_every
     )
     io.status(
         f"running {args.combo} ({', '.join(COMBINATIONS[args.combo].sites)}): "
         f"{args.probes} probes, every {args.interval} min for {args.duration} min"
     )
-    telemetry = None
-    if args.events:
-        from .telemetry import Telemetry
-
-        telemetry = Telemetry.enabled_bundle(event_log=args.events)
-    if args.workers > 1 or args.shards:
-        from .core import run_parallel
-
-        result = run_parallel(
-            config,
-            workers=args.workers,
-            shards=args.shards or None,
-            telemetry=telemetry,
-            spill_dir=args.spill_events,
-        )
-        io.status(
-            f"merged {result.shards} shards from {result.workers} worker(s)"
-        )
-    else:
-        result = TestbedExperiment(config, telemetry=telemetry).run()
-    io.status(
-        f"{len(result.observations)} observations from {result.run.vp_count} VPs"
-    )
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
-    if args.out:
-        written = save_run(result.run, args.out)
-        io.status(f"wrote {written} observations to {args.out}")
+    result = _run_campaign(args, config)
     if not args.no_analyze:
         sites = set(COMBINATIONS[args.combo].sites)
         ticks = int(config.duration_s // config.interval_s)
@@ -235,87 +265,60 @@ def _cmd_faults_list(args: argparse.Namespace) -> int:
 
 def _cmd_faults_run(args: argparse.Namespace) -> int:
     io = args.io
-    duration_s = args.duration * 60.0
-    from .netsim.faults import FaultPlan, ScenarioError, resolve_scenario
+    from .netsim.faults import FaultPlan
 
-    try:
-        scenario = resolve_scenario(args.scenario, duration_s)
-    except ScenarioError as exc:
-        io.status(f"error: {exc}")
-        return 2
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=duration_s,
-        seed=args.seed,
-        scenario=scenario,
-    )
+    config = _campaign_config(args)
+    scenario = config.scenario
     io.status(
         f"running {args.combo} under scenario {scenario.name!r} "
         f"({len(scenario.events)} fault event(s)): {args.probes} probes, "
         f"every {args.interval:g} min for {args.duration:g} min"
     )
-    telemetry = None
-    if args.events:
-        from .telemetry import Telemetry
-
-        telemetry = Telemetry.enabled_bundle(event_log=args.events)
-    if args.workers > 1 or args.shards:
-        from .core import run_parallel
-
-        result = run_parallel(
-            config,
-            workers=args.workers,
-            shards=args.shards or None,
-            telemetry=telemetry,
-            spill_dir=args.spill_events,
-        )
-        io.status(
-            f"merged {result.shards} shards from {result.workers} worker(s)"
-        )
-    else:
-        result = TestbedExperiment(config, telemetry=telemetry).run()
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
-    if args.out:
-        written = save_run(result.run, args.out)
-        io.status(f"wrote {written} observations to {args.out}")
+    result = _run_campaign(args, config)
     if args.export:
         scenario.save(args.export)
         io.status(f"wrote scenario file to {args.export}")
 
     # Rebuild the plan purely for reporting: the resolved timeline and
     # the fault-windowed query shares (the seed never matters here).
-    ns_of_address = {
-        address: spec.name
-        for spec, address in zip(config.authoritatives, result.addresses)
-    }
     plan = FaultPlan(
         scenario,
         seed=0,
-        addresses={name: addr for addr, name in ns_of_address.items()},
+        addresses={
+            spec.name: address
+            for spec, address in zip(config.authoritatives, result.addresses)
+        },
     )
-    io.emit("fault timeline:")
+    _print_timeline(
+        io, "fault timeline:", plan,
+        "  {at:9.1f}s  {name:<11} {fault:<16} {target} ({address})",
+        shown=("fault", "address", "target"),
+    )
+    _print_fault_windows(io, config, result, plan)
+    return 0
+
+
+def _print_timeline(io: CliWriter, title: str, plan, layout: str, shown: tuple) -> None:
+    """One line per plan transition: ``layout`` places the ``shown``
+    fields, every other field that is set trails as ``key=value``."""
+    io.emit(title)
     for at, name, data in plan.transitions():
         knobs = "".join(
             f" {key}={value}"
             for key, value in data.items()
-            if key not in ("fault", "address", "target")
+            if key not in shown and value is not None
         )
-        io.emit(
-            f"  {at:9.1f}s  {name:<11} {data['fault']:<16} "
-            f"{data['target']} ({data['address']}){knobs}"
-        )
-    _print_fault_windows(io, result.observations, ns_of_address, plan, duration_s)
-    return 0
+        io.emit(layout.format(at=at, name=name, **data) + knobs)
 
 
-def _print_fault_windows(
-    io: CliWriter, observations, ns_of_address: dict, plan, duration_s: float
-) -> None:
+def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
     """Query share per NS inside each window between fault transitions."""
+    observations = result.observations
+    duration_s = config.duration_s
+    ns_of_address = {
+        address: spec.name
+        for spec, address in zip(config.authoritatives, result.addresses)
+    }
     boundaries = sorted(
         {0.0, duration_s}
         | {at for at, _, _ in plan.transitions() if 0.0 < at < duration_s}
@@ -372,7 +375,6 @@ def _cmd_attack_list(args: argparse.Namespace) -> int:
 
 def _cmd_attack_run(args: argparse.Namespace) -> int:
     io = args.io
-    duration_s = args.duration * 60.0
     from .netsim.adversary import (
         AttackError,
         AttackPlan,
@@ -396,16 +398,8 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
         if overrides:
             profile = scaled_profile(profile, **overrides)
     except AttackError as exc:
-        io.status(f"error: {exc}")
-        return 2
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=duration_s,
-        seed=args.seed,
-        attack=profile,
-    )
+        raise CliError(str(exc)) from exc
+    config = _campaign_config(args, attack=profile)
     mitigations = []
     if profile.max_fetch is not None:
         mitigations.append(f"max_fetch={profile.max_fetch}")
@@ -432,56 +426,31 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
         event_log=args.events or None,
         costs=True,
     )
-    if args.workers > 1 or args.shards:
-        from .core import run_parallel
-
-        result = run_parallel(
-            config,
-            workers=args.workers,
-            shards=args.shards or None,
-            telemetry=telemetry,
-            spill_dir=args.spill_events,
-        )
-        io.status(
-            f"merged {result.shards} shards from {result.workers} worker(s)"
-        )
-    else:
-        result = TestbedExperiment(config, telemetry=telemetry).run()
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
-    if args.export_costs:
-        telemetry.costs.write(args.export_costs)
-        io.status(f"wrote cost ledger to {args.export_costs}")
-    if args.out:
-        written = save_run(result.run, args.out)
-        io.status(f"wrote {written} observations to {args.out}")
+    result = _run_campaign(args, config, telemetry)
+    _export_ledger(io, telemetry.costs, args.export_costs)
     if args.export:
         profile.save(args.export)
         io.status(f"wrote attack profile to {args.export}")
 
     # Rebuild the plan purely for reporting (window edges are data).
     plan = AttackPlan(
-        profile, seed=0, duration_s=duration_s, victim_domain=config.domain
+        profile, seed=0, duration_s=config.duration_s, victim_domain=config.domain
     )
-    io.emit("attack timeline:")
-    for at, name, data in plan.transitions():
-        knobs = "".join(
-            f" {key}={value}"
-            for key, value in data.items()
-            if key not in ("attack", "vector") and value is not None
-        )
-        io.emit(
-            f"  {at:9.1f}s  {name:<12} {data['attack']:<20} "
-            f"({data['vector']}){knobs}"
-        )
+    _print_timeline(
+        io, "attack timeline:", plan,
+        "  {at:9.1f}s  {name:<12} {attack:<20} ({vector})",
+        shown=("attack", "vector"),
+    )
     _print_amplification(io, telemetry.costs)
-    ns_of_address = {
-        address: spec.name
-        for spec, address in zip(config.authoritatives, result.addresses)
-    }
-    _print_fault_windows(io, result.observations, ns_of_address, plan, duration_s)
+    _print_fault_windows(io, config, result, plan)
     return 0
+
+
+def _export_ledger(io: CliWriter, ledger, path: str | None) -> None:
+    """``--export`` / ``--export-costs``: the canonical ledger JSON."""
+    if path:
+        ledger.write(path)
+        io.status(f"wrote cost ledger to {path}")
 
 
 def _print_amplification(io: CliWriter, costs) -> None:
@@ -524,34 +493,19 @@ def _run_with_telemetry(args: argparse.Namespace, tracing: bool):
     """Shared by metrics/dashboard: one instrumented seeded run."""
     from .telemetry import Telemetry
 
-    telemetry = Telemetry.enabled_bundle(
-        tracing=tracing, event_log=getattr(args, "events", None)
-    )
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=args.duration * 60.0,
-        seed=args.seed,
-    )
+    telemetry = Telemetry.enabled_bundle(tracing=tracing, event_log=args.events)
     args.io.status(
         f"running {args.combo} with telemetry: {args.probes} probes, "
         f"every {args.interval:g} min for {args.duration:g} min"
     )
-    result = TestbedExperiment(config, telemetry=telemetry).run()
-    args.io.status(
-        f"{len(result.observations)} observations from {result.run.vp_count} VPs"
-    )
-    return telemetry, result
+    _run_campaign(args, _campaign_config(args), telemetry)
+    return telemetry
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run a combination with telemetry and dump the metrics registry."""
     io = args.io
-    telemetry, _ = _run_with_telemetry(args, tracing=bool(args.events))
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
+    telemetry = _run_with_telemetry(args, tracing=bool(args.events))
     # Telemetry self-accounting (dropped traces/events) belongs in the
     # dump: silent loss is the one thing a metrics page may not hide.
     telemetry.surface_drop_counters()
@@ -573,14 +527,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     io = args.io
     telemetry = Telemetry.enabled_bundle()
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=120.0,
-        duration_s=args.ticks * 120.0,
-        seed=args.seed,
+    config = _campaign_config(
+        args, interval_s=120.0, duration_s=args.ticks * 120.0
     )
-    TestbedExperiment(config, telemetry=telemetry).run()
+    _run_campaign(args, config, telemetry)
     printed = 0
     for root in telemetry.tracer.traces():
         if root.name != "resolver.resolve":
@@ -611,10 +561,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     if args.log:
         io.emit(render_dashboard_from_log(args.log, top_slowest=args.top))
         return 0
-    telemetry, _ = _run_with_telemetry(args, tracing=True)
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
+    telemetry = _run_with_telemetry(args, tracing=True)
     io.emit(
         render_dashboard(
             telemetry.registry.as_dict(),
@@ -627,34 +574,51 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dashboard_follow(args: argparse.Namespace) -> int:
-    """Tail a growing event log; render the scorecard once it closes."""
+def _follow_log(args: argparse.Namespace, path: str, consume):
+    """The tail loop behind ``dashboard --follow`` and ``top``.
+
+    ``consume(batch)`` folds in each non-empty poll and says whether the
+    run is done; the loop also ends after ``--idle-timeout`` seconds
+    without new events.  Returns the (closed) follower.
+    """
     import time as _time
 
-    from .telemetry import EventLog, EventLogFollower, MetricsSnapshot
-    from .telemetry.dashboard import render_dashboard_from_log
+    from .telemetry import EventLogFollower
 
-    io = args.io
-    events: list = []
-    with EventLogFollower(args.log) as follower:
+    with EventLogFollower(path) as follower:
         deadline = _time.monotonic() + args.idle_timeout
         while True:
             batch = follower.poll()
             if batch:
-                events.extend(batch)
                 deadline = _time.monotonic() + args.idle_timeout
-                io.status(f"following {args.log}: {len(events)} events ...")
-                if any(isinstance(e, MetricsSnapshot) for e in batch):
-                    break  # the closing snapshot: the run is finalized
+                if consume(batch):
+                    break
             elif _time.monotonic() >= deadline:
-                io.status(
+                args.io.status(
                     f"no new events for {args.idle_timeout:g}s; "
                     "rendering what arrived"
                 )
                 break
-            else:
-                _time.sleep(args.refresh)
-        log = EventLog(path=follower.path, meta=follower.meta, events=events)
+            _time.sleep(args.refresh)
+    return follower
+
+
+def _dashboard_follow(args: argparse.Namespace) -> int:
+    """Tail a growing event log; render the scorecard once it closes."""
+    from .telemetry import EventLog, MetricsSnapshot
+    from .telemetry.dashboard import render_dashboard_from_log
+
+    io = args.io
+    events: list = []
+
+    def consume(batch: list) -> bool:
+        events.extend(batch)
+        io.status(f"following {args.log}: {len(events)} events ...")
+        # the closing snapshot: the run is finalized
+        return any(isinstance(e, MetricsSnapshot) for e in batch)
+
+    follower = _follow_log(args, args.log, consume)
+    log = EventLog(path=follower.path, meta=follower.meta, events=events)
     io.emit(render_dashboard_from_log(log, top_slowest=args.top))
     return 0
 
@@ -714,35 +678,24 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _follow_monitor(args: argparse.Namespace, path: str) -> int:
-    """Shared tail loop behind ``top --follow`` and live mode."""
-    import time as _time
-
-    from .telemetry import EventLogFollower
+    """``top --follow`` and live mode: a frame per batch of new events."""
     from .telemetry.monitor import CampaignMonitor
 
     io = args.io
     monitor = CampaignMonitor()
     title = f"repro-dns top — {path}"
     frames = 0
-    with EventLogFollower(path) as follower:
-        deadline = _time.monotonic() + args.idle_timeout
-        while True:
-            if monitor.consume(follower.poll()):
-                deadline = _time.monotonic() + args.idle_timeout
-                frames += 1
-                if not monitor.finished:
-                    io.status(monitor.render(title=title))
-                    io.status("")
-            if monitor.finished:
-                break
-            if args.max_frames and frames >= args.max_frames:
-                break
-            if _time.monotonic() >= deadline:
-                io.status(
-                    f"no new events for {args.idle_timeout:g}s; stopping"
-                )
-                break
-            _time.sleep(args.refresh)
+
+    def consume(batch: list) -> bool:
+        nonlocal frames
+        monitor.consume(batch)
+        frames += 1
+        if not monitor.finished:
+            io.status(monitor.render(title=title))
+            io.status("")
+        return monitor.finished or 0 < args.max_frames <= frames
+
+    _follow_log(args, path, consume)
     io.emit(monitor.render(title=title))
     return 0
 
@@ -755,21 +708,15 @@ def _top_live(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry
 
     io = args.io
+    config = _campaign_config(
+        args, heartbeat_every_ticks=max(1, args.heartbeat_every)
+    )
     path = args.events
     scratch = None
     if not path:
         fd, path = tempfile.mkstemp(prefix="repro-top-", suffix=".jsonl")
         os.close(fd)
         scratch = path
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=args.duration * 60.0,
-        seed=args.seed,
-        scenario=args.scenario,
-        heartbeat_every_ticks=max(1, args.heartbeat_every),
-    )
     # Build the writer here (not in the thread): the header line lands
     # before the follower opens the file, so it never races the run.
     telemetry = Telemetry.enabled_bundle(event_log=path)
@@ -780,7 +727,7 @@ def _top_live(args: argparse.Namespace) -> int:
 
     def _run() -> None:
         try:
-            TestbedExperiment(config, telemetry=telemetry).run()
+            run_campaign(config, telemetry=telemetry)
         except BaseException as exc:  # surface, never swallow
             failures.append(exc)
         finally:
@@ -833,11 +780,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
             min_seconds=args.min_seconds,
             counter_threshold=args.counter_threshold,
             force=args.force,
-            phases=(
-                [p for p in args.phases.split(",") if p]
-                if args.phases
-                else None
-            ),
+            phases=args.phases,
         )
     except SidecarError as exc:
         io.status(f"bench-diff: {exc}")
@@ -910,14 +853,13 @@ def _cmd_costs(args: argparse.Namespace) -> int:
                 "(produce one with 'repro-dns costs --events FILE')"
             )
             return 1
-        if args.export:
-            Path(args.export).write_text(ledger.to_json(indent=2) + "\n")
-            io.status(f"wrote cost ledger to {args.export}")
+        _export_ledger(io, ledger, args.export)
         io.emit(ledger.render())
         return 0
 
     from .telemetry import Telemetry
 
+    config = _campaign_config(args)
     mode = args.profile_mode
     parallel = args.workers > 1 or args.shards
     if parallel and mode != "off":
@@ -933,34 +875,13 @@ def _cmd_costs(args: argparse.Namespace) -> int:
         profile_alloc=args.profile_alloc and not parallel,
         event_log=args.events,
     )
-    config = ExperimentConfig.for_combination(
-        args.combo,
-        num_probes=args.probes,
-        interval_s=args.interval * 60.0,
-        duration_s=args.duration * 60.0,
-        seed=args.seed,
-        scenario=args.scenario,
-    )
     io.status(
         f"costing {args.combo}: {args.probes} probes, "
         f"every {args.interval:g} min for {args.duration:g} min"
         + (f" (profile mode: {mode})" if mode != "off" else "")
     )
     with telemetry.alloc.activate():
-        if parallel:
-            from .core import run_parallel
-
-            result = run_parallel(
-                config,
-                workers=args.workers,
-                shards=args.shards or None,
-                telemetry=telemetry,
-            )
-        else:
-            result = TestbedExperiment(config, telemetry=telemetry).run()
-    if args.events:
-        telemetry.events.close()
-        io.status(f"wrote event log to {args.events}")
+        result = _run_campaign(args, config, telemetry)
     measure = result.profile.get("phases", {}).get("experiment.measure")
     measure_s = measure["seconds"] if measure else None
     ledger = telemetry.costs
@@ -978,9 +899,7 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     if args.profile_alloc and telemetry.alloc.enabled:
         io.emit()
         io.emit(telemetry.alloc.render())
-    if args.export:
-        Path(args.export).write_text(ledger.to_json(indent=2) + "\n")
-        io.status(f"wrote cost ledger to {args.export}")
+    _export_ledger(io, ledger, args.export)
     if args.flamegraph:
         collapsed = sampler.collapsed()
         if not collapsed:
@@ -1022,11 +941,7 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
     io.emit(
         render_history(
             entries,
-            phases=(
-                [p for p in args.phases.split(",") if p]
-                if args.phases
-                else None
-            ),
+            phases=args.phases,
             last=args.last,
             phase_threshold=args.phase_threshold,
             min_seconds=args.min_seconds,
@@ -1113,80 +1028,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     """Regenerate the full paper-vs-measured scorecard."""
-    from .analysis import Scorecard
-    from .analysis.interval import analyze_interval_sweep
-    from .analysis.rank_bands import analyze_rank_bands
-    from .analysis.preference import table2_rows
-    from .netsim.geo import Continent
-    from .passive import generate_ditl_trace, generate_nl_trace
-
     io = args.io
-    card = Scorecard()
-    runs = {}
-    probe_all = {}
-    for combo_id, combo in COMBINATIONS.items():
+
+    def get_run(combo_id: str):
         io.status(f"running {combo_id} ...")
-        result = run_combination(combo_id, num_probes=args.probes, seed=args.seed)
-        runs[combo_id] = result
-        probe_all[combo_id] = analyze_probe_all(
-            result.observations, set(combo.sites), combo_id=combo_id
-        )
-    card.record(
-        "fig2_probed_all_min",
-        min(result.probed_all_pct for result in probe_all.values()),
-    )
-    card.record(
-        "fig2_2ns_median_queries",
-        max(probe_all[c].queries_to_all.median for c in ("2A", "2B", "2C")),
-    )
-    card.record(
-        "fig2_4ns_median_queries",
-        max(probe_all[c].queries_to_all.median for c in ("4A", "4B")),
-    )
-    for combo_id in ("2A", "2B", "2C"):
-        sites = set(COMBINATIONS[combo_id].sites)
-        pref = analyze_preference(runs[combo_id].observations, sites, combo_id)
-        card.record(f"fig4_{combo_id.lower()}_weak", pref.weak_pct)
-        card.record(f"fig4_{combo_id.lower()}_strong", pref.strong_pct)
-    rows = table2_rows(runs["2C"].observations, {"FRA", "SYD"})
-    eu = next(row for row in rows if row.continent == Continent.EU)
-    card.record("table2_2c_eu_fra_share", eu.share_pct_by_site["FRA"])
-    card.record("table2_2c_eu_fra_rtt", eu.median_rtt_by_site["FRA"])
-    card.record("table2_2c_eu_syd_rtt", eu.median_rtt_by_site["SYD"])
+        return run_combination(combo_id, num_probes=args.probes, seed=args.seed)
 
-    io.status("running interval sweep ...")
-    sweep_runs = {}
-    for minutes in (2, 30):
-        result = run_combination(
-            "2C", num_probes=args.probes // 2, interval_s=minutes * 60.0,
-            duration_s=3600.0 if minutes == 2 else minutes * 60.0 * 6,
-            seed=args.seed,
-        )
-        sweep_runs[float(minutes)] = result.observations
-    eu_series = dict(
-        analyze_interval_sweep(sweep_runs, "FRA").series(Continent.EU)
-    )
-    card.record("fig6_eu_2min", eu_series[2.0])
-    card.record("fig6_eu_30min_persists", eu_series[30.0])
-
-    io.status("generating passive traces ...")
-    root = analyze_rank_bands(
-        generate_ditl_trace(
-            num_recursives=args.recursives, seed=2
-        ).queries_by_recursive(),
-        target_count=10, min_queries=250,
-    )
-    card.record("fig7_root_one_letter", root.pct_querying_exactly(1))
-    card.record("fig7_root_six_plus", root.pct_querying_at_least(6))
-    card.record("fig7_root_all_ten", root.pct_querying_all())
-    nl = analyze_rank_bands(
-        generate_nl_trace(
-            num_recursives=args.recursives, seed=3
-        ).queries_by_recursive(),
-        target_count=4, min_queries=250,
-    )
-    card.record("fig7_nl_all_four", nl.pct_querying_all())
-
+    card = build_scorecard(get_run, args.probes // 2, args.recursives, args.seed)
     io.emit(card.render())
     misses = card.misses()
     io.emit(
@@ -1243,6 +1091,101 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(kind, minimum, exclusive: bool = False):
+    """argparse ``type=``: an int/float no smaller than ``minimum``
+    (``exclusive``: strictly larger), rejected with a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        # (written so that NaN, which compares false both ways, fails)
+        if not (value > minimum if exclusive else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if exclusive else '>='} {minimum}, got {text}"
+            )
+        return value
+
+    # argparse names the type in "invalid int value: 'x'"
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _prefixes(text: str) -> list[str] | None:
+    """argparse ``type=`` for ``--phases a,b`` (nothing named = every phase)."""
+    return [prefix for prefix in text.split(",") if prefix] or None
+
+
+def _campaign_options(parser, probes: int, duration: float) -> None:
+    """Which campaign: what :func:`_campaign_config` reads."""
+    parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
+    parser.add_argument("--probes", type=_number(int, 1), default=probes)
+    parser.add_argument(
+        "--interval", type=_number(float, 0, exclusive=True), default=2.0,
+        help="minutes",
+    )
+    parser.add_argument(
+        "--duration", type=_number(float, 0), default=duration, help="minutes"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _sharding_options(parser, spill: bool = True) -> None:
+    """How to run it: what :func:`_run_campaign` hands the engine."""
+    parser.add_argument(
+        "--workers", type=_number(int, 1), default=1,
+        help="shard the probe population over N processes; merged output "
+        "is identical for any N (default: 1, in-process)",
+    )
+    parser.add_argument(
+        "--shards", type=_number(int, 0), default=0,
+        help="shard count when it should differ from --workers "
+        "(0 = one shard per worker); forces the sharded engine even "
+        "with --workers 1",
+    )
+    if spill:
+        parser.add_argument(
+            "--spill-events", metavar="DIR",
+            help="with --workers/--shards: each worker spills its event "
+            "records to DIR/shard-NNNN.events.jsonl instead of buffering "
+            "them in memory; the merged log is byte-identical either way",
+        )
+
+
+def _output_options(parser, out: bool = True) -> None:
+    """Where the run goes: what :func:`_run_campaign` writes."""
+    if out:
+        parser.add_argument("--out", help="save observations as JSONL")
+    parser.add_argument(
+        "--events", metavar="FILE",
+        help="stream a telemetry event log (JSONL) to FILE",
+    )
+
+
+def _follow_options(parser) -> None:
+    """Tailing a growing log: what :func:`_follow_log` reads."""
+    parser.add_argument(
+        "--follow", action="store_true",
+        help="with a saved log: tail the file as it grows, until the "
+        "run finalizes",
+    )
+    parser.add_argument(
+        "--refresh", type=float, default=0.2, metavar="SEC",
+        help="poll interval while tailing (default: 0.2s)",
+    )
+    parser.add_argument(
+        "--idle-timeout", type=float, default=30.0, metavar="SEC",
+        help="give up after SEC without new events (default: 30)",
+    )
+
+
+def _scenario_option(parser, default: str | None = None) -> None:
+    parser.add_argument(
+        "--scenario", default=default, metavar="NAME|FILE",
+        help="inject a fault timeline: a bundled scenario name "
+        "(see 'faults list') or a scenario JSON file"
+        + (f" (default: {default})" if default else ""),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dns",
@@ -1268,41 +1211,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_parser = sub.add_parser("run", help="run a testbed combination")
-    run_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    run_parser.add_argument("--probes", type=int, default=300)
-    run_parser.add_argument("--interval", type=float, default=2.0, help="minutes")
-    run_parser.add_argument("--duration", type=float, default=60.0, help="minutes")
-    run_parser.add_argument("--seed", type=int, default=0)
+    _campaign_options(run_parser, probes=300, duration=60.0)
     run_parser.add_argument("--ipv6", action="store_true")
+    _sharding_options(run_parser)
+    _output_options(run_parser)
+    _scenario_option(run_parser)
     run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the probe population over N processes; merged output "
-        "is identical for any N (default: 1, in-process)",
-    )
-    run_parser.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when it should differ from --workers "
-        "(0 = one shard per worker); forces the sharded engine even "
-        "with --workers 1",
-    )
-    run_parser.add_argument("--out", help="save observations as JSONL")
-    run_parser.add_argument(
-        "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) to FILE",
-    )
-    run_parser.add_argument(
-        "--spill-events", metavar="DIR",
-        help="with --workers/--shards: each worker spills its event "
-        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
-        "them in memory; the merged log is byte-identical either way",
-    )
-    run_parser.add_argument(
-        "--scenario", default=None, metavar="NAME|FILE",
-        help="inject a fault timeline: a bundled scenario name "
-        "(see 'faults list') or a scenario JSON file",
-    )
-    run_parser.add_argument(
-        "--heartbeat-every", type=int, default=0, metavar="TICKS",
+        "--heartbeat-every", type=_number(int, 0), default=0, metavar="TICKS",
         help="emit a shard.heartbeat note every N measurement ticks "
         "for 'repro-dns top' (0 = off; never affects results)",
     )
@@ -1322,19 +1237,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser = sub.add_parser(
         "metrics", help="run with telemetry and dump the metrics registry"
     )
-    metrics_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    metrics_parser.add_argument("--probes", type=int, default=100)
-    metrics_parser.add_argument("--interval", type=float, default=2.0, help="minutes")
-    metrics_parser.add_argument("--duration", type=float, default=30.0, help="minutes")
-    metrics_parser.add_argument("--seed", type=int, default=0)
+    _campaign_options(metrics_parser, probes=100, duration=30.0)
     metrics_parser.add_argument(
         "--format", choices=("prom", "json"), default="prom",
         help="Prometheus text (default) or JSON sidecar",
     )
-    metrics_parser.add_argument(
-        "--events", metavar="FILE",
-        help="also stream a telemetry event log (JSONL) to FILE",
-    )
+    _output_options(metrics_parser, out=False)
     metrics_parser.add_argument(
         "--profile", action="store_true",
         help="also print the simulator's wall-clock phase profile",
@@ -1365,32 +1273,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dashboard_parser.add_argument("--top", type=int, default=5,
                                   help="slowest traces to show")
-    dashboard_parser.add_argument("--combo", default="2C",
-                                  choices=sorted(COMBINATIONS))
-    dashboard_parser.add_argument("--probes", type=int, default=100)
-    dashboard_parser.add_argument("--interval", type=float, default=2.0,
-                                  help="minutes (live mode)")
-    dashboard_parser.add_argument("--duration", type=float, default=30.0,
-                                  help="minutes (live mode)")
-    dashboard_parser.add_argument("--seed", type=int, default=0)
-    dashboard_parser.add_argument(
-        "--events", metavar="FILE",
-        help="live mode: also stream the event log to FILE",
-    )
-    dashboard_parser.add_argument(
-        "--follow", action="store_true",
-        help="tail a growing event log and render once the run "
-        "finalizes (requires a log path)",
-    )
-    dashboard_parser.add_argument(
-        "--refresh", type=float, default=0.2, metavar="SEC",
-        help="--follow: poll interval (default: 0.2s)",
-    )
-    dashboard_parser.add_argument(
-        "--idle-timeout", type=float, default=30.0, metavar="SEC",
-        help="--follow: give up after SEC without new events "
-        "(default: 30)",
-    )
+    _campaign_options(dashboard_parser, probes=100, duration=30.0)
+    _output_options(dashboard_parser, out=False)
+    _follow_options(dashboard_parser)
     dashboard_parser.set_defaults(func=_cmd_dashboard)
 
     forensics_parser = sub.add_parser(
@@ -1445,40 +1330,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-log", metavar="FILE",
         help="replay a saved event log instead of running live",
     )
-    top_parser.add_argument(
-        "--follow", action="store_true",
-        help="with --from-log: tail the file as it grows",
-    )
-    top_parser.add_argument(
-        "--refresh", type=float, default=0.2, metavar="SEC",
-        help="poll interval between frames (default: 0.2s)",
-    )
-    top_parser.add_argument(
-        "--idle-timeout", type=float, default=30.0, metavar="SEC",
-        help="give up after SEC without new events (default: 30)",
-    )
+    _follow_options(top_parser)
     top_parser.add_argument(
         "--max-frames", type=int, default=0, metavar="N",
         help="stop after N rendered frames (0 = until the run ends)",
     )
-    top_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    top_parser.add_argument("--probes", type=int, default=100)
-    top_parser.add_argument("--interval", type=float, default=2.0,
-                            help="minutes (live mode)")
-    top_parser.add_argument("--duration", type=float, default=30.0,
-                            help="minutes (live mode)")
-    top_parser.add_argument("--seed", type=int, default=0)
+    _campaign_options(top_parser, probes=100, duration=30.0)
+    _scenario_option(top_parser)
+    _output_options(top_parser, out=False)
     top_parser.add_argument(
-        "--scenario", default=None, metavar="NAME|FILE",
-        help="live mode: inject a fault timeline",
-    )
-    top_parser.add_argument(
-        "--events", metavar="FILE",
-        help="live mode: keep the event log at FILE "
-        "(default: a deleted scratch file)",
-    )
-    top_parser.add_argument(
-        "--heartbeat-every", type=int, default=1, metavar="TICKS",
+        "--heartbeat-every", type=_number(int, 0), default=1, metavar="TICKS",
         help="live mode: heartbeat cadence in ticks (default: 1)",
     )
     top_parser.set_defaults(func=_cmd_top)
@@ -1497,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="relative drift a deterministic counter may show")
     bench_parser.add_argument("--force", action="store_true",
                               help="compare even across sidecar schema versions")
-    bench_parser.add_argument("--phases", metavar="PREFIXES",
+    bench_parser.add_argument("--phases", type=_prefixes, metavar="PREFIXES",
                               help="comma-separated phase-name prefixes to gate "
                                    "(default: every phase)")
     bench_parser.set_defaults(func=_cmd_bench_diff)
@@ -1511,25 +1372,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="a saved event log (JSONL) holding a costs record; "
         "omit to run live",
     )
-    costs_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    costs_parser.add_argument("--probes", type=int, default=300)
-    costs_parser.add_argument("--interval", type=float, default=2.0, help="minutes")
-    costs_parser.add_argument("--duration", type=float, default=30.0, help="minutes")
-    costs_parser.add_argument("--seed", type=int, default=0)
-    costs_parser.add_argument(
-        "--scenario", default=None, metavar="NAME|FILE",
-        help="inject a fault timeline (see 'faults list')",
-    )
-    costs_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shard over N processes; the merged ledger is identical "
-        "for any N at a fixed shard count",
-    )
-    costs_parser.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when it should differ from --workers "
-        "(0 = one shard per worker)",
-    )
+    _campaign_options(costs_parser, probes=300, duration=30.0)
+    _scenario_option(costs_parser)
+    _sharding_options(costs_parser, spill=False)
+    _output_options(costs_parser, out=False)
     costs_parser.add_argument(
         "--profile-mode", choices=("trace", "sample", "off"), default="trace",
         help="subsystem profiler: 'trace' partitions the measure phase "
@@ -1550,11 +1396,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flamegraph", metavar="FILE",
         help="write collapsed stacks (flamegraph.pl / speedscope input); "
         "needs --profile-mode sample",
-    )
-    costs_parser.add_argument(
-        "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) carrying the costs "
-        "record to FILE",
     )
     costs_parser.set_defaults(func=_cmd_costs)
 
@@ -1579,7 +1420,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record even across sidecar schema versions",
     )
     history_parser.add_argument(
-        "--phases", metavar="PREFIXES",
+        "--phases", type=_prefixes, metavar="PREFIXES",
         help="comma-separated phase-name prefixes to show",
     )
     history_parser.add_argument(
@@ -1672,38 +1513,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults_run = faults_sub.add_parser(
         "run", help="run a combination under a fault scenario"
     )
-    faults_run.add_argument(
-        "--scenario", default="ns-outage", metavar="NAME|FILE",
-        help="bundled scenario name or scenario JSON file "
-        "(default: ns-outage)",
-    )
-    faults_run.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    faults_run.add_argument("--probes", type=int, default=300)
-    faults_run.add_argument("--interval", type=float, default=2.0, help="minutes")
-    faults_run.add_argument("--duration", type=float, default=60.0, help="minutes")
-    faults_run.add_argument("--seed", type=int, default=0)
-    faults_run.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the probe population over N processes; merged "
-        "output is identical for any N (default: 1, in-process)",
-    )
-    faults_run.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when it should differ from --workers "
-        "(0 = one shard per worker); forces the sharded engine even "
-        "with --workers 1",
-    )
-    faults_run.add_argument("--out", help="save observations as JSONL")
-    faults_run.add_argument(
-        "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) to FILE",
-    )
-    faults_run.add_argument(
-        "--spill-events", metavar="DIR",
-        help="with --workers/--shards: each worker spills its event "
-        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
-        "them in memory; the merged log is byte-identical either way",
-    )
+    _scenario_option(faults_run, default="ns-outage")
+    _campaign_options(faults_run, probes=300, duration=60.0)
+    _sharding_options(faults_run)
+    _output_options(faults_run)
     faults_run.add_argument(
         "--export", metavar="FILE",
         help="save the resolved scenario as a scenario JSON file",
@@ -1728,11 +1541,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled attack name or attack-profile JSON file "
         "(default: nxns)",
     )
-    attack_run.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    attack_run.add_argument("--probes", type=int, default=300)
-    attack_run.add_argument("--interval", type=float, default=2.0, help="minutes")
-    attack_run.add_argument("--duration", type=float, default=60.0, help="minutes")
-    attack_run.add_argument("--seed", type=int, default=0)
+    _campaign_options(attack_run, probes=300, duration=60.0)
     attack_run.add_argument(
         "--bot-share", type=float, metavar="FRAC",
         help="override the profile's botnet share of the VPs",
@@ -1753,28 +1562,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rrl-qps", type=int, metavar="QPS",
         help="rate-limit error responses at the authoritatives (RRL)",
     )
-    attack_run.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the probe population over N processes; merged "
-        "output is identical for any N (default: 1, in-process)",
-    )
-    attack_run.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count when it should differ from --workers "
-        "(0 = one shard per worker); forces the sharded engine even "
-        "with --workers 1",
-    )
-    attack_run.add_argument("--out", help="save observations as JSONL")
-    attack_run.add_argument(
-        "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) to FILE",
-    )
-    attack_run.add_argument(
-        "--spill-events", metavar="DIR",
-        help="with --workers/--shards: each worker spills its event "
-        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
-        "them in memory; the merged log is byte-identical either way",
-    )
+    _sharding_options(attack_run)
+    _output_options(attack_run)
     attack_run.add_argument(
         "--export-costs", metavar="FILE",
         help="write the canonical cost-ledger JSON (amplification, "
@@ -1796,6 +1585,9 @@ def main(argv: list[str] | None = None) -> int:
     args.io = CliWriter(output=args.output, quiet=args.quiet)
     try:
         return args.func(args)
+    except CliError as exc:
+        args.io.status(f"error: {exc}")
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (| head, a pager): exit quietly
         # like a unix filter.  Point stdout at devnull first so the

@@ -25,13 +25,10 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     TestbedExperiment,
+    run_campaign,
     run_combination,
 )
-from .parallel import (
-    ParallelExperimentResult,
-    partition_probes,
-    run_parallel,
-)
+from .parallel import partition_probes, run_parallel
 from .planner import (
     ClientLatency,
     DeploymentEvaluation,
@@ -75,7 +72,6 @@ __all__ = [
     "MeasurementRun",
     "ObservationRows",
     "ObservationStore",
-    "ParallelExperimentResult",
     "QueryObservation",
     "partition_probes",
     "run_parallel",
@@ -89,6 +85,7 @@ __all__ = [
     "load_run",
     "observation_from_dict",
     "observation_to_dict",
+    "run_campaign",
     "run_combination",
     "save_run",
     "sidn_style_designs",

@@ -61,22 +61,45 @@ class ExperimentConfig:
         return cls(authoritatives=specs, **overrides)
 
 
+def generate_probes(config: ExperimentConfig) -> list[Probe]:
+    """The campaign's probe population (IPv6 runs: its v6-capable subset)."""
+    probes = ProbeGenerator(seed=derive(config.seed, "probes")).generate(
+        config.num_probes
+    )
+    if config.ipv6:
+        probes = [probe for probe in probes if probe.ipv6_capable]
+    return probes
+
+
 @dataclass
 class ExperimentResult:
-    """Outputs of one run: client-side run + server-side views."""
+    """Outputs of one run, serial or sharded: client- and server-side views."""
 
     config: ExperimentConfig
     run: MeasurementRun
     addresses: list[str]
     site_of_address: dict[str, str]
     server_query_counts: dict[str, int]
-    deployment: Deployment
+    #: the live deployment (None after a sharded run: each shard's
+    #: deployment lived and died in its worker)
+    deployment: Deployment | None = None
     #: the run's telemetry bundle (NULL_TELEMETRY when not requested)
     telemetry: object = NULL_TELEMETRY
-    #: wall-clock phase profile of the simulator itself
+    #: wall-clock phase profile of the simulator itself (sharded: of the
+    #: engine's scatter, gather and merge)
     profile: dict = field(default_factory=dict)
-    #: deterministic per-query cost ledger export (empty when disabled)
+    #: deterministic per-query cost ledger export (empty when disabled).
+    #: Sharded: identical for any worker count at a fixed shard count;
+    #: template counters vary with the shard *layout* (each shard's
+    #: servers warm their own caches), which is why the CI determinism
+    #: step compares equal shard counts.
     costs: dict = field(default_factory=dict)
+    #: scatter-gather bookkeeping (a serial run is one shard, one worker)
+    workers: int = 1
+    shards: int = 1
+    #: each shard worker's wall-clock phase profile, in shard order
+    #: (empty for a serial run)
+    shard_profiles: list[dict] = field(default_factory=list)
 
     @property
     def observations(self):
@@ -122,7 +145,6 @@ class TestbedExperiment:
         self.population = ResolverPopulation(
             config.resolver_mix, seed=derive(seed, "population")
         )
-        self.probe_seed = derive(seed, "probes")
         self.platform_seed = derive(seed, "platform")
         self.fault_seed = derive(seed, "faults")
         self.attack_seed = derive(seed, "attack")
@@ -237,11 +259,7 @@ class TestbedExperiment:
             if self._probes is not None:
                 probes = list(self._probes)
             else:
-                probes = ProbeGenerator(seed=self.probe_seed).generate(
-                    self.config.num_probes
-                )
-                if self.config.ipv6:
-                    probes = [probe for probe in probes if probe.ipv6_capable]
+                probes = generate_probes(self.config)
         # Imported lazily: ``atlas.platform`` itself imports
         # ``core.store``, so a module-level import here would close an
         # import cycle through the ``repro.core`` package.
@@ -305,18 +323,43 @@ class TestbedExperiment:
         )
 
 
-def run_combination(
-    combo_id: str, telemetry=None, workers: int = 1, **overrides
-):
-    """Convenience: run one Table 1 combination end to end.
+def run_campaign(
+    config: ExperimentConfig,
+    *,
+    telemetry=None,
+    workers: int = 1,
+    shards: int | None = None,
+    spill_dir=None,
+) -> ExperimentResult:
+    """Run one campaign: the single place that picks serial or sharded.
 
-    ``workers > 1`` routes through the sharded engine
-    (:func:`repro.core.parallel.run_parallel`); the merged result is
-    identical to the serial one for any worker count.
+    ``workers > 1`` or a shard count routes through the sharded engine
+    (:func:`repro.core.parallel.run_parallel`; ``shards`` None or 0 =
+    one per worker, ``spill_dir`` bounds worker memory there); anything
+    else is one in-process :class:`TestbedExperiment`.  The merged
+    result is identical to the serial one for any worker count.
     """
-    config = ExperimentConfig.for_combination(combo_id, **overrides)
-    if workers > 1:
+    # ``!= 1``, not ``> 1``: a worker count below one goes to the engine
+    # that rejects it instead of quietly running serially.
+    if workers != 1 or shards:
         from .parallel import run_parallel
 
-        return run_parallel(config, workers=workers, telemetry=telemetry)
+        return run_parallel(
+            config,
+            workers=workers,
+            shards=shards or None,
+            telemetry=telemetry,
+            spill_dir=spill_dir,
+        )
     return TestbedExperiment(config, telemetry=telemetry).run()
+
+
+def run_combination(
+    combo_id: str, telemetry=None, workers: int = 1, **overrides
+) -> ExperimentResult:
+    """Convenience: :func:`run_campaign` for one Table 1 combination."""
+    return run_campaign(
+        ExperimentConfig.for_combination(combo_id, **overrides),
+        telemetry=telemetry,
+        workers=workers,
+    )

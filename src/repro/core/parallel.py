@@ -35,12 +35,9 @@ on without re-validating any result.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-
 from pathlib import Path
 
-from ..atlas.probes import Probe, ProbeGenerator
-from ..seeding import derive
+from ..atlas.probes import Probe
 from ..telemetry import (
     CostLedger,
     MetricsRegistry,
@@ -60,40 +57,13 @@ from ..telemetry import (
     normalize_trace_records,
     span_from_dict,
 )
-from .experiment import ExperimentConfig, TestbedExperiment
+from .experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    TestbedExperiment,
+    generate_probes,
+)
 from .store import MeasurementRun, ObservationStore
-
-
-@dataclass
-class ParallelExperimentResult:
-    """Merged outputs of one sharded campaign.
-
-    Mirrors :class:`~repro.core.experiment.ExperimentResult` for the
-    fields analyses consume; adds the scatter-gather bookkeeping.
-    """
-
-    config: ExperimentConfig
-    run: MeasurementRun
-    addresses: list[str]
-    site_of_address: dict[str, str]
-    server_query_counts: dict[str, int]
-    workers: int
-    shards: int
-    telemetry: object = NULL_TELEMETRY
-    #: each shard worker's wall-clock phase profile, in shard order
-    shard_profiles: list[dict] = field(default_factory=list)
-    #: the engine's own phase profile (scatter, gather, merge)
-    profile: dict = field(default_factory=dict)
-    #: merged deterministic cost ledger export (empty when disabled).
-    #: Identical for any worker count at a fixed shard count; template
-    #: counters vary with the shard *layout* (each shard's servers warm
-    #: their own caches), which is why the CI determinism step compares
-    #: equal shard counts.
-    costs: dict = field(default_factory=dict)
-
-    @property
-    def observations(self):
-        return self.run.observations
 
 
 def partition_probes(probes: list[Probe], shards: int) -> list[list[Probe]]:
@@ -212,7 +182,7 @@ def run_parallel(
     shards: int | None = None,
     telemetry=None,
     spill_dir: str | Path | None = None,
-) -> ParallelExperimentResult:
+) -> ExperimentResult:
     """Run one campaign sharded over ``workers`` processes and merge.
 
     ``shards`` defaults to ``workers``; any (workers, shards) choice
@@ -241,12 +211,10 @@ def run_parallel(
     want_costs = telemetry.costs.enabled
 
     with profiler.phase("parallel.probes"):
-        generator = ProbeGenerator(seed=derive(config.seed, "probes"))
-        probes = generator.generate(config.num_probes)
-        if config.ipv6:
-            probes = [probe for probe in probes if probe.ipv6_capable]
         buckets = [
-            bucket for bucket in partition_probes(probes, shards) if bucket
+            bucket
+            for bucket in partition_probes(generate_probes(config), shards)
+            if bucket
         ]
         if not buckets:
             buckets = [[]]
@@ -353,18 +321,18 @@ def run_parallel(
     profiler.record("config.seed", config.seed)
     profiler.count("experiment.runs")
     profiler.count("experiment.observations", len(merged))
-    return ParallelExperimentResult(
+    return ExperimentResult(
         config=config,
         run=run,
         addresses=list(template["addresses"]),
         site_of_address=dict(template["site_of_address"]),
         server_query_counts=server_query_counts,
-        workers=workers,
-        shards=len(payloads),
         telemetry=telemetry,
-        shard_profiles=[result["profile"] for result in shard_results],
         profile=profiler.as_dict(),
         costs=telemetry.costs.as_dict() if want_costs else {},
+        workers=workers,
+        shards=len(payloads),
+        shard_profiles=[result["profile"] for result in shard_results],
     )
 
 
@@ -437,7 +405,6 @@ def _write_merged_log(
 
 
 __all__ = [
-    "ParallelExperimentResult",
     "partition_probes",
     "run_parallel",
 ]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.paper import PAPER_CLAIMS, Scorecard
+from repro.analysis.paper import PAPER_CLAIMS, Scorecard, build_scorecard
+from repro.core import COMBINATIONS, run_combination
 
 
 class TestClaims:
@@ -57,3 +58,21 @@ class TestScorecard:
         assert "ok" in text
         assert "39 ms" in text
         assert "scorecard" in text.lower()
+
+
+class TestBuildScorecard:
+    def test_records_every_claim_from_one_run_per_combination(self):
+        # The CLI (`scorecard`) and benchmarks/bench_scorecard.py both
+        # delegate here, differing only in get_run and the sizes — so
+        # this is the one place a claim can be dropped or added.
+        asked = []
+
+        def get_run(combo_id):
+            asked.append(combo_id)
+            return run_combination(combo_id, num_probes=40, seed=1)
+
+        card = build_scorecard(get_run, sweep_probes=20, recursives=60, seed=1)
+        assert asked == list(COMBINATIONS)
+        assert set(card.measured) == set(PAPER_CLAIMS)
+        assert len(card.measured) == 18
+        assert "missing" not in {card.verdict(c) for c in PAPER_CLAIMS}

@@ -5,6 +5,7 @@ merged analysis output for any K — observations, metrics, and the
 event log, byte for byte.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,8 +13,11 @@ import pytest
 from repro.atlas.probes import ProbeGenerator
 from repro.core import (
     ExperimentConfig,
+    ExperimentResult,
     TestbedExperiment,
     partition_probes,
+    run_campaign,
+    run_combination,
     run_parallel,
 )
 from repro.telemetry import Telemetry, read_events
@@ -115,6 +119,77 @@ class TestProcessPool:
         assert merged.server_query_counts == dict(
             sorted(serial.server_query_counts.items())
         )
+
+
+def store_digest(result) -> str:
+    digest = hashlib.sha256()
+    for row in result.run.store.iter_rows():
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+class TestRunCampaign:
+    """The one entry point: it alone picks serial or sharded."""
+
+    def test_default_is_the_serial_experiment(self):
+        config = small_config()
+        direct = TestbedExperiment(config).run()
+        result = run_campaign(config)
+        assert isinstance(result, ExperimentResult)
+        assert result.run.observations == direct.run.observations
+        assert result.server_query_counts == direct.server_query_counts
+        assert result.deployment is not None
+        assert result.workers == result.shards == 1
+        assert result.shard_profiles == []
+
+    def test_a_shard_count_selects_the_sharded_engine(self):
+        config = small_config(num_probes=40)
+        result = run_campaign(config, shards=4)
+        inline = run_parallel(config, workers=1, shards=4)
+        pooled = run_campaign(config, workers=2, shards=4)
+        for other in (inline, pooled):
+            assert isinstance(other, ExperimentResult)
+            assert store_digest(other) == store_digest(result)
+            assert other.server_query_counts == result.server_query_counts
+        assert (result.workers, pooled.workers) == (1, 2)
+        for sharded in (result, inline, pooled):
+            assert sharded.shards == 4
+            assert sharded.deployment is None
+            assert len(sharded.shard_profiles) == 4
+        # ... and the shard layout is invisible in the output.
+        assert store_digest(result) == store_digest(run_campaign(config))
+
+    def test_zero_shards_means_unset(self):
+        # The CLI's "--shards 0 = one per worker" passes straight through.
+        result = run_campaign(small_config(), shards=0)
+        assert result.deployment is not None
+
+    def test_passes_telemetry_and_spill_dir_through(self, tmp_path):
+        telemetry = Telemetry.enabled_bundle(
+            event_log=tmp_path / "merged.events.jsonl"
+        )
+        result = run_campaign(
+            small_config(), telemetry=telemetry, shards=2,
+            spill_dir=tmp_path / "spill",
+        )
+        telemetry.events.close()
+        assert result.telemetry is telemetry
+        assert sorted(path.name for path in (tmp_path / "spill").iterdir()) == [
+            "shard-0000.events.jsonl", "shard-0001.events.jsonl",
+        ]
+
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(ValueError):
+            run_campaign(small_config(), workers=0)
+
+    def test_run_combination_goes_through_it(self):
+        kwargs = dict(CONFIG_KWARGS, num_probes=40)
+        sharded = run_combination("2C", workers=2, **kwargs)
+        serial = run_combination("2C", **kwargs)
+        assert isinstance(sharded, ExperimentResult)
+        assert (sharded.workers, sharded.shards) == (2, 2)
+        assert sharded.deployment is None and serial.deployment is not None
+        assert store_digest(sharded) == store_digest(serial)
 
 
 class TestMergedTelemetry:

@@ -1,10 +1,210 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+COMBOS = ["2A", "2B", "2C", "3A", "3B", "4A", "4B"]
+SITES = ["DUB", "FRA", "GRU", "IAD", "NRT", "SFO", "SYD"]
+
+
+def opt(default, choices=None, nargs=None, required=False):
+    return (default, choices, nargs, required)
+
+
+#: Every sub-command and option with its default, choices, nargs and
+#: required-ness, as recorded from the commit before the shared option
+#: groups (PR 17's parent).  Help text is not part of the surface.
+PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info', 'warning']),
+ '--output': opt(None),
+ '--quiet': opt(False, nargs=0),
+ 'analyze': {'--combo': opt('?'),
+             '--run': opt(None, required=True),
+             '--sites': opt(None, nargs='+', required=True)},
+ 'attack': {'list': {},
+            'run': {'--attack': opt('nxns'),
+                    '--bot-share': opt(None),
+                    '--combo': opt('2C', choices=COMBOS),
+                    '--duration': opt(60.0),
+                    '--events': opt(None),
+                    '--export': opt(None),
+                    '--export-costs': opt(None),
+                    '--fan-out': opt(None),
+                    '--interval': opt(2.0),
+                    '--max-fetch': opt(None),
+                    '--max-fetch-per-delegation': opt(None),
+                    '--out': opt(None),
+                    '--probes': opt(300),
+                    '--rrl-qps': opt(None),
+                    '--seed': opt(0),
+                    '--shards': opt(0),
+                    '--spill-events': opt(None),
+                    '--workers': opt(1)}},
+ 'bench-diff': {'--counter-threshold': opt(0.001),
+                '--force': opt(False, nargs=0),
+                '--min-seconds': opt(0.05),
+                '--phase-threshold': opt(0.3),
+                '--phases': opt(None),
+                'base': opt(None, required=True),
+                'new': opt(None, required=True)},
+ 'bench-history': {'--dir': opt('benchmarks/history'),
+                   '--force': opt(False, nargs=0),
+                   '--last': opt(8),
+                   '--min-seconds': opt(0.05),
+                   '--phase-threshold': opt(0.3),
+                   '--phases': opt(None),
+                   '--record': opt(False, nargs=0),
+                   '--sidecar': opt('benchmarks/.bench_profile.json')},
+ 'combos': {},
+ 'costs': {'--combo': opt('2C', choices=COMBOS),
+           '--duration': opt(30.0),
+           '--events': opt(None),
+           '--export': opt(None),
+           '--flamegraph': opt(None),
+           '--interval': opt(2.0),
+           '--probes': opt(300),
+           '--profile-alloc': opt(False, nargs=0),
+           '--profile-mode': opt('trace', choices=['off', 'sample', 'trace']),
+           '--scenario': opt(None),
+           '--seed': opt(0),
+           '--shards': opt(0),
+           '--workers': opt(1),
+           'log': opt(None, nargs='?')},
+ 'dashboard': {'--combo': opt('2C', choices=COMBOS),
+               '--duration': opt(30.0),
+               '--events': opt(None),
+               '--follow': opt(False, nargs=0),
+               '--idle-timeout': opt(30.0),
+               '--interval': opt(2.0),
+               '--probes': opt(100),
+               '--refresh': opt(0.2),
+               '--seed': opt(0),
+               '--top': opt(5),
+               'log': opt(None, nargs='?')},
+ 'dig': {'--rrclass': opt('IN'),
+         '--tcp': opt(False, nargs=0),
+         '--timeout': opt(3.0),
+         '-p --port': opt(53),
+         'name': opt(None, required=True),
+         'rrtype': opt('A', nargs='?'),
+         'server': opt(None, required=True)},
+ 'faults': {'list': {'--duration': opt(0.0)},
+            'run': {'--combo': opt('2C', choices=COMBOS),
+                    '--duration': opt(60.0),
+                    '--events': opt(None),
+                    '--export': opt(None),
+                    '--interval': opt(2.0),
+                    '--out': opt(None),
+                    '--probes': opt(300),
+                    '--scenario': opt('ns-outage'),
+                    '--seed': opt(0),
+                    '--shards': opt(0),
+                    '--spill-events': opt(None),
+                    '--workers': opt(1)}},
+ 'forensics': {'--top': opt(3),
+               'log': opt(None, required=True),
+               'selector': opt(None, nargs='?')},
+ 'metrics': {'--combo': opt('2C', choices=COMBOS),
+             '--duration': opt(30.0),
+             '--events': opt(None),
+             '--format': opt('prom', choices=['json', 'prom']),
+             '--interval': opt(2.0),
+             '--probes': opt(100),
+             '--profile': opt(False, nargs=0),
+             '--seed': opt(0)},
+ 'passive': {'--kind': opt('root', choices=['nl', 'root']),
+             '--min-queries': opt(250),
+             '--out': opt(None),
+             '--recursives': opt(250),
+             '--seed': opt(2)},
+ 'plan': {'--clients': opt(500),
+          '--home': opt('FRA', choices=SITES),
+          '--latency-share': opt(0.5),
+          '--seed': opt(0),
+          '--sites': opt(
+              ['FRA', 'IAD', 'SYD', 'GRU'], choices=SITES, nargs='+'
+          )},
+ 'run': {'--combo': opt('2C', choices=COMBOS),
+         '--duration': opt(60.0),
+         '--events': opt(None),
+         '--heartbeat-every': opt(0),
+         '--interval': opt(2.0),
+         '--ipv6': opt(False, nargs=0),
+         '--no-analyze': opt(False, nargs=0),
+         '--out': opt(None),
+         '--probes': opt(300),
+         '--scenario': opt(None),
+         '--seed': opt(0),
+         '--shards': opt(0),
+         '--spill-events': opt(None),
+         '--workers': opt(1)},
+ 'scorecard': {'--probes': opt(300),
+               '--recursives': opt(250),
+               '--seed': opt(20170412)},
+ 'serve': {'--host': opt('127.0.0.1'),
+           '--max-queries': opt(0),
+           '--origin': opt(None, required=True),
+           '--port': opt(5353),
+           '--server-id': opt('repro-authoritative'),
+           '--zone': opt(None, required=True)},
+ 'slo': {'--check': opt(False, nargs=0),
+         '--slack': opt(None),
+         '--spec': opt(None),
+         '--window': opt(120.0),
+         'log': opt(None, required=True)},
+ 'sweep': {'--intervals': opt([2, 5, 10, 15, 20, 30], nargs='+'),
+           '--probes': opt(150),
+           '--reference': opt('FRA'),
+           '--seed': opt(0)},
+ 'top': {'--combo': opt('2C', choices=COMBOS),
+         '--duration': opt(30.0),
+         '--events': opt(None),
+         '--follow': opt(False, nargs=0),
+         '--from-log': opt(None),
+         '--heartbeat-every': opt(1),
+         '--idle-timeout': opt(30.0),
+         '--interval': opt(2.0),
+         '--max-frames': opt(0),
+         '--probes': opt(100),
+         '--refresh': opt(0.2),
+         '--scenario': opt(None),
+         '--seed': opt(0)},
+ 'trace': {'--all': opt(True, nargs=0),
+           '--combo': opt('2C', choices=COMBOS),
+           '--count': opt(1),
+           '--probes': opt(5),
+           '--seed': opt(0),
+           '--ticks': opt(1)}}
+
+
+def parser_surface(parser):
+    """``build_parser()`` as a plain dict, shaped like PARSER_SURFACE."""
+    surface = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface[name] = parser_surface(sub)
+            continue
+        key = " ".join(action.option_strings) or action.dest
+        choices = action.choices
+        surface[key] = opt(
+            action.default,
+            sorted(choices) if choices is not None else None,
+            action.nargs,
+            action.required,
+        )
+    return surface
+
+
+#: the commands built on the shared campaign + sharding option groups
+CAMPAIGN_COMMANDS = [["run"], ["faults", "run"], ["attack", "run"], ["costs"]]
 
 
 class TestParser:
@@ -25,6 +225,77 @@ class TestParser:
     def test_plan_site_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--sites", "XXX"])
+
+    @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--shards", "-1"),
+            ("--probes", "0"),
+            ("--interval", "0"),
+            ("--interval", "nan"),
+            ("--duration", "-1"),
+        ],
+    )
+    def test_bad_campaign_numbers_are_usage_errors(
+        self, capsys, command, flag, value
+    ):
+        # Each of these used to get past the parser and either die in a
+        # traceback (ValueError, ZeroDivisionError) or be ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}: must be" in err
+
+    @pytest.mark.parametrize("command", [["run"], ["top"]], ids=" ".join)
+    def test_negative_heartbeat_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--heartbeat-every", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --heartbeat-every: must be" in capsys.readouterr().err
+
+    def test_malformed_number_still_names_the_type(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--probes", "many"])
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+    def test_boundary_campaign_numbers_parse(self):
+        args = build_parser().parse_args(
+            ["run", "--workers", "1", "--shards", "0", "--probes", "1",
+             "--interval", "0.5", "--duration", "0", "--heartbeat-every", "0"]
+        )
+        assert (args.workers, args.shards, args.probes) == (1, 0, 1)
+        assert (args.interval, args.duration) == (0.5, 0.0)
+
+    def test_every_subcommand_is_in_the_api_doc(self):
+        doc = Path(__file__).parents[1] / "docs" / "API.md"
+        section = doc.read_text().split("## Command line")[1].split("\n## ")[0]
+        listing = section.split("```")[1]
+        # "name   description" rows; continuation lines are indented
+        documented = {
+            re.split(r"\s{2,}", line)[0]
+            for line in listing.splitlines()
+            if line[:1].strip()
+        }
+
+        def leaf_commands(surface, prefix=""):
+            for name, entry in surface.items():
+                if not isinstance(entry, dict):
+                    continue  # an option of the enclosing command
+                nested = list(leaf_commands(entry, f"{prefix}{name} "))
+                yield from nested or [prefix + name]
+
+        commands = set(leaf_commands(parser_surface(build_parser())))
+        assert len(commands) == 22  # 20 sub-parsers, two of them groups of 2
+        assert documented == commands
+
+    def test_parser_surface_is_pinned(self):
+        # The proof that sharing the option groups cost no command a
+        # flag or a default: only type= callables (not compared) differ.
+        assert parser_surface(build_parser()) == PARSER_SURFACE
 
 
 class TestCommands:
@@ -414,6 +685,36 @@ class TestFaultsCommands:
             ["faults", "run", "--scenario", "no-such-scenario", "--probes", "20"]
         )
         assert code != 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["faults", "run"], ["costs"], ["top"]],
+        ids=" ".join,
+    )
+    def test_unknown_scenario_is_one_error_everywhere(
+        self, capsys, tmp_path, command
+    ):
+        # `run`, `costs` and `top` used to raise ScenarioError as a
+        # traceback (top: out of its worker thread).
+        events = tmp_path / "never.events.jsonl"
+        code = main(
+            [*command, "--scenario", "no-such-scenario", "--probes", "5",
+             "--events", str(events)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "no-such-scenario" in captured.err
+        assert not events.exists()  # rejected before anything was opened
+
+    def test_unknown_attack_takes_the_same_error_path(self, capsys):
+        code = main(["attack", "run", "--attack", "no-such-attack"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "no-such-attack" in captured.err
 
 
 class TestObservabilityCommands:
