@@ -1,40 +1,24 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-regenerator benchmarks.
 
 Experiment runs are expensive relative to the analyses, so one
 session-scoped cache hands the same :class:`ExperimentResult` to every
 benchmark that asks for a given (combination, interval) pair.  All runs
 are seeded: the printed tables are reproducible across invocations.
 
-Every cached run carries its wall-clock phase profile
-(:attr:`ExperimentResult.profile`); at session end the harness writes
-them all to a machine-readable JSON sidecar so performance changes can
-be compared commit-to-commit.  Set ``REPRO_BENCH_SIDECAR`` to choose the
-path (default ``benchmarks/.bench_profile.json``; set it empty to skip).
-
-The sidecar is versioned (``schema``) and stamped with the producing
-git commit, so ``repro-dns bench-diff`` can refuse to compare
-incompatible or unidentifiable files.
+Nothing here times the program: performance is measured by
+``benchmarks/suite`` alone (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import os
-import subprocess
-from pathlib import Path
-
 import pytest
 
 from repro.core.experiment import ExperimentResult, run_combination
-from repro.telemetry.regression import SIDECAR_SCHEMA
 
 #: probes per run — scaled down from the paper's ~9,700 VPs to keep the
 #: harness fast; the statistics are stable at this size.
 BENCH_PROBES = 300
 BENCH_SEED = 20170412  # the DITL capture date
-
-DEFAULT_SIDECAR = Path(__file__).with_name(".bench_profile.json")
 
 
 class RunCache:
@@ -46,93 +30,16 @@ class RunCache:
     def get(self, combo_id: str, interval_s: float = 120.0) -> ExperimentResult:
         key = (combo_id, interval_s)
         if key not in self._runs:
-            # The cache keeps every prior run's objects alive for the
-            # whole session, so generational collections landing inside
-            # a profiled campaign scan an ever-growing live heap and
-            # skew later runs' phase timings.  Collect the garbage up
-            # front, then keep the collector out of the timed run.
-            gc.collect()
-            gc.disable()
-            try:
-                self._runs[key] = run_combination(
-                    combo_id,
-                    num_probes=BENCH_PROBES,
-                    interval_s=interval_s,
-                    duration_s=3600.0,
-                    seed=BENCH_SEED,
-                )
-            finally:
-                gc.enable()
+            self._runs[key] = run_combination(
+                combo_id,
+                num_probes=BENCH_PROBES,
+                interval_s=interval_s,
+                duration_s=3600.0,
+                seed=BENCH_SEED,
+            )
         return self._runs[key]
-
-    def put(self, run_id: str, interval_s: float, result) -> None:
-        """Register a run produced outside :meth:`get` for the sidecar.
-
-        Benches that build runs themselves (e.g. the sharded engine)
-        use this to get their phase profile into the sidecar under
-        ``{run_id}@{interval_s:g}s`` alongside the cached runs.
-        """
-        self._runs[(run_id, interval_s)] = result
-
-    def profiles(self) -> dict[str, dict]:
-        """Phase profiles of every run this session, keyed for the sidecar."""
-        return {
-            f"{combo_id}@{interval_s:g}s": result.profile
-            for (combo_id, interval_s), result in sorted(self._runs.items())
-        }
-
-
-def _sidecar_path() -> Path | None:
-    configured = os.environ.get("REPRO_BENCH_SIDECAR")
-    if configured is None:
-        return DEFAULT_SIDECAR
-    return Path(configured) if configured else None
-
-
-def _git_commit() -> str | None:
-    """The producing commit, or None outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else None
 
 
 @pytest.fixture(scope="session")
 def run_cache():
-    cache = RunCache()
-    # Warm the process before anything is timed: the first campaign in a
-    # cold interpreter pays for adaptive specialization and allocator
-    # arena growth in its recorded phases, which makes whichever combo
-    # happens to run first look slower than the same combo re-measured
-    # warm.  A small untimed run absorbs those one-off costs.
-    run_combination(
-        "2A", num_probes=16, interval_s=120.0, duration_s=3600.0, seed=BENCH_SEED
-    )
-    yield cache
-    path = _sidecar_path()
-    if path is None or not cache._runs:
-        return
-    sidecar = {
-        "schema": SIDECAR_SCHEMA,
-        "git_commit": _git_commit(),
-        "probes": BENCH_PROBES,
-        "seed": BENCH_SEED,
-        "runs": cache.profiles(),
-    }
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    # Opt-in trajectory: REPRO_BENCH_HISTORY names a directory and this
-    # session's sidecar becomes its next append-only entry, so
-    # `repro-dns bench-history` can attribute drift across commits.
-    history_dir = os.environ.get("REPRO_BENCH_HISTORY")
-    if history_dir:
-        from repro.telemetry.history import append_entry
-
-        append_entry(Path(history_dir), sidecar)
+    return RunCache()

@@ -11,9 +11,8 @@ Usage (also available as ``python -m repro``):
     repro-dns forensics run.events.jsonl probe-7
     repro-dns slo run.events.jsonl --check
     repro-dns top --from-log run.events.jsonl
-    repro-dns bench-diff benchmarks/baseline.json benchmarks/.bench_profile.json
     repro-dns costs --combo 2C --probes 300 --flamegraph flame.txt
-    repro-dns bench-history --record --sidecar benchmarks/.bench_profile.json
+    repro-dns bench-history --record suite.out
     repro-dns sweep --probes 150
     repro-dns passive --kind root --recursives 250 --out trace.jsonl
     repro-dns plan --clients 500 --sites FRA IAD SYD GRU --home FRA
@@ -767,28 +766,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    """Compare two bench-profile sidecars; non-zero exit on regression."""
-    from .telemetry.regression import SidecarError, diff_sidecar_files
-
-    io = args.io
-    try:
-        diff = diff_sidecar_files(
-            args.base,
-            args.new,
-            phase_threshold=args.phase_threshold,
-            min_seconds=args.min_seconds,
-            counter_threshold=args.counter_threshold,
-            force=args.force,
-            phases=args.phases,
-        )
-    except SidecarError as exc:
-        io.status(f"bench-diff: {exc}")
-        return 2
-    io.emit(diff.render())
-    return 1 if diff.regressed else 0
-
-
 def _render_cost_decomposition(ledger, measure_s, sampler) -> str:
     """The per-query overhead table: where a simulated query's time goes.
 
@@ -914,39 +891,25 @@ def _cmd_costs(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """Record and render the append-only bench trajectory."""
-    from .telemetry.history import (
-        HistoryError,
-        append_entry,
-        load_history,
-        render_history,
-    )
+    """Record a suite run and render the append-only bench trajectory."""
+    from .telemetry import history
 
     io = args.io
-    if args.record:
-        from .telemetry.regression import SidecarError, load_sidecar
-
-        try:
-            sidecar = load_sidecar(args.sidecar, force=args.force)
-        except SidecarError as exc:
-            io.status(f"bench-history: {exc}")
-            return 2
-        path = append_entry(args.dir, sidecar)
-        io.status(f"recorded {path}")
     try:
-        entries = load_history(args.dir)
-    except HistoryError as exc:
+        spec = history.load_spec()
+        if args.record:
+            text = (
+                sys.stdin.read() if args.record == "-"
+                else Path(args.record).read_text()
+            )
+            result = history.parse_suite_output(text)
+            path = history.append_entry(args.dir, result, history.git_commit())
+            io.status(f"recorded {path}")
+        entries, retired = history.load_history(args.dir)
+    except (OSError, history.HistoryError) as exc:
         io.status(f"bench-history: {exc}")
         return 2
-    io.emit(
-        render_history(
-            entries,
-            phases=args.phases,
-            last=args.last,
-            phase_threshold=args.phase_threshold,
-            min_seconds=args.min_seconds,
-        )
-    )
+    io.emit(history.render_history(entries, spec, args.metrics, args.last, retired))
     return 0
 
 
@@ -1110,7 +1073,7 @@ def _number(kind, minimum, exclusive: bool = False):
 
 
 def _prefixes(text: str) -> list[str] | None:
-    """argparse ``type=`` for ``--phases a,b`` (nothing named = every phase)."""
+    """argparse ``type=`` for ``--metrics a,b`` (nothing named = the default)."""
     return [prefix for prefix in text.split(",") if prefix] or None
 
 
@@ -1344,25 +1307,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.set_defaults(func=_cmd_top)
 
-    bench_parser = sub.add_parser(
-        "bench-diff",
-        help="compare two bench-profile sidecars; exit 1 on regression",
-    )
-    bench_parser.add_argument("base", help="baseline sidecar JSON")
-    bench_parser.add_argument("new", help="candidate sidecar JSON")
-    bench_parser.add_argument("--phase-threshold", type=float, default=0.30,
-                              help="relative slowdown a phase may show (0.30 = +30%%)")
-    bench_parser.add_argument("--min-seconds", type=float, default=0.05,
-                              help="absolute slowdown floor before a phase can fail")
-    bench_parser.add_argument("--counter-threshold", type=float, default=0.001,
-                              help="relative drift a deterministic counter may show")
-    bench_parser.add_argument("--force", action="store_true",
-                              help="compare even across sidecar schema versions")
-    bench_parser.add_argument("--phases", type=_prefixes, metavar="PREFIXES",
-                              help="comma-separated phase-name prefixes to gate "
-                                   "(default: every phase)")
-    bench_parser.set_defaults(func=_cmd_bench_diff)
-
     costs_parser = sub.add_parser(
         "costs",
         help="per-query cost ledger and subsystem overhead decomposition",
@@ -1401,39 +1345,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     history_parser = sub.add_parser(
         "bench-history",
-        help="bench trajectory: record sidecars, render the trend",
+        help="bench trajectory: record a suite run, render the trend",
     )
     history_parser.add_argument(
         "--dir", default="benchmarks/history",
         help="history directory (default: benchmarks/history)",
     )
     history_parser.add_argument(
-        "--record", action="store_true",
-        help="append the --sidecar profile as the next history entry",
+        "--record", metavar="FILE",
+        help="append the run whose saved suite output is FILE (- for stdin)",
     )
     history_parser.add_argument(
-        "--sidecar", default="benchmarks/.bench_profile.json",
-        help="sidecar to record (default: benchmarks/.bench_profile.json)",
+        "--metrics", type=_prefixes, metavar="PREFIXES",
+        help="comma-separated metric-name prefixes to show (default: end-to-end)",
     )
     history_parser.add_argument(
-        "--force", action="store_true",
-        help="record even across sidecar schema versions",
-    )
-    history_parser.add_argument(
-        "--phases", type=_prefixes, metavar="PREFIXES",
-        help="comma-separated phase-name prefixes to show",
-    )
-    history_parser.add_argument(
-        "--last", type=int, default=8,
+        "--last", type=_number(int, 1), default=8,
         help="entries shown in the trend table (default: 8)",
-    )
-    history_parser.add_argument(
-        "--phase-threshold", type=float, default=0.30,
-        help="relative slowdown for regression attribution (0.30 = +30%%)",
-    )
-    history_parser.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="absolute slowdown floor for regression attribution",
     )
     history_parser.set_defaults(func=_cmd_bench_history)
 

@@ -123,7 +123,7 @@ class TestbedExperiment:
         self.shard = shard
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Phase timings are always collected: a handful of perf_counter
-        # calls per run, and the sidecar benchmarks consume them.
+        # calls per run, and the benchmark suite consumes them.
         self.profiler = (
             self.telemetry.profiler
             if self.telemetry.profiler.enabled

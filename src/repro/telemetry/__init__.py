@@ -11,8 +11,8 @@ Three pillars, one bundle:
     query from the vantage point through the recursive, the network,
     and into an authoritative.
 ``profiler``
-    Wall-clock phase timers and counters for the simulator itself — the
-    machine-readable sidecar benchmarks emit.
+    Wall-clock phase timers and counters for the simulator itself —
+    every run's ``ExperimentResult.profile``.
 
 A :class:`Telemetry` object carries all three.  Every instrumented
 component takes ``telemetry=None`` and defaults to :data:`NULL_TELEMETRY`,

@@ -5,9 +5,8 @@ module measures the *simulator itself*, in three instruments:
 
 :class:`RunProfiler`
     Wall-clock phase timers and component counters (deploy, build VPs,
-    measure, analyze).  Benchmarks write the result next to their output
-    as a machine-readable JSON sidecar, so performance PRs can compare
-    phase timings across commits instead of eyeballing totals.
+    measure, analyze).  Every run carries the result as
+    ``ExperimentResult.profile``; the benchmark suite reads its phases.
 
 :class:`SamplingProfiler`
     A stack profiler attributing self/cumulative time to *subsystems*
@@ -29,21 +28,10 @@ All three have null twins that cost one attribute check when disabled.
 from __future__ import annotations
 
 import gc
-import itertools
-import json
-import os
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
-
-#: schema tag for the sampling profiler's JSON sidecar.
-SAMPLING_SCHEMA = "repro-sampling-profile/1"
-
-#: process-wide counter making RunProfiler run ids unique (satellite
-#: fix: two runs writing sidecars into one directory must not collide).
-_RUN_IDS = itertools.count(1)
 
 #: resolver modules that implement selection algorithms — attributed to
 #: the "selectors" subsystem rather than "resolvers".
@@ -95,19 +83,13 @@ class RunProfiler:
 
     Phases nest and repeat: re-entering a phase name adds to its total
     and bumps its invocation count.
-
-    Each profiler carries a process-unique ``run_id``; writing the JSON
-    sidecar into a *directory* names the file after it, so two runs
-    sharing an output directory keep two sidecars instead of silently
-    overwriting one.
     """
 
     enabled = True
 
-    def __init__(self, clock=time.perf_counter, run_id: str | None = None):
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._created = clock()
-        self.run_id = run_id or f"{os.getpid():x}-{next(_RUN_IDS):04x}"
         self.phases: dict[str, dict[str, float]] = {}
         self.counters: dict[str, float] = {}
         self.values: dict[str, object] = {}
@@ -139,7 +121,6 @@ class RunProfiler:
 
     def as_dict(self) -> dict:
         return {
-            "run_id": self.run_id,
             "total_seconds": self.total_seconds,
             "phases": {
                 name: dict(entry) for name, entry in sorted(self.phases.items())
@@ -148,31 +129,11 @@ class RunProfiler:
             "values": dict(sorted(self.values.items(), key=lambda kv: kv[0])),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
     def to_events(self) -> list:
         """The phase/counter profile as one event-log record."""
         from .events import ProfileEvent
 
         return [ProfileEvent(profile=self.as_dict())]
-
-    def sidecar_path(self, directory: str | Path) -> Path:
-        """The collision-free sidecar filename inside ``directory``."""
-        return Path(directory) / f"profile-{self.run_id}.json"
-
-    def write(self, path: str | Path) -> Path:
-        """Write the JSON sidecar; returns the path written.
-
-        An explicit file path is honoured as given; a *directory* gets a
-        ``profile-<run_id>.json`` inside it, so concurrent or repeated
-        runs sharing a directory never clobber each other.
-        """
-        path = Path(path)
-        if path.is_dir():
-            path = self.sidecar_path(path)
-        path.write_text(self.to_json() + "\n")
-        return path
 
     def render(self) -> str:
         """A short human-readable phase table."""
@@ -194,7 +155,6 @@ class NullProfiler:
     counters: dict = {}
     values: dict = {}
     total_seconds = 0.0
-    run_id = "null"
 
     class _NullPhase:
         __slots__ = ()
@@ -218,9 +178,6 @@ class NullProfiler:
 
     def as_dict(self) -> dict:
         return {}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return "{}"
 
     def to_events(self) -> list:
         return []
@@ -261,8 +218,8 @@ class SamplingProfiler:
     the per-query decomposition — shares are trustworthy.
 
     ``mode="sample"`` polls the activating thread's stack from a daemon
-    thread every ``interval_s``.  Overhead is near zero (benchmarks pin
-    it <10% of the measure phase) and every sample records a collapsed
+    thread every ``interval_s``.  Overhead is near zero (one stack walk
+    per interval, on another thread) and every sample records a collapsed
     stack, exported via :meth:`collapsed` in flamegraph format.
 
     Neither mode touches simulation state: a profiled campaign produces
@@ -488,7 +445,6 @@ class SamplingProfiler:
                 "share": (self_s / window) if window else 0.0,
             }
         return {
-            "schema": SAMPLING_SCHEMA,
             "mode": self.mode,
             "interval_s": self.interval_s,
             "window_s": window,
@@ -497,14 +453,6 @@ class SamplingProfiler:
             "attributed_share": self.attributed_share,
             "subsystems": subsystems,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n")
-        return path
 
     def render(self) -> str:
         window = self.window_s
@@ -550,9 +498,6 @@ class NullSamplingProfiler:
 
     def as_dict(self) -> dict:
         return {}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return "{}"
 
     def render(self) -> str:
         return ""
@@ -729,7 +674,6 @@ __all__ = [
     "NullProfiler",
     "NullSamplingProfiler",
     "RunProfiler",
-    "SAMPLING_SCHEMA",
     "SamplingProfiler",
     "subsystem_of_path",
 ]

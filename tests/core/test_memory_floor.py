@@ -53,5 +53,11 @@ def test_campaign_state_does_not_grow_per_observation(monkeypatch):
     )
     assert column_bytes / entries <= 100
 
+    # Observation store: a few array columns per row (the suite's
+    # `core.store.bytes_per_row`, same expression; ~69 at 300 probes).
+    store = result.run.store
+    store_bytes = sum(sys.getsizeof(value) for value in store.__getstate__().values())
+    assert store_bytes / len(store) <= 100
+
     # Decode memo: one per network, a handful of template shapes in all.
     assert len(platform.network.response_memo._entries) <= 32

@@ -20,6 +20,7 @@ from repro.core import (
     run_combination,
     run_parallel,
 )
+from repro.core.experiment import generate_probes
 from repro.telemetry import Telemetry, read_events
 
 #: small but non-trivial: ~2 ticks over ~70 VPs keeps one case < 10 s.
@@ -54,14 +55,20 @@ class TestPartitionProbes:
         assert partition_probes(probes, 3) == partition_probes(probes, 3)
 
     def test_balanced_within_reason(self):
-        probes = ProbeGenerator(seed=3).generate(200)
-        buckets = partition_probes(probes, 4)
-        sizes = sorted(len(bucket) for bucket in buckets)
-        assert sizes[0] > 0
-        assert sizes[-1] - sizes[0] <= max(
-            len(group)
-            for group in _group_by_asn(probes).values()
-        )
+        for probes in (
+            ProbeGenerator(seed=3).generate(200),
+            # the regenerators' campaign (benchmarks/conftest.py)
+            generate_probes(small_config(num_probes=300, seed=20170412)),
+        ):
+            buckets = partition_probes(probes, 4)
+            sizes = sorted(len(bucket) for bucket in buckets)
+            assert sizes[0] > 0
+            assert sizes[-1] - sizes[0] <= max(
+                len(group)
+                for group in _group_by_asn(probes).values()
+            )
+            # 4 shards at least halve the critical path, counted in probes
+            assert sizes[-1] * 2 <= len(probes)
 
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from repro.telemetry import (
     NullRegistry,
     NullTracer,
     RunProfiler,
+    SamplingProfiler,
     Telemetry,
 )
 from repro.telemetry.events import _event_from_record
@@ -35,9 +36,10 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig.for_combination("2C", **kwargs)
 
 
-def costs_telemetry() -> Telemetry:
+def costs_telemetry(sampler=None) -> Telemetry:
     return Telemetry(
-        NullRegistry(), NullTracer(), RunProfiler(), costs=CostLedger()
+        NullRegistry(), NullTracer(), RunProfiler(), costs=CostLedger(),
+        sampler=sampler,
     )
 
 
@@ -245,11 +247,15 @@ class TestCampaignLedger:
 
     def test_ledger_does_not_perturb_observations(self):
         plain = TestbedExperiment(small_config()).run()
-        costed = TestbedExperiment(
-            small_config(), telemetry=costs_telemetry()
-        ).run()
-        assert costed.run.observations == plain.run.observations
-        assert costed.server_query_counts == plain.server_query_counts
+        # the ledger alone, then `costs --profile-mode sample`'s bundle
+        for sampler in (None, SamplingProfiler(mode="sample")):
+            telemetry = costs_telemetry(sampler)
+            assert not telemetry.enabled  # fast paths must stay live
+            costed = TestbedExperiment(small_config(), telemetry=telemetry).run()
+            assert costed.run.observations == plain.run.observations
+            assert costed.server_query_counts == plain.server_query_counts
+            assert telemetry.costs.queries == len(costed.run.observations)
+            assert telemetry.sampler.windows == (1 if sampler else 0)
 
     def test_fault_campaign_counts_fault_evals(self):
         telemetry = costs_telemetry()

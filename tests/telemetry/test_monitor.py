@@ -157,6 +157,16 @@ class TestHeartbeatPlumbing:
         assert all(b.data["shard"] == 2 for b in beats)
         assert all(b.data["ticks"] == 4 for b in beats)
 
+    def test_heartbeats_with_telemetry_off_change_nothing(self):
+        """Configured every tick, nobody listening: the plain campaign."""
+        from repro.core import run_combination
+
+        kwargs = dict(num_probes=30, interval_s=120.0, duration_s=480.0, seed=3)
+        plain = run_combination("2C", **kwargs)
+        idle = run_combination("2C", heartbeat_every_ticks=1, **kwargs)
+        assert idle.run.observations == plain.run.observations
+        assert idle.server_query_counts == plain.server_query_counts
+
     def test_heartbeats_never_reach_the_merged_log(self, tmp_path):
         from repro.core import ExperimentConfig
         from repro.core.parallel import run_parallel

@@ -1,12 +1,8 @@
-"""Run-profiler semantics: phase timers, counters, JSON sidecar.
+"""Run-profiler semantics: phase timers, counters, the exported dict.
 
-Plus the rest of the performance observatory: sidecar run-ids (two
-profilers may never clobber each other's file), the sampling profiler's
-two modes, and the allocation observatory.
+Plus the rest of the performance observatory: the sampling profiler's
+two modes and the allocation observatory.
 """
-
-import json
-import time
 
 import pytest
 
@@ -76,14 +72,6 @@ class TestExport:
         assert data["values"] == {"combo": "2C"}
         assert data["total_seconds"] >= 0.0
 
-    def test_sidecar_write_and_round_trip(self, tmp_path):
-        profiler = RunProfiler()
-        with profiler.phase("measure"):
-            pass
-        path = profiler.write(tmp_path / "profile.json")
-        data = json.loads(path.read_text())
-        assert data["phases"]["measure"]["calls"] == 1
-
     def test_render_orders_by_time(self):
         profiler = RunProfiler()
         profiler._record_phase("slow", 2.0)
@@ -102,32 +90,6 @@ class TestNullProfiler:
             profiler.record("k", "v")
         assert profiler.as_dict() == {}
         assert profiler.render() == ""
-
-
-class TestSidecarRunIds:
-    def test_run_ids_are_unique(self):
-        assert RunProfiler().run_id != RunProfiler().run_id
-
-    def test_run_id_stamped_into_sidecar(self):
-        profiler = RunProfiler()
-        assert profiler.as_dict()["run_id"] == profiler.run_id
-
-    def test_two_profilers_never_collide_in_one_directory(self, tmp_path):
-        """The collision fix: writing to a directory keys by run-id."""
-        first, second = RunProfiler(), RunProfiler()
-        with first.phase("measure"):
-            pass
-        with second.phase("measure"):
-            pass
-        path_a = first.write(tmp_path)
-        path_b = second.write(tmp_path)
-        assert path_a != path_b
-        assert path_a.exists() and path_b.exists()
-        assert json.loads(path_a.read_text())["run_id"] == first.run_id
-
-    def test_explicit_run_id_honoured(self, tmp_path):
-        profiler = RunProfiler(run_id="pinned")
-        assert profiler.sidecar_path(tmp_path).name == "profile-pinned.json"
 
 
 def _codec_work(n: int = 4000):

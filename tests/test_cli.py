@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import io
 import json
 import re
 from pathlib import Path
@@ -19,7 +20,9 @@ def opt(default, choices=None, nargs=None, required=False):
 
 #: Every sub-command and option with its default, choices, nargs and
 #: required-ness, as recorded from the commit before the shared option
-#: groups (PR 17's parent).  Help text is not part of the surface.
+#: groups (PR 17's parent), less the sidecar-diff command and
+#: `bench-history`'s sidecar options, which went with the sidecar harness
+#: (PR 18).  Help text is not part of the surface.
 PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info', 'warning']),
  '--output': opt(None),
  '--quiet': opt(False, nargs=0),
@@ -45,21 +48,10 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
                     '--shards': opt(0),
                     '--spill-events': opt(None),
                     '--workers': opt(1)}},
- 'bench-diff': {'--counter-threshold': opt(0.001),
-                '--force': opt(False, nargs=0),
-                '--min-seconds': opt(0.05),
-                '--phase-threshold': opt(0.3),
-                '--phases': opt(None),
-                'base': opt(None, required=True),
-                'new': opt(None, required=True)},
  'bench-history': {'--dir': opt('benchmarks/history'),
-                   '--force': opt(False, nargs=0),
                    '--last': opt(8),
-                   '--min-seconds': opt(0.05),
-                   '--phase-threshold': opt(0.3),
-                   '--phases': opt(None),
-                   '--record': opt(False, nargs=0),
-                   '--sidecar': opt('benchmarks/.bench_profile.json')},
+                   '--metrics': opt(None),
+                   '--record': opt(None)},
  'combos': {},
  'costs': {'--combo': opt('2C', choices=COMBOS),
            '--duration': opt(30.0),
@@ -289,7 +281,7 @@ class TestParser:
                 yield from nested or [prefix + name]
 
         commands = set(leaf_commands(parser_surface(build_parser())))
-        assert len(commands) == 22  # 20 sub-parsers, two of them groups of 2
+        assert len(commands) == 21  # 19 sub-parsers, two of them groups of 2
         assert documented == commands
 
     def test_parser_surface_is_pinned(self):
@@ -419,38 +411,6 @@ class TestEventLogCommands:
         assert "Run dashboard" in capsys.readouterr().out
 
 
-class TestBenchDiffCommand:
-    @staticmethod
-    def _sidecar(tmp_path, name, seconds, observations):
-        from repro.telemetry.regression import SIDECAR_SCHEMA
-
-        path = tmp_path / name
-        path.write_text(json.dumps({
-            "schema": SIDECAR_SCHEMA,
-            "runs": {"2C@120s": {
-                "phases": {"measure": {"seconds": seconds}},
-                "counters": {"experiment.observations": observations},
-            }},
-        }))
-        return str(path)
-
-    def test_clean_diff_exits_zero(self, capsys, tmp_path):
-        base = self._sidecar(tmp_path, "base.json", 1.0, 10170)
-        new = self._sidecar(tmp_path, "new.json", 1.0, 10170)
-        assert main(["bench-diff", base, new]) == 0
-        assert "verdict: clean" in capsys.readouterr().out
-
-    def test_regression_exits_one(self, capsys, tmp_path):
-        base = self._sidecar(tmp_path, "base.json", 1.0, 10170)
-        new = self._sidecar(tmp_path, "new.json", 2.0, 10183)
-        assert main(["bench-diff", base, new]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_unreadable_sidecar_exits_two(self, capsys, tmp_path):
-        base = self._sidecar(tmp_path, "base.json", 1.0, 10170)
-        assert main(["bench-diff", base, str(tmp_path / "absent.json")]) == 2
-
-
 class TestCostsCommand:
     ARGS = [
         "costs", "--probes", "20", "--duration", "10", "--seed", "3",
@@ -549,48 +509,72 @@ class TestCostsCommand:
 
 class TestBenchHistoryCommand:
     @staticmethod
-    def _sidecar(tmp_path, name, seconds):
-        from repro.telemetry.regression import SIDECAR_SCHEMA
-
+    def _suite_output(tmp_path, name, us_per_query, correct=True):
+        """A saved full suite run: readable lines, then the result line."""
+        spec = json.loads(Path("BENCHMARK.json").read_text())
+        workloads = [row["name"] for row in spec["workloads"]]
+        result = {
+            "correct": correct,
+            "end_to_end": {
+                workload: {"setup_s": 0.5, "us_per_query": us_per_query,
+                           "peak_rss_mib": 80.0}
+                for workload in workloads
+            },
+            "per_layer": {
+                workload: {row["name"]: 1.5 for row in spec["per_layer"]}
+                for workload in workloads
+            },
+        }
         path = tmp_path / name
-        path.write_text(json.dumps({
-            "schema": SIDECAR_SCHEMA,
-            "git_commit": "cafe" * 10,
-            "probes": 300,
-            "runs": {"2C@120s": {
-                "phases": {"experiment.measure": {"seconds": seconds}},
-            }},
-        }))
+        path.write_text(
+            "  campaign_cold     us_per_query   60.0000 us\n"
+            + json.dumps(result) + "\n"
+        )
         return str(path)
+
+    def _record(self, capsys, tmp_path, history, *us_per_query):
+        for us in us_per_query:
+            assert main([
+                "--quiet", "bench-history", "--dir", str(history),
+                "--record", self._suite_output(tmp_path, f"{us}.out", us),
+            ]) == 0
+            capsys.readouterr()
 
     def test_record_and_render_trend(self, capsys, tmp_path):
         history = tmp_path / "history"
-        first = self._sidecar(tmp_path, "a.json", 0.5)
-        second = self._sidecar(tmp_path, "b.json", 0.55)
-        for sidecar in (first, second):
-            assert main([
-                "--quiet", "bench-history", "--dir", str(history),
-                "--record", "--sidecar", sidecar,
-            ]) == 0
-            capsys.readouterr()
+        self._record(capsys, tmp_path, history, 60.0, 66.0)
         assert main(["bench-history", "--dir", str(history)]) == 0
         out = capsys.readouterr().out
-        assert "Bench trajectory — 2 entries" in out
-        assert "experiment.measure" in out
+        assert "Bench trajectory — 2 entries ===" in out
+        rows = [line for line in out.splitlines() if " us_per_query " in line]
+        assert len(rows) == 4  # one per workload
+        assert all(row.split()[-3:] == ["60", "66", "(1.10x)"] for row in rows)
+        assert "dns.server." not in out
+
+    def test_metrics_selects_per_layer_rows(self, capsys, tmp_path):
+        history = tmp_path / "history"
+        self._record(capsys, tmp_path, history, 60.0)
+        assert main([
+            "bench-history", "--dir", str(history), "--metrics", "dns.server.",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert sum(" dns.server." in line for line in out.splitlines()) == 4 * 4
+        assert " us_per_query " not in out
+
+    def test_record_from_stdin(self, capsys, tmp_path, monkeypatch):
+        history = tmp_path / "history"
+        saved = Path(self._suite_output(tmp_path, "suite.out", 60.0))
+        monkeypatch.setattr("sys.stdin", io.StringIO(saved.read_text()))
+        assert main(["bench-history", "--dir", str(history), "--record", "-"]) == 0
+        assert "Bench trajectory — 1 entries" in capsys.readouterr().out
 
     def test_attributes_regressions(self, capsys, tmp_path):
         history = tmp_path / "history"
-        for seconds in (0.5, 1.5):
-            assert main([
-                "--quiet", "bench-history", "--dir", str(history),
-                "--record",
-                "--sidecar", self._sidecar(tmp_path, f"{seconds}.json", seconds),
-            ]) == 0
-            capsys.readouterr()
+        self._record(capsys, tmp_path, history, 60.0, 80.0)
         assert main(["bench-history", "--dir", str(history)]) == 0
         out = capsys.readouterr().out
         assert "Regression attribution" in out
-        assert "3.00x" in out
+        assert "campaign_cold us_per_query 60 -> 80 us (33% worse" in out
 
     def test_missing_directory_exits_two(self, capsys, tmp_path):
         assert main([
@@ -598,16 +582,47 @@ class TestBenchHistoryCommand:
         ]) == 2
 
     def test_unreadable_sidecar_exits_two(self, capsys, tmp_path):
+        """``--record`` of a file that is not there records nothing."""
         assert main([
             "bench-history", "--dir", str(tmp_path / "h"), "--record",
-            "--sidecar", str(tmp_path / "absent.json"),
+            str(tmp_path / "absent.out"),
         ]) == 2
+        assert not (tmp_path / "h").exists()
+
+    def test_failed_run_is_not_recorded(self, capsys, tmp_path):
+        history = tmp_path / "history"
+        failed = self._suite_output(tmp_path, "failed.out", 60.0, correct=False)
+        assert main(["bench-history", "--dir", str(history), "--record", failed]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("bench-history: ") and "\n" not in err
+        assert not history.exists()
+
+    @pytest.mark.parametrize("content", ["[]", '"x"', "{}"])
+    def test_entry_that_is_not_an_entry_exits_two(self, capsys, tmp_path, content):
+        (tmp_path / "0001-unknown.json").write_text(content)
+        assert main(["bench-history", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("bench-history: ") and "\n" not in err
+
+    def test_needs_the_benchmark_declaration(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench-history", "--dir", str(tmp_path)]) == 2
+        assert "BENCHMARK.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last", ["0", "-3", "x"])
+    def test_last_must_be_positive(self, capsys, last):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-history", "--last", last])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_committed_history_renders(self, capsys):
         """The repo ships a real trajectory under benchmarks/history/."""
         assert main(["bench-history"]) == 0
         out = capsys.readouterr().out
         assert "Bench trajectory" in out
+        assert "7 earlier entries in the retired sidecar schema not shown" in out
+        assert sum(" us_per_query " in line for line in out.splitlines()) == 4
 
 
 class TestScorecardCommand:
