@@ -6,6 +6,9 @@ passive traces, and prints a single verdict table — the one-look answer
 to "does the reproduction hold?".
 """
 
+import re
+from pathlib import Path
+
 from repro.analysis.paper import build_scorecard
 from repro.core.combinations import COMBINATIONS
 
@@ -28,3 +31,8 @@ def test_scorecard(benchmark, run_cache):
         print(f"claims outside tolerance: {misses}")
     # The reproduction contract: at most two claims drift out of band.
     assert len(misses) <= 2, misses
+    # ...and the prose states the verdict printed above, not a remembered one.
+    root = Path(__file__).resolve().parents[1]
+    for name in ("EXPERIMENTS.md", "README.md"):
+        (stated,) = re.findall(r"\*\*(\d+) / 18\b", (root / name).read_text())
+        assert int(stated) == 18 - len(misses), (name, stated, misses)

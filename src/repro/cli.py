@@ -11,7 +11,7 @@ Usage (also available as ``python -m repro``):
     repro-dns forensics run.events.jsonl probe-7
     repro-dns slo run.events.jsonl --check
     repro-dns top --from-log run.events.jsonl
-    repro-dns costs --combo 2C --probes 300 --flamegraph flame.txt
+    repro-dns costs --combo 2C --probes 300 --export ledger.json
     repro-dns bench-history --record suite.out
     repro-dns sweep --probes 150
     repro-dns passive --kind root --recursives 250 --out trace.jsonl
@@ -766,12 +766,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_cost_decomposition(ledger, measure_s, sampler) -> str:
-    """The per-query overhead table: where a simulated query's time goes.
+def _render_cost_decomposition(ledger, measure_s) -> str:
+    """The per-query overhead line: what one simulated query costs.
 
     ``measure_s`` is the wall-clock measure phase; divided by the
-    ledger's query count it is the per-query cost.  When a sampling profiler covered the phase, its subsystem
-    self-times split that number further.
+    ledger's query count it is the per-query cost.
     """
     lines = ["=== Per-query overhead decomposition ==="]
     queries = ledger.queries
@@ -786,25 +785,6 @@ def _render_cost_decomposition(ledger, measure_s, sampler) -> str:
         f"measure phase {measure_s:.3f}s / {queries} queries "
         f"= {total_us:.1f} us/query"
     )
-    if sampler is not None and sampler.enabled and sampler.window_s:
-        lines.append("")
-        lines.append(f"{'subsystem':<12} {'self(s)':>9} {'us/query':>10} {'share':>7}")
-        attributed = 0.0
-        for sub, stats in sorted(
-            sampler.as_dict()["subsystems"].items(),
-            key=lambda item: item[1]["self_s"],
-            reverse=True,
-        ):
-            self_s = stats["self_s"]
-            attributed += self_s
-            lines.append(
-                f"{sub:<12} {self_s:>9.3f} {self_s / queries * 1e6:>10.1f} "
-                f"{self_s / measure_s:>6.1%}"
-            )
-        lines.append(
-            f"attributed {attributed:.3f}s of {measure_s:.3f}s measured "
-            f"({attributed / measure_s:.1%})"
-        )
     return "\n".join(lines)
 
 
@@ -837,56 +817,21 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     from .telemetry import Telemetry
 
     config = _campaign_config(args)
-    mode = args.profile_mode
-    parallel = args.workers > 1 or args.shards
-    if parallel and mode != "off":
-        # The profiler and the allocation observatory watch *this*
-        # process; shard workers run elsewhere.  The ledger merges.
-        io.status("sharded run: ledger only (profilers are in-process)")
-        mode = "off"
     telemetry = Telemetry.enabled_bundle(
-        metrics=False,
-        tracing=False,
-        costs=True,
-        sampling=None if mode == "off" else mode,
-        profile_alloc=args.profile_alloc and not parallel,
-        event_log=args.events,
+        metrics=False, tracing=False, costs=True, event_log=args.events
     )
     io.status(
         f"costing {args.combo}: {args.probes} probes, "
         f"every {args.interval:g} min for {args.duration:g} min"
-        + (f" (profile mode: {mode})" if mode != "off" else "")
     )
-    with telemetry.alloc.activate():
-        result = _run_campaign(args, config, telemetry)
+    result = _run_campaign(args, config, telemetry)
     measure = result.profile.get("phases", {}).get("experiment.measure")
     measure_s = measure["seconds"] if measure else None
     ledger = telemetry.costs
-    sampler = telemetry.sampler
-    io.emit(
-        _render_cost_decomposition(
-            ledger, measure_s, sampler if mode != "off" else None
-        )
-    )
+    io.emit(_render_cost_decomposition(ledger, measure_s))
     io.emit()
     io.emit(ledger.render())
-    if mode != "off":
-        io.emit()
-        io.emit(sampler.render())
-    if args.profile_alloc and telemetry.alloc.enabled:
-        io.emit()
-        io.emit(telemetry.alloc.render())
     _export_ledger(io, ledger, args.export)
-    if args.flamegraph:
-        collapsed = sampler.collapsed()
-        if not collapsed:
-            io.status(
-                "flamegraph: no collapsed stacks "
-                "(use --profile-mode sample on a serial run)"
-            )
-            return 1
-        Path(args.flamegraph).write_text(collapsed + "\n")
-        io.status(f"wrote collapsed stacks to {args.flamegraph}")
     return 0
 
 
@@ -1309,7 +1254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     costs_parser = sub.add_parser(
         "costs",
-        help="per-query cost ledger and subsystem overhead decomposition",
+        help="per-query cost ledger and measured per-query overhead",
     )
     costs_parser.add_argument(
         "log", nargs="?", default=None,
@@ -1321,25 +1266,9 @@ def build_parser() -> argparse.ArgumentParser:
     _sharding_options(costs_parser, spill=False)
     _output_options(costs_parser, out=False)
     costs_parser.add_argument(
-        "--profile-mode", choices=("trace", "sample", "off"), default="trace",
-        help="subsystem profiler: 'trace' partitions the measure phase "
-        "exactly, 'sample' has near-zero overhead and feeds --flamegraph "
-        "(default: trace; serial runs only)",
-    )
-    costs_parser.add_argument(
-        "--profile-alloc", action="store_true",
-        help="also snapshot allocations per phase (tracemalloc) and "
-        "account GC pauses",
-    )
-    costs_parser.add_argument(
         "--export", metavar="FILE",
         help="write the ledger as canonical JSON (byte-identical for "
         "equivalent runs; CI compares serial vs sharded with cmp)",
-    )
-    costs_parser.add_argument(
-        "--flamegraph", metavar="FILE",
-        help="write collapsed stacks (flamegraph.pl / speedscope input); "
-        "needs --profile-mode sample",
     )
     costs_parser.set_defaults(func=_cmd_costs)
 

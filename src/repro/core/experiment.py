@@ -178,11 +178,9 @@ class TestbedExperiment:
     def run(self) -> ExperimentResult:
         profiler = self.profiler
         events = self.telemetry.events
-        # Simulator observability (all no-ops unless requested): the
-        # deterministic cost ledger, the allocation observatory, and the
-        # sampling profiler scope to the same phase names as `profiler`.
+        # The deterministic cost ledger (a no-op unless requested)
+        # scopes to the same phase names as `profiler`.
         costs = self.telemetry.costs
-        alloc = self.telemetry.alloc
         scenario = self._fault_scenario()
         attack = self._attack_profile()
         if events.enabled:
@@ -201,8 +199,7 @@ class TestbedExperiment:
             }))
         base = "2001:db8:53" if self.config.ipv6 else "10.0"
         with profiler.phase("experiment.deploy"), \
-                costs.phase("experiment.deploy"), \
-                alloc.phase("experiment.deploy"):
+                costs.phase("experiment.deploy"):
             addresses = self.deployment.deploy(self.network, base_address=base)
         if scenario is not None:
             from ..netsim.faults import FaultPlan
@@ -254,8 +251,7 @@ class TestbedExperiment:
                 for at, name, data in self.attack_plan.transitions():
                     events.emit(Note(name=name, data=data, at=at))
         with profiler.phase("experiment.probes"), \
-                costs.phase("experiment.probes"), \
-                alloc.phase("experiment.probes"):
+                costs.phase("experiment.probes"):
             if self._probes is not None:
                 probes = list(self._probes)
             else:
@@ -276,22 +272,15 @@ class TestbedExperiment:
         )
         platform.attack_plan = self.attack_plan
         with profiler.phase("experiment.build_vps"), \
-                costs.phase("experiment.build_vps"), \
-                alloc.phase("experiment.build_vps"):
+                costs.phase("experiment.build_vps"):
             platform.build_vantage_points()
             platform.configure_zone(self.config.domain, addresses)
             if self.attack_plan is not None:
                 stub = self.attack_plan.stub_zone()
                 if stub is not None:
                     platform.configure_zone(stub[0], stub[1])
-        # The sampler's window is exactly the measure phase: its
-        # subsystem self-times partition the same interval the phase
-        # timer measures, so shares in `repro-dns costs` sum to the
-        # measured phase time.
         with profiler.phase("experiment.measure"), \
-                costs.phase("experiment.measure"), \
-                alloc.phase("experiment.measure"), \
-                self.telemetry.sampler.activate():
+                costs.phase("experiment.measure"):
             run = platform.measure(
                 self.config.domain.rstrip("."),
                 interval_s=self.config.interval_s,

@@ -40,6 +40,7 @@ from pathlib import Path
 from ..atlas.probes import Probe
 from ..telemetry import (
     CostLedger,
+    EventLogWriter,
     MetricsRegistry,
     MetricsSnapshot,
     NULL_TELEMETRY,
@@ -47,10 +48,8 @@ from ..telemetry import (
     NullRegistry,
     NullTracer,
     RawEvent,
-    RecordingEventSink,
     RunMeta,
     RunProfiler,
-    SpillingEventSink,
     Telemetry,
     Tracer,
     iter_raw_records,
@@ -98,7 +97,7 @@ def _run_shard(payload: tuple) -> dict:
 
     Top-level so it pickles under the spawn start method.  The worker
     bundle mirrors the caller's pillar enablement; the tracer streams
-    into a shard-tagged :class:`RecordingEventSink` and retains nothing
+    into a shard-tagged :class:`EventLogWriter` and retains nothing
     in memory (``max_traces=0``) — records are the transport.
     """
     (
@@ -116,9 +115,7 @@ def _run_shard(payload: tuple) -> dict:
             spill_path = str(
                 Path(spill_dir) / f"shard-{shard_index:04d}.events.jsonl"
             )
-            sink = SpillingEventSink(path=spill_path, shard=shard_index)
-        else:
-            sink = RecordingEventSink(shard=shard_index)
+        sink = EventLogWriter(path=spill_path, shard=shard_index)
     telemetry = Telemetry(
         registry=MetricsRegistry() if want_metrics else NullRegistry(),
         tracer=Tracer(max_traces=0, sink=sink) if want_events else NullTracer(),
@@ -129,17 +126,13 @@ def _run_shard(payload: tuple) -> dict:
     result = TestbedExperiment(
         config, telemetry=telemetry, probes=probes, shard=shard_index
     ).run()
-    if spill_path is not None:
+    if sink is not None:
         sink.close()
     return {
         "shard": shard_index,
         "store": result.run.store,
         "registry": telemetry.registry if want_metrics else None,
-        "records": (
-            sink.records
-            if sink is not None and spill_path is None
-            else []
-        ),
+        "records": sink.records if sink is not None else [],
         "spill_path": spill_path,
         "server_query_counts": result.server_query_counts,
         "addresses": result.addresses,
@@ -194,10 +187,9 @@ def run_parallel(
 
     ``spill_dir`` bounds worker memory: each shard streams its event
     records into a JSONL segment under that directory instead of
-    accumulating them in RAM (see
-    :class:`~repro.telemetry.SpillingEventSink`).  The merge reads the
-    segments back, so the canonical merged log is byte-identical with
-    or without spilling.
+    accumulating them in RAM (an :class:`~repro.telemetry.EventLogWriter`
+    with a path).  The merge reads the segments back, so the canonical
+    merged log is byte-identical with or without spilling.
     """
     if workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")

@@ -347,22 +347,16 @@ class AuthoritativeServer:
         min(advertised, 4096) for EDNS clients; larger answers are
         truncated with the TC bit set (the client then retries over TCP).
 
-        When no rate limiter, no telemetry, and no per-instance query
-        dispatch are active, a template fast path may answer without
-        decoding the query into a :class:`Message` at all; its output is
-        byte-identical to the slow path (see :class:`_ResponseTemplate`).
+        When no rate limiter and no per-instance query dispatch are
+        active, a template fast path may answer without decoding the
+        query into a :class:`Message` at all; its output, and what it
+        books in stats, query log and telemetry, are identical to the
+        slow path's (see :class:`_ResponseTemplate`).
         """
-        # Cost ledger (deterministic counters; not a telemetry pillar
-        # for `enabled` purposes, so the template fast path below stays
-        # live while it counts).
         costs = self.telemetry.costs
         costs_on = costs.enabled
         fast = None
-        if (
-            self.rate_limiter is None
-            and not self.telemetry.enabled
-            and "handle_query" not in self.__dict__
-        ):
+        if self.rate_limiter is None and "handle_query" not in self.__dict__:
             fast = self._parse_fast_query(wire)
             if fast is not None:
                 rendered = self._render_from_template(fast, client, now)
@@ -467,15 +461,19 @@ class AuthoritativeServer:
         if not telemetry.enabled:
             return self._handle_query(query, client, now)
         qname = query.questions[0].name.to_text() if query.questions else ""
-        span = telemetry.tracer.start_span(
-            "auth.query", at=now, server=self.server_id, client=client, qname=qname
-        )
+        span = self._start_query_span(qname, client, now)
         try:
             response = self._handle_query(query, client, now)
             span.set(rcode=getattr(response.rcode, "name", str(response.rcode)))
             return response
         finally:
             telemetry.tracer.finish_span(span, at=now)
+
+    def _start_query_span(self, qname: str, client: str, now: float):
+        """The ``auth.query`` span, as both answer paths open it."""
+        return self.telemetry.tracer.start_span(
+            "auth.query", at=now, server=self.server_id, client=client, qname=qname
+        )
 
     def _handle_query(
         self, query: Message, client: str = "", now: float = 0.0
@@ -562,29 +560,31 @@ class AuthoritativeServer:
                 else RRType.ANY,
                 response.rcode,
             )
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            registry = telemetry.registry
+        if self.telemetry.enabled:
+            self._count_response(response.rcode, dropped)
+        return response
+
+    def _count_response(self, rcode, dropped: bool) -> None:
+        """Per-server registry counters for one answered query."""
+        registry = self.telemetry.registry
+        registry.counter(
+            "authoritative_queries_total",
+            "queries received, by authoritative instance",
+            ("server",),
+        ).labels(server=self.server_id).inc()
+        registry.counter(
+            "authoritative_responses_total",
+            "responses sent, by authoritative instance and rcode",
+            ("server", "rcode"),
+        ).labels(
+            server=self.server_id, rcode=getattr(rcode, "name", str(rcode))
+        ).inc()
+        if dropped:
             registry.counter(
-                "authoritative_queries_total",
-                "queries received, by authoritative instance",
+                "authoritative_query_log_dropped_total",
+                "query-log entries evicted by the ring buffer",
                 ("server",),
             ).labels(server=self.server_id).inc()
-            registry.counter(
-                "authoritative_responses_total",
-                "responses sent, by authoritative instance and rcode",
-                ("server", "rcode"),
-            ).labels(
-                server=self.server_id,
-                rcode=getattr(response.rcode, "name", str(response.rcode)),
-            ).inc()
-            if dropped:
-                registry.counter(
-                    "authoritative_query_log_dropped_total",
-                    "query-log entries evicted by the ring buffer",
-                    ("server",),
-                ).labels(server=self.server_id).inc()
-        return response
 
     # -- response-template fast path ---------------------------------------
 
@@ -735,15 +735,22 @@ class AuthoritativeServer:
         out += qname_wire
         out += entry.question_tail
         out += entry.tail
-        # Bookkeeping identical to _handle_query/_finish for this branch.
+        # Bookkeeping identical to handle_query/_finish for this branch.
         self.stats.queries += 1
         if entry.rcode == Rcode.NXDOMAIN:
             self.stats.nxdomain += 1
         self.stats.responses += 1
+        dropped = False
         if self.log_queries:
-            self.query_log.record(
+            dropped = self.query_log.record(
                 now, client, qname_wire, entry.log_rrtype, entry.rcode
             )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            span = self._start_query_span(qname.to_text(), client, now)
+            span.set(rcode=entry.rcode.name)
+            telemetry.tracer.finish_span(span, at=now)
+            self._count_response(entry.rcode, dropped)
         return bytes(out)
 
     def _maybe_build_template(self, fast, wire_out: bytes) -> None:

@@ -183,10 +183,8 @@ class SimNetwork:
         of ``(dst_address, now)``), never on outcomes.
         """
         telemetry = self.telemetry
-        # The cost ledger is independent of `telemetry.enabled` — it
-        # counts work in both the traced and untraced paths (that is
-        # its point: measure the fast path, not a slowed-down
-        # stand-in).  Never draws RNG.
+        # The cost ledger is independent of `telemetry.enabled`: it
+        # counts work whether or not spans are recorded.  Never draws RNG.
         costs = telemetry.costs
         costs_on = costs.enabled
         faults = self.faults
@@ -262,37 +260,30 @@ class SimNetwork:
         sharded runs reproduce the serial byte stream exactly.
         """
         telemetry = self.telemetry
-        if not telemetry.enabled:
-            lost, rtt_ms, handler, code, _drop, _anycast, _lat = self.sample_path(
-                client_location, client_address, dst_address
+        traced = telemetry.enabled
+        now = end = self.clock.now
+        if traced:
+            tracer = telemetry.tracer
+            span = tracer.start_span(
+                "net.round_trip", at=now, client=client_address, dst=dst_address
             )
-            if lost:
-                return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-            response = handler(payload, client_address, self.clock.now)
-            return RoundTrip(
-                response=response, rtt_ms=rtt_ms, lost=False, served_by=code
-            )
-
-        now = self.clock.now
-        tracer = telemetry.tracer
-        span = tracer.start_span(
-            "net.round_trip", at=now, client=client_address, dst=dst_address
-        )
-        end = now
         try:
             fate = self.sample_path(client_location, client_address, dst_address)
-            self._trace_fate(span, now, dst_address, fate)
-            lost, rtt_ms, handler, code = fate[:4]
+            lost, rtt_ms, handler, code, _drop, _anycast, _latency = fate
+            if traced:
+                self._trace_fate(span, now, dst_address, fate)
             if lost:
                 return RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
             end = now + round(rtt_ms, 3) / 1000.0
             response = handler(payload, client_address, now)
-            span.set(answered=response is not None)
+            if traced:
+                span.set(answered=response is not None)
             return RoundTrip(
                 response=response, rtt_ms=rtt_ms, lost=False, served_by=code
             )
         finally:
-            tracer.finish_span(span, at=end)
+            if traced:
+                tracer.finish_span(span, at=end)
 
     def _trace_fate(self, span, at: float, dst_address: str, fate: tuple) -> None:
         """Book one drawn exchange fate on its ``net.round_trip`` span:
@@ -364,66 +355,50 @@ class SimNetwork:
         kernel makes deterministic — and the serial≡K-worker byte
         identity carries over unchanged.
 
-        With telemetry enabled the same ``net.round_trip`` span
-        content, events, and counters as :meth:`round_trip` are
-        emitted (:meth:`_trace_fate`); ``parent`` anchors the span
-        explicitly (interleaved resolutions cannot use the tracer's
-        active-span stack).  The
-        span finishes at delivery time, and the handler runs with the
-        span activated so authoritative spans nest beneath it.
+        With telemetry enabled the exchange is one ``net.round_trip``
+        span (:meth:`_trace_fate` books its attributes, events and
+        counters); ``parent`` anchors it explicitly, because interleaved
+        resolutions cannot use the tracer's active-span stack.  The span
+        finishes at delivery time, and the handler runs with the span
+        activated so authoritative spans nest beneath it.
         """
         telemetry = self.telemetry
+        traced = telemetry.enabled
         send_time = self.clock.now
-        if not telemetry.enabled:
-            lost, rtt_ms, handler, code, _drop, _anycast, _lat = self.sample_path(
-                client_location, client_address, dst_address
+        if traced:
+            tracer = telemetry.tracer
+            span = tracer.start_span(
+                "net.round_trip", at=send_time, parent=parent,
+                client=client_address, dst=dst_address,
             )
-            if lost:
-                on_result(
-                    RoundTrip(response=None, rtt_ms=None, lost=True, served_by="")
-                )
-                return
-
-            def deliver():
-                response = handler(
-                    payload, client_address, send_time + rtt_ms / 2000.0
-                )
-                on_result(
-                    RoundTrip(
-                        response=response, rtt_ms=rtt_ms, lost=False, served_by=code
-                    )
-                )
-
-            kernel.call_later(rtt_ms / 1000.0, deliver)
-            return
-
-        tracer = telemetry.tracer
-        span = tracer.start_span(
-            "net.round_trip", at=send_time, parent=parent,
-            client=client_address, dst=dst_address,
-        )
         try:
             fate = self.sample_path(client_location, client_address, dst_address)
         except Exception:
-            tracer.finish_span(span, at=send_time)
+            if traced:
+                tracer.finish_span(span, at=send_time)
             raise
-        self._trace_fate(span, send_time, dst_address, fate)
-        lost, rtt_ms, handler, code = fate[:4]
+        lost, rtt_ms, handler, code, _drop, _anycast, _latency = fate
+        if traced:
+            self._trace_fate(span, send_time, dst_address, fate)
         if lost:
-            tracer.finish_span(span, at=send_time)
+            if traced:
+                tracer.finish_span(span, at=send_time)
             on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
             return
 
         def deliver():
-            tracer.activate(span)
+            if traced:
+                tracer.activate(span)
             try:
                 response = handler(
                     payload, client_address, send_time + rtt_ms / 2000.0
                 )
             finally:
-                tracer.deactivate(span)
-            span.set(answered=response is not None)
-            tracer.finish_span(span, at=send_time + rtt_ms / 1000.0)
+                if traced:
+                    tracer.deactivate(span)
+            if traced:
+                span.set(answered=response is not None)
+                tracer.finish_span(span, at=send_time + rtt_ms / 1000.0)
             on_result(
                 RoundTrip(
                     response=response, rtt_ms=rtt_ms, lost=False, served_by=code

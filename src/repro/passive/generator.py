@@ -71,6 +71,10 @@ class GeneratorConfig:
     capture_utc_hour: float = 12.0
 
 
+def _no_handler(*_args) -> None:
+    """Site handler of a passive capture: nothing is ever delivered."""
+
+
 class PassiveTraceGenerator:
     """Produces a :class:`Trace` for one :class:`ServerSet`."""
 
@@ -106,7 +110,7 @@ class PassiveTraceGenerator:
     ) -> AnycastGroup:
         group = AnycastGroup(f"{self.servers.zone}-{server_id}")
         for site in sites:
-            group.add_site(AnycastSite(site.code, site, lambda *a: None))
+            group.add_site(AnycastSite(site.code, site, _no_handler))
         return group
 
     def _recursive_location(self) -> Location:

@@ -27,8 +27,7 @@ Two properties make the sharded experiment engine
   every ``PYTHONHASHSEED``) derives identical seeds.
 
 Only the standard library is used and nothing from ``repro`` is
-imported, so any layer may depend on this module without cycles.  The
-canonical import path is :mod:`repro.core.seeding` (a re-export).
+imported, so any layer may depend on this module without cycles.
 """
 
 from __future__ import annotations

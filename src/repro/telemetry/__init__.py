@@ -1,6 +1,6 @@
 """End-to-end telemetry for the simulator.
 
-Three pillars, one bundle:
+Five pillars, one bundle:
 
 ``registry``
     Labelled metrics (counters, gauges, histograms) with Prometheus-text
@@ -13,11 +13,19 @@ Three pillars, one bundle:
 ``profiler``
     Wall-clock phase timers and counters for the simulator itself —
     every run's ``ExperimentResult.profile``.
+``events``
+    The export pipeline: an :class:`EventLogWriter` the tracer streams
+    finished traces into and run drivers append snapshot events to.
+``costs``
+    The deterministic per-query :class:`CostLedger` (operation counts,
+    not time).
 
-A :class:`Telemetry` object carries all three.  Every instrumented
+A :class:`Telemetry` object carries all five.  Every instrumented
 component takes ``telemetry=None`` and defaults to :data:`NULL_TELEMETRY`,
-whose parts are no-ops; hot paths guard on ``telemetry.enabled`` so a
-disabled run pays one attribute check per operation::
+whose parts are no-ops.  ``telemetry.enabled`` gates *recording*, never
+*dispatch*: switching it on adds spans and counters to the code that
+runs and selects no other code, and a disabled run pays one attribute
+check per operation::
 
     from repro.telemetry import Telemetry
     from repro.core.experiment import ExperimentConfig, TestbedExperiment
@@ -46,9 +54,7 @@ from .events import (
     NullEventSink,
     ProfileEvent,
     RawEvent,
-    RecordingEventSink,
     RunMeta,
-    SpillingEventSink,
     TraceEvent,
     ViewComparisonEvent,
     canonical_json_value,
@@ -71,17 +77,7 @@ from .costs import (
     NullCostLedger,
 )
 from .monitor import CampaignMonitor, replay_monitor
-from .profiling import (
-    AllocationObservatory,
-    NULL_ALLOC,
-    NULL_SAMPLER,
-    NullAllocationObservatory,
-    NullProfiler,
-    NullSamplingProfiler,
-    RunProfiler,
-    SamplingProfiler,
-    subsystem_of_path,
-)
+from .profiling import NullProfiler, RunProfiler
 from .slo import (
     SLO,
     Alert,
@@ -110,44 +106,22 @@ from .tracing import NULL_SPAN, NullTracer, Span, SpanEvent, Tracer, render_trac
 class Telemetry:
     """One run's registry + tracer + profiler, passed through every layer.
 
-    An optional fourth pillar, ``events``, is the export pipeline: an
-    :class:`EventLogWriter` the tracer streams finished traces into and
-    run drivers append snapshot events to (:meth:`finalize_events`).
+    ``events`` (the export pipeline, see :meth:`finalize_events`) and
+    ``costs`` (the cost ledger) are optional and default to their null
+    twins.
     """
 
-    __slots__ = (
-        "registry",
-        "tracer",
-        "profiler",
-        "events",
-        "costs",
-        "sampler",
-        "alloc",
-        "enabled",
-    )
+    __slots__ = ("registry", "tracer", "profiler", "events", "costs", "enabled")
 
-    def __init__(
-        self,
-        registry,
-        tracer,
-        profiler,
-        events=None,
-        costs=None,
-        sampler=None,
-        alloc=None,
-    ):
+    def __init__(self, registry, tracer, profiler, events=None, costs=None):
         self.registry = registry
         self.tracer = tracer
         self.profiler = profiler
         self.events = events if events is not None else NULL_EVENT_SINK
         self.costs = costs if costs is not None else NULL_COSTS
-        self.sampler = sampler if sampler is not None else NULL_SAMPLER
-        self.alloc = alloc if alloc is not None else NULL_ALLOC
-        #: cached flag hot paths guard on (any *simulated-system* pillar
-        #: live?).  Deliberately excludes the cost ledger, sampler, and
-        #: allocation observatory: those measure the simulator and must
-        #: leave the telemetry-off fast paths (response templates, the
-        #: no-span round trip) in place — instrumented sites guard on
+        #: cached flag instrumented sites guard their *recording* on (any
+        #: simulated-system pillar live?).  Excludes the cost ledger, which
+        #: measures the simulator: its sites guard on
         #: ``telemetry.costs.enabled`` separately.
         self.enabled = bool(registry.enabled or tracer.enabled)
 
@@ -160,8 +134,6 @@ class Telemetry:
         max_traces: int = 100_000,
         event_log=None,
         costs: bool = False,
-        sampling: str | None = None,
-        profile_alloc: bool = False,
     ) -> "Telemetry":
         """A live bundle; switch off individual pillars as needed.
 
@@ -170,11 +142,8 @@ class Telemetry:
         progresses, and :meth:`finalize_events` appends the closing
         metrics/profile snapshots.
 
-        ``costs=True`` attaches a deterministic :class:`CostLedger`;
-        ``sampling`` names a :class:`SamplingProfiler` mode (``"trace"``
-        or ``"sample"``); ``profile_alloc=True`` attaches the
-        allocation observatory.  None of the three flips ``enabled`` —
-        they observe the simulator without disturbing its fast paths.
+        ``costs=True`` attaches a deterministic :class:`CostLedger`; it
+        does not flip ``enabled``.
         """
         if event_log is None:
             sink = NULL_EVENT_SINK
@@ -196,8 +165,6 @@ class Telemetry:
             profiler=RunProfiler() if profiling else NullProfiler(),
             events=sink,
             costs=CostLedger() if costs else None,
-            sampler=SamplingProfiler(mode=sampling) if sampling else None,
-            alloc=AllocationObservatory() if profile_alloc else None,
         )
 
     @classmethod
@@ -261,7 +228,6 @@ NULL_TELEMETRY = Telemetry.disabled_bundle()
 
 __all__ = [
     "Alert",
-    "AllocationObservatory",
     "COSTS_SCHEMA",
     "CampaignMonitor",
     "Clock",
@@ -286,33 +252,26 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "MonotonicClock",
-    "NULL_ALLOC",
     "NULL_COSTS",
     "NULL_EVENT_SINK",
-    "NULL_SAMPLER",
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "Note",
-    "NullAllocationObservatory",
     "NullCostLedger",
     "NullEventSink",
     "NullProfiler",
     "NullRegistry",
-    "NullSamplingProfiler",
     "NullTracer",
     "P2Quantile",
     "ProfileEvent",
     "RawEvent",
-    "RecordingEventSink",
     "RunMeta",
     "RunProfiler",
     "SLO",
     "SLOError",
     "Sample",
-    "SamplingProfiler",
     "Span",
     "SpanEvent",
-    "SpillingEventSink",
     "Telemetry",
     "TraceAnalytics",
     "TraceEvent",
@@ -334,5 +293,4 @@ __all__ = [
     "replay_monitor",
     "score_alerts",
     "span_from_dict",
-    "subsystem_of_path",
 ]

@@ -12,14 +12,13 @@ ledger, byte for byte* (CI ``cmp``-enforces this on the exported JSON).
 
 Normalised per query, the ledger is the "per-event cost" baseline: it
 tells you *how many* codec, RNG, cache, fault, and kernel-event
-operations one observation costs, while the
-sampling profiler (``repro.telemetry.profiling``) tells you how much
-*time* each subsystem spends on them.
+operations one observation costs, while ``cProfile`` and the benchmark
+suite's per-layer metrics (docs/performance.md §1) tell you how much
+*time* is spent on them.
 
 Hot-path discipline: the ledger is deliberately **not** part of
-``Telemetry.enabled`` — the server/network fast paths stay live during a
-costs-only run (that is the point: measure the fast path, don't disable
-it).  Instrumented sites hoist ``costs = telemetry.costs`` and guard on
+``Telemetry.enabled`` — a costs-only run records no spans or metrics.
+Instrumented sites hoist ``costs = telemetry.costs`` and guard on
 ``costs.enabled`` once, so a disabled run pays one attribute check.
 """
 

@@ -214,9 +214,9 @@ def _canonical_key(key: object) -> str:
 def canonical_json_value(value: object):
     """What ``json.loads(json.dumps(value))`` returns, without the text pass.
 
-    The recording sink needs each record to be (a) detached from the
-    caller's still-mutable objects and (b) plain JSON — the shape the
-    merge helpers sort on.  A serialize/parse round trip guarantees
+    An in-memory :class:`EventLogWriter` needs each record to be (a)
+    detached from the caller's still-mutable objects and (b) plain JSON —
+    the shape the merge helpers sort on.  A serialize/parse round trip guarantees
     both but pays for encoding and decoding every byte; this builds the
     same result directly: dict keys are string-coerced, tuples become
     lists, bool/int/float subclasses (enums) collapse to their plain
@@ -272,42 +272,57 @@ def _event_from_record(record: dict):
 
 
 class EventLogWriter:
-    """Append-only JSONL sink with bounded buffering and a drop counter.
+    """The one event sink: a JSONL file, or an in-memory record list.
 
-    Events are serialized immediately (so callers may mutate their
-    objects afterwards) but buffered in memory and written in batches:
-    at most ``max_buffered`` lines are held before an automatic flush.
+    With a ``path`` it is an append-only JSONL log behind the standard
+    header line (written eagerly, so even an empty log identifies itself
+    and :class:`EventLogFollower` can tail it mid-campaign).  Events are
+    serialized at emit time (so callers may mutate their objects
+    afterwards) and written in batches: at most ``max_buffered`` lines
+    are held before an automatic flush.  With ``path=None`` each event's
+    canonical plain-JSON record (:func:`canonical_json_value`) is kept in
+    :attr:`records` instead — what a shard worker ships back over the
+    process boundary.  ``json.dumps`` of a record and of its canonical
+    form are the same text, so both modes hold the same log.
+
+    ``shard`` tags every record with the emitting shard's index so a
+    merged stream stays attributable until normalization strips it.
+
     After :meth:`close`, further emits are *dropped* — counted in
     :attr:`dropped` and logged once at warning level — never raised,
-    so telemetry can never take down a run at shutdown.
-
-    Usable as a context manager; the header line is written eagerly so
-    even an empty log identifies itself.
+    so telemetry can never take down a run at shutdown; an in-memory
+    writer's :attr:`records` stay readable.  Usable as a context manager.
     """
 
     enabled = True
 
     def __init__(
         self,
-        path: str | Path,
+        path: str | Path | None = None,
+        *,
+        shard: int | None = None,
         max_buffered: int = DEFAULT_MAX_BUFFERED,
         meta: dict | None = None,
     ):
         if max_buffered <= 0:
             raise ValueError(f"max_buffered must be positive, got {max_buffered}")
-        self.path = Path(path)
+        self.path = Path(path) if path is not None else None
+        self.shard = shard
         self.max_buffered = max_buffered
         self.emitted = 0
         self.dropped = 0
+        self.records: list[dict] = []
         self._buffer: list[str] = []
         self._closed = False
         self._warned = False
-        self._fh: io.TextIOBase = self.path.open("w")
-        header = {"kind": EVENT_LOG_KIND, "version": EVENT_SCHEMA_VERSION}
-        if meta:
-            header["meta"] = meta
-        self._fh.write(json.dumps(header) + "\n")
-        self._fh.flush()
+        self._fh: io.TextIOBase | None = None
+        if self.path is not None:
+            self._fh = self.path.open("w")
+            header = {"kind": EVENT_LOG_KIND, "version": EVENT_SCHEMA_VERSION}
+            if meta:
+                header["meta"] = meta
+            self._fh.write(json.dumps(header) + "\n")
+            self._fh.flush()
 
     # -- emitting ----------------------------------------------------------
 
@@ -319,11 +334,17 @@ class EventLogWriter:
                 self._warned = True
                 log.warning(
                     "event log %s is closed; dropping further events "
-                    "(dropped=%d)", self.path, self.dropped,
+                    "(dropped=%d)", self.path or "(in memory)", self.dropped,
                 )
             return False
-        self._buffer.append(json.dumps(event.to_record()))
+        record = event.to_record()
+        if self.shard is not None:
+            record["shard"] = self.shard
         self.emitted += 1
+        if self._fh is None:
+            self.records.append(canonical_json_value(record))
+            return True
+        self._buffer.append(json.dumps(record))
         if len(self._buffer) >= self.max_buffered:
             self.flush()
         return True
@@ -343,12 +364,29 @@ class EventLogWriter:
         if self._closed:
             return
         self.flush()
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
         self._closed = True
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    # -- reading back ------------------------------------------------------
+
+    def iter_records(self):
+        """Every record emitted so far (raw dicts, emit order)."""
+        if self.path is None:
+            return iter(self.records)
+        self.flush()
+        return iter_raw_records(self.path)
+
+    def of_kind(self, kind: str) -> list[dict]:
+        return [
+            record
+            for record in self.iter_records()
+            if record.get("kind") == kind
+        ]
 
     def __enter__(self) -> "EventLogWriter":
         return self
@@ -357,9 +395,11 @@ class EventLogWriter:
         self.close()
 
     def __repr__(self) -> str:
+        where = repr(str(self.path)) if self.path is not None else "in-memory"
         return (
-            f"EventLogWriter({str(self.path)!r}, emitted={self.emitted}, "
-            f"dropped={self.dropped}, closed={self._closed})"
+            f"EventLogWriter({where}, shard={self.shard}, "
+            f"emitted={self.emitted}, dropped={self.dropped}, "
+            f"closed={self._closed})"
         )
 
 
@@ -394,174 +434,11 @@ class NullEventSink:
 NULL_EVENT_SINK = NullEventSink()
 
 
-class RecordingEventSink:
-    """In-memory sink with the :class:`EventLogWriter` surface.
-
-    Shard workers of the parallel experiment engine emit into one of
-    these; the engine ships the recorded dicts back over the process
-    boundary and merges them into one canonical log.  Records are
-    canonicalised at emit time (:func:`canonical_json_value`) — same
-    contract as the writer: callers may mutate their objects
-    afterwards, and every stored record is guaranteed plain-JSON
-    (what the merge helpers sort on).
-
-    ``shard`` tags every record with the emitting shard's index so a
-    merged stream stays attributable until normalization strips it.
-    """
-
-    enabled = True
-    path = None
-
-    def __init__(self, shard: int | None = None):
-        self.shard = shard
-        self.records: list[dict] = []
-        self.emitted = 0
-        self.dropped = 0
-        self.closed = False
-
-    def emit(self, event) -> bool:
-        record = canonical_json_value(event.to_record())
-        if self.shard is not None:
-            record["shard"] = self.shard
-        self.records.append(record)
-        self.emitted += 1
-        return True
-
-    def emit_span(self, span: Span) -> bool:
-        return self.emit(TraceEvent(root=span))
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        self.closed = True
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [record for record in self.records if record.get("kind") == kind]
-
-    def __enter__(self) -> "RecordingEventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"RecordingEventSink(shard={self.shard}, "
-            f"emitted={self.emitted})"
-        )
-
-
-class SpillingEventSink:
-    """A :class:`RecordingEventSink` whose records spill to disk.
-
-    Same canonicalisation and shard tagging, but instead of an
-    unbounded ``records`` list the sink holds at most ``max_buffered``
-    serialized lines in memory and streams the rest into a JSONL
-    *spill segment* at ``path``.  The segment starts with the standard
-    event-log header, so :class:`EventLogFollower`, :func:`read_events`
-    and the dashboard can tail a spilling worker mid-campaign exactly
-    like a normal log.
-
-    This bounds the *worker*: a shard's memory footprint no longer
-    scales with its event volume.  The parallel merge reads the
-    segments back (:func:`iter_raw_records`) and produces the same
-    canonical merged log, byte for byte, as the in-memory transport.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        path: str | Path,
-        shard: int | None = None,
-        max_buffered: int = DEFAULT_MAX_BUFFERED,
-    ):
-        if max_buffered <= 0:
-            raise ValueError(f"max_buffered must be positive, got {max_buffered}")
-        self.path = Path(path)
-        self.shard = shard
-        self.max_buffered = max_buffered
-        self.emitted = 0
-        self.dropped = 0
-        self._buffer: list[str] = []
-        self._closed = False
-        self._warned = False
-        self._fh: io.TextIOBase = self.path.open("w")
-        header = {"kind": EVENT_LOG_KIND, "version": EVENT_SCHEMA_VERSION}
-        self._fh.write(json.dumps(header) + "\n")
-        self._fh.flush()
-
-    def emit(self, event) -> bool:
-        if self._closed:
-            self.dropped += 1
-            if not self._warned:
-                self._warned = True
-                log.warning(
-                    "spill segment %s is closed; dropping further events "
-                    "(dropped=%d)", self.path, self.dropped,
-                )
-            return False
-        record = canonical_json_value(event.to_record())
-        if self.shard is not None:
-            record["shard"] = self.shard
-        self._buffer.append(json.dumps(record))
-        self.emitted += 1
-        if len(self._buffer) >= self.max_buffered:
-            self.flush()
-        return True
-
-    def emit_span(self, span: Span) -> bool:
-        return self.emit(TraceEvent(root=span))
-
-    def flush(self) -> None:
-        if self._buffer and not self._closed:
-            self._fh.write("\n".join(self._buffer) + "\n")
-            self._fh.flush()
-            self._buffer.clear()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self.flush()
-        self._fh.close()
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def iter_records(self):
-        """Stream back every spilled record (raw dicts, emit order)."""
-        self.flush()
-        return iter_raw_records(self.path)
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [
-            record
-            for record in self.iter_records()
-            if record.get("kind") == kind
-        ]
-
-    def __enter__(self) -> "SpillingEventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"SpillingEventSink({str(self.path)!r}, shard={self.shard}, "
-            f"emitted={self.emitted}, closed={self._closed})"
-        )
-
-
 def iter_raw_records(path: str | Path):
     """Stream an event log's records as plain dicts, header validated.
 
-    The merge-side counterpart of :class:`SpillingEventSink`: shard
-    segments come back as the same raw-dict stream an in-memory
-    :class:`RecordingEventSink` would have held.
+    The merge side of a spilled shard segment: the same raw-dict stream
+    an in-memory :class:`EventLogWriter` holds in ``records``.
     """
     path = Path(path)
     with path.open() as fh:
@@ -814,9 +691,7 @@ __all__ = [
     "NullEventSink",
     "ProfileEvent",
     "RawEvent",
-    "RecordingEventSink",
     "RunMeta",
-    "SpillingEventSink",
     "TraceEvent",
     "ViewComparisonEvent",
     "canonical_json_value",

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.core.seeding import (
+from repro.seeding import (
     SEED_BITS,
     SpawnKey,
     default_rng,

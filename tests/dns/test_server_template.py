@@ -201,21 +201,77 @@ def slow_server_pair(server: AuthoritativeServer, query: Message) -> bytes:
     return server.handle_wire(query.to_wire())
 
 
-def test_rate_limited_or_telemetry_servers_skip_the_fast_path():
+def test_rate_limited_servers_skip_the_fast_path():
     from repro.dns.rrl import ResponseRateLimiter
 
-    zone = build_zone()
-    limited = AuthoritativeServer("site-a", [zone], rate_limiter=ResponseRateLimiter())
-    traced = AuthoritativeServer(
-        "site-a", [zone], telemetry=Telemetry.enabled_bundle()
+    limited = AuthoritativeServer(
+        "site-a", [build_zone()], rate_limiter=ResponseRateLimiter()
     )
     wire = Message.make_query(
         "m-6-6.probe.example.org.", RRType.TXT, msg_id=9
     ).to_wire()
-    for server in (limited, traced):
-        server.handle_wire(wire)
-        server.handle_wire(wire)
-        assert not server._templates
+    limited.handle_wire(wire)
+    limited.handle_wire(wire)
+    assert not limited._templates
+
+
+def test_traced_fast_path_books_what_the_traced_slow_path_books():
+    """Telemetry observes the fast path; it does not switch it off.
+
+    The same stream against a traced server and a traced server forced
+    onto the slow path (per-instance ``handle_query``): same bytes, same
+    spans, same counters, same stats and query log.
+    """
+    zone = build_zone()
+    zone.add(
+        "*.big.example.org.", RRType.TXT, TXT.from_value("x" * 200), ttl=5
+    )
+    for index in range(3):
+        zone.add(
+            "*.big.example.org.", RRType.TXT,
+            TXT.from_value(str(index) * 200), ttl=5,
+        )
+
+    def traced_server() -> AuthoritativeServer:
+        # A small ring so evictions (the dropped counter) happen too.
+        return AuthoritativeServer(
+            "site-a", [zone], query_log_max=6,
+            telemetry=Telemetry.enabled_bundle(),
+        )
+
+    fast, slow = traced_server(), traced_server()
+    slow.handle_query = slow.handle_query  # type: ignore[method-assign]
+
+    stream = list(queries())  # hits, a miss per key, an existing name, NSID
+    for tick, payload in enumerate((4096, 4096, 600)):
+        # Templated at 4096; at 600 the template would truncate.
+        q = Message.make_query(f"m-7-{tick}.big.example.org.", RRType.TXT,
+                               msg_id=950 + tick)
+        q.use_edns(payload)
+        stream.append(q)
+    for tick, query in enumerate(stream):
+        wire = query.to_wire()
+        client, now = f"10.0.0.{tick % 3}", tick * 0.5
+        assert fast.handle_wire(wire, client, now) == slow.handle_wire(
+            wire, client, now
+        )
+    assert fast._templates and not slow._templates
+    assert Message.from_wire(fast.handle_wire(stream[-1].to_wire())).truncated
+    slow.handle_wire(stream[-1].to_wire())
+
+    fast_spans = [span.to_dict() for span in fast.telemetry.tracer.traces()]
+    assert fast_spans == [
+        span.to_dict() for span in slow.telemetry.tracer.traces()
+    ]
+    assert len(fast_spans) == len(stream) + 1
+    assert {span["name"] for span in fast_spans} == {"auth.query"}
+    assert fast.telemetry.registry.as_dict() == slow.telemetry.registry.as_dict()
+    dropped = fast.telemetry.registry.get(
+        "authoritative_query_log_dropped_total"
+    )
+    assert dropped.labels(server="site-a").value == len(stream) + 1 - 6
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
 
 
 def test_queries_for_other_suffixes_refused_identically():

@@ -9,6 +9,8 @@ from repro.netsim.addressing import Ipv4Allocator, Ipv6Allocator
 from repro.netsim.geo import DATACENTERS, PROBE_CITIES
 from repro.netsim.latency import LatencyModel, LatencyParameters
 from repro.netsim.network import DeliveryError, SimNetwork
+from repro.netsim.sched import EventKernel
+from repro.telemetry import Telemetry
 
 
 def echo_handler(tag: str):
@@ -83,6 +85,73 @@ class TestRoundTrip:
         trip = network.round_trip(PROBE_CITIES["AMS"], "c", "10.0.0.1", b"q")
         assert trip.response is None
         assert not trip.lost
+
+
+class TestTracedExchangesAreTheSameExchanges:
+    """Telemetry adds spans to an exchange; it draws and delivers nothing
+    differently.  Same seed, traced and untraced: equal results, and the
+    pair streams left in the same state."""
+
+    CLIENT = PROBE_CITIES["AMS"]
+
+    def make_network(self, telemetry=None):
+        network = SimNetwork(
+            latency=LatencyModel(LatencyParameters(loss_rate=0.4), seed=7),
+            telemetry=telemetry,
+        )
+        network.register_host("10.0.0.1", DATACENTERS["FRA"], echo_handler("fra"))
+        network.register_host("10.0.0.2", DATACENTERS["SYD"], lambda p, s, t: None)
+        return network
+
+    def exchanges(self, send):
+        return [
+            send(f"10.9.0.{index % 3}", f"10.0.0.{1 + index % 2}")
+            for index in range(40)
+        ]
+
+    def next_draws(self, network):
+        return [
+            network.sample_path(self.CLIENT, f"10.9.0.{index}", dst)[:2]
+            for index in range(3)
+            for dst in ("10.0.0.1", "10.0.0.2")
+        ]
+
+    def check(self, run):
+        telemetry = Telemetry.enabled_bundle()
+        plain, traced = self.make_network(), self.make_network(telemetry)
+        trips, traced_trips = run(plain), run(traced)
+        assert traced_trips == trips
+        assert {trip.lost for trip in trips} == {True, False}
+        assert self.next_draws(traced) == self.next_draws(plain)
+        spans = telemetry.tracer.spans("net.round_trip")
+        assert len(spans) == len(trips)
+        assert [bool(span.attributes["lost"]) for span in spans] == [
+            trip.lost for trip in trips
+        ]
+
+    def test_round_trip(self):
+        def run(network):
+            return self.exchanges(
+                lambda client, dst: network.round_trip(
+                    self.CLIENT, client, dst, b"q"
+                )
+            )
+
+        self.check(run)
+
+    def test_transmit(self):
+        def run(network):
+            kernel = EventKernel(clock=network.clock)
+            trips = []
+            self.exchanges(
+                lambda client, dst: network.transmit(
+                    kernel, self.CLIENT, client, dst, b"q", trips.append
+                )
+            )
+            kernel.run()
+            return trips
+
+        self.check(run)
 
 
 class TestAnycast:

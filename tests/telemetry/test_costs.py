@@ -21,7 +21,6 @@ from repro.telemetry import (
     NullRegistry,
     NullTracer,
     RunProfiler,
-    SamplingProfiler,
     Telemetry,
 )
 from repro.telemetry.events import _event_from_record
@@ -36,10 +35,9 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig.for_combination("2C", **kwargs)
 
 
-def costs_telemetry(sampler=None) -> Telemetry:
+def costs_telemetry() -> Telemetry:
     return Telemetry(
-        NullRegistry(), NullTracer(), RunProfiler(), costs=CostLedger(),
-        sampler=sampler,
+        NullRegistry(), NullTracer(), RunProfiler(), costs=CostLedger()
     )
 
 
@@ -218,7 +216,7 @@ class TestCampaignLedger:
     def test_costs_do_not_flip_telemetry_enabled(self):
         telemetry = costs_telemetry()
         assert telemetry.costs.enabled
-        assert not telemetry.enabled  # fast paths must stay live
+        assert not telemetry.enabled  # the ledger is not a recording pillar
 
     def test_serial_campaign_populates_ledger(self):
         telemetry = costs_telemetry()
@@ -247,15 +245,32 @@ class TestCampaignLedger:
 
     def test_ledger_does_not_perturb_observations(self):
         plain = TestbedExperiment(small_config()).run()
-        # the ledger alone, then `costs --profile-mode sample`'s bundle
-        for sampler in (None, SamplingProfiler(mode="sample")):
-            telemetry = costs_telemetry(sampler)
-            assert not telemetry.enabled  # fast paths must stay live
-            costed = TestbedExperiment(small_config(), telemetry=telemetry).run()
-            assert costed.run.observations == plain.run.observations
-            assert costed.server_query_counts == plain.server_query_counts
-            assert telemetry.costs.queries == len(costed.run.observations)
-            assert telemetry.sampler.windows == (1 if sampler else 0)
+        telemetry = costs_telemetry()
+        costed = TestbedExperiment(small_config(), telemetry=telemetry).run()
+        assert costed.run.observations == plain.run.observations
+        assert costed.server_query_counts == plain.server_query_counts
+        assert telemetry.costs.queries == len(costed.run.observations)
+
+    def test_telemetry_on_runs_the_code_telemetry_off_runs(self):
+        """``enabled`` gates recording, never dispatch: the full bundle
+        counts the operations the ledger-only run counts, phase by phase."""
+        ledger_only = costs_telemetry()
+        observed = Telemetry.enabled_bundle(costs=True)
+        assert observed.enabled and not ledger_only.enabled
+        off = TestbedExperiment(small_config(), telemetry=ledger_only).run()
+        on = TestbedExperiment(small_config(), telemetry=observed).run()
+        assert on.run.observations == off.run.observations
+        assert on.server_query_counts == off.server_query_counts
+        assert set(observed.costs.phases) == set(ledger_only.costs.phases)
+        for phase, counts in ledger_only.costs.phases.items():
+            for counter in (
+                "template_hit", "template_miss", "decode", "encode",
+                "rng_draw", "query",
+            ):
+                assert observed.costs.phases[phase].get(counter, 0) == (
+                    counts.get(counter, 0)
+                ), (phase, counter)
+        assert ledger_only.costs.totals()["template_hit"] > 0
 
     def test_fault_campaign_counts_fault_evals(self):
         telemetry = costs_telemetry()

@@ -13,7 +13,6 @@ from repro.telemetry import (
     EventLogWriter,
     MetricsRegistry,
     Note,
-    RecordingEventSink,
     Tracer,
     canonical_json_value,
     read_events,
@@ -55,12 +54,16 @@ class TestCanonicalJsonValue:
         original["list"].append(3)
         assert copy == {"list": [1, 2]}
 
-    def test_recording_sink_uses_it(self):
-        sink = RecordingEventSink()
-        note = Note(name="n", data={"shared": [1]})
-        sink.emit(note)
+    def test_recording_sink_uses_it(self, tmp_path):
+        sink = EventLogWriter()
+        note = Note(name="n", data={"shared": [1], 7: (1, 2)})
+        with EventLogWriter(tmp_path / "seg.jsonl") as spilled:
+            sink.emit(note)
+            spilled.emit(note)
         note.data["shared"].append(2)  # later mutation must not leak in
-        assert sink.records[0]["data"]["shared"] == [1]
+        assert sink.records[0]["data"] == {"shared": [1], "7": [1, 2]}
+        # The file mode serialises directly; it holds the same record.
+        assert list(spilled.iter_records()) == sink.records
 
 
 class TestTruncatedLogs:

@@ -1,6 +1,6 @@
 """Tests for the mergeable reducers behind the sharded engine.
 
-Registry merge, the in-memory recording sink, and trace-record
+Registry merge, the in-memory event sink, and trace-record
 normalization: every reducer must be insensitive to how the workload
 was partitioned.
 """
@@ -8,10 +8,10 @@ was partitioned.
 import pytest
 
 from repro.telemetry import (
+    EventLogWriter,
     MetricError,
     MetricsRegistry,
     Note,
-    RecordingEventSink,
     Tracer,
     normalize_trace_records,
 )
@@ -97,18 +97,18 @@ class TestRegistryMerge:
 
 class TestRecordingEventSink:
     def test_records_are_shard_tagged(self):
-        sink = RecordingEventSink(shard=2)
+        sink = EventLogWriter(shard=2)
         assert sink.emit(Note(name="x", at=1.0))
         assert sink.records[0]["shard"] == 2
         assert sink.records[0]["name"] == "x"
 
     def test_untagged_without_shard(self):
-        sink = RecordingEventSink()
+        sink = EventLogWriter()
         sink.emit(Note(name="x"))
         assert "shard" not in sink.records[0]
 
     def test_tracer_streams_into_sink(self):
-        sink = RecordingEventSink(shard=0)
+        sink = EventLogWriter(shard=0)
         tracer = Tracer(max_traces=0, sink=sink)
         span = tracer.start_span("root", at=1.0)
         tracer.finish_span(span, at=2.0)
@@ -116,7 +116,7 @@ class TestRecordingEventSink:
         assert tracer.roots == []  # records are the transport
 
     def test_records_survive_later_mutation(self):
-        sink = RecordingEventSink()
+        sink = EventLogWriter()
         data = {"key": "before"}
         sink.emit(Note(name="n", data=data))
         data["key"] = "after"
@@ -125,7 +125,7 @@ class TestRecordingEventSink:
 
 def _trace_records(order, shard):
     """Finished traces with tracer-private ids in emission order."""
-    sink = RecordingEventSink(shard=shard)
+    sink = EventLogWriter(shard=shard)
     tracer = Tracer(sink=sink)
     for start, name in order:
         root = tracer.start_span(name, at=start)

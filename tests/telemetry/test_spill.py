@@ -10,8 +10,8 @@ from repro.telemetry import (
     EVENT_SCHEMA_VERSION,
     EventLogError,
     EventLogFollower,
+    EventLogWriter,
     Note,
-    SpillingEventSink,
     Telemetry,
     iter_raw_records,
     read_events,
@@ -27,14 +27,14 @@ def small_config(**overrides):
 class TestSpillingEventSink:
     def test_header_written_eagerly(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        SpillingEventSink(path).close()
+        EventLogWriter(path).close()
         header = json.loads(path.read_text().splitlines()[0])
         assert header["kind"] == EVENT_LOG_KIND
         assert header["version"] == EVENT_SCHEMA_VERSION
 
     def test_buffer_is_bounded(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        sink = SpillingEventSink(path, max_buffered=3)
+        sink = EventLogWriter(path, max_buffered=3)
         sink.emit(Note("marker", {"n": 0}))
         sink.emit(Note("marker", {"n": 1}))
         # Below capacity: records are buffered, only the header is out.
@@ -49,11 +49,11 @@ class TestSpillingEventSink:
 
     def test_rejects_nonpositive_buffer(self, tmp_path):
         with pytest.raises(ValueError):
-            SpillingEventSink(tmp_path / "seg.jsonl", max_buffered=0)
+            EventLogWriter(tmp_path / "seg.jsonl", max_buffered=0)
 
     def test_shard_tagging_and_record_round_trip(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        sink = SpillingEventSink(path, shard=7)
+        sink = EventLogWriter(path, shard=7)
         sink.emit(Note("marker", {"n": 1}))
         sink.close()
         records = list(iter_raw_records(path))
@@ -61,19 +61,35 @@ class TestSpillingEventSink:
         assert records[0]["shard"] == 7
         assert records[0]["kind"] == "note"
         assert list(sink.iter_records()) == records
+        # The in-memory mode holds the same records under the same tag.
+        in_memory = EventLogWriter(shard=7)
+        in_memory.emit(Note("marker", {"n": 1}))
+        assert in_memory.records == records
+        assert in_memory.of_kind("note") == sink.of_kind("note") == records
 
     def test_emit_after_close_drops(self, tmp_path, caplog):
-        sink = SpillingEventSink(tmp_path / "seg.jsonl")
-        sink.emit(Note("marker", {}))
-        sink.close()
-        assert sink.emit(Note("marker", {})) is False
-        assert sink.emit(Note("marker", {})) is False
-        assert sink.dropped == 2
-        assert sink.emitted == 1
+        # One rule in both modes: spilled segment and in-memory records.
+        in_memory = EventLogWriter(shard=3)
+        for sink in (EventLogWriter(tmp_path / "seg.jsonl", shard=3), in_memory):
+            caplog.clear()
+            sink.emit(Note("marker", {}))
+            sink.close()
+            assert sink.closed
+            assert sink.emit(Note("marker", {})) is False
+            assert sink.emit(Note("marker", {})) is False
+            assert sink.dropped == 2
+            assert sink.emitted == 1
+            assert len(caplog.records) == 1  # warned once
+            # What was emitted before the close stays readable.
+            assert list(sink.iter_records()) == [
+                {"kind": "note", "at": None, "name": "marker", "data": {},
+                 "shard": 3}
+            ]
+        assert in_memory.records == list(in_memory.iter_records())
 
     def test_follower_tails_a_spilling_segment(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        sink = SpillingEventSink(path, shard=0, max_buffered=2)
+        sink = EventLogWriter(path, shard=0, max_buffered=2)
         follower = EventLogFollower(path)
         assert follower.poll() == []
         sink.emit(Note("marker", {"n": 0}))
@@ -85,7 +101,7 @@ class TestSpillingEventSink:
 
     def test_segment_is_readable_as_an_event_log(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        sink = SpillingEventSink(path)
+        sink = EventLogWriter(path)
         for index in range(4):
             sink.emit(Note("marker", {"n": index}))
         sink.close()

@@ -57,11 +57,8 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
            '--duration': opt(30.0),
            '--events': opt(None),
            '--export': opt(None),
-           '--flamegraph': opt(None),
            '--interval': opt(2.0),
            '--probes': opt(300),
-           '--profile-alloc': opt(False, nargs=0),
-           '--profile-mode': opt('trace', choices=['off', 'sample', 'trace']),
            '--scenario': opt(None),
            '--seed': opt(0),
            '--shards': opt(0),
@@ -420,7 +417,6 @@ class TestCostsCommand:
         args = build_parser().parse_args(["costs"])
         assert args.combo == "2C"
         assert args.probes == 300
-        assert args.profile_mode == "trace"
         assert args.log is None
 
     def test_live_run_renders_decomposition(self, capsys, tmp_path):
@@ -435,47 +431,12 @@ class TestCostsCommand:
         assert data["schema"] == "repro-cost-ledger/1"
         assert data["queries"] > 0
 
-    def test_trace_mode_attributes_the_measure_phase(self, capsys):
-        assert main(["--quiet", *self.ARGS]) == 0
-        out = capsys.readouterr().out
-        # the 5%-of-phase-time acceptance bar, printed per run
-        for line in out.splitlines():
-            if line.startswith("attributed ") and "measured" in line:
-                share = float(line.rsplit("(", 1)[1].rstrip("%)"))
-                assert share >= 95.0
-                break
-        else:
-            raise AssertionError(f"no attribution line in:\n{out}")
-
-    def test_sample_mode_writes_flamegraph(self, capsys, tmp_path):
-        flame = tmp_path / "flame.txt"
-        code = main([
-            "--quiet", "costs", "--probes", "60", "--duration", "20",
-            "--profile-mode", "sample", "--flamegraph", str(flame),
-        ])
-        out = capsys.readouterr().out
-        if code == 1:
-            # legitimately possible: a fast run can finish between polls
-            assert not flame.exists()
-            return
-        assert code == 0
-        assert flame.exists()
-        stack, count = flame.read_text().splitlines()[0].rsplit(" ", 1)
-        assert int(count) >= 1
-
-    def test_profile_alloc_reports_phases(self, capsys):
-        code = main(["--quiet", *self.ARGS, "--profile-alloc"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "experiment.measure" in out
-        assert "GC:" in out
-
     def test_export_identical_for_serial_and_sharded(self, capsys, tmp_path):
         serial = tmp_path / "serial.json"
         sharded = tmp_path / "sharded.json"
         base = [
             "--quiet", "costs", "--probes", "20", "--duration", "10",
-            "--seed", "3", "--profile-mode", "off",
+            "--seed", "3",
         ]
         assert main([*base, "--shards", "2", "--export", str(serial)]) == 0
         assert main([
