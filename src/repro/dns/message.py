@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import TruncatedMessageError, WireFormatError
-from .name import Name
+from .name import CompressionMap, Name
 from .records import ResourceRecord
 from .types import (
     FLAG_AA,
@@ -42,13 +42,13 @@ class Question:
     rrtype: RRType
     rrclass: RRClass = RRClass.IN
 
-    def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
+    def to_wire(self, compress: CompressionMap | None = None, offset: int = 0) -> bytes:
         return self.name.to_wire(compress, offset) + QUESTION_TAIL_STRUCT.pack(
             int(self.rrtype), int(self.rrclass)
         )
 
     def wire_into(
-        self, out: bytearray, compress: dict[Name, int] | None = None
+        self, out: bytearray, compress: CompressionMap | None = None
     ) -> None:
         """Append this question to a whole-message buffer (fast path)."""
         self.name.wire_into(out, compress)
@@ -290,7 +290,7 @@ class Message:
             if opt is not None:
                 opt.wire_into(out, None)
             return bytes(out), question_end
-        compress: dict[Name, int] = {}
+        compress: CompressionMap = {}
         for question in self.questions:
             question.wire_into(out, compress)
         question_end = len(out)
@@ -330,6 +330,8 @@ class Message:
         for _ in range(qdcount):
             question, cursor = Question.from_wire(wire, cursor, memo)
             message.questions.append(question)
+        if not (ancount or nscount or arcount):
+            return message  # query shape: nothing left to decode
         for count, section in (
             (ancount, message.answers),
             (nscount, message.authorities),

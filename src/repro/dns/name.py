@@ -39,6 +39,12 @@ _ESCAPED = {ord("."), ord("\\")}
 _INTERN: dict[tuple[bytes, ...], "Name"] = {}
 _INTERN_MAX = 4096
 
+#: per-message compression state: folded labels of every name suffix
+#: emitted so far -> its message offset.  Opaque to callers, who create
+#: an empty dict and pass it along; only :meth:`Name._compress_into`
+#: reads or writes it.  Tuples of ``bytes`` hash and compare in C.
+CompressionMap = dict[tuple[bytes, ...], int]
+
 
 def _escape_label(label: bytes) -> str:
     """Render one label in presentation format, escaping special bytes."""
@@ -217,13 +223,17 @@ class Name:
                 raise TruncatedMessageError("name runs past end of message")
             length = wire[cursor]
             if length == 0:
-                if end is None:
-                    end = cursor + 1
                 if labels:
                     name = cls._from_validated(tuple(labels))
                     name._wlen = total
                 else:
                     name = ROOT
+                if end is None:
+                    end = cursor + 1
+                    if labels:
+                        # No pointer followed: the validated slice is
+                        # the name's uncompressed wire form.
+                        name._wire = wire[offset:end]
                 if _memo is not None:
                     _memo[offset] = (name, end)
                 return name, end
@@ -283,7 +293,7 @@ class Name:
 
     def to_wire(
         self,
-        compress: dict["Name", int] | None = None,
+        compress: CompressionMap | None = None,
         offset: int = 0,
     ) -> bytes:
         """Encode to wire format.
@@ -310,7 +320,7 @@ class Name:
     def wire_into(
         self,
         out: bytearray,
-        compress: dict["Name", int] | None = None,
+        compress: CompressionMap | None = None,
     ) -> None:
         """Append the wire encoding to ``out`` (a whole-message buffer).
 
@@ -324,7 +334,7 @@ class Name:
         self._compress_into(out, compress, len(out))
 
     def _compress_into(
-        self, out: bytearray, compress: dict["Name", int], base: int
+        self, out: bytearray, compress: CompressionMap, base: int
     ) -> None:
         """Emit into ``out`` with compression; the name begins at message
         offset ``base`` (suffix offsets are registered relative to it)."""
@@ -332,11 +342,7 @@ class Name:
         folded = self._folded
         start = len(out)
         for i in range(len(labels)):
-            suffix = (
-                self
-                if i == 0
-                else Name._from_validated(labels[i:], folded[i:])
-            )
+            suffix = folded[i:] if i else folded
             target = compress.get(suffix)
             if target is not None and target < 0x4000:
                 out.append(0xC0 | (target >> 8))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import TruncatedMessageError, WireFormatError
-from .name import Name
+from .name import CompressionMap, Name
 from .types import RRType
 
 _RDATA_REGISTRY: dict[int, type["Rdata"]] = {}
@@ -35,7 +35,7 @@ class Rdata:
 
     rrtype: ClassVar[RRType]
 
-    def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
+    def to_wire(self, compress: CompressionMap | None = None, offset: int = 0) -> bytes:
         raise NotImplementedError
 
     def to_text(self) -> str:

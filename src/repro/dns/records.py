@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .errors import TruncatedMessageError
-from .name import Name
+from .name import CompressionMap, Name
 from .rdata import Rdata, parse_rdata
 from .types import RRCLASS_BY_CODE, RRTYPE_BY_CODE, RRClass, RRType
 
@@ -26,7 +26,7 @@ class ResourceRecord:
     ttl: int
     rdata: Rdata
 
-    def to_wire(self, compress: dict[Name, int] | None = None, offset: int = 0) -> bytes:
+    def to_wire(self, compress: CompressionMap | None = None, offset: int = 0) -> bytes:
         out = bytearray(self.name.to_wire(compress, offset))
         out += _RR_FIXED_STRUCT.pack(int(self.rrtype), int(self.rrclass), self.ttl)
         rdata_offset = offset + len(out) + 2  # after the RDLENGTH field
@@ -36,7 +36,7 @@ class ResourceRecord:
         return bytes(out)
 
     def wire_into(
-        self, out: bytearray, compress: dict[Name, int] | None = None
+        self, out: bytearray, compress: CompressionMap | None = None
     ) -> None:
         """Append this record to a whole-message buffer (fast path)."""
         self.name.wire_into(out, compress)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Hashable
 
 
 class RrlAction(enum.Enum):
@@ -49,7 +50,7 @@ class ResponseRateLimiter:
     window_s: float = 1.0
     slip_ratio: int = 2
     ipv4_prefix_len: int = 24
-    _buckets: dict[tuple[str, str], _Bucket] = field(default_factory=dict)
+    _buckets: dict[tuple[str, Hashable], _Bucket] = field(default_factory=dict)
     dropped: int = 0
     slipped: int = 0
     _checks_since_prune: int = 0
@@ -69,7 +70,7 @@ class ResponseRateLimiter:
             return ".".join(address.split(".")[:keep])
         return address  # IPv6 or opaque: per-address
 
-    def check(self, client: str, response_key: str, now: float) -> RrlAction:
+    def check(self, client: str, response_key: Hashable, now: float) -> RrlAction:
         """Account one response; returns how to treat it."""
         self._checks_since_prune += 1
         if self._checks_since_prune >= self.PRUNE_EVERY:

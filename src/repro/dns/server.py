@@ -20,6 +20,7 @@ from .message import HEADER_STRUCT, QUESTION_TAIL_STRUCT, Message, Question
 from .name import Name
 from .rdata import TXT
 from .records import _RR_HEADER_STRUCT, RRset
+from .rrl import RrlAction
 from .types import (
     FLAG_QR,
     FLAG_RD,
@@ -284,7 +285,9 @@ class AuthoritativeServer:
         telemetry=None,
     ):
         self.server_id = server_id
-        self._zones: dict[Name, Zone] = {}
+        #: folded origin labels -> zone, so the longest-suffix probe
+        #: hashes slices of the qname's labels, not ``Name`` objects
+        self._zones: dict[tuple[bytes, ...], Zone] = {}
         self.stats = ServerStats()
         self.query_log = BoundedQueryLog(maxlen=query_log_max)
         self.log_queries = log_queries
@@ -293,6 +296,9 @@ class AuthoritativeServer:
         self.rate_limiter = rate_limiter
         #: response-template cache; see :class:`_ResponseTemplate`
         self._templates: dict[tuple, _ResponseTemplate] = {}
+        #: template key -> zone version at which its canary comparison
+        #: failed; spares re-proving it on every miss (keys only)
+        self._uncachable: dict[tuple, int] = {}
         #: question-suffix wire bytes -> validated suffix Name, plus the
         #: distinct byte lengths to probe; feeds the no-decode question
         #: parse in :meth:`_parse_fast_query`
@@ -308,12 +314,14 @@ class AuthoritativeServer:
     # -- zone management ---------------------------------------------------
 
     def add_zone(self, zone: Zone) -> None:
-        self._zones[zone.origin] = zone
+        self._zones[zone.origin._folded] = zone
         self._templates.clear()
+        self._uncachable.clear()
 
     def remove_zone(self, origin: Name) -> None:
-        self._zones.pop(origin, None)
+        self._zones.pop(origin._folded, None)
         self._templates.clear()
+        self._uncachable.clear()
 
     def find_zone(self, qname: Name) -> Zone | None:
         """Longest-suffix zone match for a query name.
@@ -322,16 +330,13 @@ class AuthoritativeServer:
         instead of scanning every loaded zone.
         """
         zones = self._zones
-        if not zones:
-            return None
-        name = qname
-        while True:
-            zone = zones.get(name)
-            if zone is not None:
-                return zone
-            if not name.labels:
-                return None
-            name = name.parent()
+        if zones:
+            folded = qname._folded
+            for start in range(len(folded) + 1):
+                zone = zones.get(folded[start:])
+                if zone is not None:
+                    return zone
+        return None
 
     # -- query processing ----------------------------------------------------
 
@@ -352,6 +357,10 @@ class AuthoritativeServer:
         query into a :class:`Message` at all; its output, and what it
         books in stats, query log and telemetry, are identical to the
         slow path's (see :class:`_ResponseTemplate`).
+
+        Invariant: a limiter changes which responses are sent, never how
+        one is computed — under RRL every call still decodes, looks up
+        and encodes in full.
         """
         costs = self.telemetry.costs
         costs_on = costs.enabled
@@ -375,20 +384,22 @@ class AuthoritativeServer:
             costs.count("decode")
         response = self.handle_query(query, client=client, now=now)
         if self.rate_limiter is not None and response.questions:
-            from .rrl import RrlAction
-
             question = response.questions[0]
-            if response.rcode == Rcode.NOERROR:
-                response_key = (
-                    f"{question.name}/{int(question.rrtype)}/{int(response.rcode)}"
-                )
-            else:
+            rcode = response.rcode
+            scope, qtype = question.name, question.rrtype
+            if rcode != Rcode.NOERROR:
                 # BIND-style: error responses bucket per *zone*, not per
                 # qname — otherwise a random-subdomain water torture gets
                 # a fresh bucket per query and RRL never engages.
-                zone = self.find_zone(question.name)
-                scope = zone.origin if zone is not None else question.name
-                response_key = f"{scope}/-/{int(response.rcode)}"
+                zone = self.find_zone(scope)
+                if zone is not None:
+                    scope = zone.origin
+                qtype = -1
+            # The folded wire form (length octets are below "A", so
+            # lower() only touches label bytes): case-insensitive like
+            # the names themselves, one small object per bucket, and
+            # nothing rendered per check.
+            response_key = (scope.to_wire().lower(), qtype, rcode)
             if costs_on:
                 costs.count("rrl_check")
             action = self.rate_limiter.check(client, response_key, now)
@@ -634,13 +645,12 @@ class AuthoritativeServer:
             if qname is None:
                 qname, cursor = Name.from_wire(wire, HEADER_STRUCT.size)
                 if cursor - HEADER_STRUCT.size == qname._wlen:
-                    # Uncompressed: the bytes just read are the name's
-                    # wire form; seed the cache the render path reuses.
-                    qname._wire = wire[HEADER_STRUCT.size : cursor]
+                    # Uncompressed: from_wire kept the bytes it read as
+                    # the name's wire form, which the render path reuses.
                     if len(qname) >= 2:
                         suffix = qname.parent()
                         if len(self._suffixes) < 64:  # abuse guard
-                            suffix_wire = qname._wire[1 + first_len :]
+                            suffix_wire = qname.to_wire()[1 + first_len :]
                             self._suffixes[suffix_wire] = suffix
                             if len(suffix_wire) not in self._suffix_lens:
                                 self._suffix_lens = self._suffix_lens + (
@@ -712,7 +722,7 @@ class AuthoritativeServer:
         zone = entry.zone
         if (
             zone.version != entry.zone_version
-            or self._zones.get(entry.origin) is not zone
+            or self._zones.get(entry.origin._folded) is not zone
         ):
             del self._templates[key]
             return None
@@ -720,7 +730,7 @@ class AuthoritativeServer:
         # The template is only valid for names whose lookup outcome is a
         # function of the suffix alone: the qname must not exist in the
         # zone and must not be a zone origin itself.
-        if qname in zone._names or qname in self._zones:
+        if qname in zone._names or qname._folded in self._zones:
             return None
         qname_wire = qname.to_wire()
         max_size = (
@@ -769,10 +779,14 @@ class AuthoritativeServer:
         if wire_out[2] & 0x02:  # TC set: truncated responses vary by size
             return
         _msg_id, rd, qname, qtype, _qclass, edns_payload, wants_nsid, suffix = fast
-        if qname in self._zones:
+        if qname._folded in self._zones:
             return
         zone = self.find_zone(qname)
-        if zone is None or qname in zone._names:
+        if (
+            zone is None
+            or self._uncachable.get(key) == zone.version
+            or qname in zone._names
+        ):
             return
         first = qname.labels[0]
         canary_label = b"\x01" if len(first) != 1 else b"\x01\x02"
@@ -780,7 +794,7 @@ class AuthoritativeServer:
             canary = suffix.child(canary_label)
         except Exception:
             return  # qname at the length limit; not worth caching
-        if canary in zone._names or canary in self._zones:
+        if canary in zone._names or canary._folded in self._zones:
             return
         try:
             rrtype = RRType(qtype)
@@ -805,7 +819,12 @@ class AuthoritativeServer:
             wire_out[2:12] != canary_wire[2:12]
             or wire_out[question_end:] != canary_wire[canary_end:]
         ):
-            return  # tail depends on the qname: not cachable
+            # Tail depends on the qname: not cachable, for any qname
+            # under this key, until the zone changes.
+            if len(self._uncachable) >= self._TEMPLATE_MAX:
+                self._uncachable.clear()
+            self._uncachable[key] = zone.version
+            return
         if len(self._templates) >= self._TEMPLATE_MAX:
             self._templates.clear()
         self._templates[key] = _ResponseTemplate(

@@ -54,6 +54,12 @@ class Zone:
         self._names: set[Name] = set()
         #: bumped on every mutation; response-template caches key on it.
         self.version = 0
+        #: what :meth:`lookup` derives from the data once per version:
+        #: folded labels of each delegation point -> its NS RRset, and
+        #: whether any existing name's first label is ``*``.
+        self._indexed_version = -1
+        self._cuts: dict[tuple[bytes, ...], RRset] = {}
+        self._has_wildcard = False
 
     # -- mutation ---------------------------------------------------------
 
@@ -112,6 +118,10 @@ class Zone:
         rrset = self._rrsets.get((name, rrtype))
         if rrset is None or rdata not in rrset.rdatas:
             return False
+        if len(rrset.rdatas) == 1:
+            # An RRset never stays behind empty: a delegation whose last
+            # NS went would otherwise keep serving a referral to nowhere.
+            return self.delete_rrset(name, rrtype)
         rrset.rdatas.remove(rdata)
         self.version += 1
         return True
@@ -150,32 +160,42 @@ class Zone:
 
     # -- lookup -------------------------------------------------------------
 
-    def _find_zone_cut(self, qname: Name) -> Name | None:
-        """Deepest delegation point strictly between origin and qname, if any."""
-        # Walk down from just below the origin toward the qname; the first
-        # name with NS records is the cut (NS below the apex delegates).
-        relative = qname.relativize(self.origin)
-        name = self.origin
-        for label in reversed(relative):
-            name = name.child(label)
-            if (name, RRType.NS) in self._rrsets:
-                return name
-        return None
+    def _reindex(self) -> None:
+        """Rebuild the cut and wildcard index for the current version."""
+        origin = self.origin
+        self._cuts = {
+            name._folded: rrset
+            for (name, rrtype), rrset in self._rrsets.items()
+            if rrtype == RRType.NS and name != origin
+        }
+        self._has_wildcard = any(
+            name._labels[:1] == (WILDCARD_LABEL,) for name in self._names
+        )
+        self._indexed_version = self.version
 
     def lookup(self, qname: Name, qtype: RRType) -> LookupResult:
         """Authoritatively resolve ``qname``/``qtype`` within this zone."""
         if not qname.is_subdomain_of(self.origin):
             return LookupResult(LookupStatus.NXDOMAIN)
+        if self._indexed_version != self.version:
+            self._reindex()
 
-        cut = self._find_zone_cut(qname)
-        if cut is not None:
-            ns_rrset = self._rrsets[(cut, RRType.NS)]
-            result = LookupResult(LookupStatus.DELEGATION, authority=[ns_rrset])
-            result.additional = self._glue_for(ns_rrset)
-            return result
+        cuts = self._cuts
+        if cuts:
+            # The first name with NS records on the way down from the
+            # origin is the cut (NS below the apex delegates).
+            folded = qname._folded
+            below = len(folded) - len(self.origin._labels)
+            for start in range(below - 1, -1, -1):
+                ns_rrset = cuts.get(folded[start:])
+                if ns_rrset is not None:
+                    result = LookupResult(
+                        LookupStatus.DELEGATION, authority=[ns_rrset]
+                    )
+                    result.additional = self._glue_for(ns_rrset)
+                    return result
 
-        exact_any = qname in self._names
-        if exact_any:
+        if qname in self._names:
             rrset = self._rrsets.get((qname, qtype))
             if rrset:
                 return LookupResult(LookupStatus.SUCCESS, answers=[rrset])
@@ -192,9 +212,10 @@ class Zone:
                         )
             return self._negative(LookupStatus.NODATA)
 
-        wildcard_result = self._try_wildcard(qname, qtype)
-        if wildcard_result is not None:
-            return wildcard_result
+        if self._has_wildcard:
+            wildcard_result = self._try_wildcard(qname, qtype)
+            if wildcard_result is not None:
+                return wildcard_result
         return self._negative(LookupStatus.NXDOMAIN)
 
     def _chase_cname(self, cname_rrset: RRset, qtype: RRType) -> LookupResult:
@@ -222,31 +243,31 @@ class Zone:
         return LookupResult(LookupStatus.CNAME, answers=answers)
 
     def _try_wildcard(self, qname: Name, qtype: RRType) -> LookupResult | None:
-        """RFC 1034 §4.3.3 wildcard synthesis."""
-        relative = qname.relativize(self.origin)
-        # The closest encloser walk: replace leading labels with "*".
-        # All candidate labels are slices of the (validated) qname, so
-        # the flyweight constructor applies.
-        for skip in range(1, len(relative) + 1):
-            encloser = Name._from_validated(
-                relative[skip:] + self.origin.labels
-            )
-            wildcard = encloser.child(WILDCARD_LABEL)
-            if encloser in self._names:
-                rrset = self._rrsets.get((wildcard, qtype))
-                if rrset:
-                    synthesized = RRset(qname, rrset.rrtype, rrset.rrclass, rrset.ttl)
-                    for rdata in rrset:
-                        synthesized.add(rdata)
-                    return LookupResult(LookupStatus.SUCCESS, answers=[synthesized])
-                if wildcard in self._names:
-                    return self._negative(LookupStatus.NODATA)
-                return None
+        """RFC 1034 §4.3.3 wildcard synthesis at the closest encloser."""
+        # A zone with a wildcard has names, and so its origin among them:
+        # the walk up from a qname below the origin ends there at the latest.
+        names = self._names
+        encloser = qname.parent()
+        while encloser not in names:
+            encloser = encloser.parent()
+        # One label replaced by "*" on a validated name: still valid.
+        wildcard = Name._from_validated(
+            (WILDCARD_LABEL,) + encloser._labels,
+            (WILDCARD_LABEL,) + encloser._folded,
+        )
+        rrset = self._rrsets.get((wildcard, qtype))
+        if rrset:
+            synthesized = RRset(qname, rrset.rrtype, rrset.rrclass, rrset.ttl)
+            for rdata in rrset:
+                synthesized.add(rdata)
+            return LookupResult(LookupStatus.SUCCESS, answers=[synthesized])
+        if wildcard in names:
+            return self._negative(LookupStatus.NODATA)
         return None
 
     def _negative(self, status: LookupStatus) -> LookupResult:
-        authority = [self.soa] if self.soa else []
-        return LookupResult(status, authority=authority)
+        soa = self.soa
+        return LookupResult(status, authority=[soa] if soa else [])
 
     def _glue_for(self, ns_rrset: RRset) -> list[RRset]:
         glue: list[RRset] = []

@@ -37,12 +37,41 @@ from repro.dns.types import FLAG_AA, FLAG_QR, FLAG_RD, Rcode, RRClass, RRType
 SEED = 20170412
 
 
+def _reference_compress_into(self, out, compress, base):
+    """``Name._compress_into`` as it was when the map was keyed on
+    ``Name`` objects: one fresh name per suffix, hashed and compared
+    through ``Name.__hash__`` / ``__eq__``.  Test-owned, so the encoder
+    under test and its reference share no compression code."""
+    labels = self._labels
+    folded = self._folded
+    start = len(out)
+    for i in range(len(labels)):
+        suffix = (
+            self
+            if i == 0
+            else Name._from_validated(labels[i:], folded[i:])
+        )
+        target = compress.get(suffix)
+        if target is not None and target < 0x4000:
+            out.append(0xC0 | (target >> 8))
+            out.append(target & 0xFF)
+            return
+        position = base + (len(out) - start)
+        if position < 0x4000:
+            compress[suffix] = position
+        label = labels[i]
+        out.append(len(label))
+        out += label
+    out.append(0)
+
+
 def reference_encode(message: Message) -> bytes:
     """The pre-fast-path encoding strategy: per-record bytes, concatenated.
 
     This mirrors the original ``Message._encode`` exactly: one compress
     dict shared across sections, every item rendered by its own
-    ``to_wire(compress, offset)`` and appended.
+    ``to_wire(compress, offset)`` and appended — with every name in
+    every rdata compressed by :func:`_reference_compress_into`.
     """
     opt = message._opt_record() if message.edns_payload is not None else None
     wire = bytearray(
@@ -56,13 +85,18 @@ def reference_encode(message: Message) -> bytes:
         )
     )
     compress: dict[Name, int] = {}
-    for question in message.questions:
-        wire += question.to_wire(compress, len(wire))
-    for section in (message.answers, message.authorities, message.additionals):
-        for record in section:
-            wire += record.to_wire(compress, len(wire))
-    if opt is not None:
-        wire += opt.to_wire(compress, len(wire))
+    live = Name._compress_into
+    Name._compress_into = _reference_compress_into
+    try:
+        for question in message.questions:
+            wire += question.to_wire(compress, len(wire))
+        for section in (message.answers, message.authorities, message.additionals):
+            for record in section:
+                wire += record.to_wire(compress, len(wire))
+        if opt is not None:
+            wire += opt.to_wire(compress, len(wire))
+    finally:
+        Name._compress_into = live
     return bytes(wire)
 
 
@@ -161,6 +195,75 @@ def test_encoder_matches_reference_on_random_messages():
     for _ in range(300):
         message = _random_message(rng)
         assert message.to_wire() == reference_encode(message)
+
+
+def test_mixed_case_suffix_compresses_against_lower_case():
+    """Compression matches case-insensitively and keeps the first spelling."""
+    message = Message.make_query("www.example.nl.", RRType.A, msg_id=1)
+    message.is_response = True
+    message.answers.append(
+        ResourceRecord(
+            Name.from_text("WWW.Example.NL."), RRType.CNAME, RRClass.IN, 60,
+            CNAME(Name.from_text("Host.EXAMPLE.nl.")),
+        )
+    )
+    message.authorities.append(
+        ResourceRecord(
+            Name.from_text("eXaMpLe.nl."), RRType.NS, RRClass.IN, 60,
+            NS(Name.from_text("NS.host.example.NL.")),
+        )
+    )
+    wire = message.to_wire()
+    assert wire == reference_encode(message)
+    question_end = 12 + len(Name.from_text("www.example.nl.").to_wire()) + 4
+    assert wire[question_end : question_end + 2] == b"\xc0\x0c"  # owner -> question
+    # Only the question spells the shared suffix out, in its own case.
+    assert wire.lower().count(b"\x07example\x02nl") == 1
+    assert b"\x07example\x02nl" in wire
+    decoded = Message.from_wire(wire)
+    assert decoded.answers[0].rdata.target == Name.from_text("host.example.nl.")
+    assert decoded.authorities[0].rdata.target.labels[0] == b"NS"
+    assert decoded.authorities[0].name == Name.from_text("example.nl.")
+
+
+def _message_with_name_at(start: int, names) -> Message:
+    """A response whose second answer's owner name begins at ``start``."""
+    message = Message.make_query("q.test.", RRType.TXT, msg_id=2)
+    message.is_response = True
+    # question (8 + 4) + padding record (pointer owner 2 + fixed 10 + rdata)
+    padding = start - (12 + 12 + 12)
+    message.answers.append(
+        ResourceRecord(
+            Name.from_text("q.test."), RRType.TXT, RRClass.IN, 0,
+            GenericRdata(16, b"\x00" * padding),
+        )
+    )
+    for name in names:
+        message.answers.append(
+            ResourceRecord(name, RRType.A, RRClass.IN, 0, A("192.0.2.1"))
+        )
+    return message
+
+
+def test_name_straddling_the_pointer_limit_registers_only_reachable_suffixes():
+    """Offsets >= 0x4000 do not fit a 14-bit pointer: suffixes emitted
+    there are spelled out again, suffixes just below are pointed at."""
+    straddler = Name.from_text("aaaa.bbbb.cccc.dddd.straddle.example.")
+    cccc = straddler.parent().parent()
+    dddd = cccc.parent()
+    names = (straddler, straddler, cccc, dddd, dddd)
+    for start in range(0x3FD0, 0x4008):
+        message = _message_with_name_at(start, names)
+        wire = message.to_wire()
+        assert wire.index(b"\x04aaaa") == start
+        assert wire == reference_encode(message), hex(start)
+        assert Message.from_wire(wire).answers[1:] == message.answers[1:], hex(start)
+    # aaaa @3FF4, bbbb @3FF9, cccc @3FFE are reachable; dddd @4003 is not.
+    wire = _message_with_name_at(0x3FF4, names).to_wire()
+    assert wire.count(b"\x04aaaa") == 1 and wire.count(b"\x04cccc") == 1
+    assert wire.count(b"\xff\xf4\x00\x01") == 1  # second copy -> pointer 0x3FF4
+    assert wire.count(b"\xff\xfe\x00\x01") == 1  # cccc... -> pointer 0x3FFE
+    assert wire.count(b"\x04dddd\x08straddle\x07example\x00") == 3
 
 
 def test_decode_reencode_is_stable_on_random_messages():

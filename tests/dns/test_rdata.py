@@ -155,10 +155,14 @@ class TestSRV:
 
     def test_target_not_compressed(self):
         # RFC 2782: SRV targets are never compressed, even with a map.
-        rdata = SRV(0, 5, 53, Name.from_text("ns.example.nl."))
-        compress = {Name.from_text("ns.example.nl."): 2}
-        wire = rdata.to_wire(compress, 100)
-        assert wire[6:] == Name.from_text("ns.example.nl.").to_wire()
+        # The map is opaque: fill it the way an encoder does, by emitting
+        # the target once, and check that it would have matched.
+        target = Name.from_text("ns.example.nl.")
+        compress = {}
+        target.to_wire(compress, 2)
+        assert target.to_wire(compress, 100) == b"\xc0\x02"
+        wire = SRV(0, 5, 53, target).to_wire(compress, 100)
+        assert wire[6:] == target.to_wire()
 
 
 class TestGeneric:

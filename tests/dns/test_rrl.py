@@ -4,10 +4,10 @@ import pytest
 
 from repro.dns.message import Message
 from repro.dns.name import Name
-from repro.dns.rdata import NS, SOA, TXT
+from repro.dns.rdata import NS, SOA, TXT, A
 from repro.dns.rrl import ResponseRateLimiter, RrlAction
 from repro.dns.server import AuthoritativeServer
-from repro.dns.types import RRType
+from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 
 ORIGIN = Name.from_text("example.nl.")
@@ -275,6 +275,59 @@ class TestServerIntegration:
             )
             assert not Message.from_wire(wire).truncated
 
+    def test_noerror_buckets_ignore_query_case(self, engine):
+        # Names compare case-insensitively, so the bucket must too: a
+        # reflector that 0x20-randomises its queries gets the same two
+        # answers as one that does not.  (The key used to be the rendered
+        # qname, and every spelling had a budget of its own.)
+        engine.rate_limiter = ResponseRateLimiter(
+            responses_per_second=2, slip_ratio=0
+        )
+        spellings = ["t.example.nl.", "T.example.nl.", "t.EXAMPLE.nl.",
+                     "T.Example.NL.", "t.eXaMpLe.nL.", "t.example.NL."]
+        results = [
+            engine.handle_wire(
+                Message.make_query(qname, RRType.TXT, msg_id=index).to_wire(),
+                client="1.2.3.4:53",
+                now=300.0,
+            )
+            for index, qname in enumerate(spellings)
+        ]
+        assert [wire is not None for wire in results] == [True] * 2 + [False] * 4
+        assert engine.rate_limiter.dropped == 4
+        # Answers echo the question as asked, whatever the bucket folds.
+        assert Message.from_wire(results[1]).questions[0].name.labels[0] == b"T"
+        # A different name, and the same name with another type, still
+        # have budgets of their own.
+        zone = engine.find_zone(ORIGIN)
+        zone.add("u.example.nl.", RRType.TXT, TXT.from_value("other"))
+        zone.add("t.example.nl.", RRType.A, A("192.0.2.7"))
+        for qname, qtype in (("U.example.nl.", RRType.TXT), ("T.example.nl.", RRType.A)):
+            wire = engine.handle_wire(
+                Message.make_query(qname, qtype, msg_id=9).to_wire(),
+                client="1.2.3.4:53",
+                now=300.0,
+            )
+            assert wire is not None and Message.from_wire(wire).answers
+
+    def test_error_buckets_ignore_query_case_too(self, engine):
+        # Already true before the folded key (the zone origin was rendered
+        # from the zone, not the query); pinned beside its NOERROR twin.
+        engine.rate_limiter = ResponseRateLimiter(
+            responses_per_second=2, slip_ratio=0
+        )
+        results = [
+            engine.handle_wire(
+                Message.make_query(qname, RRType.A, msg_id=index).to_wire(),
+                client="1.2.3.4:53",
+                now=400.0,
+            )
+            for index, qname in enumerate(
+                ["a.example.nl.", "b.EXAMPLE.nl.", "c.Example.NL.", "d.example.nl."]
+            )
+        ]
+        assert [wire is not None for wire in results] == [True, True, False, False]
+
     def test_nxdomain_outside_any_zone_still_limited(self, engine):
         # No zone matches: the scope falls back to the qname, and the
         # REFUSED/NXDOMAIN stream is still accounted.
@@ -290,3 +343,89 @@ class TestServerIntegration:
         ]
         assert engine.rate_limiter.slipped + engine.rate_limiter.dropped > 0
         assert any(w is not None for w in results)
+
+
+class TestEveryStageRunsUnderALimiter:
+    """The benchmark's ``campaign_hostile`` contract, in tier-1.
+
+    ``benchmarks/suite/run.py`` fails a traced hostile run unless
+    ``dns.server.template_hit_ratio == 0`` (l. 467-476) and unless every
+    ``handle_wire`` call is either a ledger ``template_hit`` or has one
+    ``Message.from_wire`` directly beneath it (l. 341-343): a limiter
+    changes which responses are sent, never how one is computed.
+    """
+
+    def test_a_limited_server_decodes_looks_up_and_encodes_every_query(
+        self, monkeypatch
+    ):
+        from repro.telemetry import Telemetry
+
+        zone = Zone(ORIGIN)
+        zone.add(
+            ORIGIN,
+            RRType.SOA,
+            SOA(Name.from_text("ns1.example.nl."), Name.from_text("h.example.nl."),
+                1, 2, 3, 4, 5),
+        )
+        zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
+        zone.add("t.example.nl.", RRType.TXT, TXT.from_value("answer"))
+        zone.add("*.probe.example.nl.", RRType.TXT, TXT.from_value("site"))
+        telemetry = Telemetry.enabled_bundle(
+            metrics=False, tracing=False, profiling=False, costs=True
+        )
+        engine = AuthoritativeServer(
+            "srv", [zone], telemetry=telemetry,
+            rate_limiter=ResponseRateLimiter(responses_per_second=3, slip_ratio=2),
+        )
+        stream = []
+        for index in range(40):
+            stream += [
+                (f"nxns-{index:04x}.example.nl.", RRType.A),        # NXDOMAIN
+                (f"m-{index}.probe.example.nl.", RRType.TXT),        # wildcard
+                ("t.example.nl.", RRType.TXT),                       # exact
+                ("t.example.nl.", RRType.TXT),                       # repeated
+                (f"x{index % 2}.example.org.", RRType.A),            # REFUSED
+            ]
+        wires = [
+            Message.make_query(qname, qtype, msg_id=index).to_wire()
+            for index, (qname, qtype) in enumerate(stream)
+        ]
+        in_zone = sum(qname.endswith("example.nl.") for qname, _ in stream)
+
+        calls = {"from_wire": 0, "to_wire": 0, "lookup": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        zone.lookup = counted("lookup", zone.lookup)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Message, "from_wire", counted("from_wire", Message.from_wire)
+            )
+            patch.setattr(Message, "to_wire", counted("to_wire", Message.to_wire))
+            # One client, one instant: every bucket overflows.
+            sent = [engine.handle_wire(wire, "1.2.3.4:53", 0.0) for wire in wires]
+
+        ledger = telemetry.costs.phases["run"]
+        answered = [wire for wire in sent if wire is not None]
+        slipped = [w for w in answered if Message.from_wire(w).truncated]
+        limiter = engine.rate_limiter
+        assert limiter.dropped and limiter.slipped and len(answered) > len(slipped)
+        assert len(slipped) == limiter.slipped == ledger["rrl_slip"]
+        assert len(sent) - len(answered) == limiter.dropped == ledger["rrl_drop"]
+        # One full decode per call; one encode per response sent.
+        assert ledger["decode"] == calls["from_wire"] == len(wires)
+        assert ledger["encode"] == calls["to_wire"] == len(answered)
+        assert ledger["decode"] == ledger["encode"] + ledger["rrl_drop"]
+        # No template was consulted, hit or built.
+        assert "template_hit" not in ledger and "template_miss" not in ledger
+        assert not engine._templates
+        # Every response carried a question, so every one was checked ...
+        assert ledger["rrl_check"] == len(wires)
+        # ... after one zone lookup per in-zone query, limited or not.
+        assert calls["lookup"] == in_zone
+        rcodes = {Message.from_wire(w).rcode for w in answered}
+        assert rcodes == {Rcode.NOERROR, Rcode.NXDOMAIN, Rcode.REFUSED}

@@ -274,6 +274,90 @@ def test_traced_fast_path_books_what_the_traced_slow_path_books():
     assert list(fast.query_log) == list(slow.query_log)
 
 
+def _count_answers(server: AuthoritativeServer) -> list[int]:
+    """Count ``_answer`` calls (real and canary) through a per-instance wrapper."""
+    calls = [0]
+    answer = server._answer
+
+    def counting(query):
+        calls[0] += 1
+        return answer(query)
+
+    server._answer = counting  # type: ignore[method-assign]
+    return calls
+
+
+def test_uncachable_key_is_proved_once_not_on_every_miss():
+    """NXDOMAIN one label below the apex can never be a template (the SOA
+    owner is a pointer whose target moves with the first label's length);
+    the server finds that out once per zone version, not once per query."""
+    zone = build_zone()
+    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server(zone)
+    calls = _count_answers(fast)
+    rounds = 12
+    for tick in range(rounds):
+        wire = Message.make_query(
+            f"gone-{'x' * tick}.example.org.", RRType.A, msg_id=tick
+        ).to_wire()
+        assert fast.handle_wire(wire) == slow.handle_wire(wire)
+    assert calls[0] == rounds + 1  # one canary, then none
+    assert not fast._templates and len(fast._uncachable) == 1
+    assert fast.stats == slow.stats
+
+    # A wildcard at the apex turns the same key into a cachable answer:
+    # the zone's version moved, so the next miss proves it afresh.
+    zone.add("*.example.org.", RRType.A, A("192.0.2.9"))
+    calls[0] = 0
+    for tick in range(3):
+        wire = Message.make_query(
+            f"back-{tick}.example.org.", RRType.A, msg_id=50 + tick
+        ).to_wire()
+        assert fast.handle_wire(wire) == slow.handle_wire(wire)
+    assert calls[0] == 2 and fast._templates  # miss + canary, then hits
+
+
+def test_add_zone_forgets_uncachable_keys():
+    zone = build_zone()
+    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server(zone)
+
+    def ask(label: str, msg_id: int) -> None:
+        wire = Message.make_query(
+            f"{label}.deep.example.org.", RRType.TXT, msg_id=msg_id
+        ).to_wire()
+        assert fast.handle_wire(wire) == slow.handle_wire(wire)
+
+    ask("one", 1)
+    ask("three", 2)
+    assert fast._uncachable and not fast._templates
+    child = Zone("deep.example.org.")
+    child.add("*.deep.example.org.", RRType.TXT, TXT.from_value("child"), ttl=5)
+    fast.add_zone(child)
+    slow.add_zone(child)
+    assert not fast._uncachable
+    calls = _count_answers(fast)
+    ask("two", 3)
+    assert calls[0] == 2 and fast._templates
+    ask("four", 4)
+    assert calls[0] == 2  # answered from the template
+    fast.remove_zone(child.origin)
+    slow.remove_zone(child.origin)
+    assert not fast._templates
+    ask("five", 5)  # the parent zone's NXDOMAIN again, byte-identical
+
+
+def test_uncachable_keys_are_bounded():
+    zone = build_zone()
+    server = AuthoritativeServer("site-a", [zone])
+    server._TEMPLATE_MAX = 8  # type: ignore[misc]
+    for tick in range(30):
+        # A fresh suffix per query: a fresh un-cachable NXDOMAIN key each.
+        server.handle_wire(
+            Message.make_query(f"a.s{tick}.example.org.", RRType.A, msg_id=tick).to_wire()
+        )
+        assert len(server._uncachable) <= 8
+    assert server.stats.nxdomain == 30
+
+
 def test_queries_for_other_suffixes_refused_identically():
     zone = build_zone()
     fast = AuthoritativeServer("site-a", [zone])

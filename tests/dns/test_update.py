@@ -32,6 +32,21 @@ def make_engine():
     return AuthoritativeServer("srv", [zone])
 
 
+def delegate_then_delete_the_only_ns(engine):
+    """Delegate ``sub.example.nl`` to one NS now; returns a callable that
+    deletes that single RR (class NONE) through an UPDATE and hands back
+    the response."""
+    cut = Name.from_text("sub.example.nl.")
+    target = NS(Name.from_text("ns.elsewhere.example."))
+    engine.find_zone(ORIGIN).add(cut, RRType.NS, target)
+    update = make_update(ORIGIN)
+    update.authorities.append(
+        ResourceRecord(cut, RRType.NS, RRClass.NONE, 0, target)
+    )
+    handler = UpdateHandler(engine, UpdatePolicy(allow_any=True))
+    return lambda: handler.handle(update, client="10.0.0.1")
+
+
 def add_record(name="new.example.nl.", address="192.0.2.99"):
     return ResourceRecord(
         Name.from_text(name), RRType.A, RRClass.IN, 300, A(address)
@@ -104,6 +119,45 @@ class TestUpdateHandler:
         assert response.rcode == Rcode.NOERROR
         rrset = zone.get_rrset(Name.from_text("multi.example.nl."), RRType.A)
         assert rrset.rdatas == [A("192.0.2.2")]
+
+    def test_deleting_the_last_ns_of_a_delegation_removes_the_cut(self):
+        # The single-RR delete (class NONE) of a cut's only NS must not
+        # leave a dead referral behind, neither in the zone nor in what
+        # the server remembers about that suffix.
+        engine = make_engine()
+        zone = engine.find_zone(ORIGIN)
+        cut = Name.from_text("sub.example.nl.")
+        delete_the_ns = delegate_then_delete_the_only_ns(engine)
+        zone.add("*.sub.example.nl.", RRType.TXT, TXT.from_value("uncovered"))
+        below = Message.make_query("host.sub.example.nl.", RRType.TXT, msg_id=7)
+        referral = Message.from_wire(engine.handle_wire(below.to_wire()))
+        assert referral.authorities and not referral.authoritative
+        # The referral's owner is a pointer into the question: the server
+        # noted that this suffix cannot be answered from a template.
+        assert engine._uncachable and not engine._templates
+
+        assert delete_the_ns().rcode == Rcode.NOERROR
+
+        assert zone.get_rrset(cut, RRType.NS) is None
+        at_cut = engine.handle_query(Message.make_query(cut, RRType.A))
+        assert at_cut.rcode == Rcode.NOERROR and not at_cut.answers  # NODATA
+        assert at_cut.authoritative
+        # The zone's version moved, so the remembered verdict is void: the
+        # next miss proves the suffix afresh and, the wildcard now being
+        # visible, builds its template.
+        first = engine.handle_wire(below.to_wire())
+        assert b"uncovered" in first and engine._templates
+        reference = AuthoritativeServer("srv", [zone])
+        reference._parse_fast_query = lambda wire: None
+        assert first == reference.handle_wire(below.to_wire())
+        assert engine.handle_wire(below.to_wire()) == first  # now a template hit
+
+    def test_deleting_the_last_ns_without_a_wildcard_is_nxdomain(self):
+        engine = make_engine()
+        assert delegate_then_delete_the_only_ns(engine)().rcode == Rcode.NOERROR
+        result = engine.handle_query(Message.make_query("x.sub.example.nl.", RRType.A))
+        assert result.rcode == Rcode.NXDOMAIN
+        assert [record.rrtype for record in result.authorities] == [RRType.SOA]
 
     def test_unknown_zone_notauth(self):
         engine = make_engine()

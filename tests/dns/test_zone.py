@@ -127,6 +127,32 @@ class TestDelegation:
         result = zone.lookup(ORIGIN, RRType.NS)
         assert result.status == LookupStatus.SUCCESS
 
+    def test_removing_the_last_ns_removes_the_cut(self, zone):
+        # An RFC 2136 single-RR delete of the only NS used to leave an
+        # empty RRset behind, and with it a referral to nowhere.
+        cut = Name.from_text("sub.example.nl.")
+        target = NS(Name.from_text("ns.sub.example.nl."))
+        version = zone.version
+        assert zone.remove_rdata(cut, RRType.NS, target)
+        assert zone.version > version
+        assert zone.get_rrset(cut, RRType.NS) is None
+        below = zone.lookup(Name.from_text("host.sub.example.nl."), RRType.A)
+        assert below.status == LookupStatus.NXDOMAIN
+        assert [rrset.rrtype for rrset in below.authority] == [RRType.SOA]
+        # The former cut stays in the name tree (ns.sub still hangs off it).
+        assert zone.lookup(cut, RRType.A).status == LookupStatus.NODATA
+        assert zone.lookup(cut, RRType.ANY).status == LookupStatus.NODATA
+        assert not zone.remove_rdata(cut, RRType.NS, target)  # already gone
+
+    def test_removing_one_of_two_ns_keeps_the_cut(self, zone):
+        cut = Name.from_text("sub.example.nl.")
+        zone.add(cut, RRType.NS, NS(Name.from_text("ns2.example.org.")))
+        assert zone.remove_rdata(cut, RRType.NS, NS(Name.from_text("ns.sub.example.nl.")))
+        result = zone.lookup(Name.from_text("host.sub.example.nl."), RRType.A)
+        assert result.status == LookupStatus.DELEGATION
+        assert result.authority[0].rdatas == [NS(Name.from_text("ns2.example.org."))]
+        assert result.additional == []  # the remaining target is out of zone
+
 
 class TestWildcard:
     def test_wildcard_synthesis(self, zone):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dns.name import Name
 from repro.dns.rdata import CNAME, NS, SOA, TXT, A
+from repro.dns.records import RRset
 from repro.dns.types import RRType
-from repro.dns.zone import LookupStatus, Zone
+from repro.dns.zone import WILDCARD_LABEL, LookupResult, LookupStatus, Zone
 
 ORIGIN = Name.from_text("example.nl.")
 
@@ -100,3 +101,172 @@ class TestCnameProperties:
         result = zone.lookup(names[0], RRType.A)
         assert result.status == LookupStatus.CNAME
         assert len(result.answers) <= len(names) + 1
+
+
+# -- differential: the indexed lookup against the label-by-label walk --------
+
+
+def _reference_find_zone_cut(zone, qname):
+    """``Zone._find_zone_cut`` as it was before the per-version index."""
+    relative = qname.relativize(zone.origin)
+    name = zone.origin
+    for label_ in reversed(relative):
+        name = name.child(label_)
+        if (name, RRType.NS) in zone._rrsets:
+            return name
+    return None
+
+
+def _reference_try_wildcard(zone, qname, qtype):
+    """``Zone._try_wildcard`` as it was: two fresh names per level."""
+    relative = qname.relativize(zone.origin)
+    for skip in range(1, len(relative) + 1):
+        encloser = Name._from_validated(relative[skip:] + zone.origin.labels)
+        wildcard = encloser.child(WILDCARD_LABEL)
+        if encloser in zone._names:
+            rrset = zone._rrsets.get((wildcard, qtype))
+            if rrset:
+                synthesized = RRset(qname, rrset.rrtype, rrset.rrclass, rrset.ttl)
+                for rdata in rrset:
+                    synthesized.add(rdata)
+                return LookupResult(LookupStatus.SUCCESS, answers=[synthesized])
+            if wildcard in zone._names:
+                return zone._negative(LookupStatus.NODATA)
+            return None
+    return None
+
+
+def _reference_lookup(zone, qname, qtype):
+    """``Zone.lookup`` over the two walks above; the oracle for the index."""
+    if not qname.is_subdomain_of(zone.origin):
+        return LookupResult(LookupStatus.NXDOMAIN)
+    cut = _reference_find_zone_cut(zone, qname)
+    if cut is not None:
+        ns_rrset = zone._rrsets[(cut, RRType.NS)]
+        result = LookupResult(LookupStatus.DELEGATION, authority=[ns_rrset])
+        result.additional = zone._glue_for(ns_rrset)
+        return result
+    if qname in zone._names:
+        rrset = zone._rrsets.get((qname, qtype))
+        if rrset:
+            return LookupResult(LookupStatus.SUCCESS, answers=[rrset])
+        cname = zone._rrsets.get((qname, RRType.CNAME))
+        if cname and qtype != RRType.CNAME:
+            return zone._chase_cname(cname, qtype)
+        if qtype == RRType.ANY:
+            answers = [rs for rs in zone._by_owner.get(qname, {}).values() if rs]
+            if answers:
+                return LookupResult(LookupStatus.SUCCESS, answers=answers)
+        return zone._negative(LookupStatus.NODATA)
+    wildcard_result = _reference_try_wildcard(zone, qname, qtype)
+    if wildcard_result is not None:
+        return wildcard_result
+    return zone._negative(LookupStatus.NXDOMAIN)
+
+
+def _assert_same_result(got, want, context):
+    assert got.status == want.status, context
+    for section in ("answers", "authority", "additional"):
+        ours, theirs = getattr(got, section), getattr(want, section)
+        assert len(ours) == len(theirs), (context, section)
+        for a, b in zip(ours, theirs):
+            # Stored RRsets must be the very same objects; a wildcard
+            # synthesis is fresh on both sides and must match in content,
+            # owner spelling included.
+            assert a is b or (
+                a == b and a.name.labels == b.name.labels
+            ), (context, section)
+
+
+# A small alphabet, so owners, cuts, wildcards and query names collide:
+# cuts at depth 1-3, "*" under the apex and under non-terminals, "*"
+# below a cut, "*" as an empty non-terminal, empty non-terminals.
+_labels = st.sampled_from(["a", "b", "sub", "*", "W"])
+_owner = st.lists(_labels, min_size=1, max_size=4).map(
+    lambda labels: Name.from_text(".".join(labels) + ".example.nl.")
+)
+_RDATA = {
+    RRType.A: [A("192.0.2.1"), A("192.0.2.2")],
+    RRType.TXT: [TXT.from_value("one"), TXT.from_value("two")],
+    RRType.NS: [
+        NS(Name.from_text("ns.sub.example.nl.")),
+        NS(Name.from_text("a.b.example.nl.")),
+    ],
+    RRType.CNAME: [CNAME(Name.from_text("a.example.nl."))],
+}
+_stored_type = st.sampled_from(sorted(_RDATA))
+_mutation = st.tuples(
+    st.sampled_from(["add", "add", "add", "delete_rrset", "remove_rdata", "bump"]),
+    _owner,
+    _stored_type,
+    st.integers(min_value=0, max_value=1),
+)
+_qtype = st.sampled_from(
+    [RRType.A, RRType.TXT, RRType.NS, RRType.CNAME, RRType.AAAA, RRType.ANY]
+)
+
+
+def _apply(zone, mutation):
+    action, owner, rrtype, pick = mutation
+    rdata = _RDATA[rrtype][pick % len(_RDATA[rrtype])]
+    if action == "add":
+        zone.add(owner, rrtype, rdata)
+    elif action == "delete_rrset":
+        zone.delete_rrset(owner, rrtype)
+    elif action == "remove_rdata":
+        zone.remove_rdata(owner, rrtype, rdata)
+    else:
+        zone.bump_version()
+
+
+class TestIndexedLookupMatchesTheWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(
+            st.tuples(_mutation, st.lists(st.tuples(_owner, _qtype), max_size=4)),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    def test_lookup_equals_reference_walk_across_mutations(self, with_apex, steps):
+        zone = Zone(ORIGIN)
+        if with_apex:  # without: a zone whose origin is not yet a name
+            zone.add(
+                ORIGIN,
+                RRType.SOA,
+                SOA(Name.from_text("ns1.example.nl."),
+                    Name.from_text("h.example.nl."), 1, 2, 3, 4, 300),
+            )
+            zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
+        for mutation, questions in steps:
+            _apply(zone, mutation)
+            # The apex, a name above it and every owner's spelling in
+            # another case ride along with the drawn questions.
+            for qname, qtype in questions + [
+                (ORIGIN, RRType.NS),
+                (Name.from_text("nl."), RRType.A),
+                (Name.from_text(mutation[1].to_text().swapcase()), RRType.TXT),
+            ]:
+                _assert_same_result(
+                    zone.lookup(qname, qtype),
+                    _reference_lookup(zone, qname, qtype),
+                    (mutation, qname, qtype),
+                )
+
+    def test_wildcard_below_a_cut_is_hidden_by_the_referral(self):
+        zone = Zone(ORIGIN)
+        zone.add("sub.example.nl.", RRType.NS, NS(Name.from_text("ns.example.org.")))
+        zone.add("*.sub.example.nl.", RRType.TXT, TXT.from_value("occluded"))
+        qname = Name.from_text("x.sub.example.nl.")
+        result = zone.lookup(qname, RRType.TXT)
+        assert result.status == LookupStatus.DELEGATION
+        _assert_same_result(
+            result, _reference_lookup(zone, qname, RRType.TXT), "occluded wildcard"
+        )
+        zone.delete_rrset(Name.from_text("sub.example.nl."), RRType.NS)
+        result = zone.lookup(qname, RRType.TXT)
+        assert result.status == LookupStatus.SUCCESS  # the wildcard, uncovered
+        _assert_same_result(
+            result, _reference_lookup(zone, qname, RRType.TXT), "uncovered wildcard"
+        )
