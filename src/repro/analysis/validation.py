@@ -65,7 +65,7 @@ def server_side_shares_from_trace(
     roots = tracer.traces() if hasattr(tracer, "traces") else tracer
     counts: dict[str, dict[str, int]] = {}
     for root in roots:
-        for span in root.walk():
+        for span in root.trace:
             if span.name != "auth.query":
                 continue
             recursive = str(span.attributes.get("client", ""))

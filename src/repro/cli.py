@@ -552,13 +552,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the run scorecard from a saved event log or a live run."""
+    from .telemetry import EventLogError
     from .telemetry.dashboard import render_dashboard, render_dashboard_from_log
 
     io = args.io
-    if args.log and args.follow:
-        return _dashboard_follow(args)
     if args.log:
-        io.emit(render_dashboard_from_log(args.log, top_slowest=args.top))
+        try:
+            if args.follow:
+                return _dashboard_follow(args)
+            io.emit(render_dashboard_from_log(args.log, top_slowest=args.top))
+        except (OSError, EventLogError) as exc:
+            io.status(f"dashboard: {exc}")
+            return 2
         return 0
     telemetry = _run_with_telemetry(args, tracing=True)
     io.emit(

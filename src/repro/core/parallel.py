@@ -21,11 +21,11 @@ metrics
     :meth:`MetricsRegistry.merge`: counters/gauges add, histogram
     sketches add per-bucket counts and take min/max envelopes.
 event log
-    per-worker records are shard-tagged in flight and normalized on
-    merge (:func:`~repro.telemetry.events.normalize_trace_records`):
-    traces sort by content, tracer-private ids are renumbered, and
-    wall-clock profile events are dropped — so the merged log is
-    byte-identical for any worker count, including one.
+    a trace line carries nothing private to the worker that wrote it,
+    so the merge (:func:`~repro.telemetry.events.merge_shard_logs`)
+    sorts the shards' trace lines by (root start, line text) and writes
+    them verbatim; wall-clock profile events are dropped — so the
+    merged log is byte-identical for any worker count, including one.
 
 The invariant — serial and K-worker runs produce identical merged
 analysis output for any K — is what makes ``--workers`` safe to flip
@@ -47,14 +47,12 @@ from ..telemetry import (
     Note,
     NullRegistry,
     NullTracer,
-    RawEvent,
     RunMeta,
     RunProfiler,
     Telemetry,
     Tracer,
-    iter_raw_records,
-    normalize_trace_records,
-    span_from_dict,
+    merge_shard_logs,
+    parse_event,
 )
 from .experiment import (
     ExperimentConfig,
@@ -97,25 +95,28 @@ def _run_shard(payload: tuple) -> dict:
 
     Top-level so it pickles under the spawn start method.  The worker
     bundle mirrors the caller's pillar enablement; the tracer streams
-    into a shard-tagged :class:`EventLogWriter` and retains nothing
-    in memory (``max_traces=0``) — records are the transport.
+    into an :class:`EventLogWriter` and retains nothing in memory
+    (``max_traces=0``) — serialised lines are the transport.
     """
     (
         shard_index, config, probes,
         want_metrics, want_events, want_costs, spill_dir,
     ) = payload
     sink = None
-    spill_path = None
+    #: what the merge reads: the sink's lines, or its spilled segment.
+    shard_log: list[str] | str = []
     if want_events:
+        spill_path = None
         if spill_dir is not None:
-            # Memory-bounded transport: the worker streams its records
+            # Memory-bounded transport: the worker streams its lines
             # into a follower-compatible JSONL segment and keeps only a
             # bounded tail buffered, so event volume never scales the
             # worker's footprint.
             spill_path = str(
                 Path(spill_dir) / f"shard-{shard_index:04d}.events.jsonl"
             )
-        sink = EventLogWriter(path=spill_path, shard=shard_index)
+        sink = EventLogWriter(path=spill_path)
+        shard_log = spill_path if spill_path is not None else sink.lines
     telemetry = Telemetry(
         registry=MetricsRegistry() if want_metrics else NullRegistry(),
         tracer=Tracer(max_traces=0, sink=sink) if want_events else NullTracer(),
@@ -132,8 +133,7 @@ def _run_shard(payload: tuple) -> dict:
         "shard": shard_index,
         "store": result.run.store,
         "registry": telemetry.registry if want_metrics else None,
-        "records": sink.records if sink is not None else [],
-        "spill_path": spill_path,
+        "log": shard_log,
         "server_query_counts": result.server_query_counts,
         "addresses": result.addresses,
         "site_of_address": result.site_of_address,
@@ -229,12 +229,6 @@ def run_parallel(
             processes = min(workers, len(payloads))
             with context.Pool(processes=processes) as pool:
                 shard_results = pool.map(_run_shard, payloads)
-    for result in shard_results:
-        # Spilled shards shipped a segment path instead of in-memory
-        # records; load them once for the merge (the bound protects the
-        # *workers* — the merge still sees every record).
-        if result["spill_path"] is not None:
-            result["records"] = list(iter_raw_records(result["spill_path"]))
 
     with profiler.phase("parallel.merge"):
         # Column-level merge: each shard ships its store and the rows
@@ -281,29 +275,23 @@ def run_parallel(
                 if result["costs"]:
                     telemetry.costs.merge(result["costs"])
 
-        normalized: list[dict] = []
-        if want_events:
-            trace_records = [
-                record
-                for result in shard_results
-                for record in result["records"]
-                if record.get("kind") == "trace"
-            ]
-            normalized = normalize_trace_records(trace_records)
+        # Spilled shards shipped a segment path instead of their lines
+        # (the bound protects the *workers* — the merge sees every line).
+        trace_lines, shard_records = merge_shard_logs(
+            result["log"] for result in shard_results
+        )
 
         if telemetry.tracer.enabled:
             tracer = telemetry.tracer
-            for record in normalized:
-                if len(tracer.roots) < tracer.max_traces:
-                    tracer.roots.append(span_from_dict(record["root"]))
-                else:
-                    tracer.dropped_traces += 1
+            kept = trace_lines[:max(0, tracer.max_traces - len(tracer.roots))]
+            tracer.roots.extend(parse_event(line).root for line in kept)
+            tracer.dropped_traces += len(trace_lines) - len(kept)
 
         if telemetry.events.enabled:
             _write_merged_log(
                 telemetry.events,
-                shard_results,
-                normalized,
+                shard_records,
+                trace_lines,
                 merged_registry,
             )
 
@@ -329,13 +317,13 @@ def run_parallel(
 
 
 def _write_merged_log(
-    sink, shard_results: list[dict], normalized: list[dict],
+    sink, shard_records: list[list[dict]], trace_lines: list[str],
     registry: MetricsRegistry,
 ) -> None:
     """Append the canonical merged event stream to the caller's sink.
 
     Canonical order mirrors a serial run: run_meta, fault timeline,
-    measure.start, traces (normalized), measure.end, final metrics
+    measure.start, traces (canonical order), measure.end, final metrics
     snapshot.  Profile events are deliberately absent — wall-clock
     phases differ between runs and would break byte-identity.  The same
     goes for ``shard.heartbeat`` notes (the live monitor's progress
@@ -343,7 +331,6 @@ def _write_merged_log(
     heartbeats are filtered out by construction and a monitored run
     merges byte-identically to an unmonitored one.
     """
-    shard_records = [result["records"] for result in shard_results]
     run_meta = next(
         (
             record
@@ -357,7 +344,7 @@ def _write_merged_log(
         sink.emit(RunMeta(run=run_meta["run"], at=run_meta.get("at")))
     # Fault and attack transitions are derived from the scenario/profile,
     # so every shard emitted the identical sequence: take the first
-    # shard's copy and re-emit it fresh (dropping the in-flight shard tag).
+    # shard's copy.
     for records in shard_records:
         fault_notes = [
             record
@@ -378,8 +365,8 @@ def _write_merged_log(
     start = _merged_note(shard_records, "measure.start")
     if start is not None:
         sink.emit(start)
-    for record in normalized:
-        sink.emit(RawEvent(record=record))
+    for line in trace_lines:
+        sink.emit_line(line)
     end = _merged_note(shard_records, "measure.end")
     if end is not None:
         sink.emit(end)

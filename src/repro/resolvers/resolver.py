@@ -395,7 +395,7 @@ class RecursiveResolver:
             ("result",),
         ).labels(result=cache_outcome).inc()
         end = max(
-            [child.end for child in span.children if child.end is not None]
+            [s.end for s in span.trace if s.parent is span and s.end is not None]
             + [span.start]
         )
         telemetry.tracer.finish_span(span, at=end)

@@ -57,11 +57,12 @@ from .events import (
     RunMeta,
     TraceEvent,
     ViewComparisonEvent,
-    canonical_json_value,
+    decode_trace,
+    encode_trace,
     iter_raw_records,
-    normalize_trace_records,
+    merge_shard_logs,
+    parse_event,
     read_events,
-    span_from_dict,
 )
 from .analysis import (
     FaultWindow,
@@ -278,13 +279,15 @@ __all__ = [
     "Tracer",
     "ViewComparisonEvent",
     "burn_alerts",
-    "canonical_json_value",
     "critical_path",
+    "decode_trace",
     "default_slos",
+    "encode_trace",
     "evaluate_slos",
     "fault_windows_from_notes",
     "iter_raw_records",
-    "normalize_trace_records",
+    "merge_shard_logs",
+    "parse_event",
     "quantile_from_buckets",
     "read_events",
     "render_forensics",
@@ -292,5 +295,4 @@ __all__ = [
     "render_trace",
     "replay_monitor",
     "score_alerts",
-    "span_from_dict",
 ]

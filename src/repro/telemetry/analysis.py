@@ -1,14 +1,14 @@
 """Trace analytics: critical paths, latency attribution, forensics.
 
-The tracer records *what happened* — span trees of every query
+The tracer records *what happened* — the spans of every query
 lifecycle (``resolver.resolve`` → ``resolver.exchange`` →
 ``net.round_trip`` → ``auth.query``).  This module answers *why it was
 slow*: which NS absorbed the virtual time, which resolver kept paying
 it, and whether the pain lines up with an injected fault window.
 
 Everything here is deterministic over its input: ties in every sort
-break on content (start time, qname, trace id), never on dict order or
-object identity, so the same event log always yields the same
+break on content (start time, qname) and then on input order, never on
+dict order or object identity, so the same event log always yields the same
 forensics report.  Inputs can be a live :class:`~repro.telemetry.Tracer`
 or a saved event log — both reduce to a list of root
 :class:`~repro.telemetry.Span` objects plus the log's fault notes.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .events import EventLog, Note, TraceEvent
-from .tracing import Span, render_trace
+from .tracing import Span, children_index, render_trace
 
 #: span names of the query lifecycle, outermost first.
 RESOLVE_SPAN = "resolver.resolve"
@@ -46,12 +46,13 @@ def critical_path(root: Span) -> list[Span]:
     on (end, start, position); unfinished children are skipped, so the
     path stops where timing information runs out.
     """
+    children = children_index(root)
     path = [root]
     node = root
     while True:
         finished = [
             (child.end, child.start, index, child)
-            for index, child in enumerate(node.children)
+            for index, child in enumerate(children.get(id(node), ()))
             if child.end is not None
         ]
         if not finished:
@@ -194,6 +195,9 @@ class TraceAnalytics:
 
     def __init__(self, roots: list[Span], fault_windows: list[FaultWindow]
                  | None = None):
+        #: ``trace-<n>``: a trace's 1-based position in the input — the
+        #: n-th trace record of a log, the n-th retained root of a tracer.
+        self._ordinal = {id(root): n for n, root in enumerate(roots, 1)}
         self.roots = [r for r in roots if r.name == RESOLVE_SPAN]
         self.other_roots = [r for r in roots if r.name != RESOLVE_SPAN]
         self.fault_windows = list(fault_windows or [])
@@ -213,7 +217,7 @@ class TraceAnalytics:
     # -- attribution --------------------------------------------------------
 
     def _exchanges(self, root: Span) -> list[Span]:
-        return [s for s in root.walk() if s.name == EXCHANGE_SPAN]
+        return [s for s in root.trace if s.name == EXCHANGE_SPAN]
 
     def per_ns(self) -> list[NsAttribution]:
         """Latency attribution per NS address, busiest first."""
@@ -269,28 +273,32 @@ class TraceAnalytics:
     def slowest(self, k: int = 5) -> list[Span]:
         """The top-K slowest finished resolutions, deterministically.
 
-        Sort key: duration desc, then start, qname, trace id — equal-
-        duration traces order the same way no matter how the input was
-        sharded or which pass produced the log.
+        Sort key: duration desc, then start, qname, then input order
+        (the sort is stable) — equal-duration traces order the same way
+        no matter how the input was sharded or which pass produced the
+        log.
         """
         finished = [r for r in self.roots if r.end is not None]
         finished.sort(key=lambda r: (
             -(r.end - r.start),
             r.start,
             str(r.attributes.get("qname", "")),
-            r.trace_id,
         ))
         return finished[:max(0, k)]
+
+    def ordinal(self, root: Span) -> int:
+        """The ``n`` of ``trace-<n>`` for one of this analytics' traces."""
+        return self._ordinal[id(root)]
 
     def find(self, selector: str) -> list[Span]:
         """Traces matching ``trace-N``, ``probe-N``, or a qname substring."""
         selector = selector.strip()
         if selector.startswith("trace-"):
             try:
-                trace_id = int(selector[len("trace-"):])
+                ordinal = int(selector[len("trace-"):])
             except ValueError:
                 return []
-            return [r for r in self.roots if r.trace_id == trace_id]
+            return [r for r in self.roots if self.ordinal(r) == ordinal]
         if selector.startswith("probe-"):
             try:
                 probe_id = int(selector[len("probe-"):])
@@ -415,7 +423,7 @@ def render_forensics(
             probe = probe_of_qname(str(root.attributes.get("qname", "")))
             who = f"probe-{probe}" if probe is not None else "?"
             parts.append(
-                f"\n# {_duration_ms(root):.1f}ms trace-{root.trace_id} ({who})"
+                f"\n# {_duration_ms(root):.1f}ms trace-{analytics.ordinal(root)} ({who})"
             )
             parts.append(render_trace(root))
             parts.append(f"critical path: {describe_critical_path(root)}")

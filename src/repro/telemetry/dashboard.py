@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .events import EventLog
+from .events import EventLog, EventLogError
 from .sketch import quantile_from_buckets
 from .tracing import Span
 
@@ -172,7 +172,7 @@ def _slowest_rows(traces: list[Span], top: int) -> list[list[str]]:
     rows = []
     for root in resolves[:top]:
         exchange_count = sum(
-            1 for span in root.walk() if span.name == "resolver.exchange"
+            1 for span in root.trace if span.name == "resolver.exchange"
         )
         auth = root.find("auth.query")
         rows.append([
@@ -240,7 +240,7 @@ def render_dashboard_from_log(
         log = EventLog.load(log)
     metrics = log.last_metrics()
     if metrics is None:
-        raise ValueError(
+        raise EventLogError(
             f"{log.path}: no metrics snapshot in the event log "
             "(was the run finalized?)"
         )

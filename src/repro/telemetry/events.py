@@ -12,13 +12,19 @@ profiler contribute snapshot events at run end.
 
 Each line is one event.  The first line is the header::
 
-    {"kind": "repro-event-log", "version": 1, ...}
+    {"kind": "repro-event-log", "version": 2, ...}
 
 and every following record carries a ``"kind"`` discriminator:
 
 ``trace``
-    One finished root span with its whole subtree (virtual-time query
-    lifecycle: ``resolver.resolve`` → … → ``auth.query``).
+    One finished trace (virtual-time query lifecycle:
+    ``resolver.resolve`` → … → ``auth.query``) as ``"spans"``: a flat
+    list of rows ``[parent_index, name, t0, t1, attrs, events]`` in
+    start order, root first with parent −1, each event a
+    ``[time, name, attrs]`` row.  Nothing in a row is private to the
+    tracer that wrote it, so logs concatenate and sort without
+    rewriting; :func:`encode_trace` / :func:`decode_trace` are the only
+    code that knows the layout.
 ``metrics``
     A full metrics-registry snapshot (the ``to_json`` document).
 ``profile``
@@ -43,16 +49,16 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .tracing import Span
+from .tracing import Span, SpanEvent
 
 log = logging.getLogger("repro.telemetry.events")
 
 #: header discriminator of an event-log file.
 EVENT_LOG_KIND = "repro-event-log"
 #: bump when a record's field list changes incompatibly.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 #: default in-memory buffer, in events, before an automatic flush.
 DEFAULT_MAX_BUFFERED = 1024
 
@@ -61,19 +67,57 @@ class EventLogError(ValueError):
     """The file is not a readable event log (or wrong version)."""
 
 
+# -- the trace format -------------------------------------------------------
+
+
+def encode_trace(root: Span) -> list[list]:
+    """A trace as flat span rows, ``[parent, name, t0, t1, attrs, events]``.
+
+    Rows follow :attr:`Span.trace` (start order, root first); ``parent``
+    is the parent's row index, −1 for the root; ``t1`` is null for an
+    unfinished span.  Attribute dicts are referenced, not copied — the
+    writer serialises the record before returning to the caller.
+    """
+    spans = root.trace
+    index = {id(span): position for position, span in enumerate(spans)}
+    return [
+        [
+            index.get(id(span.parent), -1),
+            span.name,
+            span.start,
+            span.end,
+            span.attributes,
+            [[ev.time, ev.name, ev.attributes] for ev in span.events],
+        ]
+        for span in spans
+    ]
+
+
+def decode_trace(rows: list[list]) -> Span:
+    """The root span of the trace :func:`encode_trace` laid out."""
+    spans: list[Span] = []
+    for parent, name, start, end, attributes, events in rows:
+        span = Span(name, start, spans[parent] if parent >= 0 else None)
+        span.end = end
+        span.attributes = attributes
+        span.events = [SpanEvent(*event) for event in events]
+        spans.append(span)
+    return spans[0]
+
+
 # -- typed events -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One finished trace: the root span and its whole subtree."""
+    """One finished trace, held by its root span."""
 
     root: Span
 
     kind = "trace"
 
     def to_record(self) -> dict:
-        return {"kind": self.kind, "root": self.root.to_dict()}
+        return {"kind": self.kind, "spans": encode_trace(self.root)}
 
 
 @dataclass(frozen=True)
@@ -174,81 +218,10 @@ class RawEvent:
         return dict(self.record)
 
 
-def span_from_dict(data: dict, parent: Span | None = None) -> Span:
-    """Rebuild a :class:`Span` tree from its ``to_dict`` form."""
-    span = Span(
-        data["name"],
-        int(data["span_id"]),
-        int(data["trace_id"]),
-        float(data["start"]),
-        parent,
-    )
-    span.end = data["end"]
-    span.attributes.update(data.get("attributes", {}))
-    for event in data.get("events", ()):
-        span.event(event["name"], event["time"], **event.get("attributes", {}))
-    for child in data.get("children", ()):
-        span.children.append(span_from_dict(child, span))
-    return span
-
-
-def _canonical_key(key: object) -> str:
-    """The string a JSON round trip would coerce a dict key to."""
-    if isinstance(key, str):
-        return key
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return str(int(key))
-    if isinstance(key, float):
-        return float.__repr__(key)
-    raise TypeError(
-        f"dict key of type {type(key).__name__} is not JSON-serializable"
-    )
-
-
-def canonical_json_value(value: object):
-    """What ``json.loads(json.dumps(value))`` returns, without the text pass.
-
-    An in-memory :class:`EventLogWriter` needs each record to be (a)
-    detached from the caller's still-mutable objects and (b) plain JSON —
-    the shape the merge helpers sort on.  A serialize/parse round trip guarantees
-    both but pays for encoding and decoding every byte; this builds the
-    same result directly: dict keys are string-coerced, tuples become
-    lists, bool/int/float subclasses (enums) collapse to their plain
-    values, and non-JSON types raise ``TypeError`` just as ``dumps``
-    would.
-    """
-    if value is None or value is True or value is False:
-        return value
-    if isinstance(value, str):
-        return str(value)
-    if isinstance(value, dict):
-        return {
-            _canonical_key(key): canonical_json_value(item)
-            for key, item in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [canonical_json_value(item) for item in value]
-    if isinstance(value, bool):  # bool subclass guard before int
-        return bool(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    raise TypeError(
-        f"object of type {type(value).__name__} is not JSON-serializable"
-    )
-
-
 def _event_from_record(record: dict):
     kind = record.get("kind")
     if kind == TraceEvent.kind:
-        return TraceEvent(root=span_from_dict(record["root"]))
+        return TraceEvent(root=decode_trace(record["spans"]))
     if kind == MetricsSnapshot.kind:
         return MetricsSnapshot(metrics=record["metrics"], at=record.get("at"))
     if kind == ProfileEvent.kind:
@@ -272,26 +245,22 @@ def _event_from_record(record: dict):
 
 
 class EventLogWriter:
-    """The one event sink: a JSONL file, or an in-memory record list.
+    """The one event sink: a JSONL file, or an in-memory list of lines.
 
     With a ``path`` it is an append-only JSONL log behind the standard
     header line (written eagerly, so even an empty log identifies itself
     and :class:`EventLogFollower` can tail it mid-campaign).  Events are
     serialized at emit time (so callers may mutate their objects
     afterwards) and written in batches: at most ``max_buffered`` lines
-    are held before an automatic flush.  With ``path=None`` each event's
-    canonical plain-JSON record (:func:`canonical_json_value`) is kept in
-    :attr:`records` instead — what a shard worker ships back over the
-    process boundary.  ``json.dumps`` of a record and of its canonical
-    form are the same text, so both modes hold the same log.
-
-    ``shard`` tags every record with the emitting shard's index so a
-    merged stream stays attributable until normalization strips it.
+    are held in :attr:`lines` before an automatic flush.  With
+    ``path=None`` nothing is ever flushed and :attr:`lines` *is* the log
+    — what a shard worker ships back over the process boundary.  Both
+    modes hold the same text, line for line.
 
     After :meth:`close`, further emits are *dropped* — counted in
     :attr:`dropped` and logged once at warning level — never raised,
     so telemetry can never take down a run at shutdown; an in-memory
-    writer's :attr:`records` stay readable.  Usable as a context manager.
+    writer's :attr:`lines` stay readable.  Usable as a context manager.
     """
 
     enabled = True
@@ -300,19 +269,17 @@ class EventLogWriter:
         self,
         path: str | Path | None = None,
         *,
-        shard: int | None = None,
         max_buffered: int = DEFAULT_MAX_BUFFERED,
         meta: dict | None = None,
     ):
         if max_buffered <= 0:
             raise ValueError(f"max_buffered must be positive, got {max_buffered}")
         self.path = Path(path) if path is not None else None
-        self.shard = shard
         self.max_buffered = max_buffered
         self.emitted = 0
         self.dropped = 0
-        self.records: list[dict] = []
-        self._buffer: list[str] = []
+        #: serialised records not yet on disk — all of them when in memory.
+        self.lines: list[str] = []
         self._closed = False
         self._warned = False
         self._fh: io.TextIOBase | None = None
@@ -328,6 +295,14 @@ class EventLogWriter:
 
     def emit(self, event) -> bool:
         """Queue one typed event; returns False when it was dropped."""
+        return self.emit_line(json.dumps(event.to_record()))
+
+    def emit_line(self, line: str) -> bool:
+        """Queue one already-serialised record verbatim.
+
+        The sharded merge passes the shards' trace lines through here
+        untouched.
+        """
         if self._closed:
             self.dropped += 1
             if not self._warned:
@@ -337,15 +312,9 @@ class EventLogWriter:
                     "(dropped=%d)", self.path or "(in memory)", self.dropped,
                 )
             return False
-        record = event.to_record()
-        if self.shard is not None:
-            record["shard"] = self.shard
         self.emitted += 1
-        if self._fh is None:
-            self.records.append(canonical_json_value(record))
-            return True
-        self._buffer.append(json.dumps(record))
-        if len(self._buffer) >= self.max_buffered:
+        self.lines.append(line)
+        if self._fh is not None and len(self.lines) >= self.max_buffered:
             self.flush()
         return True
 
@@ -354,11 +323,11 @@ class EventLogWriter:
         return self.emit(TraceEvent(root=span))
 
     def flush(self) -> None:
-        """Write every buffered line to disk."""
-        if self._buffer and not self._closed:
-            self._fh.write("\n".join(self._buffer) + "\n")
+        """Write every buffered line to disk (a no-op in memory)."""
+        if self._fh is not None and self.lines and not self._closed:
+            self._fh.write("\n".join(self.lines) + "\n")
             self._fh.flush()
-            self._buffer.clear()
+            self.lines.clear()
 
     def close(self) -> None:
         if self._closed:
@@ -377,7 +346,7 @@ class EventLogWriter:
     def iter_records(self):
         """Every record emitted so far (raw dicts, emit order)."""
         if self.path is None:
-            return iter(self.records)
+            return map(json.loads, self.lines)
         self.flush()
         return iter_raw_records(self.path)
 
@@ -397,9 +366,8 @@ class EventLogWriter:
     def __repr__(self) -> str:
         where = repr(str(self.path)) if self.path is not None else "in-memory"
         return (
-            f"EventLogWriter({where}, shard={self.shard}, "
-            f"emitted={self.emitted}, dropped={self.dropped}, "
-            f"closed={self._closed})"
+            f"EventLogWriter({where}, emitted={self.emitted}, "
+            f"dropped={self.dropped}, closed={self._closed})"
         )
 
 
@@ -434,69 +402,6 @@ class NullEventSink:
 NULL_EVENT_SINK = NullEventSink()
 
 
-def iter_raw_records(path: str | Path):
-    """Stream an event log's records as plain dicts, header validated.
-
-    The merge side of a spilled shard segment: the same raw-dict stream
-    an in-memory :class:`EventLogWriter` holds in ``records``.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        _validate_header(path, fh.readline())
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
-def _strip_span_ids(node: dict) -> dict:
-    """A span dict without its tracer-private ids, children recursed."""
-    clean = {
-        key: value
-        for key, value in node.items()
-        if key not in ("span_id", "trace_id", "children")
-    }
-    clean["children"] = [
-        _strip_span_ids(child) for child in node.get("children", ())
-    ]
-    return clean
-
-
-def _renumber_span(node: dict, trace_id: int, counter: list[int]) -> None:
-    node["trace_id"] = trace_id
-    node["span_id"] = counter[0]
-    counter[0] += 1
-    for child in node.get("children", ()):
-        _renumber_span(child, trace_id, counter)
-
-
-def normalize_trace_records(records: list[dict]) -> list[dict]:
-    """Canonical, shard-independent form of a set of trace records.
-
-    Each worker's tracer hands out trace/span ids from its own private
-    sequence, so the same logical traces differ between a serial run
-    and any sharded partition.  Normalization erases that: traces sort
-    by (virtual start time, id-stripped content) — a total order up to
-    genuinely identical traces — then trace ids are reassigned 1..N in
-    that order and span ids depth-first from one global counter.  Any
-    partition of the same traces normalizes to the same byte sequence;
-    shard tags are dropped.
-    """
-    keyed: list[tuple[float, str, dict]] = []
-    for record in records:
-        root = _strip_span_ids(record["root"])
-        keyed.append(
-            (float(root["start"]), json.dumps(root, sort_keys=True), root)
-        )
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    counter = [1]
-    normalized: list[dict] = []
-    for index, (_, _, root) in enumerate(keyed):
-        _renumber_span(root, index + 1, counter)
-        normalized.append({"kind": TraceEvent.kind, "root": root})
-    return normalized
-
-
 # -- the reader -------------------------------------------------------------
 
 
@@ -516,34 +421,88 @@ def _validate_header(path: Path, header_line: str) -> dict:
     return header
 
 
-def read_events(path: str | Path) -> Iterator[object]:
-    """Yield typed events from an event-log file, in write order.
+def _parse_lines(
+    path: object, raw_lines: Iterable[str]
+) -> Iterator[tuple[str, dict]]:
+    """The one JSONL line parser: ``(line, record)`` per non-blank line.
 
     A truncated *final* line (no trailing newline — a writer that died
     mid-append, or a log still being written) is skipped with a
     warning; a corrupt line anywhere else raises
     :class:`EventLogError`.
     """
+    for raw in raw_lines:
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            if not raw.endswith("\n"):
+                log.warning(
+                    "%s: ignoring truncated final line (%d bytes)",
+                    path, len(raw),
+                )
+                return
+            raise EventLogError(
+                f"{path}: corrupt event line: {line[:80]!r}"
+            ) from None
+        yield line, record
+
+
+def _iter_log(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """``(line, record)`` for every record of a log file, header validated."""
     path = Path(path)
     with path.open() as fh:
         _validate_header(path, fh.readline())
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if not raw.endswith("\n"):
-                    log.warning(
-                        "%s: ignoring truncated final line (%d bytes)",
-                        path, len(raw),
-                    )
-                    return
-                raise EventLogError(
-                    f"{path}: corrupt event line: {line[:80]!r}"
-                ) from None
-            yield _event_from_record(record)
+        yield from _parse_lines(path, fh)
+
+
+def iter_raw_records(path: str | Path) -> Iterator[dict]:
+    """Stream an event log's records as plain dicts, in write order."""
+    return (record for _, record in _iter_log(path))
+
+
+def read_events(path: str | Path) -> Iterator[object]:
+    """Yield typed events from an event-log file, in write order."""
+    return (_event_from_record(record) for _, record in _iter_log(path))
+
+
+def parse_event(line: str):
+    """The typed event one serialised log line holds."""
+    return _event_from_record(json.loads(line))
+
+
+def merge_shard_logs(
+    sources: Iterable[list[str] | str | Path],
+) -> tuple[list[str], list[list[dict]]]:
+    """The shards' trace lines in canonical order, and their other records.
+
+    A source is an in-memory writer's :attr:`~EventLogWriter.lines` or
+    the path of a spilled segment.  A trace line carries nothing private
+    to the tracer that wrote it, so the canonical order of any partition
+    of the same traces is a plain sort by (root ``t0``, line text) and
+    the lines pass through verbatim.  Everything else (run_meta, notes,
+    snapshots) comes back parsed, one list per shard, for the caller to
+    reduce.
+    """
+    keyed: list[tuple[float, str]] = []
+    others: list[list[dict]] = []
+    for source in sources:
+        pairs = (
+            _parse_lines("(in memory)", source)
+            if isinstance(source, list)
+            else _iter_log(source)
+        )
+        records = []
+        for line, record in pairs:
+            if record.get("kind") == TraceEvent.kind:
+                keyed.append((record["spans"][0][2], line))
+            else:
+                records.append(record)
+        others.append(records)
+    keyed.sort()
+    return [line for _, line in keyed], others
 
 
 class EventLogFollower:
@@ -580,28 +539,15 @@ class EventLogFollower:
         chunk = self._fh.read()
         if not chunk:
             return []
-        complete, sep, tail = (self._pending + chunk).rpartition("\n")
-        self._pending = tail if sep else complete + tail
-        if not sep:
-            return []
-        events = []
-        for line in complete.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise EventLogError(
-                    f"{self.path}: corrupt event line: {line[:80]!r}"
-                ) from None
-            events.append(_event_from_record(record))
+        complete, _, self._pending = (self._pending + chunk).rpartition("\n")
+        events = [
+            _event_from_record(record)
+            for _, record in _parse_lines(
+                self.path, (line + "\n" for line in complete.split("\n"))
+            )
+        ]
         self.events_read += len(events)
         return events
-
-    def drain(self) -> list:
-        """Every event currently complete in the file (one big poll)."""
-        return self.poll()
 
     @property
     def pending_bytes(self) -> int:
@@ -636,14 +582,12 @@ class EventLog:
     def load(cls, path: str | Path) -> "EventLog":
         path = Path(path)
         with path.open() as fh:
-            header = json.loads(fh.readline())
-        if header.get("kind") != EVENT_LOG_KIND:
-            raise EventLogError(f"{path}: not an event log")
-        return cls(
-            path=path,
-            meta=header.get("meta", {}),
-            events=list(read_events(path)),
-        )
+            header = _validate_header(path, fh.readline())
+            events = [
+                _event_from_record(record)
+                for _, record in _parse_lines(path, fh)
+            ]
+        return cls(path=path, meta=header.get("meta", {}), events=events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -694,9 +638,10 @@ __all__ = [
     "RunMeta",
     "TraceEvent",
     "ViewComparisonEvent",
-    "canonical_json_value",
+    "decode_trace",
+    "encode_trace",
     "iter_raw_records",
-    "normalize_trace_records",
+    "merge_shard_logs",
+    "parse_event",
     "read_events",
-    "span_from_dict",
 ]

@@ -175,7 +175,7 @@ class WindowStats:
 def _answering_exchange(root: Span) -> Span | None:
     """The exchange that produced the answer: the last ok one."""
     answer = None
-    for span in root.walk():
+    for span in root.trace:
         if (span.name == EXCHANGE_SPAN
                 and span.attributes.get("outcome") == "ok"):
             answer = span
@@ -455,7 +455,7 @@ def _addresses_from_traces(roots: list[Span]) -> tuple[str, ...]:
     for root in roots:
         if root.name != RESOLVE_SPAN:
             continue
-        for span in root.walk():
+        for span in root.trace:
             if span.name == EXCHANGE_SPAN:
                 addresses.add(str(span.attributes.get("ns", "?")))
     return tuple(sorted(addresses))

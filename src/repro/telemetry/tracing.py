@@ -17,6 +17,11 @@ All timestamps are *virtual* (the shared ``SimClock``), passed
 explicitly by the caller — the tracer never reads a clock itself, so
 the same machinery also serves real transports fed a wall clock.
 
+In memory a trace is one flat list, :attr:`Span.trace`: every span of
+the trace in start order, root first, each pointing at its ``parent``.
+Readers that filter spans by name iterate that list; the two that need
+children (:func:`render_trace`, ``critical_path``) index it locally.
+
 :class:`NullTracer` is the zero-cost default; components guard their
 instrumentation on ``tracer.enabled``.
 """
@@ -45,26 +50,24 @@ class SpanEvent:
 
 
 class Span:
-    """One timed operation in a trace tree."""
+    """One timed operation of a trace.
+
+    ``trace`` is the flat list the trace's root owns and every span of
+    the trace shares: all of them, root first, in start order.
+    """
 
     __slots__ = (
-        "name", "span_id", "trace_id", "parent", "children",
-        "start", "end", "attributes", "events",
+        "name", "parent", "trace", "start", "end", "attributes", "events",
     )
 
-    def __init__(
-        self,
-        name: str,
-        span_id: int,
-        trace_id: int,
-        start: float,
-        parent: "Span | None" = None,
-    ):
+    def __init__(self, name: str, start: float, parent: "Span | None" = None):
         self.name = name
-        self.span_id = span_id
-        self.trace_id = trace_id
         self.parent = parent
-        self.children: list[Span] = []
+        if parent is None:
+            self.trace: list[Span] = [self]
+        else:
+            self.trace = parent.trace
+            self.trace.append(self)
         self.start = start
         self.end: float | None = None
         self.attributes: dict[str, object] = {}
@@ -77,7 +80,7 @@ class Span:
         return self
 
     def event(self, name: str, at: float, **attributes: object) -> "Span":
-        self.events.append(SpanEvent(at, name, dict(attributes)))
+        self.events.append(SpanEvent(at, name, attributes))
         return self
 
     # -- reading ------------------------------------------------------------
@@ -92,43 +95,28 @@ class Span:
             return None
         return self.end - self.start
 
-    def walk(self) -> Iterator["Span"]:
-        """This span and all descendants, depth-first in start order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
     def find(self, name: str) -> "Span | None":
-        """First descendant (or self) with the given span name."""
-        for span in self.walk():
+        """First span of this span's trace with the given name."""
+        for span in self.trace:
             if span.name == name:
                 return span
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "trace_id": self.trace_id,
-            "start": self.start,
-            "end": self.end,
-            "attributes": dict(self.attributes),
-            "events": [
-                {"time": ev.time, "name": ev.name, "attributes": ev.attributes}
-                for ev in self.events
-            ],
-            "children": [child.to_dict() for child in self.children],
-        }
-
     def __repr__(self) -> str:
-        return (
-            f"Span({self.name!r}, trace={self.trace_id}, "
-            f"start={self.start:.6f}, end={self.end})"
-        )
+        return f"Span({self.name!r}, start={self.start:.6f}, end={self.end})"
+
+
+def children_index(root: Span) -> dict[int, list[Span]]:
+    """``id(span)`` → that span's children in start order, for one trace."""
+    index: dict[int, list[Span]] = {}
+    for span in root.trace:
+        if span.parent is not None:
+            index.setdefault(id(span.parent), []).append(span)
+    return index
 
 
 class Tracer:
-    """Builds span trees and retains finished traces for analysis.
+    """Builds traces and retains the finished ones for analysis.
 
     ``max_traces`` bounds memory on long campaigns: once that many root
     spans are retained, further finished traces are counted in
@@ -155,8 +143,6 @@ class Tracer:
         self.dropped_unstreamed = 0
         self._drop_warned = False
         self._stack: list[Span] = []
-        self._next_span_id = 1
-        self._next_trace_id = 1
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -180,17 +166,9 @@ class Tracer:
             push = True
         else:
             push = False
-        if parent is None:
-            trace_id = self._next_trace_id
-            self._next_trace_id += 1
-        else:
-            trace_id = parent.trace_id
-        span = Span(name, self._next_span_id, trace_id, at, parent)
-        self._next_span_id += 1
+        span = Span(name, at, parent)
         if attributes:
-            span.attributes.update(attributes)
-        if parent is not None:
-            parent.children.append(span)
+            span.attributes = attributes
         if push:
             self._stack.append(span)
         return span
@@ -271,7 +249,7 @@ class Tracer:
 
     def iter_spans(self) -> Iterator[Span]:
         for root in self.roots:
-            yield from root.walk()
+            yield from root.trace
 
     def spans(self, name: str | None = None) -> list[Span]:
         if name is None:
@@ -300,7 +278,7 @@ class _NullSpan:
 
     __slots__ = ()
     name = ""
-    children: list = []
+    trace: list = []
     events: list = []
     attributes: dict = {}
     start = 0.0
@@ -312,9 +290,6 @@ class _NullSpan:
 
     def event(self, name: str, at: float, **attributes) -> "_NullSpan":
         return self
-
-    def walk(self):
-        return iter(())
 
     def find(self, name: str) -> None:
         return None
@@ -384,6 +359,7 @@ def render_trace(root: Span) -> str:
     """ASCII tree of one trace, with virtual-time offsets in ms."""
     lines: list[str] = []
     epoch = root.start
+    children = children_index(root)
 
     def visit(span: Span, prefix: str, is_last: bool, is_root: bool) -> None:
         offset_ms = (span.start - epoch) * 1000.0
@@ -397,7 +373,9 @@ def render_trace(root: Span) -> str:
             connector = "└─ " if is_last else "├─ "
             lines.append(f"{prefix}{connector}{span.name} {timing}{_format_attrs(span)}")
             child_prefix = prefix + ("   " if is_last else "│  ")
-        items: list[tuple[str, object]] = [("span", c) for c in span.children]
+        items: list[tuple[str, object]] = [
+            ("span", c) for c in children.get(id(span), ())
+        ]
         items += [("event", ev) for ev in span.events]
 
         def sort_key(item):

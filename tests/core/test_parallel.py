@@ -21,7 +21,7 @@ from repro.core import (
     run_parallel,
 )
 from repro.core.experiment import generate_probes
-from repro.telemetry import Telemetry, read_events
+from repro.telemetry import EventLogWriter, Telemetry, TraceEvent, read_events
 
 #: small but non-trivial: ~2 ticks over ~70 VPs keeps one case < 10 s.
 CONFIG_KWARGS = dict(num_probes=50, interval_s=120.0, duration_s=240.0, seed=11)
@@ -213,13 +213,26 @@ class TestMergedTelemetry:
 
     def test_tracer_receives_normalized_traces(self):
         config = small_config(num_probes=20, duration_s=120.0)
-        telemetry = Telemetry.enabled_bundle()
+        telemetry = Telemetry.enabled_bundle(event_log=EventLogWriter())
         result = run_parallel(config, workers=1, shards=3, telemetry=telemetry)
         roots = telemetry.tracer.traces()
         assert len(roots) == len(result.observations)
-        assert [root.trace_id for root in roots] == list(
-            range(1, len(roots) + 1)
+        # ... decoded from the very lines the merged log holds, in its
+        # canonical order: (root start, line text).
+        lines = [json.dumps(TraceEvent(root).to_record()) for root in roots]
+        assert lines == [
+            line for line in telemetry.events.lines if '"trace"' in line
+        ]
+        assert lines == sorted(
+            lines, key=lambda line: (json.loads(line)["spans"][0][2], line)
         )
+
+    def test_tracer_bound_holds_after_a_sharded_run(self):
+        config = small_config(num_probes=20, duration_s=120.0)
+        telemetry = Telemetry.enabled_bundle(max_traces=5)
+        result = run_parallel(config, workers=1, shards=3, telemetry=telemetry)
+        assert len(telemetry.tracer.traces()) == 5
+        assert telemetry.tracer.dropped_traces == len(result.observations) - 5
 
     def test_event_log_byte_identical_across_layouts(self, tmp_path):
         config = small_config(num_probes=40)
@@ -227,13 +240,14 @@ class TestMergedTelemetry:
         for label, kwargs in {
             "w1s1": dict(workers=1, shards=1),
             "w1s4": dict(workers=1, shards=4),
+            "w2s4": dict(workers=2, shards=4),
         }.items():
             path = tmp_path / f"{label}.events.jsonl"
             telemetry = Telemetry.enabled_bundle(event_log=path)
             run_parallel(config, telemetry=telemetry, **kwargs)
             telemetry.events.close()
             contents[label] = path.read_bytes()
-        assert contents["w1s1"] == contents["w1s4"]
+        assert contents["w1s1"] == contents["w1s4"] == contents["w2s4"]
 
     def test_merged_log_is_readable_and_complete(self, tmp_path):
         config = small_config(num_probes=30)

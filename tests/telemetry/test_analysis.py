@@ -170,7 +170,11 @@ class TestAttribution:
         analytics = self._analytics()
         assert len(analytics.find("probe-1")) == 1  # vp 2 -> probe 1
         assert analytics.find("probe-99") == []
-        assert len(analytics.find(f"trace-{analytics.roots[0].trace_id}")) == 1
+        # trace-<n>: the n-th trace handed in (the n-th record of a log).
+        for n, root in enumerate(analytics.roots, 1):
+            assert analytics.find(f"trace-{n}") == [root]
+            assert analytics.ordinal(root) == n
+        assert analytics.find("trace-0") == analytics.find("trace-99") == []
         assert analytics.find("trace-zzz") == []
         assert len(analytics.find("m-2-3")) == 1
 

@@ -1,5 +1,5 @@
 """Edge-path tests: truncated logs, drop accounting, merge degenerate
-cases, and the direct canonicaliser behind the recording sink."""
+cases, and what the in-memory sink guarantees about the lines it holds."""
 
 import json
 import logging
@@ -14,12 +14,23 @@ from repro.telemetry import (
     MetricsRegistry,
     Note,
     Tracer,
-    canonical_json_value,
     read_events,
 )
 
 
+def _held(value):
+    """The record an in-memory sink holds for a note carrying ``value``."""
+    sink = EventLogWriter()
+    sink.emit(Note(name="n", data={"v": value}))
+    (record,) = sink.iter_records()
+    return record["data"]["v"]
+
+
 class TestCanonicalJsonValue:
+    """An in-memory sink holds serialised lines, so its records are
+    detached from the caller and plain JSON by construction — the
+    contract a hand-written copier used to imitate (hence the name)."""
+
     def test_matches_json_roundtrip(self):
         value = {
             "s": "x", "i": 3, "f": 2.5, "b": True, "n": None,
@@ -27,10 +38,10 @@ class TestCanonicalJsonValue:
             1: "int key", 2.5: "float key", True: "bool key",
             None: "none key",
         }
-        assert canonical_json_value(value) == json.loads(json.dumps(value))
+        assert _held(value) == json.loads(json.dumps(value))
 
     def test_tuples_become_lists(self):
-        assert canonical_json_value((1, ("a",))) == [1, ["a"]]
+        assert _held((1, ("a",))) == [1, ["a"]]
 
     def test_subclasses_collapse_to_plain_types(self):
         class MyInt(int):
@@ -39,20 +50,22 @@ class TestCanonicalJsonValue:
         class MyFloat(float):
             pass
 
-        out = canonical_json_value({"i": MyInt(7), "f": MyFloat(1.5)})
+        out = _held({"i": MyInt(7), "f": MyFloat(1.5)})
         assert type(out["i"]) is int and type(out["f"]) is float
 
     def test_non_json_values_raise(self):
+        # ... at emit time, in the caller's frame — not at merge time.
         with pytest.raises(TypeError):
-            canonical_json_value({"bad": object()})
+            _held({"bad": object()})
         with pytest.raises(TypeError):
-            canonical_json_value({("tuple", "key"): 1})
+            _held({("tuple", "key"): 1})
 
     def test_result_is_detached_from_the_input(self):
         original = {"list": [1, 2]}
-        copy = canonical_json_value(original)
+        sink = EventLogWriter()
+        sink.emit(Note(name="n", data=original))
         original["list"].append(3)
-        assert copy == {"list": [1, 2]}
+        assert next(sink.iter_records())["data"] == {"list": [1, 2]}
 
     def test_recording_sink_uses_it(self, tmp_path):
         sink = EventLogWriter()
@@ -61,9 +74,10 @@ class TestCanonicalJsonValue:
             sink.emit(note)
             spilled.emit(note)
         note.data["shared"].append(2)  # later mutation must not leak in
-        assert sink.records[0]["data"] == {"shared": [1], "7": [1, 2]}
-        # The file mode serialises directly; it holds the same record.
-        assert list(spilled.iter_records()) == sink.records
+        (record,) = sink.iter_records()
+        assert record["data"] == {"shared": [1], "7": [1, 2]}
+        # Both modes serialise at emit: the file holds the same line.
+        assert (tmp_path / "seg.jsonl").read_text().splitlines()[1:] == sink.lines
 
 
 class TestTruncatedLogs:

@@ -86,9 +86,9 @@ class TestTraceCompleteness:
         ]
         assert complete, "no complete cache-miss trace captured"
         root = complete[0]
-        assert all(span.finished for span in root.walk())
+        assert all(span.finished for span in root.trace)
         auth = root.find("auth.query")
-        assert auth.trace_id == root.trace_id
+        assert auth.trace is root.trace
         assert auth.attributes["server"].startswith("ns")
         rendered = render_trace(root)
         for layer in ("resolver.resolve", "resolver.exchange",
@@ -98,11 +98,11 @@ class TestTraceCompleteness:
     def test_spans_are_ordered_in_virtual_time(self, instrumented):
         telemetry, _ = instrumented
         for root in telemetry.tracer.traces()[:50]:
-            for span in root.walk():
+            for span in root.trace:
                 assert span.finished
                 assert span.end >= span.start
-                for child in span.children:
-                    assert child.start >= span.start
+                if span.parent is not None:
+                    assert span.start >= span.parent.start
 
 
 class TestAnalysisAdapter:

@@ -20,8 +20,9 @@ from repro.telemetry import (
     Telemetry,
     TraceEvent,
     Tracer,
+    decode_trace,
+    encode_trace,
     read_events,
-    span_from_dict,
 )
 
 
@@ -90,6 +91,17 @@ class TestReader:
         with pytest.raises(EventLogError):
             list(read_events(path))
 
+    def test_rejects_the_previous_schema_version(self, tmp_path):
+        # No v1 reader is kept: a nested-tree log is refused up front.
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            json.dumps({"kind": EVENT_LOG_KIND, "version": 1}) + "\n"
+        )
+        assert EVENT_SCHEMA_VERSION == 2
+        for reader in (lambda: list(read_events(path)), lambda: EventLog.load(path)):
+            with pytest.raises(EventLogError, match="version 1"):
+                reader()
+
     def test_rejects_future_version(self, tmp_path):
         path = tmp_path / "future.jsonl"
         path.write_text(
@@ -118,8 +130,9 @@ class TestSpanRoundTrip:
         with tracer.span("resolver.resolve", at=0.0, qname="x.nl.") as root:
             with tracer.span("resolver.exchange", at=0.010) as child:
                 child.event("udp.sent", 0.011, size=64)
-        rebuilt = span_from_dict(root.to_dict())
-        assert rebuilt.to_dict() == root.to_dict()
+        rebuilt = decode_trace(json.loads(json.dumps(encode_trace(root))))
+        assert encode_trace(rebuilt) == encode_trace(root)
+        assert rebuilt.trace[1].parent is rebuilt
         assert rebuilt.find("resolver.exchange").events[0].name == "udp.sent"
 
 
@@ -143,8 +156,8 @@ class TestSeededRunRoundTrip:
         logged = log.profile()
         logged.pop("total_seconds", None)
         assert logged == profile
-        live = [root.to_dict() for root in telemetry.tracer.traces()]
-        replayed = [root.to_dict() for root in log.traces()]
+        live = [encode_trace(root) for root in telemetry.tracer.traces()]
+        replayed = [encode_trace(root) for root in log.traces()]
         assert replayed == live
         assert len(replayed) > 0
 

@@ -39,11 +39,11 @@ class TestSpillingEventSink:
         sink.emit(Note("marker", {"n": 1}))
         # Below capacity: records are buffered, only the header is out.
         assert len(path.read_text().splitlines()) == 1
-        assert len(sink._buffer) == 2
+        assert len(sink.lines) == 2
         sink.emit(Note("marker", {"n": 2}))
         # Capacity reached: the buffer spilled and emptied.
         assert len(path.read_text().splitlines()) == 4
-        assert sink._buffer == []
+        assert sink.lines == []
         sink.close()
         assert sink.emitted == 3
 
@@ -52,44 +52,46 @@ class TestSpillingEventSink:
             EventLogWriter(tmp_path / "seg.jsonl", max_buffered=0)
 
     def test_shard_tagging_and_record_round_trip(self, tmp_path):
+        # The only shard tag left is the one a heartbeat note carries in
+        # its own data; the writer adds nothing to a record.
         path = tmp_path / "seg.jsonl"
-        sink = EventLogWriter(path, shard=7)
-        sink.emit(Note("marker", {"n": 1}))
+        sink = EventLogWriter(path)
+        sink.emit(Note("shard.heartbeat", {"shard": 7, "tick": 1}))
         sink.close()
         records = list(iter_raw_records(path))
-        assert len(records) == 1
-        assert records[0]["shard"] == 7
-        assert records[0]["kind"] == "note"
+        assert records == [{
+            "kind": "note", "at": None, "name": "shard.heartbeat",
+            "data": {"shard": 7, "tick": 1},
+        }]
         assert list(sink.iter_records()) == records
-        # The in-memory mode holds the same records under the same tag.
-        in_memory = EventLogWriter(shard=7)
-        in_memory.emit(Note("marker", {"n": 1}))
-        assert in_memory.records == records
+        # The in-memory mode holds the same line the file does.
+        in_memory = EventLogWriter()
+        in_memory.emit(Note("shard.heartbeat", {"shard": 7, "tick": 1}))
+        assert in_memory.lines == path.read_text().splitlines()[1:]
         assert in_memory.of_kind("note") == sink.of_kind("note") == records
 
     def test_emit_after_close_drops(self, tmp_path, caplog):
-        # One rule in both modes: spilled segment and in-memory records.
-        in_memory = EventLogWriter(shard=3)
-        for sink in (EventLogWriter(tmp_path / "seg.jsonl", shard=3), in_memory):
+        # One rule in both modes: spilled segment and in-memory lines.
+        in_memory = EventLogWriter()
+        for sink in (EventLogWriter(tmp_path / "seg.jsonl"), in_memory):
             caplog.clear()
             sink.emit(Note("marker", {}))
             sink.close()
             assert sink.closed
             assert sink.emit(Note("marker", {})) is False
-            assert sink.emit(Note("marker", {})) is False
+            assert sink.emit_line('{"kind": "note"}') is False
             assert sink.dropped == 2
             assert sink.emitted == 1
             assert len(caplog.records) == 1  # warned once
             # What was emitted before the close stays readable.
             assert list(sink.iter_records()) == [
-                {"kind": "note", "at": None, "name": "marker", "data": {},
-                 "shard": 3}
+                {"kind": "note", "at": None, "name": "marker", "data": {}}
             ]
-        assert in_memory.records == list(in_memory.iter_records())
+        assert len(in_memory.lines) == 1
 
     def test_follower_tails_a_spilling_segment(self, tmp_path):
         path = tmp_path / "seg.jsonl"
-        sink = EventLogWriter(path, shard=0, max_buffered=2)
+        sink = EventLogWriter(path, max_buffered=2)
         follower = EventLogFollower(path)
         assert follower.poll() == []
         sink.emit(Note("marker", {"n": 0}))

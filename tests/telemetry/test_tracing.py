@@ -1,6 +1,12 @@
 """Span/trace semantics: nesting, virtual-time ordering, retention."""
 
-from repro.telemetry import NULL_SPAN, NullTracer, Tracer, render_trace
+from repro.telemetry import (
+    NULL_SPAN,
+    NullTracer,
+    Tracer,
+    encode_trace,
+    render_trace,
+)
 
 
 class TestSpanNesting:
@@ -9,8 +15,8 @@ class TestSpanNesting:
         root = tracer.start_span("resolver.resolve", at=0.0)
         child = tracer.start_span("resolver.exchange", at=0.010)
         assert child.parent is root
-        assert child.trace_id == root.trace_id
-        assert root.children == [child]
+        assert child.trace is root.trace
+        assert root.trace == [root, child]
         tracer.finish_span(child, at=0.050)
         tracer.finish_span(root, at=0.060)
         assert tracer.traces() == [root]
@@ -22,8 +28,9 @@ class TestSpanNesting:
                 pass
             with tracer.span("attempt", at=0.4):
                 pass
-        assert [child.name for child in root.children] == ["attempt", "attempt"]
-        assert all(child.parent is root for child in root.children)
+        children = root.trace[1:]
+        assert [child.name for child in children] == ["attempt", "attempt"]
+        assert all(child.parent is root for child in children)
 
     def test_separate_roots_get_separate_trace_ids(self):
         tracer = Tracer()
@@ -31,8 +38,10 @@ class TestSpanNesting:
             pass
         with tracer.span("b", at=1.0):
             pass
+        # A trace's identity is the flat list its root owns: no counter.
         first, second = tracer.traces()
-        assert first.trace_id != second.trace_id
+        assert first.trace is not second.trace
+        assert first.trace == [first] and second.trace == [second]
 
     def test_virtual_time_ordering(self):
         """Span times come from the caller's (virtual) clock, in order."""
@@ -44,24 +53,28 @@ class TestSpanNesting:
         tracer.finish_span(trip, at=100.082)
         tracer.finish_span(exchange, at=100.082)
         tracer.finish_span(root, at=100.082)
-        spans = list(root.walk())
+        spans = root.trace
         assert [span.name for span in spans] == ["resolve", "exchange", "round_trip"]
         for parent, child in zip(spans, spans[1:]):
             assert child.start >= parent.start
             assert child.end <= parent.end
         assert abs(trip.duration_s - 0.082) < 1e-9
 
-    def test_walk_is_depth_first_and_find_matches(self):
+    def test_trace_is_flat_in_start_order_and_find_matches(self):
         tracer = Tracer()
         with tracer.span("root", at=0.0) as root:
-            with tracer.span("left", at=0.0):
+            with tracer.span("left", at=0.0) as left:
                 with tracer.span("leaf", at=0.0):
                     pass
             with tracer.span("right", at=1.0):
-                pass
-        assert [span.name for span in root.walk()] == [
-            "root", "left", "leaf", "right",
+                # Event-driven code parents explicitly, in any order:
+                # start order, not tree order, is what the list keeps.
+                late = tracer.start_span("late-leaf", at=1.0, parent=left)
+                tracer.finish_span(late, at=1.0)
+        assert [span.name for span in root.trace] == [
+            "root", "left", "leaf", "right", "late-leaf",
         ]
+        assert late.parent is left and late.trace is root.trace
         assert root.find("leaf").name == "leaf"
         assert root.find("missing") is None
 
@@ -83,16 +96,16 @@ class TestSpanData:
             context.end_at(2.5)
         assert span.end == 2.5
 
-    def test_to_dict_round_trips_tree(self):
+    def test_encode_trace_lays_the_trace_out_flat(self):
         tracer = Tracer()
         with tracer.span("root", at=0.0) as root:
             root.set(qname="probe.example.nl.")
             with tracer.span("child", at=0.1):
                 pass
-        data = root.to_dict()
-        assert data["name"] == "root"
-        assert data["attributes"] == {"qname": "probe.example.nl."}
-        assert data["children"][0]["name"] == "child"
+        assert encode_trace(root) == [
+            [-1, "root", 0.0, 0.0, {"qname": "probe.example.nl."}, []],
+            [0, "child", 0.1, 0.1, {}, []],
+        ]
 
 
 class TestRetention:
@@ -153,5 +166,5 @@ class TestNullTracer:
 
     def test_null_span_reads_as_empty(self):
         assert NULL_SPAN.find("anything") is None
-        assert list(NULL_SPAN.walk()) == []
+        assert NULL_SPAN.trace == []
         assert NULL_SPAN.finished is False

@@ -783,6 +783,71 @@ class TestObservabilityCommands:
         assert "finished" in out
         assert kept.exists()  # --events keeps the log for later replay
 
+    #: reader command → argv around the log path.
+    READERS = {
+        "dashboard": lambda log: ["dashboard", log],
+        "slo": lambda log: ["slo", log],
+        "forensics": lambda log: ["forensics", log],
+        "top": lambda log: ["top", "--from-log", log],
+    }
+
+    @staticmethod
+    def _malformed(kind: str, good: str) -> str:
+        lines = good.splitlines(keepends=True)
+        if kind == "empty":
+            return ""
+        if kind == "not-json":
+            return "this is not an event log\n" + "".join(lines[1:])
+        if kind == "wrong-version":
+            header = json.loads(lines[0])
+            header["version"] = 1
+            return json.dumps(header) + "\n" + "".join(lines[1:])
+        if kind == "corrupt-middle":
+            middle = len(lines) // 2
+            lines[middle] = lines[middle][:40] + "\n"
+            return "".join(lines)
+        assert kind == "truncated-tail"
+        return good[:-25]  # the last record, cut mid-line
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize(
+        "kind", ["empty", "not-json", "wrong-version", "corrupt-middle"]
+    )
+    def test_readers_report_a_malformed_log_and_exit_two(
+        self, capsys, tmp_path, fault_log, reader, kind
+    ):
+        bad = tmp_path / f"{kind}.events.jsonl"
+        bad.write_text(self._malformed(kind, fault_log.read_text()))
+        # main() returning at all means no traceback escaped.
+        assert main(self.READERS[reader](str(bad))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{reader}: {bad}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_readers_tolerate_a_truncated_final_line(
+        self, capsys, caplog, tmp_path, fault_log, reader
+    ):
+        # A writer that died mid-append is not an error: the one line
+        # parser skips the cut record with a warning and every reader
+        # works from the complete lines.
+        bad = tmp_path / "truncated.events.jsonl"
+        bad.write_text(self._malformed("truncated-tail", fault_log.read_text()))
+        assert main(self.READERS[reader](str(bad))) == 0
+        captured = capsys.readouterr()
+        assert captured.out
+        assert "ignoring truncated final line" in caplog.text
+
+    def test_dashboard_follow_reports_a_corrupt_line(
+        self, capsys, tmp_path, fault_log
+    ):
+        bad = tmp_path / "corrupt.events.jsonl"
+        bad.write_text(self._malformed("corrupt-middle", fault_log.read_text()))
+        assert main(["dashboard", str(bad), "--follow",
+                     "--idle-timeout", "1"]) == 2
+        assert f"dashboard: {bad}: corrupt" in capsys.readouterr().err
+
     def test_dashboard_follow_renders_after_finalize(self, capsys, fault_log):
         assert main(["--quiet", "dashboard", str(fault_log), "--follow",
                      "--idle-timeout", "5"]) == 0
