@@ -25,7 +25,7 @@ from ..netsim.network import SimNetwork
 from ..netsim.sched import EventKernel
 from ..resolvers.population import ResolverPopulation
 from ..resolvers.resolver import RecursiveResolver
-from ..seeding import derive_rng
+from ..seeding import derive_rng, derive_stream
 from ..telemetry import NULL_TELEMETRY
 from .probes import Probe
 
@@ -111,7 +111,8 @@ class AtlasPlatform:
         ``rng`` is the probe's decision stream (placement draws only).
         """
         sample = self.population.sample(
-            rng=derive_rng(self.seed, "impl", probe.probe_id, ordinal)
+            rng=derive_rng(self.seed, "impl", probe.probe_id, ordinal),
+            selector_rng=derive_stream(self.seed, "selector", probe.probe_id, ordinal),
         )
         location = probe.location
         if rng.random() < self.remote_resolver_share:
@@ -127,7 +128,7 @@ class AtlasPlatform:
             self.network,
             sample.selector,
             infra_ttl_s=sample.infra_ttl_s,
-            rng=derive_rng(self.seed, "resolver", probe.probe_id, ordinal),
+            rng=derive_stream(self.seed, "resolver", probe.probe_id, ordinal),
             **self.resolver_options,
         )
         self._impl_by_resolver[address] = sample.impl_name

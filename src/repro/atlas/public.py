@@ -17,7 +17,7 @@ from ..dns.name import Name
 from ..netsim.anycast import AnycastGroup, AnycastSite
 from ..netsim.geo import PROBE_CITIES, Location
 from ..netsim.network import SimNetwork
-from ..seeding import default_rng, derive_rng
+from ..seeding import default_rng, derive_stream
 from ..resolvers.bind import BindSelector
 from ..resolvers.resolver import RecursiveResolver
 from .probes import Probe
@@ -55,8 +55,8 @@ class PublicResolverService:
                 address,  # all instances share the well-known address
                 location,
                 network,
-                selector_factory(rng=derive_rng(seed, "selector", code)),
-                rng=derive_rng(seed, "resolver", code),
+                selector_factory(rng=derive_stream(seed, "selector", code)),
+                rng=derive_stream(seed, "resolver", code),
             )
             instances[code] = resolver
             group.add_site(AnycastSite(code, location, lambda *a: None))

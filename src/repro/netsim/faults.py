@@ -33,12 +33,11 @@ per round trip.
 from __future__ import annotations
 
 import json
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from ..seeding import derive_rng
+from ..seeding import CounterStream, derive
 
 #: header discriminator of a scenario file.
 SCENARIO_KIND = "repro-fault-scenario"
@@ -419,7 +418,7 @@ class FaultPlan:
 
     Built once per run (see :class:`~repro.core.experiment
     .TestbedExperiment`); the network asks :meth:`active` per exchange
-    and :meth:`pair_rng` for probabilistic effects.  Lookup is a bisect
+    and :meth:`pair_draw` for probabilistic effects.  Lookup is a bisect
     into the address's precomputed window boundaries with the resolved
     state memoized per segment, so a fault-heavy campaign pays a dict
     hit per exchange, not a timeline scan.
@@ -470,7 +469,7 @@ class FaultPlan:
                     marks.add(min(event.start + ramp, event.end))
             self._boundaries[address] = sorted(marks)
         self._segments: dict[tuple[str, int], tuple] = {}
-        self._pair_streams: dict[tuple[str, str], random.Random] = {}
+        self._pair_streams: dict[tuple[str, str], int] = {}  # stream states
 
     # -- query-time surface ------------------------------------------------
 
@@ -548,14 +547,17 @@ class FaultPlan:
         )
         return state, tuple(ramps)
 
-    def pair_rng(self, client_key: str, address: str) -> random.Random:
-        """The (client, destination) fault stream — layout-invariant."""
+    def pair_draw(self, client_key: str, address: str) -> float:
+        """The (client, destination) fault stream's next uniform: its n-th
+        draw is a function of (seed, client, destination, n)."""
         key = (client_key, address)
-        stream = self._pair_streams.get(key)
-        if stream is None:
-            stream = derive_rng(self.seed, "faults.pair", client_key, address)
-            self._pair_streams[key] = stream
-        return stream
+        state = self._pair_streams.get(key)
+        if state is None:
+            state = derive(self.seed, "faults.pair", client_key, address)
+        stream = CounterStream(state)
+        draw = stream.random()
+        self._pair_streams[key] = stream.state
+        return draw
 
     # -- timeline surface --------------------------------------------------
 

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..seeding import default_rng, derive_rng
+from ..seeding import CounterStream, default_rng, derive, derive_rng
 from .geo import GeoPoint, great_circle_km
 
 # Speed of light in fiber, km per second (~0.67 c).
@@ -54,8 +54,8 @@ class LatencyModel:
       stream (``rng``) — fine for callers that own the whole draw order
       (the resilience evaluator, ad-hoc scripts).
     * :meth:`sample_exchange` draws from a *per-(client, destination)*
-      stream derived from ``seed``.  Each pair's stream depends only on
-      the pair's identity and its own exchange count, never on how other
+      counter stream derived from ``seed``: a pair's n-th exchange is a
+      function of (seed, client, destination, n), never of how other
       pairs' draws interleave — the property that lets the sharded
       experiment engine reproduce a serial run bit-for-bit.
     """
@@ -78,7 +78,8 @@ class LatencyModel:
         #: the shared rng so legacy ``rng=``-only construction stays
         #: deterministic end to end.
         self.seed = seed if seed is not None else self.rng.getrandbits(63)
-        self._pair_streams: dict[tuple[str, str], random.Random] = {}
+        #: pair -> CounterStream state: two outputs per exchange, a counter
+        self._pair_streams: dict[tuple[str, str], int] = {}
         # base_rtt_ms is pure per (points, params): a campaign hits the
         # same few VP–site pairs millions of times, so memoize — and
         # drop the memo if someone swaps in new parameters.
@@ -113,14 +114,6 @@ class LatencyModel:
 
     # -- per-pair sampling (layout-invariant) -------------------------------
 
-    def _pair_rng(self, client_key: str, dst_key: str) -> random.Random:
-        key = (client_key, dst_key)
-        stream = self._pair_streams.get(key)
-        if stream is None:
-            stream = derive_rng(self.seed, "pair", client_key, dst_key)
-            self._pair_streams[key] = stream
-        return stream
-
     def sample_exchange(
         self, client_key: str, dst_key: str, a: GeoPoint, b: GeoPoint
     ) -> tuple[bool, float | None]:
@@ -129,10 +122,16 @@ class LatencyModel:
         The n-th exchange between a given client and destination sees
         the same loss and jitter draws no matter what any other pair is
         doing — serial and sharded runs agree exchange for exchange.
+        Both are drawn every time, lost or not.
         """
-        stream = self._pair_rng(client_key, dst_key)
-        if stream.random() < self.params.loss_rate:
+        key = (client_key, dst_key)
+        state = self._pair_streams.get(key)
+        if state is None:
+            state = derive(self.seed, "latency.pair", client_key, dst_key)
+        stream = CounterStream(state)
+        lost = stream.random() < self.params.loss_rate
+        jitter = stream.gauss(0.0, self.params.jitter_sigma)
+        self._pair_streams[key] = stream.state
+        if lost:
             return True, None
-        base = self.base_rtt_ms(a, b)
-        multiplier = math.exp(stream.gauss(0.0, self.params.jitter_sigma))
-        return False, base * multiplier
+        return False, self.base_rtt_ms(a, b) * math.exp(jitter)

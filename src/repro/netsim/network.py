@@ -212,15 +212,13 @@ class SimNetwork:
             # notwithstanding, so the pair stream advances identically
             # in every layout.
             if active.loss_rate > 0.0:
-                stream = faults.pair_rng(client_address, dst_address)
-                if stream.random() < active.loss_rate:
+                if faults.pair_draw(client_address, dst_address) < active.loss_rate:
                     lost = True
                     fault_drop = "loss"
                 if costs_on:
                     costs.count("rng_draw")
             if active.answer_rate < 1.0:
-                stream = faults.pair_rng(client_address, dst_address)
-                if stream.random() >= active.answer_rate:
+                if faults.pair_draw(client_address, dst_address) >= active.answer_rate:
                     lost = True
                     fault_drop = fault_drop or "brownout"
                 if costs_on:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 import random
 
-from ..seeding import default_rng
+from ..seeding import CounterStream, default_rng
 from ..telemetry import NULL_TELEMETRY
 from .infracache import InfrastructureCache
 
@@ -36,7 +36,7 @@ class ServerSelector(abc.ABC):
     #: itself instrumented (class-level default keeps it zero-cost)
     telemetry = NULL_TELEMETRY
 
-    def __init__(self, rng: random.Random | None = None):
+    def __init__(self, rng: random.Random | CounterStream | None = None):
         # Namespaced per selector family: two different selector classes
         # falling back to the default must not tie-break identically
         # (the old Random(0) default synchronized them).

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..seeding import default_rng, derive_rng
+from ..seeding import CounterStream, default_rng, derive_rng
 from .base import ServerSelector
 from .bind import BindSelector
 from .naive import RandomSelector, RoundRobinSelector, StickySelector
@@ -96,21 +96,27 @@ class ResolverPopulation:
             )
         self.rng = rng
 
-    def sample(self, rng: random.Random | None = None) -> PopulationSample:
+    def sample(
+        self,
+        rng: random.Random | None = None,
+        selector_rng: random.Random | CounterStream | None = None,
+    ) -> PopulationSample:
         """Draw one implementation and instantiate its selector.
 
         Pass a per-entity ``rng`` (derived from a seed path) to make the
         draw independent of every other sample — the sharded experiment
         engine relies on this; the shared fallback stream remains for
-        callers that own the whole draw order.
+        callers that own the whole draw order.  ``selector_rng`` is the
+        stream the selector keeps; by default a Mersenne one off ``rng``.
         """
         rng = rng if rng is not None else self.rng
         names = list(self.mix)
         weights = [self.mix[name] for name in names]
         name = rng.choices(names, weights=weights, k=1)[0]
+        if selector_rng is None:
+            selector_rng = random.Random(rng.randrange(2**63))
         selector = SELECTOR_CLASSES[name](
-            rng=random.Random(rng.randrange(2**63)),
-            **self.selector_overrides.get(name, {}),
+            rng=selector_rng, **self.selector_overrides.get(name, {})
         )
         return PopulationSample(
             impl_name=name,

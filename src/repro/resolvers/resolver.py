@@ -18,9 +18,9 @@ from ..dns.rdata import TXT
 from ..dns.records import ResourceRecord
 from ..dns.types import Rcode, RRClass, RRType
 from ..netsim.geo import Location
-from ..netsim.network import SimNetwork
+from ..netsim.network import DeliveryError, SimNetwork
 from ..netsim.sched import EventKernel
-from ..seeding import default_rng
+from ..seeding import CounterStream, default_rng
 from ..telemetry import NULL_SPAN, NULL_TELEMETRY
 from .base import ServerSelector
 from .infracache import InfrastructureCache
@@ -100,7 +100,7 @@ class RecursiveResolver:
         infra_ttl_s: float = 600.0,
         timeout_ms: float = 800.0,
         max_retries: int = 3,
-        rng: random.Random | None = None,
+        rng: random.Random | CounterStream | None = None,
         qname_minimization: bool = False,
         case_randomization: bool = False,
         telemetry=None,
@@ -591,8 +591,9 @@ class _EventResolution:
                 kernel, resolver.location, resolver.address, self.address,
                 wire, self._on_trip, parent=parent,
             )
-        except Exception:
-            # Host gone (withdrawn mid-measurement): a timeout to us.
+        except DeliveryError:
+            # Host gone (withdrawn mid-measurement): a timeout to us.  Not
+            # wider: a lost exchange runs `_on_trip` inside `transmit`.
             self._attempt_failed("unreachable")
 
     def _attempt_failed(self, outcome: str) -> None:

@@ -33,6 +33,7 @@ imported, so any layer may depend on this module without cycles.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 #: derived seeds are 63-bit non-negative ints (fits ``randrange(2**63)``)
@@ -86,6 +87,64 @@ def derive_rng(root: int, *path) -> random.Random:
     return random.Random(derive(root, *path))
 
 
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's Weyl increment: 2**64 / phi, odd
+
+
+class CounterStream:
+    """A deterministic stream whose whole state is one 64-bit integer.
+
+    For streams kept per entity for a whole run — one per (client,
+    destination) pair, resolver and selector — where a Mersenne state
+    is 2.5 KiB.  The n-th output is splitmix64's finaliser over
+    ``seed + n * _GAMMA``, a pure function of ``(seed, n)``: ``state``
+    can live as a bare int in a table, and ``CounterStream(state)``
+    resumes where it left off.  Every draw but :meth:`shuffle` consumes
+    exactly one output, whatever its value.  Only what those call sites
+    use is provided; shared and transient streams stay
+    :class:`random.Random`.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: int):
+        self.state = state
+
+    def _next(self) -> int:
+        self.state = z = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2.0**-53
+
+    def randrange(self, stop: int) -> int:
+        return (self._next() * stop) >> 64  # bias < stop / 2**64
+
+    def choice(self, seq):
+        return seq[(self._next() * len(seq)) >> 64]
+
+    def uniform(self, a: float, b: float) -> float:
+        return a + (b - a) * self.random()
+
+    def shuffle(self, x: list) -> None:
+        for i in range(len(x) - 1, 0, -1):  # Fisher-Yates
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+    def gauss(self, mu: float, sigma: float) -> float:
+        """Box-Muller on the two 32-bit halves of one output."""
+        z = self._next()
+        radius = math.sqrt(-2.0 * math.log(((z >> 32) + 1) * 2.0**-32))
+        return mu + sigma * radius * math.cos((z & 0xFFFFFFFF) * (math.tau / 2**32))
+
+
+def derive_stream(root: int, *path) -> CounterStream:
+    """A :class:`CounterStream` seeded by :func:`derive`."""
+    return CounterStream(derive(root, *path))
+
+
 def default_rng(*path) -> random.Random:
     """The stream a component falls back to when no rng/seed is given.
 
@@ -128,4 +187,5 @@ class SpawnKey:
         return f"SpawnKey({self.root}, {', '.join(map(repr, self.path))})"
 
 
-__all__ = ["SEED_BITS", "SpawnKey", "default_rng", "derive", "derive_rng"]
+__all__ = ["SEED_BITS", "CounterStream", "SpawnKey", "default_rng", "derive",
+           "derive_rng", "derive_stream"]

@@ -41,8 +41,9 @@ class TestServerSide:
         assert sites <= {"FRA", "SYD"}
 
     def test_shares_pinned_on_a_40_probe_campaign(self):
-        """The columnar query log reads back what the per-entry log held:
-        values recorded at the commit before the log changed storage."""
+        """The columnar query log reads back one row per query: the same
+        46 recursives and 15 queries each as at the commit before the log
+        changed storage, counts re-recorded with the PR 24 streams."""
         result = run_combination("2C", num_probes=40, duration_s=1800.0, seed=5)
         shares = server_side_shares(result.deployment)
         expected = {}
@@ -56,18 +57,18 @@ class TestServerSide:
 
 #: recursive address -> queries (of 15, one per tick) its FRA engine logged
 PINNED_FRA_QUERIES_OF_15 = {
-    "10.53.0.1": 9, "10.53.0.2": 11, "10.53.0.3": 0, "10.53.0.4": 8,
-    "10.53.0.5": 2, "10.53.0.6": 1, "10.53.0.7": 6, "10.53.0.8": 15,
-    "10.53.0.9": 14, "10.53.0.10": 8, "10.53.0.11": 14, "10.53.0.12": 6,
-    "10.53.0.13": 8, "10.53.0.14": 13, "10.53.0.15": 14, "10.53.0.16": 15,
-    "10.53.0.17": 0, "10.53.0.18": 13, "10.53.0.19": 11, "10.53.0.20": 14,
-    "10.53.0.21": 10, "10.53.0.22": 14, "10.53.0.23": 14, "10.53.0.24": 10,
-    "10.53.0.25": 8, "10.53.0.26": 14, "10.53.0.27": 9, "10.53.0.28": 8,
-    "10.53.0.29": 7, "10.53.0.30": 2, "10.53.0.31": 8, "10.53.0.32": 13,
-    "10.53.0.33": 15, "10.53.0.34": 13, "10.53.0.35": 15, "10.53.0.36": 7,
-    "10.53.0.37": 12, "10.53.0.38": 7, "10.53.0.39": 9, "10.53.0.40": 9,
-    "10.54.0.1": 6, "10.54.0.10": 5, "10.54.0.11": 4, "10.54.0.14": 13,
-    "10.54.0.32": 7, "10.54.0.37": 5,
+    "10.53.0.1": 6, "10.53.0.2": 13, "10.53.0.3": 15, "10.53.0.4": 4,
+    "10.53.0.5": 5, "10.53.0.6": 1, "10.53.0.7": 10, "10.53.0.8": 15,
+    "10.53.0.9": 14, "10.53.0.10": 8, "10.53.0.11": 14, "10.53.0.12": 9,
+    "10.53.0.13": 13, "10.53.0.14": 14, "10.53.0.15": 13, "10.53.0.16": 0,
+    "10.53.0.17": 0, "10.53.0.18": 12, "10.53.0.19": 13, "10.53.0.20": 15,
+    "10.53.0.21": 14, "10.53.0.22": 14, "10.53.0.23": 12, "10.53.0.24": 9,
+    "10.53.0.25": 7, "10.53.0.26": 14, "10.53.0.27": 4, "10.53.0.28": 7,
+    "10.53.0.29": 7, "10.53.0.30": 2, "10.53.0.31": 8, "10.53.0.32": 12,
+    "10.53.0.33": 0, "10.53.0.34": 13, "10.53.0.35": 15, "10.53.0.36": 9,
+    "10.53.0.37": 12, "10.53.0.38": 8, "10.53.0.39": 7, "10.53.0.40": 8,
+    "10.54.0.1": 13, "10.54.0.10": 6, "10.54.0.11": 8, "10.54.0.14": 13,
+    "10.54.0.32": 7, "10.54.0.37": 9,
 }
 
 

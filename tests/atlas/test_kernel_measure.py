@@ -15,11 +15,10 @@ from repro.telemetry import Telemetry, read_events
 
 DOMAIN = "ourtestdomain.nl."
 
-#: 40 probes (49 VPs) x 3 ticks, loss-free.  Recorded when the kernel
-#: became the only engine; equal to what commit ``165769b`` produced on
-#: its kernel path, canonically sorted.
+#: 40 probes (49 VPs) x 3 ticks, loss-free, canonically sorted.
+#: Re-recorded when the per-entity streams became counter-based (PR 24).
 OBSERVATIONS_SHA256 = (
-    "76f7f0ae8a9428b2e078cf3fb117446981ea20b93d27e599383df1360cfaa36b"
+    "a89a05ecd14f06304f9fe4fbc514fa5b144e2750773bd5db0a2883bb2f8940b6"
 )
 
 

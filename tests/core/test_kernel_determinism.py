@@ -20,11 +20,14 @@ CONFIG_KWARGS = dict(
     scenario="ns-outage",
 )
 
-#: fault-free ``kernel_config(scenario=None)`` rows in canonical order.
-#: Recorded when the kernel became the only engine; equal to what commit
-#: ``165769b`` produced on its kernel path.
+#: fault-free ``kernel_config(scenario=None, seed=FAULT_FREE_SEED)`` rows
+#: in canonical order, re-recorded when the per-entity streams became
+#: counter-based (PR 24).  The seed is the first from the file's own 11
+#: upwards whose 50-row sample contains a retried query, which the
+#: pinned test needs for its server-count check to mean something.
+FAULT_FREE_SEED = 13
 FAULT_FREE_SHA256 = (
-    "e540e3e61a3db6cb4711d0075ca4681a937cb03edcb445dfd0614461a92667c1"
+    "96145631de2f4a2c810bcd0a43ba0452eea05b52592aea8f41acbd1e56ee5c0d"
 )
 
 
@@ -82,7 +85,9 @@ class TestKernelLayoutInvariance:
 
 class TestKernelSemantics:
     def test_fault_free_campaign_is_pinned(self):
-        result = TestbedExperiment(kernel_config(scenario=None)).run()
+        result = TestbedExperiment(
+            kernel_config(scenario=None, seed=FAULT_FREE_SEED)
+        ).run()
         store = result.run.store
         digest = hashlib.sha256()
         for row in store.iter_rows():

@@ -7,10 +7,13 @@ These bounds are what ``peak_rss_mib`` on the suite's ``campaign_cold``
 rests on; they are enforced here so they hold wherever tier-1 runs.
 """
 
+import gc
+import random
 import sys
 
 from repro.atlas.platform import AtlasPlatform
 from repro.core.experiment import run_combination
+from repro.seeding import CounterStream
 
 PROBES, TICKS = 60, 30
 
@@ -61,3 +64,50 @@ def test_campaign_state_does_not_grow_per_observation(monkeypatch):
 
     # Decode memo: one per network, a handful of template shapes in all.
     assert len(platform.network.response_memo._entries) <= 32
+
+
+def live_mersenne_streams() -> int:
+    gc.collect()
+    return sum(type(obj) is random.Random for obj in gc.get_objects())
+
+
+def test_no_mersenne_state_per_pair_resolver_or_selector(monkeypatch):
+    """What a campaign keeps per entity for randomness is one integer.
+
+    A ``random.Random`` is 2.5 KiB; one per (client, destination) pair,
+    resolver and selector was 21 % of ``campaign_cold``'s peak RSS.
+    """
+    seen = []
+    measure = AtlasPlatform.measure
+
+    def measure_and_count(platform, *args, **kwargs):
+        run = measure(platform, *args, **kwargs)
+        seen[:] = [platform]  # the previous run's platform may go
+        live.append(live_mersenne_streams())
+        return run
+
+    monkeypatch.setattr(AtlasPlatform, "measure", measure_and_count)
+    live = [live_mersenne_streams()]
+    vps = []
+    for probes in (20, PROBES):
+        run_combination(
+            "4B", num_probes=probes, interval_s=120.0,
+            duration_s=TICKS * 120.0, seed=3, scenario="brownout",
+        )
+        vps.append(len(seen[0].vantage_points))
+    assert vps[1] > 2 * vps[0]
+    # Shared streams only (platform, latency, population, ...): the
+    # count does not know how many VPs there are.
+    before, after_small, after_large = live
+    assert after_large == after_small
+    assert after_large - before < 20
+
+    (platform,) = seen
+    network = platform.network
+    for table in (network.latency._pair_streams, network.faults._pair_streams):
+        assert len(table) > PROBES // 2  # one entry per pair that talked
+        assert all(type(state) is int for state in table.values())
+    for vp in platform.vantage_points:
+        for stream in (vp.resolver.rng, vp.resolver.selector.rng):
+            assert type(stream) is CounterStream
+            assert sys.getsizeof(stream) <= 64

@@ -1,10 +1,10 @@
 """Pinned output digests: a performance change must not move a byte.
 
 The DITL digest was recorded on commit ``ac78091`` (before selection
-became one pass).  The campaign digest was re-recorded when the event
-kernel became the only engine: it equals what commit ``165769b``
-produced on its kernel path (the synchronous loop's
-``237a0c08…12340`` went with the loop).  A change that means to alter
+became one pass) and nothing a campaign changes reaches it.  The
+campaign digest was re-recorded when the per-pair, per-resolver and
+per-selector streams became counter-based (PR 24; ``8d20f5bf…0d94d``
+was the Mersenne streams' value, same 1 320 rows).  A change that means to alter
 what the simulator computes — a new RNG, a selector fix that bites at
 these sizes — re-records them and says so; a change that claims to be
 output-neutral must leave them alone.
@@ -17,7 +17,7 @@ from repro.passive import generate_ditl_trace
 
 DITL_12_SHA256 = "218d79800c5de092f23f156c10ad835f0da9e3394f5c1961db0eab6c9064f5b6"
 CAMPAIGN_4B_40_SHA256 = (
-    "8d20f5bf5ea75fac7476bf5acada8fc6d5b0148c7713cac2a8d9728a8200d94d"
+    "02de71b4f762ddfa90303aebb7bb7e8e810028688660e8c1ec2b2ee6f7a023eb"
 )
 
 

@@ -1,17 +1,38 @@
 """Tests for hierarchical seed derivation (``repro.seeding``)."""
 
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
+from statistics import fmean, pstdev
 
 import pytest
 
+import repro
 from repro.seeding import (
     SEED_BITS,
+    CounterStream,
     SpawnKey,
     default_rng,
     derive,
     derive_rng,
+    derive_stream,
 )
+
+
+def run_under_hashseeds(script: str) -> set[str]:
+    """stdout of ``script`` under two PYTHONHASHSEED values."""
+    src = str(Path(repro.__file__).parents[1])
+    outputs = set()
+    for hashseed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        outputs.add(result.stdout.strip())
+    return outputs
 
 
 class TestDerive:
@@ -64,22 +85,7 @@ class TestDerive:
             "from repro.seeding import derive; "
             "print(derive(7, 'probe', 3, 'addr'))"
         )
-        import os
-        from pathlib import Path
-
-        import repro
-
-        src = str(Path(repro.__file__).parents[1])
-        outputs = set()
-        for hashseed in ("0", "12345"):
-            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
-            result = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, check=True, env=env,
-            )
-            outputs.add(result.stdout.strip())
-        assert len(outputs) == 1
-        assert outputs == {str(derive(7, "probe", 3, "addr"))}
+        assert run_under_hashseeds(script) == {str(derive(7, "probe", 3, "addr"))}
 
 
 class TestDeriveRng:
@@ -111,3 +117,140 @@ class TestSpawnKey:
     def test_rng_stream_matches_derive_rng(self):
         key = SpawnKey(7)
         assert key.rng("x").random() == derive_rng(7, "x").random()
+
+
+#: first four 64-bit outputs of two fixed (seed, path) streams.  Every
+#: per-pair, per-resolver and per-selector draw of a campaign is one of
+#: these functions: a change here moves every campaign byte.
+GOLDEN_STREAMS = {
+    (12345, ("pair", "a", "b")): [
+        4856295225785522060,
+        2816359749569321266,
+        3451927673400725417,
+        5518355678618840193,
+    ],
+    (20170412, ("resolver", 7, 0)): [
+        3495935215958105854,
+        14100673454088312811,
+        13734015304901345188,
+        10841411116877244804,
+    ],
+}
+
+
+def outputs(stream: CounterStream, count: int) -> list[int]:
+    return [stream.randrange(2**64) for _ in range(count)]
+
+
+#: critical χ² values at p = 0.001 for 1, 3 and 12 degrees of freedom
+CHI2_CRITICAL = {2: 10.83, 4: 16.27, 13: 32.91}
+
+
+def chi2_uniform(draws: list[int], n: int) -> float:
+    expected = len(draws) / n
+    counts = Counter(draws)
+    assert set(counts) <= set(range(n))
+    return sum((counts[k] - expected) ** 2 / expected for k in range(n))
+
+
+class TestCounterStream:
+    def test_is_splitmix64(self):
+        # The published reference outputs of splitmix64 from state 0.
+        assert outputs(CounterStream(0), 4) == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+            0xF88BB8A8724C81EC,
+        ]
+
+    def test_golden_vectors(self):
+        for (seed, path), golden in GOLDEN_STREAMS.items():
+            assert outputs(derive_stream(seed, *path), 4) == golden
+
+    def test_hashseed_independent(self):
+        script = (
+            "from repro.seeding import derive_stream\n"
+            "for seed, path in [(12345, ('pair', 'a', 'b')),"
+            " (20170412, ('resolver', 7, 0))]:\n"
+            "    s = derive_stream(seed, *path)\n"
+            "    print([s.randrange(2**64) for _ in range(4)])"
+        )
+        expected = "\n".join(str(golden) for golden in GOLDEN_STREAMS.values())
+        assert run_under_hashseeds(script) == {expected}
+
+    def test_nth_output_is_a_function_of_seed_and_n(self):
+        # A stream rebuilt around a saved state resumes where it left
+        # off: the state can live as a bare int in a table.
+        whole = outputs(CounterStream(99), 10)
+        stream = CounterStream(99)
+        resumed = []
+        for _ in range(10):
+            stream = CounterStream(stream.state)
+            resumed.append(stream.randrange(2**64))
+        assert resumed == whole
+
+    def test_every_scalar_draw_consumes_one_output(self):
+        draws = (
+            lambda s: s.random(),
+            lambda s: s.randrange(7),
+            lambda s: s.choice("abc"),
+            lambda s: s.uniform(2.0, 5.0),
+            lambda s: s.gauss(0.0, 1.0),
+        )
+        reference = CounterStream(5)
+        reference.randrange(2)
+        for draw in draws:
+            stream = CounterStream(5)
+            draw(stream)
+            assert stream.state == reference.state
+
+    def test_state_is_one_word(self):
+        stream = derive_stream(1, "x")
+        for _ in range(100):
+            stream.random()
+        assert 0 <= stream.state < 2**64
+        assert not hasattr(stream, "__dict__")
+        assert sys.getsizeof(stream) <= 64
+
+    def test_ranges(self):
+        stream = derive_stream(2, "ranges")
+        for _ in range(2000):
+            assert 0.0 <= stream.random() < 1.0
+            assert 2.0 <= stream.uniform(2.0, 5.0) < 5.0
+            assert 0 <= stream.randrange(0x10000) < 0x10000
+
+    @pytest.mark.parametrize("n", [2, 4, 13])
+    def test_randrange_and_choice_are_uniform(self, n):
+        stream = derive_stream(3, "uniform", n)
+        draws = [stream.randrange(n) for _ in range(20_000)]
+        assert chi2_uniform(draws, n) < CHI2_CRITICAL[n]
+        population = list(range(n))
+        draws = [stream.choice(population) for _ in range(20_000)]
+        assert chi2_uniform(draws, n) < CHI2_CRITICAL[n]
+
+    def test_shuffle_is_a_uniform_permutation(self):
+        stream = derive_stream(4, "shuffle")
+        seen = Counter()
+        for _ in range(12_000):
+            items = [0, 1, 2, 3]
+            stream.shuffle(items)
+            assert sorted(items) == [0, 1, 2, 3]
+            seen[tuple(items)] += 1
+        assert len(seen) == 24
+        expected = 12_000 / 24
+        chi2 = sum((count - expected) ** 2 / expected for count in seen.values())
+        assert chi2 < 49.73  # p = 0.001, 23 degrees of freedom
+
+    def test_gauss_moments(self):
+        stream = derive_stream(5, "gauss")
+        draws = [stream.gauss(3.0, 2.0) for _ in range(50_000)]
+        assert abs(fmean(draws) - 3.0) < 0.04        # 4.5 standard errors
+        assert abs(pstdev(draws) - 2.0) < 0.03
+        inside = sum(abs(d - 3.0) < 2.0 for d in draws) / len(draws)
+        assert abs(inside - 0.6827) < 0.01
+
+    def test_streams_are_independent_by_path(self):
+        a = outputs(derive_stream(5, "x"), 4)
+        assert a == outputs(derive_stream(5, "x"), 4)
+        assert a != outputs(derive_stream(5, "y"), 4)
+        assert a != outputs(derive_stream(6, "x"), 4)

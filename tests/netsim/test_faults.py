@@ -198,18 +198,26 @@ class TestFaultPlan:
         assert plan.active("a", 199.0).loss_rate == pytest.approx(0.8)
 
     def test_pair_rng_layout_invariant(self):
-        draws = {}
-        for _ in range(2):
+        # A pair's n-th fault draw is a function of (seed, client,
+        # destination, n): alone or interleaved with other pairs, from
+        # a fresh plan or a shard's, it reads the same.
+        pairs = [("client-1", "10.0.0.53"), ("client-2", "10.0.0.53"),
+                 ("client-1", "10.0.1.53")]
+        alone = {}
+        for pair in pairs:
             plan = plan_for(NsOutage("a", 0.0, 1.0), seed=42)
-            stream = plan.pair_rng("client-1", "10.0.0.53")
-            draws.setdefault("one", []).append(
-                [stream.random() for _ in range(4)]
-            )
-        assert draws["one"][0] == draws["one"][1]
-        other = plan_for(NsOutage("a", 0.0, 1.0), seed=42).pair_rng(
-            "client-2", "10.0.0.53"
-        )
-        assert [other.random() for _ in range(4)] != draws["one"][0]
+            alone[pair] = [plan.pair_draw(*pair) for _ in range(4)]
+            assert all(0.0 <= draw < 1.0 for draw in alone[pair])
+        assert len({tuple(draws) for draws in alone.values()}) == len(pairs)
+        plan = plan_for(NsOutage("a", 0.0, 1.0), seed=42)
+        interleaved = {pair: [] for pair in pairs}
+        for _ in range(4):
+            for pair in reversed(pairs):
+                interleaved[pair].append(plan.pair_draw(*pair))
+        assert interleaved == alone
+        assert all(type(state) is int for state in plan._pair_streams.values())
+        other_seed = plan_for(NsOutage("a", 0.0, 1.0), seed=43)
+        assert other_seed.pair_draw(*pairs[0]) != alone[pairs[0]][0]
 
     def test_transitions_sorted_and_complete(self):
         plan = plan_for(

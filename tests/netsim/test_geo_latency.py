@@ -2,6 +2,7 @@
 
 import math
 import random
+from statistics import correlation, fmean, pstdev
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,3 +153,92 @@ class TestLatencyModel:
         assert [one.sample_rtt_ms(a, b) for _ in range(10)] == [
             two.sample_rtt_ms(a, b) for _ in range(10)
         ]
+
+
+A_POINT, B_POINT = PROBE_CITIES["AMS"].point, DATACENTERS["FRA"].point
+PAIRS = [("client-1", "10.0.0.53"), ("client-1", "10.0.1.53"),
+         ("client-2", "10.0.0.53"), ("client-2", "10.0.1.53")]
+
+
+def exchange(model: LatencyModel, pair: tuple[str, str]):
+    return model.sample_exchange(*pair, A_POINT, B_POINT)
+
+
+class TestPairStreams:
+    """``sample_exchange``: a pair's n-th exchange is a function of
+    (seed, client, destination, n) and of nothing else."""
+
+    @given(st.lists(st.sampled_from(PAIRS), max_size=60))
+    def test_any_interleaving_gives_each_pair_its_solo_sequence(self, order):
+        params = LatencyParameters(loss_rate=0.3)
+        together = LatencyModel(params, seed=11)
+        seen: dict[tuple[str, str], list] = {}
+        for pair in order:
+            seen.setdefault(pair, []).append(exchange(together, pair))
+        for pair, sequence in seen.items():
+            alone = LatencyModel(params, seed=11)
+            assert [exchange(alone, pair) for _ in sequence] == sequence
+
+    def test_a_lost_exchange_advances_the_pair_like_a_delivered_one(self):
+        lossy = LatencyModel(LatencyParameters(loss_rate=1.0), seed=5)
+        clean = LatencyModel(LatencyParameters(loss_rate=0.0), seed=5)
+        for _ in range(5):
+            assert exchange(lossy, PAIRS[0]) == (True, None)
+            assert exchange(clean, PAIRS[0])[0] is False
+        assert lossy._pair_streams == clean._pair_streams
+
+    def test_seed_and_pair_separate_streams(self):
+        def first(seed, pair):
+            return exchange(LatencyModel(seed=seed), pair)
+
+        assert first(1, PAIRS[0]) == first(1, PAIRS[0])
+        assert first(1, PAIRS[0]) != first(2, PAIRS[0])
+        assert first(1, PAIRS[0]) != first(1, PAIRS[1])
+        # (a, b) and (b, a) are different pairs.
+        assert first(1, ("x", "y")) != first(1, ("y", "x"))
+
+    def test_statistics_over_100k_exchanges_across_200_pairs(self):
+        params = LatencyParameters(loss_rate=0.05, jitter_sigma=0.08)
+        model = LatencyModel(params, seed=20170412)
+        base = model.base_rtt_ms(A_POINT, B_POINT)
+        pairs = [(f"client-{i % 20}", f"10.0.{i // 20}.53") for i in range(200)]
+        per_pair = 500
+        lost = 0
+        logs: dict[tuple[str, str], list[float]] = {pair: [] for pair in pairs}
+        # Round-robin, as a campaign interleaves them.
+        for _ in range(per_pair):
+            for pair in pairs:
+                was_lost, rtt = exchange(model, pair)
+                if was_lost:
+                    lost += 1
+                else:
+                    logs[pair].append(math.log(rtt / base))
+        total = per_pair * len(pairs)
+        assert total == 100_000
+
+        three_sigma = 3 * math.sqrt(params.loss_rate * (1 - params.loss_rate) / total)
+        assert abs(lost / total - params.loss_rate) < three_sigma
+
+        jitter = [x for log in logs.values() for x in log]
+        assert abs(fmean(jitter)) < 0.002
+        assert abs(pstdev(jitter) / params.jitter_sigma - 1.0) < 0.02
+
+        # Within a pair consecutive exchanges are uncorrelated (pooled
+        # lag-1 over every pair's own sequence)...
+        heads = [x for log in logs.values() for x in log[:-1]]
+        tails = [x for log in logs.values() for x in log[1:]]
+        assert abs(correlation(heads, tails)) < 0.02
+        # ...and so are two pairs that differ in one token only.
+        for one, other in ((pairs[0], pairs[1]), (pairs[0], pairs[20])):
+            n = min(len(logs[one]), len(logs[other]))
+            assert abs(correlation(logs[one][:n], logs[other][:n])) < 0.2
+        every_first = [log[0] for log in logs.values()]
+        every_second = [log[1] for log in logs.values()]
+        assert abs(correlation(every_first, every_second)) < 0.3
+
+    def test_pair_table_holds_bare_integers(self):
+        model = LatencyModel(seed=9)
+        for pair in PAIRS:
+            exchange(model, pair)
+        assert set(model._pair_streams) == set(PAIRS)
+        assert all(type(state) is int for state in model._pair_streams.values())

@@ -1,6 +1,6 @@
 """Regression tests for the retry/accounting bugs the event kernel exposed.
 
-Three distinct bugs, each pinned here:
+Four distinct bugs, each pinned here:
 
 1. Retry span math: attempt N's exchange span must start after the N
    preceding timeout waits, not overlap attempt 0.
@@ -9,6 +9,10 @@ Three distinct bugs, each pinned here:
    vanished from both.
 3. A referral whose glue is entirely unroutable must SERVFAIL, not
    fall through to NODATA and poison the negative cache.
+4. A send treats an unroutable destination as a timeout and nothing
+   else: ``transmit`` reports a lost exchange *synchronously*, so an
+   error raised while booking that loss must propagate, not be mistaken
+   for an unreachable host and booked a second time.
 """
 
 import random
@@ -368,3 +372,67 @@ class TestKernelSyncEquivalence:
         assert [span.start for span in spans] == [i * wait_s for i in range(4)]
         # Virtual time really elapsed: retries were timer events.
         assert dead.clock.now == pytest.approx(4 * wait_s)
+
+
+class TestSendCatchesOnlyDeliveryErrors:
+    """Bug 4: ``_send`` wrapped ``transmit`` in ``except Exception``."""
+
+    def test_withdrawn_host_reads_as_one_timeout_per_attempt(self):
+        network = SimNetwork(
+            latency=LatencyModel(LatencyParameters(loss_rate=0.0), seed=7)
+        )
+        selector = RecordingSelector(random.Random(1))
+        resolver = make_resolver(network, selector)  # 10.0.0.1: no such host
+        kernel = EventKernel(clock=network.clock)
+        results = []
+        resolver.resolve_event(
+            Name.from_text("probe.ourtestdomain.nl."), RRType.TXT,
+            kernel, results.append,
+        )
+        kernel.run()
+        (result,) = results
+        sends = resolver.max_retries + 1
+        assert result.rcode == Rcode.SERVFAIL
+        assert result.attempts == sends
+        assert [(e.address, e.lost) for e in result.exchanges] == (
+            [("10.0.0.1", True)] * sends
+        )
+        assert selector.timeouts == ["10.0.0.1"] * sends
+        # One timer per attempt, each a full timeout window long.
+        assert kernel.processed == sends
+        assert network.clock.now == pytest.approx(sends * resolver.timeout_ms / 1000.0)
+
+    def test_error_from_the_synchronous_loss_callback_propagates(self):
+        class TimerFault(RuntimeError):
+            pass
+
+        class FaultyKernel(EventKernel):
+            """Books every timer, then fails the first booking."""
+
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.booked = []
+
+            def call_at(self, time, fn, *arg):
+                entry = super().call_at(time, fn, *arg)
+                self.booked.append(fn.__name__)
+                if len(self.booked) == 1:
+                    raise TimerFault("heap full")
+                return entry
+
+        network = SimNetwork(
+            latency=LatencyModel(LatencyParameters(loss_rate=1.0), seed=7)
+        )
+        network.register_host(
+            "10.0.0.1", DATACENTERS["FRA"], make_engine("FRA").handle_wire
+        )
+        resolver = make_resolver(network)
+        kernel = FaultyKernel(clock=network.clock)
+        with pytest.raises(TimerFault):
+            resolver.resolve_event(
+                Name.from_text("probe.ourtestdomain.nl."), RRType.TXT,
+                kernel, lambda result: None,
+            )
+        # The lost attempt's timeout was booked once, not re-booked as
+        # "unreachable" by a handler that swallowed the error.
+        assert kernel.booked == ["_timeout_fired"]
