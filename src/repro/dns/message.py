@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from .errors import TruncatedMessageError, WireFormatError
 from .name import CompressionMap, Name
-from .records import ResourceRecord
+from .rdata import OPT
+from .records import _RR_HEADER_STRUCT, ResourceRecord
 from .types import (
     FLAG_AA,
     FLAG_AD,
@@ -33,14 +34,24 @@ from .types import (
 HEADER_STRUCT = struct.Struct("!HHHHHH")
 QUESTION_TAIL_STRUCT = struct.Struct("!HH")
 
+#: header flag bits a decoded message keeps (opcode and rcode are fields)
+_KEPT_FLAGS = FLAG_QR | FLAG_AA | FLAG_TC | FLAG_RD | FLAG_RA | FLAG_AD | FLAG_CD
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Question:
     """One entry of the question section."""
 
     name: Name
     rrtype: RRType
     rrclass: RRClass = RRClass.IN
+
+    def __init__(self, name: Name, rrtype: RRType, rrclass: RRClass = RRClass.IN):
+        # Frozen, written like ResourceRecord.__init__: one decode per query.
+        state = self.__dict__
+        state["name"] = name
+        state["rrtype"] = rrtype
+        state["rrclass"] = rrclass
 
     def to_wire(self, compress: CompressionMap | None = None, offset: int = 0) -> bytes:
         return self.name.to_wire(compress, offset) + QUESTION_TAIL_STRUCT.pack(
@@ -52,7 +63,7 @@ class Question:
     ) -> None:
         """Append this question to a whole-message buffer (fast path)."""
         self.name.wire_into(out, compress)
-        out += QUESTION_TAIL_STRUCT.pack(int(self.rrtype), int(self.rrclass))
+        out += QUESTION_TAIL_STRUCT.pack(self.rrtype, self.rrclass)
 
     @classmethod
     def from_wire(
@@ -71,7 +82,7 @@ class Question:
         return f"{self.name.to_text()} {RRClass(self.rrclass).to_text()} {rrtype}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A complete DNS message.
 
@@ -189,13 +200,11 @@ class Message:
 
     def make_response(self) -> "Message":
         """Start a response to this query: copy id, question, RD, EDNS."""
-        response = Message(msg_id=self.msg_id, opcode=self.opcode)
-        response.questions = list(self.questions)
-        response.is_response = True
-        response.recursion_desired = self.recursion_desired
-        if self.edns_payload is not None:
-            response.edns_payload = self.edns_payload
-        return response
+        return Message(
+            self.msg_id, FLAG_QR | (self.flags & FLAG_RD), self.opcode,
+            Rcode.NOERROR, list(self.questions), [], [], [],
+            self.edns_payload, [],
+        )
 
     @property
     def question(self) -> Question:
@@ -231,77 +240,70 @@ class Message:
                 arcount,
             )
             if arcount:
-                # OPT owns the root name: no compression state involved.
-                out += self._opt_record().to_wire(None, 0)
+                self._opt_into(out)
             wire = bytes(out)
         return wire
 
-    def _opt_record(self) -> ResourceRecord:
-        """Synthesize the OPT pseudo-record for this message's EDNS state."""
-        from .name import ROOT
-        from .rdata import OPT
+    def _opt_into(self, out: bytearray) -> None:
+        """Append the OPT pseudo-record for this message's EDNS state.
 
-        return ResourceRecord(
-            ROOT,
-            RRType.OPT,
-            self.edns_payload,  # type: ignore[arg-type]  # CLASS = payload
-            0,
-            OPT.encode_options(self.edns_options) if self.edns_options else OPT(),
+        Its owner is the root name, which never consults or feeds the
+        compression map; CLASS carries the payload size, TTL is zero.
+        """
+        options = OPT.pack_options(self.edns_options) if self.edns_options else b""
+        out += b"\0"
+        out += _RR_HEADER_STRUCT.pack(
+            RRType.OPT, self.edns_payload, 0, len(options)
         )
+        out += options
 
     def _header_flags(self) -> int:
         return (
             (self.flags & ~0x7800 & ~0x000F)
-            | (int(self.opcode) << 11)
-            | (int(self.rcode) & 0x000F)
+            | (self.opcode << 11)
+            | (self.rcode & 0x000F)
         )
 
     def _encode(self) -> tuple[bytes, int]:
         """Render the full message; returns (wire, end-of-question offset).
 
-        One shared bytearray is grown in place: names, fixed fields, and
-        rdata append directly via ``wire_into`` instead of concatenating
-        per-record byte strings, and the section lists are walked without
-        building a combined list first.
+        One shared bytearray is grown in place: names are compressed
+        into it and each record appends its cached tail (see
+        :meth:`ResourceRecord.wire_into`), the section lists are walked
+        without building a combined list first, and the OPT record is
+        written directly.
         """
-        opt = self._opt_record() if self.edns_payload is not None else None
+        questions, answers = self.questions, self.answers
+        authorities, additionals = self.authorities, self.additionals
+        edns = self.edns_payload is not None
         out = bytearray(
             HEADER_STRUCT.pack(
                 self.msg_id,
                 self._header_flags(),
-                len(self.questions),
-                len(self.answers),
-                len(self.authorities),
-                len(self.additionals) + (1 if opt is not None else 0),
+                len(questions),
+                len(answers),
+                len(authorities),
+                len(additionals) + edns,
             )
         )
-        if (
-            len(self.questions) == 1
-            and not self.answers
-            and not self.authorities
-            and not self.additionals
-        ):
-            # Query shape: one question, no records (OPT owns the root
-            # name and never consults the compression dict).  The sole
-            # name can never compress, so skip the dict and reuse the
-            # name's cached uncompressed wire — byte-identical output.
-            self.questions[0].wire_into(out, None)
+        if len(questions) == 1 and not (answers or authorities or additionals):
+            # Query shape: the sole name can never compress, so skip the
+            # dict and reuse the name's cached uncompressed wire.
+            questions[0].wire_into(out, None)
             question_end = len(out)
-            if opt is not None:
-                opt.wire_into(out, None)
-            return bytes(out), question_end
-        compress: CompressionMap = {}
-        for question in self.questions:
-            question.wire_into(out, compress)
-        question_end = len(out)
-        for record in self.answers:
-            record.wire_into(out, compress)
-        for record in self.authorities:
-            record.wire_into(out, compress)
-        for record in self.additionals:
-            record.wire_into(out, compress)
-        if opt is not None:
-            opt.wire_into(out, compress)
+        else:
+            compress: CompressionMap = {}
+            for question in questions:
+                question.wire_into(out, compress)
+            question_end = len(out)
+            for record in answers:
+                record.wire_into(out, compress)
+            for record in authorities:
+                record.wire_into(out, compress)
+            for record in additionals:
+                record.wire_into(out, compress)
+        if edns:
+            self._opt_into(out)
         return bytes(out), question_end
 
     @classmethod
@@ -315,23 +317,55 @@ class Message:
         rcode = RCODE_BY_CODE.get(flags & 0xF)
         if rcode is None:
             rcode = Rcode(flags & 0xF)  # raise as before
-        # Keep AA/TC/RD/RA/AD/CD bits; opcode and rcode live in fields.
-        message = cls(
-            msg_id=msg_id,
-            flags=flags
-            & (FLAG_QR | FLAG_AA | FLAG_TC | FLAG_RD | FLAG_RA | FLAG_AD | FLAG_CD),
-            opcode=opcode,
-            rcode=rcode,
-        )
-        cursor = HEADER_STRUCT.size
-        # One decode memo per message: compression pointers back to an
-        # already-decoded owner name reuse that Name (and its cached hash).
-        memo: dict[int, tuple[Name, int]] = {}
-        for _ in range(qdcount):
-            question, cursor = Question.from_wire(wire, cursor, memo)
-            message.questions.append(question)
-        if not (ancount or nscount or arcount):
-            return message  # query shape: nothing left to decode
+        flags &= _KEPT_FLAGS  # opcode and rcode live in fields
+        if qdcount == 1 and not (ancount or nscount) and arcount <= 1:
+            # Query shape: one question, at most one additional.  Nothing
+            # can point back into a name decoded before the question, so
+            # no pointer memo; an uncompressed question name keeps the
+            # bytes it was read from as its wire form (the query log's).
+            name, cursor = Name.from_wire(wire, HEADER_STRUCT.size)
+            if cursor + 4 > len(wire):
+                raise TruncatedMessageError("question truncated")
+            type_code, class_code = QUESTION_TAIL_STRUCT.unpack_from(wire, cursor)
+            question = Question(
+                name,
+                RRTYPE_BY_CODE.get(type_code, type_code),
+                RRCLASS_BY_CODE.get(class_code, class_code),
+            )
+            message = cls(
+                msg_id, flags, opcode, rcode, [question], [], [], [], None, []
+            )
+            cursor += 4
+            if not arcount:
+                return message
+            if wire[cursor : cursor + 1] == b"\0" and cursor + 11 <= len(wire):
+                # A root-owned additional: if it is the OPT, absorb it
+                # into EDNS state without building the record.
+                type_code, payload, _ttl, rdlength = _RR_HEADER_STRUCT.unpack_from(
+                    wire, cursor + 1
+                )
+                if type_code == RRType.OPT:
+                    start = cursor + 11
+                    if start + rdlength > len(wire):
+                        raise TruncatedMessageError("rdata truncated")
+                    message.edns_payload = payload
+                    if rdlength:
+                        message.edns_options = OPT.unpack_options(
+                            wire[start : start + rdlength]
+                        )
+                    return message
+            memo: dict[int, tuple[Name, int]] = {HEADER_STRUCT.size: (name, cursor - 4)}
+        else:
+            message = cls(msg_id, flags, opcode, rcode, [], [], [], [], None, [])
+            cursor = HEADER_STRUCT.size
+            # One decode memo per message: compression pointers back to an
+            # already-decoded owner name reuse that Name (and its cached hash).
+            memo = {}
+            for _ in range(qdcount):
+                question, cursor = Question.from_wire(wire, cursor, memo)
+                message.questions.append(question)
+            if not (ancount or nscount or arcount):
+                return message  # no records: nothing left to decode
         for count, section in (
             (ancount, message.answers),
             (nscount, message.authorities),

@@ -12,6 +12,7 @@ paper's §7 "Other Considerations".
 from __future__ import annotations
 
 import enum
+import socket
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -24,7 +25,7 @@ class RrlAction(enum.Enum):
     DROP = "drop"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bucket:
     window_start: float
     count: int = 0
@@ -43,7 +44,10 @@ class ResponseRateLimiter:
         Over-limit responses get a TC "slip" every N-th time; others are
         dropped.  ``slip_ratio=1`` slips everything, ``0`` drops all.
     ipv4_prefix_len:
-        Clients are aggregated by network (attackers spread over a /24).
+        Clients are aggregated by network (attackers spread over a /24):
+        two dotted-quad IPv4 clients share buckets when their first
+        ``ipv4_prefix_len`` bits agree, for any length 0-32.  Other
+        clients (IPv6, opaque names) are bucketed per address.
     """
 
     responses_per_second: int = 5
@@ -63,12 +67,24 @@ class ResponseRateLimiter:
     #: not perturb deterministic slip/drop decisions.
     PRUNE_EVERY = 4096
 
-    def _client_network(self, client: str) -> str:
-        address = client.rsplit(":", 1)[0] if ":" in client and client.count(":") == 1 else client
-        if "." in address:
-            keep = max(1, self.ipv4_prefix_len // 8)
-            return ".".join(address.split(".")[:keep])
-        return address  # IPv6 or opaque: per-address
+    def __post_init__(self) -> None:
+        if not 0 <= self.ipv4_prefix_len <= 32:
+            raise ValueError(
+                f"ipv4_prefix_len must be 0-32, got {self.ipv4_prefix_len}"
+            )
+
+    def _client_network(self, client: str) -> Hashable:
+        """The bucket owner of ``client`` (``address`` or ``address:port``)."""
+        if client.count(":") == 1:
+            client = client.partition(":")[0]
+        prefix_len = self.ipv4_prefix_len
+        if prefix_len == 32:
+            return client  # every address its own network; no parsing
+        try:
+            packed = socket.inet_pton(socket.AF_INET, client)
+        except OSError:
+            return client  # IPv6 or opaque: per-address
+        return int.from_bytes(packed, "big") >> (32 - prefix_len)
 
     def check(self, client: str, response_key: Hashable, now: float) -> RrlAction:
         """Account one response; returns how to treat it."""
@@ -79,7 +95,7 @@ class ResponseRateLimiter:
         key = (self._client_network(client), response_key)
         bucket = self._buckets.get(key)
         if bucket is None or now - bucket.window_start >= self.window_s:
-            bucket = _Bucket(window_start=now)
+            bucket = _Bucket(now)
             self._buckets[key] = bucket
         bucket.count += 1
         if bucket.count <= self.responses_per_second:

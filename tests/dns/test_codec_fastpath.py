@@ -19,12 +19,13 @@ from repro.dns.errors import (
     NameError_,
 )
 from repro.dns.message import HEADER_STRUCT, Message, Question
-from repro.dns.name import MAX_NAME_LENGTH, Name
+from repro.dns.name import MAX_NAME_LENGTH, ROOT, Name
 from repro.dns.rdata import (
     AAAA,
     CNAME,
     MX,
     NS,
+    OPT,
     SOA,
     SRV,
     TXT,
@@ -73,7 +74,14 @@ def reference_encode(message: Message) -> bytes:
     ``to_wire(compress, offset)`` and appended — with every name in
     every rdata compressed by :func:`_reference_compress_into`.
     """
-    opt = message._opt_record() if message.edns_payload is not None else None
+    opt = None
+    if message.edns_payload is not None:
+        # The OPT pseudo-record as a plain record: root owner, CLASS =
+        # payload size, TTL 0, the options as rdata (RFC 6891 §6.1.2).
+        opt = ResourceRecord(
+            ROOT, RRType.OPT, message.edns_payload, 0,
+            OPT.encode_options(message.edns_options),
+        )
     wire = bytearray(
         HEADER_STRUCT.pack(
             message.msg_id,

@@ -134,6 +134,17 @@ class TestWire:
         with pytest.raises(TruncatedMessageError):
             Message.from_wire(bytes(wire))
 
+    def test_truncated_record_header_rejected(self):
+        wire = make_response_with_answers(1).to_wire()
+        question_end = 12 + len(QNAME.to_wire()) + 4
+        with pytest.raises(TruncatedMessageError, match="record header"):
+            Message.from_wire(wire[: question_end + 2 + 6])
+
+    def test_truncated_rdata_rejected(self):
+        wire = make_response_with_answers(1).to_wire()
+        with pytest.raises(TruncatedMessageError, match="rdata truncated"):
+            Message.from_wire(wire[:-1])
+
     @given(st.integers(min_value=0, max_value=0xFFFF))
     def test_msg_id_roundtrip(self, msg_id):
         query = Message.make_query(QNAME, RRType.TXT, msg_id=msg_id)
@@ -147,3 +158,76 @@ class TestText:
         assert "QUESTION" in text
         assert "ANSWER" in text
         assert "probe.ourtestdomain.nl." in text
+
+
+class TestQueryShapeDecode:
+    """One question and at most one additional decode without building
+    the OPT record; everything else about the result is the same."""
+
+    def test_edns_query_absorbs_the_opt(self):
+        query = Message.make_query(QNAME, RRType.TXT, msg_id=3).use_edns(1232)
+        query.edns_options.append((10, b"\x01\x02"))
+        query.request_nsid()
+        decoded = Message.from_wire(query.to_wire())
+        assert decoded.edns_payload == 1232
+        assert decoded.edns_options == [(10, b"\x01\x02"), (Message.EDNS_NSID, b"")]
+        assert decoded.additionals == []
+        assert decoded.questions == query.questions
+        assert decoded.to_wire() == query.to_wire()
+
+    def test_question_name_keeps_its_wire(self):
+        wire = Message.make_query("WWW.Example.NL.", RRType.A).to_wire()
+        name = Message.from_wire(wire).questions[0].name
+        assert name._wire == wire[12:-4]  # kept from the decode, not re-rendered
+        assert name.to_wire() is name._wire
+
+    def test_root_owned_non_opt_additional_stays_a_record(self):
+        query = Message.make_query(QNAME, RRType.TXT, msg_id=4)
+        extra = ResourceRecord(Name(()), RRType.TXT, RRClass.IN, 0, TXT.from_value("x"))
+        query.additionals.append(extra)
+        decoded = Message.from_wire(query.to_wire())
+        assert decoded.additionals == [extra]
+        assert decoded.edns_payload is None
+
+    def test_truncated_question_tail_rejected(self):
+        one = Message.make_query(QNAME, RRType.TXT)
+        two = Message.make_query(QNAME, RRType.TXT)
+        two.questions.append(Question(QNAME, RRType.A))  # the general path
+        for query in (one, two):
+            with pytest.raises(TruncatedMessageError, match="question truncated"):
+                Message.from_wire(query.to_wire()[:-2])
+
+    def test_truncated_opt_rdata_rejected(self):
+        query = Message.make_query(QNAME, RRType.TXT).request_nsid()
+        with pytest.raises(TruncatedMessageError):
+            Message.from_wire(query.to_wire()[:-1])
+
+    def test_malformed_option_list_rejected(self):
+        query = Message.make_query(QNAME, RRType.TXT).use_edns(4096)
+        query.edns_options.append((10, b"abc"))
+        wire = bytearray(query.to_wire())
+        wire[-5] = 9  # option length now runs past the OPT rdata
+        with pytest.raises(WireFormatError):
+            Message.from_wire(bytes(wire))
+
+    def test_query_without_edns_has_no_options(self):
+        decoded = Message.from_wire(Message.make_query(QNAME, RRType.A).to_wire())
+        assert decoded.edns_payload is None and decoded.edns_options == []
+
+
+def test_group_rrsets_keeps_first_seen_order_and_minimum_ttl():
+    from repro.dns.records import group_rrsets
+
+    other = Name.from_text("other.ourtestdomain.nl.")
+    records = [
+        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 60, TXT.from_value("a")),
+        ResourceRecord(other, RRType.A, RRClass.IN, 30, A("192.0.2.1")),
+        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 20, TXT.from_value("b")),
+        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 90, TXT.from_value("a")),
+    ]
+    rrsets = group_rrsets(records)
+    assert [(rs.name, rs.rrtype, rs.ttl) for rs in rrsets] == [
+        (QNAME, RRType.TXT, 20), (other, RRType.A, 30),
+    ]
+    assert rrsets[0].rdatas == [TXT.from_value("a"), TXT.from_value("b")]
+    assert list(rrsets[0]) == rrsets[0].rdatas and len(rrsets[1]) == 1

@@ -1,5 +1,7 @@
 """Tests for EDNS options and NSID (RFC 5001)."""
 
+import socket
+
 import pytest
 
 from repro.dns.errors import WireFormatError
@@ -103,3 +105,38 @@ class TestServerNsid:
         query = Message.make_query("t.example.nl.", RRType.TXT).request_nsid()
         assert Message.from_wire(fra.handle_wire(query.to_wire())).nsid == b"fra"
         assert Message.from_wire(syd.handle_wire(query.to_wire())).nsid == b"syd"
+
+
+class TestNsidOverTcp:
+    """The TC-fallback path: a truncated UDP answer is retried over TCP,
+    and that answer identifies the instance exactly like the UDP one."""
+
+    def test_handle_wire_tcp_returns_nsid(self, engine):
+        query = Message.make_query("t.example.nl.", RRType.TXT, msg_id=6).request_nsid()
+        over_udp = Message.from_wire(engine.handle_wire(query.to_wire()))
+        over_tcp = Message.from_wire(engine.handle_wire_tcp(query.to_wire()))
+        assert over_tcp.nsid == over_udp.nsid == b"fra-site-7.example.net"
+        assert over_tcp.edns_payload == over_udp.edns_payload == 4096
+        assert over_tcp.answers == over_udp.answers
+
+    def test_handle_wire_tcp_without_request_has_no_nsid(self, engine):
+        query = Message.make_query("t.example.nl.", RRType.TXT).use_edns(1232)
+        response = Message.from_wire(engine.handle_wire_tcp(query.to_wire()))
+        assert response.edns_payload == 4096
+        assert response.nsid is None
+
+    def test_tcp_server_round_trip_returns_nsid(self, engine):
+        from repro.dns.tcp import (
+            TcpAuthoritativeServer,
+            read_tcp_message,
+            write_tcp_message,
+        )
+
+        query = Message.make_query("t.example.nl.", RRType.TXT, msg_id=7).request_nsid()
+        with TcpAuthoritativeServer(engine) as server:
+            with socket.create_connection(server.address, timeout=2.0) as sock:
+                write_tcp_message(sock, query.to_wire())
+                response = Message.from_wire(read_tcp_message(sock))
+        assert response.msg_id == 7
+        assert response.nsid == b"fra-site-7.example.net"
+        assert response.answers[0].rdata.value == "x"

@@ -156,6 +156,68 @@ class TestWaterTortureAggregation:
         assert limiter.check("198.51.100.9", "k", now=0.0) is RrlAction.SEND
 
 
+class TestPrefixLengths:
+    """Clients share buckets exactly when their first ``ipv4_prefix_len``
+    address bits agree — for every length, not only multiples of 8."""
+
+    CLIENTS = ["10.1.17.3", "10.1.17.200", "10.1.31.9", "10.1.32.9", "10.2.17.3"]
+
+    def shares_bucket(self, prefix_len: int, first: str, second: str) -> bool:
+        limiter = ResponseRateLimiter(
+            responses_per_second=1, slip_ratio=0, ipv4_prefix_len=prefix_len
+        )
+        limiter.check(first, "k", now=0.0)
+        return limiter.check(f"{second}:53", "k", now=0.0) is RrlAction.DROP
+
+    def partition(self, prefix_len: int) -> list[set[str]]:
+        """CLIENTS grouped by the bucket they share."""
+        groups = {
+            frozenset(
+                other for other in self.CLIENTS
+                if self.shares_bucket(prefix_len, client, other)
+            )
+            for client in self.CLIENTS
+        }
+        return sorted((set(group) for group in groups), key=sorted)
+
+    def test_slash20_masks_inside_the_third_octet(self):
+        # 10.1.16.0/20 holds 10.1.17.x and 10.1.31.x, not 10.1.32.x.
+        assert self.partition(20) == [
+            {"10.1.17.3", "10.1.17.200", "10.1.31.9"}, {"10.1.32.9"}, {"10.2.17.3"},
+        ]
+
+    def test_slash24(self):
+        assert self.partition(24) == [
+            {"10.1.17.3", "10.1.17.200"}, {"10.1.31.9"}, {"10.1.32.9"},
+            {"10.2.17.3"},
+        ]
+
+    def test_slash28_splits_a_slash24(self):
+        # .3 is in 10.1.17.0/28, .200 in 10.1.17.192/28.
+        assert self.partition(28) == [
+            {"10.1.17.200"}, {"10.1.17.3"}, {"10.1.31.9"}, {"10.1.32.9"},
+            {"10.2.17.3"},
+        ]
+
+    def test_slash32_is_per_address(self):
+        assert self.partition(32) == [{client} for client in sorted(self.CLIENTS)]
+
+    def test_slash0_is_one_bucket_for_ipv4(self):
+        assert self.partition(0) == [set(self.CLIENTS)]
+
+    def test_non_ipv4_clients_stay_per_address(self):
+        limiter = ResponseRateLimiter(responses_per_second=1, ipv4_prefix_len=16)
+        assert limiter.check("2001:db8::1", "k", now=0.0) is RrlAction.SEND
+        assert limiter.check("2001:db8::2", "k", now=0.0) is RrlAction.SEND
+        assert limiter.check("vp-17", "k", now=0.0) is RrlAction.SEND
+        assert limiter.check("vp-17", "k", now=0.0) is not RrlAction.SEND
+
+    @pytest.mark.parametrize("prefix_len", [-1, 33, 64])
+    def test_out_of_range_lengths_are_refused(self, prefix_len):
+        with pytest.raises(ValueError):
+            ResponseRateLimiter(ipv4_prefix_len=prefix_len)
+
+
 class TestSelfPrune:
     def test_self_prune_is_behaviour_neutral(self):
         # Two limiters fed the identical stream, one force-pruned every
@@ -328,6 +390,26 @@ class TestServerIntegration:
         ]
         assert [wire is not None for wire in results] == [True, True, False, False]
 
+    def test_errors_answered_without_a_lookup_still_bucket_per_zone(self, engine):
+        # A class the server does not serve is REFUSED before any zone
+        # is looked up; its bucket is still the zone the name falls in.
+        from repro.dns.types import RRClass
+
+        results = [
+            engine.handle_wire(
+                Message.make_query(
+                    f"h{index}.example.nl.", RRType.A, RRClass.HS, msg_id=index
+                ).to_wire(),
+                client="1.2.3.4:53",
+                now=500.0,
+            )
+            for index in range(5)
+        ]
+        # responses_per_second=2, slip_ratio=1: the rest slip as bare TC.
+        assert [
+            (r.rcode, r.truncated) for r in map(Message.from_wire, results)
+        ] == [(Rcode.REFUSED, False)] * 2 + [(Rcode.NOERROR, True)] * 3
+
     def test_nxdomain_outside_any_zone_still_limited(self, engine):
         # No zone matches: the scope falls back to the qname, and the
         # REFUSED/NXDOMAIN stream is still accounted.
@@ -392,7 +474,7 @@ class TestEveryStageRunsUnderALimiter:
         ]
         in_zone = sum(qname.endswith("example.nl.") for qname, _ in stream)
 
-        calls = {"from_wire": 0, "to_wire": 0, "lookup": 0}
+        calls = {"from_wire": 0, "to_wire": 0, "lookup": 0, "find_zone": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -401,13 +483,19 @@ class TestEveryStageRunsUnderALimiter:
             return wrapper
 
         zone.lookup = counted("lookup", zone.lookup)
+        engine.find_zone = counted("find_zone", engine.find_zone)
+        probes_per_call = []
         with monkeypatch.context() as patch:
             patch.setattr(
                 Message, "from_wire", counted("from_wire", Message.from_wire)
             )
             patch.setattr(Message, "to_wire", counted("to_wire", Message.to_wire))
             # One client, one instant: every bucket overflows.
-            sent = [engine.handle_wire(wire, "1.2.3.4:53", 0.0) for wire in wires]
+            sent = []
+            for wire in wires:
+                before = calls["find_zone"]
+                sent.append(engine.handle_wire(wire, "1.2.3.4:53", 0.0))
+                probes_per_call.append(calls["find_zone"] - before)
 
         ledger = telemetry.costs.phases["run"]
         answered = [wire for wire in sent if wire is not None]
@@ -425,7 +513,10 @@ class TestEveryStageRunsUnderALimiter:
         assert not engine._templates
         # Every response carried a question, so every one was checked ...
         assert ledger["rrl_check"] == len(wires)
-        # ... after one zone lookup per in-zone query, limited or not.
+        # ... after one zone lookup per in-zone query, limited or not,
+        # and one zone-table probe per call: an error response buckets
+        # under the zone its answer came from, not a second search.
         assert calls["lookup"] == in_zone
+        assert probes_per_call == [1] * len(wires)
         rcodes = {Message.from_wire(w).rcode for w in answered}
         assert rcodes == {Rcode.NOERROR, Rcode.NXDOMAIN, Rcode.REFUSED}

@@ -366,3 +366,75 @@ def test_queries_for_other_suffixes_refused_identically():
     for _ in range(3):
         assert fast.handle_wire(wire) == slow.handle_wire(wire)
     assert fast.stats.refused == slow.stats.refused == 3
+
+
+def _odd_wires() -> list[bytes]:
+    """Queries the fast parser must hand to the full decoder, and a few
+    the template builder must refuse, each a hit-or-miss candidate."""
+    from repro.dns.message import Question
+    from repro.dns.name import MAX_NAME_LENGTH
+    from repro.dns.records import ResourceRecord
+    from repro.dns.types import Opcode, RRClass
+
+    def query(name="m-5-0.probe.example.org.", rrtype=RRType.TXT, **edits):
+        message = Message.make_query(name, rrtype, msg_id=5)
+        for attr, value in edits.items():
+            setattr(message, attr, value)
+        return message
+
+    wires = [query(flags=0x8100).to_wire(), query(opcode=Opcode.NOTIFY).to_wire()]
+    extra = query()
+    extra.additionals.append(
+        ResourceRecord(Name(()), RRType.A, RRClass.IN, 0, A("192.0.2.9"))
+    )
+    wires.append(extra.to_wire())  # an additional that is not an OPT
+    owned = query()
+    owned.additionals.append(
+        ResourceRecord(Name.from_text("x."), RRType.A, RRClass.IN, 0, A("192.0.2.9"))
+    )
+    wires.append(owned.to_wire())  # ... nor owned by the root
+    wires.append(query().request_nsid().to_wire()[:-1])  # OPT rdata cut short
+    opt = query().use_edns(1232)
+    opt.edns_options.append((10, b"abc"))
+    bad_options = bytearray(opt.to_wire())
+    bad_options[-5] = 9  # the option runs past the OPT rdata
+    wires += [bytes(bad_options), query().to_wire() + b"\0", query().to_wire()[:-2]]
+    # A question name that points at itself through the header.
+    wires.append(query().to_wire()[:12] + b"\x01x\xc0\x00" + b"\x00\x10\x00\x01")
+    # A name at the length limit whose first label is one byte: the
+    # two-byte canary label cannot be put in its place.
+    name = Name.from_text("probe.example.org.")
+    for length in (40, 40, 40, 40, 40, 28):
+        name = name.child(b"z" * length)
+    name = name.child(b"q")
+    assert name.wire_length() == MAX_NAME_LENGTH
+    wires.append(query(name.to_text()).to_wire())
+    wires.append(query(rrtype=99).to_wire())  # a type without an RRType
+    two = query()
+    two.questions.append(Question(Name.from_text("www.example.org."), RRType.A))
+    wires.append(two.to_wire())
+    return wires
+
+
+def test_odd_queries_fall_back_and_answer_like_the_slow_path():
+    zone = build_zone()
+    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server(zone)
+    for wire in _odd_wires() * 2:  # the second round meets warm caches
+        assert fast.handle_wire(wire) == slow.handle_wire(wire), wire
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
+    unknown = [entry for entry in fast.query_log if entry.qtype == RRType.ANY]
+    assert len(unknown) == 2  # type 99 is logged as ANY, both times
+    assert fast.handle_wire_tcp(b"\x00\x01garbage") is None
+    assert fast.stats.formerr == slow.stats.formerr + 1
+
+
+def test_template_cache_resets_when_full():
+    server = AuthoritativeServer("site-a", [build_zone()])
+    server._TEMPLATE_MAX = 3
+    for index in range(5):
+        zone_name = f"z{index}.probe.example.org."
+        server.handle_wire(
+            Message.make_query(f"m.{zone_name}", RRType.TXT, msg_id=index).to_wire()
+        )
+    assert 0 < len(server._templates) <= 3
