@@ -8,7 +8,8 @@ from repro.atlas.platform import AtlasPlatform
 from repro.atlas.probes import Probe, ProbeGenerator
 from repro.atlas.public import PublicResolverService
 from repro.core.deployment import Deployment
-from repro.netsim.geo import PROBE_CITIES, Continent
+from repro.netsim.anycast import AnycastGroup, AnycastSite
+from repro.netsim.geo import DATACENTERS, PROBE_CITIES, Continent
 from repro.netsim.latency import LatencyModel, LatencyParameters
 from repro.netsim.network import SimNetwork
 from repro.resolvers.population import ResolverPopulation
@@ -62,6 +63,50 @@ class TestService:
             id(service.instance_for(probe, network)) for _ in range(10)
         }
         assert len(instances) == 1
+
+    def test_instances_share_a_stream_but_not_a_path(self):
+        # Every instance sends from the one service address, so the
+        # network holds one latency stream per (address, destination);
+        # base RTT and anycast catchment still follow each instance's
+        # own location.  Each interleaved exchange must equal the same
+        # exchange in a run where that instance sent all of them.
+        def build():
+            network = SimNetwork(
+                latency=LatencyModel(LatencyParameters(loss_rate=0.0), seed=5)
+            )
+            network.register_host("10.0.0.1", DATACENTERS["FRA"], lambda *a: b"")
+            group = AnycastGroup("192.0.2.53", suboptimal_rate=0.0)
+            for code in ("FRA", "SYD"):
+                group.add_site(AnycastSite(code, DATACENTERS[code], lambda *a: b""))
+            network.register_anycast(group)
+            service = PublicResolverService.build(
+                "10.99.99.99", network, rng=random.Random(2)
+            )
+            return network, service
+
+        def exchanges(codes, dst):
+            network, service = build()
+            out = []
+            for code in codes:
+                instance = service.instances[code]
+                trip = network.round_trip(
+                    instance.location, instance.address, dst, b"q"
+                )
+                out.append((trip.rtt_ms, trip.served_by))
+            return out
+
+        order = ["AMS", "SYDC", "SYDC", "AMS", "SYDC", "AMS"]
+        for dst, sites in (
+            ("10.0.0.1", {"AMS": "FRA", "SYDC": "FRA"}),
+            ("192.0.2.53", {"AMS": "FRA", "SYDC": "SYD"}),
+        ):
+            together = exchanges(order, dst)
+            alone = {code: exchanges([code] * len(order), dst) for code in sites}
+            assert together == [alone[code][i] for i, code in enumerate(order)]
+            assert [served for _, served in together] == [sites[c] for c in order]
+        # The two instances' paths differ: Sydney is far from Frankfurt.
+        (ams_rtt, _), (syd_rtt, _) = exchanges(["AMS", "SYDC"], "10.0.0.1")
+        assert syd_rtt > 3 * ams_rtt
 
     def test_resolution_through_service(self, network, service):
         deployment = Deployment.from_sites(DOMAIN, ("FRA", "SYD"))

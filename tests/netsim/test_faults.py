@@ -319,6 +319,35 @@ class TestNetworkIntegration:
             PROBE_CITIES["AMS"], "c", "192.0.2.53", b"q"
         ).served_by == "FRA"
 
+    def test_no_route_outlives_a_withdrawal_edge(self):
+        # A route found before the withdrawal must not serve during it,
+        # nor one found during it after it: every exchange's site and RTT
+        # are what a group of that one site gives at the same position
+        # of the pair's stream.
+        def network_with(codes, withdrawal=None):
+            network = lossless_network()
+            group = AnycastGroup("192.0.2.53", suboptimal_rate=0.0)
+            for code in codes:
+                group.add_site(AnycastSite(code, DATACENTERS[code], echo_handler(code)))
+            network.register_anycast(group)
+            if withdrawal is not None:
+                network.faults = plan_for(withdrawal)
+            return network
+
+        def trip(network):
+            return network.round_trip(PROBE_CITIES["AMS"], "c", "192.0.2.53", b"q")
+
+        faulted = network_with(
+            ("FRA", "SYD"), SiteWithdrawal("192.0.2.53", 10.0, 20.0, site="FRA")
+        )
+        alone = {code: network_with((code,)) for code in ("FRA", "SYD")}
+        for at, site in ((0.0, "FRA"), (12.0, "SYD"), (15.0, "SYD"),
+                         (25.0, "FRA"), (26.0, "FRA")):
+            faulted.clock.advance_to(at)
+            got = trip(faulted)
+            references = {code: trip(network) for code, network in alone.items()}
+            assert (got.served_by, got.rtt_ms) == (site, references[site].rtt_ms)
+
     def test_all_sites_withdrawn_is_unreachable(self):
         network = lossless_network()
         group = AnycastGroup("192.0.2.53", suboptimal_rate=0.0)

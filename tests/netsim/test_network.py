@@ -1,5 +1,6 @@
 """Tests for the simulated network and anycast catchments."""
 
+import dataclasses
 import random
 
 import pytest
@@ -152,6 +153,41 @@ class TestTracedExchangesAreTheSameExchanges:
             return trips
 
         self.check(run)
+
+
+class TestSwappedLatencyParameters:
+    """New ``network.latency.params`` apply from the next exchange on:
+    base RTT and the path-diversity multiplier are derived from them,
+    and whatever the network keeps per pair must not outlive them."""
+
+    def rtts(self, params, swap_to=None):
+        """Three exchanges' RTTs, ``params`` swapped after the first."""
+        network = SimNetwork(latency=LatencyModel(params, seed=3))
+        network.register_host("10.0.0.1", DATACENTERS["FRA"], echo_handler("f"))
+        out = []
+        for index in range(3):
+            if index == 1 and swap_to is not None:
+                network.latency.params = swap_to
+            trip = network.round_trip(PROBE_CITIES["AMS"], "c", "10.0.0.1", b"q")
+            out.append(trip.rtt_ms)
+        return out
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"access_delay_ms": 60.0, "path_inflation": 3.0},
+            {"path_diversity_sigma": 0.6},
+        ],
+        ids=["base_rtt", "path_diversity_sigma"],
+    )
+    def test_swap_takes_effect_on_the_next_exchange(self, change):
+        old = LatencyParameters(loss_rate=0.0)
+        new = dataclasses.replace(old, **change)
+        swapped = self.rtts(old, swap_to=new)
+        assert swapped[:1] == self.rtts(old)[:1]
+        # The pair stream keeps its position across the swap.
+        assert swapped[1:] == self.rtts(new)[1:]
+        assert swapped[1:] != self.rtts(old)[1:]
 
 
 class TestAnycast:
