@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from ..core.store import (
     MeasurementRun,
@@ -32,6 +31,26 @@ from .probes import Probe
 #: vp_id = probe_id * VPS_PER_PROBE + ordinal — derivable from the probe
 #: alone, so shard workers assign the same ids the serial run would.
 VPS_PER_PROBE = 2
+
+
+class _Query:
+    """One VP's query of one tick, from issue until its row is stored.
+
+    It is the resolution's ``done`` callback: calling it with the result
+    hands itself to ``finish``, which fills :attr:`outcome` and appends
+    finished ticks to the store in issue order.
+    """
+
+    __slots__ = ("finish", "tick", "label", "sid", "outcome")
+
+    def __init__(self, finish, tick: int, label: bytes, sid: int):
+        self.finish = finish
+        self.tick = tick
+        self.label = label
+        self.sid = sid
+
+    def __call__(self, result) -> None:
+        self.finish(self, result)
 
 
 @dataclass(frozen=True)
@@ -308,20 +327,22 @@ class AtlasPlatform:
         epoch = clock.now
         observe = self._observe
         # Reorder buffer: per issued tick, its issue time and one
-        # ``[label, suffix id, outcome]`` row per VP (dropped once
-        # appended); ``unfinished`` counts the outcomes still missing.
-        issued: list[tuple[float, list[list]] | None] = []
+        # :class:`_Query` per VP (dropped once appended); ``unfinished``
+        # counts the outcomes still missing.
+        issued: list[tuple[float, list[_Query]] | None] = []
         unfinished = [len(profiled)] * ticks
         appended = 0
 
-        def finish(tick: int, row: list, result) -> None:
+        def finish(query: _Query, result) -> None:
             nonlocal appended
-            row.append(observe(result))
-            unfinished[tick] -= 1
+            query.outcome = observe(result)
+            unfinished[query.tick] -= 1
             while appended < len(issued) and not unfinished[appended]:
-                now, rows = issued[appended]
-                for (vp, pid), (label, sid, outcome) in zip(profiled, rows):
-                    store.append(vp.vp_id, pid, now, label, sid, *outcome)
+                now, queries = issued[appended]
+                for (vp, pid), done in zip(profiled, queries):
+                    store.append(
+                        vp.vp_id, pid, now, done.label, done.sid, *done.outcome
+                    )
                 issued[appended] = None
                 appended += 1
 
@@ -329,8 +350,8 @@ class AtlasPlatform:
             if costs_on:
                 costs.count("timer_event")
             now = clock.now
-            rows: list[list] = []
-            issued.append((now, rows))
+            queries: list[_Query] = []
+            issued.append((now, queries))
             attacking = plan is not None and plan.active(now - epoch)
             for vp, _ in profiled:
                 if attacking and vp.vp_id in bots:
@@ -341,11 +362,9 @@ class AtlasPlatform:
                 else:
                     label = f"{label_prefix}-{vp.vp_id}-{tick}".encode("ascii")
                     qname, sid = suffix.child(label), suffix_id
-                row = [label, sid]
-                rows.append(row)
-                vp.resolver.resolve_event(
-                    qname, RRType.TXT, kernel, partial(finish, tick, row)
-                )
+                query = _Query(finish, tick, label, sid)
+                queries.append(query)
+                vp.resolver.resolve_event(qname, RRType.TXT, kernel, query)
 
         def heartbeat(tick: int) -> None:
             self._emit_heartbeat(tick, ticks, len(store), shard)

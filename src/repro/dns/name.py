@@ -34,6 +34,9 @@ MAX_NAME_LENGTH = 255  # total wire length including the root label
 
 _ESCAPED = {ord("."), ord("\\")}
 
+#: a label's length octet, by label length
+_LENGTH_OCTETS = tuple(bytes((length,)) for length in range(MAX_LABEL_LENGTH + 1))
+
 #: interned names: exact label tuple -> canonical instance.  Bounded so
 #: adversarial or cache-busting callers cannot grow it without limit.
 _INTERN: dict[tuple[bytes, ...], "Name"] = {}
@@ -130,7 +133,10 @@ class Name:
         # per-label fold would be pure waste.  With __slots__, reading
         # the unset slot lands here exactly once per instance.
         if attr == "_folded":
-            folded = tuple(label.lower() for label in self._labels)
+            labels = self._labels
+            folded = tuple(label.lower() for label in labels)
+            if folded == labels:
+                folded = labels  # lets a child share it (see _child)
             self._folded = folded
             return folded
         if attr == "_wlen":
@@ -389,7 +395,9 @@ class Name:
         """The name with the leftmost label removed; root's parent is an error."""
         if not self._labels:
             raise NameError_("the root name has no parent")
-        return Name._from_validated(self._labels[1:], self._folded[1:])
+        labels = self._labels[1:]
+        folded = labels if self._folded is self._labels else self._folded[1:]
+        return Name._from_validated(labels, folded)
 
     def child(self, label: str | bytes) -> "Name":
         """Prepend one label."""
@@ -404,13 +412,22 @@ class Name:
             raise NameError_(
                 f"label {label!r} exceeds {MAX_LABEL_LENGTH} bytes"
             )
-        total = self.wire_length() + len(label) + 1
-        if total > MAX_NAME_LENGTH:
+        return self._child(label, _LENGTH_OCTETS[len(label)] + label + self.to_wire())
+
+    def _child(self, label: bytes, wire: bytes) -> "Name":
+        """:meth:`child` for a ``label`` already known to be 1–63 bytes,
+        where ``wire`` is the child's uncompressed wire form."""
+        if len(wire) > MAX_NAME_LENGTH:
             raise NameError_("name exceeds 255 wire bytes")
-        name = Name._from_validated(
-            (label,) + self._labels, (label.lower(),) + self._folded
-        )
-        name._wlen = total
+        labels = (label,) + self._labels
+        folded_label = label.lower()
+        if folded_label == label and self._folded is self._labels:
+            folded = labels
+        else:
+            folded = (folded_label,) + self._folded
+        name = Name._from_validated(labels, folded)
+        name._wire = wire
+        name._wlen = len(wire)
         return name
 
     def concatenate(self, suffix: "Name") -> "Name":

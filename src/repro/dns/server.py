@@ -677,9 +677,8 @@ class AuthoritativeServer:
                     candidate = wire[label_end : label_end + known_len]
                     suffix = self._suffixes.get(candidate)
                     if suffix is not None:
-                        qname = suffix.child(wire[13:label_end])
-                        qname._wire = wire[12 : label_end + known_len]
                         cursor = label_end + known_len
+                        qname = suffix._child(wire[13:label_end], wire[12:cursor])
                         break
             if qname is None:
                 qname, cursor = Name.from_wire(wire, HEADER_STRUCT.size)

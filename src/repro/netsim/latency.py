@@ -50,14 +50,15 @@ class LatencyModel:
 
     Two sampling surfaces coexist:
 
-    * :meth:`sample_rtt_ms` / :meth:`is_lost` draw from one shared
-      stream (``rng``) — fine for callers that own the whole draw order
-      (the resilience evaluator, ad-hoc scripts).
+    * :meth:`is_lost` draws from one shared stream (``rng``) — for
+      callers that own the whole draw order (the passive generator).
     * :meth:`sample_exchange` draws from a *per-(client, destination)*
-      counter stream derived from ``seed``: a pair's n-th exchange is a
-      function of (seed, client, destination, n), never of how other
-      pairs' draws interleave — the property that lets the sharded
-      experiment engine reproduce a serial run bit-for-bit.
+      counter stream, :meth:`pair_stream`, derived from ``seed``: a
+      pair's n-th exchange is a function of (seed, client, destination,
+      n), never of how other pairs' draws interleave — the property
+      that lets the sharded experiment engine reproduce a serial run
+      bit-for-bit.  The caller keeps the stream (the network keeps one
+      per pair it has seen).
     """
 
     def __init__(
@@ -78,8 +79,6 @@ class LatencyModel:
         #: the shared rng so legacy ``rng=``-only construction stays
         #: deterministic end to end.
         self.seed = seed if seed is not None else self.rng.getrandbits(63)
-        #: pair -> CounterStream state: two outputs per exchange, a counter
-        self._pair_streams: dict[tuple[str, str], int] = {}
         # base_rtt_ms is pure per (points, params): a campaign hits the
         # same few VP–site pairs millions of times, so memoize — and
         # drop the memo if someone swaps in new parameters.
@@ -102,36 +101,30 @@ class LatencyModel:
         self._base_cache[(a, b)] = rtt
         return rtt
 
-    def sample_rtt_ms(self, a: GeoPoint, b: GeoPoint) -> float:
-        """One RTT observation with multiplicative lognormal jitter."""
-        base = self.base_rtt_ms(a, b)
-        multiplier = math.exp(self.rng.gauss(0.0, self.params.jitter_sigma))
-        return base * multiplier
-
     def is_lost(self) -> bool:
         """Whether one query/response round trip is lost."""
         return self.rng.random() < self.params.loss_rate
 
     # -- per-pair sampling (layout-invariant) -------------------------------
 
-    def sample_exchange(
-        self, client_key: str, dst_key: str, a: GeoPoint, b: GeoPoint
-    ) -> tuple[bool, float | None]:
-        """One (lost?, rtt_ms) draw from the pair's private stream.
+    def pair_stream(self, client_key: str, dst_key: str) -> CounterStream:
+        """The (client, destination) pair's private stream, at its start."""
+        return CounterStream(derive(self.seed, "latency.pair", client_key, dst_key))
 
-        The n-th exchange between a given client and destination sees
-        the same loss and jitter draws no matter what any other pair is
-        doing — serial and sharded runs agree exchange for exchange.
-        Both are drawn every time, lost or not.
+    def sample_exchange(
+        self, stream: CounterStream, base_rtt_ms: float
+    ) -> float | None:
+        """One exchange drawn from a pair's ``stream``: ``None`` when
+        lost, else ``base_rtt_ms`` with lognormal jitter.
+
+        The n-th exchange of a pair sees the same loss and jitter draws
+        no matter what any other pair is doing — serial and sharded runs
+        agree exchange for exchange.  Both are drawn every time, lost or
+        not.
         """
-        key = (client_key, dst_key)
-        state = self._pair_streams.get(key)
-        if state is None:
-            state = derive(self.seed, "latency.pair", client_key, dst_key)
-        stream = CounterStream(state)
-        lost = stream.random() < self.params.loss_rate
-        jitter = stream.gauss(0.0, self.params.jitter_sigma)
-        self._pair_streams[key] = stream.state
+        params = self.params
+        lost = stream.random() < params.loss_rate
+        jitter = stream.gauss(0.0, params.jitter_sigma)
         if lost:
-            return True, None
-        return False, self.base_rtt_ms(a, b) * math.exp(jitter)
+            return None
+        return base_rtt_ms * math.exp(jitter)

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 
 from ..dns.message import ResponseDecodeMemo
+from ..seeding import CounterStream
 from ..telemetry import NULL_TELEMETRY
 from .anycast import AnycastGroup, AnycastSite, DatagramHandler
 from .clock import SimClock
 from .geo import Location
-from .latency import LatencyModel
+from .latency import LatencyModel, LatencyParameters
 
 
 def _path_diversity_multiplier(client_key: str, dst_address: str, sigma: float) -> float:
@@ -51,7 +52,7 @@ class UnicastHost:
     handler: DatagramHandler
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundTrip:
     """Outcome of one query/response exchange."""
 
@@ -59,6 +60,31 @@ class RoundTrip:
     rtt_ms: float | None       # None when lost
     lost: bool
     served_by: str             # site/host code that answered ("" when lost)
+
+
+class _PathSlot(CounterStream):
+    """Everything one exchange needs from its (client address,
+    destination) pair, behind one table probe.
+
+    The slot *is* the pair's latency stream, advanced in place, so every
+    location that sends from one address — the instances of a public
+    resolver service — draws from one stream, as the pair's n-th
+    exchange must.  The rest is the path from one client location: the
+    route, the base RTT and the path-diversity multiplier.  It holds
+    while ``location`` is the sender's and ``params`` the latency
+    model's; :meth:`SimNetwork.sample_path` re-places the slot otherwise.
+    """
+
+    __slots__ = (
+        "location", "params", "handler", "code", "is_anycast",
+        "base_rtt_ms", "sigma", "multiplier",
+    )
+
+    def __init__(self, stream: CounterStream):
+        self.state = stream.state
+        self.location: Location | None = None
+        self.params: LatencyParameters | None = None
+        self.sigma: float | None = None
 
 
 class DeliveryError(Exception):
@@ -82,23 +108,13 @@ class SimNetwork:
         self.faults = None
         self._unicast: dict[str, UnicastHost] = {}
         self._anycast: dict[str, AnycastGroup] = {}
-        # The path-diversity multiplier is a pure hash of the pair (and
-        # sigma); one sha256+erfinv per exchange adds up, so memoize.
-        self._path_mult: dict[tuple[str, str, float], float] = {}
+        #: (client address, destination) -> the pair's stream and path
+        self._paths: dict[tuple[str, str], _PathSlot] = {}
         #: decode memo shared by every resolver on this network: its key
         #: is the wire minus id and first-label content and each entry
         #: is certified from the wire alone, so nothing in it belongs to
         #: one resolver.
         self.response_memo = ResponseDecodeMemo()
-
-    def _pair_multiplier(self, client_key: str, dst_address: str) -> float:
-        sigma = self.latency.params.path_diversity_sigma
-        key = (client_key, dst_address, sigma)
-        multiplier = self._path_mult.get(key)
-        if multiplier is None:
-            multiplier = _path_diversity_multiplier(client_key, dst_address, sigma)
-            self._path_mult[key] = multiplier
-        return multiplier
 
     # -- registration -----------------------------------------------------
 
@@ -119,6 +135,10 @@ class SimNetwork:
     def unregister(self, address: str) -> None:
         self._unicast.pop(address, None)
         self._anycast.pop(address, None)
+        # Routes to the address go with it; the pairs' streams stay.
+        for (_client, dst), slot in self._paths.items():
+            if dst == address:
+                slot.location = None
 
     def knows(self, address: str) -> bool:
         return address in self._unicast or address in self._anycast
@@ -181,31 +201,41 @@ class SimNetwork:
         contract rests on.  The draw
         count depends only on which faults are active (a pure function
         of ``(dst_address, now)``), never on outcomes.
+
+        Per-pair state is one :class:`_PathSlot`; its route is reused
+        only while no site of the destination is withdrawn.
         """
-        telemetry = self.telemetry
         # The cost ledger is independent of `telemetry.enabled`: it
         # counts work whether or not spans are recorded.  Never draws RNG.
-        costs = telemetry.costs
+        costs = self.telemetry.costs
         costs_on = costs.enabled
         faults = self.faults
+        active = withdrawn = None
         if faults is not None:
             active = faults.active(dst_address, self.clock.now)
             if costs_on:
                 costs.count("fault_eval")
-        else:
-            active = None
-        if active is not None and active.outage:
-            return (True, None, None, "", "ns_outage", False, False)
-        site_location, handler, code = self.route(
-            client_location, client_address, dst_address,
-            exclude_sites=active.withdrawn if active is not None else None,
-        )
-        lost, rtt_ms = self.latency.sample_exchange(
-            client_address, dst_address,
-            client_location.point, site_location.point,
-        )
+            if active is not None:
+                if active.outage:
+                    return (True, None, None, "", "ns_outage", False, False)
+                withdrawn = active.withdrawn
+        latency = self.latency
+        slot = self._paths.get((client_address, dst_address))
+        if slot is None:
+            slot = self._paths[client_address, dst_address] = _PathSlot(
+                latency.pair_stream(client_address, dst_address)
+            )
+        if (
+            withdrawn
+            or slot.location is not client_location
+            or slot.params is not latency.params
+        ):
+            self._place(slot, client_location, client_address, dst_address, withdrawn)
+        rtt_ms = latency.sample_exchange(slot, slot.base_rtt_ms)
+        lost = rtt_ms is None
         if costs_on:
             costs.count("rng_draw")
+        handler, code = slot.handler, slot.code
         fault_drop = None
         if active is not None:
             # One draw per active probabilistic fault, outcomes
@@ -223,17 +253,48 @@ class SimNetwork:
                     fault_drop = fault_drop or "brownout"
                 if costs_on:
                     costs.count("rng_draw")
-        is_anycast = dst_address in self._anycast
         if lost:
-            return (True, None, handler, code, fault_drop, is_anycast, False)
-        rtt_ms *= self._pair_multiplier(client_address, dst_address)
+            return (True, None, handler, code, fault_drop, slot.is_anycast, False)
+        rtt_ms *= slot.multiplier
         latency_fault = False
         if active is not None and (
             active.latency_multiplier != 1.0 or active.latency_extra_ms != 0.0
         ):
             rtt_ms = rtt_ms * active.latency_multiplier + active.latency_extra_ms
             latency_fault = True
-        return (False, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault)
+        return (False, rtt_ms, handler, code, fault_drop, slot.is_anycast, latency_fault)
+
+    def _place(
+        self,
+        slot: _PathSlot,
+        client_location: Location,
+        client_address: str,
+        dst_address: str,
+        withdrawn: frozenset | None,
+    ) -> None:
+        """Route ``slot``'s pair from ``client_location`` and derive its
+        base RTT and path multiplier under the current parameters.
+
+        A route found around withdrawn sites serves one exchange only:
+        the slot is left unplaced, so the next exchange routes again.
+        """
+        latency = self.latency
+        params = latency.params
+        site_location, slot.handler, slot.code = self.route(
+            client_location, client_address, dst_address, exclude_sites=withdrawn
+        )
+        slot.is_anycast = dst_address in self._anycast
+        slot.base_rtt_ms = latency.base_rtt_ms(
+            client_location.point, site_location.point
+        )
+        sigma = params.path_diversity_sigma
+        if slot.sigma != sigma:
+            slot.multiplier = _path_diversity_multiplier(
+                client_address, dst_address, sigma
+            )
+            slot.sigma = sigma
+        slot.params = params
+        slot.location = None if withdrawn else client_location
 
     def round_trip(
         self,
@@ -383,36 +444,31 @@ class SimNetwork:
                 tracer.finish_span(span, at=send_time)
             on_result(RoundTrip(response=None, rtt_ms=None, lost=True, served_by=""))
             return
+        kernel.call_at(
+            kernel.clock.now + rtt_ms / 1000.0,
+            self._deliver,
+            (handler, payload, client_address, send_time, rtt_ms, code,
+             on_result, span if traced else None),
+        )
 
-        def deliver():
-            if traced:
-                tracer.activate(span)
-            try:
-                response = handler(
-                    payload, client_address, send_time + rtt_ms / 2000.0
-                )
-            finally:
-                if traced:
-                    tracer.deactivate(span)
-            if traced:
-                span.set(answered=response is not None)
-                tracer.finish_span(span, at=send_time + rtt_ms / 1000.0)
-            on_result(
-                RoundTrip(
-                    response=response, rtt_ms=rtt_ms, lost=False, served_by=code
-                )
-            )
-
-        kernel.call_later(rtt_ms / 1000.0, deliver)
-
-    def base_rtt_ms(
-        self, client_location: Location, client_key: str, dst_address: str
-    ) -> float:
-        """Deterministic RTT from a client to a service address."""
-        site_location, _, _ = self.route(client_location, client_key, dst_address)
-        return self.latency.base_rtt_ms(
-            client_location.point, site_location.point
-        ) * self._pair_multiplier(client_key, dst_address)
+    def _deliver(self, exchange: tuple) -> None:
+        """The delivery event :meth:`transmit` schedules: run the
+        handler at the query's arrival time, close the exchange's span
+        (``None`` untraced) and hand the trip to ``on_result``."""
+        (handler, payload, client_address, send_time, rtt_ms, code,
+         on_result, span) = exchange
+        if span is not None:
+            tracer = self.telemetry.tracer
+            tracer.activate(span)
+        try:
+            response = handler(payload, client_address, send_time + rtt_ms / 2000.0)
+        finally:
+            if span is not None:
+                tracer.deactivate(span)
+        if span is not None:
+            span.set(answered=response is not None)
+            tracer.finish_span(span, at=send_time + rtt_ms / 1000.0)
+        on_result(RoundTrip(response, rtt_ms, False, code))
 
 
 __all__ = [

@@ -10,7 +10,7 @@ paper's vantage points and its authoritatives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dns.message import HEADER_STRUCT, QUESTION_TAIL_STRUCT, Message
 from ..dns.name import Name
@@ -42,6 +42,11 @@ MAX_FETCH_DEPTH = 4
 #: response classification codes of the referral walk.
 _NXDOMAIN, _ERROR, _REFERRAL, _DEAD_REFERRAL, _DESCEND, _ANSWER, _NODATA = range(7)
 
+#: the QTYPE / QCLASS=IN tail of a query's question, per known type
+_QUESTION_TAILS = {
+    rrtype: QUESTION_TAIL_STRUCT.pack(rrtype, RRClass.IN) for rrtype in RRType
+}
+
 
 @dataclass(frozen=True)
 class ExchangeRecord:
@@ -53,14 +58,19 @@ class ExchangeRecord:
     served_by: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolutionResult:
-    """Outcome of one recursive resolution."""
+    """Outcome of one recursive resolution.
+
+    ``answers`` and ``exchanges`` stay the empty tuple until something is
+    put in them: one result per in-flight query is made, and most
+    never record an exchange.
+    """
 
     qname: Name
     qtype: RRType
     rcode: Rcode | None = None
-    answers: list[ResourceRecord] = field(default_factory=list)
+    answers: list[ResourceRecord] | tuple = ()
     served_by: str = ""          # site code of the final answering server
     final_address: str = ""      # service address the final answer came from
     rtt_ms: float | None = None  # RTT of the final exchange
@@ -69,7 +79,7 @@ class ResolutionResult:
     attempts: int = 0
     #: per-exchange records — populated only when the resolver's
     #: ``record_exchanges`` is on (telemetry/ledger active, or forced).
-    exchanges: list[ExchangeRecord] = field(default_factory=list)
+    exchanges: list[ExchangeRecord] | tuple = ()
     from_cache: bool = False
     #: glueless-NS sub-resolutions spawned by this client query (all
     #: nesting levels) — the NXNSAttack fetch-amplification numerator.
@@ -317,13 +327,15 @@ class RecursiveResolver:
             result.from_cache = True
             span.set(cache="negative").event("cache_negative_hit", at=now)
             return None
-        span.set(cache="miss").event("cache_miss", at=now)
+        if span is not NULL_SPAN:
+            span.set(cache="miss").event("cache_miss", at=now)
 
         start = self._deepest_known_zone(qname)
         if start is None:
             result.rcode = Rcode.SERVFAIL
-            return None
-        return start[0], list(start[1])
+        # The stub zone's own address list: the walk replaces its
+        # addresses on a referral and never mutates them.
+        return start
 
     def _classify_response(
         self, message: Message, send_name: Name, qname: Name
@@ -360,8 +372,6 @@ class RecursiveResolver:
         self, qname: Name, qtype: RRType, current_zone: Name
     ) -> tuple[Name, RRType]:
         """RFC 7816: expose one label below the current zone, type NS."""
-        if not self.qname_minimization:
-            return qname, qtype
         if not qname.is_subdomain_of(current_zone) or qname == current_zone:
             return qname, qtype
         relative = qname.relativize(current_zone)
@@ -480,7 +490,8 @@ class RecursiveResolver:
         rtt_ms: float,
     ) -> None:
         result.rcode = message.rcode
-        result.answers = list(message.answers)
+        # Every decode builds a fresh message, so its list is ours.
+        result.answers = message.answers
         result.final_address = address
         result.served_by = served_by
         result.rtt_ms = rtt_ms
@@ -516,7 +527,7 @@ class _EventResolution:
         self.span = span
         self.result = result
         self.current_zone: Name | None = None
-        self.addresses: list[str] = []
+        self.addresses: list[str] | tuple = ()
         self.iterations = 0
         self.attempt = 0
         # Glueless-NS fetch state: ``budget`` is the top-level client
@@ -527,7 +538,7 @@ class _EventResolution:
         self.depth = depth
         self.budget = budget if budget is not None else result
         self.pending: tuple[Name, ...] = pending
-        self.fetch_targets: list[Name] = []
+        self.fetch_targets: list[Name] | tuple = ()
         self.fetch_cut: Name | None = None
 
     # -- referral walk -----------------------------------------------------
@@ -538,20 +549,22 @@ class _EventResolution:
             self._complete()
             return
         self.iterations += 1
-        resolver = self.resolver
-        self.send_name, self.send_type = resolver._minimized_question(
-            self.qname, self.qtype, self.current_zone
-        )
-        self.question_tail = QUESTION_TAIL_STRUCT.pack(
-            int(self.send_type), int(RRClass.IN)
-        )
+        if self.resolver.qname_minimization:
+            self.send_name, self.send_type = self.resolver._minimized_question(
+                self.qname, self.qtype, self.current_zone
+            )
+        else:
+            self.send_name, self.send_type = self.qname, self.qtype
+        self.question_tail = _QUESTION_TAILS.get(
+            self.send_type
+        ) or QUESTION_TAIL_STRUCT.pack(self.send_type, RRClass.IN)
         self.attempt = 0
         self._send()
 
     def _send(self) -> None:
         resolver = self.resolver
         kernel = self.kernel
-        now = kernel.now
+        now = kernel.clock.now
         telemetry = resolver.telemetry
         costs = telemetry.costs
         self.address = resolver.selector.select(
@@ -614,12 +627,7 @@ class _EventResolution:
             # exchange record, no selector feedback.
             self.result.attempts += 1
             if resolver.record_exchanges:
-                costs = resolver.telemetry.costs
-                if costs.enabled:
-                    costs.count("exchange_record")
-                self.result.exchanges.append(
-                    ExchangeRecord(self.address, None, True, "")
-                )
+                self._record_exchange(ExchangeRecord(self.address, None, True, ""))
             resolver.selector.on_timeout(
                 self.address, self.addresses, resolver.infra_cache,
                 self.kernel.now,
@@ -654,13 +662,10 @@ class _EventResolution:
                 resolver.spoofs_rejected += 1
                 self._attempt_failed("spoof_rejected")
                 return
-        now = self.kernel.now
+        now = self.kernel.clock.now
         self.result.attempts += 1
         if resolver.record_exchanges:
-            costs = resolver.telemetry.costs
-            if costs.enabled:
-                costs.count("exchange_record")
-            self.result.exchanges.append(
+            self._record_exchange(
                 ExchangeRecord(self.address, trip.rtt_ms, False, trip.served_by)
             )
         resolver.selector.on_response(
@@ -670,7 +675,7 @@ class _EventResolution:
             self.exch_span.set(
                 site=trip.served_by, rtt_ms=round(trip.rtt_ms, 3)
             )
-        self._finish_exchange_span("ok", trip.rtt_ms)
+            self._finish_exchange_span("ok", trip.rtt_ms)
         self._handle_response(message, trip)
 
     def _handle_response(self, message: Message, trip) -> None:
@@ -799,6 +804,16 @@ class _EventResolution:
         return True
 
     # -- bookkeeping -------------------------------------------------------
+
+    def _record_exchange(self, record: ExchangeRecord) -> None:
+        costs = self.resolver.telemetry.costs
+        if costs.enabled:
+            costs.count("exchange_record")
+        result = self.result
+        if result.exchanges:
+            result.exchanges.append(record)
+        else:
+            result.exchanges = [record]
 
     def _finish_exchange_span(self, outcome: str, rtt_ms: float | None) -> None:
         telemetry = self.resolver.telemetry

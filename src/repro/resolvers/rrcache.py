@@ -14,7 +14,7 @@ from ..dns.records import ResourceRecord
 from ..dns.types import RRType
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """Positive entry: the records and when they expire."""
 
@@ -22,7 +22,7 @@ class CacheEntry:
     expires_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class NegativeEntry:
     """Negative entry: NXDOMAIN or NODATA, per RFC 2308."""
 
@@ -89,6 +89,8 @@ class RecordCache:
         return entry
 
     def get_negative(self, name: Name, rrtype: RRType, now: float) -> NegativeEntry | None:
+        if not self._negative:  # the common case; spares hashing the name
+            return None
         entry = self._negative.get((name, rrtype))
         if entry is None:
             return None
@@ -105,7 +107,8 @@ class RecordCache:
             return
         key = (name, rrtype)
         ttl = min(record.ttl for record in records)
-        self._negative.pop(key, None)
+        if self._negative:
+            self._negative.pop(key, None)
         self._store(self._positive, key, CacheEntry(records, now + ttl), now)
 
     def put_negative(
@@ -118,20 +121,21 @@ class RecordCache:
     def _store(self, table: dict, key: tuple[Name, RRType], entry, now: float) -> None:
         """Sweep what expired at ``now``, make room, then store ``entry``."""
         heap = self._expiry
+        positive, negative = self._positive, self._negative
         while heap and heap[0][0] <= now:
             self._pop_earliest()
         if key not in table:
-            while heap and len(self) >= self.max_entries:
+            while heap and len(positive) + len(negative) >= self.max_entries:
                 self._pop_earliest()
         table[key] = entry
         self._stored += 1
         heapq.heappush(heap, (entry.expires_at, self._stored, table, key))
-        if len(heap) > 2 * len(self) + 64:
+        if len(heap) > 2 * (len(positive) + len(negative)) + 64:
             # Re-puts of live keys leave stale items behind; rebuilding
             # from the tables keeps the heap O(live entries).
             live = [
                 (table, key, entry)
-                for table in (self._positive, self._negative)
+                for table in (positive, negative)
                 for key, entry in table.items()
             ]
             heap[:] = [

@@ -13,6 +13,7 @@ import sys
 
 from repro.atlas.platform import AtlasPlatform
 from repro.core.experiment import run_combination
+from repro.resolvers.resolver import RecursiveResolver
 from repro.seeding import CounterStream
 
 PROBES, TICKS = 60, 30
@@ -66,6 +67,37 @@ def test_campaign_state_does_not_grow_per_observation(monkeypatch):
     assert len(platform.network.response_memo._entries) <= 32
 
 
+def test_an_in_flight_query_holds_few_tracked_objects(monkeypatch):
+    """A tick issues every VP's query before any answer arrives, so what
+    one in-flight query keeps alive is multiplied by the VP count, and
+    every garbage collection until the answers land walks all of it."""
+    vps, calls, tracked = [], [0], []
+    measure = AtlasPlatform.measure
+    resolve_event = RecursiveResolver.resolve_event
+
+    def live() -> int:
+        gc.collect()
+        return len(gc.get_objects())
+
+    def measure_and_count(platform, *args, **kwargs):
+        vps.append(len(platform.vantage_points))
+        return measure(platform, *args, **kwargs)
+
+    def resolve_and_count(resolver, *args, **kwargs):
+        if calls[0] == 0:
+            tracked.append(live())
+        resolve_event(resolver, *args, **kwargs)
+        calls[0] += 1
+        if calls[0] == vps[0]:  # tick 0 has sent every VP's query
+            tracked.append(live())
+
+    monkeypatch.setattr(AtlasPlatform, "measure", measure_and_count)
+    monkeypatch.setattr(RecursiveResolver, "resolve_event", resolve_and_count)
+    run_combination("4B", num_probes=PROBES, interval_s=120.0, duration_s=240.0, seed=3)
+    before, after = tracked
+    assert (after - before) / vps[0] <= 12
+
+
 def live_mersenne_streams() -> int:
     gc.collect()
     return sum(type(obj) is random.Random for obj in gc.get_objects())
@@ -104,9 +136,10 @@ def test_no_mersenne_state_per_pair_resolver_or_selector(monkeypatch):
 
     (platform,) = seen
     network = platform.network
-    for table in (network.latency._pair_streams, network.faults._pair_streams):
-        assert len(table) > PROBES // 2  # one entry per pair that talked
-        assert all(type(state) is int for state in table.values())
+    latency_states = [slot.state for slot in network._paths.values()]
+    for states in (latency_states, list(network.faults._pair_streams.values())):
+        assert len(states) > PROBES // 2  # one entry per pair that talked
+        assert all(type(state) is int for state in states)
     for vp in platform.vantage_points:
         for stream in (vp.resolver.rng, vp.resolver.selector.rng):
             assert type(stream) is CounterStream

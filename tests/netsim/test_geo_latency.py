@@ -18,6 +18,7 @@ from repro.netsim.geo import (
     great_circle_km,
 )
 from repro.netsim.latency import LatencyModel, LatencyParameters
+from repro.netsim.network import SimNetwork
 
 
 class TestGeoPoint:
@@ -127,10 +128,11 @@ class TestLatencyModel:
         assert 250 <= median <= 450
 
     def test_sample_jitter_centered_on_base(self):
-        model = LatencyModel(rng=random.Random(7))
+        model = LatencyModel(LatencyParameters(loss_rate=0.0), rng=random.Random(7))
         a, b = PROBE_CITIES["AMS"].point, DATACENTERS["FRA"].point
         base = model.base_rtt_ms(a, b)
-        samples = [model.sample_rtt_ms(a, b) for _ in range(500)]
+        stream = model.pair_stream("client", "10.0.0.53")
+        samples = [model.sample_exchange(stream, base) for _ in range(500)]
         mean = sum(samples) / len(samples)
         assert mean == pytest.approx(base, rel=0.05)
         assert any(s != base for s in samples)
@@ -148,11 +150,15 @@ class TestLatencyModel:
 
     def test_seeded_reproducibility(self):
         a, b = PROBE_CITIES["AMS"].point, DATACENTERS["SYD"].point
+
+        def rtts(model):
+            base = model.base_rtt_ms(a, b)
+            stream = model.pair_stream("client", "10.0.0.53")
+            return [model.sample_exchange(stream, base) for _ in range(10)]
+
         one = LatencyModel(rng=random.Random(42))
         two = LatencyModel(rng=random.Random(42))
-        assert [one.sample_rtt_ms(a, b) for _ in range(10)] == [
-            two.sample_rtt_ms(a, b) for _ in range(10)
-        ]
+        assert rtts(one) == rtts(two)
 
 
 A_POINT, B_POINT = PROBE_CITIES["AMS"].point, DATACENTERS["FRA"].point
@@ -160,8 +166,13 @@ PAIRS = [("client-1", "10.0.0.53"), ("client-1", "10.0.1.53"),
          ("client-2", "10.0.0.53"), ("client-2", "10.0.1.53")]
 
 
-def exchange(model: LatencyModel, pair: tuple[str, str]):
-    return model.sample_exchange(*pair, A_POINT, B_POINT)
+def exchange(model: LatencyModel, pair: tuple[str, str], streams: dict):
+    """The pair's next RTT (``None`` when lost), its stream kept in
+    ``streams`` as the network keeps one per pair."""
+    stream = streams.get(pair)
+    if stream is None:
+        stream = streams[pair] = model.pair_stream(*pair)
+    return model.sample_exchange(stream, model.base_rtt_ms(A_POINT, B_POINT))
 
 
 class TestPairStreams:
@@ -171,25 +182,26 @@ class TestPairStreams:
     @given(st.lists(st.sampled_from(PAIRS), max_size=60))
     def test_any_interleaving_gives_each_pair_its_solo_sequence(self, order):
         params = LatencyParameters(loss_rate=0.3)
-        together = LatencyModel(params, seed=11)
+        together, streams = LatencyModel(params, seed=11), {}
         seen: dict[tuple[str, str], list] = {}
         for pair in order:
-            seen.setdefault(pair, []).append(exchange(together, pair))
+            seen.setdefault(pair, []).append(exchange(together, pair, streams))
         for pair, sequence in seen.items():
-            alone = LatencyModel(params, seed=11)
-            assert [exchange(alone, pair) for _ in sequence] == sequence
+            alone, own = LatencyModel(params, seed=11), {}
+            assert [exchange(alone, pair, own) for _ in sequence] == sequence
 
     def test_a_lost_exchange_advances_the_pair_like_a_delivered_one(self):
         lossy = LatencyModel(LatencyParameters(loss_rate=1.0), seed=5)
         clean = LatencyModel(LatencyParameters(loss_rate=0.0), seed=5)
+        lossy_streams, clean_streams = {}, {}
         for _ in range(5):
-            assert exchange(lossy, PAIRS[0]) == (True, None)
-            assert exchange(clean, PAIRS[0])[0] is False
-        assert lossy._pair_streams == clean._pair_streams
+            assert exchange(lossy, PAIRS[0], lossy_streams) is None
+            assert exchange(clean, PAIRS[0], clean_streams) is not None
+        assert lossy_streams[PAIRS[0]].state == clean_streams[PAIRS[0]].state
 
     def test_seed_and_pair_separate_streams(self):
         def first(seed, pair):
-            return exchange(LatencyModel(seed=seed), pair)
+            return exchange(LatencyModel(seed=seed), pair, {})
 
         assert first(1, PAIRS[0]) == first(1, PAIRS[0])
         assert first(1, PAIRS[0]) != first(2, PAIRS[0])
@@ -205,11 +217,12 @@ class TestPairStreams:
         per_pair = 500
         lost = 0
         logs: dict[tuple[str, str], list[float]] = {pair: [] for pair in pairs}
+        streams: dict = {}
         # Round-robin, as a campaign interleaves them.
         for _ in range(per_pair):
             for pair in pairs:
-                was_lost, rtt = exchange(model, pair)
-                if was_lost:
+                rtt = exchange(model, pair, streams)
+                if rtt is None:
                     lost += 1
                 else:
                     logs[pair].append(math.log(rtt / base))
@@ -237,8 +250,12 @@ class TestPairStreams:
         assert abs(correlation(every_first, every_second)) < 0.3
 
     def test_pair_table_holds_bare_integers(self):
-        model = LatencyModel(seed=9)
+        # The network keeps one slot per pair; the slot's stream state
+        # is one integer.
+        network = SimNetwork(latency=LatencyModel(seed=9))
+        for dst in {dst for _, dst in PAIRS}:
+            network.register_host(dst, DATACENTERS["FRA"], lambda *args: b"")
         for pair in PAIRS:
-            exchange(model, pair)
-        assert set(model._pair_streams) == set(PAIRS)
-        assert all(type(state) is int for state in model._pair_streams.values())
+            network.sample_path(PROBE_CITIES["AMS"], *pair)
+        assert set(network._paths) == set(PAIRS)
+        assert all(type(slot.state) is int for slot in network._paths.values())

@@ -59,14 +59,14 @@ class TestAttemptCounting:
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
         assert result.succeeded
         assert result.attempts == 1
-        assert result.exchanges == []
+        assert not result.exchanges
 
     def test_all_lost_counts_every_retry_no_records(self):
         resolver = build_resolver(build_network(loss_rate=1.0))
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
         assert result.rcode == Rcode.SERVFAIL
         assert result.attempts == resolver.max_retries + 1
-        assert result.exchanges == []
+        assert not result.exchanges
 
     def test_attempts_equal_exchange_count_when_recording(self):
         for loss in (0.0, 0.5, 1.0):
@@ -105,7 +105,7 @@ class TestAutoGating:
         network = build_network(telemetry=telemetry)
         resolver = build_resolver(network, record_exchanges=False)
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
-        assert result.exchanges == []
+        assert not result.exchanges
         assert result.attempts == 1
 
 
