@@ -583,7 +583,10 @@ class TestBenchHistoryCommand:
         out = capsys.readouterr().out
         assert "Bench trajectory" in out
         assert "7 earlier entries in the retired sidecar schema not shown" in out
-        assert sum(" us_per_query " in line for line in out.splitlines()) == 4
+        # One table row per workload; regression-attribution lines that
+        # name the metric are not rows.
+        rows = [line.split() for line in out.splitlines()]
+        assert sum(row[1:2] == ["us_per_query"] for row in rows) == 4
 
 
 class TestScorecardCommand:
