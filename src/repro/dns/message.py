@@ -411,10 +411,11 @@ class ResponseDecodeMemo:
     Authoritatives built on the response-template cache answer every
     probe query with bytes that differ only in the message id and the
     unique first label of the echoed question name.  The memo keys a
-    decoded skeleton on every *other* byte of the wire — header flags
-    and counts, the first label's length, the question suffix, and the
-    entire post-question tail — and rebuilds a hit by swapping the
-    caller's already-validated query name into the skeleton.
+    decoded skeleton on every *other* byte of the wire, as one bytes
+    object — header flags and counts, the first label's length, the
+    question suffix, and the entire post-question tail — and rebuilds a
+    hit by copying the entries it keeps and rebuilding only those whose
+    name is the caller's already-validated query name.
 
     Two wires with equal keys can only differ in the id bytes and the
     first label's content.  Any name whose decoding depends on an
@@ -435,7 +436,7 @@ class ResponseDecodeMemo:
     MAX_ENTRIES = 256
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, tuple | None] = {}
+        self._entries: dict[bytes, tuple | None] = {}
 
     def decode(self, wire: bytes, qname: Name) -> Message:
         """Decode ``wire``, which is expected to echo ``qname``.
@@ -445,50 +446,38 @@ class ResponseDecodeMemo:
         decode otherwise (or for shapes the canary cannot certify).
         """
         qwire = qname.to_wire()
-        split = 12 + len(qwire)
-        if len(wire) <= split or wire[12:split] != qwire:
+        if len(wire) <= 12 + len(qwire) or not wire.startswith(qwire, 12):
             return Message.from_wire(wire)
-        first_len = qwire[0]
-        key = (wire[2:12], first_len, qwire[1 + first_len :], wire[split:])
+        # One bytes key: header flags and counts, the first label's
+        # length octet, then everything after the first label.
+        key = wire[2:13] + wire[13 + qwire[0]:]
         entries = self._entries
         entry = entries.get(key, False)
         if entry is False:
             message = Message.from_wire(wire)
             if len(entries) < self.MAX_ENTRIES:
-                entries[key] = self._build(wire, message, qname, first_len)
+                entries[key] = self._build(wire, message, qname, qwire[0])
             return message
         if entry is None:
             return Message.from_wire(wire)
-        flags, opcode, rcode, payload, options, qplan, applan, auplan, adplan = entry
+        flags, opcode, rcode, payload, options, plans = entry
+        sections = []
+        for items, swaps in plans:
+            section = list(items)
+            for index in swaps:
+                item = items[index]
+                section[index] = (
+                    Question(qname, item.rrtype, item.rrclass)
+                    if type(item) is Question
+                    else ResourceRecord(
+                        qname, item.rrtype, item.rrclass, item.ttl, item.rdata
+                    )
+                )
+            sections.append(section)
+        questions, answers, authorities, additionals = sections
         return Message(
-            msg_id=(wire[0] << 8) | wire[1],
-            flags=flags,
-            opcode=opcode,
-            rcode=rcode,
-            questions=[
-                Question(qname, q.rrtype, q.rrclass) if swap else q
-                for q, swap in qplan
-            ],
-            answers=[
-                ResourceRecord(qname, r.rrtype, r.rrclass, r.ttl, r.rdata)
-                if swap
-                else r
-                for r, swap in applan
-            ],
-            authorities=[
-                ResourceRecord(qname, r.rrtype, r.rrclass, r.ttl, r.rdata)
-                if swap
-                else r
-                for r, swap in auplan
-            ],
-            additionals=[
-                ResourceRecord(qname, r.rrtype, r.rrclass, r.ttl, r.rdata)
-                if swap
-                else r
-                for r, swap in adplan
-            ],
-            edns_payload=payload,
-            edns_options=list(options),
+            (wire[0] << 8) | wire[1], flags, opcode, rcode, questions,
+            answers, authorities, additionals, payload, list(options),
         )
 
     @staticmethod
@@ -520,10 +509,11 @@ class ResponseDecodeMemo:
         canary_labels = (canary_label,) + labels[1:]
 
         def plan(real_section, canary_section, is_question):
+            """(the decoded entries, indexes of those a hit rebuilds)."""
             if len(real_section) != len(canary_section):
                 return None
-            out = []
-            for a, b in zip(real_section, canary_section):
+            swaps = []
+            for index, (a, b) in enumerate(zip(real_section, canary_section)):
                 if a.rrtype != b.rrtype or a.rrclass != b.rrclass:
                     return None
                 if not is_question and (a.ttl != b.ttl or a.rdata != b.rdata):
@@ -532,13 +522,13 @@ class ResponseDecodeMemo:
                 if a_labels == b.name.labels:
                     # Name spelled in (or pointing into) the keyed bytes:
                     # constant across hits, reuse the decoded object.
-                    out.append((a, False))
-                elif a_labels == labels and b.name.labels == canary_labels:
+                    continue
+                if a_labels == labels and b.name.labels == canary_labels:
                     # Name tracks the question: swap in the live qname.
-                    out.append((a, True))
+                    swaps.append(index)
                 else:
                     return None
-            return tuple(out)
+            return tuple(real_section), tuple(swaps)
 
         plans = []
         for real_section, canary_section, is_question in (
@@ -557,5 +547,5 @@ class ResponseDecodeMemo:
             message.rcode,
             message.edns_payload,
             tuple(message.edns_options),
-            *plans,
+            tuple(plans),
         )

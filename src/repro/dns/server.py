@@ -9,7 +9,6 @@ which plays the role of the paper's server-side packet captures.
 from __future__ import annotations
 
 import logging
-import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator
 
 from ..telemetry import NULL_TELEMETRY
 from .message import HEADER_STRUCT, QUESTION_TAIL_STRUCT, Message, Question
-from .name import Name
+from .name import MAX_NAME_LENGTH, Name
 from .rdata import TXT
 from .records import _RR_HEADER_STRUCT, RRset
 from .rrl import RrlAction
@@ -40,8 +39,6 @@ log = logging.getLogger("repro.dns.server")
 CHAOS_ID_SERVER = Name.from_text("id.server.")
 CHAOS_HOSTNAME_BIND = Name.from_text("hostname.bind.")
 
-_MSG_ID_STRUCT = struct.Struct("!H")
-
 #: stands for "no zone was looked up for this query" (None means "looked
 #: up, none matched"); see :attr:`AuthoritativeServer._last_probe`
 _UNPROBED = object()
@@ -56,15 +53,14 @@ class _ResponseTemplate:
     *different length* and comparing tails: any compression pointer into
     the variable part of the question would shift and fail the check).
     Rendering a hit is: msg-id + fixed header tail + the query's own
-    qname wire + fixed question tail + fixed tail.
+    qname wire + fixed tail.
     """
 
     zone: Zone
     zone_version: int
     origin: Name
     header_tail: bytes  # response bytes 2..12 (flags + section counts)
-    question_tail: bytes  # qtype + qclass, 4 bytes
-    tail: bytes  # everything after the question section
+    tail: bytes  # everything after the question name: qtype, qclass, RRs
     rcode: Rcode
     log_rrtype: RRType
 
@@ -306,11 +302,10 @@ class AuthoritativeServer:
         #: template key -> zone version at which its canary comparison
         #: failed; spares re-proving it on every miss (keys only)
         self._uncachable: dict[tuple, int] = {}
-        #: question-suffix wire bytes -> validated suffix Name, plus the
-        #: distinct byte lengths to probe; feeds the no-decode question
-        #: parse in :meth:`_parse_fast_query`
-        self._suffixes: dict[bytes, Name] = {}
-        self._suffix_lens: tuple[int, ...] = ()
+        #: a templated query's bytes with the id and first label cut out
+        #: -> (template, suffix, suffix wire length, longest qname wire
+        #: that fits); see :meth:`_answer_alias`
+        self._aliases: dict[bytes, tuple[_ResponseTemplate, Name, int, int]] = {}
         #: (query, zone found for it) from the last :meth:`_answer` that
         #: probed the zone table; ``zone`` is None when no zone matched
         self._last_probe: tuple[Message | None, Zone | None] = (None, None)
@@ -335,6 +330,7 @@ class AuthoritativeServer:
         self._deepest_origin = max(map(len, self._zones), default=0)
         self._templates.clear()
         self._uncachable.clear()
+        self._aliases.clear()
 
     def find_zone(self, qname: Name) -> Zone | None:
         """Longest-suffix zone match for a query name.
@@ -369,8 +365,9 @@ class AuthoritativeServer:
 
         When no rate limiter and no per-instance query dispatch are
         active, a template fast path may answer without decoding the
-        query into a :class:`Message` at all; its output, and what it
-        books in stats, query log and telemetry, are identical to the
+        query into a :class:`Message` at all — from an alias of the
+        query's bytes, else from a parsed question; its output, and what
+        it books in stats, query log and telemetry, are identical to the
         slow path's (see :class:`_ResponseTemplate`).
 
         Invariant: a limiter changes which responses are sent, never how
@@ -382,12 +379,13 @@ class AuthoritativeServer:
         limiter = self.rate_limiter
         fast = None
         if limiter is None and "handle_query" not in self.__dict__:
+            rendered = self._answer_alias(wire, client, now)
+            if rendered is not None:
+                return rendered
             fast = self._parse_fast_query(wire)
             if fast is not None:
-                rendered = self._render_from_template(fast, client, now)
+                rendered = self._render_from_template(fast, wire, client, now)
                 if rendered is not None:
-                    if costs_on:
-                        costs.count("template_hit")
                     return rendered
                 if costs_on:
                     costs.count("template_miss")
@@ -638,64 +636,63 @@ class AuthoritativeServer:
 
     # -- response-template fast path ---------------------------------------
 
+    def _answer_alias(self, wire: bytes, client: str, now: float) -> bytes | None:
+        """Answer from an alias of the query's own bytes, or ``None``.
+
+        :meth:`_render_from_template` files every query it answers under
+        the bytes left once the id and the first label are cut out:
+        header flags and counts, then suffix, qtype, qclass and OPT.
+        Equal bytes there parse the same way around any first label of
+        1–63 bytes, so the parsed path would pick the same template;
+        what does depend on that label — whether the name exists or is a
+        zone origin, and whether the answer fits — is checked here as
+        it is there.  No :class:`Name` is built unless telemetry is on.
+        """
+        if len(wire) < 17 or not 0 < wire[12] < 64:
+            return None
+        label_end = 13 + wire[12]
+        alias = self._aliases.get(wire[2:12] + wire[label_end:])
+        if alias is None:
+            return None
+        entry, suffix, suffix_len, room = alias
+        zone = entry.zone
+        qname_end = label_end + suffix_len
+        if (
+            zone.version != entry.zone_version
+            or self._zones.get(entry.origin._folded) is not zone
+            or zone._indexed_version != zone.version  # _owners is stale
+            or qname_end - 12 > room
+        ):
+            return None
+        folded = (wire[13:label_end].lower(),) + suffix._folded
+        if folded in zone._owners or folded in self._zones:
+            return None
+        return self._render_hit(entry, wire, wire[12:qname_end], client, now)
+
     def _parse_fast_query(
         self, wire: bytes
-    ) -> tuple[int, bool, Name, int, int, int | None, bool, Name | None] | None:
+    ) -> tuple[bool, Name, int, int, int | None, bool, Name | None] | None:
         """Parse a plain single-question QUERY without building a Message.
 
-        Returns ``(msg_id, rd, qname, qtype, qclass, edns_payload,
-        wants_nsid, suffix)``, or ``None`` for anything the template
-        path does not cover (the caller then falls back to the full
-        decoder, so a ``None`` here is never a behavior change, only a
-        slower answer).  ``suffix`` is the qname minus its first label
-        (``None`` for single-label or compressed names).
-
-        The question name itself avoids the generic decoder on repeat
-        traffic: once a suffix's wire bytes have been validated, any
-        question matching ``<one label> + <those exact bytes>`` is
-        rebuilt as ``suffix.child(label)``.  The byte comparison is
-        exact and every length byte in a stored suffix is < 64, so a
-        compression pointer (first byte >= 0xC0) can never hide inside
-        a match — the rebuilt name is forced equal to what
-        :meth:`Name.from_wire` would return.
+        Returns ``(rd, qname, qtype, qclass, edns_payload, wants_nsid,
+        suffix)``, or ``None`` for anything the template path does not
+        cover (the caller then falls back to the full decoder, so a
+        ``None`` here is never a behavior change, only a slower answer).
+        ``suffix`` is the qname minus its first label (``None`` for
+        single-label names).  Runs only when no alias matched.
         """
         if len(wire) < 17:  # header + shortest possible question
             return None
         try:
-            msg_id, flags, qdcount, ancount, nscount, arcount = (
+            _msg_id, flags, qdcount, ancount, nscount, arcount = (
                 HEADER_STRUCT.unpack_from(wire)
             )
             if qdcount != 1 or ancount or nscount or arcount > 1:
                 return None
             if flags & FLAG_QR or (flags >> 11) & 0xF:  # responses, non-QUERY
                 return None
-            qname = suffix = None
-            first_len = wire[12]
-            if 0 < first_len < 64:
-                label_end = 13 + first_len
-                for known_len in self._suffix_lens:
-                    candidate = wire[label_end : label_end + known_len]
-                    suffix = self._suffixes.get(candidate)
-                    if suffix is not None:
-                        cursor = label_end + known_len
-                        qname = suffix._child(wire[13:label_end], wire[12:cursor])
-                        break
-            if qname is None:
-                qname, cursor = Name.from_wire(wire, HEADER_STRUCT.size)
-                if cursor - HEADER_STRUCT.size == qname._wlen:
-                    # Uncompressed: from_wire kept the bytes it read as
-                    # the name's wire form, which the render path reuses.
-                    if len(qname) >= 2:
-                        suffix = qname.parent()
-                        if len(self._suffixes) < 64:  # abuse guard
-                            suffix_wire = qname.to_wire()[1 + first_len :]
-                            self._suffixes[suffix_wire] = suffix
-                            if len(suffix_wire) not in self._suffix_lens:
-                                self._suffix_lens = self._suffix_lens + (
-                                    len(suffix_wire),
-                                )
-                elif len(qname) >= 2:
-                    suffix = qname.parent()
+            qname, cursor = Name.from_wire(wire, HEADER_STRUCT.size)
+            suffix = qname.parent() if len(qname) >= 2 else None
             if cursor + 4 > len(wire):
                 return None
             qtype, qclass = QUESTION_TAIL_STRUCT.unpack_from(wire, cursor)
@@ -732,13 +729,13 @@ class AuthoritativeServer:
         except Exception:
             return None
         return (
-            msg_id, bool(flags & FLAG_RD), qname, qtype, qclass,
+            bool(flags & FLAG_RD), qname, qtype, qclass,
             edns_payload, wants_nsid, suffix,
         )
 
     @staticmethod
     def _template_key(fast) -> tuple | None:
-        _msg_id, rd, _qname, qtype, qclass, edns_payload, wants_nsid, suffix = fast
+        rd, _qname, qtype, qclass, edns_payload, wants_nsid, suffix = fast
         # Only IN-class names with at least one label under a cachable
         # suffix qualify; everything else stays on the slow path.
         if qclass != int(RRClass.IN) or suffix is None:
@@ -748,9 +745,10 @@ class AuthoritativeServer:
         return (suffix, qtype, rd, edns_payload is not None, wants_nsid)
 
     def _render_from_template(
-        self, fast, client: str, now: float
+        self, fast, wire: bytes, client: str, now: float
     ) -> bytes | None:
-        """Answer from a cached template, or ``None`` on any miss/doubt."""
+        """Answer a parsed query from a cached template, or ``None`` on
+        any miss/doubt; a spelled-out question also becomes an alias."""
         key = self._template_key(fast)
         if key is None:
             return None
@@ -764,7 +762,7 @@ class AuthoritativeServer:
         ):
             del self._templates[key]
             return None
-        msg_id, _rd, qname, _qtype, _qclass, edns_payload, _nsid, _suffix = fast
+        _rd, qname, _qtype, _qclass, edns_payload, _nsid, suffix = fast
         # The template is only valid for names whose lookup outcome is a
         # function of the suffix alone: the qname must not exist in the
         # zone and must not be a zone origin itself.
@@ -776,18 +774,30 @@ class AuthoritativeServer:
             if edns_payload is not None
             else MAX_UDP_PAYLOAD
         )
-        if 16 + len(qname_wire) + len(entry.tail) > max_size:
+        room = min(MAX_NAME_LENGTH, max_size - 12 - len(entry.tail))
+        if len(qname_wire) > room:
             return None  # would truncate: the slow path handles TC
-        out = bytearray(_MSG_ID_STRUCT.pack(msg_id))
-        out += entry.header_tail
-        out += qname_wire
-        out += entry.question_tail
-        out += entry.tail
-        # Bookkeeping identical to _handle_query's for this branch.
-        self.stats.queries += 1
+        if wire.startswith(qname_wire, 12):  # not compressed
+            aliases = self._aliases
+            if len(aliases) >= self._TEMPLATE_MAX:
+                aliases.clear()
+            label_end = 13 + qname_wire[0]
+            aliases[wire[2:12] + wire[label_end:]] = (
+                entry, suffix, len(qname_wire) + 12 - label_end, room,
+            )
+        return self._render_hit(entry, wire, qname_wire, client, now)
+
+    def _render_hit(
+        self, entry: _ResponseTemplate, wire: bytes, qname_wire: bytes,
+        client: str, now: float,
+    ) -> bytes:
+        """Splice ``qname_wire`` into ``entry`` under the query's id, and
+        book what :meth:`_handle_query` books for the same answer."""
+        stats = self.stats
+        stats.queries += 1
         if entry.rcode == Rcode.NXDOMAIN:
-            self.stats.nxdomain += 1
-        self.stats.responses += 1
+            stats.nxdomain += 1
+        stats.responses += 1
         dropped = False
         if self.log_queries:
             dropped = self.query_log.record(
@@ -795,11 +805,15 @@ class AuthoritativeServer:
             )
         telemetry = self.telemetry
         if telemetry.enabled:
+            qname = Name.from_wire(qname_wire, 0)[0]
             span = self._start_query_span(qname.to_text(), client, now)
             span.set(rcode=entry.rcode.name)
             telemetry.tracer.finish_span(span, at=now)
             self._count_response(entry.rcode, dropped)
-        return bytes(out)
+        costs = telemetry.costs
+        if costs.enabled:
+            costs.count("template_hit")
+        return b"".join((wire[:2], entry.header_tail, qname_wire, entry.tail))
 
     def _maybe_build_template(self, fast, wire_out: bytes, zone) -> None:
         """Cache ``wire_out`` as a template when provably qname-independent.
@@ -817,7 +831,7 @@ class AuthoritativeServer:
             return
         if wire_out[2] & 0x02:  # TC set: truncated responses vary by size
             return
-        _msg_id, rd, qname, qtype, _qclass, edns_payload, wants_nsid, suffix = fast
+        rd, qname, qtype, _qclass, edns_payload, wants_nsid, suffix = fast
         if qname._folded in self._zones:
             return
         if zone is _UNPROBED:
@@ -851,11 +865,11 @@ class AuthoritativeServer:
         response = self._answer(probe)
         self._use_edns(probe, response)
         canary_wire = response.to_wire()
-        question_end = 16 + qname.wire_length()
-        canary_end = 16 + canary.wire_length()
+        name_end = 12 + qname.wire_length()
+        canary_end = 12 + canary.wire_length()
         if (
             wire_out[2:12] != canary_wire[2:12]
-            or wire_out[question_end:] != canary_wire[canary_end:]
+            or wire_out[name_end:] != canary_wire[canary_end:]
         ):
             # Tail depends on the qname: not cachable, for any qname
             # under this key, until the zone changes.
@@ -870,8 +884,7 @@ class AuthoritativeServer:
             zone_version=zone.version,
             origin=zone.origin,
             header_tail=wire_out[2:12],
-            question_tail=wire_out[question_end - 4:question_end],
-            tail=wire_out[question_end:],
+            tail=wire_out[name_end:],
             rcode=Rcode(wire_out[3] & 0x0F),
             log_rrtype=log_rrtype,
         )

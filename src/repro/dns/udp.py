@@ -10,6 +10,7 @@ import socket
 import threading
 
 from ..telemetry.clock import DEFAULT_CLOCK, Clock
+from .errors import DnsError
 from .message import Message
 from .name import Name
 from .server import AuthoritativeServer
@@ -92,21 +93,34 @@ def query_udp(
 ) -> Message:
     """Send one UDP query and wait for the matching response.
 
-    The receive deadline runs on the injectable ``clock`` — the same one
+    A datagram is the response only when it comes from the address the
+    query went to, decodes, is a response (QR) and carries the query's
+    id and opcode; anything else is skipped until the deadline.  The
+    receive deadline runs on the injectable ``clock`` — the same one
     the server side stamps its query log with — so tests can drive the
     timeout deterministically instead of racing ``time.monotonic()``.
     """
     query = Message.make_query(qname, qtype, rrclass, msg_id=msg_id)
+    # The numeric (host, port) that recvfrom reports for the server.
+    peer = socket.getaddrinfo(*address, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        sock.settimeout(timeout)
-        sock.sendto(query.to_wire(), address)
+        sock.sendto(query.to_wire(), peer)
         deadline = clock.now() + timeout
         while True:
             remaining = deadline - clock.now()
             if remaining <= 0:
                 raise TimeoutError(f"no response from {address}")
             sock.settimeout(remaining)
-            wire, _ = sock.recvfrom(65535)
-            response = Message.from_wire(wire)
-            if response.msg_id == msg_id:
+            wire, source = sock.recvfrom(65535)
+            if source != peer:
+                continue
+            try:
+                response = Message.from_wire(wire)
+            except (DnsError, ValueError):  # what garbage decodes to
+                continue
+            if (
+                response.is_response
+                and response.msg_id == msg_id
+                and response.opcode == query.opcode
+            ):
                 return response

@@ -88,7 +88,7 @@ class DelegationBomb:
         self.fan_out = fan_out
         self.bombs = bombs
         self.seed = seed
-        self._suffixes = [
+        self._bomb_origins = [
             self.origin.child(f"b{index}".encode("ascii"))
             for index in range(bombs)
         ]
@@ -104,11 +104,11 @@ class DelegationBomb:
 
     def qname(self, bomb_index: int, label: bytes) -> Name:
         """A cache-busting query name under one delegation bomb."""
-        return self._suffixes[bomb_index % self.bombs].child(label)
+        return self._bomb_origins[bomb_index % self.bombs].child(label)
 
     def suffix_text(self, bomb_index: int) -> str:
         """Store-internable suffix for observations of this bomb."""
-        return "." + self._suffixes[bomb_index % self.bombs].to_text()
+        return "." + self._bomb_origins[bomb_index % self.bombs].to_text()
 
     def build_zone(self) -> Zone:
         origin_text = self.origin.to_text()
@@ -123,7 +123,7 @@ class DelegationBomb:
         zone.add(origin_text, RRType.NS, NS(apex_ns))
         zone.add(apex_ns, RRType.A, A("192.0.2.66"))
         for index in range(self.bombs):
-            child = self._suffixes[index]
+            child = self._bomb_origins[index]
             for target in self.ns_targets(index):
                 zone.add(child, RRType.NS, NS(target))
         return zone

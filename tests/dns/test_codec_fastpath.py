@@ -432,6 +432,30 @@ def test_memo_at_capacity_still_decodes_new_shapes_and_keeps_old_hits(monkeypatc
     assert full_decodes == []
 
 
+def test_memo_keeps_first_labels_of_different_lengths_apart():
+    """An answer owned by the question name points at offset 12 whatever
+    the first label's length, so two such responses can agree on every
+    byte but the id and the first label — and still differ in where the
+    label ends.  They must never share an entry."""
+    from repro.dns.message import ResponseDecodeMemo
+
+    def response(label: bytes) -> tuple[bytes, Name]:
+        qname = Name.from_text("probe.example.org.").child(label)
+        message = Message(msg_id=len(label), flags=FLAG_QR | FLAG_AA)
+        message.questions.append(Question(qname, RRType.TXT, RRClass.IN))
+        message.answers.append(
+            ResourceRecord(qname, RRType.TXT, RRClass.IN, 5, TXT.from_value("s"))
+        )
+        return message.to_wire(), qname
+
+    (short, short_name), (long, long_name) = response(b"ab"), response(b"abcd")
+    assert short[2:12] == long[2:12] and short[15:] == long[17:]
+    memo = ResponseDecodeMemo()
+    for wire, qname in [(short, short_name), (long, long_name)] * 2:
+        assert memo.decode(wire, qname) == Message.from_wire(wire)
+    assert len(memo._entries) == 2
+
+
 def test_memo_hands_out_only_frozen_hashable_records():
     """One memo serves every resolver on a network, and a hit reuses the
     decoded records of the wire that built the entry: nothing handed out

@@ -171,10 +171,13 @@ def test_dynamic_update_invalidates_template():
 
 def test_add_zone_clears_templates():
     server = AuthoritativeServer("site-a", [build_zone()])
-    server.handle_wire(
-        Message.make_query("m-5-5.probe.example.org.", RRType.TXT, msg_id=7).to_wire()
-    )
-    assert server._templates
+    for label in ("m-5-5", "m-5-6"):  # a template, then its alias
+        server.handle_wire(
+            Message.make_query(
+                f"{label}.probe.example.org.", RRType.TXT, msg_id=7
+            ).to_wire()
+        )
+    assert server._templates and server._aliases
     other = Zone("probe.example.org.")
     other.add(
         "probe.example.org.",
@@ -187,7 +190,7 @@ def test_add_zone_clears_templates():
     )
     other.add("probe.example.org.", RRType.NS, NS(Name.from_text("ns1.example.org.")))
     server.add_zone(other)
-    assert not server._templates
+    assert not server._templates and not server._aliases
     # The more-specific empty zone now owns the name: NXDOMAIN, same as
     # a server that never cached anything.
     query = Message.make_query("m-5-5.probe.example.org.", RRType.TXT, msg_id=8)
@@ -270,6 +273,127 @@ def test_traced_fast_path_books_what_the_traced_slow_path_books():
         "authoritative_query_log_dropped_total"
     )
     assert dropped.labels(server="site-a").value == len(stream) + 1 - 6
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
+
+
+def _count_parses(server: AuthoritativeServer) -> list[int]:
+    """Count question parses: a query answered from an alias has none."""
+    calls = [0]
+    parse = server._parse_fast_query
+
+    def counting(wire):
+        calls[0] += 1
+        return parse(wire)
+
+    server._parse_fast_query = counting  # type: ignore[method-assign]
+    return calls
+
+
+def _alias_stream() -> list[bytes]:
+    """One shape many times over (the first a miss, the second a parsed
+    hit that files the alias), first labels of every case and length."""
+    labels = ["m-8-0", "m-8-1", "MiXeD-Case", "x", "Q" * 63, "m-8-5"]
+    return [
+        Message.make_query(
+            f"{label}.probe.example.org.", RRType.TXT, msg_id=300 + tick
+        ).to_wire()
+        for tick, label in enumerate(labels)
+    ]
+
+
+def test_alias_hits_book_what_the_parsed_path_books():
+    zone = build_zone()
+    ledger = Telemetry.enabled_bundle(
+        metrics=False, tracing=False, profiling=False, costs=True
+    )
+    fast = AuthoritativeServer("site-a", [zone], telemetry=ledger)
+    slow = slow_server(zone)
+    parses = _count_parses(fast)
+    stream = _alias_stream()
+    for tick, wire in enumerate(stream):
+        client, now = f"10.0.0.{tick % 3}", tick * 0.5
+        assert fast.handle_wire(wire, client, now) == slow.handle_wire(
+            wire, client, now
+        )
+    assert parses[0] == 2 and len(fast._aliases) == 1  # the rest were aliases
+    totals = ledger.costs.totals()
+    assert totals["template_hit"] == len(stream) - 1
+    assert totals["template_miss"] == 1
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
+    assert [entry.qname.labels[0] for entry in fast.query_log][2:4] == [
+        b"MiXeD-Case", b"x",
+    ]
+    # The reference idiom switches templates off, and aliases with them.
+    assert not slow._templates and not slow._aliases
+
+
+def test_traced_alias_hits_book_the_spans_of_the_traced_slow_path():
+    zone = build_zone()
+    fast = AuthoritativeServer("site-a", [zone], telemetry=Telemetry.enabled_bundle())
+    slow = AuthoritativeServer("site-a", [zone], telemetry=Telemetry.enabled_bundle())
+    slow.handle_query = slow.handle_query  # type: ignore[method-assign]
+    parses = _count_parses(fast)
+    for tick, wire in enumerate(_alias_stream()):
+        client, now = f"10.0.0.{tick % 3}", tick * 0.5
+        assert fast.handle_wire(wire, client, now) == slow.handle_wire(
+            wire, client, now
+        )
+    assert parses[0] == 2 and fast._aliases
+    assert [encode_trace(root) for root in fast.telemetry.tracer.traces()] == [
+        encode_trace(root) for root in slow.telemetry.tracer.traces()
+    ]
+    assert fast.telemetry.registry.as_dict() == slow.telemetry.registry.as_dict()
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)
+
+
+def test_alias_refuses_what_its_template_may_not_answer():
+    """Past the alias, the first label still decides: an existing name
+    (any case), a zone origin, an answer that outgrows the payload, a
+    name over 255 bytes and a stale zone version all go back through
+    the parsed path and answer as the slow path does."""
+    zone = build_zone()
+    zone.add("exists.probe.example.org.", RRType.TXT, TXT.from_value("own"), ttl=5)
+    for index in range(2):  # ~430 bytes of answer: 512 fits short names only
+        zone.add("*.big.example.org.", RRType.TXT,
+                 TXT.from_value(str(index) * 200), ttl=5)
+    child = Zone("origin.probe.example.org.")
+    child.add("origin.probe.example.org.", RRType.TXT, TXT.from_value("apex"))
+    fast = AuthoritativeServer("site-a", [zone, child])
+    slow = slow_server(zone)
+    slow.add_zone(child)
+    # 244 suffix bytes: a first label of up to ten bytes fits in 255.
+    long_suffix = ".".join(["s" * 63] * 3 + ["s" * 32]) + ".probe.example.org."
+
+    def ask(wire: bytes) -> bytes | None:
+        answer = fast.handle_wire(wire)
+        assert answer == slow.handle_wire(wire)
+        return answer
+
+    def query(label: str, suffix: str) -> bytes:
+        message = Message.make_query(f"{label}.{suffix}", RRType.TXT, msg_id=1)
+        return message.use_edns(512).to_wire()
+
+    for suffix in ("probe.example.org.", "big.example.org.", long_suffix):
+        ask(query("warm-0", suffix))
+        ask(query("warm-1", suffix))
+    assert len(fast._aliases) == 3
+    parses = _count_parses(fast)
+    assert b"own" in ask(query("exists", "probe.example.org."))
+    assert b"own" in ask(query("EXISTS", "probe.example.org."))
+    assert b"apex" in ask(query("origin", "probe.example.org."))
+    assert not Message.from_wire(ask(query("b", "big.example.org."))).truncated
+    assert Message.from_wire(ask(query("b" * 63, "big.example.org."))).truncated
+    fits = query("a" * 10, long_suffix)
+    assert ask(fits) is not None
+    too_long = fits[:12] + b"\x0b" + b"c" * 11 + fits[23:]  # a 256-byte name
+    assert ask(too_long) is None
+    assert parses[0] == 5  # the five refusals; the two that fit were aliases
+    zone.add("*.probe.example.org.", RRType.TXT, TXT.from_value("more"), ttl=5)
+    assert b"more" in ask(query("warm-2", "probe.example.org."))
+    assert parses[0] == 6
     assert fast.stats == slow.stats
     assert list(fast.query_log) == list(slow.query_log)
 

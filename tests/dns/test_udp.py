@@ -86,6 +86,52 @@ class TestUdpServer:
         assert response.msg_id == 4321
 
 
+class TestUntrustedDatagrams:
+    def test_waits_past_every_datagram_that_is_not_the_answer(self, engine):
+        """A stand-in server answers with garbage, a wrong id, the query
+        echoed back, a wrong opcode and a forgery from another port
+        before the real answer: query_udp skips them all."""
+        import socket
+        import threading
+
+        from repro.dns.types import Opcode
+
+        def reply(query: Message, **edits) -> bytes:
+            response = query.make_response()
+            response.answers = engine.handle_query(query).answers
+            for attr, value in edits.items():
+                setattr(response, attr, value)
+            return response.to_wire()
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as forger:
+            server.bind(("127.0.0.1", 0))
+            server.settimeout(5.0)
+
+            def serve() -> None:
+                wire, client = server.recvfrom(65535)
+                query = Message.from_wire(wire)
+                server.sendto(b"\x00\x07garbage", client)
+                server.sendto(reply(query, msg_id=query.msg_id ^ 1), client)
+                server.sendto(wire, client)  # right id, but not a response
+                server.sendto(reply(query, opcode=Opcode.NOTIFY), client)
+                forger.sendto(reply(query, answers=[]), client)  # wrong port
+                server.sendto(reply(query), client)
+
+            thread = threading.Thread(target=serve)
+            thread.start()
+            try:
+                response = query_udp(
+                    server.getsockname(), "probe.ourtestdomain.nl.", RRType.TXT,
+                    msg_id=77, timeout=5.0,
+                )
+            finally:
+                thread.join()
+        assert response.is_response and response.msg_id == 77
+        assert response.opcode == Opcode.QUERY
+        assert response.answers[0].rdata.value == "site-GRU"
+
+
 class SteppingClock:
     """now() advances itself on every read — no real waiting needed."""
 

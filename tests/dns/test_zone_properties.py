@@ -9,7 +9,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import CNAME, NS, SOA, TXT, A
 from repro.dns.records import ResourceRecord, RRset
 from repro.dns.rrl import ResponseRateLimiter
-from repro.dns.server import AuthoritativeServer
+from repro.dns.server import AuthoritativeServer, ServerStats
 from repro.dns.types import RRClass, RRType
 from repro.dns.update import UpdateHandler, UpdatePolicy, make_update
 from repro.dns.zone import WILDCARD_LABEL, LookupResult, LookupStatus, Zone
@@ -333,27 +333,54 @@ _edit = st.tuples(
     _stored_type,
     st.integers(min_value=0, max_value=1),
 )
-_asked = st.tuples(_owner, _qtype, st.booleans(), st.booleans())
+#: a second spelling of a question: EDNS payload (or none), RD, and
+#: which letters of the suffix are upper case (bit i: i-th suffix byte)
+_respelling = st.tuples(
+    st.sampled_from([None, 512, 1232, 4096]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**20 - 1),
+)
+_asked = st.tuples(_owner, _qtype, st.booleans(), st.booleans(), _respelling)
+#: under a wildcard whose answer fits 1232 bytes but not 512
+_BIG = Name.from_text("q.big.example.nl.")
 
 
-def _questions(mutation, asked):
-    """The drawn questions plus the edited owner's: every stored type,
-    ANY, a name below it (wildcards, cuts) — in both spellings."""
+def _questions(mutation, asked, respelling):
+    """The drawn questions plus the edited owner's (every stored type,
+    ANY, a name below it: wildcards, cuts) and one under ``_BIG``'s
+    wildcard — each as drawn, then in its second spelling."""
     _action, owner, _rrtype, pick = mutation
     below = owner.child(b"q")
     around = [(owner, rrtype, bool(pick), False) for rrtype in _RDATA] + [
         (owner, RRType.ANY, False, True),
         (below, RRType.A, False, False), (below, RRType.TXT, True, True),
+        (_BIG, RRType.TXT, True, False),
     ]
-    return [_wire(*question) for question in asked + around]
+    wires = []
+    for qname, qtype, edns, swapcase, *drawn in asked + around:
+        payload, rd, mask = drawn[0] if drawn else respelling
+        if swapcase:
+            qname = Name.from_text(qname.to_text().swapcase())
+        wires.append(_wire(qname, qtype, 1232 if edns else None, True))
+        wires.append(_wire(_recased(qname, mask), qtype, payload, rd))
+    return wires
 
 
-def _wire(qname, qtype, edns: bool, swapcase: bool) -> bytes:
-    if swapcase:
-        qname = Name.from_text(qname.to_text().swapcase())
-    query = Message.make_query(qname, qtype, msg_id=7)
-    if edns:
-        query.use_edns(1232)
+def _recased(qname: Name, mask: int) -> Name:
+    """``qname`` with the suffix letters ``mask`` picks upper-cased."""
+    first, *rest = qname.labels
+    suffix = b".".join(rest)
+    recased = bytes(
+        byte & ~0x20 if mask >> index & 1 and 0x61 <= byte <= 0x7A else byte
+        for index, byte in enumerate(suffix)
+    )
+    return Name([first, *recased.split(b".")])
+
+
+def _wire(qname, qtype, payload: int | None, rd: bool) -> bytes:
+    query = Message.make_query(qname, qtype, msg_id=7, recursion_desired=rd)
+    if payload is not None:
+        query.use_edns(payload)
     return query.to_wire()
 
 
@@ -367,6 +394,8 @@ def _seeded_zone(history, fresh: bool) -> Zone:
     )
     zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
     zone.add("*.example.nl.", RRType.TXT, TXT.from_value("wild"))
+    for index in range(3):
+        zone.add("*.big.example.nl.", RRType.TXT, TXT.from_value(str(index) * 200))
     for mutation in history:
         _mutate(zone, mutation, fresh)
     return zone
@@ -375,23 +404,29 @@ def _seeded_zone(history, fresh: bool) -> Zone:
 class TestServerAnswersTrackZoneVersion:
     """Whatever a server keeps from earlier answers dies with the zone
     version: after any edit between two queries, a long-lived server
-    (plain, and under a limiter that never limits) sends exactly what a
-    freshly built server over a freshly built zone sends."""
+    (plain, and under a limiter that never limits) sends, counts and
+    logs exactly what a freshly built slow-path server over a freshly
+    built zone does.  Every question goes out twice, so that the second
+    send meets whatever the first one left (a template, an alias), and
+    in a second spelling (suffix case, EDNS payload, RD)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.tuples(_edit, st.lists(_asked, max_size=3)),
+        st.lists(st.tuples(_edit, st.lists(_asked, max_size=3), _respelling),
                  min_size=1, max_size=12),
     )
     # The in-place edits, always tried: one RR out of a cached two-RR set,
     # and an out-of-band TTL change on the wildcard a synthesis copies.
     @example([
-        (("add", Name.from_text("a.example.nl."), RRType.A, 0), []),
-        (("add", Name.from_text("a.example.nl."), RRType.A, 1), []),
-        (("remove_rdata", Name.from_text("a.example.nl."), RRType.A, 0), []),
-        (("update-remove", Name.from_text("a.example.nl."), RRType.A, 1), []),
+        (("add", Name.from_text("a.example.nl."), RRType.A, 0), [], (None, True, 0)),
+        (("add", Name.from_text("a.example.nl."), RRType.A, 1), [], (512, True, 0)),
+        (("remove_rdata", Name.from_text("a.example.nl."), RRType.A, 0), [],
+         (1232, False, 0)),
+        (("update-remove", Name.from_text("a.example.nl."), RRType.A, 1), [],
+         (4096, True, 1)),
     ])
-    @example([(("retune", Name.from_text("*.example.nl."), RRType.TXT, 0), [])])
+    @example([(("retune", Name.from_text("*.example.nl."), RRType.TXT, 0), [],
+               (None, False, 0))])
     def test_handle_wire_equals_a_fresh_server_after_every_edit(self, steps):
         zone = _seeded_zone([], fresh=False)
         plain = AuthoritativeServer("srv", [zone])
@@ -400,18 +435,26 @@ class TestServerAnswersTrackZoneVersion:
             rate_limiter=ResponseRateLimiter(responses_per_second=10**9),
         )
         history = []
-        for mutation, asked in steps:
-            wires = _questions(mutation, asked)
-            for wire in wires:  # warm whatever the servers keep
+        for mutation, asked, respelling in steps:
+            wires = _questions(mutation, asked, respelling)
+            for wire in wires * 2:  # warm whatever the servers keep
                 plain.handle_wire(wire, "192.0.2.1")
                 limited.handle_wire(wire, "192.0.2.1")
             _mutate(zone, mutation, fresh=False)
             history.append(mutation)
             fresh = AuthoritativeServer("srv", [_seeded_zone(history, fresh=True)])
+            fresh._parse_fast_query = lambda wire: None
+            for server in (plain, limited):
+                server.stats = ServerStats()
+                server.clear_log()
             for wire in wires:
-                want = fresh.handle_wire(wire, "192.0.2.1")
-                assert plain.handle_wire(wire, "192.0.2.1") == want, history
-                assert limited.handle_wire(wire, "192.0.2.1") == want, history
-                assert plain.handle_wire_tcp(wire, "192.0.2.1") == (
-                    fresh.handle_wire_tcp(wire, "192.0.2.1")
-                ), history
+                for _ in range(2):
+                    want = fresh.handle_wire(wire, "192.0.2.1")
+                    assert plain.handle_wire(wire, "192.0.2.1") == want, history
+                    assert limited.handle_wire(wire, "192.0.2.1") == want, history
+                want = fresh.handle_wire_tcp(wire, "192.0.2.1")
+                assert plain.handle_wire_tcp(wire, "192.0.2.1") == want, history
+                assert limited.handle_wire_tcp(wire, "192.0.2.1") == want, history
+            assert plain.stats == limited.stats == fresh.stats, history
+            log = list(fresh.query_log)
+            assert list(plain.query_log) == log == list(limited.query_log), history
