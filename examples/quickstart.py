@@ -21,10 +21,9 @@ from repro.dns import (
     AuthoritativeServer,
     Name,
     RRType,
-    UdpAuthoritativeServer,
     Zone,
-    query_udp,
 )
+from repro.dns.listener import Listener, query_udp
 from repro.netsim import PROBE_CITIES, SimNetwork
 from repro.resolvers import BindSelector, RecursiveResolver
 
@@ -47,7 +46,7 @@ def part1_real_udp() -> None:
     zone.add(f"probe.{DOMAIN}", RRType.TXT, TXT.from_value("hello from FRA"), ttl=5)
 
     engine = AuthoritativeServer("fra.example", [zone])
-    with UdpAuthoritativeServer(engine) as server:
+    with Listener(engine) as server:
         host, port = server.address
         print(f"authoritative listening on {host}:{port}")
         response = query_udp(server.address, f"probe.{DOMAIN}", RRType.TXT)

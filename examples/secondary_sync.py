@@ -3,7 +3,7 @@
 
 The paper's NS sets are replica groups: one primary holds the zone, the
 other authoritatives serve transferred copies.  This example runs a
-primary on loopback TCP, AXFRs the zone to a secondary, serves it,
+primary on loopback, AXFRs the zone to a secondary, serves it,
 bumps the serial on the primary, and shows the secondary's SOA-driven
 refresh picking up the change.
 
@@ -18,11 +18,9 @@ from repro.dns import (
     Name,
     RRType,
     SecondaryZone,
-    TcpAuthoritativeServer,
-    UdpAuthoritativeServer,
     Zone,
-    query_udp,
 )
+from repro.dns.listener import Listener, query_udp
 
 ORIGIN = "example.nl."
 
@@ -46,7 +44,7 @@ def make_zone(serial: int, motd: str) -> Zone:
 
 def main() -> None:
     primary_engine = AuthoritativeServer("primary", [make_zone(1, "hello v1")])
-    with TcpAuthoritativeServer(primary_engine) as primary:
+    with Listener(primary_engine) as primary:
         print(f"primary serving on {primary.address}")
 
         secondary = SecondaryZone(ORIGIN, primary.address)
@@ -54,7 +52,7 @@ def main() -> None:
         print(f"secondary transferred serial {secondary.serial}")
 
         replica_engine = AuthoritativeServer("secondary", [secondary.zone])
-        with UdpAuthoritativeServer(replica_engine) as replica:
+        with Listener(replica_engine) as replica:
             answer = query_udp(replica.address, f"motd.{ORIGIN}", RRType.TXT)
             print(f"secondary answers: {answer.answers[0].rdata.value!r}")
 

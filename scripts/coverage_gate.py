@@ -52,6 +52,9 @@ GATED = {
     "repro.dns.server": SRC / "repro" / "dns" / "server.py",
     "repro.dns.message": SRC / "repro" / "dns" / "message.py",
     "repro.dns.records": SRC / "repro" / "dns" / "records.py",
+    # The one socket front end: `repro serve` and every real-socket test
+    # go through its loop, so its error and framing paths stay pinned.
+    "repro.dns.listener": SRC / "repro" / "dns" / "listener.py",
 }
 
 #: committed line-coverage floors (percent).  Measured at the PR that
@@ -67,6 +70,7 @@ FLOORS = {
     "repro.dns.server": 95.0,  # 98.2% measured when the record caches landed
     "repro.dns.message": 95.0,  # 98.4% measured when the record caches landed
     "repro.dns.records": 100.0,  # 100% measured when the record caches landed
+    "repro.dns.listener": 90.0,  # measured when the one-loop listener landed
 }
 
 

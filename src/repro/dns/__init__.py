@@ -39,13 +39,7 @@ from .server import (
     QueryLogEntry,
     ServerStats,
 )
-from .tcp import (
-    TcpAuthoritativeServer,
-    query_tcp,
-    query_with_tcp_fallback,
-)
 from .types import Opcode, Rcode, RRClass, RRType
-from .udp import UdpAuthoritativeServer, query_udp
 from .update import (
     UpdateHandler,
     UpdatePolicy,
@@ -92,8 +86,6 @@ __all__ = [
     "SRV",
     "ServerStats",
     "TXT",
-    "TcpAuthoritativeServer",
-    "UdpAuthoritativeServer",
     "UpdateHandler",
     "UpdatePolicy",
     "WireFormatError",
@@ -106,9 +98,6 @@ __all__ = [
     "group_rrsets",
     "parse_zone_file",
     "parse_zone_text",
-    "query_tcp",
-    "query_udp",
-    "query_with_tcp_fallback",
     "request_axfr",
     "zone_from_axfr",
     "zone_to_text",

@@ -15,7 +15,6 @@ from .message import Message
 from .name import Name
 from .records import ResourceRecord
 from .server import AuthoritativeServer
-from .tcp import read_tcp_message, write_tcp_message
 from .types import Opcode, Rcode, RRClass, RRType
 from .zone import Zone
 
@@ -63,6 +62,7 @@ def request_axfr(
     if isinstance(origin, str):
         origin = Name.from_text(origin)
     query = Message(msg_id=msg_id)
+    from .listener import read_tcp_message, write_tcp_message
     from .message import Question
 
     query.questions.append(Question(origin, AXFR_TYPE_CODE, RRClass.IN))  # type: ignore[arg-type]
@@ -116,7 +116,7 @@ class SecondaryZone:
 
     def refresh(self) -> bool:
         """Transfer if the primary holds a newer serial; True if updated."""
-        from .tcp import query_tcp
+        from .listener import query_tcp
 
         response = query_tcp(self.primary, self.origin, RRType.SOA)
         primary_serial = None

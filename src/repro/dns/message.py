@@ -219,30 +219,29 @@ class Message:
         """Encode with name compression.
 
         When ``max_size`` is given and the message does not fit, the answer
-        sections are dropped and the TC bit is set (UDP truncation).  The
-        truncated form reuses the already-encoded header + question bytes
-        instead of building and re-encoding a second :class:`Message`:
-        questions are the first names emitted, so their encoding (and the
-        compression state it implies) is identical in both renderings.
+        sections (and the questions, if even they do not fit) are dropped
+        and the TC bit is set (UDP truncation).  The truncated form reuses
+        the already-encoded header + question bytes instead of building
+        and re-encoding a second :class:`Message`: questions are the first
+        names emitted, so their encoding (and the compression state it
+        implies) is identical in both renderings.
         """
         wire, question_end = self._encode()
         if max_size is not None and len(wire) > max_size:
-            out = bytearray(wire[:question_end])
-            arcount = 1 if self.edns_payload is not None else 0
-            HEADER_STRUCT.pack_into(
-                out,
-                0,
-                self.msg_id,
-                self._header_flags() | FLAG_TC,
-                len(self.questions),
-                0,
-                0,
-                arcount,
-            )
-            if arcount:
-                self._opt_into(out)
-            wire = bytes(out)
+            wire = self._truncated(wire[:question_end], len(self.questions))
+            if len(wire) > max_size:
+                wire = self._truncated(wire[:12], 0)
         return wire
+
+    def _truncated(self, head: bytes, qdcount: int) -> bytes:
+        """``head`` (header + ``qdcount`` questions), TC set, OPT only."""
+        out = bytearray(head)
+        arcount = 1 if self.edns_payload is not None else 0
+        flags = self._header_flags() | FLAG_TC
+        HEADER_STRUCT.pack_into(out, 0, self.msg_id, flags, qdcount, 0, 0, arcount)
+        if arcount:
+            self._opt_into(out)
+        return bytes(out)
 
     def _opt_into(self, out: bytearray) -> None:
         """Append the OPT pseudo-record for this message's EDNS state.

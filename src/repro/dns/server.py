@@ -306,6 +306,9 @@ class AuthoritativeServer:
         #: -> (template, suffix, suffix wire length, longest qname wire
         #: that fits); see :meth:`_answer_alias`
         self._aliases: dict[bytes, tuple[_ResponseTemplate, Name, int, int]] = {}
+        #: alias bytes whose template key had no template when parsed:
+        #: their queries skip the parse (cleared when a template is stored)
+        self._untemplated: set[bytes] = set()
         #: (query, zone found for it) from the last :meth:`_answer` that
         #: probed the zone table; ``zone`` is None when no zone matched
         self._last_probe: tuple[Message | None, Zone | None] = (None, None)
@@ -331,6 +334,7 @@ class AuthoritativeServer:
         self._templates.clear()
         self._uncachable.clear()
         self._aliases.clear()
+        self._untemplated.clear()
 
     def find_zone(self, qname: Name) -> Zone | None:
         """Longest-suffix zone match for a query name.
@@ -368,7 +372,8 @@ class AuthoritativeServer:
         query into a :class:`Message` at all — from an alias of the
         query's bytes, else from a parsed question; its output, and what
         it books in stats, query log and telemetry, are identical to the
-        slow path's (see :class:`_ResponseTemplate`).
+        slow path's (see :class:`_ResponseTemplate`).  A miss whose alias
+        bytes are known to map to no template is decoded once, not parsed.
 
         Invariant: a limiter changes which responses are sent, never how
         one is computed — under RRL every call still decodes, looks up
@@ -377,18 +382,24 @@ class AuthoritativeServer:
         costs = self.telemetry.costs
         costs_on = costs.enabled
         limiter = self.rate_limiter
-        fast = None
+        templating = False
         if limiter is None and "handle_query" not in self.__dict__:
-            rendered = self._answer_alias(wire, client, now)
-            if rendered is not None:
-                return rendered
-            fast = self._parse_fast_query(wire)
-            if fast is not None:
-                rendered = self._render_from_template(fast, wire, client, now)
+            alias = None
+            if len(wire) >= 17 and 0 < wire[12] < 64:
+                # header flags and counts, then all after the first label
+                alias = wire[2:12] + wire[13 + wire[12]:]
+                rendered = self._answer_alias(alias, wire, client, now)
                 if rendered is not None:
                     return rendered
-                if costs_on:
-                    costs.count("template_miss")
+            if alias in self._untemplated:
+                templating = True
+            elif (fast := self._parse_fast_query(wire)) is not None:
+                rendered = self._render_from_template(fast, wire, alias, client, now)
+                if rendered is not None:
+                    return rendered
+                templating = True
+            if templating and costs_on:
+                costs.count("template_miss")
         try:
             query = Message.from_wire(wire)
         except Exception:
@@ -435,12 +446,12 @@ class AuthoritativeServer:
                     costs.count("encode")
                 slip = query.make_response()
                 slip.truncated = True
-                return slip.to_wire()
+                return slip.to_wire(MAX_UDP_PAYLOAD)
         wire_out = response.to_wire(self._use_edns(query, response))
         if costs_on:
             costs.count("encode")
-        if fast is not None:
-            self._maybe_build_template(fast, wire_out, zone)
+        if templating:
+            self._maybe_build_template(query, wire_out, zone)
         return wire_out
 
     def handle_wire_tcp(
@@ -636,24 +647,24 @@ class AuthoritativeServer:
 
     # -- response-template fast path ---------------------------------------
 
-    def _answer_alias(self, wire: bytes, client: str, now: float) -> bytes | None:
+    def _answer_alias(
+        self, key: bytes, wire: bytes, client: str, now: float
+    ) -> bytes | None:
         """Answer from an alias of the query's own bytes, or ``None``.
 
         :meth:`_render_from_template` files every query it answers under
-        the bytes left once the id and the first label are cut out:
-        header flags and counts, then suffix, qtype, qclass and OPT.
+        ``key``, the bytes left once the id and the first label are cut
+        out: header flags and counts, then suffix, qtype, qclass and OPT.
         Equal bytes there parse the same way around any first label of
         1–63 bytes, so the parsed path would pick the same template;
         what does depend on that label — whether the name exists or is a
         zone origin, and whether the answer fits — is checked here as
         it is there.  No :class:`Name` is built unless telemetry is on.
         """
-        if len(wire) < 17 or not 0 < wire[12] < 64:
-            return None
-        label_end = 13 + wire[12]
-        alias = self._aliases.get(wire[2:12] + wire[label_end:])
+        alias = self._aliases.get(key)
         if alias is None:
             return None
+        label_end = 13 + wire[12]
         entry, suffix, suffix_len, room = alias
         zone = entry.zone
         qname_end = label_end + suffix_len
@@ -733,36 +744,31 @@ class AuthoritativeServer:
             edns_payload, wants_nsid, suffix,
         )
 
-    @staticmethod
-    def _template_key(fast) -> tuple | None:
-        rd, _qname, qtype, qclass, edns_payload, wants_nsid, suffix = fast
-        # Only IN-class names with at least one label under a cachable
-        # suffix qualify; everything else stays on the slow path.
-        if qclass != int(RRClass.IN) or suffix is None:
-            return None
-        # The suffix Name hashes on its cached folded form, so the key
-        # stays case-insensitive without rebuilding a folded tuple.
-        return (suffix, qtype, rd, edns_payload is not None, wants_nsid)
-
     def _render_from_template(
-        self, fast, wire: bytes, client: str, now: float
+        self, fast, wire: bytes, alias: bytes | None, client: str, now: float
     ) -> bytes | None:
         """Answer a parsed query from a cached template, or ``None`` on
-        any miss/doubt; a spelled-out question also becomes an alias."""
-        key = self._template_key(fast)
-        if key is None:
-            return None
-        entry = self._templates.get(key)
-        if entry is None:
-            return None
-        zone = entry.zone
-        if (
-            zone.version != entry.zone_version
-            or self._zones.get(entry.origin._folded) is not zone
+        any miss/doubt; a spelled-out question also becomes an alias,
+        and one whose key has no template joins :attr:`_untemplated`."""
+        rd, qname, qtype, qclass, edns_payload, wants_nsid, suffix = fast
+        # Templates are IN-class, under a suffix; the suffix Name hashes
+        # on its cached folded form, so the key stays case-insensitive.
+        key = (suffix, qtype, rd, edns_payload is not None, wants_nsid)
+        entry = self._templates.get(key) if qclass == RRClass.IN else None
+        if entry is not None and (
+            entry.zone.version != entry.zone_version
+            or self._zones.get(entry.origin._folded) is not entry.zone
         ):
             del self._templates[key]
+            entry = None
+        if entry is None:
+            if alias is not None:
+                untemplated = self._untemplated
+                if len(untemplated) >= self._TEMPLATE_MAX:
+                    untemplated.clear()
+                untemplated.add(alias)
             return None
-        _rd, qname, _qtype, _qclass, edns_payload, _nsid, suffix = fast
+        zone = entry.zone
         # The template is only valid for names whose lookup outcome is a
         # function of the suffix alone: the qname must not exist in the
         # zone and must not be a zone origin itself.
@@ -777,14 +783,11 @@ class AuthoritativeServer:
         room = min(MAX_NAME_LENGTH, max_size - 12 - len(entry.tail))
         if len(qname_wire) > room:
             return None  # would truncate: the slow path handles TC
-        if wire.startswith(qname_wire, 12):  # not compressed
+        if wire.startswith(qname_wire, 12):  # not compressed: alias is set
             aliases = self._aliases
             if len(aliases) >= self._TEMPLATE_MAX:
                 aliases.clear()
-            label_end = 13 + qname_wire[0]
-            aliases[wire[2:12] + wire[label_end:]] = (
-                entry, suffix, len(qname_wire) + 12 - label_end, room,
-            )
+            aliases[alias] = (entry, suffix, len(qname_wire) - 1 - wire[12], room)
         return self._render_hit(entry, wire, qname_wire, client, now)
 
     def _render_hit(
@@ -815,32 +818,37 @@ class AuthoritativeServer:
             costs.count("template_hit")
         return b"".join((wire[:2], entry.header_tail, qname_wire, entry.tail))
 
-    def _maybe_build_template(self, fast, wire_out: bytes, zone) -> None:
+    def _maybe_build_template(self, query: Message, wire_out: bytes, zone) -> None:
         """Cache ``wire_out`` as a template when provably qname-independent.
 
-        ``zone`` is the zone the answer came from (:data:`_UNPROBED` when
-        the answer did not look one up).  The proof is empirical:
-        re-answer the same question for a canary label of a *different
-        length* (also absent from the zone).  If everything outside the
-        question name matches byte-for-byte, no compression pointer or
-        length field in the tail depends on the qname, so the tail can
-        be replayed for any other absent name under the same suffix.
+        ``query`` is decoded, and keyed as :meth:`_render_from_template`
+        keys its parse; ``zone`` is the zone the answer came from
+        (:data:`_UNPROBED` when the answer did not look one up).  The proof
+        is empirical: re-answer the same question for a canary label of a
+        *different length* (also absent from the zone).  If everything
+        outside the question name matches byte-for-byte, no compression
+        pointer or length field in the tail depends on the qname, so the
+        tail can be replayed for any other absent name under the same suffix.
         """
-        key = self._template_key(fast)
-        if key is None:
-            return
         if wire_out[2] & 0x02:  # TC set: truncated responses vary by size
             return
-        rd, qname, qtype, _qclass, edns_payload, wants_nsid, suffix = fast
-        if qname._folded in self._zones:
+        question = query.questions[0]
+        qname, rrtype = question.name, question.rrtype
+        if (
+            question.rrclass != RRClass.IN
+            or len(qname) < 2
+            or qname._folded in self._zones
+        ):
             return
         if zone is _UNPROBED:
             zone = self.find_zone(qname)
-        if (
-            zone is None
-            or self._uncachable.get(key) == zone.version
-            or qname in zone._names
-        ):
+        if zone is None or qname in zone._names:
+            return
+        suffix = qname.parent()
+        edns_payload, wants_nsid = query.edns_payload, query.nsid is not None
+        rd = query.recursion_desired
+        key = (suffix, rrtype, rd, edns_payload is not None, wants_nsid)
+        if self._uncachable.get(key) == zone.version:
             return
         first = qname.labels[0]
         canary_label = b"\x01" if len(first) != 1 else b"\x01\x02"
@@ -850,12 +858,7 @@ class AuthoritativeServer:
             return  # qname at the length limit; not worth caching
         if canary in zone._names or canary._folded in self._zones:
             return
-        try:
-            rrtype = RRType(qtype)
-            log_rrtype = rrtype
-        except ValueError:
-            rrtype = qtype  # type: ignore[assignment]
-            log_rrtype = RRType.ANY
+        log_rrtype = rrtype if isinstance(rrtype, RRType) else RRType.ANY
         probe = Message(msg_id=0)
         probe.questions.append(Question(canary, rrtype, RRClass.IN))
         probe.recursion_desired = rd
@@ -879,6 +882,7 @@ class AuthoritativeServer:
             return
         if len(self._templates) >= self._TEMPLATE_MAX:
             self._templates.clear()
+        self._untemplated.clear()
         self._templates[key] = _ResponseTemplate(
             zone=zone,
             zone_version=zone.version,

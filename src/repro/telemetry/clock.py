@@ -1,11 +1,11 @@
 """Injectable time sources for telemetry and real transports.
 
 Simulated components share a :class:`~repro.netsim.clock.SimClock` and
-never read wall-clock time.  The *real* transports (``repro.dns.udp``,
-``repro.dns.tcp``) historically stamped query-log entries with
-``time.time()``, which is neither monotonic nor injectable.  Both now
-take a clock from this module instead: :class:`MonotonicClock` for
-production, :class:`ManualClock` for tests.
+never read wall-clock time.  The *real* sockets
+(:class:`repro.dns.listener.Listener`) historically stamped query-log
+entries with ``time.time()``, which is neither monotonic nor injectable;
+they now take a clock from this module instead: :class:`MonotonicClock`
+for production, :class:`ManualClock` for tests.
 
 A "clock" here is any object with a ``now() -> float`` method returning
 seconds.
@@ -61,8 +61,8 @@ class ManualClock:
         return self._now
 
 
-#: process-wide default for real transports; shared so that UDP and TCP
-#: servers stamping into one engine's query log agree on the timeline.
+#: process-wide default for real sockets; shared so that listeners and
+#: clients stamping into one engine's query log agree on the timeline.
 DEFAULT_CLOCK = MonotonicClock()
 
 

@@ -36,7 +36,7 @@ COUNTERS = (
     "decode",         # wire -> Message / memoised response decodes
     "encode",         # Message/template -> wire
     "template_hit",   # server answered from the response-template cache
-    "template_miss",  # fast parse succeeded but no certified template
+    "template_miss",  # a query the fast path covers, no certified template
     "rng_draw",       # seeded stochastic decision points consumed
     "cache_lookup",   # resolver record-cache probes (incl. negative)
     "fault_eval",     # FaultPlan.active() evaluations

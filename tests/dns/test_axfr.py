@@ -9,11 +9,11 @@ from repro.dns.axfr import (
     zone_from_axfr,
 )
 from repro.dns.errors import ZoneError
+from repro.dns.listener import Listener
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT, A
 from repro.dns.server import AuthoritativeServer
-from repro.dns.tcp import TcpAuthoritativeServer
 from repro.dns.types import Rcode, RRClass, RRType
 from repro.dns.zone import Zone
 
@@ -88,20 +88,20 @@ class TestZoneFromAxfr:
 class TestAxfrOverTcp:
     def test_transfer_end_to_end(self):
         engine = AuthoritativeServer("primary", [make_zone(extra_records=6)])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             zone = request_axfr(server.address, ORIGIN)
         zone.validate()
         assert zone.get_rrset(Name.from_text("h5.example.nl."), RRType.TXT)
 
     def test_transfer_refused_below_apex(self):
         engine = AuthoritativeServer("primary", [make_zone()])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             with pytest.raises(ZoneError):
                 request_axfr(server.address, "sub.example.nl.")
 
     def test_transfer_refused_unknown_zone(self):
         engine = AuthoritativeServer("primary", [make_zone()])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             with pytest.raises(ZoneError):
                 request_axfr(server.address, "other.com.")
 
@@ -109,21 +109,21 @@ class TestAxfrOverTcp:
 class TestSecondaryZone:
     def test_initial_transfer(self):
         engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             secondary = SecondaryZone(ORIGIN, server.address)
             secondary.transfer()
         assert secondary.serial == 5
 
     def test_refresh_skips_same_serial(self):
         engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             secondary = SecondaryZone(ORIGIN, server.address)
             secondary.transfer()
             assert secondary.refresh() is False
 
     def test_refresh_pulls_newer_serial(self):
         engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             secondary = SecondaryZone(ORIGIN, server.address)
             secondary.transfer()
             engine.remove_zone(ORIGIN)
@@ -136,7 +136,7 @@ class TestSecondaryZone:
 
     def test_secondary_serves_transferred_zone(self):
         engine = AuthoritativeServer("primary", [make_zone(serial=9)])
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             secondary = SecondaryZone(ORIGIN, server.address)
             zone = secondary.transfer()
         replica = AuthoritativeServer("secondary", [zone])

@@ -298,7 +298,8 @@ def test_truncation_matches_rebuilt_message():
             )
         )
         # Reference: what the old implementation produced — a second
-        # Message holding only the questions, TC set, EDNS copied.
+        # Message holding only the questions, TC set, EDNS copied — and
+        # that without its questions when they alone do not fit.
         rebuilt = Message(
             msg_id=message.msg_id,
             flags=message.flags,
@@ -309,7 +310,11 @@ def test_truncation_matches_rebuilt_message():
         rebuilt.truncated = True
         rebuilt.edns_payload = message.edns_payload
         rebuilt.edns_options = list(message.edns_options)
-        assert message.to_wire(max_size=100) == reference_encode(rebuilt)
+        expected = reference_encode(rebuilt)
+        if len(expected) > 100:
+            rebuilt.questions = []
+            expected = reference_encode(rebuilt)
+        assert message.to_wire(max_size=100) == expected
 
 
 def test_compressed_suffixes_decode_to_shared_names():

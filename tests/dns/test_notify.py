@@ -3,11 +3,11 @@
 import pytest
 
 from repro.dns.axfr import NotifyReceiver, SecondaryZone, build_notify
+from repro.dns.listener import Listener
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
-from repro.dns.tcp import TcpAuthoritativeServer
 from repro.dns.types import Opcode, Rcode, RRType
 from repro.dns.zone import Zone
 
@@ -43,7 +43,7 @@ class TestBuildNotify:
 class TestNotifyReceiver:
     def test_notify_triggers_refresh(self):
         engine = AuthoritativeServer("primary", [make_zone(1)])
-        with TcpAuthoritativeServer(engine) as primary:
+        with Listener(engine) as primary:
             secondary = SecondaryZone(ORIGIN, primary.address)
             secondary.transfer()
             receiver = NotifyReceiver([secondary])
@@ -58,7 +58,7 @@ class TestNotifyReceiver:
 
     def test_notify_without_change_is_noop(self):
         engine = AuthoritativeServer("primary", [make_zone(5)])
-        with TcpAuthoritativeServer(engine) as primary:
+        with Listener(engine) as primary:
             secondary = SecondaryZone(ORIGIN, primary.address)
             secondary.transfer()
             receiver = NotifyReceiver([secondary])

@@ -126,14 +126,10 @@ class TestNsidOverTcp:
         assert response.nsid is None
 
     def test_tcp_server_round_trip_returns_nsid(self, engine):
-        from repro.dns.tcp import (
-            TcpAuthoritativeServer,
-            read_tcp_message,
-            write_tcp_message,
-        )
+        from repro.dns.listener import Listener, read_tcp_message, write_tcp_message
 
         query = Message.make_query("t.example.nl.", RRType.TXT, msg_id=7).request_nsid()
-        with TcpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             with socket.create_connection(server.address, timeout=2.0) as sock:
                 write_tcp_message(sock, query.to_wire())
                 response = Message.from_wire(read_tcp_message(sock))

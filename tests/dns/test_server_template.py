@@ -562,3 +562,31 @@ def test_template_cache_resets_when_full():
             Message.make_query(f"m.{zone_name}", RRType.TXT, msg_id=index).to_wire()
         )
     assert 0 < len(server._templates) <= 3
+
+
+def test_a_miss_without_a_template_parses_once_then_only_decodes():
+    """Alias bytes whose key met no template skip the question parse from
+    then on — one full decode per query, bytes and bookkeeping as the slow
+    path's — until a template is stored or the zones change."""
+    zone = build_zone()
+    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server(zone)
+    parses = _count_parses(fast)
+
+    def ask(name: str, rrtype: RRType, msg_id: int) -> None:
+        wire = Message.make_query(name, rrtype, msg_id=msg_id).to_wire()
+        assert fast.handle_wire(wire) == slow.handle_wire(wire)
+
+    for tick in range(4):
+        ask(f"gone-{'x' * tick}.example.org.", RRType.A, tick)  # uncachable
+        ask("www.example.org.", RRType.A, tick)  # exists: same alias bytes
+        ask("example.org.", RRType.SOA, tick)  # a zone origin
+    assert parses[0] == 2 and len(fast._untemplated) == 2
+    ask("m-1-1.probe.example.org.", RRType.TXT, 50)  # stores a template
+    assert parses[0] == 3 and fast._templates and not fast._untemplated
+    ask("www.example.org.", RRType.A, 51)
+    assert parses[0] == 4 and fast._untemplated
+    fast.add_zone(Zone("other.example."))
+    slow.add_zone(Zone("other.example."))
+    assert not fast._untemplated
+    assert fast.stats == slow.stats
+    assert list(fast.query_log) == list(slow.query_log)

@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.dns.listener import Listener, query_tcp, query_udp
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
-from repro.dns.tcp import TcpAuthoritativeServer, query_tcp
 from repro.dns.types import RRType
-from repro.dns.udp import UdpAuthoritativeServer, query_udp
 from repro.dns.zone import Zone
 from repro.telemetry.clock import DEFAULT_CLOCK, Clock, ManualClock, MonotonicClock
 
@@ -61,7 +60,7 @@ class TestClockImplementations:
 class TestTransportClockInjection:
     def test_udp_stamps_query_log_from_injected_clock(self, engine):
         clock = ManualClock(start=1000.0)
-        with UdpAuthoritativeServer(engine, clock=clock) as server:
+        with Listener(engine, clock=clock) as server:
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
             clock.advance(60.0)
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
@@ -70,25 +69,24 @@ class TestTransportClockInjection:
 
     def test_tcp_stamps_query_log_from_injected_clock(self, engine):
         clock = ManualClock(start=500.0)
-        with TcpAuthoritativeServer(engine, clock=clock) as server:
+        with Listener(engine, clock=clock) as server:
             query_tcp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
         assert engine.query_log[0].timestamp == 500.0
 
     def test_udp_and_tcp_share_default_monotonic_clock(self, engine):
-        udp = UdpAuthoritativeServer(engine)
-        tcp = TcpAuthoritativeServer(engine)
-        try:
-            assert udp.clock is DEFAULT_CLOCK
-            assert tcp.clock is DEFAULT_CLOCK
-        finally:
-            # neither was started; just release the sockets
-            udp._sock.close()
-            tcp._server.server_close()
+        clock = ManualClock(start=7.0)
+        with Listener(engine, clock=clock) as server:
+            query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
+            query_tcp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
+        assert [entry.timestamp for entry in engine.query_log] == [7.0, 7.0]
+        listener = Listener(engine)
+        listener.close()  # never started; the sockets are released
+        assert listener.clock is DEFAULT_CLOCK
 
     def test_default_stamps_are_monotonic_not_wall_clock(self, engine):
         # time.time() is ~1.7e9; the monotonic default starts near zero,
         # so stamps must be tiny and non-decreasing.
-        with UdpAuthoritativeServer(engine) as server:
+        with Listener(engine) as server:
             for index in range(3):
                 query_udp(
                     server.address, "probe.ourtestdomain.nl.", RRType.TXT,

@@ -1,11 +1,24 @@
-"""End-to-end CLI tests over real sockets: serve + dig."""
+"""End-to-end CLI tests over real sockets: serve + dig.
 
+``serve`` binds port 0 and the tests read the port from its ``serving …
+on host:port`` line, so no test depends on a fixed port being free or on
+how long the server takes to start.
+"""
+
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.dns import RRType
+from repro.dns.listener import query_tcp, query_udp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -21,69 +34,60 @@ def zone_file(tmp_path):
     return path
 
 
+def port_of(serving_line: str) -> int:
+    """The port of ``serving <origin> on <host>:<port> (udp+tcp)``."""
+    return int(serving_line.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+
+
+def start_serve(zone_file, capsys) -> tuple[threading.Thread, int]:
+    """``serve --port 0 --max-queries 1`` on a thread, once it listens."""
+    server = threading.Thread(
+        target=main,
+        args=(
+            [
+                "serve", "--zone", str(zone_file), "--origin", "example.test.",
+                "--port", "0", "--max-queries", "1",
+            ],
+        ),
+        daemon=True,
+    )
+    server.start()
+    out = ""
+    deadline = time.monotonic() + 10.0
+    while "serving" not in out:
+        assert server.is_alive() and time.monotonic() < deadline, out
+        time.sleep(0.005)
+        out += capsys.readouterr().out
+    return server, port_of(out)
+
+
 class TestServeAndDig:
     def test_serve_then_dig(self, zone_file, capsys):
-        port = 15656
-        server = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve", "--zone", str(zone_file), "--origin", "example.test.",
-                    "--port", str(port), "--max-queries", "1",
-                ],
-            ),
-            daemon=True,
-        )
-        server.start()
-        time.sleep(0.7)
-        code = main(
-            ["dig", "127.0.0.1", "t.example.test.", "TXT", "-p", str(port)]
-        )
+        server, port = start_serve(zone_file, capsys)
+        code = main(["dig", "127.0.0.1", "t.example.test.", "TXT", "-p", str(port)])
         server.join(timeout=5.0)
+        assert not server.is_alive()  # --max-queries 1 reached
         out = capsys.readouterr().out
         assert code == 0
         assert "from the cli" in out
         assert "NOERROR" in out
+        assert "served 1 queries" in out
 
     def test_dig_tcp(self, zone_file, capsys):
-        port = 15657
-        server = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve", "--zone", str(zone_file), "--origin", "example.test.",
-                    "--port", str(port), "--max-queries", "1",
-                ],
-            ),
-            daemon=True,
-        )
-        server.start()
-        time.sleep(0.7)
+        server, port = start_serve(zone_file, capsys)
         code = main(
             ["dig", "127.0.0.1", "t.example.test.", "TXT", "-p", str(port), "--tcp"]
         )
         server.join(timeout=5.0)
+        assert not server.is_alive()
         assert code == 0
         assert "from the cli" in capsys.readouterr().out
 
     def test_dig_nxdomain_exit_code(self, zone_file, capsys):
-        port = 15658
-        server = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve", "--zone", str(zone_file), "--origin", "example.test.",
-                    "--port", str(port), "--max-queries", "1",
-                ],
-            ),
-            daemon=True,
-        )
-        server.start()
-        time.sleep(0.7)
-        code = main(
-            ["dig", "127.0.0.1", "gone.example.test.", "A", "-p", str(port)]
-        )
+        server, port = start_serve(zone_file, capsys)
+        code = main(["dig", "127.0.0.1", "gone.example.test.", "A", "-p", str(port)])
         server.join(timeout=5.0)
+        assert not server.is_alive()
         assert code == 1
         assert "NXDOMAIN" in capsys.readouterr().out
 
@@ -93,5 +97,32 @@ class TestServeAndDig:
         with pytest.raises(Exception):
             main(
                 ["serve", "--zone", str(bad), "--origin", "example.test.",
-                 "--port", "15659", "--max-queries", "1"]
+                 "--port", "0", "--max-queries", "1"]
             )
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    def test_serve_process_runs_one_thread_and_exits_at_max_queries(self, zone_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro", "serve",
+                "--zone", str(zone_file), "--origin", "example.test.",
+                "--port", "0", "--max-queries", "2",
+            ],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            address = ("127.0.0.1", port_of(process.stdout.readline()))
+            assert len(os.listdir(f"/proc/{process.pid}/task")) == 1
+            assert query_udp(address, "t.example.test.", RRType.TXT).answers
+            assert query_tcp(address, "t.example.test.", RRType.TXT).answers
+            assert process.wait(timeout=10) == 0
+            assert process.stdout.read() == "served 2 queries\n"
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
