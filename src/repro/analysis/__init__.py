@@ -19,14 +19,6 @@ from .preference import (
     table2_rows,
     vp_preferences,
 )
-from .export import (
-    export_interval_sweep,
-    export_probe_all,
-    export_query_share,
-    export_rank_bands,
-    export_table2,
-    export_vp_preferences,
-)
 from .figures import render_fig4_curves, render_fig7_bands, sparkline
 from .ground_truth import (
     ImplementationRow,
@@ -34,13 +26,12 @@ from .ground_truth import (
     render_implementation_breakdown,
 )
 from .paper import PAPER_CLAIMS, PaperClaim, Scorecard, build_scorecard
-from .probe_all import ProbeAllResult, analyze_probe_all, queries_until_all
+from .probe_all import ProbeAllResult, analyze_probe_all
 from .streams import iter_observation_fields, site_completion_times
 from .query_share import (
     QueryShareResult,
     SiteShare,
     analyze_query_share,
-    hot_cache_observations,
 )
 from .rank_bands import RankBandResult, RecursiveBands, analyze_rank_bands
 from .report import (
@@ -98,12 +89,6 @@ __all__ = [
     "analyze_interval_sweep",
     "client_side_shares",
     "compare_views",
-    "export_interval_sweep",
-    "export_probe_all",
-    "export_query_share",
-    "export_rank_bands",
-    "export_table2",
-    "export_vp_preferences",
     "server_side_shares",
     "server_side_shares_from_trace",
     "analyze_preference",
@@ -112,12 +97,10 @@ __all__ = [
     "analyze_rank_bands",
     "analyze_rtt_sensitivity",
     "fraction_to_site",
-    "hot_cache_observations",
     "iter_observation_fields",
     "site_completion_times",
     "median",
     "quantile",
-    "queries_until_all",
     "render_fig4_curves",
     "render_fig7_bands",
     "render_interval_sweep",

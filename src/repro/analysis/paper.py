@@ -122,12 +122,6 @@ class Scorecard:
             return "missing"
         return "ok" if abs(value - claim.paper_value) <= claim.tolerance else "off"
 
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.measured) and all(
-            self.verdict(claim_id) == "ok" for claim_id in self.measured
-        )
-
     def misses(self) -> list[str]:
         return [
             claim_id

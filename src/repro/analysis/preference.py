@@ -66,12 +66,6 @@ class PreferenceResult:
     weak_pct: float = 0.0
     strong_pct: float = 0.0
 
-    def by_continent(self) -> dict[Continent, list[VpPreference]]:
-        grouped: dict[Continent, list[VpPreference]] = {}
-        for vp in self.vps:
-            grouped.setdefault(vp.continent, []).append(vp)
-        return grouped
-
 
 def vp_preferences(
     observations: list[QueryObservation],

@@ -24,27 +24,6 @@ class ProbeAllResult:
     probed_all_pct: float              # x-axis label of Figure 2
     queries_to_all: BoxplotStats | None  # box for VPs that probed all
 
-    def summary(self) -> str:
-        box = self.queries_to_all
-        med = f"{box.median:.0f}" if box else "-"
-        return (
-            f"{self.combo_id}: {self.probed_all_pct:.1f}% of {self.vp_count} VPs "
-            f"probed all {self.site_count} NSes (median {med} queries after the first)"
-        )
-
-
-def queries_until_all(
-    observations: list[QueryObservation], sites: set[str]
-) -> int | None:
-    """Queries after the first until every site answered; None if never."""
-    seen: set[str] = set()
-    for index, obs in enumerate(sorted(observations, key=lambda o: o.timestamp)):
-        if obs.site:
-            seen.add(obs.site)
-        if seen == sites:
-            return index  # queries *after the first* = index of this one
-    return None
-
 
 def analyze_probe_all(
     observations: list[QueryObservation],

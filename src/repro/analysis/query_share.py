@@ -41,31 +41,6 @@ class QueryShareResult:
         return self.ranked_by_share()[0].site == self.ranked_by_rtt()[0].site
 
 
-def hot_cache_observations(
-    observations: list[QueryObservation], sites: set[str]
-) -> list[QueryObservation]:
-    """Drop each VP's warm-up: analysis starts once it has seen every
-    site at least once (§4.2 'hot-cache condition')."""
-    by_vp: dict[int, list[QueryObservation]] = {}
-    for obs in observations:
-        by_vp.setdefault(obs.vp_id, []).append(obs)
-    kept: list[QueryObservation] = []
-    for rows in by_vp.values():
-        rows.sort(key=lambda o: o.timestamp)
-        seen: set[str] = set()
-        hot = False
-        for obs in rows:
-            if hot:
-                kept.append(obs)
-                continue
-            if obs.site:
-                seen.add(obs.site)
-            if seen == sites:
-                hot = True
-        # VPs that never reach hot cache contribute nothing, as in §4.2.
-    return kept
-
-
 def analyze_query_share(
     observations: list[QueryObservation],
     sites: set[str],

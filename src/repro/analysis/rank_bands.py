@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .stats import median
-
 
 @dataclass(frozen=True)
 class RecursiveBands:
@@ -55,13 +53,6 @@ class RankBandResult:
 
     def pct_querying_all(self) -> float:
         return self.pct_querying_at_least(self.target_count)
-
-    def median_band(self, rank: int) -> float:
-        """Median share of the rank-th most-queried NS over recursives."""
-        values = [
-            r.shares[rank] for r in self.recursives if rank < len(r.shares)
-        ]
-        return median(values) if values else 0.0
 
     def mean_bands(self) -> list[float]:
         """Mean share per rank — the average shape of Figure 7's columns."""

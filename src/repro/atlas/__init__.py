@@ -2,7 +2,7 @@
 
 from .catchment import CatchmentEntry, CatchmentReport, map_catchment
 from .platform import AtlasPlatform, MeasurementRun, QueryObservation, VantagePoint
-from .probes import Probe, ProbeGenerator, continent_counts
+from .probes import Probe, ProbeGenerator
 from .public import PublicResolverService
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "PublicResolverService",
     "QueryObservation",
     "VantagePoint",
-    "continent_counts",
     "map_catchment",
 ]

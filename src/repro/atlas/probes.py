@@ -100,10 +100,3 @@ class ProbeGenerator:
             probe_id, city, asn, address,
             ipv6_capable=rng.random() < self.ipv6_share,
         )
-
-
-def continent_counts(probes: list[Probe]) -> dict[Continent, int]:
-    counts: dict[Continent, int] = {continent: 0 for continent in Continent}
-    for probe in probes:
-        counts[probe.continent] += 1
-    return counts

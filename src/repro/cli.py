@@ -908,15 +908,17 @@ def _cmd_passive(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a zone file over real UDP and TCP sockets, on this thread."""
-    from .dns import AuthoritativeServer, parse_zone_text
+    from .dns import AuthoritativeServer, DnsError, parse_zone_text
     from .dns.listener import Listener
 
     io = args.io
-    text = Path(args.zone).read_text()
-    zone = parse_zone_text(text, args.origin)
-    zone.validate()
-    engine = AuthoritativeServer(args.server_id, [zone])
-    listener = Listener(engine, host=args.host, port=args.port)
+    try:
+        zone = parse_zone_text(Path(args.zone).read_text(), args.origin)
+        zone.validate()
+        engine = AuthoritativeServer(args.server_id, [zone])
+        listener = Listener(engine, host=args.host, port=args.port)
+    except (DnsError, OSError) as exc:
+        raise CliError(f"serve: {args.zone}: {exc}") from None
     host, port = listener.address
     io.emit(f"serving {zone.origin.to_text()} on {host}:{port} (udp+tcp)")
     io.status("Ctrl-C to stop")
@@ -950,20 +952,30 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
 def _cmd_dig(args: argparse.Namespace) -> int:
     """Query a real DNS server (pairs with ``serve``)."""
-    from .dns import RRClass, RRType
-    from .dns.listener import query_tcp, query_udp
+    from .dns import DnsError, RRClass, RRType
+    from .dns.listener import query_tcp, query_with_tcp_fallback
 
     io = args.io
     rrtype = RRType.from_text(args.rrtype)
     rrclass = RRClass.from_text(args.rrclass)
     address = (args.server, args.port)
-    if args.tcp:
-        response = query_tcp(address, args.name, rrtype, rrclass, timeout=args.timeout)
-    else:
-        response = query_udp(address, args.name, rrtype, rrclass, timeout=args.timeout)
-        if response.truncated:
-            io.status(";; truncated — retrying over TCP")
-            response = query_tcp(address, args.name, rrtype, rrclass, timeout=args.timeout)
+    try:
+        if args.tcp:
+            response = query_tcp(
+                address, args.name, rrtype, rrclass, timeout=args.timeout
+            )
+        else:
+            response, used_tcp = query_with_tcp_fallback(
+                address, address, args.name, rrtype, rrclass, timeout=args.timeout
+            )
+            if used_tcp:
+                io.status(";; truncated — retried over TCP")
+    except (DnsError, OSError) as exc:
+        transport = "tcp" if args.tcp else "udp"
+        raise CliError(
+            f"dig: {args.server}:{args.port} ({transport}): "
+            f"{str(exc) or type(exc).__name__}"
+        ) from None
     io.emit(response.to_text())
     return 0 if response.rcode == 0 else 1
 

@@ -6,13 +6,6 @@ from .store import (
     ObservationStore,
     QueryObservation,
 )
-from .capture import (
-    Capture,
-    CapturedExchange,
-    CapturingNetwork,
-    load_capture,
-    save_capture,
-)
 from .combinations import COMBINATIONS, FIGURE6_INTERVALS_MIN, Combination
 from .deployment import (
     AuthoritativeSpec,
@@ -42,23 +35,12 @@ from .resilience import (
     ResilienceReport,
     SiteLoad,
 )
-from .results import (
-    iter_observations,
-    load_run,
-    observation_from_dict,
-    observation_to_dict,
-    save_run,
-)
+from .results import load_run, save_run
 
 __all__ = [
     "AttackScenario",
     "AuthoritativeSpec",
     "COMBINATIONS",
-    "Capture",
-    "CapturedExchange",
-    "CapturingNetwork",
-    "load_capture",
-    "save_capture",
     "ClientLatency",
     "Combination",
     "DEFAULT_DOMAIN",
@@ -81,10 +63,7 @@ __all__ = [
     "SiteLoad",
     "TestbedExperiment",
     "build_zone",
-    "iter_observations",
     "load_run",
-    "observation_from_dict",
-    "observation_to_dict",
     "run_campaign",
     "run_combination",
     "save_run",

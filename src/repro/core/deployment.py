@@ -53,9 +53,6 @@ class DeployedAuthoritative:
     address: str
     engines: dict[str, AuthoritativeServer] = field(default_factory=dict)
 
-    def total_queries(self) -> int:
-        return sum(engine.stats.queries for engine in self.engines.values())
-
 
 def build_zone(domain: Name, ns_names: list[Name], marker: str) -> Zone:
     """The test zone one site serves; ``marker`` identifies the site."""

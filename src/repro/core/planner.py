@@ -14,11 +14,10 @@ slowest NS — the least-anycast one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean, median
 
 from ..atlas.probes import Probe
 from ..netsim.anycast import AnycastGroup, AnycastSite
-from ..netsim.geo import DATACENTERS, Location
+from ..netsim.geo import DATACENTERS
 from ..netsim.latency import LatencyModel
 from .deployment import AuthoritativeSpec
 
@@ -117,6 +116,10 @@ class DeploymentPlanner:
     def evaluate(
         self, specs: list[AuthoritativeSpec], name: str = "design"
     ) -> DeploymentEvaluation:
+        # statistics loads decimal and fractions: only the §7 tools
+        # should pay for that, not every `import repro`.
+        from statistics import mean, median
+
         per_client: list[ClientLatency] = []
         for client in self.clients:
             rtts = [
@@ -152,12 +155,6 @@ class DeploymentPlanner:
         ]
         evaluations.sort(key=lambda ev: ev.mean_expected_ms)
         return evaluations
-
-    def recommend(
-        self, designs: dict[str, list[AuthoritativeSpec]]
-    ) -> DeploymentEvaluation:
-        """The design a DNS operator should deploy (lowest expected latency)."""
-        return self.rank(designs)[0]
 
 
 def sidn_style_designs(

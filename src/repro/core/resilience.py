@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from statistics import mean
 
 from ..atlas.probes import Probe
 from ..netsim.anycast import AnycastGroup, AnycastSite
@@ -54,36 +53,6 @@ class AttackScenario:
             return {}
         share = self.total_qps * self.amplification / len(targets)
         return {index: share for index in targets}
-
-
-def nxns_attack(
-    bot_qps: float,
-    fan_out: int,
-    max_fetch: int | None = None,
-    max_fetch_per_delegation: int | None = None,
-    target_ns: tuple[int, ...] | None = None,
-    bot_count: int = 300,
-) -> AttackScenario:
-    """An NXNSAttack as a capacity-model :class:`AttackScenario`.
-
-    ``bot_qps`` is what the botnet sends at the recursives; what lands
-    on the victim's NSes is that times the per-query fetch
-    amplification, which mitigated resolvers cap at ``max_fetch`` (and
-    per delegation at ``max_fetch_per_delegation``) — mirroring the
-    bounds :class:`~repro.resolvers.resolver.RecursiveResolver`
-    enforces in the packet-level simulation.
-    """
-    amplification = float(fan_out)
-    if max_fetch_per_delegation is not None:
-        amplification = min(amplification, float(max_fetch_per_delegation))
-    if max_fetch is not None:
-        amplification = min(amplification, float(max_fetch))
-    return AttackScenario(
-        total_qps=bot_qps,
-        target_ns=target_ns,
-        bot_count=bot_count,
-        amplification=amplification,
-    )
 
 
 @dataclass
@@ -208,6 +177,8 @@ class ResilienceEvaluator:
         attack: AttackScenario,
         name: str = "design",
     ) -> ResilienceReport:
+        from statistics import mean  # see DeploymentPlanner.evaluate
+
         groups = [self._group_for(spec, i) for i, spec in enumerate(specs)]
         loads = self._site_loads(specs, groups, attack)
 
@@ -245,58 +216,6 @@ class ResilienceEvaluator:
             availability=mean(availabilities),
             mean_latency_ms=mean(latencies) if latencies else float("inf"),
             site_loads=list(loads.values()),
-        )
-
-    def fault_scenario(
-        self,
-        specs: list[AuthoritativeSpec],
-        attack: AttackScenario,
-        start: float,
-        end: float,
-        name: str = "attack-brownout",
-    ):
-        """The attack as a runnable fault timeline for the simulator.
-
-        The capacity model is static: it says *how much* each NS can
-        still answer under the attack, not what resolvers then do about
-        it.  This bridge turns each overloaded NS's aggregate answer
-        rate into a :class:`~repro.netsim.faults.Brownout` over
-        [start, end), so the same attack can be replayed as a live
-        mid-campaign event against the real retry/selector machinery.
-        """
-        from ..netsim.faults import Brownout, Scenario
-
-        groups = [self._group_for(spec, i) for i, spec in enumerate(specs)]
-        loads = self._site_loads(specs, groups, attack)
-        events = []
-        for index, spec in enumerate(specs):
-            offered = sum(
-                load.offered_qps
-                for (ns_index, _), load in loads.items()
-                if ns_index == index
-            )
-            answered = sum(
-                min(load.offered_qps, load.capacity_qps)
-                for (ns_index, _), load in loads.items()
-                if ns_index == index
-            )
-            if offered <= 0.0 or answered >= offered:
-                continue
-            events.append(
-                Brownout(
-                    target=spec.name,
-                    start=start,
-                    end=end,
-                    answer_rate=answered / offered,
-                )
-            )
-        return Scenario(
-            name=name,
-            description=(
-                f"{attack.total_qps:g} qps attack replayed as per-NS "
-                "brownouts from the capacity model"
-            ),
-            events=tuple(events),
         )
 
     def compare(

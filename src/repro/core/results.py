@@ -9,44 +9,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
 
-from ..netsim.geo import Continent
-from .store import MeasurementRun, QueryObservation
-
-
-def observation_to_dict(obs: QueryObservation) -> dict:
-    return {
-        "vp_id": obs.vp_id,
-        "probe_id": obs.probe_id,
-        "recursive": obs.recursive_address,
-        "impl": obs.impl_name,
-        "continent": obs.continent.value,
-        "t": obs.timestamp,
-        "qname": obs.qname,
-        "site": obs.site,
-        "authoritative": obs.authoritative,
-        "rtt_ms": obs.rtt_ms,
-        "attempts": obs.attempts,
-        "ok": obs.succeeded,
-    }
-
-
-def observation_from_dict(row: dict) -> QueryObservation:
-    return QueryObservation(
-        vp_id=row["vp_id"],
-        probe_id=row["probe_id"],
-        recursive_address=row["recursive"],
-        impl_name=row["impl"],
-        continent=Continent(row["continent"]),
-        timestamp=row["t"],
-        qname=row["qname"],
-        site=row["site"],
-        authoritative=row["authoritative"],
-        rtt_ms=row["rtt_ms"],
-        attempts=row["attempts"],
-        succeeded=row["ok"],
-    )
+from .store import MeasurementRun
 
 
 def save_run(run: MeasurementRun, path: str | Path) -> int:
@@ -90,14 +54,3 @@ def load_run(path: str | Path) -> MeasurementRun:
             if line:
                 append(json.loads(line))
     return run
-
-
-def iter_observations(path: str | Path) -> Iterator[QueryObservation]:
-    """Stream observations from disk without loading the whole run."""
-    path = Path(path)
-    with path.open() as fh:
-        fh.readline()  # header
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield observation_from_dict(json.loads(line))

@@ -342,9 +342,9 @@ class ObservationStore:
     def iter_dicts(self):
         """Stream rows in the :mod:`repro.core.results` JSONL schema.
 
-        Field order matches ``observation_to_dict`` exactly, so a run
-        saved from the store is byte-identical to one saved from a list
-        of materialized observations.
+        Field order is the one list-backed writers used, so a run saved
+        from the store is byte-identical to one saved from a list of
+        materialized observations.
         """
         strings = self._strings
         profiles = self._profiles

@@ -22,7 +22,7 @@ from .rdata import (
     GenericRdata,
     Rdata,
 )
-from .records import ResourceRecord, RRset, group_rrsets
+from .records import ResourceRecord, RRset
 from .axfr import (
     NotifyReceiver,
     SecondaryZone,
@@ -47,7 +47,7 @@ from .update import (
     make_update,
 )
 from .zone import LookupResult, LookupStatus, Zone
-from .zonefile import parse_zone_file, parse_zone_text, zone_to_text
+from .zonefile import parse_zone_text, zone_to_text
 
 __all__ = [
     "A",
@@ -95,8 +95,6 @@ __all__ = [
     "Zone",
     "ZoneError",
     "ZoneFileSyntaxError",
-    "group_rrsets",
-    "parse_zone_file",
     "parse_zone_text",
     "request_axfr",
     "zone_from_axfr",

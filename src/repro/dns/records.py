@@ -158,16 +158,3 @@ class RRset:
 
     def __bool__(self) -> bool:
         return bool(self.rdatas)
-
-
-def group_rrsets(records: list[ResourceRecord]) -> list[RRset]:
-    """Group a record list into RRsets, preserving first-seen order."""
-    groups: dict[tuple, RRset] = {}
-    for record in records:
-        key = (record.name, record.rrtype, record.rrclass)
-        rrset = groups.get(key)
-        if rrset is None:
-            rrset = RRset(record.name, record.rrtype, record.rrclass, record.ttl)
-            groups[key] = rrset
-        rrset.add(record.rdata, record.ttl)
-    return list(groups.values())

@@ -892,6 +892,3 @@ class AuthoritativeServer:
             rcode=Rcode(wire_out[3] & 0x0F),
             log_rrtype=log_rrtype,
         )
-
-    def clear_log(self) -> None:
-        self.query_log.clear()

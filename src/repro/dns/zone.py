@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .errors import ZoneError
 from .name import Name
-from .rdata import CNAME, NS, SOA, Rdata
+from .rdata import CNAME, NS, Rdata
 from .records import ResourceRecord, RRset
 from .types import RRClass, RRType
 
@@ -160,14 +160,6 @@ class Zone:
             raise ZoneError(f"zone {self.origin} needs exactly one SOA at its apex")
         if (self.origin, RRType.NS) not in self._rrsets:
             raise ZoneError(f"zone {self.origin} needs NS records at its apex")
-
-    def soa_negative_ttl(self) -> int:
-        """Negative-caching TTL: min(SOA TTL, SOA MINIMUM), RFC 2308."""
-        soa = self.soa
-        if soa is None:
-            return 0
-        minimum = soa.rdatas[0].minimum if isinstance(soa.rdatas[0], SOA) else 0
-        return min(soa.ttl, minimum)
 
     # -- lookup -------------------------------------------------------------
 

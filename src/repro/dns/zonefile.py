@@ -119,54 +119,14 @@ def _is_type(token: str) -> bool:
         return False
 
 
-def _expand_generate_template(template: str, value: int, lineno: int) -> str:
-    """Substitute ``$`` and ``${offset[,width[,radix]]}`` (RFC-less BIND
-    $GENERATE syntax) with ``value``."""
-    out: list[str] = []
-    i = 0
-    n = len(template)
-    while i < n:
-        char = template[i]
-        if char != "$":
-            out.append(char)
-            i += 1
-            continue
-        if i + 1 < n and template[i + 1] == "$":
-            out.append("$")
-            i += 2
-            continue
-        if i + 1 < n and template[i + 1] == "{":
-            end = template.find("}", i)
-            if end == -1:
-                raise ZoneFileSyntaxError("unterminated ${...} in $GENERATE", lineno)
-            spec = template[i + 2 : end].split(",")
-            try:
-                offset = int(spec[0]) if spec[0] else 0
-                width = int(spec[1]) if len(spec) > 1 and spec[1] else 0
-                radix = spec[2] if len(spec) > 2 and spec[2] else "d"
-            except ValueError:
-                raise ZoneFileSyntaxError(f"bad ${{...}} spec {spec!r}", lineno)
-            formats = {"d": "d", "x": "x", "X": "X", "o": "o"}
-            if radix not in formats:
-                raise ZoneFileSyntaxError(f"bad $GENERATE radix {radix!r}", lineno)
-            out.append(format(value + offset, f"0{width}{formats[radix]}"))
-            i = end + 1
-        else:
-            out.append(str(value))
-            i += 1
-    return "".join(out)
-
-
 class _ZoneParser:
     """Stateful master-file parser (origin, default TTL, last owner)."""
 
-    def __init__(self, zone: Zone, origin: Name, include_loader=None):
+    def __init__(self, zone: Zone, origin: Name):
         self.zone = zone
         self.current_origin = origin
         self.default_ttl: int | None = None
         self.last_owner: Name | None = None
-        self.include_loader = include_loader
-        self._include_depth = 0
 
     def parse(self, text: str) -> None:
         for lineno, tokens, owner_inherited in _tokenize(text):
@@ -186,62 +146,9 @@ class _ZoneParser:
                 raise ZoneFileSyntaxError("$TTL needs one argument", lineno)
             self.default_ttl = _parse_ttl(tokens[1], lineno)
             return
-        if directive == "$GENERATE":
-            self._handle_generate(lineno, tokens)
-            return
-        if directive == "$INCLUDE":
-            self._handle_include(lineno, tokens)
-            return
         if directive.startswith("$"):
             raise ZoneFileSyntaxError(f"unsupported directive {tokens[0]}", lineno)
         self._handle_record(lineno, tokens, owner_inherited)
-
-    def _handle_generate(self, lineno, tokens) -> None:
-        """``$GENERATE start-stop[/step] lhs [ttl] [class] type rhs``."""
-        if len(tokens) < 4:
-            raise ZoneFileSyntaxError("$GENERATE needs range, lhs, type, rhs", lineno)
-        range_token = tokens[1]
-        step = 1
-        if "/" in range_token:
-            range_token, step_token = range_token.split("/", 1)
-            if not step_token.isdigit() or int(step_token) < 1:
-                raise ZoneFileSyntaxError(f"bad $GENERATE step {step_token!r}", lineno)
-            step = int(step_token)
-        if "-" not in range_token:
-            raise ZoneFileSyntaxError(f"bad $GENERATE range {range_token!r}", lineno)
-        start_token, stop_token = range_token.split("-", 1)
-        if not (start_token.isdigit() and stop_token.isdigit()):
-            raise ZoneFileSyntaxError(f"bad $GENERATE range {range_token!r}", lineno)
-        start, stop = int(start_token), int(stop_token)
-        if stop < start:
-            raise ZoneFileSyntaxError("$GENERATE stop before start", lineno)
-        if (stop - start) // step + 1 > 65536:
-            raise ZoneFileSyntaxError("$GENERATE range too large", lineno)
-        body = tokens[2:]
-        for value in range(start, stop + 1, step):
-            expanded = [
-                _expand_generate_template(token, value, lineno) for token in body
-            ]
-            self._handle_record(lineno, expanded, owner_inherited=False)
-
-    def _handle_include(self, lineno, tokens) -> None:
-        if self.include_loader is None:
-            raise ZoneFileSyntaxError(
-                "$INCLUDE needs an include loader (use parse_zone_file)", lineno
-            )
-        if len(tokens) not in (2, 3):
-            raise ZoneFileSyntaxError("$INCLUDE needs a filename", lineno)
-        if self._include_depth >= 8:
-            raise ZoneFileSyntaxError("$INCLUDE nesting too deep", lineno)
-        saved_origin = self.current_origin
-        if len(tokens) == 3:
-            self.current_origin = Name.from_text(tokens[2])
-        self._include_depth += 1
-        try:
-            self.parse(self.include_loader(tokens[1]))
-        finally:
-            self._include_depth -= 1
-            self.current_origin = saved_origin
 
     # -- records ---------------------------------------------------------------
 
@@ -292,38 +199,18 @@ class _ZoneParser:
         self.zone.add_record(ResourceRecord(owner, rrtype, rrclass, ttl, rdata))
 
 
-def parse_zone_text(
-    text: str, origin: Name | str, include_loader=None
-) -> Zone:
+def parse_zone_text(text: str, origin: Name | str) -> Zone:
     """Parse master-file text into a :class:`Zone` rooted at ``origin``.
 
-    ``include_loader`` maps an ``$INCLUDE`` filename to its text; without
-    one, ``$INCLUDE`` is an error (use :func:`parse_zone_file` for real
-    files).
+    ``$GENERATE``, ``$INCLUDE`` and any other directive but ``$ORIGIN``
+    and ``$TTL`` are syntax errors.
     """
     if isinstance(origin, str):
         origin = Name.from_text(origin)
     zone = Zone(origin)
-    parser = _ZoneParser(zone, origin, include_loader=include_loader)
+    parser = _ZoneParser(zone, origin)
     parser.parse(text)
     return zone
-
-
-def parse_zone_file(path, origin: Name | str) -> Zone:
-    """Parse a master file from disk; ``$INCLUDE`` paths resolve relative
-    to the including file's directory."""
-    from pathlib import Path
-
-    path = Path(path)
-    base = path.parent
-
-    def loader(name: str) -> str:
-        candidate = Path(name)
-        if not candidate.is_absolute():
-            candidate = base / candidate
-        return candidate.read_text()
-
-    return parse_zone_text(path.read_text(), origin, include_loader=loader)
 
 
 def zone_to_text(zone: Zone) -> str:

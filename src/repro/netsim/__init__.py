@@ -1,6 +1,5 @@
 """Network simulation substrate: virtual time, geography, latency, anycast."""
 
-from .addressing import Ipv4Allocator, Ipv6Allocator
 from .anycast import AnycastGroup, AnycastSite
 from .clock import SimClock
 from .sched import EventKernel
@@ -48,8 +47,6 @@ __all__ = [
     "FaultPlan",
     "FIBER_KM_PER_SECOND",
     "GeoPoint",
-    "Ipv4Allocator",
-    "Ipv6Allocator",
     "LatencyModel",
     "LatencyParameters",
     "LatencySpike",

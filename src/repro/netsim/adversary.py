@@ -225,17 +225,6 @@ class AttackProfile:
         path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
         return path
 
-    def amplification_bound(self) -> float:
-        """Expected per-query fetch amplification against the victim."""
-        if self.vector != "nxns":
-            return 1.0
-        per_delegation = self.fan_out
-        if self.max_fetch_per_delegation is not None:
-            per_delegation = min(per_delegation, self.max_fetch_per_delegation)
-        if self.max_fetch is not None:
-            per_delegation = min(per_delegation, self.max_fetch)
-        return float(per_delegation)
-
 
 def load_profile(path: str | Path) -> AttackProfile:
     path = Path(path)

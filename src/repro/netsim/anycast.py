@@ -77,10 +77,3 @@ class AnycastGroup:
         sub_draw = (draw / self.suboptimal_rate) * (len(ranked) - 1)
         index = 1 + min(int(sub_draw), len(ranked) - 2)
         return ranked[index]
-
-    def best_rtt_ms(self, client_location: Location, latency: LatencyModel) -> float:
-        """RTT to the nearest site (the anycast optimum for this client)."""
-        return min(
-            latency.base_rtt_ms(client_location.point, site.location.point)
-            for site in self.sites
-        )

@@ -62,9 +62,6 @@ class Location:
     continent: Continent
     point: GeoPoint
 
-    def distance_km(self, other: "Location") -> float:
-        return great_circle_km(self.point, other.point)
-
 
 def _loc(code, city, country, continent, lat, lon) -> Location:
     return Location(code, city, country, Continent(continent), GeoPoint(lat, lon))

@@ -13,14 +13,12 @@ Determinism contract (the property every user of this kernel leans on):
   monotonically increasing insertion counter — ties at one instant run
   in scheduling order, never in hash or heap-internal order;
 * the kernel itself consumes no randomness and reads no wall clock;
-* cancellation marks the entry dead in place (the classic heapq
-  recipe), so cancelling never perturbs the order of surviving events.
+* a scheduled event always runs: there is no cancellation.
 
 Heap entries are plain lists ``[time, seq, fn, arg]`` on purpose:
 ``heapq`` compares them with C-level list comparison (time first, then
 seq — the callback is never compared), which keeps the per-event cost
-far below a Python ``__lt__`` on a handle class.  The entry list itself
-is the cancellation handle.
+far below a Python ``__lt__`` on a handle class.
 
 This module is the single implementation of virtual-time event
 ordering in the repo: every resolution and every campaign runs on it.
@@ -50,15 +48,13 @@ class EventKernel:
     blocking call.
     """
 
-    __slots__ = ("clock", "costs", "_heap", "_seq", "_live", "processed")
+    __slots__ = ("clock", "costs", "_heap", "_seq", "processed")
 
     def __init__(self, clock: SimClock | None = None, costs=None):
         self.clock = clock if clock is not None else SimClock()
         self.costs = costs
         self._heap: list[list] = []
         self._seq = 0
-        #: scheduled-and-not-cancelled entries still in the heap
-        self._live = 0
         #: events executed over the kernel's lifetime
         self.processed = 0
 
@@ -68,69 +64,40 @@ class EventKernel:
     def now(self) -> float:
         return self.clock.now
 
-    @property
-    def pending(self) -> int:
-        return self._live
-
-    def call_at(self, time: float, fn: Callable, arg=_NO_ARG) -> list:
-        """Schedule ``fn`` (optionally ``fn(arg)``) at an absolute time.
-
-        Returns the heap entry — the handle :meth:`cancel` takes.
-        """
+    def call_at(self, time: float, fn: Callable, arg=_NO_ARG) -> None:
+        """Schedule ``fn`` (optionally ``fn(arg)``) at an absolute time."""
         if time < self.clock.now:
             raise ValueError(
                 f"cannot schedule at {time} before now {self.clock.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = [time, seq, fn, arg]
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-        return entry
-
-    def call_later(self, delay: float, fn: Callable, arg=_NO_ARG) -> list:
-        """Schedule ``fn`` after a relative delay (>= 0)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        return self.call_at(self.clock.now + delay, fn, arg)
-
-    def cancel(self, entry: list) -> None:
-        """Mark a scheduled entry dead; it stays in the heap but never runs."""
-        if entry[FN] is not None:
-            entry[FN] = None
-            entry[ARG] = _NO_ARG
-            self._live -= 1
+        heapq.heappush(self._heap, [time, seq, fn, arg])
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute the next live event; False when the queue is empty."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(self._heap)
-            fn = entry[FN]
-            if fn is None:
-                continue
-            self._live -= 1
-            # Heap order makes the assignment monotonic by construction;
-            # skipping advance_to's back-in-time check is safe here and
-            # saves a method call per event.
-            self.clock.now = entry[TIME]
-            arg = entry[ARG]
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            self.processed += 1
-            if self.costs is not None and self.costs.enabled:
-                self.costs.count("sched_event")
-            return True
-        return False
+        """Execute the next event; False when the queue is empty."""
+        if not self._heap:
+            return False
+        time, _, fn, arg = heapq.heappop(self._heap)
+        # Heap order makes the assignment monotonic by construction;
+        # skipping advance_to's back-in-time check is safe here and
+        # saves a method call per event.
+        self.clock.now = time
+        if arg is _NO_ARG:
+            fn()
+        else:
+            fn(arg)
+        self.processed += 1
+        if self.costs is not None and self.costs.enabled:
+            self.costs.count("sched_event")
+        return True
 
     def run_until(self, deadline: float) -> int:
         """Execute every event with ``time <= deadline``, then jump there.
 
-        The hot loop of the kernel: inlined pop/skip/advance/dispatch,
+        The hot loop of the kernel: inlined pop/advance/dispatch,
         one pass, no per-event method calls besides the callback itself.
         Returns the number of events executed.
         """
@@ -143,11 +110,8 @@ class EventKernel:
             if entry[TIME] > deadline:
                 break
             pop(heap)
-            fn = entry[FN]
-            if fn is None:
-                continue
-            self._live -= 1
             clock.now = entry[TIME]
+            fn = entry[FN]
             arg = entry[ARG]
             if arg is _NO_ARG:
                 fn()
@@ -169,11 +133,8 @@ class EventKernel:
         executed = 0
         while heap:
             entry = pop(heap)
-            fn = entry[FN]
-            if fn is None:
-                continue
-            self._live -= 1
             clock.now = entry[TIME]
+            fn = entry[FN]
             arg = entry[ARG]
             if arg is _NO_ARG:
                 fn()
@@ -189,7 +150,7 @@ class EventKernel:
 
     def __repr__(self) -> str:
         return (
-            f"EventKernel(now={self.clock.now:.6f}, pending={self._live}, "
+            f"EventKernel(now={self.clock.now:.6f}, pending={len(self._heap)}, "
             f"processed={self.processed})"
         )
 

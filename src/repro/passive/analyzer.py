@@ -20,18 +20,6 @@ class TrafficBalance:
 
     shares: dict[str, float]
 
-    @property
-    def most_loaded(self) -> str:
-        return max(self.shares, key=self.shares.get)
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """Busiest server's share over the quietest's (1.0 = even)."""
-        values = [share for share in self.shares.values() if share > 0]
-        if not values:
-            return 1.0
-        return max(values) / min(values)
-
 
 def traffic_balance(trace: Trace) -> TrafficBalance:
     counts: dict[str, int] = {server: 0 for server in trace.observed_servers}
@@ -53,11 +41,6 @@ class RateDistribution:
     p90: float
     p99: float
     max: float
-
-    @property
-    def heavy_tailed(self) -> bool:
-        """Top decile far above the median — true for real DNS traffic."""
-        return self.median > 0 and self.p90 / self.median > 3.0
 
 
 def rate_distribution(trace: Trace) -> RateDistribution:

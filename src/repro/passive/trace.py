@@ -47,13 +47,6 @@ class Trace:
             counts[record.server_id] = counts.get(record.server_id, 0) + 1
         return table
 
-    def filter_window(self, start: float, end: float) -> "Trace":
-        """Records with start <= timestamp < end (the paper's 1-h slice)."""
-        return Trace(
-            observed_servers=self.observed_servers,
-            records=[r for r in self.records if start <= r.timestamp < end],
-        )
-
 
 def save_trace(trace: Trace, path: str | Path) -> int:
     path = Path(path)

@@ -86,8 +86,5 @@ class ServerSelector(abc.ABC):
             ("selector", "event"),
         ).labels(selector=self.name, event=event).inc()
 
-    def reset(self) -> None:
-        """Forget per-zone transient state (not the infra cache)."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -125,20 +125,8 @@ class InfrastructureCache:
         if entry is not None and now < entry.expires_at:
             entry.srtt_ms *= factor
 
-    def forget(self, address: str) -> None:
-        self._entries.pop(address, None)
-
     def clear(self) -> None:
         self._entries.clear()
-
-    def known_addresses(self, now: float) -> list[str]:
-        return [
-            addr for addr, entry in self._entries.items() if now < entry.expires_at
-        ]
-
-    def live_count(self, now: float) -> int:
-        """Entries :meth:`entry` would still serve at ``now``."""
-        return len(self.known_addresses(now))
 
     def __len__(self) -> int:
         """Stored entries, *including* expired-but-retained stale hints."""

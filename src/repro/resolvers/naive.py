@@ -34,9 +34,6 @@ class RoundRobinSelector(ServerSelector):
         super().__init__(rng)
         self._index: int | None = None
 
-    def reset(self) -> None:
-        self._index = None
-
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
@@ -67,10 +64,6 @@ class StickySelector(ServerSelector):
     def __init__(self, rng=None):
         super().__init__(rng)
         self._choice: str | None = None
-        self._failures = 0
-
-    def reset(self) -> None:
-        self._choice = None
         self._failures = 0
 
     def select(

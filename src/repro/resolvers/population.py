@@ -123,6 +123,3 @@ class ResolverPopulation:
             selector=selector,
             infra_ttl_s=INFRA_TTL_S.get(name, 600.0),
         )
-
-    def sample_many(self, count: int) -> list[PopulationSample]:
-        return [self.sample() for _ in range(count)]

@@ -40,7 +40,7 @@ MAX_REFERRALS = 16
 MAX_FETCH_DEPTH = 4
 
 #: response classification codes of the referral walk.
-_NXDOMAIN, _ERROR, _REFERRAL, _DEAD_REFERRAL, _DESCEND, _ANSWER, _NODATA = range(7)
+_NXDOMAIN, _ERROR, _REFERRAL, _DEAD_REFERRAL, _ANSWER, _NODATA = range(6)
 
 #: the QTYPE / QCLASS=IN tail of a query's question, per known type
 _QUESTION_TAILS = {
@@ -111,8 +111,6 @@ class RecursiveResolver:
         timeout_ms: float = 800.0,
         max_retries: int = 3,
         rng: random.Random | CounterStream | None = None,
-        qname_minimization: bool = False,
-        case_randomization: bool = False,
         telemetry=None,
         record_exchanges: bool | None = None,
         max_fetch: int | None = None,
@@ -161,11 +159,6 @@ class RecursiveResolver:
         self.max_fetch_per_delegation = max_fetch_per_delegation
         #: resolver-lifetime count of glueless-NS sub-resolutions.
         self.ns_fetches = 0
-        #: RFC 7816: leak only one label per zone cut while walking down
-        self.qname_minimization = qname_minimization
-        #: DNS-0x20: randomize qname case and verify the echo (anti-spoof)
-        self.case_randomization = case_randomization
-        self.spoofs_rejected = 0
         # Template-shaped responses (same server template, different
         # probe label) decode through the network's canary-certified memo.
         self._response_memo = network.response_memo
@@ -179,11 +172,6 @@ class RecursiveResolver:
         # Interned: every resolver shares one origin object (and its
         # cached hash/wire), so suffix walks and cache keys stay cheap.
         self.stub_zones[origin.intern()] = list(addresses)
-
-    def set_root_hints(self, addresses: list[str]) -> None:
-        from ..dns.name import ROOT
-
-        self.stub_zones[ROOT] = list(addresses)
 
     def _deepest_known_zone(self, qname: Name) -> tuple[Name, list[str]] | None:
         best: tuple[Name, list[str]] | None = None
@@ -338,7 +326,7 @@ class RecursiveResolver:
         return start
 
     def _classify_response(
-        self, message: Message, send_name: Name, qname: Name
+        self, message: Message
     ) -> tuple[int, list[str] | None, Name | None]:
         """Classify one authoritative response for the referral walk.
 
@@ -360,25 +348,9 @@ class RecursiveResolver:
                 # the caller may resolve the NS target names themselves
                 # (the glueless fetch the NXNSAttack amplifies).
                 return _DEAD_REFERRAL, None, cut
-        if send_name != qname:
-            # Minimized probe: the intermediate name exists (NOERROR),
-            # so descend one label and keep asking the same servers.
-            return _DESCEND, None, None
         if message.answers:
             return _ANSWER, None, None
         return _NODATA, None, None
-
-    def _minimized_question(
-        self, qname: Name, qtype: RRType, current_zone: Name
-    ) -> tuple[Name, RRType]:
-        """RFC 7816: expose one label below the current zone, type NS."""
-        if not qname.is_subdomain_of(current_zone) or qname == current_zone:
-            return qname, qtype
-        relative = qname.relativize(current_zone)
-        if len(relative) <= 1:
-            return qname, qtype
-        child = current_zone.child(relative[-1])
-        return child, RRType.NS
 
     def _emit_resolution_metrics(self, result: ResolutionResult, span) -> None:
         """Completion-side counters + root-span close, one per resolution."""
@@ -441,22 +413,6 @@ class RecursiveResolver:
         if costs.enabled:
             costs.count("ns_fetch")
 
-    def _randomize_case(self, name: Name) -> Name:
-        """DNS-0x20: flip each ASCII letter's case with probability 1/2."""
-        labels = []
-        for label in name.labels:
-            out = bytearray()
-            for byte in label:
-                if (0x41 <= byte <= 0x5A or 0x61 <= byte <= 0x7A) and (
-                    self.rng.random() < 0.5
-                ):
-                    byte ^= 0x20
-                out.append(byte)
-            labels.append(bytes(out))
-        # Case flips preserve every length invariant, and the folded
-        # form is the input's: the flyweight skips both re-checks.
-        return Name._from_validated(tuple(labels), name._folded)
-
     def _routable_addresses(self, records) -> list[str]:
         """A/AAAA addresses among ``records`` that we can route to."""
         addresses = []
@@ -509,8 +465,7 @@ class _EventResolution:
 
     __slots__ = (
         "resolver", "kernel", "qname", "qtype", "done", "result", "span",
-        "current_zone", "addresses", "iterations", "attempt",
-        "send_name", "send_type", "sent_name", "question_tail",
+        "current_zone", "addresses", "iterations", "attempt", "question_tail",
         "msg_id", "address", "exch_span", "send_time", "exch_outcome",
         "depth", "budget", "pending", "fetch_targets", "fetch_cut",
     )
@@ -523,6 +478,9 @@ class _EventResolution:
         self.kernel = kernel
         self.qname = qname
         self.qtype = qtype
+        self.question_tail = _QUESTION_TAILS.get(
+            qtype
+        ) or QUESTION_TAIL_STRUCT.pack(qtype, RRClass.IN)
         self.done = done
         self.span = span
         self.result = result
@@ -549,15 +507,6 @@ class _EventResolution:
             self._complete()
             return
         self.iterations += 1
-        if self.resolver.qname_minimization:
-            self.send_name, self.send_type = self.resolver._minimized_question(
-                self.qname, self.qtype, self.current_zone
-            )
-        else:
-            self.send_name, self.send_type = self.qname, self.qtype
-        self.question_tail = _QUESTION_TAILS.get(
-            self.send_type
-        ) or QUESTION_TAIL_STRUCT.pack(self.send_type, RRClass.IN)
         self.attempt = 0
         self._send()
 
@@ -570,15 +519,10 @@ class _EventResolution:
         self.address = resolver.selector.select(
             self.addresses, resolver.infra_cache, now
         )
-        self.sent_name = (
-            resolver._randomize_case(self.send_name)
-            if resolver.case_randomization
-            else self.send_name
-        )
         self.msg_id = resolver.rng.randrange(0x10000)
         wire = (
             HEADER_STRUCT.pack(self.msg_id, 0, 1, 0, 0, 0)
-            + self.sent_name.to_wire()
+            + self.qname.to_wire()
             + self.question_tail
         )
         if costs.enabled:
@@ -622,16 +566,12 @@ class _EventResolution:
     def _timeout_fired(self) -> None:
         resolver = self.resolver
         outcome = self.exch_outcome
-        if outcome != "spoof_rejected":
-            # Spoof rejections are counted on the resolver only: no
-            # exchange record, no selector feedback.
-            self.result.attempts += 1
-            if resolver.record_exchanges:
-                self._record_exchange(ExchangeRecord(self.address, None, True, ""))
-            resolver.selector.on_timeout(
-                self.address, self.addresses, resolver.infra_cache,
-                self.kernel.now,
-            )
+        self.result.attempts += 1
+        if resolver.record_exchanges:
+            self._record_exchange(ExchangeRecord(self.address, None, True, ""))
+        resolver.selector.on_timeout(
+            self.address, self.addresses, resolver.infra_cache, self.kernel.now
+        )
         self._finish_exchange_span(outcome, None)
         self.attempt += 1
         if self.attempt > resolver.max_retries:
@@ -649,19 +589,13 @@ class _EventResolution:
         if costs.enabled:
             costs.count("decode")
         try:
-            message = resolver._response_memo.decode(trip.response, self.sent_name)
+            message = resolver._response_memo.decode(trip.response, self.qname)
         except Exception:
             self._attempt_failed("garbled")
             return
         if message.msg_id != self.msg_id:
             self._attempt_failed("id_mismatch")
             return
-        if resolver.case_randomization and message.questions:
-            if message.questions[0].name.labels != self.sent_name.labels:
-                # Case mismatch: off-path spoof; discard the response.
-                resolver.spoofs_rejected += 1
-                self._attempt_failed("spoof_rejected")
-                return
         now = self.kernel.clock.now
         self.result.attempts += 1
         if resolver.record_exchanges:
@@ -681,14 +615,10 @@ class _EventResolution:
     def _handle_response(self, message: Message, trip) -> None:
         resolver = self.resolver
         result = self.result
-        kind, referral, cut = resolver._classify_response(
-            message, self.send_name, self.qname
-        )
+        kind, referral, cut = resolver._classify_response(message)
         address, served_by, rtt_ms = self.address, trip.served_by, trip.rtt_ms
         if kind == _NXDOMAIN:
-            resolver._cache_negative(
-                message, self.send_name, self.send_type, nxdomain=True
-            )
+            resolver._cache_negative(message, self.qname, self.qtype, nxdomain=True)
             resolver._finalize(result, message, address, served_by, rtt_ms)
             result.rcode = Rcode.NXDOMAIN
             self._complete()
@@ -711,10 +641,6 @@ class _EventResolution:
             # ``max_fetch`` / ``max_fetch_per_delegation`` /
             # MAX_FETCH_DEPTH.
             self._begin_ns_fetch(message, cut)
-            return
-        if kind == _DESCEND:
-            self.current_zone = self.send_name
-            self._begin_iteration()
             return
         if kind == _ANSWER:
             resolver.record_cache.put(

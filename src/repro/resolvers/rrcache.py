@@ -156,9 +156,5 @@ class RecordCache:
         self._negative.clear()
         self._expiry.clear()
 
-    @property
-    def negative_entries(self) -> int:
-        return len(self._negative)
-
     def __len__(self) -> int:
         return len(self._positive) + len(self._negative)

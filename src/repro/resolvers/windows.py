@@ -26,11 +26,6 @@ class WindowsSelector(ServerSelector):
         self._next_reprobe_at = 0.0
         self._probing: list[str] = []
 
-    def reset(self) -> None:
-        self._favorite = None
-        self._next_reprobe_at = 0.0
-        self._probing = []
-
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:

@@ -157,35 +157,5 @@ def default_rng(*path) -> random.Random:
     return derive_rng(0, "default", *path)
 
 
-class SpawnKey:
-    """A bound (root, path prefix) that spawns child seeds and streams.
-
-    Mirrors :class:`numpy.random.SeedSequence.spawn` ergonomics for code
-    that hands sub-keys down a hierarchy::
-
-        key = SpawnKey(config.seed, "platform")
-        vp_rng = key.rng("vp", probe_id)
-        child = key.child("resolver")       # SpawnKey one level down
-    """
-
-    __slots__ = ("root", "path")
-
-    def __init__(self, root: int, *path):
-        self.root = int(root)
-        self.path = tuple(path)
-
-    def derive(self, *path) -> int:
-        return derive(self.root, *self.path, *path)
-
-    def rng(self, *path) -> random.Random:
-        return derive_rng(self.root, *self.path, *path)
-
-    def child(self, *path) -> "SpawnKey":
-        return SpawnKey(self.root, *self.path, *path)
-
-    def __repr__(self) -> str:
-        return f"SpawnKey({self.root}, {', '.join(map(repr, self.path))})"
-
-
-__all__ = ["SEED_BITS", "CounterStream", "SpawnKey", "default_rng", "derive",
+__all__ = ["SEED_BITS", "CounterStream", "default_rng", "derive",
            "derive_rng", "derive_stream"]

@@ -39,7 +39,7 @@ check per operation::
 
 from __future__ import annotations
 
-from .clock import DEFAULT_CLOCK, Clock, ManualClock, MonotonicClock
+from .clock import DEFAULT_CLOCK, Clock, MonotonicClock
 from .events import (
     CostsEvent,
     EVENT_LOG_KIND,
@@ -248,7 +248,6 @@ __all__ = [
     "FaultWindow",
     "Gauge",
     "Histogram",
-    "ManualClock",
     "MetricError",
     "MetricsRegistry",
     "MetricsSnapshot",

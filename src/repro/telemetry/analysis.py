@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import EventLog, Note, TraceEvent
+from .events import EventLog, Note
 from .tracing import Span, children_index, render_trace
 
 #: span names of the query lifecycle, outermost first.
@@ -209,10 +209,6 @@ class TraceAnalytics:
         notes = [e for e in log.events if isinstance(e, Note)
                  and e.name in ("fault.start", "fault.end")]
         return cls(log.traces(), fault_windows_from_notes(notes))
-
-    @classmethod
-    def from_tracer(cls, tracer) -> "TraceAnalytics":
-        return cls(list(tracer.traces()))
 
     # -- attribution --------------------------------------------------------
 
@@ -432,21 +428,12 @@ def render_forensics(
     return "\n\n".join(sections)
 
 
-def analytics_from_events(events: list) -> TraceAnalytics:
-    """Build analytics from an already-loaded event list (follower path)."""
-    roots = [e.root for e in events if isinstance(e, TraceEvent)]
-    notes = [e for e in events if isinstance(e, Note)
-             and e.name in ("fault.start", "fault.end")]
-    return TraceAnalytics(roots, fault_windows_from_notes(notes))
-
-
 __all__ = [
     "FaultWindow",
     "NsAttribution",
     "ResolverAttribution",
     "TraceAnalytics",
     "WindowAttribution",
-    "analytics_from_events",
     "critical_path",
     "describe_critical_path",
     "fault_windows_from_notes",

@@ -5,7 +5,7 @@ never read wall-clock time.  The *real* sockets
 (:class:`repro.dns.listener.Listener`) historically stamped query-log
 entries with ``time.time()``, which is neither monotonic nor injectable;
 they now take a clock from this module instead: :class:`MonotonicClock`
-for production, :class:`ManualClock` for tests.
+by default, or any :class:`Clock` a caller drives by hand.
 
 A "clock" here is any object with a ``now() -> float`` method returning
 seconds.
@@ -41,29 +41,9 @@ class MonotonicClock:
         return self._source() - self._epoch
 
 
-class ManualClock:
-    """A clock tests drive by hand."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by {seconds}")
-        self._now += seconds
-        return self._now
-
-    def set(self, timestamp: float) -> float:
-        self._now = float(timestamp)
-        return self._now
-
-
 #: process-wide default for real sockets; shared so that listeners and
 #: clients stamping into one engine's query log agree on the timeline.
 DEFAULT_CLOCK = MonotonicClock()
 
 
-__all__ = ["Clock", "DEFAULT_CLOCK", "ManualClock", "MonotonicClock"]
+__all__ = ["Clock", "DEFAULT_CLOCK", "MonotonicClock"]

@@ -136,17 +136,6 @@ class CostLedger:
     def queries(self) -> int:
         return self.totals().get("query", 0)
 
-    def per_query(self) -> dict[str, float]:
-        """Each counter normalised by the query count (empty if none)."""
-        queries = self.queries
-        if not queries:
-            return {}
-        return {
-            name: amount / queries
-            for name, amount in self.totals().items()
-            if name != "query"
-        }
-
     def as_dict(self) -> dict:
         return {
             "schema": COSTS_SCHEMA,
@@ -214,7 +203,8 @@ class CostLedger:
 
 
 class NullCostLedger:
-    """Same surface as :class:`CostLedger`, all no-ops, ``enabled=False``."""
+    """The disabled :class:`CostLedger`: ``enabled=False``, and only what
+    call sites reach without checking it (phases, the event export)."""
 
     enabled = False
     phases: dict = {}
@@ -231,32 +221,11 @@ class NullCostLedger:
 
     _NULL_PHASE = _NullPhase()
 
-    def count(self, name: str, amount: int = 1) -> None:
-        pass
-
     def phase(self, name: str) -> "_NullPhase":
         return self._NULL_PHASE
 
-    def merge(self, other) -> None:
-        pass
-
-    def totals(self) -> dict:
-        return {}
-
-    def per_query(self) -> dict:
-        return {}
-
-    def as_dict(self) -> dict:
-        return {}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return "{}"
-
     def to_events(self) -> list:
         return []
-
-    def render(self) -> str:
-        return ""
 
 
 #: shared zero-cost default — ``NULL_TELEMETRY.costs``.

@@ -350,13 +350,6 @@ class EventLogWriter:
         self.flush()
         return iter_raw_records(self.path)
 
-    def of_kind(self, kind: str) -> list[dict]:
-        return [
-            record
-            for record in self.iter_records()
-            if record.get("kind") == kind
-        ]
-
     def __enter__(self) -> "EventLogWriter":
         return self
 
@@ -372,31 +365,13 @@ class EventLogWriter:
 
 
 class NullEventSink:
-    """Same surface as :class:`EventLogWriter`, all no-ops."""
+    """The absent event log: every writer checks ``enabled`` first."""
 
     enabled = False
     emitted = 0
     dropped = 0
     closed = False
     path = None
-
-    def emit(self, event) -> bool:
-        return False
-
-    def emit_span(self, span) -> bool:
-        return False
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullEventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
 
 
 NULL_EVENT_SINK = NullEventSink()
@@ -549,11 +524,6 @@ class EventLogFollower:
         self.events_read += len(events)
         return events
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered from an incomplete final line."""
-        return len(self._pending)
-
     def close(self) -> None:
         if not self._closed:
             self._fh.close()
@@ -591,9 +561,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def of_kind(self, kind: str) -> list:
-        return [event for event in self.events if event.kind == kind]
 
     def traces(self) -> list[Span]:
         """Every streamed trace's root span, in finish order."""

@@ -103,7 +103,8 @@ class RunProfiler:
 
 
 class NullProfiler:
-    """Same surface as :class:`RunProfiler`, all no-ops."""
+    """The disabled :class:`RunProfiler`: phases, counts and the event
+    export, all no-ops."""
 
     enabled = False
     phases: dict = {}
@@ -128,15 +129,5 @@ class NullProfiler:
     def count(self, name: str, amount: float = 1.0) -> None:
         pass
 
-    def record(self, name: str, value: object) -> None:
-        pass
-
-    def as_dict(self) -> dict:
-        return {}
-
     def to_events(self) -> list:
         return []
-
-    def render(self) -> str:
-        return ""
-

@@ -14,7 +14,7 @@ Two exporters are built in: :meth:`MetricsRegistry.to_prometheus_text`
 (the Prometheus text exposition format, scrape-ready) and
 :meth:`MetricsRegistry.to_json` (a machine-readable sidecar).
 
-:class:`NullRegistry` implements the same surface as no-ops so that
+:class:`NullRegistry` is its disabled twin, all no-ops, so that
 instrumented components pay only an attribute check when telemetry is
 disabled (the ``enabled`` flag callers guard on).
 """
@@ -529,32 +529,15 @@ class MetricsRegistry:
 
 
 class _NullChild:
-    """Absorbs every instrument operation."""
+    """Absorbs what a guarded call site records: counts, observations."""
 
     __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    min = None
-    max = None
 
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
-
-    def quantile(self, q: float) -> float:
-        return math.nan
-
-    def quantiles(self, qs=EXPORTED_QUANTILES) -> dict:
-        return {q: math.nan for q in qs}
 
     def labels(self, **labelvalues):
         return self
@@ -564,11 +547,12 @@ _NULL_CHILD = _NullChild()
 
 
 class NullRegistry:
-    """Same surface as :class:`MetricsRegistry`, all no-ops.
+    """The disabled :class:`MetricsRegistry`, all no-ops.
 
     The default registry everywhere: components instrument themselves
-    against this and pay one ``enabled`` check (or a no-op method call)
-    when telemetry is off.
+    against this and pay one ``enabled`` check when telemetry is off.
+    It keeps what a site guarded on ``telemetry.enabled`` reaches when
+    tracing is on and metrics are off, plus the exports.
     """
 
     enabled = False
@@ -576,34 +560,16 @@ class NullRegistry:
     def counter(self, name: str, help: str = "", labelnames=()) -> _NullChild:
         return _NULL_CHILD
 
-    def gauge(self, name: str, help: str = "", labelnames=()) -> _NullChild:
-        return _NULL_CHILD
-
     def histogram(
         self, name: str, help: str = "", labelnames=(), buckets=()
     ) -> _NullChild:
         return _NULL_CHILD
 
-    def get(self, name: str) -> None:
-        return None
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
     def families(self) -> list:
-        return []
-
-    def samples(self, name: str) -> list:
         return []
 
     def to_events(self, at: float | None = None) -> list:
         return []
-
-    def to_prometheus_text(self) -> str:
-        return ""
-
-    def to_json(self, indent: int | None = None) -> str:
-        return "{}"
 
     def as_dict(self) -> dict:
         return {}

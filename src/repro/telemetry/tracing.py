@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator
 
 log = logging.getLogger("repro.telemetry.tracing")
 
@@ -214,67 +213,15 @@ class Tracer:
                             self.max_traces,
                         )
 
-    class _SpanContext:
-        __slots__ = ("_tracer", "_span", "_end_at")
-
-        def __init__(self, tracer: "Tracer", span: Span):
-            self._tracer = tracer
-            self._span = span
-            self._end_at: float | None = None
-
-        def __enter__(self) -> Span:
-            return self._span
-
-        def end_at(self, at: float) -> None:
-            """Set the virtual end time used when the block exits."""
-            self._end_at = at
-
-        def __exit__(self, *exc_info) -> None:
-            at = self._end_at if self._end_at is not None else self._span.start
-            self._tracer.finish_span(self._span, at)
-
-    def span(
-        self, name: str, at: float, parent=_USE_STACK, **attributes: object
-    ) -> "_SpanContext":
-        """Context-manager form of :meth:`start_span`/:meth:`finish_span`."""
-        return self._SpanContext(
-            self, self.start_span(name, at, parent=parent, **attributes)
-        )
-
-    @property
-    def active(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
     # -- queries ------------------------------------------------------------
-
-    def iter_spans(self) -> Iterator[Span]:
-        for root in self.roots:
-            yield from root.trace
-
-    def spans(self, name: str | None = None) -> list[Span]:
-        if name is None:
-            return list(self.iter_spans())
-        return [span for span in self.iter_spans() if span.name == name]
 
     def traces(self) -> list[Span]:
         """Retained root spans, in finish order."""
         return list(self.roots)
 
-    def to_events(self) -> list:
-        """Every retained trace as an event-log record."""
-        from .events import TraceEvent
-
-        return [TraceEvent(root=root) for root in self.roots]
-
-    def clear(self) -> None:
-        self.roots.clear()
-        self.dropped_traces = 0
-        self.dropped_unstreamed = 0
-        self._drop_warned = False
-
 
 class _NullSpan:
-    """Absorbs every span operation."""
+    """Absorbs what a guarded call site does to a span: set, event."""
 
     __slots__ = ()
     name = ""
@@ -291,24 +238,13 @@ class _NullSpan:
     def event(self, name: str, at: float, **attributes) -> "_NullSpan":
         return self
 
-    def find(self, name: str) -> None:
-        return None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def end_at(self, at: float) -> None:
-        pass
-
 
 NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """Same surface as :class:`Tracer`, all no-ops."""
+    """The disabled :class:`Tracer`: what call sites reach with tracing
+    off, all no-ops."""
 
     enabled = False
     roots: list = []
@@ -323,28 +259,10 @@ class NullTracer:
     def finish_span(self, span, at: float) -> None:
         pass
 
-    def span(self, name: str, at: float, parent=None, **attributes) -> _NullSpan:
-        return NULL_SPAN
-
     def activate(self, span) -> None:
         pass
 
     def deactivate(self, span) -> None:
-        pass
-
-    def iter_spans(self):
-        return iter(())
-
-    def spans(self, name: str | None = None) -> list:
-        return []
-
-    def traces(self) -> list:
-        return []
-
-    def to_events(self) -> list:
-        return []
-
-    def clear(self) -> None:
         pass
 
 

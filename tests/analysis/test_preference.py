@@ -87,8 +87,7 @@ class TestAnalyzePreference:
         observations = make_vp_series(0, "F" * 12, continent=Continent.EU)
         observations += make_vp_series(1, "S" * 12, continent=Continent.OC)
         result = analyze_preference(observations, SITES)
-        grouped = result.by_continent()
-        assert set(grouped) == {Continent.EU, Continent.OC}
+        assert {vp.continent for vp in result.vps} == {Continent.EU, Continent.OC}
 
 
 class TestTable2:

@@ -2,31 +2,9 @@
 
 import pytest
 
-from repro.analysis.probe_all import analyze_probe_all, queries_until_all
+from repro.analysis.probe_all import analyze_probe_all
 
 SITES = {"FRA", "SYD"}
-
-
-class TestQueriesUntilAll:
-    def test_immediate_second_query(self, make_vp_series):
-        series = make_vp_series(0, "FS" + "F" * 10)
-        assert queries_until_all(series, SITES) == 1
-
-    def test_first_query_cannot_cover_two(self, make_vp_series):
-        series = make_vp_series(0, "FFFFS")
-        assert queries_until_all(series, SITES) == 4
-
-    def test_never_probes_all(self, make_vp_series):
-        series = make_vp_series(0, "F" * 12)
-        assert queries_until_all(series, SITES) is None
-
-    def test_unsorted_input_sorted_by_timestamp(self, make_vp_series):
-        series = list(reversed(make_vp_series(0, "FS")))
-        assert queries_until_all(series, SITES) == 1
-
-    def test_four_sites(self, make_vp_series):
-        series = make_vp_series(0, "FDIS" + "F" * 8)
-        assert queries_until_all(series, {"FRA", "DUB", "IAD", "SYD"}) == 3
 
 
 class TestAnalyzeProbeAll:
@@ -57,11 +35,3 @@ class TestAnalyzeProbeAll:
     def test_no_eligible_vps_rejected(self, make_vp_series):
         with pytest.raises(ValueError):
             analyze_probe_all(make_vp_series(0, "FS"), SITES, min_queries=10)
-
-    def test_summary_text(self, make_vp_series):
-        observations = []
-        for vp in range(5):
-            observations.extend(make_vp_series(vp, "FS" + "F" * 10))
-        result = analyze_probe_all(observations, SITES, combo_id="2C")
-        assert "2C" in result.summary()
-        assert "100.0%" in result.summary()

@@ -2,30 +2,9 @@
 
 import pytest
 
-from repro.analysis.query_share import analyze_query_share, hot_cache_observations
+from repro.analysis.query_share import analyze_query_share
 
 SITES = {"FRA", "SYD"}
-
-
-class TestHotCache:
-    def test_warmup_dropped(self, make_vp_series):
-        series = make_vp_series(0, "FFFS" + "F" * 8)
-        hot = hot_cache_observations(series, SITES)
-        # Everything up to and including the first SYD answer is warm-up.
-        assert len(hot) == 8
-        assert all(obs.timestamp > 3 * 120.0 for obs in hot)
-
-    def test_vp_never_hot_excluded(self, make_vp_series):
-        series = make_vp_series(0, "F" * 12)
-        assert hot_cache_observations(series, SITES) == []
-
-    def test_multiple_vps_independent(self, make_vp_series):
-        observations = make_vp_series(0, "FS" + "F" * 4) + make_vp_series(
-            1, "FFFFS" + "S" * 3
-        )
-        hot = hot_cache_observations(observations, SITES)
-        assert sum(1 for o in hot if o.vp_id == 0) == 4
-        assert sum(1 for o in hot if o.vp_id == 1) == 3
 
 
 class TestAnalyzeQueryShare:

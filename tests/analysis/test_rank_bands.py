@@ -64,15 +64,6 @@ class TestAnalyze:
         result = analyze_rank_bands(table, target_count=2, min_queries=1)
         assert result.mean_bands() == pytest.approx([0.7, 0.3])
 
-    def test_median_band(self):
-        table = {
-            "r1": counts(a=90, b=10),
-            "r2": counts(a=70, b=30),
-            "r3": counts(a=50, b=50),
-        }
-        result = analyze_rank_bands(table, target_count=2, min_queries=1)
-        assert result.median_band(0) == pytest.approx(0.7)
-
     def test_empty_result(self):
         result = analyze_rank_bands({}, target_count=10)
         assert result.recursive_count == 0

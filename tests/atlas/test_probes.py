@@ -1,8 +1,9 @@
 """Tests for probe generation."""
 
 import random
+from collections import Counter
 
-from repro.atlas.probes import Probe, ProbeGenerator, continent_counts
+from repro.atlas.probes import Probe, ProbeGenerator
 from repro.netsim.geo import Continent
 
 
@@ -18,7 +19,7 @@ class TestProbeGenerator:
 
     def test_continent_skew_matches_atlas(self):
         probes = ProbeGenerator(rng=random.Random(2)).generate(4000)
-        counts = continent_counts(probes)
+        counts = Counter(probe.continent for probe in probes)
         eu_share = counts[Continent.EU] / 4000
         assert 0.65 < eu_share < 0.78
         assert counts[Continent.SA] < counts[Continent.NA]

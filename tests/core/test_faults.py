@@ -7,19 +7,8 @@ layout, and repeating any run reproduces it exactly.
 
 from collections import Counter
 
-import pytest
-
 from repro.core import ExperimentConfig, TestbedExperiment, run_parallel
-from repro.core.deployment import AuthoritativeSpec
-from repro.core.resilience import AttackScenario, ResilienceEvaluator
-from repro.atlas.probes import ProbeGenerator
-from repro.netsim.faults import (
-    Brownout,
-    LossRate,
-    NsOutage,
-    Scenario,
-    builtin_scenario,
-)
+from repro.netsim.faults import NsOutage, Scenario, builtin_scenario
 from repro.telemetry import Telemetry, read_events
 
 #: short campaign, outage over the middle third — enough ticks for the
@@ -150,51 +139,3 @@ class TestParallelDeterminism:
             ("fault.start", 10.0),
             ("fault.end", 20.0),
         ]
-
-
-class TestResilienceBridge:
-    def evaluator(self):
-        clients = ProbeGenerator(seed=5).generate(60)
-        return ResilienceEvaluator(clients, site_capacity_qps=10_000.0)
-
-    def specs(self):
-        return [
-            AuthoritativeSpec("ns1", ("FRA",)),
-            AuthoritativeSpec("ns2", ("FRA", "SYD", "IAD")),
-        ]
-
-    def test_attack_becomes_brownouts(self):
-        evaluator = self.evaluator()
-        attack = AttackScenario(total_qps=200_000.0, target_ns=(0,))
-        scenario = evaluator.fault_scenario(
-            self.specs(), attack, start=100.0, end=200.0
-        )
-        assert scenario.events
-        assert all(isinstance(event, Brownout) for event in scenario.events)
-        browned = {event.target for event in scenario.events}
-        assert browned == {"ns1"}
-        event = next(iter(scenario.events))
-        assert (event.start, event.end) == (100.0, 200.0)
-        assert 0.0 <= event.answer_rate < 1.0
-
-    def test_unloaded_design_yields_empty_scenario(self):
-        evaluator = self.evaluator()
-        attack = AttackScenario(total_qps=1.0)
-        scenario = evaluator.fault_scenario(
-            self.specs(), attack, start=0.0, end=10.0
-        )
-        assert scenario.events == ()
-
-    def test_bridged_scenario_runs(self):
-        evaluator = self.evaluator()
-        attack = AttackScenario(total_qps=500_000.0)
-        scenario = evaluator.fault_scenario(
-            [AuthoritativeSpec("ns1", ("FRA",)),
-             AuthoritativeSpec("ns2", ("SYD",))],
-            attack,
-            start=10.0,
-            end=20.0,
-        )
-        assert scenario.events
-        result = TestbedExperiment(fault_config(scenario)).run()
-        assert result.observations

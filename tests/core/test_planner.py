@@ -64,7 +64,7 @@ class TestPlanner:
         assert anycast.mean_expected_ms < unicast.mean_expected_ms
 
     def test_all_anycast_recommended(self, planner):
-        best = planner.recommend(sidn_style_designs())
+        best = planner.rank(sidn_style_designs())[0]
         assert best.name == "all-anycast"
 
     def test_mean_expected_monotone_in_anycast_count(self, planner):

@@ -3,24 +3,12 @@
 import pytest
 
 from repro.core.experiment import run_combination
-from repro.core.results import (
-    iter_observations,
-    load_run,
-    observation_from_dict,
-    observation_to_dict,
-    save_run,
-)
+from repro.core.results import load_run, save_run
 
 
 @pytest.fixture(scope="module")
 def small_run():
     return run_combination("2A", num_probes=15, duration_s=360.0, seed=11).run
-
-
-class TestDictRoundtrip:
-    def test_observation_roundtrip(self, small_run):
-        for obs in small_run.observations[:20]:
-            assert observation_from_dict(observation_to_dict(obs)) == obs
 
 
 class TestFileRoundtrip:
@@ -32,12 +20,6 @@ class TestFileRoundtrip:
         assert loaded.domain == small_run.domain
         assert loaded.interval_s == small_run.interval_s
         assert loaded.observations == small_run.observations
-
-    def test_iter_observations_streams(self, small_run, tmp_path):
-        path = tmp_path / "run.jsonl"
-        save_run(small_run, path)
-        streamed = list(iter_observations(path))
-        assert streamed == small_run.observations
 
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bogus.jsonl"

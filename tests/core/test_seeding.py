@@ -13,7 +13,6 @@ import repro
 from repro.seeding import (
     SEED_BITS,
     CounterStream,
-    SpawnKey,
     default_rng,
     derive,
     derive_rng,
@@ -103,20 +102,6 @@ class TestDeriveRng:
         a = default_rng("resolvers.selector", "bind")
         b = default_rng("resolvers.selector", "unbound")
         assert a.random() != b.random()
-
-
-class TestSpawnKey:
-    def test_matches_derive(self):
-        key = SpawnKey(123)
-        assert key.derive("a", 1) == derive(123, "a", 1)
-
-    def test_child_extends_path(self):
-        key = SpawnKey(123).child("platform")
-        assert key.derive("vp", 9) == derive(123, "platform", "vp", 9)
-
-    def test_rng_stream_matches_derive_rng(self):
-        key = SpawnKey(7)
-        assert key.rng("x").random() == derive_rng(7, "x").random()
 
 
 #: first four 64-bit outputs of two fixed (seed, path) streams.  Every

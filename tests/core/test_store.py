@@ -14,7 +14,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.results import observation_to_dict
 from repro.core.store import (
     MeasurementRun,
     ObservationRows,
@@ -22,6 +21,8 @@ from repro.core.store import (
     QueryObservation,
 )
 from repro.netsim.geo import Continent
+
+from .test_store_equivalence import legacy_row
 
 CONTINENTS = list(Continent)
 
@@ -114,7 +115,7 @@ class TestRoundTrip:
         store = ObservationStore()
         observations = [make_obs(i, succeeded=i % 3 != 0) for i in range(12)]
         store.extend(observations)
-        expected = [observation_to_dict(obs) for obs in observations]
+        expected = [legacy_row(obs) for obs in observations]
         produced = list(store.iter_dicts())
         assert produced == expected
         # Byte-level too: key order must match the legacy writer.

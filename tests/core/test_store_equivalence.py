@@ -23,7 +23,6 @@ from repro.core import (
     run_parallel,
     save_run,
 )
-from repro.core.results import observation_to_dict
 from repro.telemetry import Telemetry
 
 CONFIG_KWARGS = dict(num_probes=50, interval_s=120.0, duration_s=360.0, seed=11)
@@ -32,6 +31,24 @@ CONFIG_KWARGS = dict(num_probes=50, interval_s=120.0, duration_s=360.0, seed=11)
 def faulted_config(**overrides):
     kwargs = {**CONFIG_KWARGS, **overrides}
     return ExperimentConfig.for_combination("2C", scenario="ns-outage", **kwargs)
+
+
+def legacy_row(obs) -> dict:
+    """One observation as the seed's list-backed writer serialized it."""
+    return {
+        "vp_id": obs.vp_id,
+        "probe_id": obs.probe_id,
+        "recursive": obs.recursive_address,
+        "impl": obs.impl_name,
+        "continent": obs.continent.value,
+        "t": obs.timestamp,
+        "qname": obs.qname,
+        "site": obs.site,
+        "authoritative": obs.authoritative,
+        "rtt_ms": obs.rtt_ms,
+        "attempts": obs.attempts,
+        "ok": obs.succeeded,
+    }
 
 
 def legacy_save_bytes(run) -> bytes:
@@ -48,7 +65,7 @@ def legacy_save_bytes(run) -> bytes:
     ]
     # Materialize every row — the allocation pattern the store replaced.
     for obs in list(run.observations):
-        lines.append(json.dumps(observation_to_dict(obs)))
+        lines.append(json.dumps(legacy_row(obs)))
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -213,21 +213,3 @@ class TestQueryShapeDecode:
     def test_query_without_edns_has_no_options(self):
         decoded = Message.from_wire(Message.make_query(QNAME, RRType.A).to_wire())
         assert decoded.edns_payload is None and decoded.edns_options == []
-
-
-def test_group_rrsets_keeps_first_seen_order_and_minimum_ttl():
-    from repro.dns.records import group_rrsets
-
-    other = Name.from_text("other.ourtestdomain.nl.")
-    records = [
-        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 60, TXT.from_value("a")),
-        ResourceRecord(other, RRType.A, RRClass.IN, 30, A("192.0.2.1")),
-        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 20, TXT.from_value("b")),
-        ResourceRecord(QNAME, RRType.TXT, RRClass.IN, 90, TXT.from_value("a")),
-    ]
-    rrsets = group_rrsets(records)
-    assert [(rs.name, rs.rrtype, rs.ttl) for rs in rrsets] == [
-        (QNAME, RRType.TXT, 20), (other, RRType.A, 30),
-    ]
-    assert rrsets[0].rdatas == [TXT.from_value("a"), TXT.from_value("b")]
-    assert list(rrsets[0]) == rrsets[0].rdatas and len(rrsets[1]) == 1

@@ -138,8 +138,3 @@ class TestLoggingAndStats:
         server = AuthoritativeServer("x", [make_zone()], log_queries=False)
         server.handle_query(Message.make_query("probe.ourtestdomain.nl.", RRType.TXT))
         assert server.query_log == []
-
-    def test_clear_log(self, server):
-        server.handle_query(Message.make_query("probe.ourtestdomain.nl.", RRType.TXT))
-        server.clear_log()
-        assert server.query_log == []

@@ -149,7 +149,7 @@ class SteppingClock:
 
 class TestInjectableDeadline:
     def test_query_works_with_injected_clock(self, engine):
-        from repro.telemetry.clock import ManualClock
+        from ..telemetry.test_clock import ManualClock
 
         with Listener(engine) as server:
             response = query_udp(

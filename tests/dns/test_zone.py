@@ -83,9 +83,6 @@ class TestNegative:
         result = zone.lookup(Name.from_text("example.com."), RRType.A)
         assert result.status == LookupStatus.NXDOMAIN
 
-    def test_negative_ttl_is_min_of_soa_ttl_and_minimum(self, zone):
-        assert zone.soa_negative_ttl() == 300
-
 
 class TestCname:
     def test_cname_chased_in_zone(self, zone):

@@ -446,7 +446,7 @@ class TestServerAnswersTrackZoneVersion:
             fresh._parse_fast_query = lambda wire: None
             for server in (plain, limited):
                 server.stats = ServerStats()
-                server.clear_log()
+                server.query_log.clear()
             for wire in wires:
                 for _ in range(2):
                     want = fresh.handle_wire(wire, "192.0.2.1")

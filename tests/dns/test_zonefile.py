@@ -112,8 +112,12 @@ class TestErrors:
             parse_zone_text("@ IN A 192.0.2.1\n", "example.nl.")
 
     def test_unknown_directive(self):
-        with pytest.raises(ZoneFileSyntaxError):
+        with pytest.raises(ZoneFileSyntaxError, match="unsupported directive"):
             parse_zone_text("$GENERATE 1-10 a A 192.0.2.$\n", "example.nl.")
+
+    def test_include_is_an_unknown_directive(self):
+        with pytest.raises(ZoneFileSyntaxError, match="unsupported directive"):
+            parse_zone_text("$INCLUDE other.zone\n", "example.nl.")
 
     def test_error_reports_line_number(self):
         with pytest.raises(ZoneFileSyntaxError) as excinfo:

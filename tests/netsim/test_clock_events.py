@@ -67,7 +67,9 @@ class TestEventScheduler:
     def test_schedule_in_relative(self):
         sched = EventKernel()
         seen = []
-        sched.call_at(2.0, lambda: sched.call_later(3.0, lambda: seen.append(sched.now)))
+        sched.call_at(
+            2.0, lambda: sched.call_at(sched.now + 3.0, lambda: seen.append(sched.now))
+        )
         sched.run()
         assert seen == [5.0]
 
@@ -76,16 +78,6 @@ class TestEventScheduler:
         sched.clock.advance(10.0)
         with pytest.raises(ValueError):
             sched.call_at(5.0, lambda: None)
-        with pytest.raises(ValueError):
-            sched.call_later(-1.0, lambda: None)
-
-    def test_cancel(self):
-        sched = EventKernel()
-        fired = []
-        event = sched.call_at(1.0, lambda: fired.append(1))
-        sched.cancel(event)
-        sched.run()
-        assert fired == []
 
     def test_run_until_stops_at_boundary(self):
         sched = EventKernel()
@@ -95,7 +87,7 @@ class TestEventScheduler:
         sched.run_until(5.0)
         assert fired == [1]
         assert sched.now == 5.0
-        assert sched.pending == 1
+        assert sched.run() == 1
 
     def test_run_until_processes_boundary_event(self):
         sched = EventKernel()
@@ -110,7 +102,7 @@ class TestEventScheduler:
 
         def first():
             order.append("first")
-            sched.call_later(1.0, lambda: order.append("second"))
+            sched.call_at(sched.now + 1.0, lambda: order.append("second"))
 
         sched.call_at(1.0, first)
         sched.run()
@@ -122,7 +114,7 @@ class TestEventScheduler:
         for i in range(5):
             sched.call_at(float(i + 1), lambda: None)
         assert sched.run(max_events=3) == 3
-        assert sched.pending == 2
+        assert sched.run() == 2
 
     def test_processed_counter(self):
         sched = EventKernel()

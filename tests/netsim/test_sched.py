@@ -66,7 +66,7 @@ class TestOrdering:
         def ticker():
             fired.append(("tick", kernel.now))
             if kernel.now < 10.0:
-                kernel.call_later(1.0, ticker)
+                kernel.call_at(kernel.now + 1.0, ticker)
 
         kernel.call_at(0.0, ticker)
         for t in (2.5, 5.5, 8.5):
@@ -77,55 +77,11 @@ class TestOrdering:
         assert fired.index(("other", 2.5)) == 3  # after ticks at 0, 1, 2
 
 
-class TestCancellation:
-    def test_cancelled_events_never_fire(self):
-        kernel = EventKernel()
-        fired = []
-        entries = [kernel.call_at(float(i), fired.append, i) for i in range(10)]
-        for i in (0, 3, 4, 9):
-            kernel.cancel(entries[i])
-        kernel.run()
-        assert fired == [1, 2, 5, 6, 7, 8]
-
-    def test_cancel_is_idempotent_and_tracks_pending(self):
-        kernel = EventKernel()
-        entry = kernel.call_at(1.0, lambda: None)
-        other = kernel.call_at(2.0, lambda: None)
-        assert kernel.pending == 2
-        kernel.cancel(entry)
-        kernel.cancel(entry)  # double-cancel must not corrupt the count
-        assert kernel.pending == 1
-        assert kernel.run() == 1
-        assert kernel.pending == 0
-        assert other[0] == 2.0  # the survivor was the one that ran
-
-    def test_cancellation_never_perturbs_surviving_order(self):
-        rng = derive_rng(20170412, "sched", "cancel")
-        for trial in range(20):
-            kernel = EventKernel()
-            fired = []
-            entries = []
-            plan = [(rng.randrange(4) * 1.0, i) for i in range(100)]
-            for time, ident in plan:
-                entries.append(kernel.call_at(time, fired.append, ident))
-            dropped = set(rng.sample(range(100), 30))
-            for i in dropped:
-                kernel.cancel(entries[i])
-            kernel.run()
-            reference = [
-                ident for _, ident in sorted(plan, key=lambda p: p[0])
-                if ident not in dropped
-            ]
-            assert fired == reference
-
-
 class TestExecution:
     def test_rejects_past_and_negative_scheduling(self):
         kernel = EventKernel(clock=SimClock(start=10.0))
         with pytest.raises(ValueError):
             kernel.call_at(9.999, lambda: None)
-        with pytest.raises(ValueError):
-            kernel.call_later(-0.001, lambda: None)
 
     def test_clock_advances_to_each_event(self):
         kernel = EventKernel()
@@ -144,7 +100,6 @@ class TestExecution:
         assert kernel.run_until(2.0) == 2
         assert fired == [1.0, 2.0]
         assert kernel.now == 2.0
-        assert kernel.pending == 1
         assert kernel.run_until(10.0) == 1
         assert kernel.now == 10.0  # jumps to the deadline past the last event
 
@@ -154,16 +109,8 @@ class TestExecution:
             kernel.call_at(float(t), lambda: None)
         assert kernel.run(max_events=4) == 4
         assert kernel.processed == 4
-        assert kernel.pending == 6
         assert kernel.run() == 6
         assert kernel.processed == 10
-
-    def test_call_later_is_relative_to_now(self):
-        kernel = EventKernel(clock=SimClock(start=100.0))
-        fired = []
-        kernel.call_later(5.0, lambda: fired.append(kernel.now))
-        kernel.run()
-        assert fired == [105.0]
 
     def test_single_arg_fast_path(self):
         kernel = EventKernel()
@@ -182,15 +129,16 @@ class TestExecution:
         kernel.run()
         assert costs.totals().get("sched_event") == 5
 
-    def test_step_skips_cancelled_without_executing(self):
+    def test_step_runs_one_event_at_a_time(self):
         kernel = EventKernel()
         fired = []
-        entry = kernel.call_at(1.0, fired.append, "dead")
-        kernel.call_at(1.0, fired.append, "live")
-        kernel.cancel(entry)
+        kernel.call_at(1.0, fired.append, "first")
+        kernel.call_at(1.0, fired.append, "second")
         assert kernel.step() is True
-        assert fired == ["live"]
+        assert fired == ["first"]
+        assert kernel.step() is True
         assert kernel.step() is False
+        assert fired == ["first", "second"]
 
 
 class TestDeterminism:
@@ -203,7 +151,7 @@ class TestDeterminism:
             def work(ident):
                 log.append((kernel.now, ident))
                 if len(log) < 200:
-                    kernel.call_later(rng.random(), work, len(log))
+                    kernel.call_at(kernel.now + rng.random(), work, len(log))
 
             for i in range(10):
                 kernel.call_at(rng.random(), work, i)

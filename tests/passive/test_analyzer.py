@@ -30,13 +30,11 @@ class TestTrafficBalance:
         trace = make_trace({"r1": {"a": 50, "b": 50}})
         balance = traffic_balance(trace)
         assert balance.shares == {"a": 0.5, "b": 0.5}
-        assert balance.imbalance_ratio == pytest.approx(1.0)
 
     def test_imbalance(self):
         trace = make_trace({"r1": {"a": 90, "b": 10}})
         balance = traffic_balance(trace)
-        assert balance.most_loaded == "a"
-        assert balance.imbalance_ratio == pytest.approx(9.0)
+        assert balance.shares == pytest.approx({"a": 0.9, "b": 0.1})
 
     def test_empty_trace(self):
         trace = Trace(observed_servers=("a",))
@@ -53,14 +51,6 @@ class TestRateDistribution:
         assert dist.total_queries == 1090
         assert dist.median == pytest.approx(10.0)
         assert dist.max == 1000.0
-
-    def test_heavy_tail_flag(self):
-        light = make_trace({f"r{i}": {"a": 10} for i in range(10)})
-        assert not rate_distribution(light).heavy_tailed
-        heavy = make_trace(
-            {f"r{i}": {"a": 10} for i in range(9)} | {"whale": {"a": 5000}}
-        )
-        assert rate_distribution(heavy).heavy_tailed
 
     def test_empty(self):
         dist = rate_distribution(Trace(observed_servers=("a",)))
@@ -93,12 +83,14 @@ class TestOnSyntheticDitl:
         return generate_ditl_trace(num_recursives=150, seed=4)
 
     def test_rates_heavy_tailed_like_real_dns(self, trace):
-        assert rate_distribution(trace).heavy_tailed
+        dist = rate_distribution(trace)
+        assert dist.p90 / dist.median > 3.0  # top decile far above the median
 
     def test_traffic_unevenly_balanced(self, trace):
         # Real root letters see uneven traffic; so does the synthesis.
         balance = traffic_balance(trace)
-        assert balance.imbalance_ratio > 1.5
+        shares = [share for share in balance.shares.values() if share > 0]
+        assert max(shares) / min(shares) > 1.5
 
     def test_volume_concentrated_in_big_resolvers(self, trace):
         concentration = client_concentration(trace)

@@ -26,12 +26,6 @@ class TestTrace:
         assert table["198.18.0.1"] == {"a": 2, "b": 1}
         assert table["198.18.0.2"] == {"a": 1}
 
-    def test_filter_window(self, trace):
-        window = trace.filter_window(1.0, 3.0)
-        assert window.query_count == 2
-        assert all(1.0 <= r.timestamp < 3.0 for r in window.records)
-        assert window.observed_servers == trace.observed_servers
-
 
 class TestPersistence:
     def test_roundtrip(self, trace, tmp_path):

@@ -33,6 +33,8 @@ from repro.resolvers.naive import RandomSelector
 from repro.resolvers.resolver import RecursiveResolver
 from repro.telemetry import Telemetry
 
+from ..telemetry.test_tracing import spans_named
+
 ORIGIN = Name.from_text("ourtestdomain.nl.")
 
 
@@ -100,7 +102,7 @@ class TestRetrySpanMath:
         result = resolver.resolve("probe.ourtestdomain.nl.", RRType.TXT)
         assert result.rcode == Rcode.SERVFAIL
 
-        exchanges = telemetry.tracer.spans("resolver.exchange")
+        exchanges = spans_named(telemetry.tracer, "resolver.exchange")
         assert len(exchanges) == 4  # 1 try + 3 retries, all timeouts
         wait_s = resolver.timeout_ms / 1000.0
         starts = [span.start for span in exchanges]
@@ -108,7 +110,7 @@ class TestRetrySpanMath:
         assert starts == [i * wait_s for i in range(4)]
         assert ends == [(i + 1) * wait_s for i in range(4)]
         # The root span covers the whole serialized wait, not one timeout.
-        (root,) = telemetry.tracer.spans("resolver.resolve")
+        (root,) = spans_named(telemetry.tracer, "resolver.resolve")
         assert root.end == pytest.approx(4 * wait_s)
         # ...and resolve() advanced the clock through all of it.
         assert dead.clock.now == pytest.approx(4 * wait_s)
@@ -128,12 +130,12 @@ class TestRetrySpanMath:
         resolver = make_resolver(lossy)
         wait_s = resolver.timeout_ms / 1000.0
         for i in range(10):
-            telemetry.tracer.clear()
+            telemetry.tracer.roots.clear()
             began = lossy.clock.now
             result = resolver.resolve(f"x{i}.probe.ourtestdomain.nl.", RRType.TXT)
-            (root,) = telemetry.tracer.spans("resolver.resolve")
+            (root,) = spans_named(telemetry.tracer, "resolver.resolve")
             assert root.start == began
-            spans = telemetry.tracer.spans("resolver.exchange")
+            spans = spans_named(telemetry.tracer, "resolver.exchange")
             # Offsets are relative to this resolution's start: the clock
             # has moved on by every earlier resolution's waits.
             for attempt, span in enumerate(spans):
@@ -368,7 +370,7 @@ class TestKernelSyncEquivalence:
         kernel.run()
         assert results[0].rcode == Rcode.SERVFAIL
         wait_s = resolver.timeout_ms / 1000.0
-        spans = telemetry.tracer.spans("resolver.exchange")
+        spans = spans_named(telemetry.tracer, "resolver.exchange")
         assert [span.start for span in spans] == [i * wait_s for i in range(4)]
         # Virtual time really elapsed: retries were timer events.
         assert dead.clock.now == pytest.approx(4 * wait_s)

@@ -108,10 +108,10 @@ class TestEviction:
             cache.put_negative(
                 Name.from_text(f"n{i}.nl."), RRType.A, True, ttl=300, now=float(i)
             )
-        assert cache.negative_entries == 4
         assert len(cache) == 4
         cache.put(NAME, RRType.TXT, [record(ttl=300)], now=10.0)
-        assert (len(cache), cache.negative_entries) == (4, 3)
+        assert len(cache) == 4
+        assert cache.get(NAME, RRType.TXT, 10.0) is not None
         # The earliest-expiring went each time: n0..n6 are gone, n7..n9 stay.
         assert cache.get_negative(Name.from_text("n6.nl."), RRType.A, 10.0) is None
         assert cache.get_negative(Name.from_text("n7.nl."), RRType.A, 10.0) is not None

@@ -78,15 +78,6 @@ class TestSelectorInvariants:
 
         assert run() == run()
 
-    @settings(max_examples=40, deadline=None)
-    @given(selector_name, addresses_strategy, st.integers(0, 2**31))
-    def test_reset_is_safe_anytime(self, name, addresses, seed):
-        selector = make_selector(name, seed)
-        cache = InfrastructureCache()
-        selector.select(addresses, cache, 0.0)
-        selector.reset()
-        assert selector.select(addresses, cache, 1.0) in addresses
-
 
 class TestFailureInvariants:
     """Selector behaviour under scripted outages (the §6 failure modes).

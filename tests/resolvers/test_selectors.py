@@ -192,19 +192,6 @@ class TestNaive:
             selector.on_response(first, 50.0, [FAST, SLOW], cache, float(i) + 0.5)
         assert selector.select([FAST, SLOW], cache, 20.0) == first
 
-    def test_reset_forgets_choice(self):
-        selector = StickySelector(rng=random.Random(14))
-        cache = InfrastructureCache()
-        selector.select([FAST, SLOW], cache, 0.0)
-        selector.reset()
-        picks = {
-            StickySelector(rng=random.Random(seed)).select(
-                [FAST, SLOW], InfrastructureCache(), 0.0
-            )
-            for seed in range(20)
-        }
-        assert picks == {FAST, SLOW}
-
 
 class TestRegistry:
     def test_all_selectors_registered(self):
@@ -221,4 +208,3 @@ class TestRegistry:
         assert choice in (FAST, SLOW)
         selector.on_response(choice, 50.0, [FAST, SLOW], cache, 0.0)
         selector.on_timeout(choice, [FAST, SLOW], cache, 1.0)
-        selector.reset()

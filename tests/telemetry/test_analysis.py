@@ -5,13 +5,13 @@ import pytest
 from repro.telemetry import (
     Note,
     TraceAnalytics,
+    TraceEvent,
     Tracer,
     critical_path,
     fault_windows_from_notes,
     render_forensics,
 )
 from repro.telemetry.analysis import (
-    analytics_from_events,
     describe_critical_path,
     probe_of_qname,
 )
@@ -211,7 +211,7 @@ class TestRenderForensics:
 
 class TestFromEvents:
     def test_analytics_from_event_stream(self, tmp_path):
-        from repro.telemetry import EventLogWriter, read_events
+        from repro.telemetry import EventLogWriter
 
         tracer = Tracer()
         make_trace(tracer, start=0.0)
@@ -220,8 +220,9 @@ class TestFromEvents:
             writer.emit(Note(name="fault.start", at=1.0,
                              data={"fault": "x", "address": "a",
                                    "target": "ns1"}))
-            for event in tracer.to_events():
+            for root in tracer.traces():
+                event = TraceEvent(root=root)
                 writer.emit(event)
-        analytics = analytics_from_events(list(read_events(path)))
+        analytics = TraceAnalytics.from_log(str(path))
         assert len(analytics.roots) == 1
         assert len(analytics.fault_windows) == 1

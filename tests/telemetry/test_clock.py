@@ -8,9 +8,29 @@ from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
-from repro.telemetry.clock import DEFAULT_CLOCK, Clock, ManualClock, MonotonicClock
+from repro.telemetry.clock import DEFAULT_CLOCK, Clock, MonotonicClock
 
 ORIGIN = Name.from_text("ourtestdomain.nl.")
+
+
+class ManualClock:
+    """A clock a test drives by hand."""
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> float:
+        if seconds < 0:
+            raise ValueError(f"cannot advance clock by {seconds}")
+        self._now += seconds
+        return self._now
+
+    def set(self, timestamp: float) -> float:
+        self._now = float(timestamp)
+        return self._now
 
 
 @pytest.fixture

@@ -77,17 +77,6 @@ class TestCounting:
         ledger.count("query", 7)
         assert ledger.queries == 7
 
-    def test_per_query_normalises(self):
-        ledger = CostLedger()
-        ledger.count("query", 4)
-        ledger.count("decode", 6)
-        assert ledger.per_query() == {"decode": 1.5}
-
-    def test_per_query_empty_without_queries(self):
-        ledger = CostLedger()
-        ledger.count("decode")
-        assert ledger.per_query() == {}
-
 
 class TestMerge:
     def test_merge_ledger_adds_counters(self):
@@ -201,15 +190,10 @@ class TestExport:
 
 class TestNullLedger:
     def test_disabled_and_inert(self):
-        NULL_COSTS.count("decode", 100)
         with NULL_COSTS.phase("experiment.measure"):
-            NULL_COSTS.count("decode")
+            pass
         assert not NULL_COSTS.enabled
-        assert NULL_COSTS.totals() == {}
-        assert NULL_COSTS.as_dict() == {}
-        assert NULL_COSTS.to_json() == "{}"
         assert NULL_COSTS.to_events() == []
-        assert NULL_COSTS.render() == ""
 
 
 class TestCampaignLedger:

@@ -110,12 +110,10 @@ class TestTruncatedLogs:
             fh.write(record[:10])
             fh.flush()
             assert follower.poll() == []  # half a line is not an event
-            assert follower.pending_bytes == 10
             fh.write(record[10:] + "\n")
             fh.flush()
             (event,) = follower.poll()
             assert isinstance(event, Note)
-            assert follower.pending_bytes == 0
         writer.close()
 
     def test_follower_rejects_truncated_header(self, tmp_path):
@@ -163,16 +161,6 @@ class TestTracerDropAccounting:
         assert tracer.dropped_unstreamed == 0  # ... but safe on disk
         assert caplog.text == ""
         assert len(list(read_events(sink.path))) == 3
-
-    def test_clear_resets_the_warning_latch(self, caplog):
-        tracer = Tracer(max_traces=0)
-        with caplog.at_level(logging.WARNING, logger="repro.telemetry.tracing"):
-            self._finish_roots(tracer, 1)
-            tracer.clear()
-            self._finish_roots(tracer, 1)
-        assert tracer.dropped_unstreamed == 1
-        warnings = [r for r in caplog.records if "max_traces" in r.message]
-        assert len(warnings) == 2  # re-armed after clear()
 
     def test_drop_gauges_surface_only_when_nonzero(self):
         from repro.telemetry import Telemetry

@@ -127,9 +127,11 @@ class TestReader:
 class TestSpanRoundTrip:
     def test_span_tree_survives_dict_round_trip(self):
         tracer = Tracer()
-        with tracer.span("resolver.resolve", at=0.0, qname="x.nl.") as root:
-            with tracer.span("resolver.exchange", at=0.010) as child:
-                child.event("udp.sent", 0.011, size=64)
+        root = tracer.start_span("resolver.resolve", at=0.0, qname="x.nl.")
+        child = tracer.start_span("resolver.exchange", at=0.010)
+        child.event("udp.sent", 0.011, size=64)
+        tracer.finish_span(child, at=0.010)
+        tracer.finish_span(root, at=0.0)
         rebuilt = decode_trace(json.loads(json.dumps(encode_trace(root))))
         assert encode_trace(rebuilt) == encode_trace(root)
         assert rebuilt.trace[1].parent is rebuilt
@@ -201,7 +203,7 @@ class TestSeededRunRoundTrip:
         telemetry.finalize_events(at=1.0)
         telemetry.finalize_events(at=2.0, close=True)
         log = EventLog.load(path)
-        snapshots = log.of_kind(MetricsSnapshot.kind)
+        snapshots = [e for e in log.events if e.kind == MetricsSnapshot.kind]
         assert [snap.at for snap in snapshots] == [1.0, 2.0]
 
 

@@ -40,7 +40,7 @@ class TestCampaignMonitor:
         for i in range(count):
             make_trace(tracer, start=float(i),
                        attempts=[("10.0.0.53", "ok", rtt)])
-        return tracer.to_events()
+        return [TraceEvent(root=root) for root in tracer.traces()]
 
     def test_counts_and_latency(self):
         monitor = CampaignMonitor(clock=FakeClock())
@@ -120,8 +120,8 @@ class TestReplay:
         path = tmp_path / "log.jsonl"
         with EventLogWriter(path) as writer:
             writer.emit(RunMeta(run={"domain": "d.nl."}, at=0.0))
-            for event in tracer.to_events():
-                writer.emit(event)
+            for root in tracer.traces():
+                writer.emit(TraceEvent(root=root))
             writer.emit(MetricsSnapshot(metrics={}, at=9.0))
         monitor = replay_monitor(list(read_events(path)))
         assert monitor.finished

@@ -176,9 +176,7 @@ class TestNullRegistry:
         registry = NullRegistry()
         assert registry.enabled is False
         registry.counter("c", labelnames=("a",)).labels(a="x").inc()
-        registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
-        assert registry.to_prometheus_text() == ""
+        assert registry.families() == []
+        assert registry.to_events() == []
         assert registry.as_dict() == {}
-        assert registry.get("c") is None
-        assert "c" not in registry

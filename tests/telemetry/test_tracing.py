@@ -9,6 +9,11 @@ from repro.telemetry import (
 )
 
 
+def spans_named(tracer, name: str) -> list:
+    """Every retained span called ``name``, trace by trace."""
+    return [span for root in tracer.traces() for span in root.trace if span.name == name]
+
+
 class TestSpanNesting:
     def test_child_nests_under_active_span(self):
         tracer = Tracer()
@@ -23,21 +28,18 @@ class TestSpanNesting:
 
     def test_sibling_spans_share_parent(self):
         tracer = Tracer()
-        with tracer.span("resolve", at=0.0) as root:
-            with tracer.span("attempt", at=0.0):
-                pass
-            with tracer.span("attempt", at=0.4):
-                pass
+        root = tracer.start_span("resolve", at=0.0)
+        for at in (0.0, 0.4):
+            tracer.finish_span(tracer.start_span("attempt", at=at), at=at)
+        tracer.finish_span(root, at=0.4)
         children = root.trace[1:]
         assert [child.name for child in children] == ["attempt", "attempt"]
         assert all(child.parent is root for child in children)
 
     def test_separate_roots_get_separate_trace_ids(self):
         tracer = Tracer()
-        with tracer.span("a", at=0.0):
-            pass
-        with tracer.span("b", at=1.0):
-            pass
+        for name, at in (("a", 0.0), ("b", 1.0)):
+            tracer.finish_span(tracer.start_span(name, at=at), at=at)
         # A trace's identity is the flat list its root owns: no counter.
         first, second = tracer.traces()
         assert first.trace is not second.trace
@@ -62,15 +64,17 @@ class TestSpanNesting:
 
     def test_trace_is_flat_in_start_order_and_find_matches(self):
         tracer = Tracer()
-        with tracer.span("root", at=0.0) as root:
-            with tracer.span("left", at=0.0) as left:
-                with tracer.span("leaf", at=0.0):
-                    pass
-            with tracer.span("right", at=1.0):
-                # Event-driven code parents explicitly, in any order:
-                # start order, not tree order, is what the list keeps.
-                late = tracer.start_span("late-leaf", at=1.0, parent=left)
-                tracer.finish_span(late, at=1.0)
+        root = tracer.start_span("root", at=0.0)
+        left = tracer.start_span("left", at=0.0)
+        tracer.finish_span(tracer.start_span("leaf", at=0.0), at=0.0)
+        tracer.finish_span(left, at=0.0)
+        right = tracer.start_span("right", at=1.0)
+        # Event-driven code parents explicitly, in any order: start
+        # order, not tree order, is what the list keeps.
+        late = tracer.start_span("late-leaf", at=1.0, parent=left)
+        tracer.finish_span(late, at=1.0)
+        tracer.finish_span(right, at=1.0)
+        tracer.finish_span(root, at=1.0)
         assert [span.name for span in root.trace] == [
             "root", "left", "leaf", "right", "late-leaf",
         ]
@@ -82,26 +86,19 @@ class TestSpanNesting:
 class TestSpanData:
     def test_set_and_event_are_chainable(self):
         tracer = Tracer()
-        with tracer.span("s", at=0.0) as span:
-            span.set(site="FRA").event("loss", at=0.5, reason="drop")
+        span = tracer.start_span("s", at=0.0)
+        span.set(site="FRA").event("loss", at=0.5, reason="drop")
         assert span.attributes["site"] == "FRA"
         assert span.events[0].name == "loss"
         assert span.events[0].time == 0.5
         assert span.events[0].attributes == {"reason": "drop"}
 
-    def test_context_manager_end_at(self):
-        tracer = Tracer()
-        context = tracer.span("s", at=2.0)
-        with context as span:
-            context.end_at(2.5)
-        assert span.end == 2.5
-
     def test_encode_trace_lays_the_trace_out_flat(self):
         tracer = Tracer()
-        with tracer.span("root", at=0.0) as root:
-            root.set(qname="probe.example.nl.")
-            with tracer.span("child", at=0.1):
-                pass
+        root = tracer.start_span("root", at=0.0)
+        root.set(qname="probe.example.nl.")
+        tracer.finish_span(tracer.start_span("child", at=0.1), at=0.1)
+        tracer.finish_span(root, at=0.0)
         assert encode_trace(root) == [
             [-1, "root", 0.0, 0.0, {"qname": "probe.example.nl."}, []],
             [0, "child", 0.1, 0.1, {}, []],
@@ -112,29 +109,9 @@ class TestRetention:
     def test_max_traces_drops_whole_traces(self):
         tracer = Tracer(max_traces=2)
         for index in range(5):
-            with tracer.span("t", at=float(index)):
-                pass
+            tracer.finish_span(tracer.start_span("t", at=index), at=index)
         assert len(tracer.traces()) == 2
         assert tracer.dropped_traces == 3
-
-    def test_clear_resets_roots_and_drop_counter(self):
-        tracer = Tracer(max_traces=1)
-        for index in range(3):
-            with tracer.span("t", at=float(index)):
-                pass
-        tracer.clear()
-        assert tracer.traces() == []
-        assert tracer.dropped_traces == 0
-
-    def test_spans_filter_by_name(self):
-        tracer = Tracer()
-        with tracer.span("resolve", at=0.0):
-            with tracer.span("exchange", at=0.0):
-                pass
-            with tracer.span("exchange", at=0.1):
-                pass
-        assert len(tracer.spans("exchange")) == 2
-        assert len(tracer.spans()) == 3
 
 
 class TestRender:
@@ -159,12 +136,8 @@ class TestNullTracer:
         assert span is NULL_SPAN
         span.set(a=1).event("e", at=0.0)
         tracer.finish_span(span, at=1.0)
-        with tracer.span("t", at=0.0) as inner:
-            assert inner is NULL_SPAN
-        assert tracer.traces() == []
-        assert tracer.spans() == []
+        assert tracer.roots == []
 
     def test_null_span_reads_as_empty(self):
-        assert NULL_SPAN.find("anything") is None
         assert NULL_SPAN.trace == []
         assert NULL_SPAN.finished is False
