@@ -106,7 +106,6 @@ OWNERS: list[tuple[str, str, str]] = [
     ("netsim/network.py", r"SimNetwork\.knows", CALLER + "referrals"),
     ("passive/generator.py", r"_no_handler", CALLER + "passive sites, which "
      "are never delivered to"),
-    ("telemetry/costs.py", r"CostLedger\.from_dict", CALLER + "`costs LOG`"),
     ("telemetry/registry.py",
      r"MetricsRegistry\.gauge|Gauge\..*|_GaugeChild\..*|_Family\._new_child",
      CALLER + "drop gauges, set only when telemetry loses data"),
@@ -115,10 +114,13 @@ OWNERS: list[tuple[str, str, str]] = [
     # null twins
     ("telemetry/registry.py", r"_NullChild\..*|NullRegistry\..*", TWIN),
     ("telemetry/profiling.py", r"NullProfiler\..*", TWIN),
+    ("telemetry/tracing.py", r"NullTracer\..*|_NullSpan\..*", TWIN),
     # examples
     ("dns/server.py", r"AuthoritativeServer\.remove_zone", EXAMPLE
      + "`examples/secondary_sync.py`"),
     ("passive/trace.py", r"load_trace", EXAMPLE + "`examples/passive_analysis.py`"),
+    ("telemetry/tracing.py", r"Tracer\.traces", EXAMPLE
+     + "`examples/fault_detection_study.py`"),
     # value-type protocol
     ("core/store.py", r"ObservationStore\.(append_observation|extend|row|"
      r"probe_count|__repr__)|ObservationRows\..*|MeasurementRun\..*", VALUE
@@ -238,30 +240,23 @@ def _cli_commands() -> list[list[str]]:
     return [
         ["combos"],
         ["--output", "run.txt", "run", "--combo", "2C", *campaign,
-         "--out", "run.jsonl", "--events", "run.events.jsonl"],
+         "--out", "run.jsonl", "--events", "run.events.jsonl",
+         "--heartbeat-every", "2"],
         ["--quiet", "run", *campaign, "--ipv6", "--workers", "2",
          "--spill-events", "spill", "--events", "sharded.events.jsonl",
          "--scenario", "ns-outage", "--heartbeat-every", "1", "--no-analyze"],
         ["analyze", "--run", "run.jsonl", "--sites", "FRA", "SYD", "--combo", "2C"],
-        ["metrics", *campaign, "--profile", "--events", "metrics.events.jsonl"],
-        ["metrics", *campaign, "--format", "json"],
-        ["trace", "--probes", "3", "--count", "2", "--all"],
-        ["dashboard", "run.events.jsonl"],
-        ["dashboard", "run.events.jsonl", "--follow", "--idle-timeout", "1"],
-        ["--quiet", "dashboard", *campaign, "--events", "dash.events.jsonl"],
+        ["metrics", "run.events.jsonl"],
+        ["metrics", "sharded.events.jsonl", "--format", "json"],
         ["forensics", "run.events.jsonl"],
         ["forensics", "run.events.jsonl", "probe-1"],
         ["slo", "sharded.events.jsonl", "--check"],
         ["slo", "run.events.jsonl", "--spec", "slo.json"],
-        ["top", "--from-log", "sharded.events.jsonl"],
-        ["top", "--from-log", "sharded.events.jsonl", "--follow",
-         "--idle-timeout", "1"],
-        ["--quiet", "top", *campaign, "--max-frames", "2",
-         "--events", "top.events.jsonl"],
-        ["--quiet", "costs", *campaign, "--export", "costs.json",
-         "--events", "costs.events.jsonl"],
-        ["--quiet", "costs", *campaign, "--workers", "2", "--shards", "4"],
-        ["costs", "costs.events.jsonl"],
+        ["top", "run.events.jsonl"],
+        ["top", "sharded.events.jsonl", "--follow", "--refresh", "0.1",
+         "--idle-timeout", "1", "--max-frames", "2"],
+        ["costs", "run.events.jsonl", "--export", "costs.json"],
+        ["costs", "sharded.events.jsonl"],
         ["bench-history", "--dir", "history", "--record", "suite.out",
          "--metrics", "dns.,netsim.", "--last", "3"],
         ["sweep", "--probes", "20", "--intervals", "2", "5"],

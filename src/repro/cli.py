@@ -3,19 +3,21 @@
 Usage (also available as ``python -m repro``):
 
     repro-dns combos
-    repro-dns run --combo 2C --probes 300 --out run.jsonl
+    repro-dns run --combo 2C --probes 300 --out run.jsonl --events run.events.jsonl
     repro-dns analyze --run run.jsonl --sites FRA SYD
-    repro-dns metrics --combo 2C --probes 100
-    repro-dns trace --combo 2C --count 2
-    repro-dns dashboard run.events.jsonl
+    repro-dns metrics run.events.jsonl --format json
     repro-dns forensics run.events.jsonl probe-7
     repro-dns slo run.events.jsonl --check
-    repro-dns top --from-log run.events.jsonl
-    repro-dns costs --combo 2C --probes 300 --export ledger.json
+    repro-dns top run.events.jsonl --follow
+    repro-dns costs run.events.jsonl --export ledger.json
     repro-dns bench-history --record suite.out
     repro-dns sweep --probes 150
     repro-dns passive --kind root --recursives 250 --out trace.jsonl
     repro-dns plan --clients 500 --sites FRA IAD SYD GRU --home FRA
+
+Only ``run``, ``faults run`` and ``attack run`` start a campaign; the
+readers (``metrics``, ``forensics``, ``slo``, ``top``, ``costs``) take
+the event log one of them wrote with ``--events``.
 
 Global flags (before the subcommand): ``--output FILE`` sends command
 output to a file instead of stdout, ``--quiet`` silences progress
@@ -25,6 +27,7 @@ notes, ``--log-level`` wires the ``repro.*`` loggers to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import random
@@ -70,7 +73,7 @@ class CliWriter:
     Two channels, deliberately separate:
 
     :meth:`emit`
-        The command's *product* (tables, dumps, dashboards).  Goes to
+        The command's *product* (tables, dumps, monitor frames).  Goes to
         stdout, or to the ``--output`` file when one is given — so
         results can be saved or piped without shell redirection.
     :meth:`status`
@@ -133,17 +136,13 @@ class CliError(Exception):
     """A bad option value found after parsing: ``main`` reports it, exit 2."""
 
 
-def _campaign_config(
-    args: argparse.Namespace, *, interval_s=None, duration_s=None, **overrides
-) -> ExperimentConfig:
+def _campaign_config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
     """The campaign the shared option group describes (minutes → seconds).
 
-    ``trace`` counts ticks instead and passes its own timing.  A
-    ``--scenario`` is resolved here, against the campaign duration, so
+    A ``--scenario`` is resolved here, against the campaign duration, so
     an unknown one is the same error from every command that takes it.
     """
-    if duration_s is None:
-        interval_s, duration_s = args.interval * 60.0, args.duration * 60.0
+    interval_s, duration_s = args.interval * 60.0, args.duration * 60.0
     if getattr(args, "scenario", None) is not None:
         from .netsim.faults import ScenarioError, resolve_scenario
 
@@ -160,22 +159,22 @@ def _campaign_config(
 def _run_campaign(args: argparse.Namespace, config: ExperimentConfig, telemetry=None):
     """The CLI's one door to :func:`repro.core.run_campaign`.
 
-    Commands choose the telemetry pillars (default: the event log alone,
-    when asked for) and print the result; the sharding flags, the status
-    notes, closing ``--events`` and writing ``--out`` happen here.
+    Commands choose the telemetry pillars (default: with ``--events``,
+    the event log and the cost ledger it closes with) and print the
+    result; the sharding flags, the status notes, closing ``--events``
+    and writing ``--out`` happen here.
     """
     io = args.io
-    flags = vars(args)  # not every command has sharding, --out or --events
-    if telemetry is None and flags.get("events"):
+    if telemetry is None and args.events:
         from .telemetry import Telemetry
 
-        telemetry = Telemetry.enabled_bundle(event_log=args.events)
+        telemetry = Telemetry.enabled_bundle(event_log=args.events, costs=True)
     result = run_campaign(
         config,
         telemetry=telemetry,
-        workers=flags.get("workers", 1),
-        shards=flags.get("shards"),
-        spill_dir=flags.get("spill_events"),
+        workers=args.workers,
+        shards=args.shards,
+        spill_dir=args.spill_events,
     )
     if result.shard_profiles:
         io.status(
@@ -184,10 +183,10 @@ def _run_campaign(args: argparse.Namespace, config: ExperimentConfig, telemetry=
     io.status(
         f"{len(result.observations)} observations from {result.run.vp_count} VPs"
     )
-    if flags.get("events"):
+    if args.events:
         telemetry.events.close()
         io.status(f"wrote event log to {args.events}")
-    if flags.get("out"):
+    if args.out:
         written = save_run(result.run, args.out)
         io.status(f"wrote {written} observations to {args.out}")
     return result
@@ -488,142 +487,41 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_with_telemetry(args: argparse.Namespace, tracing: bool):
-    """Shared by metrics/dashboard: one instrumented seeded run."""
-    from .telemetry import Telemetry
+def _last_event(args: argparse.Namespace, kind, what: str):
+    """The last ``kind`` event in ``args.log``, or the exit status.
 
-    telemetry = Telemetry.enabled_bundle(tracing=tracing, event_log=args.events)
-    args.io.status(
-        f"running {args.combo} with telemetry: {args.probes} probes, "
-        f"every {args.interval:g} min for {args.duration:g} min"
-    )
-    _run_campaign(args, _campaign_config(args), telemetry)
-    return telemetry
+    An unreadable or malformed log is 2 (``<reader>: <path>: why`` on
+    stderr), a readable one without such a record 1.
+    """
+    from .telemetry import EventLogError, read_events
+
+    found = None
+    try:
+        for event in read_events(args.log):
+            if isinstance(event, kind):
+                found = event
+    except (OSError, EventLogError) as exc:
+        args.io.status(f"{args.command}: {exc}")
+        return 2
+    if found is None:
+        args.io.status(f"{args.command}: {args.log}: no {what} record")
+        return 1
+    return found
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Run a combination with telemetry and dump the metrics registry."""
-    io = args.io
-    telemetry = _run_with_telemetry(args, tracing=bool(args.events))
-    # Telemetry self-accounting (dropped traces/events) belongs in the
-    # dump: silent loss is the one thing a metrics page may not hide.
-    telemetry.surface_drop_counters()
+    """Dump the closing metrics snapshot of an event log."""
+    from .telemetry import MetricsSnapshot, prometheus_text
+
+    snapshot = _last_event(args, MetricsSnapshot, "metrics")
+    if isinstance(snapshot, int):
+        return snapshot
     text = (
-        telemetry.registry.to_json(indent=2)
+        json.dumps(snapshot.metrics, indent=2, sort_keys=True)
         if args.format == "json"
-        else telemetry.registry.to_prometheus_text()
+        else prometheus_text(snapshot.metrics).removesuffix("\n")
     )
-    io.emit(text if not text.endswith("\n") else text[:-1])
-    if args.profile:
-        io.status("")
-        io.status(telemetry.profiler.render())
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Trace cache-busting queries through resolver, network, and NS."""
-    from .telemetry import Telemetry, render_trace
-
-    io = args.io
-    telemetry = Telemetry.enabled_bundle()
-    config = _campaign_config(
-        args, interval_s=120.0, duration_s=args.ticks * 120.0
-    )
-    _run_campaign(args, config, telemetry)
-    printed = 0
-    for root in telemetry.tracer.traces():
-        if root.name != "resolver.resolve":
-            continue
-        if args.cache_misses_only and root.attributes.get("cache") != "miss":
-            continue
-        io.emit(render_trace(root))
-        io.emit()
-        printed += 1
-        if printed >= args.count:
-            break
-    if printed == 0:
-        io.status("no matching traces captured")
-        return 1
-    io.status(
-        f"{printed} of {len(telemetry.tracer.traces())} captured traces shown"
-    )
-    return 0
-
-
-def _cmd_dashboard(args: argparse.Namespace) -> int:
-    """Render the run scorecard from a saved event log or a live run."""
-    from .telemetry import EventLogError
-    from .telemetry.dashboard import render_dashboard, render_dashboard_from_log
-
-    io = args.io
-    if args.log:
-        try:
-            if args.follow:
-                return _dashboard_follow(args)
-            io.emit(render_dashboard_from_log(args.log, top_slowest=args.top))
-        except (OSError, EventLogError) as exc:
-            io.status(f"dashboard: {exc}")
-            return 2
-        return 0
-    telemetry = _run_with_telemetry(args, tracing=True)
-    io.emit(
-        render_dashboard(
-            telemetry.registry.as_dict(),
-            traces=telemetry.tracer.traces(),
-            title=f"Run dashboard — live {args.combo} seed={args.seed} "
-            f"probes={args.probes}",
-            top_slowest=args.top,
-        )
-    )
-    return 0
-
-
-def _follow_log(args: argparse.Namespace, path: str, consume):
-    """The tail loop behind ``dashboard --follow`` and ``top``.
-
-    ``consume(batch)`` folds in each non-empty poll and says whether the
-    run is done; the loop also ends after ``--idle-timeout`` seconds
-    without new events.  Returns the (closed) follower.
-    """
-    import time as _time
-
-    from .telemetry import EventLogFollower
-
-    with EventLogFollower(path) as follower:
-        deadline = _time.monotonic() + args.idle_timeout
-        while True:
-            batch = follower.poll()
-            if batch:
-                deadline = _time.monotonic() + args.idle_timeout
-                if consume(batch):
-                    break
-            elif _time.monotonic() >= deadline:
-                args.io.status(
-                    f"no new events for {args.idle_timeout:g}s; "
-                    "rendering what arrived"
-                )
-                break
-            _time.sleep(args.refresh)
-    return follower
-
-
-def _dashboard_follow(args: argparse.Namespace) -> int:
-    """Tail a growing event log; render the scorecard once it closes."""
-    from .telemetry import EventLog, MetricsSnapshot
-    from .telemetry.dashboard import render_dashboard_from_log
-
-    io = args.io
-    events: list = []
-
-    def consume(batch: list) -> bool:
-        events.extend(batch)
-        io.status(f"following {args.log}: {len(events)} events ...")
-        # the closing snapshot: the run is finalized
-        return any(isinstance(e, MetricsSnapshot) for e in batch)
-
-    follower = _follow_log(args, args.log, consume)
-    log = EventLog(path=follower.path, meta=follower.meta, events=events)
-    io.emit(render_dashboard_from_log(log, top_slowest=args.top))
+    args.io.emit(text)
     return 0
 
 
@@ -681,162 +579,69 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 1 if alerting and args.check else 0
 
 
-def _follow_monitor(args: argparse.Namespace, path: str) -> int:
-    """``top --follow`` and live mode: a frame per batch of new events."""
-    from .telemetry.monitor import CampaignMonitor
+def _follow(args: argparse.Namespace, title: str):
+    """Tail a growing log into a monitor, a frame per batch of events.
+
+    Ends when the run finalizes, after ``--max-frames`` frames, or after
+    ``--idle-timeout`` seconds without new events.
+    """
+    import time
+
+    from .telemetry import CampaignMonitor, EventLogFollower
 
     io = args.io
     monitor = CampaignMonitor()
-    title = f"repro-dns top — {path}"
     frames = 0
-
-    def consume(batch: list) -> bool:
-        nonlocal frames
-        monitor.consume(batch)
-        frames += 1
-        if not monitor.finished:
-            io.status(monitor.render(title=title))
-            io.status("")
-        return monitor.finished or 0 < args.max_frames <= frames
-
-    _follow_log(args, path, consume)
-    io.emit(monitor.render(title=title))
-    return 0
-
-
-def _top_live(args: argparse.Namespace) -> int:
-    """Run a serial campaign in a thread and tail its event log live."""
-    import tempfile
-    import threading
-
-    from .telemetry import Telemetry
-
-    io = args.io
-    config = _campaign_config(
-        args, heartbeat_every_ticks=max(1, args.heartbeat_every)
-    )
-    path = args.events
-    scratch = None
-    if not path:
-        fd, path = tempfile.mkstemp(prefix="repro-top-", suffix=".jsonl")
-        os.close(fd)
-        scratch = path
-    # Build the writer here (not in the thread): the header line lands
-    # before the follower opens the file, so it never races the run.
-    telemetry = Telemetry.enabled_bundle(event_log=path)
-    io.status(
-        f"running {args.combo} live ({args.probes} probes); tailing {path}"
-    )
-    failures: list[BaseException] = []
-
-    def _run() -> None:
-        try:
-            run_campaign(config, telemetry=telemetry)
-        except BaseException as exc:  # surface, never swallow
-            failures.append(exc)
-        finally:
-            telemetry.events.close()
-
-    thread = threading.Thread(target=_run, name="repro-top-run", daemon=True)
-    thread.start()
-    try:
-        status = _follow_monitor(args, path)
-    finally:
-        thread.join()
-        if scratch:
-            os.unlink(scratch)
-    if failures:
-        raise failures[0]
-    return status
+    with EventLogFollower(args.log) as follower:
+        deadline = time.monotonic() + args.idle_timeout
+        while True:
+            batch = follower.poll()
+            if batch:
+                deadline = time.monotonic() + args.idle_timeout
+                monitor.consume(batch)
+                frames += 1
+                if not monitor.finished:
+                    io.status(monitor.render(title=title))
+                    io.status("")
+                if monitor.finished or 0 < args.max_frames <= frames:
+                    return monitor
+            elif time.monotonic() >= deadline:
+                io.status(
+                    f"no new events for {args.idle_timeout:g}s; "
+                    "rendering what arrived"
+                )
+                return monitor
+            time.sleep(args.refresh)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    """The live campaign monitor (and its saved-log replay mode)."""
-    from .telemetry import EventLogError
+    """The campaign monitor over an event log, finished or still growing."""
+    from .telemetry import EventLogError, read_events, replay_monitor
 
-    io = args.io
-    if not args.from_log:
-        return _top_live(args)
+    title = f"repro-dns top — {args.log}"
     try:
-        if args.follow:
-            return _follow_monitor(args, args.from_log)
-        from .telemetry import read_events
-        from .telemetry.monitor import replay_monitor
-
-        monitor = replay_monitor(list(read_events(args.from_log)))
+        monitor = (
+            _follow(args, title)
+            if args.follow
+            else replay_monitor(list(read_events(args.log)))
+        )
     except (OSError, EventLogError) as exc:
-        io.status(f"top: {exc}")
+        args.io.status(f"top: {exc}")
         return 2
-    io.emit(monitor.render(title=f"repro-dns top — {args.from_log}"))
+    args.io.emit(monitor.render(title=title))
     return 0
 
 
-def _render_cost_decomposition(ledger, measure_s) -> str:
-    """The per-query overhead line: what one simulated query costs.
-
-    ``measure_s`` is the wall-clock measure phase; divided by the
-    ledger's query count it is the per-query cost.
-    """
-    lines = ["=== Per-query overhead decomposition ==="]
-    queries = ledger.queries
-    if not queries:
-        lines.append("no queries recorded")
-        return "\n".join(lines)
-    if measure_s is None:
-        lines.append(f"{queries} queries (no measured phase time)")
-        return "\n".join(lines)
-    total_us = measure_s / queries * 1e6
-    lines.append(
-        f"measure phase {measure_s:.3f}s / {queries} queries "
-        f"= {total_us:.1f} us/query"
-    )
-    return "\n".join(lines)
-
-
 def _cmd_costs(args: argparse.Namespace) -> int:
-    """Per-query cost ledger: from a saved event log, or a live run."""
-    from .telemetry import CostLedger
+    """The per-query cost ledger an event log closes with."""
+    from .telemetry import CostLedger, CostsEvent
 
-    io = args.io
-    if args.log:
-        from .telemetry import CostsEvent, EventLogError, read_events
-
-        ledger = None
-        try:
-            for event in read_events(args.log):
-                if isinstance(event, CostsEvent):
-                    ledger = CostLedger.from_dict(event.costs)
-        except (OSError, EventLogError) as exc:
-            io.status(f"costs: {exc}")
-            return 2
-        if ledger is None:
-            io.status(
-                f"{args.log}: no costs record "
-                "(produce one with 'repro-dns costs --events FILE')"
-            )
-            return 1
-        _export_ledger(io, ledger, args.export)
-        io.emit(ledger.render())
-        return 0
-
-    from .telemetry import Telemetry
-
-    config = _campaign_config(args)
-    telemetry = Telemetry.enabled_bundle(
-        metrics=False, tracing=False, costs=True, event_log=args.events
-    )
-    io.status(
-        f"costing {args.combo}: {args.probes} probes, "
-        f"every {args.interval:g} min for {args.duration:g} min"
-    )
-    result = _run_campaign(args, config, telemetry)
-    measure = result.profile.get("phases", {}).get("experiment.measure")
-    measure_s = measure["seconds"] if measure else None
-    ledger = telemetry.costs
-    io.emit(_render_cost_decomposition(ledger, measure_s))
-    io.emit()
-    io.emit(ledger.render())
-    _export_ledger(io, ledger, args.export)
+    event = _last_event(args, CostsEvent, "costs")
+    if isinstance(event, int):
+        return event
+    ledger = CostLedger.from_dict(event.costs)
+    _export_ledger(args.io, ledger, args.export)
+    args.io.emit(ledger.render())
     return 0
 
 
@@ -1031,21 +836,21 @@ def _prefixes(text: str) -> list[str] | None:
     return [prefix for prefix in text.split(",") if prefix] or None
 
 
-def _campaign_options(parser, probes: int, duration: float) -> None:
+def _campaign_options(parser) -> None:
     """Which campaign: what :func:`_campaign_config` reads."""
     parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    parser.add_argument("--probes", type=_number(int, 1), default=probes)
+    parser.add_argument("--probes", type=_number(int, 1), default=300)
     parser.add_argument(
         "--interval", type=_number(float, 0, exclusive=True), default=2.0,
         help="minutes",
     )
     parser.add_argument(
-        "--duration", type=_number(float, 0), default=duration, help="minutes"
+        "--duration", type=_number(float, 0), default=60.0, help="minutes"
     )
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _sharding_options(parser, spill: bool = True) -> None:
+def _sharding_options(parser) -> None:
     """How to run it: what :func:`_run_campaign` hands the engine."""
     parser.add_argument(
         "--workers", type=_number(int, 1), default=1,
@@ -1058,39 +863,21 @@ def _sharding_options(parser, spill: bool = True) -> None:
         "(0 = one shard per worker); forces the sharded engine even "
         "with --workers 1",
     )
-    if spill:
-        parser.add_argument(
-            "--spill-events", metavar="DIR",
-            help="with --workers/--shards: each worker spills its event "
-            "records to DIR/shard-NNNN.events.jsonl instead of buffering "
-            "them in memory; the merged log is byte-identical either way",
-        )
+    parser.add_argument(
+        "--spill-events", metavar="DIR",
+        help="with --workers/--shards: each worker spills its event "
+        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
+        "them in memory; the merged log is byte-identical either way",
+    )
 
 
-def _output_options(parser, out: bool = True) -> None:
+def _output_options(parser) -> None:
     """Where the run goes: what :func:`_run_campaign` writes."""
-    if out:
-        parser.add_argument("--out", help="save observations as JSONL")
+    parser.add_argument("--out", help="save observations as JSONL")
     parser.add_argument(
         "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) to FILE",
-    )
-
-
-def _follow_options(parser) -> None:
-    """Tailing a growing log: what :func:`_follow_log` reads."""
-    parser.add_argument(
-        "--follow", action="store_true",
-        help="with a saved log: tail the file as it grows, until the "
-        "run finalizes",
-    )
-    parser.add_argument(
-        "--refresh", type=float, default=0.2, metavar="SEC",
-        help="poll interval while tailing (default: 0.2s)",
-    )
-    parser.add_argument(
-        "--idle-timeout", type=float, default=30.0, metavar="SEC",
-        help="give up after SEC without new events (default: 30)",
+        help="stream a telemetry event log (JSONL) to FILE; it closes "
+        "with the metrics snapshot and the cost ledger, for the readers",
     )
 
 
@@ -1128,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_parser = sub.add_parser("run", help="run a testbed combination")
-    _campaign_options(run_parser, probes=300, duration=60.0)
+    _campaign_options(run_parser)
     run_parser.add_argument("--ipv6", action="store_true")
     _sharding_options(run_parser)
     _output_options(run_parser)
@@ -1136,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--heartbeat-every", type=_number(int, 0), default=0, metavar="TICKS",
         help="emit a shard.heartbeat note every N measurement ticks "
-        "for 'repro-dns top' (0 = off; never affects results)",
+        "for 'repro-dns top --follow' (0 = off; never affects results)",
     )
     run_parser.add_argument(
         "--no-analyze", action="store_true",
@@ -1152,48 +939,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.set_defaults(func=_cmd_analyze)
 
     metrics_parser = sub.add_parser(
-        "metrics", help="run with telemetry and dump the metrics registry"
+        "metrics", help="dump an event log's closing metrics snapshot"
     )
-    _campaign_options(metrics_parser, probes=100, duration=30.0)
+    metrics_parser.add_argument("log", help="a saved event log (JSONL)")
     metrics_parser.add_argument(
         "--format", choices=("prom", "json"), default="prom",
         help="Prometheus text (default) or JSON sidecar",
     )
-    _output_options(metrics_parser, out=False)
-    metrics_parser.add_argument(
-        "--profile", action="store_true",
-        help="also print the simulator's wall-clock phase profile",
-    )
     metrics_parser.set_defaults(func=_cmd_metrics)
-
-    trace_parser = sub.add_parser(
-        "trace", help="print query-lifecycle traces from a small telemetry run"
-    )
-    trace_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    trace_parser.add_argument("--probes", type=int, default=5)
-    trace_parser.add_argument("--ticks", type=int, default=1, help="measurement rounds")
-    trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument("--count", type=int, default=1, help="traces to print")
-    trace_parser.add_argument(
-        "--all", dest="cache_misses_only", action="store_false",
-        help="include cache hits (default: cache-busting misses only)",
-    )
-    trace_parser.set_defaults(func=_cmd_trace)
-
-    dashboard_parser = sub.add_parser(
-        "dashboard",
-        help="render the run scorecard from an event log (or a live run)",
-    )
-    dashboard_parser.add_argument(
-        "log", nargs="?", default=None,
-        help="a saved event log (JSONL); omit to run live",
-    )
-    dashboard_parser.add_argument("--top", type=int, default=5,
-                                  help="slowest traces to show")
-    _campaign_options(dashboard_parser, probes=100, duration=30.0)
-    _output_options(dashboard_parser, out=False)
-    _follow_options(dashboard_parser)
-    dashboard_parser.set_defaults(func=_cmd_dashboard)
 
     forensics_parser = sub.add_parser(
         "forensics",
@@ -1207,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
         "qname substring (default: the full report)",
     )
     forensics_parser.add_argument(
-        "--top", type=int, default=3,
+        "--top", type=_number(int, 0), default=3,
         help="slow-query exemplars to show (default: 3)",
     )
     forensics_parser.set_defaults(func=_cmd_forensics)
@@ -1240,44 +993,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_parser = sub.add_parser(
         "top",
-        help="live campaign monitor: QPS, p99, per-NS share, per-shard "
-        "progress (or replay a saved log)",
+        help="campaign monitor over an event log: QPS, p99, per-NS share, "
+        "per-shard progress, then the run's scorecard",
+    )
+    top_parser.add_argument("log", help="an event log (JSONL), saved or growing")
+    top_parser.add_argument(
+        "--follow", action="store_true",
+        help="tail the file as it grows (a running 'run --events LOG "
+        "--heartbeat-every N'), a frame per batch, until the run finalizes",
     )
     top_parser.add_argument(
-        "--from-log", metavar="FILE",
-        help="replay a saved event log instead of running live",
+        "--refresh", type=_number(float, 0), default=0.2, metavar="SEC",
+        help="poll interval while tailing (default: 0.2s)",
     )
-    _follow_options(top_parser)
     top_parser.add_argument(
-        "--max-frames", type=int, default=0, metavar="N",
+        "--idle-timeout", type=_number(float, 0), default=30.0, metavar="SEC",
+        help="give up after SEC without new events (default: 30)",
+    )
+    top_parser.add_argument(
+        "--max-frames", type=_number(int, 0), default=0, metavar="N",
         help="stop after N rendered frames (0 = until the run ends)",
-    )
-    _campaign_options(top_parser, probes=100, duration=30.0)
-    _scenario_option(top_parser)
-    _output_options(top_parser, out=False)
-    top_parser.add_argument(
-        "--heartbeat-every", type=_number(int, 0), default=1, metavar="TICKS",
-        help="live mode: heartbeat cadence in ticks (default: 1)",
     )
     top_parser.set_defaults(func=_cmd_top)
 
     costs_parser = sub.add_parser(
-        "costs",
-        help="per-query cost ledger and measured per-query overhead",
+        "costs", help="the per-query cost ledger an event log closes with"
     )
-    costs_parser.add_argument(
-        "log", nargs="?", default=None,
-        help="a saved event log (JSONL) holding a costs record; "
-        "omit to run live",
-    )
-    _campaign_options(costs_parser, probes=300, duration=30.0)
-    _scenario_option(costs_parser)
-    _sharding_options(costs_parser, spill=False)
-    _output_options(costs_parser, out=False)
+    costs_parser.add_argument("log", help="a saved event log (JSONL)")
     costs_parser.add_argument(
         "--export", metavar="FILE",
         help="write the ledger as canonical JSON (byte-identical for "
-        "equivalent runs; CI compares serial vs sharded with cmp)",
+        "logs of equal shard count; CI compares serial vs sharded with cmp)",
     )
     costs_parser.set_defaults(func=_cmd_costs)
 
@@ -1380,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a combination under a fault scenario"
     )
     _scenario_option(faults_run, default="ns-outage")
-    _campaign_options(faults_run, probes=300, duration=60.0)
+    _campaign_options(faults_run)
     _sharding_options(faults_run)
     _output_options(faults_run)
     faults_run.add_argument(
@@ -1407,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled attack name or attack-profile JSON file "
         "(default: nxns)",
     )
-    _campaign_options(attack_run, probes=300, duration=60.0)
+    _campaign_options(attack_run)
     attack_run.add_argument(
         "--bot-share", type=float, metavar="FRAC",
         help="override the profile's botnet share of the VPs",

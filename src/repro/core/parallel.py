@@ -24,8 +24,11 @@ event log
     a trace line carries nothing private to the worker that wrote it,
     so the merge (:func:`~repro.telemetry.events.merge_shard_logs`)
     sorts the shards' trace lines by (root start, line text) and writes
-    them verbatim; wall-clock profile events are dropped — so the
-    merged log is byte-identical for any worker count, including one.
+    them verbatim — so the merged log is byte-identical for any worker
+    count, including one.
+cost ledger
+    :meth:`CostLedger.merge`: integer addition per (phase, counter),
+    closing the merged log as it closes a serial one.
 
 The invariant — serial and K-worker runs produce identical merged
 analysis output for any K — is what makes ``--workers`` safe to flip
@@ -293,6 +296,7 @@ def run_parallel(
                 shard_records,
                 trace_lines,
                 merged_registry,
+                telemetry.costs,
             )
 
     profiler.record("parallel.workers", workers)
@@ -318,16 +322,15 @@ def run_parallel(
 
 def _write_merged_log(
     sink, shard_records: list[list[dict]], trace_lines: list[str],
-    registry: MetricsRegistry,
+    registry: MetricsRegistry, costs,
 ) -> None:
     """Append the canonical merged event stream to the caller's sink.
 
     Canonical order mirrors a serial run: run_meta, fault timeline,
     measure.start, traces (canonical order), measure.end, final metrics
-    snapshot.  Profile events are deliberately absent — wall-clock
-    phases differ between runs and would break byte-identity.  The same
-    goes for ``shard.heartbeat`` notes (the live monitor's progress
-    feed): this writer re-emits only the kinds listed above, so
+    snapshot, then the merged cost ledger when one is kept.
+    ``shard.heartbeat`` notes (the live monitor's progress feed) are
+    absent: this writer re-emits only the kinds listed above, so
     heartbeats are filtered out by construction and a monitored run
     merges byte-identically to an unmonitored one.
     """
@@ -380,6 +383,8 @@ def _write_merged_log(
         default=None,
     )
     sink.emit(MetricsSnapshot(at=snapshot_at, metrics=registry.as_dict()))
+    for event in costs.to_events():
+        sink.emit(event)
     sink.flush()
 
 

@@ -12,7 +12,7 @@ Five pillars, one bundle:
     and into an authoritative.
 ``profiler``
     Wall-clock phase timers and counters for the simulator itself —
-    every run's ``ExperimentResult.profile``.
+    every run's ``ExperimentResult.profile``; never written to a log.
 ``events``
     The export pipeline: an :class:`EventLogWriter` the tracer streams
     finished traces into and run drivers append snapshot events to.
@@ -52,7 +52,6 @@ from .events import (
     NULL_EVENT_SINK,
     Note,
     NullEventSink,
-    ProfileEvent,
     RawEvent,
     RunMeta,
     TraceEvent,
@@ -99,6 +98,7 @@ from .registry import (
     MetricsRegistry,
     NullRegistry,
     Sample,
+    prometheus_text,
 )
 from .sketch import EXPORTED_QUANTILES, P2Quantile, quantile_from_buckets
 from .tracing import NULL_SPAN, NullTracer, Span, SpanEvent, Tracer, render_trace
@@ -141,7 +141,7 @@ class Telemetry:
         ``event_log`` is a path (or an open :class:`EventLogWriter`):
         when given, every finished trace streams there as the run
         progresses, and :meth:`finalize_events` appends the closing
-        metrics/profile snapshots.
+        metrics snapshot (and the ledger, with ``costs=True``).
 
         ``costs=True`` attaches a deterministic :class:`CostLedger`; it
         does not flip ``enabled``.
@@ -199,7 +199,7 @@ class Telemetry:
             ).set(float(dropped_events))
 
     def finalize_events(self, at: float | None = None, close: bool = False) -> None:
-        """Append registry/profiler snapshots to the event log and flush.
+        """Append the metrics snapshot and the cost ledger, then flush.
 
         Safe to call with no event sink attached (no-op), and more than
         once (each call appends fresh snapshots).  ``close=True`` also
@@ -210,8 +210,6 @@ class Telemetry:
             return
         self.surface_drop_counters()
         for event in self.registry.to_events(at=at):
-            sink.emit(event)
-        for event in self.profiler.to_events():
             sink.emit(event)
         for event in self.costs.to_events():
             sink.emit(event)
@@ -263,7 +261,6 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "P2Quantile",
-    "ProfileEvent",
     "RawEvent",
     "RunMeta",
     "RunProfiler",
@@ -287,6 +284,7 @@ __all__ = [
     "iter_raw_records",
     "merge_shard_logs",
     "parse_event",
+    "prometheus_text",
     "quantile_from_buckets",
     "read_events",
     "render_forensics",

@@ -21,6 +21,7 @@ timing information runs out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .events import EventLog, Note
@@ -332,6 +333,30 @@ def describe_critical_path(root: Span) -> str:
     return " -> ".join(parts)
 
 
+def _fmt(value: float | None, digits: int = 1) -> str:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return "-"
+    return f"{value:.{digits}f}"
+
+
+def _table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
+    """The fixed-width text table every reader renders with."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        )
+    return "\n".join(lines)
+
+
 def render_forensics(
     analytics: TraceAnalytics,
     selector: str | None = None,
@@ -343,8 +368,6 @@ def render_forensics(
     exemplars with full causal chains.  With one: every matching trace
     in full.
     """
-    from .dashboard import _table  # shared fixed-width table helper
-
     sections: list[str] = []
     if selector:
         matches = analytics.find(selector)

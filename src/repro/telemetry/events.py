@@ -8,7 +8,7 @@ measurement output.  Attach one to a live
 :class:`~repro.telemetry.Telemetry` bundle (``event_log=`` on
 :meth:`Telemetry.enabled_bundle`) and the tracer streams every
 finished query trace to it as the run progresses; the registry and
-profiler contribute snapshot events at run end.
+the cost ledger contribute snapshot events at run end.
 
 Each line is one event.  The first line is the header::
 
@@ -27,8 +27,9 @@ and every following record carries a ``"kind"`` discriminator:
     code that knows the layout.
 ``metrics``
     A full metrics-registry snapshot (the ``to_json`` document).
-``profile``
-    The run profiler's wall-clock phases, counters, and values.
+``costs``
+    The per-query cost ledger (``CostLedger.as_dict``), after the
+    closing metrics snapshot.
 ``run_meta``
     Campaign parameters (domain, sites, probes, seed).
 ``view_comparison``
@@ -38,8 +39,8 @@ and every following record carries a ``"kind"`` discriminator:
 
 :func:`read_events` reconstructs typed events; unknown kinds survive
 as :class:`RawEvent` so newer logs degrade gracefully in older
-readers.  :class:`EventLog` is the loaded-and-indexed form the
-dashboard consumes.
+readers (and the ``profile`` records older writers appended still
+parse).  :class:`EventLog` is the loaded-and-indexed form.
 """
 
 from __future__ import annotations
@@ -134,26 +135,14 @@ class MetricsSnapshot:
 
 
 @dataclass(frozen=True)
-class ProfileEvent:
-    """The simulator's own wall-clock phases and counters."""
-
-    profile: dict
-
-    kind = "profile"
-
-    def to_record(self) -> dict:
-        return {"kind": self.kind, "profile": self.profile}
-
-
-@dataclass(frozen=True)
 class CostsEvent:
     """The deterministic per-query cost ledger (``CostLedger.as_dict``).
 
-    Unlike :class:`ProfileEvent` this payload is pure seeded-simulation
-    output, but its template counters depend on the shard *layout* (each
-    shard's servers warm their own template caches), so — like profile
-    events — it is excluded from the canonical merged log and compared
-    across worker counts at equal shard counts instead.
+    Pure seeded-simulation output, summed across shards in the merged
+    log.  Its template counters depend on the shard *layout* (each
+    shard's servers warm their own template caches), so two logs hold
+    the same record when their shard counts match, whatever the worker
+    count.
     """
 
     costs: dict
@@ -224,8 +213,6 @@ def _event_from_record(record: dict):
         return TraceEvent(root=decode_trace(record["spans"]))
     if kind == MetricsSnapshot.kind:
         return MetricsSnapshot(metrics=record["metrics"], at=record.get("at"))
-    if kind == ProfileEvent.kind:
-        return ProfileEvent(profile=record["profile"])
     if kind == CostsEvent.kind:
         return CostsEvent(costs=record["costs"])
     if kind == RunMeta.kind:
@@ -487,8 +474,8 @@ class EventLogFollower:
     :meth:`poll` returns the typed events of every newly *completed*
     line.  A final line without its terminating newline — a writer
     mid-append — stays pending until the newline lands, so a tailer
-    never sees half a record.  ``repro-dns top`` and
-    ``dashboard --follow`` share this as their transport.
+    never sees half a record.  ``repro-dns top --follow`` reads
+    through it.
     """
 
     def __init__(self, path: str | Path):
@@ -540,8 +527,7 @@ class EventLogFollower:
 class EventLog:
     """A fully loaded event log, indexed for consumers.
 
-    The dashboard renders from one of these; analyses iterate
-    :attr:`events` or use the typed accessors.
+    Analyses iterate :attr:`events` or use the typed accessors.
     """
 
     path: Path
@@ -574,12 +560,6 @@ class EventLog:
                 return event.metrics
         return None
 
-    def profile(self) -> dict | None:
-        for event in reversed(self.events):
-            if isinstance(event, ProfileEvent):
-                return event.profile
-        return None
-
     def run_meta(self) -> dict | None:
         for event in self.events:
             if isinstance(event, RunMeta):
@@ -600,7 +580,6 @@ __all__ = [
     "NULL_EVENT_SINK",
     "Note",
     "NullEventSink",
-    "ProfileEvent",
     "RawEvent",
     "RunMeta",
     "TraceEvent",

@@ -15,7 +15,10 @@ operator's view of a running campaign:
   notes the parallel engine's workers emit (excluded from the
   canonical merged log, so they never disturb serial≡parallel byte
   identity), with a wall-clock ETA;
-* the fault timeline — which injected windows are open *now*.
+* the fault timeline — which injected windows are open *now*;
+* the scorecard, once the closing metrics snapshot arrives — per-NS
+  query share against resolver-observed RTT quantiles (the paper's
+  Fig 3 relationship), record-cache outcomes, loss and failure counts.
 
 Rendering is pure text (:meth:`render` returns one frame); the CLI
 decides how often to paint and whether to clear the screen.  The
@@ -28,9 +31,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .analysis import fault_windows_from_notes
+from .analysis import _fmt, _table, fault_windows_from_notes
 from .events import MetricsSnapshot, Note, RunMeta, TraceEvent
-from .sketch import P2Quantile
+from .sketch import EXPORTED_QUANTILES, P2Quantile
 from .slo import _answering_exchange
 
 #: heartbeat note name — must match what AtlasPlatform.measure emits.
@@ -76,9 +79,8 @@ class CampaignMonitor:
         self.virtual_start: float | None = None
         self.finished = False
         self.events_seen = 0
-        #: server query-log ring-buffer evictions (closing snapshot);
-        #: nonzero means the per-server forensic log is partial.
-        self.query_log_dropped = 0
+        #: the closing metrics snapshot (``MetricsRegistry.as_dict`` form)
+        self.metrics: dict = {}
         self._wall_start: float | None = None
 
     # -- ingestion ----------------------------------------------------------
@@ -102,16 +104,8 @@ class CampaignMonitor:
                 self.finished = True
                 if event.at is not None:
                     self.virtual_now = max(self.virtual_now, float(event.at))
-                self._consume_metrics(event.metrics)
+                self.metrics = event.metrics
         return len(events)
-
-    def _consume_metrics(self, metrics: dict) -> None:
-        """Pull the forensic-loss counters out of the closing snapshot."""
-        from .dashboard import _counter_total
-
-        self.query_log_dropped = int(
-            _counter_total(metrics, "authoritative_query_log_dropped_total")
-        )
 
     def _consume_trace(self, event: TraceEvent) -> None:
         root = event.root
@@ -155,6 +149,14 @@ class CampaignMonitor:
     # -- derived ------------------------------------------------------------
 
     @property
+    def query_log_dropped(self) -> int:
+        """Server query-log ring-buffer evictions (closing snapshot);
+        nonzero means the per-server forensic log is partial."""
+        return int(
+            _counter_total(self.metrics, "authoritative_query_log_dropped_total")
+        )
+
+    @property
     def answer_rate(self) -> float:
         return self.answered / self.queries if self.queries else 1.0
 
@@ -194,8 +196,6 @@ class CampaignMonitor:
     # -- rendering ----------------------------------------------------------
 
     def render(self, title: str = "repro-dns top") -> str:
-        from .dashboard import _table
-
         meta = self.meta
         state = "finished" if self.finished else "running"
         lines = [
@@ -221,14 +221,12 @@ class CampaignMonitor:
             + "  p99="
             + (f"{p99:.1f}ms" if not math.isnan(p99) else "-")
         )
-        if self.query_log_dropped:
-            lines.append(
-                f"query-log entries dropped={self.query_log_dropped} "
-                "(forensic ring buffer overflowed; raise query_log_max)"
-            )
         sections = ["\n".join(lines)]
 
-        if self.ns_counts:
+        if self.metrics:
+            # The closing snapshot supersedes the streamed share table.
+            sections.extend(self._scorecard())
+        elif self.ns_counts:
             total = sum(self.ns_counts.values())
             rows = [
                 [
@@ -282,9 +280,99 @@ class CampaignMonitor:
 
         return "\n\n".join(sections)
 
+    def _scorecard(self) -> list[str]:
+        """The finished frame's sections, from the closing metrics snapshot."""
+        metrics = self.metrics
+        sections = []
+        ns_rows = _per_ns_rows(metrics)
+        if ns_rows:
+            sections.append(_table(
+                ["NS", "site", "queries", "share",
+                 "p50(ms)", "p90(ms)", "p95(ms)", "p99(ms)"],
+                ns_rows,
+                title="Per-NS query share vs. resolver-observed RTT (Fig 3)",
+            ))
+        by_result = _totals_by_label(metrics, "resolver_cache_total", "result")
+        total = sum(by_result.values())
+        if by_result:
+            sections.append(_table(
+                ["result", "count", "share"],
+                [
+                    [result, str(int(count)),
+                     f"{100.0 * count / total:.1f}%" if total else "-"]
+                    for result, count in sorted(by_result.items())
+                ],
+                title="Recursive record-cache outcomes",
+            ))
+        health = [["round trips lost", _counter_total(metrics, "sim_lost_total")]]
+        health += [
+            [f"exchanges {outcome}", count]
+            for outcome, count in sorted(_totals_by_label(
+                metrics, "resolver_exchanges_total", "outcome"
+            ).items())
+        ]
+        health.append([
+            "failed measurements",
+            _counter_total(metrics, "measurement_failures_total"),
+        ])
+        # Ring-buffer evictions mean the per-server forensic log is partial;
+        # silent loss is the one thing a health panel may not hide.
+        if self.query_log_dropped:
+            health.append(["query-log entries dropped", self.query_log_dropped])
+        sections.append(_table(
+            ["signal", "count"],
+            [[signal, str(int(count))] for signal, count in health],
+            title="Loss and failure",
+        ))
+        return sections
+
+
+# -- the scorecard (closing metrics snapshot) ---------------------------------
+
+
+def _samples(metrics: dict, name: str) -> list[dict]:
+    family = metrics.get(name)
+    if not family:
+        return []
+    return list(family.get("samples", ()))
+
+
+def _counter_total(metrics: dict, name: str) -> float:
+    return sum(sample.get("value", 0.0) for sample in _samples(metrics, name))
+
+
+def _totals_by_label(metrics: dict, name: str, label: str) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    for sample in _samples(metrics, name):
+        key = sample.get("labels", {}).get(label, "?")
+        totals[key] = totals.get(key, 0.0) + sample.get("value", 0.0)
+    return totals
+
+
+def _per_ns_rows(metrics: dict) -> list[list[str]]:
+    """Query share vs. RTT percentiles per (NS, site) — Fig 3's axis."""
+    by_ns: dict[tuple[str, str], float] = {}
+    for sample in _samples(metrics, "measurement_queries_total"):
+        labels = sample.get("labels", {})
+        key = (labels.get("ns", "?"), labels.get("site", "?"))
+        by_ns[key] = by_ns.get(key, 0.0) + sample.get("value", 0.0)
+    total = sum(by_ns.values())
+    rtt_by_site = {
+        sample.get("labels", {}).get("site", "?"): sample
+        for sample in _samples(metrics, "measurement_rtt_ms")
+    }
+    rows = []
+    for (ns, site), count in sorted(by_ns.items(), key=lambda kv: -kv[1]):
+        # every snapshot carries these (null while a histogram is empty)
+        quantiles = rtt_by_site.get(site, {}).get("quantiles", {})
+        percentiles = [_fmt(quantiles.get(f"{q:g}")) for q in EXPORTED_QUANTILES]
+        share = 100.0 * count / total if total else 0.0
+        rows.append([ns, site, str(int(count)), f"{share:.1f}%", *percentiles])
+    return rows
+
 
 def replay_monitor(events: list, clock=time.monotonic) -> CampaignMonitor:
-    """A monitor fed one whole event list (the ``--from-log`` path)."""
+    """A monitor fed one whole event list (``top`` on a saved log)."""
     monitor = CampaignMonitor(clock=clock)
     monitor.consume(events)
     return monitor

@@ -4,7 +4,8 @@ Where the registry and tracer measure the *simulated* system,
 :class:`RunProfiler` measures the *simulator itself*: phase timers and
 component counters (deploy, build VPs, measure, analyze).  Every run
 carries the result as ``ExperimentResult.profile``; the benchmark suite
-reads its phases.  :class:`NullProfiler` is the disabled twin.
+reads its phases.  Wall-clock numbers never enter an event log: a log
+holds only what the seeded simulation determines.  :class:`NullProfiler` is the disabled twin.
 
 Function-level questions go to ``cProfile`` and layer-level ones to
 ``benchmarks/suite`` (docs/performance.md §1).
@@ -84,27 +85,10 @@ class RunProfiler:
             "values": dict(sorted(self.values.items(), key=lambda kv: kv[0])),
         }
 
-    def to_events(self) -> list:
-        """The phase/counter profile as one event-log record."""
-        from .events import ProfileEvent
-
-        return [ProfileEvent(profile=self.as_dict())]
-
-    def render(self) -> str:
-        """A short human-readable phase table."""
-        lines = ["phase                    seconds   calls"]
-        for name, entry in sorted(
-            self.phases.items(), key=lambda kv: -kv[1]["seconds"]
-        ):
-            lines.append(
-                f"{name:<24} {entry['seconds']:>8.3f} {int(entry['calls']):>7}"
-            )
-        return "\n".join(lines)
 
 
 class NullProfiler:
-    """The disabled :class:`RunProfiler`: phases, counts and the event
-    export, all no-ops."""
+    """The disabled :class:`RunProfiler`: phases and counts, all no-ops."""
 
     enabled = False
     phases: dict = {}
@@ -128,6 +112,3 @@ class NullProfiler:
 
     def count(self, name: str, amount: float = 1.0) -> None:
         pass
-
-    def to_events(self) -> list:
-        return []

@@ -10,9 +10,12 @@ idempotently::
     rtt.labels(site="FRA").observe(12.5)
     print(registry.to_prometheus_text())
 
-Two exporters are built in: :meth:`MetricsRegistry.to_prometheus_text`
-(the Prometheus text exposition format, scrape-ready) and
-:meth:`MetricsRegistry.to_json` (a machine-readable sidecar).
+Both exporters work from one document, :meth:`MetricsRegistry.as_dict`:
+:func:`prometheus_text` (the Prometheus text exposition format,
+scrape-ready; :meth:`MetricsRegistry.to_prometheus_text` on a live
+registry) and :meth:`MetricsRegistry.to_json` (a machine-readable
+sidecar).  An event log's metrics snapshot is that document, so a saved
+run exports the same bytes as the live registry.
 
 :class:`NullRegistry` is its disabled twin, all no-ops, so that
 instrumented components pay only an attribute check when telemetry is
@@ -443,42 +446,7 @@ class MetricsRegistry:
 
     def to_prometheus_text(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labelvalues, child in family.children():
-                suffix = _label_suffix(family.labelnames, labelvalues)
-                if isinstance(child, _HistogramChild):
-                    for upper, cumulative in child.cumulative():
-                        le = _label_suffix(
-                            family.labelnames + ("le",),
-                            labelvalues + (_format_value(upper),),
-                        )
-                        lines.append(
-                            f"{family.name}_bucket{le} {cumulative}"
-                        )
-                    lines.append(
-                        f"{family.name}_sum{suffix} {_format_value(child.sum)}"
-                    )
-                    lines.append(f"{family.name}_count{suffix} {child.count}")
-                    if child.count:
-                        # summary-style streaming quantile estimates
-                        for q in EXPORTED_QUANTILES:
-                            qsuffix = _label_suffix(
-                                family.labelnames + ("quantile",),
-                                labelvalues + (_format_value(q),),
-                            )
-                            lines.append(
-                                f"{family.name}{qsuffix} "
-                                f"{_format_value(round(child.quantile(q), 6))}"
-                            )
-                else:
-                    lines.append(
-                        f"{family.name}{suffix} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return prometheus_text(self.as_dict())
 
     def to_json(self, indent: int | None = None) -> str:
         """A machine-readable dump (the benchmark sidecar format)."""
@@ -526,6 +494,40 @@ class MetricsRegistry:
                 "samples": entries,
             }
         return out
+
+
+def prometheus_text(metrics: dict) -> str:
+    """The Prometheus text exposition (version 0.0.4) of a metrics document.
+
+    ``metrics`` is :meth:`MetricsRegistry.as_dict` output — live, or the
+    snapshot an event log holds — so a saved run exports the same bytes
+    as the registry that wrote it.
+    """
+    lines: list[str] = []
+    for name, family in metrics.items():
+        if family["help"]:
+            lines.append(f"# HELP {name} {family['help']}")
+        lines.append(f"# TYPE {name} {family['type']}")
+        for sample in family["samples"]:
+            labels = sample["labels"]
+            names, values = tuple(labels), tuple(labels.values())
+            suffix = _label_suffix(names, values)
+            if "buckets" not in sample:
+                lines.append(f"{name}{suffix} {_format_value(sample['value'])}")
+                continue
+            for upper, cumulative in sample["buckets"].items():
+                le = _label_suffix(names + ("le",), values + (upper,))
+                lines.append(f"{name}_bucket{le} {cumulative}")
+            lines.append(f"{name}_sum{suffix} {_format_value(sample['sum'])}")
+            lines.append(f"{name}_count{suffix} {sample['count']}")
+            if sample["count"]:
+                # summary-style streaming quantile estimates
+                for q, value in sample["quantiles"].items():
+                    qsuffix = _label_suffix(
+                        names + ("quantile",), values + (q,)
+                    )
+                    lines.append(f"{name}{qsuffix} {_format_value(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _NullChild:
@@ -584,4 +586,5 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "Sample",
+    "prometheus_text",
 ]

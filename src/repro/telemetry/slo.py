@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .analysis import EXCHANGE_SPAN, RESOLVE_SPAN, FaultWindow
+from .analysis import EXCHANGE_SPAN, RESOLVE_SPAN, FaultWindow, _fmt, _table
 from .sketch import P2Quantile
 from .tracing import Span
 
@@ -463,8 +463,6 @@ def _addresses_from_traces(roots: list[Span]) -> tuple[str, ...]:
 
 def render_slo_report(report: SLOReport) -> str:
     """Fixed-width text form of one report."""
-    from .dashboard import _fmt, _table
-
     sections: list[str] = []
     window_s = report.slos[0].window_s
     sections.append(

@@ -1,14 +1,26 @@
-"""Dashboard: live registry and saved event log render identically."""
+"""The run scorecard (once the `dashboard` command, now `top`'s finished
+frame): a live registry and a saved event log render identically."""
+
+import re
 
 import pytest
 
 from repro.core import ExperimentConfig, TestbedExperiment
-from repro.telemetry import Telemetry
-from repro.telemetry.dashboard import (
-    render_dashboard,
-    render_dashboard_from_log,
+from repro.telemetry import (
+    CampaignMonitor,
+    EventLog,
+    MetricsSnapshot,
+    Telemetry,
+    read_events,
+    replay_monitor,
 )
-from repro.telemetry.events import EventLogWriter
+
+
+def render_scorecard(metrics: dict, title: str = "X") -> str:
+    """The finished frame of a monitor that saw only ``metrics``."""
+    monitor = CampaignMonitor()
+    monitor.consume([MetricsSnapshot(metrics=metrics, at=0.0)])
+    return monitor.render(title=title)
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +37,15 @@ def run_with_log(tmp_path_factory):
 
 class TestRenderDashboard:
     def test_sections_present(self, run_with_log):
-        telemetry, _ = run_with_log
-        text = render_dashboard(
-            telemetry.registry.as_dict(), traces=telemetry.tracer.traces()
-        )
-        assert "Per-NS query share" in text
+        _, path = run_with_log
+        text = replay_monitor(list(read_events(path))).render()
+        assert "Per-NS query share vs. resolver-observed RTT" in text
         assert "cache outcomes" in text
         assert "Loss and failure" in text
-        assert "Slowest" in text
 
     def test_share_sums_to_hundred(self, run_with_log):
         telemetry, _ = run_with_log
-        text = render_dashboard(telemetry.registry.as_dict())
+        text = render_scorecard(telemetry.registry.as_dict())
         shares = [
             float(cell.rstrip("%"))
             for line in text.splitlines()
@@ -46,44 +55,28 @@ class TestRenderDashboard:
         assert sum(shares) == pytest.approx(100.0, abs=0.2)
 
     def test_empty_metrics_render(self):
-        text = render_dashboard({}, title="empty")
-        assert "empty" in text
-        assert "measured queries: 0" in text
+        text = render_scorecard({}, title="empty")
+        assert "=== empty — finished ===" in text
+        assert "queries=0" in text
 
 
 class TestLiveLogParity:
     def test_log_dashboard_matches_live_registry(self, run_with_log):
-        """Acceptance criterion: offline rendering equals the live one."""
+        """Offline rendering equals the live one."""
         telemetry, path = run_with_log
-        live = render_dashboard(
-            telemetry.registry.as_dict(),
-            traces=telemetry.tracer.traces(),
-            title="X",
-        )
-        # Same title so only the data can differ.
-        from repro.telemetry.events import EventLog
-
-        log = EventLog.load(path)
-        offline = render_dashboard(
-            log.last_metrics(), traces=log.traces(), title="X"
-        )
+        live = render_scorecard(telemetry.registry.as_dict())
+        offline = render_scorecard(EventLog.load(path).last_metrics())
         assert offline == live
 
     def test_render_from_log_titles_from_run_meta(self, run_with_log):
         _, path = run_with_log
-        text = render_dashboard_from_log(path)
+        text = replay_monitor(list(read_events(path))).render()
         assert "seed=3" in text
         assert "probes=10" in text
 
-    def test_log_without_metrics_raises(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        EventLogWriter(path).close()
-        with pytest.raises(ValueError, match="no metrics snapshot"):
-            render_dashboard_from_log(path)
-
 
 class TestQueryLogDropRow:
-    """Satellite: ring-buffer evictions must show up in the health panel."""
+    """Ring-buffer evictions must show up in the health panel."""
 
     DROP_METRICS = {
         "authoritative_query_log_dropped_total": {
@@ -95,12 +88,14 @@ class TestQueryLogDropRow:
     }
 
     def test_drop_counter_surfaces_in_health_rows(self):
-        text = render_dashboard(self.DROP_METRICS)
-        assert "query-log entries dropped" in text
-        assert "7" in text
+        text = render_scorecard(self.DROP_METRICS)
+        assert re.search(r"^query-log entries dropped +7$", text, re.M)
 
     def test_row_absent_when_nothing_dropped(self):
-        assert "query-log entries dropped" not in render_dashboard({})
+        metrics = {"sim_lost_total": {"samples": [{"labels": {}, "value": 1.0}]}}
+        text = render_scorecard(metrics)
+        assert "Loss and failure" in text
+        assert "query-log entries dropped" not in text
 
     def test_row_absent_when_counter_is_zero(self):
         metrics = {
@@ -108,4 +103,6 @@ class TestQueryLogDropRow:
                 "samples": [{"labels": {"server": "ns1"}, "value": 0.0}]
             }
         }
-        assert "query-log entries dropped" not in render_dashboard(metrics)
+        text = render_scorecard(metrics)
+        assert "Loss and failure" in text
+        assert "query-log entries dropped" not in text

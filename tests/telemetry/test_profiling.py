@@ -58,14 +58,6 @@ class TestExport:
         assert data["values"] == {"combo": "2C"}
         assert data["total_seconds"] >= 0.0
 
-    def test_render_orders_by_time(self):
-        profiler = RunProfiler()
-        profiler._record_phase("slow", 2.0)
-        profiler._record_phase("fast", 0.5)
-        lines = profiler.render().splitlines()
-        assert "slow" in lines[1]
-        assert "fast" in lines[2]
-
 
 class TestNullProfiler:
     def test_absorbs_everything(self):
@@ -73,4 +65,4 @@ class TestNullProfiler:
         assert profiler.enabled is False
         with profiler.phase("anything"):
             profiler.count("c")
-        assert profiler.to_events() == []
+        assert profiler.phases == {} and profiler.counters == {}

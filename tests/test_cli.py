@@ -22,7 +22,9 @@ def opt(default, choices=None, nargs=None, required=False):
 #: required-ness, as recorded from the commit before the shared option
 #: groups (PR 17's parent), less the sidecar-diff command and
 #: `bench-history`'s sidecar options, which went with the sidecar harness
-#: (PR 18).  Help text is not part of the surface.
+#: (PR 18), and less `dashboard`, `trace` and the campaign options of
+#: `metrics` / `costs` / `top`, which became readers of an event log.
+#: Help text is not part of the surface.
 PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info', 'warning']),
  '--output': opt(None),
  '--quiet': opt(False, nargs=0),
@@ -53,28 +55,7 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
                    '--metrics': opt(None),
                    '--record': opt(None)},
  'combos': {},
- 'costs': {'--combo': opt('2C', choices=COMBOS),
-           '--duration': opt(30.0),
-           '--events': opt(None),
-           '--export': opt(None),
-           '--interval': opt(2.0),
-           '--probes': opt(300),
-           '--scenario': opt(None),
-           '--seed': opt(0),
-           '--shards': opt(0),
-           '--workers': opt(1),
-           'log': opt(None, nargs='?')},
- 'dashboard': {'--combo': opt('2C', choices=COMBOS),
-               '--duration': opt(30.0),
-               '--events': opt(None),
-               '--follow': opt(False, nargs=0),
-               '--idle-timeout': opt(30.0),
-               '--interval': opt(2.0),
-               '--probes': opt(100),
-               '--refresh': opt(0.2),
-               '--seed': opt(0),
-               '--top': opt(5),
-               'log': opt(None, nargs='?')},
+ 'costs': {'--export': opt(None), 'log': opt(None, required=True)},
  'dig': {'--rrclass': opt('IN'),
          '--tcp': opt(False, nargs=0),
          '--timeout': opt(3.0),
@@ -98,14 +79,8 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
  'forensics': {'--top': opt(3),
                'log': opt(None, required=True),
                'selector': opt(None, nargs='?')},
- 'metrics': {'--combo': opt('2C', choices=COMBOS),
-             '--duration': opt(30.0),
-             '--events': opt(None),
-             '--format': opt('prom', choices=['json', 'prom']),
-             '--interval': opt(2.0),
-             '--probes': opt(100),
-             '--profile': opt(False, nargs=0),
-             '--seed': opt(0)},
+ 'metrics': {'--format': opt('prom', choices=['json', 'prom']),
+             'log': opt(None, required=True)},
  'passive': {'--kind': opt('root', choices=['nl', 'root']),
              '--min-queries': opt(250),
              '--out': opt(None),
@@ -150,25 +125,11 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
            '--probes': opt(150),
            '--reference': opt('FRA'),
            '--seed': opt(0)},
- 'top': {'--combo': opt('2C', choices=COMBOS),
-         '--duration': opt(30.0),
-         '--events': opt(None),
-         '--follow': opt(False, nargs=0),
-         '--from-log': opt(None),
-         '--heartbeat-every': opt(1),
+ 'top': {'--follow': opt(False, nargs=0),
          '--idle-timeout': opt(30.0),
-         '--interval': opt(2.0),
          '--max-frames': opt(0),
-         '--probes': opt(100),
          '--refresh': opt(0.2),
-         '--scenario': opt(None),
-         '--seed': opt(0)},
- 'trace': {'--all': opt(True, nargs=0),
-           '--combo': opt('2C', choices=COMBOS),
-           '--count': opt(1),
-           '--probes': opt(5),
-           '--seed': opt(0),
-           '--ticks': opt(1)}}
+         'log': opt(None, required=True)}}
 
 
 def parser_surface(parser):
@@ -193,7 +154,29 @@ def parser_surface(parser):
 
 
 #: the commands built on the shared campaign + sharding option groups
-CAMPAIGN_COMMANDS = [["run"], ["faults", "run"], ["attack", "run"], ["costs"]]
+CAMPAIGN_COMMANDS = [["run"], ["faults", "run"], ["attack", "run"]]
+
+#: (argv, flag, bad value): every campaign command's numbers, then the
+#: readers' (a log path first, which the parser rejects the value before
+#: opening).
+BAD_NUMBERS = [
+    (command, flag, value)
+    for flag, value in [
+        ("--workers", "0"),
+        ("--shards", "-1"),
+        ("--probes", "0"),
+        ("--interval", "0"),
+        ("--interval", "nan"),
+        ("--duration", "-1"),
+    ]
+    for command in CAMPAIGN_COMMANDS
+] + [
+    (["top", "run.events.jsonl"], "--refresh", "-1"),
+    (["top", "run.events.jsonl"], "--refresh", "nan"),
+    (["top", "run.events.jsonl"], "--idle-timeout", "-1"),
+    (["top", "run.events.jsonl"], "--max-frames", "-1"),
+    (["forensics", "run.events.jsonl"], "--top", "-2"),
+]
 
 
 class TestParser:
@@ -215,23 +198,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan", "--sites", "XXX"])
 
-    @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--workers", "0"),
-            ("--shards", "-1"),
-            ("--probes", "0"),
-            ("--interval", "0"),
-            ("--interval", "nan"),
-            ("--duration", "-1"),
+        "command, flag, value",
+        BAD_NUMBERS,
+        ids=[
+            f"{flag}-{value}-{' '.join(c for c in command if '.' not in c)}"
+            for command, flag, value in BAD_NUMBERS
         ],
     )
     def test_bad_campaign_numbers_are_usage_errors(
         self, capsys, command, flag, value
     ):
         # Each of these used to get past the parser and either die in a
-        # traceback (ValueError, ZeroDivisionError) or be ignored.
+        # traceback (ValueError, ZeroDivisionError; `top --refresh -1`
+        # from time.sleep) or be ignored (`forensics --top -2` dropped
+        # the exemplar section).
         with pytest.raises(SystemExit) as exit_info:
             main([*command, flag, value])
         assert exit_info.value.code == 2
@@ -239,7 +220,7 @@ class TestParser:
         assert "usage:" in err
         assert f"argument {flag}: must be" in err
 
-    @pytest.mark.parametrize("command", [["run"], ["top"]], ids=" ".join)
+    @pytest.mark.parametrize("command", [["run"]], ids=" ".join)
     def test_negative_heartbeat_is_a_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exit_info:
             main([*command, "--heartbeat-every", "-1"])
@@ -278,7 +259,7 @@ class TestParser:
                 yield from nested or [prefix + name]
 
         commands = set(leaf_commands(parser_surface(build_parser())))
-        assert len(commands) == 21  # 19 sub-parsers, two of them groups of 2
+        assert len(commands) == 19  # 17 sub-parsers, two of them groups of 2
         assert documented == commands
 
     def test_parser_surface_is_pinned(self):
@@ -379,7 +360,14 @@ class TestOutputRouting:
         assert "running 2C" not in captured.out
 
 
+def kinds_in(log: Path) -> list[str]:
+    """The record kinds of an event log, header excluded, in order."""
+    return [json.loads(line)["kind"] for line in log.read_text().splitlines()[1:]]
+
+
 class TestEventLogCommands:
+    SMALL = ["--probes", "10", "--duration", "10", "--seed", "3"]
+
     def test_run_writes_event_log(self, capsys, tmp_path):
         log = tmp_path / "run.events.jsonl"
         code = main(
@@ -389,78 +377,142 @@ class TestEventLogCommands:
         assert code == 0
         header = json.loads(log.read_text().splitlines()[0])
         assert header["kind"] == "repro-event-log"
+        # the closing snapshot, then the ledger; no wall-clock record
+        assert kinds_in(log)[-2:] == ["metrics", "costs"]
+        assert "profile" not in kinds_in(log)
 
     def test_dashboard_from_event_log(self, capsys, tmp_path):
+        # The former dashboard's scorecard is top's finished frame.
         log = tmp_path / "run.events.jsonl"
-        main(["--quiet", "metrics", "--probes", "10", "--duration", "10",
+        main(["--quiet", "run", "--no-analyze", *self.SMALL,
               "--events", str(log)])
         capsys.readouterr()
-        assert main(["dashboard", str(log)]) == 0
+        assert main(["top", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "Per-NS query share" in out
-        assert "Slowest" in out
+        assert "Per-NS query share vs. resolver-observed RTT (Fig 3)" in out
+        assert "Recursive record-cache outcomes" in out
+        assert "Loss and failure" in out
 
-    def test_dashboard_live(self, capsys):
-        code = main(
-            ["--quiet", "dashboard", "--probes", "10", "--duration", "10"]
+    def test_serial_log_is_reproducible_and_matches_one_shard(
+        self, capsys, tmp_path
+    ):
+        logs = {}
+        for name, sharding in {
+            "first": [], "second": [],
+            "w1s1": ["--workers", "1", "--shards", "1"],
+        }.items():
+            logs[name] = tmp_path / f"{name}.events.jsonl"
+            assert main(["--quiet", "run", "--no-analyze", *self.SMALL,
+                         *sharding, "--events", str(logs[name])]) == 0
+        first = logs["first"].read_bytes()
+        assert first == logs["second"].read_bytes()
+        assert first == logs["w1s1"].read_bytes()
+
+    def test_events_leave_the_observations_alone(self, capsys, tmp_path):
+        plain, logged = tmp_path / "plain.jsonl", tmp_path / "logged.jsonl"
+        base = ["--quiet", "run", "--no-analyze", *self.SMALL]
+        assert main([*base, "--out", str(plain)]) == 0
+        assert main([*base, "--out", str(logged),
+                     "--events", str(tmp_path / "e.jsonl")]) == 0
+        assert plain.read_bytes() == logged.read_bytes()
+
+    @pytest.mark.parametrize("command", CAMPAIGN_COMMANDS, ids=" ".join)
+    def test_every_campaign_log_closes_with_one_ledger(
+        self, capsys, tmp_path, command
+    ):
+        log = tmp_path / "campaign.events.jsonl"
+        assert main(["--quiet", *command, "--probes", "6", "--duration",
+                     "10", "--seed", "1", "--events", str(log)]) == 0
+        assert kinds_in(log).count("costs") == 1
+        capsys.readouterr()
+        assert main(["--quiet", "costs", str(log)]) == 0
+        assert "Cost ledger" in capsys.readouterr().out
+
+
+class TestMetricsCommand:
+    """`metrics LOG` dumps what the in-process registry would have."""
+
+    @pytest.mark.parametrize("shards", [None, 3], ids=["serial", "sharded"])
+    def test_log_dump_equals_the_live_registry(self, capsys, tmp_path, shards):
+        from repro.core import ExperimentConfig, run_campaign
+        from repro.telemetry import Telemetry
+
+        log = tmp_path / "run.events.jsonl"
+        telemetry = Telemetry.enabled_bundle(event_log=log, costs=True)
+        config = ExperimentConfig.for_combination(
+            "2C", num_probes=12, interval_s=120.0, duration_s=600.0, seed=4
         )
-        assert code == 0
-        assert "Run dashboard" in capsys.readouterr().out
+        run_campaign(config, telemetry=telemetry, shards=shards)
+        telemetry.events.close()
+        prom, dumped = tmp_path / "metrics.prom", tmp_path / "metrics.json"
+        assert main(["--output", str(prom), "metrics", str(log)]) == 0
+        assert main(["--output", str(dumped), "metrics", str(log),
+                     "--format", "json"]) == 0
+        assert prom.read_text() == telemetry.registry.to_prometheus_text()
+        assert dumped.read_text() == telemetry.registry.to_json(indent=2) + "\n"
+
+    def test_log_without_snapshot_exits_one(self, capsys, tmp_path):
+        from repro.telemetry import EventLogWriter, RunMeta
+
+        log = tmp_path / "unfinished.events.jsonl"
+        with EventLogWriter(log) as writer:
+            writer.emit(RunMeta(run={"domain": "d.nl."}, at=0.0))
+        assert main(["metrics", str(log)]) == 1
+        assert capsys.readouterr().err.startswith(f"metrics: {log}: no metrics")
 
 
 class TestCostsCommand:
-    ARGS = [
-        "costs", "--probes", "20", "--duration", "10", "--seed", "3",
+    RUN = [
+        "--quiet", "run", "--no-analyze", "--probes", "20", "--duration",
+        "10", "--seed", "3",
     ]
 
     def test_defaults(self):
-        args = build_parser().parse_args(["costs"])
-        assert args.combo == "2C"
-        assert args.probes == 300
-        assert args.log is None
-
-    def test_live_run_renders_decomposition(self, capsys, tmp_path):
-        export = tmp_path / "costs.json"
-        code = main(["--quiet", *self.ARGS, "--export", str(export)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Per-query overhead decomposition" in out
-        assert "us/query" in out
-        assert "Cost ledger" in out
-        data = json.loads(export.read_text())
-        assert data["schema"] == "repro-cost-ledger/1"
-        assert data["queries"] > 0
+        args = build_parser().parse_args(["costs", "run.events.jsonl"])
+        assert args.log == "run.events.jsonl"
+        assert args.export is None
 
     def test_export_identical_for_serial_and_sharded(self, capsys, tmp_path):
-        serial = tmp_path / "serial.json"
-        sharded = tmp_path / "sharded.json"
-        base = [
-            "--quiet", "costs", "--probes", "20", "--duration", "10",
-            "--seed", "3",
-        ]
-        assert main([*base, "--shards", "2", "--export", str(serial)]) == 0
-        assert main([
-            *base, "--workers", "2", "--shards", "2",
-            "--export", str(sharded),
-        ]) == 0
-        assert serial.read_bytes() == sharded.read_bytes()
+        # The ledger used to go missing from a sharded log: the merge
+        # dropped it.  Now both logs carry the same one.
+        exports = {}
+        for name, sharding in {
+            "serial": ["--shards", "2"],
+            "sharded": ["--workers", "2", "--shards", "2"],
+        }.items():
+            log = tmp_path / f"{name}.events.jsonl"
+            exports[name] = tmp_path / f"{name}.json"
+            assert main([*self.RUN, *sharding, "--events", str(log)]) == 0
+            assert main(["--quiet", "costs", str(log),
+                         "--export", str(exports[name])]) == 0
+        data = json.loads(exports["serial"].read_text())
+        assert data["schema"] == "repro-cost-ledger/1"
+        assert data["queries"] > 0
+        assert exports["serial"].read_bytes() == exports["sharded"].read_bytes()
 
     def test_log_mode_round_trips_the_ledger(self, capsys, tmp_path):
         log = tmp_path / "run.events.jsonl"
-        assert main(["--quiet", *self.ARGS, "--events", str(log)]) == 0
+        assert main([*self.RUN, "--events", str(log)]) == 0
         capsys.readouterr()
         assert main(["--quiet", "costs", str(log)]) == 0
         assert "Cost ledger" in capsys.readouterr().out
 
     def test_log_without_costs_record_exits_one(self, capsys, tmp_path):
-        # a real event log, but produced without the cost ledger
+        # a real event log, but written without the cost ledger
+        from repro.core import ExperimentConfig, run_campaign
+        from repro.telemetry import Telemetry
+
         log = tmp_path / "plain.events.jsonl"
-        assert main([
-            "--quiet", "run", "--probes", "10", "--duration", "10",
-            "--events", str(log),
-        ]) == 0
-        capsys.readouterr()
-        assert main(["--quiet", "costs", str(log)]) == 1
+        telemetry = Telemetry.enabled_bundle(event_log=log)
+        run_campaign(
+            ExperimentConfig.for_combination(
+                "2C", num_probes=5, interval_s=120.0, duration_s=240.0
+            ),
+            telemetry=telemetry,
+        )
+        telemetry.events.close()
+        assert main(["costs", str(log)]) == 1
+        assert capsys.readouterr().err.startswith(f"costs: {log}: no costs")
 
     def test_unreadable_log_exits_two(self, capsys, tmp_path):
         log = tmp_path / "empty.jsonl"
@@ -666,15 +718,12 @@ class TestFaultsCommands:
         assert code != 0
 
     @pytest.mark.parametrize(
-        "command",
-        [["run"], ["faults", "run"], ["costs"], ["top"]],
-        ids=" ".join,
+        "command", [["run"], ["faults", "run"]], ids=" ".join,
     )
     def test_unknown_scenario_is_one_error_everywhere(
         self, capsys, tmp_path, command
     ):
-        # `run`, `costs` and `top` used to raise ScenarioError as a
-        # traceback (top: out of its worker thread).
+        # `run` used to raise ScenarioError as a traceback.
         events = tmp_path / "never.events.jsonl"
         code = main(
             [*command, "--scenario", "no-such-scenario", "--probes", "5",
@@ -697,7 +746,7 @@ class TestFaultsCommands:
 
 
 class TestObservabilityCommands:
-    """forensics, slo, top, and dashboard --follow over one shared log."""
+    """Every reader over one shared log: forensics, slo, top, metrics, costs."""
 
     @pytest.fixture(scope="class")
     def fault_log(self, tmp_path_factory):
@@ -760,38 +809,81 @@ class TestObservabilityCommands:
         assert main(["slo", str(fault_log), "--spec", str(spec)]) == 2
 
     def test_top_replays_saved_log(self, capsys, fault_log):
-        assert main(["top", "--from-log", str(fault_log)]) == 0
+        assert main(["top", str(fault_log)]) == 0
         out = capsys.readouterr().out
         assert "Per-NS query share" in out
         assert "Shard progress" in out
         assert "finished" in out
 
     def test_top_follow_completes_on_finalized_log(self, capsys, fault_log):
-        assert main(["--quiet", "top", "--from-log", str(fault_log),
+        assert main(["--quiet", "top", str(fault_log),
                      "--follow", "--idle-timeout", "5"]) == 0
         assert "finished" in capsys.readouterr().out
 
+    def test_top_follow_renders_scorecard_after_finalize(
+        self, capsys, fault_log
+    ):
+        # The former dashboard's sections render once the closing
+        # snapshot is read; its "Slowest" table is `forensics --top`.
+        assert main(["--quiet", "top", str(fault_log), "--follow",
+                     "--idle-timeout", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "Per-NS query share" in out
+        assert "Recursive record-cache outcomes" in out
+        assert "Loss and failure" in out
+
     def test_top_missing_log_exits_two(self, capsys, tmp_path):
-        assert main(["top", "--from-log", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["top", str(tmp_path / "nope.jsonl")]) == 2
 
     def test_top_live_runs_a_campaign(self, capsys, tmp_path):
-        kept = tmp_path / "live.events.jsonl"
-        code = main(
-            ["--quiet", "top", "--probes", "5", "--interval", "2",
-             "--duration", "6", "--idle-timeout", "30",
-             "--events", str(kept)]
-        )
-        assert code == 0
+        # The live view: `top --follow` tails the log a running `run`
+        # writes, frame by frame, until the closing snapshot lands.
+        import threading
+        import time
+
+        log = tmp_path / "live.events.jsonl"
+        codes = []
+        campaign = threading.Thread(target=lambda: codes.append(main(
+            ["--quiet", "run", "--no-analyze", "--probes", "5",
+             "--interval", "2", "--duration", "6", "--heartbeat-every", "1",
+             "--events", str(log)]
+        )))
+        campaign.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not log.exists() or not log.read_text().endswith("\n"):
+                assert time.monotonic() < deadline, "no event-log header"
+                time.sleep(0.01)
+            code = main(["top", str(log), "--follow", "--refresh", "0.01",
+                         "--idle-timeout", "30"])
+        finally:
+            campaign.join(timeout=60)
+        assert not campaign.is_alive()
+        assert codes == [0] and code == 0
         out = capsys.readouterr().out
         assert "finished" in out
-        assert kept.exists()  # --events keeps the log for later replay
+        assert "Loss and failure" in out
+
+    def test_top_finished_frame_is_pinned(self, capsys, tmp_path):
+        # Its Fig 3, cache and loss sections are, line for line, what the
+        # removed `dashboard` command printed for the same log.
+        golden = Path(__file__).parent / "golden_top_frame.txt"
+        log = tmp_path / "golden.events.jsonl"
+        assert main(["--quiet", "run", "--no-analyze", "--probes", "10",
+                     "--interval", "2", "--duration", "20", "--seed", "1",
+                     "--scenario", "ns-outage", "--events", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["top", str(log)]) == 0
+        frame = capsys.readouterr().out.replace(str(log), "golden.events.jsonl")
+        assert frame == golden.read_text()
 
     #: reader command → argv around the log path.
     READERS = {
-        "dashboard": lambda log: ["dashboard", log],
-        "slo": lambda log: ["slo", log],
+        "costs": lambda log: ["costs", log],
         "forensics": lambda log: ["forensics", log],
-        "top": lambda log: ["top", "--from-log", log],
+        "metrics": lambda log: ["metrics", log],
+        "slo": lambda log: ["slo", log],
+        "top": lambda log: ["top", log],
     }
 
     @staticmethod
@@ -810,7 +902,8 @@ class TestObservabilityCommands:
             lines[middle] = lines[middle][:40] + "\n"
             return "".join(lines)
         assert kind == "truncated-tail"
-        return good[:-25]  # the last record, cut mid-line
+        # a writer that died mid-append: a record cut mid-line at the end
+        return good + lines[len(lines) // 2][:40]
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     @pytest.mark.parametrize(
@@ -842,18 +935,10 @@ class TestObservabilityCommands:
         assert captured.out
         assert "ignoring truncated final line" in caplog.text
 
-    def test_dashboard_follow_reports_a_corrupt_line(
+    def test_top_follow_reports_a_corrupt_line(
         self, capsys, tmp_path, fault_log
     ):
         bad = tmp_path / "corrupt.events.jsonl"
         bad.write_text(self._malformed("corrupt-middle", fault_log.read_text()))
-        assert main(["dashboard", str(bad), "--follow",
-                     "--idle-timeout", "1"]) == 2
-        assert f"dashboard: {bad}: corrupt" in capsys.readouterr().err
-
-    def test_dashboard_follow_renders_after_finalize(self, capsys, fault_log):
-        assert main(["--quiet", "dashboard", str(fault_log), "--follow",
-                     "--idle-timeout", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "Per-NS query share" in out
-        assert "Slowest" in out
+        assert main(["top", str(bad), "--follow", "--idle-timeout", "1"]) == 2
+        assert f"top: {bad}: corrupt" in capsys.readouterr().err
