@@ -122,6 +122,8 @@ OWNERS: list[tuple[str, str, str]] = [
     ("telemetry/tracing.py", r"Tracer\.traces", EXAMPLE
      + "`examples/fault_detection_study.py`"),
     # value-type protocol
+    ("__init__.py", r"_lazy_exports\.<locals>\.__dir__", VALUE
+     + ": `dir()` of a package root lists the names it has not loaded"),
     ("core/store.py", r"ObservationStore\.(append_observation|extend|row|"
      r"probe_count|__repr__)|ObservationRows\..*|MeasurementRun\..*", VALUE
      + ": the row-object view of the columnar store"),
@@ -138,7 +140,7 @@ OWNERS: list[tuple[str, str, str]] = [
     ("resolvers/base.py", r"ServerSelector\.__repr__", VALUE),
     ("resolvers/infracache.py", r".*", VALUE),
     ("resolvers/rrcache.py", r".*", VALUE),
-    ("telemetry/__init__.py", r"Telemetry\.__repr__", VALUE),
+    ("telemetry/bundle.py", r"Telemetry\.__repr__", VALUE),
     ("telemetry/clock.py", r"Clock\.now", VALUE + " (the `Clock` protocol)"),
     ("telemetry/costs.py", r"CostLedger\.__repr__", VALUE),
     ("telemetry/events.py", r"EventLogWriter\..*|EventLog\..*", VALUE),

@@ -20,8 +20,15 @@ Subpackages
     One analysis per figure/table of the paper.
 ``repro.telemetry``
     Metrics registry, query-lifecycle tracing, and run profiling.
+
+Importing a module never imports its siblings: ``import repro`` loads
+no subpackage, and a package root loads the submodule behind one of its
+public names when that name is first read (``repro.core.run_campaign``,
+``from repro.dns import Message``).  So ``repro-dns serve`` loads the
+DNS engine and not the simulator.
 """
 
+import importlib
 import logging
 
 __version__ = "1.0.0"
@@ -30,16 +37,38 @@ __version__ = "1.0.0"
 # attaches a real stderr handler via its --log-level flag.
 logging.getLogger("repro").addHandler(logging.NullHandler())
 
-from . import analysis, atlas, core, dns, netsim, passive, resolvers, telemetry
 
-__all__ = [
-    "analysis",
-    "atlas",
-    "core",
-    "dns",
-    "netsim",
-    "passive",
-    "resolvers",
-    "telemetry",
-    "__version__",
-]
+def _lazy_exports(package: str, table: dict[str, str]):
+    """PEP 562 ``__getattr__``, ``__dir__`` and ``__all__`` for a package
+    root that re-exports its submodules' public names on first access.
+
+    ``table`` maps each submodule (relative name) to the space-separated
+    names it provides; a submodule that provides its own name is itself
+    the value (how this root exposes its subpackages).
+    """
+    namespace = vars(importlib.import_module(package))
+    source = {name: module for module, names in table.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        module = source.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        loaded = importlib.import_module(f"{package}.{module}")
+        value = loaded if name == module else getattr(loaded, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | source.keys())
+
+    return __getattr__, __dir__, sorted(source)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    name: name
+    for name in (
+        "analysis", "atlas", "core", "dns", "netsim", "passive", "resolvers",
+        "telemetry",
+    )
+})
+__all__.append("__version__")

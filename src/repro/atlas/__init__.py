@@ -1,19 +1,10 @@
 """Vantage-point platform: probes, recursives, measurement campaigns."""
 
-from .catchment import CatchmentEntry, CatchmentReport, map_catchment
-from .platform import AtlasPlatform, MeasurementRun, QueryObservation, VantagePoint
-from .probes import Probe, ProbeGenerator
-from .public import PublicResolverService
+from .. import _lazy_exports
 
-__all__ = [
-    "AtlasPlatform",
-    "CatchmentEntry",
-    "CatchmentReport",
-    "MeasurementRun",
-    "Probe",
-    "ProbeGenerator",
-    "PublicResolverService",
-    "QueryObservation",
-    "VantagePoint",
-    "map_catchment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "catchment": "CatchmentEntry CatchmentReport map_catchment",
+    "platform": "AtlasPlatform MeasurementRun QueryObservation VantagePoint",
+    "probes": "Probe ProbeGenerator",
+    "public": "PublicResolverService",
+})

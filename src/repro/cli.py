@@ -34,37 +34,8 @@ import random
 import sys
 from pathlib import Path
 
-from .analysis import (
-    analyze_interval_sweep,
-    analyze_preference,
-    analyze_probe_all,
-    analyze_query_share,
-    analyze_rank_bands,
-    build_scorecard,
-    render_interval_sweep,
-    render_preference,
-    render_probe_all,
-    render_query_share,
-    render_rank_bands,
-    render_table,
-    render_table2,
-    table2_rows,
-)
-from .atlas import ProbeGenerator
-from .core import (
-    COMBINATIONS,
-    FIGURE6_INTERVALS_MIN,
-    DeploymentPlanner,
-    ExperimentConfig,
-    SelectionModel,
-    load_run,
-    run_campaign,
-    run_combination,
-    save_run,
-    sidn_style_designs,
-)
-from .netsim import DATACENTERS
-from .passive import generate_ditl_trace, generate_nl_trace, save_trace
+from .core.combinations import COMBINATIONS, FIGURE6_INTERVALS_MIN
+from .netsim.geo import DATACENTERS
 
 
 class CliWriter:
@@ -124,6 +95,8 @@ def _configure_logging(level_name: str) -> None:
 
 
 def _cmd_combos(args: argparse.Namespace) -> int:
+    from .analysis import render_table
+
     rows = [
         [combo.combo_id, ", ".join(combo.sites), str(combo.paper_vp_count)]
         for combo in COMBINATIONS.values()
@@ -136,12 +109,14 @@ class CliError(Exception):
     """A bad option value found after parsing: ``main`` reports it, exit 2."""
 
 
-def _campaign_config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
+def _campaign_config(args: argparse.Namespace, **overrides):
     """The campaign the shared option group describes (minutes → seconds).
 
     A ``--scenario`` is resolved here, against the campaign duration, so
     an unknown one is the same error from every command that takes it.
     """
+    from .core import ExperimentConfig
+
     interval_s, duration_s = args.interval * 60.0, args.duration * 60.0
     if getattr(args, "scenario", None) is not None:
         from .netsim.faults import ScenarioError, resolve_scenario
@@ -156,7 +131,7 @@ def _campaign_config(args: argparse.Namespace, **overrides) -> ExperimentConfig:
     )
 
 
-def _run_campaign(args: argparse.Namespace, config: ExperimentConfig, telemetry=None):
+def _run_campaign(args: argparse.Namespace, config, telemetry=None):
     """The CLI's one door to :func:`repro.core.run_campaign`.
 
     Commands choose the telemetry pillars (default: with ``--events``,
@@ -164,6 +139,8 @@ def _run_campaign(args: argparse.Namespace, config: ExperimentConfig, telemetry=
     result; the sharding flags, the status notes, closing ``--events``
     and writing ``--out`` happen here.
     """
+    from .core import run_campaign, save_run
+
     io = args.io
     if telemetry is None and args.events:
         from .telemetry import Telemetry
@@ -210,6 +187,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_analyses(io: CliWriter, observations, sites, combo_id, ticks: int = 30) -> None:
+    from .analysis import (
+        analyze_preference,
+        analyze_probe_all,
+        analyze_query_share,
+        render_preference,
+        render_probe_all,
+        render_query_share,
+        render_table2,
+        table2_rows,
+    )
+
     # Short campaigns need a lower per-VP query threshold.
     min_queries = max(3, min(10, ticks - 2))
     io.emit()
@@ -235,6 +223,7 @@ def _print_analyses(io: CliWriter, observations, sites, combo_id, ticks: int = 3
 
 
 def _cmd_faults_list(args: argparse.Namespace) -> int:
+    from .analysis import render_table
     from .netsim.faults import BUILTIN_SCENARIOS, builtin_scenario
 
     rows = [
@@ -311,6 +300,8 @@ def _print_timeline(io: CliWriter, title: str, plan, layout: str, shown: tuple) 
 
 def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
     """Query share per NS inside each window between fault transitions."""
+    from .analysis import render_table
+
     observations = result.observations
     duration_s = config.duration_s
     ns_of_address = {
@@ -356,6 +347,7 @@ def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
 
 
 def _cmd_attack_list(args: argparse.Namespace) -> int:
+    from .analysis import render_table
     from .netsim.adversary import BUILTIN_ATTACKS
 
     rows = [
@@ -453,6 +445,8 @@ def _export_ledger(io: CliWriter, ledger, path: str | None) -> None:
 
 def _print_amplification(io: CliWriter, costs) -> None:
     """Fetch-amplification + RRL accounting from the cost ledger."""
+    from .analysis import render_table
+
     totals = costs.totals()
     attack_queries = totals.get("attack_query", 0)
     fetches = totals.get("ns_fetch", 0)
@@ -477,6 +471,8 @@ def _print_amplification(io: CliWriter, costs) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .core import load_run
+
     run = load_run(args.run)
     sites = set(args.sites)
     args.io.emit(
@@ -669,6 +665,9 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import analyze_interval_sweep, render_interval_sweep
+    from .core import run_combination
+
     io = args.io
     runs = {}
     for minutes in args.intervals:
@@ -687,6 +686,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_passive(args: argparse.Namespace) -> int:
+    from .analysis import analyze_rank_bands, render_rank_bands
+    from .passive import generate_ditl_trace, generate_nl_trace, save_trace
+
     io = args.io
     if args.kind == "root":
         trace = generate_ditl_trace(num_recursives=args.recursives, seed=args.seed)
@@ -720,7 +722,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         zone = parse_zone_text(Path(args.zone).read_text(), args.origin)
         zone.validate()
-        engine = AuthoritativeServer(args.server_id, [zone])
+        # No command reads a live server's query log: keep none.
+        engine = AuthoritativeServer(args.server_id, [zone], log_queries=False)
         listener = Listener(engine, host=args.host, port=args.port)
     except (DnsError, OSError) as exc:
         raise CliError(f"serve: {args.zone}: {exc}") from None
@@ -739,6 +742,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     """Regenerate the full paper-vs-measured scorecard."""
+    from .analysis import build_scorecard
+    from .core import run_combination
+
     io = args.io
 
     def get_run(combo_id: str):
@@ -786,6 +792,10 @@ def _cmd_dig(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .analysis import render_table
+    from .atlas import ProbeGenerator
+    from .core import DeploymentPlanner, SelectionModel, sidn_style_designs
+
     clients = ProbeGenerator(rng=random.Random(args.seed)).generate(args.clients)
     planner = DeploymentPlanner(
         clients, selection=SelectionModel(latency_sensitive_share=args.latency_share)
@@ -813,9 +823,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _number(kind, minimum, exclusive: bool = False):
+def _number(kind, minimum, exclusive: bool = False, maximum=None):
     """argparse ``type=``: an int/float no smaller than ``minimum``
-    (``exclusive``: strictly larger), rejected with a usage error."""
+    (``exclusive``: strictly larger) and no larger than ``maximum`` (if
+    given), rejected with a usage error."""
 
     def parse(text: str):
         value = kind(text)
@@ -824,6 +835,8 @@ def _number(kind, minimum, exclusive: bool = False):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if exclusive else '>='} {minimum}, got {text}"
             )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
         return value
 
     # argparse names the type in "invalid int value: 'x'"
@@ -1078,20 +1091,26 @@ def build_parser() -> argparse.ArgumentParser:
     dig_parser.add_argument("server", help="server address")
     dig_parser.add_argument("name", help="query name")
     dig_parser.add_argument("rrtype", nargs="?", default="A")
-    dig_parser.add_argument("-p", "--port", type=int, default=53)
+    dig_parser.add_argument(
+        "-p", "--port", type=_number(int, 0, maximum=65535), default=53
+    )
     dig_parser.add_argument("--rrclass", default="IN")
     dig_parser.add_argument("--tcp", action="store_true")
-    dig_parser.add_argument("--timeout", type=float, default=3.0)
+    dig_parser.add_argument(
+        "--timeout", type=_number(float, 0, exclusive=True), default=3.0
+    )
     dig_parser.set_defaults(func=_cmd_dig)
 
     serve_parser = sub.add_parser("serve", help="serve a zone file over UDP/TCP")
     serve_parser.add_argument("--zone", required=True, help="master-file path")
     serve_parser.add_argument("--origin", required=True, help="zone origin")
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=5353)
+    serve_parser.add_argument(
+        "--port", type=_number(int, 0, maximum=65535), default=5353
+    )
     serve_parser.add_argument("--server-id", default="repro-authoritative")
     serve_parser.add_argument(
-        "--max-queries", type=int, default=0,
+        "--max-queries", type=_number(int, 0), default=0,
         help="stop after N queries (0 = run until interrupted)",
     )
     serve_parser.set_defaults(func=_cmd_serve)

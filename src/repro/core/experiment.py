@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..atlas.platform import AtlasPlatform
 from ..atlas.probes import Probe, ProbeGenerator
 from ..netsim.latency import LatencyModel, LatencyParameters
 from ..netsim.network import SimNetwork
@@ -256,11 +257,6 @@ class TestbedExperiment:
                 probes = list(self._probes)
             else:
                 probes = generate_probes(self.config)
-        # Imported lazily: ``atlas.platform`` itself imports
-        # ``core.store``, so a module-level import here would close an
-        # import cycle through the ``repro.core`` package.
-        from ..atlas.platform import AtlasPlatform
-
         platform = AtlasPlatform(
             self.network, probes, self.population, seed=self.platform_seed,
             telemetry=self.telemetry,

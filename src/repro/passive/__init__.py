@@ -1,32 +1,11 @@
 """Passive production traces: DITL-style Root and .nl ccTLD synthesis."""
 
-from .ditl import (
-    MISSING_LETTERS,
-    OBSERVED_LETTERS,
-    ROOT_LETTERS,
-    ROOT_MIX,
-    generate_ditl_trace,
-    root_server_set,
-)
-from .generator import GeneratorConfig, PassiveTraceGenerator, ServerSet
-from .nl import NL_OBSERVED, generate_nl_trace, nl_server_set
-from .trace import Trace, TraceRecord, load_trace, save_trace
+from .. import _lazy_exports
 
-__all__ = [
-    "GeneratorConfig",
-    "MISSING_LETTERS",
-    "NL_OBSERVED",
-    "OBSERVED_LETTERS",
-    "PassiveTraceGenerator",
-    "ROOT_LETTERS",
-    "ROOT_MIX",
-    "ServerSet",
-    "Trace",
-    "TraceRecord",
-    "generate_ditl_trace",
-    "generate_nl_trace",
-    "load_trace",
-    "nl_server_set",
-    "root_server_set",
-    "save_trace",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "ditl": "MISSING_LETTERS OBSERVED_LETTERS ROOT_LETTERS ROOT_MIX "
+    "generate_ditl_trace root_server_set",
+    "generator": "GeneratorConfig PassiveTraceGenerator ServerSet",
+    "nl": "NL_OBSERVED generate_nl_trace nl_server_set",
+    "trace": "Trace TraceRecord load_trace save_trace",
+})

@@ -1,45 +1,18 @@
 """Recursive resolver models: caches, selection algorithms, resolution."""
 
-from .base import ServerSelector
-from .bind import BindSelector
-from .forwarder import DnsForwarder, ForwardPolicy
-from .infracache import InfraEntry, InfrastructureCache
-from .naive import RandomSelector, RoundRobinSelector, StickySelector
-from .population import (
-    DEFAULT_MIX,
-    INFRA_TTL_S,
-    SELECTOR_CLASSES,
-    PopulationSample,
-    ResolverPopulation,
-)
-from .powerdns import PowerDnsSelector
-from .resolver import ExchangeRecord, RecursiveResolver, ResolutionResult
-from .rrcache import CacheEntry, NegativeEntry, RecordCache
-from .unbound import UnboundSelector
-from .windows import WindowsSelector
+from .. import _lazy_exports
 
-__all__ = [
-    "BindSelector",
-    "CacheEntry",
-    "DEFAULT_MIX",
-    "DnsForwarder",
-    "ExchangeRecord",
-    "ForwardPolicy",
-    "INFRA_TTL_S",
-    "InfraEntry",
-    "InfrastructureCache",
-    "NegativeEntry",
-    "PopulationSample",
-    "PowerDnsSelector",
-    "RandomSelector",
-    "RecordCache",
-    "RecursiveResolver",
-    "ResolutionResult",
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "base": "ServerSelector",
+    "bind": "BindSelector",
+    "forwarder": "DnsForwarder ForwardPolicy",
+    "infracache": "InfraEntry InfrastructureCache",
+    "naive": "RandomSelector RoundRobinSelector StickySelector",
+    "population": "DEFAULT_MIX INFRA_TTL_S SELECTOR_CLASSES PopulationSample "
     "ResolverPopulation",
-    "RoundRobinSelector",
-    "SELECTOR_CLASSES",
-    "ServerSelector",
-    "StickySelector",
-    "UnboundSelector",
-    "WindowsSelector",
-]
+    "powerdns": "PowerDnsSelector",
+    "resolver": "ExchangeRecord RecursiveResolver ResolutionResult",
+    "rrcache": "CacheEntry NegativeEntry RecordCache",
+    "unbound": "UnboundSelector",
+    "windows": "WindowsSelector",
+})

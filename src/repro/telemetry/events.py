@@ -351,19 +351,6 @@ class EventLogWriter:
         )
 
 
-class NullEventSink:
-    """The absent event log: every writer checks ``enabled`` first."""
-
-    enabled = False
-    emitted = 0
-    dropped = 0
-    closed = False
-    path = None
-
-
-NULL_EVENT_SINK = NullEventSink()
-
-
 # -- the reader -------------------------------------------------------------
 
 
@@ -577,9 +564,7 @@ __all__ = [
     "EventLogFollower",
     "EventLogWriter",
     "MetricsSnapshot",
-    "NULL_EVENT_SINK",
     "Note",
-    "NullEventSink",
     "RawEvent",
     "RunMeta",
     "TraceEvent",

@@ -158,7 +158,7 @@ CAMPAIGN_COMMANDS = [["run"], ["faults", "run"], ["attack", "run"]]
 
 #: (argv, flag, bad value): every campaign command's numbers, then the
 #: readers' (a log path first, which the parser rejects the value before
-#: opening).
+#: opening), then the socket commands' (before binding or sending).
 BAD_NUMBERS = [
     (command, flag, value)
     for flag, value in [
@@ -176,6 +176,20 @@ BAD_NUMBERS = [
     (["top", "run.events.jsonl"], "--idle-timeout", "-1"),
     (["top", "run.events.jsonl"], "--max-frames", "-1"),
     (["forensics", "run.events.jsonl"], "--top", "-2"),
+] + [
+    (["serve", "--zone", "zone", "--origin", "example"], flag, value)
+    for flag, value in [
+        ("--port", "-1"),
+        ("--port", "70000"),
+        ("--max-queries", "-1"),
+    ]
+] + [
+    (["dig", "127.0.0.1", "t.example"], flag, value)
+    for flag, value in [
+        ("-p", "70000"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+    ]
 ]
 
 
@@ -212,13 +226,16 @@ class TestParser:
         # Each of these used to get past the parser and either die in a
         # traceback (ValueError, ZeroDivisionError; `top --refresh -1`
         # from time.sleep) or be ignored (`forensics --top -2` dropped
-        # the exemplar section).
+        # the exemplar section; `serve --port 70000` an OverflowError,
+        # `serve --max-queries -1` served nothing, `dig -p 70000` timed
+        # out, `dig --timeout 0` reported no response at once).
         with pytest.raises(SystemExit) as exit_info:
             main([*command, flag, value])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
-        assert f"argument {flag}: must be" in err
+        # (argparse names `-p` as "-p/--port")
+        assert re.search(rf"argument (\S+/)?{flag}(/\S+)?: must be", err)
 
     @pytest.mark.parametrize("command", [["run"]], ids=" ".join)
     def test_negative_heartbeat_is_a_usage_error(self, capsys, command):
