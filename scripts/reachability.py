@@ -118,7 +118,8 @@ OWNERS: list[tuple[str, str, str]] = [
     # examples
     ("dns/server.py", r"AuthoritativeServer\.remove_zone", EXAMPLE
      + "`examples/secondary_sync.py`"),
-    ("passive/trace.py", r"load_trace", EXAMPLE + "`examples/passive_analysis.py`"),
+    ("passive/trace.py", r"load_trace|_json_object|Trace\.append", EXAMPLE
+     + "`examples/passive_analysis.py`"),
     ("telemetry/tracing.py", r"Tracer\.traces", EXAMPLE
      + "`examples/fault_detection_study.py`"),
     # value-type protocol
@@ -137,6 +138,8 @@ OWNERS: list[tuple[str, str, str]] = [
     ("netsim/geo.py", r".*", VALUE),
     ("netsim/network.py", r"SimNetwork\.(unregister|addresses)", VALUE),
     ("netsim/sched.py", r"EventKernel\.__repr__", VALUE),
+    ("passive/trace.py", r"TraceRows\.__eq__", VALUE
+     + ": the row-object view of the columnar trace"),
     ("resolvers/base.py", r"ServerSelector\.__repr__", VALUE),
     ("resolvers/infracache.py", r".*", VALUE),
     ("resolvers/rrcache.py", r".*", VALUE),

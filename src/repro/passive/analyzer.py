@@ -23,8 +23,7 @@ class TrafficBalance:
 
 def traffic_balance(trace: Trace) -> TrafficBalance:
     counts: dict[str, int] = {server: 0 for server in trace.observed_servers}
-    for record in trace.records:
-        counts[record.server_id] = counts.get(record.server_id, 0) + 1
+    counts.update(trace.queries_per_server())
     total = sum(counts.values())
     if total == 0:
         return TrafficBalance({server: 0.0 for server in counts})
@@ -44,10 +43,7 @@ class RateDistribution:
 
 
 def rate_distribution(trace: Trace) -> RateDistribution:
-    totals = [
-        float(sum(counts.values()))
-        for counts in trace.queries_by_recursive().values()
-    ]
+    totals = [float(n) for n in trace.queries_per_recursive().values()]
     if not totals:
         return RateDistribution(0, 0, 0.0, 0.0, 0.0, 0.0)
     return RateDistribution(
@@ -70,10 +66,7 @@ class ClientConcentration:
 
 
 def client_concentration(trace: Trace) -> ClientConcentration:
-    totals = sorted(
-        (sum(counts.values()) for counts in trace.queries_by_recursive().values()),
-        reverse=True,
-    )
+    totals = sorted(trace.queries_per_recursive().values(), reverse=True)
     grand_total = sum(totals)
     if not totals or grand_total == 0:
         return ClientConcentration(0.0, 0.0, 0.0)

@@ -11,16 +11,21 @@ only a subset of servers is observed.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from ..netsim.anycast import AnycastGroup, AnycastSite
 from ..netsim.geo import ATLAS_CONTINENT_WEIGHTS, Continent, Location, cities_by_continent
 from ..netsim.latency import LatencyModel
 from ..resolvers.infracache import InfrastructureCache
 from ..resolvers.population import INFRA_TTL_S, ResolverPopulation
-from .trace import Trace, TraceRecord
+from .trace import Trace
+
+#: Recursives are named inside 198.18.0.0/15 (RFC 2544), 250 a /24.
+MAX_RECURSIVES = 2 * 256 * 250
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,23 @@ class GeneratorConfig:
     diurnal_amplitude: float = 0.0
     #: UTC hour at which the capture window starts (paper: 12:00 UTC).
     capture_utc_hour: float = 12.0
+
+
+def recursive_address(index: int) -> str:
+    """The source address of recursive ``index``: 198.18.0.1 upward."""
+    if not 0 <= index < MAX_RECURSIVES:
+        raise ValueError(
+            f"recursive {index} is outside 198.18.0.0/15 "
+            f"(at most {MAX_RECURSIVES} recursives)"
+        )
+    block, host = divmod(index, 250)
+    return f"198.{18 + block // 256}.{block % 256}.{host + 1}"
+
+
+def _gather(column: array, order: array) -> array:
+    """``column`` permuted by ``order``, in a buffer of exactly its size."""
+    grown = array(column.typecode, map(column.__getitem__, order))
+    return array(column.typecode, grown)  # a same-typecode copy has no slack
 
 
 def _no_handler(*_args) -> None:
@@ -151,11 +173,26 @@ class PassiveTraceGenerator:
         return rtts, captured
 
     def generate(self) -> Trace:
-        """Run warm-up plus capture; the trace covers observed servers only."""
+        """Run warm-up plus capture; the trace covers observed servers only.
+
+        Each recursive's captured queries land in the columns as one
+        time-ordered run; a stable k-way merge of the runs then gives the
+        capture's time order (ties in recursive order) without a
+        full-length key list.
+        """
         config = self.config
+        if config.num_recursives > MAX_RECURSIVES:
+            raise ValueError(
+                f"{config.num_recursives} recursives: at most {MAX_RECURSIVES} "
+                "fit in 198.18.0.0/15"
+            )
         server_ids = self.servers.server_ids
-        zone = self.servers.zone
-        records: list[TraceRecord] = []
+        trace = Trace(observed_servers=self.servers.observed)
+        intern = trace.intern
+        server_code = {server: intern(server) for server in trace.observed_servers}
+        stamps, servers, owners = array("d"), array("i"), array("i")
+        add_stamp, add_server = stamps.append, servers.append
+        runs: list[range] = []
         rng = self.rng
         expovariate, gauss, exp = rng.expovariate, rng.gauss, math.exp
         is_lost = self.latency.is_lost
@@ -163,7 +200,7 @@ class PassiveTraceGenerator:
         end = config.capture_s
 
         for index in range(config.num_recursives):
-            address = f"198.18.{index // 250}.{index % 250 + 1}"
+            address = recursive_address(index)
             location = self._recursive_location()
             sample = self.population.sample()
             select = sample.selector.select
@@ -187,6 +224,7 @@ class PassiveTraceGenerator:
                     2.0 * math.pi * (local_hour - 9.0) / 24.0
                 )
                 rate_per_s *= max(0.05, modulation)
+            start = len(stamps)
             now = -config.warmup_s
             while now < end:
                 now += expovariate(rate_per_s) if rate_per_s > 0 else end
@@ -199,13 +237,23 @@ class PassiveTraceGenerator:
                 rtt = rtts[choice] * exp(gauss(0.0, jitter_sigma))
                 on_response(choice, rtt, server_ids, cache, now)
                 if now >= 0.0 and choice in captured:
-                    records.append(
-                        TraceRecord(
-                            timestamp=now,
-                            recursive=address,
-                            server_id=choice,
-                            qname=f"q{len(records)}.{zone}",
-                        )
-                    )
-        records.sort(key=lambda record: record.timestamp)
-        return Trace(observed_servers=self.servers.observed, records=records)
+                    add_stamp(now)
+                    add_server(server_code[choice])
+            if len(stamps) > start:
+                owners.extend(array("i", [intern(address)]) * (len(stamps) - start))
+                runs.append(range(start, len(stamps)))
+
+        order = array("i", heapq.merge(*runs, key=stamps.__getitem__))
+        # Each run-order column is dropped once its capture-order one is
+        # built, so at most one column is held twice.
+        del add_stamp, add_server
+        trace.timestamps = _gather(stamps, order)
+        del stamps
+        trace.recursive = _gather(owners, order)
+        del owners
+        trace.server_id = _gather(servers, order)
+        del servers
+        # Generated queries carry no name of their own and are all type A.
+        trace.qname = array("i", [intern("")]) * len(order)
+        trace.qtype = array("i", [intern("A")]) * len(order)
+        return trace

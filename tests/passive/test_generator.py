@@ -11,7 +11,13 @@ from repro.passive.ditl import (
     generate_ditl_trace,
     root_server_set,
 )
-from repro.passive.generator import GeneratorConfig, PassiveTraceGenerator, ServerSet
+from repro.passive.generator import (
+    MAX_RECURSIVES,
+    GeneratorConfig,
+    PassiveTraceGenerator,
+    ServerSet,
+    recursive_address,
+)
 from repro.passive.nl import NL_OBSERVED, generate_nl_trace, nl_server_set
 
 
@@ -69,6 +75,27 @@ class TestGenerator:
         full = generate_ditl_trace(num_recursives=40, seed=6, capture_coverage=1.0)
         partial = generate_ditl_trace(num_recursives=40, seed=6, capture_coverage=0.5)
         assert partial.query_count < full.query_count
+
+
+class TestRecursiveAddresses:
+    """Recursives are named inside 198.18.0.0/15 (RFC 2544), 250 a /24."""
+
+    def test_first_sixty_four_thousand_keep_their_names(self):
+        assert recursive_address(0) == "198.18.0.1"
+        assert recursive_address(249) == "198.18.0.250"
+        assert recursive_address(250) == "198.18.1.1"
+        assert recursive_address(63_999) == "198.18.255.250"
+
+    def test_the_next_ones_carry_into_198_19(self):
+        assert recursive_address(64_000) == "198.19.0.1"
+        assert recursive_address(MAX_RECURSIVES - 1) == "198.19.255.250"
+
+    def test_past_the_slash_15_is_an_error(self):
+        assert MAX_RECURSIVES == 128_000
+        with pytest.raises(ValueError, match="198.18.0.0/15"):
+            recursive_address(MAX_RECURSIVES)
+        with pytest.raises(ValueError, match="198.18.0.0/15"):
+            generate_ditl_trace(num_recursives=MAX_RECURSIVES + 1)
 
 
 class TestFigure7Shape:

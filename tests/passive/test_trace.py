@@ -41,3 +41,34 @@ class TestPersistence:
         path.write_text('{"kind": "nope"}\n')
         with pytest.raises(ValueError):
             load_trace(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ['["passive_trace"]', '"passive_trace"', "[]", '{"kind": "passive_trace"}'],
+    )
+    def test_header_that_is_not_a_trace_header(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        ("row", "why"),
+        [
+            ('{"src": "198.18.0.1", "srv": "a"}', "lacks 't'"),
+            ('{"t": 1.0, "srv": "a"}', "lacks 'src'"),
+            ('{"t": 1.0, "src": "198.18.0.1"}', "lacks 'srv'"),
+            ('[1.0, "198.18.0.1", "a"]', "not a JSON object"),
+            ('{"t": 1.0, "src"', "not JSON"),
+            ('{"t": "noon", "src": "198.18.0.1", "srv": "a"}', ""),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, why):
+        path = tmp_path / "bad.jsonl"
+        good = '{"t": 0.5, "src": "198.18.0.1", "srv": "a"}'
+        path.write_text(
+            '{"kind": "passive_trace", "observed": ["a"]}\n'
+            + good + "\n\n" + row + "\n"
+        )
+        with pytest.raises(ValueError, match=f"bad.jsonl:4: .*{why}"):
+            load_trace(path)
