@@ -24,6 +24,7 @@ Run:  python examples/nxns_study.py [--probes N]
 """
 
 import argparse
+import dataclasses
 import random
 
 from repro.analysis import render_table
@@ -39,7 +40,6 @@ from repro.netsim.adversary import (
     ATTACKER_ADDRESS,
     BUILTIN_ATTACKS,
     DelegationBomb,
-    scaled_profile,
     water_torture_label,
 )
 from repro.netsim.geo import DATACENTERS, PROBE_CITIES
@@ -284,7 +284,7 @@ def main() -> None:
     # bomb's glueless fetches NXDOMAIN against the victim many times a
     # second from each recursive, and the zone-keyed buckets catch that.
     _, limited = run_campaign(
-        args, scaled_profile(BUILTIN_ATTACKS["nxns"][0], rrl_qps=2)
+        args, dataclasses.replace(BUILTIN_ATTACKS["nxns"][0], rrl_qps=2)
     )
     campaign_slipped = limited.costs.get("totals", {}).get("rrl_slip", 0)
     campaign_dropped = limited.costs.get("totals", {}).get("rrl_drop", 0)

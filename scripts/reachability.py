@@ -133,8 +133,14 @@ OWNERS: list[tuple[str, str, str]] = [
     ("dns/records.py", r".*", VALUE),
     ("dns/server.py", r"BoundedQueryLog\..*", VALUE + " (the query log is a list)"),
     ("dns/zone.py", r"Zone\.get_rrset", VALUE),
+    ("netsim/adversary.py", r"AttackProfile\.(to_dict|save)", VALUE
+     + ": the writer beside `load_profile`, the API's way to write a "
+     "profile file"),
     ("netsim/clock.py", r".*", VALUE),
     ("netsim/faults.py", r"FaultPlan\.(addresses|__repr__)", VALUE),
+    ("netsim/faults.py", r"FaultEvent\.to_record|Scenario\.(to_dict|save)", VALUE
+     + ": the writer beside `load_scenario`, the API's way to write a "
+     "scenario file"),
     ("netsim/geo.py", r".*", VALUE),
     ("netsim/network.py", r"SimNetwork\.(unregister|addresses)", VALUE),
     ("netsim/sched.py", r"EventKernel\.__repr__", VALUE),
@@ -270,18 +276,15 @@ def _cli_commands() -> list[list[str]]:
         ["passive", "--kind", "nl", "--recursives", "30", "--min-queries", "20"],
         ["--quiet", "scorecard", "--probes", "40", "--recursives", "40"],
         ["plan", "--clients", "50"],
-        ["faults", "list", "--duration", "10"],
-        ["--quiet", "faults", "run", *campaign, "--export", "scenario.json",
-         "--out", "faults.jsonl", "--events", "faults.events.jsonl"],
-        ["--quiet", "run", *campaign, "--scenario", "scenario.json", "--no-analyze"],
-        ["attack", "list"],
-        ["--quiet", "attack", "run", *campaign, "--max-fetch", "3",
-         "--max-fetch-per-delegation", "2", "--rrl-qps", "2", "--bot-share", "0.2",
-         "--fan-out", "4", "--export", "attack.json", "--export-costs",
-         "attack.costs.json", "--out", "attack.jsonl", "--events",
-         "attack.events.jsonl"],
-        ["--quiet", "attack", "run", *campaign, "--attack", "attack.json",
-         "--workers", "2", "--spill-events", "attack-spill"],
+        ["faults", "--duration", "10"],
+        ["--quiet", "run", *campaign, "--scenario", "scenario.json"],
+        ["attack"],
+        ["--quiet", "run", *campaign, "--attack", "attack.json",
+         "--out", "attack.jsonl", "--events", "attack.events.jsonl",
+         "--no-analyze"],
+        ["--quiet", "run", *campaign, "--scenario", "ns-outage",
+         "--attack", "attack.json", "--workers", "2",
+         "--spill-events", "attack-spill", "--no-analyze"],
     ]
 
 
@@ -348,6 +351,16 @@ def run_drivers(calls: Path, log) -> set[tuple[str, int]]:
     (work / "suite.out").write_text(json.dumps(json.loads(newest.read_text())) + "\n")
     (work / "slo.json").write_text(json.dumps(
         [{"name": "answers", "kind": "answer_rate", "objective": 0.9}]
+    ))
+    (work / "scenario.json").write_text(json.dumps(
+        {"kind": "repro-fault-scenario", "version": 1, "name": "ns1-dark",
+         "events": [{"kind": "ns_outage", "target": "ns1",
+                     "start": 200.0, "end": 400.0}]}
+    ))
+    (work / "attack.json").write_text(json.dumps(
+        {"kind": "repro-attack-profile", "version": 1, "name": "nxns-capped",
+         "vector": "nxns", "bot_share": 0.2, "fan_out": 4, "max_fetch": 3,
+         "max_fetch_per_delegation": 2, "rrl_qps": 2}
     ))
     for command in _cli_commands():
         _run([python, "-m", "repro", *command], work, env, log)

@@ -4,6 +4,9 @@ Usage (also available as ``python -m repro``):
 
     repro-dns combos
     repro-dns run --combo 2C --probes 300 --out run.jsonl --events run.events.jsonl
+    repro-dns run --scenario ns-outage --attack nxns --no-analyze
+    repro-dns faults --duration 60
+    repro-dns attack
     repro-dns analyze --run run.jsonl --sites FRA SYD
     repro-dns metrics run.events.jsonl --format json
     repro-dns forensics run.events.jsonl probe-7
@@ -15,9 +18,10 @@ Usage (also available as ``python -m repro``):
     repro-dns passive --kind root --recursives 250 --out trace.jsonl
     repro-dns plan --clients 500 --sites FRA IAD SYD GRU --home FRA
 
-Only ``run``, ``faults run`` and ``attack run`` start a campaign; the
-readers (``metrics``, ``forensics``, ``slo``, ``top``, ``costs``) take
-the event log one of them wrote with ``--events``.
+Only ``run`` starts a campaign: ``--scenario`` injects faults and
+``--attack`` an adversarial workload (``faults`` and ``attack`` list the
+bundled ones).  The readers (``metrics``, ``forensics``, ``slo``,
+``top``, ``costs``) take the event log it wrote with ``--events``.
 
 Global flags (before the subcommand): ``--output FILE`` sends command
 output to a file instead of stdout, ``--quiet`` silences progress
@@ -110,20 +114,28 @@ class CliError(Exception):
 
 
 def _campaign_config(args: argparse.Namespace, **overrides):
-    """The campaign the shared option group describes (minutes → seconds).
+    """The campaign the options describe (minutes → seconds).
 
-    A ``--scenario`` is resolved here, against the campaign duration, so
-    an unknown one is the same error from every command that takes it.
+    ``--scenario`` and ``--attack`` are resolved here, a scenario against
+    the campaign duration, so an unknown one is a usage error before any
+    file is opened.
     """
     from .core import ExperimentConfig
 
     interval_s, duration_s = args.interval * 60.0, args.duration * 60.0
-    if getattr(args, "scenario", None) is not None:
+    if args.scenario is not None:
         from .netsim.faults import ScenarioError, resolve_scenario
 
         try:
             overrides["scenario"] = resolve_scenario(args.scenario, duration_s)
         except ScenarioError as exc:
+            raise CliError(str(exc)) from exc
+    if args.attack is not None:
+        from .netsim.adversary import AttackError, resolve_attack
+
+        try:
+            overrides["attack"] = resolve_attack(args.attack)
+        except AttackError as exc:
             raise CliError(str(exc)) from exc
     return ExperimentConfig.for_combination(
         args.combo, num_probes=args.probes, seed=args.seed,
@@ -131,21 +143,28 @@ def _campaign_config(args: argparse.Namespace, **overrides):
     )
 
 
-def _run_campaign(args: argparse.Namespace, config, telemetry=None):
+def _run_campaign(args: argparse.Namespace, config):
     """The CLI's one door to :func:`repro.core.run_campaign`.
 
-    Commands choose the telemetry pillars (default: with ``--events``,
-    the event log and the cost ledger it closes with) and print the
-    result; the sharding flags, the status notes, closing ``--events``
-    and writing ``--out`` happen here.
+    It owns the one telemetry rule: ``--events`` streams the event log
+    (traces, then the metrics snapshot and the cost ledger it closes
+    with), and an attack always bills the ledger its accounting reads;
+    otherwise there is no bundle.  The sharding flags, the status notes,
+    closing ``--events`` and writing ``--out`` happen here too.
     """
     from .core import run_campaign, save_run
 
     io = args.io
-    if telemetry is None and args.events:
+    telemetry = None
+    if args.events or config.attack is not None:
         from .telemetry import Telemetry
 
-        telemetry = Telemetry.enabled_bundle(event_log=args.events, costs=True)
+        telemetry = Telemetry.enabled_bundle(
+            metrics=bool(args.events),
+            tracing=bool(args.events),
+            event_log=args.events or None,
+            costs=True,
+        )
     result = run_campaign(
         config,
         telemetry=telemetry,
@@ -174,15 +193,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _campaign_config(
         args, ipv6=args.ipv6, heartbeat_every_ticks=args.heartbeat_every
     )
+    injected = "".join(
+        f" under {what} {plan.name!r}"
+        for what, plan in (("scenario", config.scenario), ("attack", config.attack))
+        if plan is not None
+    )
     io.status(
-        f"running {args.combo} ({', '.join(COMBINATIONS[args.combo].sites)}): "
-        f"{args.probes} probes, every {args.interval} min for {args.duration} min"
+        f"running {args.combo} ({', '.join(COMBINATIONS[args.combo].sites)})"
+        f"{injected}: {args.probes} probes, every {args.interval} min "
+        f"for {args.duration} min"
     )
     result = _run_campaign(args, config)
     if not args.no_analyze:
         sites = set(COMBINATIONS[args.combo].sites)
         ticks = int(config.duration_s // config.interval_s)
         _print_analyses(io, result.observations, sites, args.combo, ticks)
+    _print_injections(io, config, result, gap=not args.no_analyze)
     return 0
 
 
@@ -222,7 +248,7 @@ def _print_analyses(io: CliWriter, observations, sites, combo_id, ticks: int = 3
     )
 
 
-def _cmd_faults_list(args: argparse.Namespace) -> int:
+def _cmd_faults(args: argparse.Namespace) -> int:
     from .analysis import render_table
     from .netsim.faults import BUILTIN_SCENARIOS, builtin_scenario
 
@@ -250,39 +276,48 @@ def _cmd_faults_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults_run(args: argparse.Namespace) -> int:
-    io = args.io
-    from .netsim.faults import FaultPlan
+def _print_injections(io: CliWriter, config, result, gap: bool) -> None:
+    """What the campaign injected: the fault timeline, the attack
+    timeline and accounting, then the query share per window between
+    their transitions.  The plans are rebuilt purely for reporting:
+    their window edges are data, so the seed never matters here."""
+    plans = []
+    if config.scenario is not None:
+        from .netsim.faults import FaultPlan
 
-    config = _campaign_config(args)
-    scenario = config.scenario
-    io.status(
-        f"running {args.combo} under scenario {scenario.name!r} "
-        f"({len(scenario.events)} fault event(s)): {args.probes} probes, "
-        f"every {args.interval:g} min for {args.duration:g} min"
-    )
-    result = _run_campaign(args, config)
-    if args.export:
-        scenario.save(args.export)
-        io.status(f"wrote scenario file to {args.export}")
+        plans.append(FaultPlan(
+            config.scenario,
+            seed=0,
+            addresses={
+                spec.name: address
+                for spec, address in zip(config.authoritatives, result.addresses)
+            },
+        ))
+        if gap:
+            io.emit()
+        _print_timeline(
+            io, "fault timeline:", plans[-1],
+            "  {at:9.1f}s  {name:<11} {fault:<16} {target} ({address})",
+            shown=("fault", "address", "target"),
+        )
+        gap = True
+    if config.attack is not None:
+        from .netsim.adversary import AttackPlan
 
-    # Rebuild the plan purely for reporting: the resolved timeline and
-    # the fault-windowed query shares (the seed never matters here).
-    plan = FaultPlan(
-        scenario,
-        seed=0,
-        addresses={
-            spec.name: address
-            for spec, address in zip(config.authoritatives, result.addresses)
-        },
-    )
-    _print_timeline(
-        io, "fault timeline:", plan,
-        "  {at:9.1f}s  {name:<11} {fault:<16} {target} ({address})",
-        shown=("fault", "address", "target"),
-    )
-    _print_fault_windows(io, config, result, plan)
-    return 0
+        plans.append(AttackPlan(
+            config.attack, seed=0, duration_s=config.duration_s,
+            victim_domain=config.domain,
+        ))
+        if gap:
+            io.emit()
+        _print_timeline(
+            io, "attack timeline:", plans[-1],
+            "  {at:9.1f}s  {name:<12} {attack:<20} ({vector})",
+            shown=("attack", "vector"),
+        )
+        _print_amplification(io, result.telemetry.costs)
+    if plans:
+        _print_fault_windows(io, config, result, plans)
 
 
 def _print_timeline(io: CliWriter, title: str, plan, layout: str, shown: tuple) -> None:
@@ -298,8 +333,8 @@ def _print_timeline(io: CliWriter, title: str, plan, layout: str, shown: tuple) 
         io.emit(layout.format(at=at, name=name, **data) + knobs)
 
 
-def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
-    """Query share per NS inside each window between fault transitions."""
+def _print_fault_windows(io: CliWriter, config, result, plans) -> None:
+    """Query share per NS inside each window between the plans' transitions."""
     from .analysis import render_table
 
     observations = result.observations
@@ -310,7 +345,12 @@ def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
     }
     boundaries = sorted(
         {0.0, duration_s}
-        | {at for at, _, _ in plan.transitions() if 0.0 < at < duration_s}
+        | {
+            at
+            for plan in plans
+            for at, _, _ in plan.transitions()
+            if 0.0 < at < duration_s
+        }
     )
     windows = list(zip(boundaries, boundaries[1:]))
     addresses = sorted(ns_of_address)
@@ -346,7 +386,7 @@ def _print_fault_windows(io: CliWriter, config, result, plan) -> None:
     )
 
 
-def _cmd_attack_list(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> int:
     from .analysis import render_table
     from .netsim.adversary import BUILTIN_ATTACKS
 
@@ -361,86 +401,6 @@ def _cmd_attack_list(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _cmd_attack_run(args: argparse.Namespace) -> int:
-    io = args.io
-    from .netsim.adversary import (
-        AttackError,
-        AttackPlan,
-        resolve_attack,
-        scaled_profile,
-    )
-
-    overrides = {
-        key: value
-        for key, value in {
-            "bot_share": args.bot_share,
-            "fan_out": args.fan_out,
-            "max_fetch": args.max_fetch,
-            "max_fetch_per_delegation": args.max_fetch_per_delegation,
-            "rrl_qps": args.rrl_qps,
-        }.items()
-        if value is not None
-    }
-    try:
-        profile = resolve_attack(args.attack)
-        if overrides:
-            profile = scaled_profile(profile, **overrides)
-    except AttackError as exc:
-        raise CliError(str(exc)) from exc
-    config = _campaign_config(args, attack=profile)
-    mitigations = []
-    if profile.max_fetch is not None:
-        mitigations.append(f"max_fetch={profile.max_fetch}")
-    if profile.max_fetch_per_delegation is not None:
-        mitigations.append(
-            f"per_delegation={profile.max_fetch_per_delegation}"
-        )
-    if profile.rrl_qps is not None:
-        mitigations.append(f"rrl_qps={profile.rrl_qps}")
-    io.status(
-        f"running {args.combo} under attack {profile.name!r} "
-        f"({profile.vector}, bot_share={profile.bot_share:g}, "
-        f"{', '.join(mitigations) if mitigations else 'unmitigated'}): "
-        f"{args.probes} probes, every {args.interval:g} min "
-        f"for {args.duration:g} min"
-    )
-    from .telemetry import Telemetry
-
-    # The ledger is always on: fetch-amplification accounting is the
-    # attack report.  The event log only when a path was requested.
-    telemetry = Telemetry.enabled_bundle(
-        metrics=bool(args.events),
-        tracing=bool(args.events),
-        event_log=args.events or None,
-        costs=True,
-    )
-    result = _run_campaign(args, config, telemetry)
-    _export_ledger(io, telemetry.costs, args.export_costs)
-    if args.export:
-        profile.save(args.export)
-        io.status(f"wrote attack profile to {args.export}")
-
-    # Rebuild the plan purely for reporting (window edges are data).
-    plan = AttackPlan(
-        profile, seed=0, duration_s=config.duration_s, victim_domain=config.domain
-    )
-    _print_timeline(
-        io, "attack timeline:", plan,
-        "  {at:9.1f}s  {name:<12} {attack:<20} ({vector})",
-        shown=("attack", "vector"),
-    )
-    _print_amplification(io, telemetry.costs)
-    _print_fault_windows(io, config, result, plan)
-    return 0
-
-
-def _export_ledger(io: CliWriter, ledger, path: str | None) -> None:
-    """``--export`` / ``--export-costs``: the canonical ledger JSON."""
-    if path:
-        ledger.write(path)
-        io.status(f"wrote cost ledger to {path}")
 
 
 def _print_amplification(io: CliWriter, costs) -> None:
@@ -636,7 +596,9 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     if isinstance(event, int):
         return event
     ledger = CostLedger.from_dict(event.costs)
-    _export_ledger(args.io, ledger, args.export)
+    if args.export:
+        ledger.write(args.export)
+        args.io.status(f"wrote cost ledger to {args.export}")
     args.io.emit(ledger.render())
     return 0
 
@@ -823,10 +785,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _number(kind, minimum, exclusive: bool = False, maximum=None):
-    """argparse ``type=``: an int/float no smaller than ``minimum``
+def _number(kind, minimum, exclusive: bool = False, maximum=None, scale=1):
+    """argparse ``type=``: a finite int/float no smaller than ``minimum``
     (``exclusive``: strictly larger) and no larger than ``maximum`` (if
-    given), rejected with a usage error."""
+    given), rejected with a usage error.  ``scale`` converts the value
+    to the unit it is used in (60 for minutes), which must stay finite."""
 
     def parse(text: str):
         value = kind(text)
@@ -837,6 +800,8 @@ def _number(kind, minimum, exclusive: bool = False, maximum=None):
             )
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
+        if value * scale == float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     # argparse names the type in "invalid int value: 'x'"
@@ -847,60 +812,6 @@ def _number(kind, minimum, exclusive: bool = False, maximum=None):
 def _prefixes(text: str) -> list[str] | None:
     """argparse ``type=`` for ``--metrics a,b`` (nothing named = the default)."""
     return [prefix for prefix in text.split(",") if prefix] or None
-
-
-def _campaign_options(parser) -> None:
-    """Which campaign: what :func:`_campaign_config` reads."""
-    parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
-    parser.add_argument("--probes", type=_number(int, 1), default=300)
-    parser.add_argument(
-        "--interval", type=_number(float, 0, exclusive=True), default=2.0,
-        help="minutes",
-    )
-    parser.add_argument(
-        "--duration", type=_number(float, 0), default=60.0, help="minutes"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _sharding_options(parser) -> None:
-    """How to run it: what :func:`_run_campaign` hands the engine."""
-    parser.add_argument(
-        "--workers", type=_number(int, 1), default=1,
-        help="shard the probe population over N processes; merged output "
-        "is identical for any N (default: 1, in-process)",
-    )
-    parser.add_argument(
-        "--shards", type=_number(int, 0), default=0,
-        help="shard count when it should differ from --workers "
-        "(0 = one shard per worker); forces the sharded engine even "
-        "with --workers 1",
-    )
-    parser.add_argument(
-        "--spill-events", metavar="DIR",
-        help="with --workers/--shards: each worker spills its event "
-        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
-        "them in memory; the merged log is byte-identical either way",
-    )
-
-
-def _output_options(parser) -> None:
-    """Where the run goes: what :func:`_run_campaign` writes."""
-    parser.add_argument("--out", help="save observations as JSONL")
-    parser.add_argument(
-        "--events", metavar="FILE",
-        help="stream a telemetry event log (JSONL) to FILE; it closes "
-        "with the metrics snapshot and the cost ledger, for the readers",
-    )
-
-
-def _scenario_option(parser, default: str | None = None) -> None:
-    parser.add_argument(
-        "--scenario", default=default, metavar="NAME|FILE",
-        help="inject a fault timeline: a bundled scenario name "
-        "(see 'faults list') or a scenario JSON file"
-        + (f" (default: {default})" if default else ""),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -927,12 +838,58 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_combos
     )
 
-    run_parser = sub.add_parser("run", help="run a testbed combination")
-    _campaign_options(run_parser)
+    run_parser = sub.add_parser(
+        "run", help="run a testbed campaign, optionally under a fault "
+        "scenario and/or an attack"
+    )
+    # which campaign: what _campaign_config reads (minutes → seconds)
+    run_parser.add_argument("--combo", default="2C", choices=sorted(COMBINATIONS))
+    run_parser.add_argument("--probes", type=_number(int, 1), default=300)
+    run_parser.add_argument(
+        "--interval", type=_number(float, 0, exclusive=True, scale=60),
+        default=2.0, help="minutes",
+    )
+    run_parser.add_argument(
+        "--duration", type=_number(float, 0, scale=60), default=60.0,
+        help="minutes",
+    )
+    run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--ipv6", action="store_true")
-    _sharding_options(run_parser)
-    _output_options(run_parser)
-    _scenario_option(run_parser)
+    run_parser.add_argument(
+        "--scenario", metavar="NAME|FILE",
+        help="inject a fault timeline: a bundled scenario name "
+        "(see 'faults') or a scenario JSON file",
+    )
+    run_parser.add_argument(
+        "--attack", metavar="NAME|FILE",
+        help="run an adversarial workload: a bundled attack name "
+        "(see 'attack') or an attack-profile JSON file",
+    )
+    # how to run it: what _run_campaign hands the engine
+    run_parser.add_argument(
+        "--workers", type=_number(int, 1), default=1,
+        help="shard the probe population over N processes; merged output "
+        "is identical for any N (default: 1, in-process)",
+    )
+    run_parser.add_argument(
+        "--shards", type=_number(int, 0), default=0,
+        help="shard count when it should differ from --workers "
+        "(0 = one shard per worker); forces the sharded engine even "
+        "with --workers 1",
+    )
+    run_parser.add_argument(
+        "--spill-events", metavar="DIR",
+        help="with --workers/--shards: each worker spills its event "
+        "records to DIR/shard-NNNN.events.jsonl instead of buffering "
+        "them in memory; the merged log is byte-identical either way",
+    )
+    # where the run goes: what _run_campaign writes
+    run_parser.add_argument("--out", help="save observations as JSONL")
+    run_parser.add_argument(
+        "--events", metavar="FILE",
+        help="stream a telemetry event log (JSONL) to FILE; it closes "
+        "with the metrics snapshot and the cost ledger, for the readers",
+    )
     run_parser.add_argument(
         "--heartbeat-every", type=_number(int, 0), default=0, metavar="TICKS",
         help="emit a shard.heartbeat note every N measurement ticks "
@@ -1127,84 +1084,20 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser.set_defaults(func=_cmd_plan)
 
     faults_parser = sub.add_parser(
-        "faults", help="deterministic fault scenarios (list, run)"
+        "faults", help="list the bundled fault scenarios (run --scenario)"
     )
-    faults_sub = faults_parser.add_subparsers(dest="faults_command", required=True)
-
-    faults_list = faults_sub.add_parser(
-        "list", help="list the bundled fault scenarios"
-    )
-    faults_list.add_argument(
-        "--duration", type=float, default=0.0, metavar="MIN",
+    faults_parser.add_argument(
+        "--duration", type=_number(float, 0, scale=60), default=0.0,
+        metavar="MIN",
         help="also expand each scenario's event timeline for a "
         "campaign of MIN minutes",
     )
-    faults_list.set_defaults(func=_cmd_faults_list)
+    faults_parser.set_defaults(func=_cmd_faults)
 
-    faults_run = faults_sub.add_parser(
-        "run", help="run a combination under a fault scenario"
-    )
-    _scenario_option(faults_run, default="ns-outage")
-    _campaign_options(faults_run)
-    _sharding_options(faults_run)
-    _output_options(faults_run)
-    faults_run.add_argument(
-        "--export", metavar="FILE",
-        help="save the resolved scenario as a scenario JSON file",
-    )
-    faults_run.set_defaults(func=_cmd_faults_run)
-
-    attack_parser = sub.add_parser(
-        "attack", help="adversarial workloads: NXNSAttack, water torture"
-    )
-    attack_sub = attack_parser.add_subparsers(dest="attack_command", required=True)
-
-    attack_list = attack_sub.add_parser(
-        "list", help="list the bundled attack profiles"
-    )
-    attack_list.set_defaults(func=_cmd_attack_list)
-
-    attack_run = attack_sub.add_parser(
-        "run", help="run a combination under an adversarial workload"
-    )
-    attack_run.add_argument(
-        "--attack", default="nxns", metavar="NAME|FILE",
-        help="bundled attack name or attack-profile JSON file "
-        "(default: nxns)",
-    )
-    _campaign_options(attack_run)
-    attack_run.add_argument(
-        "--bot-share", type=float, metavar="FRAC",
-        help="override the profile's botnet share of the VPs",
-    )
-    attack_run.add_argument(
-        "--fan-out", type=int, metavar="N",
-        help="override the delegation bombs' glueless NS fan-out",
-    )
-    attack_run.add_argument(
-        "--max-fetch", type=int, metavar="N",
-        help="cap glueless NS fetches per client query (MaxFetch)",
-    )
-    attack_run.add_argument(
-        "--max-fetch-per-delegation", type=int, metavar="N",
-        help="cap fetches chased out of any single referral",
-    )
-    attack_run.add_argument(
-        "--rrl-qps", type=int, metavar="QPS",
-        help="rate-limit error responses at the authoritatives (RRL)",
-    )
-    _sharding_options(attack_run)
-    _output_options(attack_run)
-    attack_run.add_argument(
-        "--export-costs", metavar="FILE",
-        help="write the canonical cost-ledger JSON (amplification, "
-        "RRL slip/drop counts) to FILE",
-    )
-    attack_run.add_argument(
-        "--export", metavar="FILE",
-        help="save the resolved attack profile as a JSON file",
-    )
-    attack_run.set_defaults(func=_cmd_attack_run)
+    sub.add_parser(
+        "attack", help="list the bundled attack profiles (run --attack): "
+        "NXNSAttack, water torture"
+    ).set_defaults(func=_cmd_attack)
 
     return parser
 

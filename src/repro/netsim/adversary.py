@@ -23,7 +23,7 @@ with an attack active.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..dns.name import Name
@@ -183,6 +183,19 @@ class AttackProfile:
             )
         if self.attacker_site not in DATACENTERS:
             raise AttackError(f"unknown attacker_site {self.attacker_site!r}")
+        # (written so that NaN, which compares false both ways, fails)
+        for field, minimum, optional in (
+            ("fan_out", 1, False),
+            ("bombs", 1, False),
+            ("max_fetch", 0, True),
+            ("max_fetch_per_delegation", 0, True),
+            ("rrl_qps", 1, True),
+            ("rrl_slip", 0, False),
+        ):
+            value = getattr(self, field)
+            if not ((optional and value is None) or value >= minimum):
+                allowed = f">= {minimum}" + (" or None" if optional else "")
+                raise AttackError(f"{field} must be {allowed}, got {value}")
 
     def to_dict(self) -> dict:
         return {
@@ -232,7 +245,12 @@ def load_profile(path: str | Path) -> AttackProfile:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise AttackError(f"{path}: {exc}") from None
-    return AttackProfile.from_dict(data)
+    try:
+        if not isinstance(data, dict):
+            raise AttackError("not a JSON object")
+        return AttackProfile.from_dict(data)
+    except AttackError as exc:
+        raise AttackError(f"{path}: {exc}") from None
 
 
 #: name -> (profile, one-line description) bundled attacks.
@@ -421,14 +439,6 @@ class AttackPlan:
         ]
 
 
-def scaled_profile(profile: AttackProfile, **overrides) -> AttackProfile:
-    """A copy of ``profile`` with fields overridden (CLI knobs)."""
-    try:
-        return replace(profile, **overrides)
-    except TypeError as exc:
-        raise AttackError(str(exc)) from None
-
-
 __all__ = [
     "ATTACK_KIND",
     "ATTACK_VERSION",
@@ -441,6 +451,5 @@ __all__ = [
     "VECTORS",
     "load_profile",
     "resolve_attack",
-    "scaled_profile",
     "water_torture_label",
 ]

@@ -261,7 +261,12 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    return Scenario.from_dict(data)
+    try:
+        if not isinstance(data, dict):
+            raise ScenarioError("not a JSON object")
+        return Scenario.from_dict(data)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # -- bundled scenario factories ---------------------------------------------

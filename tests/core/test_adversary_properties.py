@@ -9,6 +9,7 @@ after
 ``tests/resolvers/test_selector_properties.py``.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +28,6 @@ from repro.netsim.adversary import (
     AttackProfile,
     BUILTIN_ATTACKS,
     DelegationBomb,
-    scaled_profile,
 )
 from repro.netsim.geo import DATACENTERS, PROBE_CITIES
 from repro.netsim.latency import LatencyModel, LatencyParameters
@@ -202,7 +202,7 @@ class TestAttackProfiles:
         st.sampled_from([None, 1, 3, 8]),
     )
     def test_profile_round_trips_through_dict(self, base, fan_out, max_fetch):
-        profile = scaled_profile(
+        profile = dataclasses.replace(
             BUILTIN_ATTACKS[base][0], fan_out=fan_out, max_fetch=max_fetch
         )
         assert AttackProfile.from_dict(profile.to_dict()) == profile
@@ -221,6 +221,20 @@ class TestAttackProfiles:
             AttackProfile(name="x", vector="nxns", bot_share=1.5)
         with pytest.raises(AttackError):
             AttackProfile(name="x", vector="nxns", start_frac=0.8, end_frac=0.2)
+        # Out-of-range knobs: fan_out 0 used to fail mid-setup, rrl_qps
+        # 0 to SERVFAIL every query, max_fetch -1 to pass silently.
+        for field, value in [
+            ("fan_out", 0), ("fan_out", -2), ("bombs", 0),
+            ("max_fetch", -1), ("max_fetch_per_delegation", -1),
+            ("rrl_qps", 0), ("rrl_qps", -1), ("rrl_slip", -1),
+            ("rrl_qps", float("nan")),
+        ]:
+            with pytest.raises(AttackError, match=field):
+                AttackProfile(name="x", vector="nxns", **{field: value})
+        # ... and the edges of each range are accepted
+        AttackProfile(name="x", vector="nxns", fan_out=1, bombs=1,
+                      max_fetch=0, max_fetch_per_delegation=0, rrl_qps=1,
+                      rrl_slip=0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**63), st.integers(1, 4))
@@ -276,7 +290,7 @@ class TestAttackCampaignDeterminism:
     """Serial ≡ K-worker with an attack active."""
 
     def test_workers_match_serial_under_attack(self):
-        profile = scaled_profile(
+        profile = dataclasses.replace(
             BUILTIN_ATTACKS["nxns-mitigated"][0], rrl_qps=5
         )
         results = {}

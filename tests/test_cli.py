@@ -22,34 +22,18 @@ def opt(default, choices=None, nargs=None, required=False):
 #: required-ness, as recorded from the commit before the shared option
 #: groups (PR 17's parent), less the sidecar-diff command and
 #: `bench-history`'s sidecar options, which went with the sidecar harness
-#: (PR 18), and less `dashboard`, `trace` and the campaign options of
-#: `metrics` / `costs` / `top`, which became readers of an event log.
-#: Help text is not part of the surface.
+#: (PR 18), less `dashboard`, `trace` and the campaign options of
+#: `metrics` / `costs` / `top`, which became readers of an event log,
+#: and less the fault and attack campaign leaves, which folded into
+#: `run --scenario` / `--attack` (the listing leaves became `faults`
+#: and `attack`).  Help text is not part of the surface.
 PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info', 'warning']),
  '--output': opt(None),
  '--quiet': opt(False, nargs=0),
  'analyze': {'--combo': opt('?'),
              '--run': opt(None, required=True),
              '--sites': opt(None, nargs='+', required=True)},
- 'attack': {'list': {},
-            'run': {'--attack': opt('nxns'),
-                    '--bot-share': opt(None),
-                    '--combo': opt('2C', choices=COMBOS),
-                    '--duration': opt(60.0),
-                    '--events': opt(None),
-                    '--export': opt(None),
-                    '--export-costs': opt(None),
-                    '--fan-out': opt(None),
-                    '--interval': opt(2.0),
-                    '--max-fetch': opt(None),
-                    '--max-fetch-per-delegation': opt(None),
-                    '--out': opt(None),
-                    '--probes': opt(300),
-                    '--rrl-qps': opt(None),
-                    '--seed': opt(0),
-                    '--shards': opt(0),
-                    '--spill-events': opt(None),
-                    '--workers': opt(1)}},
+ 'attack': {},
  'bench-history': {'--dir': opt('benchmarks/history'),
                    '--last': opt(8),
                    '--metrics': opt(None),
@@ -63,19 +47,7 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
          'name': opt(None, required=True),
          'rrtype': opt('A', nargs='?'),
          'server': opt(None, required=True)},
- 'faults': {'list': {'--duration': opt(0.0)},
-            'run': {'--combo': opt('2C', choices=COMBOS),
-                    '--duration': opt(60.0),
-                    '--events': opt(None),
-                    '--export': opt(None),
-                    '--interval': opt(2.0),
-                    '--out': opt(None),
-                    '--probes': opt(300),
-                    '--scenario': opt('ns-outage'),
-                    '--seed': opt(0),
-                    '--shards': opt(0),
-                    '--spill-events': opt(None),
-                    '--workers': opt(1)}},
+ 'faults': {'--duration': opt(0.0)},
  'forensics': {'--top': opt(3),
                'log': opt(None, required=True),
                'selector': opt(None, nargs='?')},
@@ -93,7 +65,8 @@ PARSER_SURFACE = {'--log-level': opt('warning', choices=['debug', 'error', 'info
           '--sites': opt(
               ['FRA', 'IAD', 'SYD', 'GRU'], choices=SITES, nargs='+'
           )},
- 'run': {'--combo': opt('2C', choices=COMBOS),
+ 'run': {'--attack': opt(None),
+         '--combo': opt('2C', choices=COMBOS),
          '--duration': opt(60.0),
          '--events': opt(None),
          '--heartbeat-every': opt(0),
@@ -153,26 +126,34 @@ def parser_surface(parser):
     return surface
 
 
-#: the commands built on the shared campaign + sharding option groups
-CAMPAIGN_COMMANDS = [["run"], ["faults", "run"], ["attack", "run"]]
+#: the campaigns the one campaign command runs: plain, under a fault
+#: scenario, under an attack
+CAMPAIGN_COMMANDS = [
+    ["run"], ["run", "--scenario", "ns-outage"], ["run", "--attack", "nxns"],
+]
 
-#: (argv, flag, bad value): every campaign command's numbers, then the
-#: readers' (a log path first, which the parser rejects the value before
-#: opening), then the socket commands' (before binding or sending).
+#: (argv, flag, bad value): the campaign's numbers, then `faults`', then
+#: the readers' (a log path first, which the parser rejects the value
+#: before opening), then the socket commands' (before binding or sending).
 BAD_NUMBERS = [
-    (command, flag, value)
+    (["run"], flag, value)
     for flag, value in [
         ("--workers", "0"),
         ("--shards", "-1"),
         ("--probes", "0"),
         ("--interval", "0"),
         ("--interval", "nan"),
+        ("--interval", "inf"),
         ("--duration", "-1"),
+        ("--duration", "inf"),
+        ("--duration", "1e308"),  # finite minutes, infinite seconds
     ]
-    for command in CAMPAIGN_COMMANDS
+] + [
+    (["faults"], "--duration", value) for value in ("-5", "inf", "nan")
 ] + [
     (["top", "run.events.jsonl"], "--refresh", "-1"),
     (["top", "run.events.jsonl"], "--refresh", "nan"),
+    (["top", "run.events.jsonl"], "--refresh", "inf"),
     (["top", "run.events.jsonl"], "--idle-timeout", "-1"),
     (["top", "run.events.jsonl"], "--max-frames", "-1"),
     (["forensics", "run.events.jsonl"], "--top", "-2"),
@@ -207,6 +188,7 @@ class TestParser:
         assert args.combo == "2C"
         assert args.probes == 300
         assert not args.ipv6
+        assert args.scenario is None and args.attack is None
 
     def test_plan_site_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -228,7 +210,9 @@ class TestParser:
         # from time.sleep) or be ignored (`forensics --top -2` dropped
         # the exemplar section; `serve --port 70000` an OverflowError,
         # `serve --max-queries -1` served nothing, `dig -p 70000` timed
-        # out, `dig --timeout 0` reported no response at once).
+        # out, `dig --timeout 0` reported no response at once; `run
+        # --interval inf` ran no tick, `--duration inf` died converting
+        # NaN ticks to an int, `faults --duration nan` printed NaN spans).
         with pytest.raises(SystemExit) as exit_info:
             main([*command, flag, value])
         assert exit_info.value.code == 2
@@ -276,7 +260,7 @@ class TestParser:
                 yield from nested or [prefix + name]
 
         commands = set(leaf_commands(parser_surface(build_parser())))
-        assert len(commands) == 19  # 17 sub-parsers, two of them groups of 2
+        assert len(commands) == 17  # no command groups
         assert documented == commands
 
     def test_parser_surface_is_pinned(self):
@@ -671,46 +655,50 @@ class TestScorecardCommand:
         assert code in (0, 1)
 
 
-class TestFaultsCommands:
-    def test_faults_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults"])
+def write_profile(path: Path, **fields) -> Path:
+    """An attack-profile file, written the way a user would write one."""
+    path.write_text(json.dumps(
+        {"kind": "repro-attack-profile", "version": 1, "name": "nxns",
+         "vector": "nxns", **fields}
+    ))
+    return path
 
-    def test_faults_run_defaults(self):
-        args = build_parser().parse_args(["faults", "run"])
-        assert args.scenario == "ns-outage"
-        assert args.combo == "2C"
+
+class TestFaultsCommands:
+    """`run --scenario` / `--attack`, and the `faults` / `attack` listings."""
+
+    CAMPAIGN = ["--combo", "2C", "--probes", "20", "--interval", "2",
+                "--duration", "30", "--seed", "1"]
 
     def test_faults_list(self, capsys):
-        assert main(["faults", "list"]) == 0
+        assert main(["faults"]) == 0
         out = capsys.readouterr().out
         assert "ns-outage" in out
         assert "brownout" in out
 
     def test_faults_list_with_duration_expands_timeline(self, capsys):
-        assert main(["faults", "list", "--duration", "30"]) == 0
+        assert main(["faults", "--duration", "30"]) == 0
         out = capsys.readouterr().out
         assert "ns_outage" in out
         assert "600" in out  # middle third of a 30-minute campaign
 
+    def test_attack_list(self, capsys):
+        assert main(["attack"]) == 0
+        out = capsys.readouterr().out
+        assert "nxns-mitigated" in out
+        assert "water-torture" in out
+
     def test_faults_run_small(self, capsys, tmp_path):
         events = tmp_path / "faults.jsonl"
-        exported = tmp_path / "scenario.json"
-        code = main(
-            [
-                "faults", "run", "--combo", "2C", "--probes", "20",
-                "--interval", "2", "--duration", "30", "--seed", "1",
-                "--events", str(events), "--export", str(exported),
-            ]
-        )
+        code = main(["run", "--scenario", "ns-outage", *self.CAMPAIGN,
+                     "--no-analyze", "--events", str(events)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "fault timeline:" in out
+        assert out.startswith("fault timeline:")
         assert "fault.start" in out and "fault.end" in out
         assert "query share per fault window" in out
-        assert events.exists()
+        assert "attack" not in out
         assert "fault.start" in events.read_text()
-        assert "repro-fault-scenario" in exported.read_text()
 
     def test_faults_run_scenario_file(self, capsys, tmp_path):
         from repro.netsim.faults import builtin_scenario
@@ -718,24 +706,54 @@ class TestFaultsCommands:
         path = builtin_scenario("ns-outage", 1800.0).save(
             tmp_path / "outage.json"
         )
-        code = main(
-            [
-                "faults", "run", "--scenario", str(path), "--combo", "2C",
-                "--probes", "20", "--interval", "2", "--duration", "30",
-                "--seed", "1",
-            ]
-        )
+        code = main(["run", "--scenario", str(path), *self.CAMPAIGN])
         assert code == 0
-        assert "fault timeline:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # the analyses first, then what the campaign injected
+        assert out.index("Table 2") < out.index("\n\nfault timeline:")
 
-    def test_faults_run_unknown_scenario_errors(self, capsys):
-        code = main(
-            ["faults", "run", "--scenario", "no-such-scenario", "--probes", "20"]
+    def test_attack_profile_file_with_its_ledger(self, capsys, tmp_path):
+        profile = write_profile(tmp_path / "attack.json", max_fetch=3, rrl_qps=2)
+        log = tmp_path / "attack.events.jsonl"
+        code = main(["--quiet", "run", "--attack", str(profile), *self.CAMPAIGN,
+                     "--events", str(log), "--no-analyze"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("attack timeline:")
+        assert "attack.begin" in out and "max_fetch=3 rrl_qps=2" in out
+        amplification = re.search(r"fetch amplification\s+([\d.]+)x", out)
+        assert 0 < float(amplification[1]) <= 3
+        assert "RRL checks" in out
+        assert "query share per fault window" in out
+        assert main(["--quiet", "costs", str(log)]) == 0
+        ledger = capsys.readouterr().out
+        assert re.search(r"^attack_query +[1-9]", ledger, re.M)
+        assert re.search(r"^ns_fetch +[1-9]", ledger, re.M)
+
+    def test_scenario_and_attack_share_one_window_table(self, capsys, tmp_path):
+        # The attack window (900-1350 s) and the outage (600-1200 s)
+        # interleave: the one table splits at all four edges.
+        profile = write_profile(
+            tmp_path / "late.json", start_frac=0.5, end_frac=0.75
         )
-        assert code != 0
+        code = main(["--quiet", "run", "--scenario", "ns-outage", "--attack",
+                     str(profile), *self.CAMPAIGN, "--no-analyze"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("fault timeline:") < out.index("\n\nattack timeline:")
+        assert out.count("query share per fault window") == 1
+        windows = re.findall(r"^(\d+-\d+)s ", out, re.M)
+        assert windows == [
+            "0-600", "600-900", "900-1200", "1200-1350", "1350-1800",
+        ]
+
+    def test_faults_run_unknown_scenario_errors(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--scenario", str(missing), "--probes", "5"]) == 2
+        assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["faults", "run"]], ids=" ".join,
+        "command", [["run"], ["run", "--attack", "nxns"]], ids=" ".join,
     )
     def test_unknown_scenario_is_one_error_everywhere(
         self, capsys, tmp_path, command
@@ -753,13 +771,42 @@ class TestFaultsCommands:
         assert "no-such-scenario" in captured.err
         assert not events.exists()  # rejected before anything was opened
 
-    def test_unknown_attack_takes_the_same_error_path(self, capsys):
-        code = main(["attack", "run", "--attack", "no-such-attack"])
+    def test_unknown_attack_takes_the_same_error_path(self, capsys, tmp_path):
+        events = tmp_path / "never.events.jsonl"
+        code = main(["run", "--attack", "no-such-attack", "--events", str(events)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "no-such-attack" in captured.err
+        assert not events.exists()
+
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--scenario", "[1]", "not a JSON object"),
+            ("--attack", "[1]", "not a JSON object"),
+            ("--attack", json.dumps({"kind": "repro-attack-profile",
+                                     "version": 1, "name": "x",
+                                     "vector": "nxns", "rrl_qps": 0}),
+             "rrl_qps must be >= 1 or None, got 0"),
+        ],
+        ids=["scenario-list", "attack-list", "attack-rrl_qps-0"],
+    )
+    def test_bad_scenario_or_profile_file_is_a_usage_error(
+        self, capsys, tmp_path, flag, content, message
+    ):
+        # A list used to die in `.get` and `rrl_qps` 0 to SERVFAIL every
+        # query; both are now reported before anything is opened.
+        path, events = tmp_path / "bad.json", tmp_path / "never.events.jsonl"
+        path.write_text(content)
+        code = main(["run", flag, str(path), "--probes", "5",
+                     "--events", str(events)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+        assert not events.exists()
 
 
 class TestObservabilityCommands:
