@@ -51,7 +51,6 @@ VALUE = "value-type protocol of a kept type"
 TWIN = ("null twin: reached by sites guarded on `telemetry.enabled` when "
         "one pillar is off")
 EXAMPLE = "an example calls it, and every example must keep running: "
-ITEM9 = "ROADMAP item 9: zone reload through UPDATE / AXFR"
 
 #: What stays although no driver runs it, as (module, qualname pattern,
 #: owner).  ``module`` is relative to ``src/repro``; the pattern is a
@@ -75,12 +74,6 @@ OWNERS: list[tuple[str, str, str]] = [
     ("telemetry/events.py", r"RawEvent\.(kind|to_record)", SAFETY
      + " (records of a newer log version)"),
     # ROADMAP-named owners
-    ("dns/update.py", r".*", ITEM9),
-    ("dns/axfr.py", r".*", ITEM9),
-    ("dns/zone.py", r"Zone\.(delete_rrset|remove_rdata|bump_version)", ITEM9),
-    ("dns/listener.py", r"Listener\.(start|stop|__enter__|__exit__)",
-     "ROADMAP item 9: the loop run in-process; `stop` is the only end of "
-     "`serve_forever` without a query limit"),
     ("resolvers/forwarder.py", r".*", "ROADMAP item 2(d): the response-"
      "validation contract tested through `DnsForwarder`"),
     ("atlas/public.py", r".*", "the parked public-resolver / ECS scenario family"),
@@ -95,6 +88,7 @@ OWNERS: list[tuple[str, str, str]] = [
      "seed-spread intervals"),
     # reached from kept code on a path no driver takes
     ("dns/message.py", r"Message\.request_nsid", CALLER + "NSID probes"),
+    ("dns/server.py", r"build_axfr_response", CALLER + "AXFR over TCP"),
     ("dns/message.py", r"Message\._truncated", CALLER + "a UDP answer whose "
      "question alone overruns"),
     ("dns/rrl.py", r"ResponseRateLimiter\.prune", CALLER + "the limiter's "
@@ -116,8 +110,9 @@ OWNERS: list[tuple[str, str, str]] = [
     ("telemetry/profiling.py", r"NullProfiler\..*", TWIN),
     ("telemetry/tracing.py", r"NullTracer\..*|_NullSpan\..*", TWIN),
     # examples
-    ("dns/server.py", r"AuthoritativeServer\.remove_zone", EXAMPLE
-     + "`examples/secondary_sync.py`"),
+    ("dns/listener.py", r"Listener\.(start|stop|__enter__|__exit__)",
+     "tests and `examples/quickstart.py` run the loop in-process; `stop` "
+     "is the only end of `serve_forever` without a query limit"),
     ("passive/trace.py", r"load_trace|_json_object|Trace\.append", EXAMPLE
      + "`examples/passive_analysis.py`"),
     ("telemetry/tracing.py", r"Tracer\.traces", EXAMPLE
@@ -460,19 +455,20 @@ def render(every: list[Function], missed: list[Function], previous: str) -> str:
         "  outside the program: the rdata `from_wire` of every type,",
         "  `Zone._chase_cname` for user zone files, zone-file syntax errors,",
         "  listener error paths, and the `query_*` header checks.",
-        "- **ROADMAP-named owners.** `dns/update.py` and `dns/axfr.py` (item 9's",
-        "  reload), `resolvers/forwarder.py` (item 2(d)), `atlas/public.py` (the",
-        "  parked ECS scenario family), `atlas/catchment.py` and CHAOS (the",
-        "  catchment study), and the paper-section analyses",
+        "- **ROADMAP-named owners.** `resolvers/forwarder.py` (item 2(d)),",
+        "  `atlas/public.py` (the parked ECS scenario family),",
+        "  `atlas/catchment.py` and CHAOS (the catchment study), and the",
+        "  paper-section analyses",
         "  `analyze_strengthening` (§4.3) and `server_side_shares_from_trace`",
         "  (§3.1).",
         "- **Reference implementations that a test compares against.**",
         "- **Code reached from kept code** on a path no driver takes: a",
-        "  referral, a drop, a fault ramp.  It has a caller under `src/`.",
+        "  referral, a drop, a fault ramp, an AXFR.  It has a caller under `src/`.",
         "- **Null twins** (`telemetry/`): what a site guarded on",
         "  `telemetry.enabled` reaches when one pillar is off.",
         "- **What an example calls.** `examples/` are not drivers, but every",
-        "  example must keep running.",
+        "  example must keep running; tests and `examples/quickstart.py` run",
+        "  the listener's loop in-process (`Listener.start` / `stop`).",
         "- **Value-type protocol of a kept type**: `__repr__`, equality,",
         "  ordering, the list protocol of a list-like view, `to_dict` beside",
         "  `from_dict`, and accessors that complete a type the program uses.",

@@ -3,17 +3,15 @@
 from .. import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
-    "axfr": "NotifyReceiver SecondaryZone build_notify request_axfr zone_from_axfr",
     "errors": "DnsError NameError_ WireFormatError ZoneError ZoneFileSyntaxError",
     "message": "Message Question",
     "name": "ROOT Name",
     "rdata": "A AAAA CAA CNAME GenericRdata MX NS OPT PTR Rdata SOA SRV TXT",
     "records": "RRset ResourceRecord",
     "rrl": "ResponseRateLimiter RrlAction",
-    "server": "DEFAULT_QUERY_LOG_MAX AuthoritativeServer BoundedQueryLog "
-    "QueryLogEntry ServerStats",
+    "server": "AXFR_TYPE_CODE DEFAULT_QUERY_LOG_MAX AuthoritativeServer "
+    "BoundedQueryLog QueryLogEntry ServerStats build_axfr_response",
     "types": "Opcode RRClass RRType Rcode",
-    "update": "UpdateHandler UpdatePolicy attach_update_handling make_update",
     "zone": "LookupResult LookupStatus Zone",
     "zonefile": "parse_zone_text zone_to_text",
 })

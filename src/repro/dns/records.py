@@ -25,7 +25,7 @@ class ResourceRecord:
     :attr:`~repro.dns.rdata.Rdata.fixed_wire` rdata also RDLENGTH and
     the rdata bytes — is packed on first encode and kept on the instance
     (outside the fields: equality, hashing and ``repr`` do not see it).
-    Zone data hands out the same records until the zone changes
+    A frozen zone hands out the same records to every answer
     (:meth:`repro.dns.zone.Zone.records`), so encoding an answer
     compresses its names and appends bytes packed once.
     """
@@ -133,7 +133,7 @@ class RRset:
     ttl: int
     rdatas: list[Rdata] = field(default_factory=list)
 
-    #: ``(zone version, records)`` kept by :meth:`repro.dns.zone.Zone.records`
+    #: the records tuple kept by :meth:`repro.dns.zone.Zone.records`
     #: (not a field)
     _records = None
 

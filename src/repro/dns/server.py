@@ -2,8 +2,10 @@
 
 :class:`AuthoritativeServer` is transport-agnostic: it maps a request
 :class:`Message` to a response :class:`Message`.  Transports (simulated
-network, real UDP) feed it bytes or messages.  It also keeps a query log,
-which plays the role of the paper's server-side packet captures.
+network, real UDP and TCP) feed it bytes or messages.  It also keeps a
+query log, which plays the role of the paper's server-side packet
+captures.  Its zones are fixed when it is built and frozen from then on;
+over TCP it also serves them whole, as AXFR zone transfers (RFC 5936).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..telemetry import NULL_TELEMETRY
+from .errors import ZoneError
 from .message import HEADER_STRUCT, QUESTION_TAIL_STRUCT, Message, Question
 from .name import MAX_NAME_LENGTH, Name
 from .rdata import TXT
@@ -39,6 +42,10 @@ log = logging.getLogger("repro.dns.server")
 CHAOS_ID_SERVER = Name.from_text("id.server.")
 CHAOS_HOSTNAME_BIND = Name.from_text("hostname.bind.")
 
+#: the AXFR question type; not an :class:`RRType`, so over UDP it is
+#: looked up like any other unknown type
+AXFR_TYPE_CODE = 252
+
 #: stands for "no zone was looked up for this query" (None means "looked
 #: up, none matched"); see :attr:`AuthoritativeServer._last_probe`
 _UNPROBED = object()
@@ -57,8 +64,6 @@ class _ResponseTemplate:
     """
 
     zone: Zone
-    zone_version: int
-    origin: Name
     header_tail: bytes  # response bytes 2..12 (flags + section counts)
     tail: bytes  # everything after the question name: qtype, qclass, RRs
     rcode: Rcode
@@ -263,7 +268,9 @@ class AuthoritativeServer:
         Identifier returned for CHAOS ``id.server.`` queries; the paper's
         experiment identifies sites this way *and* via per-site TXT data.
     zones:
-        Initial zones to load.
+        The zones it serves, fixed for its lifetime; each is frozen
+        (:meth:`Zone.freeze`), so whatever the server keeps from one
+        answer holds for every later one.
     log_queries:
         When true, every query is appended to :attr:`query_log`.
     query_log_max:
@@ -289,8 +296,11 @@ class AuthoritativeServer:
         #: folded origin labels -> zone, so the longest-suffix probe
         #: hashes slices of the qname's labels, not ``Name`` objects
         self._zones: dict[tuple[bytes, ...], Zone] = {}
-        #: label count of the deepest loaded origin
-        self._deepest_origin = 0
+        for zone in zones:
+            zone.freeze()
+            self._zones[zone.origin._folded] = zone
+        #: label count of the deepest origin
+        self._deepest_origin = max(map(len, self._zones), default=0)
         self.stats = ServerStats()
         self.query_log = BoundedQueryLog(maxlen=query_log_max)
         self.log_queries = log_queries
@@ -299,9 +309,9 @@ class AuthoritativeServer:
         self.rate_limiter = rate_limiter
         #: response-template cache; see :class:`_ResponseTemplate`
         self._templates: dict[tuple, _ResponseTemplate] = {}
-        #: template key -> zone version at which its canary comparison
-        #: failed; spares re-proving it on every miss (keys only)
-        self._uncachable: dict[tuple, int] = {}
+        #: template keys whose canary comparison failed; spares
+        #: re-proving them on every miss
+        self._uncachable: set[tuple] = set()
         #: a templated query's bytes with the id and first label cut out
         #: -> (template, suffix, suffix wire length, longest qname wire
         #: that fits); see :meth:`_answer_alias`
@@ -312,36 +322,19 @@ class AuthoritativeServer:
         #: (query, zone found for it) from the last :meth:`_answer` that
         #: probed the zone table; ``zone`` is None when no zone matched
         self._last_probe: tuple[Message | None, Zone | None] = (None, None)
-        for zone in zones:
-            self.add_zone(zone)
 
     #: template-cache entries before a wholesale reset; the working set
     #: is bounded by zones x qtypes in practice, this only guards abuse.
     _TEMPLATE_MAX = 512
 
-    # -- zone management ---------------------------------------------------
-
-    def add_zone(self, zone: Zone) -> None:
-        self._zones[zone.origin._folded] = zone
-        self._zones_changed()
-
-    def remove_zone(self, origin: Name) -> None:
-        self._zones.pop(origin._folded, None)
-        self._zones_changed()
-
-    def _zones_changed(self) -> None:
-        self._deepest_origin = max(map(len, self._zones), default=0)
-        self._templates.clear()
-        self._uncachable.clear()
-        self._aliases.clear()
-        self._untemplated.clear()
+    # -- zones -------------------------------------------------------------
 
     def find_zone(self, qname: Name) -> Zone | None:
         """Longest-suffix zone match for a query name.
 
         Walks from the qname toward the root, one dict probe per level,
         instead of scanning every loaded zone — starting at the deepest
-        level a loaded origin has, since no longer suffix can match.
+        level an origin has, since no longer suffix can match.
         """
         zones = self._zones
         if zones:
@@ -367,13 +360,13 @@ class AuthoritativeServer:
         min(advertised, 4096) for EDNS clients; larger answers are
         truncated with the TC bit set (the client then retries over TCP).
 
-        When no rate limiter and no per-instance query dispatch are
-        active, a template fast path may answer without decoding the
-        query into a :class:`Message` at all — from an alias of the
-        query's bytes, else from a parsed question; its output, and what
-        it books in stats, query log and telemetry, are identical to the
-        slow path's (see :class:`_ResponseTemplate`).  A miss whose alias
-        bytes are known to map to no template is decoded once, not parsed.
+        When no rate limiter is set, a template fast path may answer
+        without decoding the query into a :class:`Message` at all — from
+        an alias of the query's bytes, else from a parsed question; its
+        output, and what it books in stats, query log and telemetry, are
+        identical to the slow path's (see :class:`_ResponseTemplate`).  A
+        miss whose alias bytes are known to map to no template is
+        decoded once, not parsed.
 
         Invariant: a limiter changes which responses are sent, never how
         one is computed — under RRL every call still decodes, looks up
@@ -383,7 +376,7 @@ class AuthoritativeServer:
         costs_on = costs.enabled
         limiter = self.rate_limiter
         templating = False
-        if limiter is None and "handle_query" not in self.__dict__:
+        if limiter is None:
             alias = None
             if len(wire) >= 17 and 0 < wire[12] < 64:
                 # header flags and counts, then all after the first label
@@ -459,24 +452,15 @@ class AuthoritativeServer:
     ) -> bytes | None:
         """TCP variant of :meth:`handle_wire`: no size cap, no TC bit.
 
-        TCP also carries zone transfers: AXFR questions are dispatched
-        to :mod:`repro.dns.axfr`.
+        TCP also carries zone transfers (:meth:`_answer_tcp`), booked in
+        stats, query log and telemetry like any other answer.
         """
         try:
             query = Message.from_wire(wire)
         except Exception:
             self.stats.formerr += 1
             return None
-        if (
-            len(query.questions) == 1
-            and int(query.questions[0].rrtype) == 252  # AXFR
-        ):
-            from .axfr import handle_axfr
-
-            self.stats.queries += 1
-            self.stats.responses += 1
-            return handle_axfr(self, query).to_wire()
-        response = self.handle_query(query, client=client, now=now)
+        response = self._serve(query, client, now, self._answer_tcp)
         self._use_edns(query, response)
         return response.to_wire()
 
@@ -508,13 +492,17 @@ class AuthoritativeServer:
         the query arrived through an instrumented :class:`SimNetwork`
         the span nests under that exchange's ``net.round_trip``.
         """
+        return self._serve(query, client, now, self._answer)
+
+    def _serve(self, query: Message, client: str, now: float, answer) -> Message:
+        """:meth:`handle_query` with ``answer`` building the response."""
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return self._handle_query(query, client, now)
+            return self._handle_query(query, client, now, answer)
         qname = query.questions[0].name.to_text() if query.questions else ""
         span = self._start_query_span(qname, client, now)
         try:
-            response = self._handle_query(query, client, now)
+            response = self._handle_query(query, client, now, answer)
             span.set(rcode=getattr(response.rcode, "name", str(response.rcode)))
             return response
         finally:
@@ -527,11 +515,11 @@ class AuthoritativeServer:
         )
 
     def _handle_query(
-        self, query: Message, client: str = "", now: float = 0.0
+        self, query: Message, client: str, now: float, answer
     ) -> Message:
         stats = self.stats
         stats.queries += 1
-        response = self._answer(query)
+        response = answer(query)
         # Counter bookkeeping mirrors the branch _answer took; keeping it
         # out of _answer lets the template builder render canary
         # responses without perturbing the stats.
@@ -599,7 +587,7 @@ class AuthoritativeServer:
             response.flags |= FLAG_AA
             if status is LookupStatus.NXDOMAIN:
                 response.rcode = Rcode.NXDOMAIN
-        # The zone's own record tuples: built once per zone version, each
+        # The zone's own record tuples: built once per RRset, each
         # record carrying its packed wire for the encoder.
         records = zone.records
         for rrset in result.answers:
@@ -609,6 +597,26 @@ class AuthoritativeServer:
         for rrset in result.additional:
             response.additionals += records(rrset)
         return response
+
+    def _answer_tcp(self, query: Message) -> Message:
+        """:meth:`_answer`, except that an IN-class AXFR question is a
+        zone transfer: the whole zone when it names a zone's apex,
+        REFUSED anywhere else."""
+        questions = query.questions
+        if (
+            query.opcode == Opcode.QUERY
+            and len(questions) == 1
+            and questions[0].rrtype == AXFR_TYPE_CODE
+            and questions[0].rrclass == RRClass.IN
+        ):
+            origin = questions[0].name
+            zone = self.find_zone(origin)
+            if zone is not None and zone.origin == origin:
+                return build_axfr_response(query, zone)
+            response = query.make_response()
+            response.rcode = Rcode.REFUSED
+            return response
+        return self._answer(query)
 
     def _answer_chaos(self, question: Question, response: Message) -> None:
         """CHAOS TXT id.server. / hostname.bind. identify this instance."""
@@ -666,17 +674,11 @@ class AuthoritativeServer:
             return None
         label_end = 13 + wire[12]
         entry, suffix, suffix_len, room = alias
-        zone = entry.zone
         qname_end = label_end + suffix_len
-        if (
-            zone.version != entry.zone_version
-            or self._zones.get(entry.origin._folded) is not zone
-            or zone._indexed_version != zone.version  # _owners is stale
-            or qname_end - 12 > room
-        ):
+        if qname_end - 12 > room:
             return None
         folded = (wire[13:label_end].lower(),) + suffix._folded
-        if folded in zone._owners or folded in self._zones:
+        if folded in entry.zone._owners or folded in self._zones:
             return None
         return self._render_hit(entry, wire, wire[12:qname_end], client, now)
 
@@ -755,12 +757,6 @@ class AuthoritativeServer:
         # on its cached folded form, so the key stays case-insensitive.
         key = (suffix, qtype, rd, edns_payload is not None, wants_nsid)
         entry = self._templates.get(key) if qclass == RRClass.IN else None
-        if entry is not None and (
-            entry.zone.version != entry.zone_version
-            or self._zones.get(entry.origin._folded) is not entry.zone
-        ):
-            del self._templates[key]
-            entry = None
         if entry is None:
             if alias is not None:
                 untemplated = self._untemplated
@@ -848,7 +844,7 @@ class AuthoritativeServer:
         edns_payload, wants_nsid = query.edns_payload, query.nsid is not None
         rd = query.recursion_desired
         key = (suffix, rrtype, rd, edns_payload is not None, wants_nsid)
-        if self._uncachable.get(key) == zone.version:
+        if key in self._uncachable:
             return
         first = qname.labels[0]
         canary_label = b"\x01" if len(first) != 1 else b"\x01\x02"
@@ -875,20 +871,35 @@ class AuthoritativeServer:
             or wire_out[name_end:] != canary_wire[canary_end:]
         ):
             # Tail depends on the qname: not cachable, for any qname
-            # under this key, until the zone changes.
+            # under this key.
             if len(self._uncachable) >= self._TEMPLATE_MAX:
                 self._uncachable.clear()
-            self._uncachable[key] = zone.version
+            self._uncachable.add(key)
             return
         if len(self._templates) >= self._TEMPLATE_MAX:
             self._templates.clear()
         self._untemplated.clear()
         self._templates[key] = _ResponseTemplate(
             zone=zone,
-            zone_version=zone.version,
-            origin=zone.origin,
             header_tail=wire_out[2:12],
             tail=wire_out[name_end:],
             rcode=Rcode(wire_out[3] & 0x0F),
             log_rrtype=log_rrtype,
         )
+
+
+def build_axfr_response(query: Message, zone: Zone) -> Message:
+    """The AXFR answer (RFC 5936): the SOA, every other record, the SOA
+    again, in one message."""
+    soa = zone.soa
+    if soa is None:
+        raise ZoneError(f"zone {zone.origin} has no SOA; cannot transfer")
+    response = query.make_response()
+    response.authoritative = True
+    soa_records = soa.records()
+    response.answers.extend(soa_records)
+    for rrset in zone.rrsets():
+        if rrset.rrtype != RRType.SOA:
+            response.answers.extend(rrset.records())
+    response.answers.extend(soa_records)
+    return response

@@ -3,6 +3,10 @@
 A :class:`Zone` stores RRsets indexed by (owner name, type) and answers
 the classic authoritative questions: exact match, CNAME chase, delegation
 (referral), wildcard synthesis, NXDOMAIN vs NODATA.
+
+A zone is built, then frozen (:meth:`Zone.freeze`): the server that
+takes it, or its first :meth:`Zone.lookup`, freezes it, and from then on
+it is read-only, like the static zone files of the paper's servers.
 """
 
 from __future__ import annotations
@@ -56,17 +60,14 @@ class Zone:
         #: glue) are O(owner's types), not a scan of the whole zone.
         self._by_owner: dict[Name, dict[RRType, RRset]] = {}
         self._names: set[Name] = set()
-        #: bumped on every mutation; response templates and the record
-        #: tuples of :meth:`records` key on it.
-        self.version = 0
-        #: what :meth:`lookup` derives from the data once per version:
+        #: set by :meth:`freeze`; no record is added after it
+        self._frozen = False
+        #: what :meth:`freeze` derives from the data for :meth:`lookup`:
         #: folded labels of each delegation point -> its NS RRset; folded
         #: labels of every existing name -> its ``{type: RRset}`` (empty
-        #: for an empty non-terminal; an RRset is never empty, its last
-        #: rdata takes it along); the same for each ``*`` name, keyed by
-        #: its parent (the closest encloser it serves); the apex SOA.
+        #: for an empty non-terminal); the same for each ``*`` name, keyed
+        #: by its parent (the closest encloser it serves); the apex SOA.
         #: Tuples of ``bytes`` hash and compare in C.
-        self._indexed_version = -1
         self._cuts: dict[tuple[bytes, ...], RRset] = {}
         self._owners: dict[tuple[bytes, ...], Mapping[RRType, RRset]] = {}
         self._wildcards: dict[tuple[bytes, ...], Mapping[RRType, RRset]] = {}
@@ -75,6 +76,8 @@ class Zone:
     # -- mutation ---------------------------------------------------------
 
     def add_record(self, record: ResourceRecord) -> None:
+        if self._frozen:
+            raise ZoneError(f"zone {self.origin} is frozen: it is being served")
         if not record.name.is_subdomain_of(self.origin):
             raise ZoneError(f"{record.name} is out of zone {self.origin}")
         key = (record.name, record.rrtype)
@@ -84,7 +87,6 @@ class Zone:
             self._rrsets[key] = rrset
             self._by_owner.setdefault(record.name, {})[record.rrtype] = rrset
         rrset.add(record.rdata, record.ttl)
-        self.version += 1
         # Record every ancestor as an existing (possibly empty non-terminal)
         # name so NODATA vs NXDOMAIN is decided correctly.
         name = record.name
@@ -105,41 +107,6 @@ class Zone:
         if isinstance(name, str):
             name = Name.from_text(name)
         self.add_record(ResourceRecord(name, rrtype, self.rrclass, ttl, rdata))
-
-    def delete_rrset(self, name: Name, rrtype: RRType) -> bool:
-        """Remove one (owner, type) RRset; True when something was removed.
-
-        The owner stays in the name tree (an RFC 2136 delete does not
-        un-exist empty non-terminals), so the lookup outcome for the
-        deleted type becomes NODATA, exactly as if the RRset were empty.
-        """
-        rrset = self._rrsets.pop((name, rrtype), None)
-        if rrset is None:
-            return False
-        by_type = self._by_owner.get(name)
-        if by_type is not None:
-            by_type.pop(rrtype, None)
-            if not by_type:
-                del self._by_owner[name]
-        self.version += 1
-        return True
-
-    def remove_rdata(self, name: Name, rrtype: RRType, rdata: Rdata) -> bool:
-        """Remove a single RR from its RRset; True when it was present."""
-        rrset = self._rrsets.get((name, rrtype))
-        if rrset is None or rdata not in rrset.rdatas:
-            return False
-        if len(rrset.rdatas) == 1:
-            # An RRset never stays behind empty: a delegation whose last
-            # NS went would otherwise keep serving a referral to nowhere.
-            return self.delete_rrset(name, rrtype)
-        rrset.rdatas.remove(rdata)
-        self.version += 1
-        return True
-
-    def bump_version(self) -> None:
-        """Invalidate cached templates and records after out-of-band edits."""
-        self.version += 1
 
     # -- accessors ----------------------------------------------------------
 
@@ -164,22 +131,27 @@ class Zone:
     # -- lookup -------------------------------------------------------------
 
     def records(self, rrset: RRset) -> tuple[ResourceRecord, ...]:
-        """``rrset.records()``, built once per zone version.
+        """``rrset.records()``, built once.
 
         The tuple — and with it each record's packed wire, see
-        :meth:`ResourceRecord.wire_into` — is handed to every answer
-        until an edit bumps :attr:`version`.  ``rrset`` is one of this
-        zone's RRsets, or one :meth:`lookup` synthesised from them.
+        :meth:`ResourceRecord.wire_into` — is handed to every answer.
+        ``rrset`` is one of this frozen zone's RRsets, or one
+        :meth:`lookup` synthesised from them.
         """
-        cached = rrset._records
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        records = tuple(rrset.records())
-        rrset._records = (self.version, records)
+        records = rrset._records
+        if records is None:
+            records = rrset._records = tuple(rrset.records())
         return records
 
-    def _reindex(self) -> None:
-        """Rebuild the lookup index for the current version."""
+    def freeze(self) -> None:
+        """Build the lookup index and make the zone read-only.
+
+        Idempotent: every server that takes the zone calls it, and so
+        does the first :meth:`lookup`.  :meth:`add` / :meth:`add_record`
+        raise :class:`ZoneError` from then on.
+        """
+        if self._frozen:
+            return
         origin = self.origin
         self._cuts = {
             name._folded: rrset
@@ -198,7 +170,7 @@ class Zone:
             if folded[:1] == (WILDCARD_LABEL,)
         }
         self._soa = self._rrsets.get((origin, RRType.SOA))
-        self._indexed_version = self.version
+        self._frozen = True
 
     def lookup(self, qname: Name, qtype: RRType) -> LookupResult:
         """Authoritatively resolve ``qname``/``qtype`` within this zone."""
@@ -206,8 +178,8 @@ class Zone:
         below = len(folded) - len(self.origin._folded)  # labels under the origin
         if below < 0 or folded[below:] != self.origin._folded:
             return LookupResult(LookupStatus.NXDOMAIN)  # not in this zone
-        if self._indexed_version != self.version:
-            self._reindex()
+        if not self._frozen:
+            self.freeze()
 
         cuts = self._cuts
         if cuts:
@@ -291,12 +263,10 @@ class Zone:
         records = []
         for record in self.records(rrset):
             records.append(record._with_owner(qname))
-        synthesized._records = (self.version, tuple(records))
+        synthesized._records = tuple(records)
         return LookupResult(LookupStatus.SUCCESS, [synthesized], [], [])
 
     def _negative(self, status: LookupStatus) -> LookupResult:
-        if self._indexed_version != self.version:
-            self._reindex()
         soa = self._soa
         return LookupResult(status, [], [] if soa is None else [soa], [])
 

@@ -1,21 +1,18 @@
-"""Tests for AXFR zone transfer and secondary zones."""
+"""Tests for serving AXFR zone transfers (a read of a frozen zone)."""
+
+import socket
 
 import pytest
 
-from repro.dns.axfr import (
-    SecondaryZone,
-    build_axfr_response,
-    request_axfr,
-    zone_from_axfr,
-)
 from repro.dns.errors import ZoneError
-from repro.dns.listener import Listener
+from repro.dns.listener import Listener, query_tcp, read_tcp_message, write_tcp_message
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT, A
-from repro.dns.server import AuthoritativeServer
-from repro.dns.types import Rcode, RRClass, RRType
+from repro.dns.server import AXFR_TYPE_CODE, AuthoritativeServer, build_axfr_response
+from repro.dns.types import Opcode, Rcode, RRClass, RRType
 from repro.dns.zone import Zone
+from repro.telemetry import Telemetry
 
 ORIGIN = Name.from_text("example.nl.")
 
@@ -38,9 +35,9 @@ def make_zone(serial=1, extra_records=3):
     return zone
 
 
-def axfr_query(origin=ORIGIN, msg_id=7):
+def axfr_query(origin=ORIGIN, msg_id=7, rrclass=RRClass.IN):
     query = Message(msg_id=msg_id)
-    query.questions.append(Question(origin, 252, RRClass.IN))  # type: ignore[arg-type]
+    query.questions.append(Question(origin, AXFR_TYPE_CODE, rrclass))  # type: ignore[arg-type]
     return query
 
 
@@ -64,84 +61,74 @@ class TestAxfrResponse:
             build_axfr_response(axfr_query(), zone)
 
 
-class TestZoneFromAxfr:
-    def test_roundtrip(self):
-        original = make_zone(extra_records=4)
-        response = build_axfr_response(axfr_query(), original)
-        rebuilt = zone_from_axfr(ORIGIN, response.answers)
-        rebuilt.validate()
-        assert {
-            (rs.name, rs.rrtype, tuple(rs.rdatas)) for rs in rebuilt.rrsets()
-        } == {(rs.name, rs.rrtype, tuple(rs.rdatas)) for rs in original.rrsets()}
-
-    def test_unframed_stream_rejected(self):
-        original = make_zone()
-        response = build_axfr_response(axfr_query(), original)
-        with pytest.raises(ZoneError):
-            zone_from_axfr(ORIGIN, response.answers[1:])  # missing lead SOA
-
-    def test_short_stream_rejected(self):
-        with pytest.raises(ZoneError):
-            zone_from_axfr(ORIGIN, [])
-
-
 class TestAxfrOverTcp:
     def test_transfer_end_to_end(self):
-        engine = AuthoritativeServer("primary", [make_zone(extra_records=6)])
+        zone = make_zone(extra_records=6)
+        engine = AuthoritativeServer("primary", [zone])
         with Listener(engine) as server:
-            zone = request_axfr(server.address, ORIGIN)
-        zone.validate()
-        assert zone.get_rrset(Name.from_text("h5.example.nl."), RRType.TXT)
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                write_tcp_message(sock, axfr_query().to_wire())
+                wire = read_tcp_message(sock)
+        response = Message.from_wire(wire)
+        assert response.rcode == Rcode.NOERROR and response.authoritative
+        records = response.answers
+        assert records[0].rrtype == records[-1].rrtype == RRType.SOA
+        assert {(r.name, r.rrtype, r.rdata) for r in records} == {
+            (r.name, r.rrtype, r.rdata) for rrset in zone.rrsets() for r in rrset.records()
+        }
+        assert len(records) == 1 + sum(len(rrset) for rrset in zone.rrsets())
 
     def test_transfer_refused_below_apex(self):
         engine = AuthoritativeServer("primary", [make_zone()])
         with Listener(engine) as server:
-            with pytest.raises(ZoneError):
-                request_axfr(server.address, "sub.example.nl.")
+            response = query_tcp(server.address, "sub.example.nl.", AXFR_TYPE_CODE)
+        assert response.rcode == Rcode.REFUSED and not response.answers
 
     def test_transfer_refused_unknown_zone(self):
         engine = AuthoritativeServer("primary", [make_zone()])
         with Listener(engine) as server:
-            with pytest.raises(ZoneError):
-                request_axfr(server.address, "other.com.")
+            response = query_tcp(server.address, "other.com.", AXFR_TYPE_CODE)
+        assert response.rcode == Rcode.REFUSED and not response.answers
 
 
-class TestSecondaryZone:
-    def test_initial_transfer(self):
-        engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with Listener(engine) as server:
-            secondary = SecondaryZone(ORIGIN, server.address)
-            secondary.transfer()
-        assert secondary.serial == 5
-
-    def test_refresh_skips_same_serial(self):
-        engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with Listener(engine) as server:
-            secondary = SecondaryZone(ORIGIN, server.address)
-            secondary.transfer()
-            assert secondary.refresh() is False
-
-    def test_refresh_pulls_newer_serial(self):
-        engine = AuthoritativeServer("primary", [make_zone(serial=5)])
-        with Listener(engine) as server:
-            secondary = SecondaryZone(ORIGIN, server.address)
-            secondary.transfer()
-            engine.remove_zone(ORIGIN)
-            engine.add_zone(make_zone(serial=6, extra_records=7))
-            assert secondary.refresh() is True
-        assert secondary.serial == 6
-        assert secondary.zone.get_rrset(
-            Name.from_text("h6.example.nl."), RRType.TXT
+class TestAxfrIsAnAnswerLikeAnyOther:
+    def test_transfers_book_stats_log_and_span(self):
+        """An AXFR, served or refused, is counted, logged and traced as
+        ``handle_query`` books any answer."""
+        engine = AuthoritativeServer(
+            "primary", [make_zone()], telemetry=Telemetry.enabled_bundle()
         )
+        below = axfr_query(Name.from_text("sub.example.nl."), msg_id=8)
+        for query, now in ((axfr_query(), 1.0), (below, 2.0)):
+            engine.handle_wire_tcp(query.to_wire(), "192.0.2.7:4000", now)
+        assert engine.stats.queries == engine.stats.responses == 2
+        assert engine.stats.refused == 1
+        assert [(e.timestamp, e.client, e.qname, e.rcode) for e in engine.query_log] == [
+            (1.0, "192.0.2.7:4000", ORIGIN, Rcode.NOERROR),
+            (2.0, "192.0.2.7:4000", Name.from_text("sub.example.nl."), Rcode.REFUSED),
+        ]
+        roots = engine.telemetry.tracer.traces()
+        assert [(root.name, root.attributes["rcode"]) for root in roots] == [
+            ("auth.query", "NOERROR"), ("auth.query", "REFUSED"),
+        ]
 
-    def test_secondary_serves_transferred_zone(self):
-        engine = AuthoritativeServer("primary", [make_zone(serial=9)])
-        with Listener(engine) as server:
-            secondary = SecondaryZone(ORIGIN, server.address)
-            zone = secondary.transfer()
-        replica = AuthoritativeServer("secondary", [zone])
-        response = replica.handle_query(
-            Message.make_query("h0.example.nl.", RRType.TXT)
-        )
-        assert response.rcode == Rcode.NOERROR
-        assert response.answers[0].rdata.value == "rec-0"
+    def test_class_and_opcode_are_checked_as_for_any_query(self):
+        """A CHAOS-class AXFR at the apex is REFUSED, not a transfer of the
+        IN zone, and a non-QUERY opcode is a counted NOTIMP."""
+        engine = AuthoritativeServer("primary", [make_zone()])
+        chaos = Message.from_wire(engine.handle_wire_tcp(
+            axfr_query(rrclass=RRClass.CH).to_wire()
+        ))
+        assert chaos.rcode == Rcode.REFUSED and not chaos.answers
+        notify = axfr_query()
+        notify.opcode = Opcode.NOTIFY
+        notimp = Message.from_wire(engine.handle_wire_tcp(notify.to_wire()))
+        assert notimp.rcode == Rcode.NOTIMP
+        assert (engine.stats.chaos, engine.stats.notimp, engine.stats.formerr) == (1, 1, 0)
+
+    def test_udp_asks_for_type_252_as_for_any_unknown_type(self):
+        engine = AuthoritativeServer("primary", [make_zone()])
+        response = Message.from_wire(engine.handle_wire(axfr_query().to_wire()))
+        assert response.rcode == Rcode.NOERROR and response.authoritative
+        assert not response.answers  # NODATA: the apex has no type-252 RRset
+        assert [record.rrtype for record in response.authorities] == [RRType.SOA]

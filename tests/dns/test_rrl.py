@@ -247,22 +247,30 @@ class TestSelfPrune:
         assert len(limiter._buckets) < 1000
 
 
+def _integration_engine(*extra: tuple[str, RRType, object]) -> AuthoritativeServer:
+    """The ``TestServerIntegration`` engine, ``extra`` records added to its
+    zone before the engine takes it."""
+    zone = Zone(ORIGIN)
+    zone.add(
+        ORIGIN,
+        RRType.SOA,
+        SOA(Name.from_text("ns1.example.nl."), Name.from_text("h.example.nl."),
+            1, 2, 3, 4, 5),
+    )
+    zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
+    zone.add("t.example.nl.", RRType.TXT, TXT.from_value("answer"))
+    for name, rrtype, rdata in extra:
+        zone.add(name, rrtype, rdata)
+    return AuthoritativeServer(
+        "srv", [zone],
+        rate_limiter=ResponseRateLimiter(responses_per_second=2, slip_ratio=1),
+    )
+
+
 class TestServerIntegration:
     @pytest.fixture
     def engine(self):
-        zone = Zone(ORIGIN)
-        zone.add(
-            ORIGIN,
-            RRType.SOA,
-            SOA(Name.from_text("ns1.example.nl."), Name.from_text("h.example.nl."),
-                1, 2, 3, 4, 5),
-        )
-        zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
-        zone.add("t.example.nl.", RRType.TXT, TXT.from_value("answer"))
-        return AuthoritativeServer(
-            "srv", [zone],
-            rate_limiter=ResponseRateLimiter(responses_per_second=2, slip_ratio=1),
-        )
+        return _integration_engine()
 
     def test_repeated_identical_queries_limited(self, engine):
         query = Message.make_query("t.example.nl.", RRType.TXT, msg_id=1)
@@ -323,12 +331,13 @@ class TestServerIntegration:
         assert len(full) == 2      # responses_per_second=2
         assert len(slipped) == 6   # slip_ratio=1: the rest slip as TC
 
-    def test_noerror_buckets_stay_per_qname(self, engine):
+    def test_noerror_buckets_stay_per_qname(self):
         # Positive answers for *different* names are different response
         # keys: asking for two real names doesn't share a budget (only
         # identical responses aggregate — the reflector defence).
-        zone = engine.find_zone(Name.from_text("t.example.nl."))
-        zone.add("u.example.nl.", RRType.TXT, TXT.from_value("other"))
+        engine = _integration_engine(
+            ("u.example.nl.", RRType.TXT, TXT.from_value("other"))
+        )
         for qname in ("t.example.nl.", "u.example.nl."):
             wire = engine.handle_wire(
                 Message.make_query(qname, RRType.TXT, msg_id=77).to_wire(),
@@ -337,11 +346,15 @@ class TestServerIntegration:
             )
             assert not Message.from_wire(wire).truncated
 
-    def test_noerror_buckets_ignore_query_case(self, engine):
+    def test_noerror_buckets_ignore_query_case(self):
         # Names compare case-insensitively, so the bucket must too: a
         # reflector that 0x20-randomises its queries gets the same two
         # answers as one that does not.  (The key used to be the rendered
         # qname, and every spelling had a budget of its own.)
+        engine = _integration_engine(
+            ("u.example.nl.", RRType.TXT, TXT.from_value("other")),
+            ("t.example.nl.", RRType.A, A("192.0.2.7")),
+        )
         engine.rate_limiter = ResponseRateLimiter(
             responses_per_second=2, slip_ratio=0
         )
@@ -361,9 +374,6 @@ class TestServerIntegration:
         assert Message.from_wire(results[1]).questions[0].name.labels[0] == b"T"
         # A different name, and the same name with another type, still
         # have budgets of their own.
-        zone = engine.find_zone(ORIGIN)
-        zone.add("u.example.nl.", RRType.TXT, TXT.from_value("other"))
-        zone.add("t.example.nl.", RRType.A, A("192.0.2.7"))
         for qname, qtype in (("U.example.nl.", RRType.TXT), ("T.example.nl.", RRType.A)):
             wire = engine.handle_wire(
                 Message.make_query(qname, qtype, msg_id=9).to_wire(),

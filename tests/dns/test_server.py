@@ -77,10 +77,10 @@ class TestQueryHandling:
         response = server.handle_query(Message())
         assert response.rcode == Rcode.FORMERR
 
-    def test_longest_zone_match(self, server):
+    def test_longest_zone_match(self):
         sub = Zone("deep.ourtestdomain.nl.")
         sub.add("deep.ourtestdomain.nl.", RRType.TXT, TXT.from_value("subzone"))
-        server.add_zone(sub)
+        server = AuthoritativeServer("fra.ourtestdomain.nl", [make_zone(), sub])
         query = Message.make_query("deep.ourtestdomain.nl.", RRType.TXT)
         response = server.handle_query(query)
         assert response.answers[0].rdata.value == "subzone"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.deployment import build_zone
-from repro.dns.axfr import AXFR_TYPE_CODE as AXFR
+from repro.dns.server import AXFR_TYPE_CODE as AXFR
 from repro.dns.message import Message, Question
 from repro.dns.name import Name
 from repro.dns.rdata import AAAA, CAA, CNAME, MX, NS, SOA, SRV, TXT, A

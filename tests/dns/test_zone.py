@@ -3,8 +3,10 @@
 import pytest
 
 from repro.dns.errors import ZoneError
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import CNAME, NS, SOA, TXT, A
+from repro.dns.server import AuthoritativeServer
 from repro.dns.types import RRType
 from repro.dns.zone import LookupStatus, Zone
 
@@ -124,32 +126,6 @@ class TestDelegation:
         result = zone.lookup(ORIGIN, RRType.NS)
         assert result.status == LookupStatus.SUCCESS
 
-    def test_removing_the_last_ns_removes_the_cut(self, zone):
-        # An RFC 2136 single-RR delete of the only NS used to leave an
-        # empty RRset behind, and with it a referral to nowhere.
-        cut = Name.from_text("sub.example.nl.")
-        target = NS(Name.from_text("ns.sub.example.nl."))
-        version = zone.version
-        assert zone.remove_rdata(cut, RRType.NS, target)
-        assert zone.version > version
-        assert zone.get_rrset(cut, RRType.NS) is None
-        below = zone.lookup(Name.from_text("host.sub.example.nl."), RRType.A)
-        assert below.status == LookupStatus.NXDOMAIN
-        assert [rrset.rrtype for rrset in below.authority] == [RRType.SOA]
-        # The former cut stays in the name tree (ns.sub still hangs off it).
-        assert zone.lookup(cut, RRType.A).status == LookupStatus.NODATA
-        assert zone.lookup(cut, RRType.ANY).status == LookupStatus.NODATA
-        assert not zone.remove_rdata(cut, RRType.NS, target)  # already gone
-
-    def test_removing_one_of_two_ns_keeps_the_cut(self, zone):
-        cut = Name.from_text("sub.example.nl.")
-        zone.add(cut, RRType.NS, NS(Name.from_text("ns2.example.org.")))
-        assert zone.remove_rdata(cut, RRType.NS, NS(Name.from_text("ns.sub.example.nl.")))
-        result = zone.lookup(Name.from_text("host.sub.example.nl."), RRType.A)
-        assert result.status == LookupStatus.DELEGATION
-        assert result.authority[0].rdatas == [NS(Name.from_text("ns2.example.org."))]
-        assert result.additional == []  # the remaining target is out of zone
-
 
 class TestWildcard:
     def test_wildcard_synthesis(self, zone):
@@ -213,3 +189,26 @@ class TestZoneManagement:
         zone.add("multi.example.nl.", RRType.A, A("192.0.2.11"), ttl=60)
         rrset = zone.get_rrset(Name.from_text("multi.example.nl."), RRType.A)
         assert rrset.ttl == 60
+
+
+class TestFrozenZones:
+    def test_add_after_a_server_took_the_zone_raises(self, zone):
+        AuthoritativeServer("srv", [zone])
+        with pytest.raises(ZoneError, match="frozen"):
+            zone.add("late.example.nl.", RRType.A, A("192.0.2.7"))
+        assert zone.get_rrset(Name.from_text("late.example.nl."), RRType.A) is None
+
+    def test_add_after_a_bare_lookup_raises(self, zone):
+        assert zone.lookup(ORIGIN, RRType.NS).status == LookupStatus.SUCCESS
+        with pytest.raises(ZoneError, match="frozen"):
+            zone.add("www.example.nl.", RRType.A, A("192.0.2.81"))
+        rrset = zone.get_rrset(Name.from_text("www.example.nl."), RRType.A)
+        assert rrset.rdatas == [A("192.0.2.80")]
+
+    def test_two_servers_share_one_zone(self, zone):
+        servers = [AuthoritativeServer(site, [zone]) for site in ("fra", "syd")]
+        zone.freeze()  # idempotent, like the servers' own calls
+        query = Message.make_query("www.example.nl.", RRType.A, msg_id=3).to_wire()
+        answers = {server.handle_wire(query) for server in servers}
+        assert len(answers) == 1
+        assert Message.from_wire(answers.pop()).answers[0].rdata == A("192.0.2.80")

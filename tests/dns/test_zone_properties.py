@@ -7,11 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import CNAME, NS, SOA, TXT, A
-from repro.dns.records import ResourceRecord, RRset
+from repro.dns.records import RRset
 from repro.dns.rrl import ResponseRateLimiter
 from repro.dns.server import AuthoritativeServer, ServerStats
-from repro.dns.types import RRClass, RRType
-from repro.dns.update import UpdateHandler, UpdatePolicy, make_update
+from repro.dns.types import RRType
 from repro.dns.zone import WILDCARD_LABEL, LookupResult, LookupStatus, Zone
 
 ORIGIN = Name.from_text("example.nl.")
@@ -113,7 +112,7 @@ class TestCnameProperties:
 
 
 def _reference_find_zone_cut(zone, qname):
-    """``Zone._find_zone_cut`` as it was before the per-version index."""
+    """``Zone._find_zone_cut`` as it was before the lookup index."""
     relative = qname.relativize(zone.origin)
     name = zone.origin
     for label_ in reversed(relative):
@@ -201,123 +200,82 @@ _RDATA = {
     RRType.CNAME: [CNAME(Name.from_text("a.example.nl."))],
 }
 _stored_type = st.sampled_from(sorted(_RDATA))
-_mutation = st.tuples(
-    st.sampled_from(["add", "add", "add", "delete_rrset", "remove_rdata", "bump"]),
-    _owner,
-    _stored_type,
-    st.integers(min_value=0, max_value=1),
-)
+_add = st.tuples(_owner, _stored_type, st.integers(min_value=0, max_value=1))
 _qtype = st.sampled_from(
     [RRType.A, RRType.TXT, RRType.NS, RRType.CNAME, RRType.AAAA, RRType.ANY]
 )
 
 
-def _apply(zone, mutation):
-    action, owner, rrtype, pick = mutation
-    rdata = _RDATA[rrtype][pick % len(_RDATA[rrtype])]
-    if action == "add":
-        zone.add(owner, rrtype, rdata)
-    elif action == "delete_rrset":
-        zone.delete_rrset(owner, rrtype)
-    elif action == "remove_rdata":
-        zone.remove_rdata(owner, rrtype, rdata)
-    else:
-        zone.bump_version()
+def _build(adds, with_apex: bool = True, fresh: bool = False) -> Zone:
+    """A zone of the drawn ``(owner, type, pick)`` adds, under an apex SOA
+    and NS unless ``with_apex`` is false; ``fresh`` gives it rdata
+    objects that have never been encoded."""
+    zone = Zone(ORIGIN)
+    if with_apex:  # without: a zone whose origin need not be a name
+        zone.add(
+            ORIGIN,
+            RRType.SOA,
+            SOA(Name.from_text("ns1.example.nl."),
+                Name.from_text("h.example.nl."), 1, 2, 3, 4, 300),
+        )
+        zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
+    for owner, rrtype, pick in adds:
+        rdata = _RDATA[rrtype][pick % len(_RDATA[rrtype])]
+        zone.add(owner, rrtype, dataclasses.replace(rdata) if fresh else rdata)
+    return zone
 
 
 class TestIndexedLookupMatchesTheWalk:
     @settings(max_examples=150, deadline=None)
     @given(
         st.booleans(),
-        st.lists(
-            st.tuples(_mutation, st.lists(st.tuples(_owner, _qtype), max_size=4)),
-            min_size=1,
-            max_size=14,
-        ),
+        st.lists(_add, min_size=1, max_size=14),
+        st.lists(st.tuples(_owner, _qtype), max_size=12),
     )
-    def test_lookup_equals_reference_walk_across_mutations(self, with_apex, steps):
-        zone = Zone(ORIGIN)
-        if with_apex:  # without: a zone whose origin is not yet a name
-            zone.add(
-                ORIGIN,
-                RRType.SOA,
-                SOA(Name.from_text("ns1.example.nl."),
-                    Name.from_text("h.example.nl."), 1, 2, 3, 4, 300),
+    def test_lookup_equals_reference_walk_across_mutations(
+        self, with_apex, adds, questions
+    ):
+        """The zone is built from the drawn adds and frozen; then the
+        indexed lookup answers every question as the walk does."""
+        zone = _build(adds, with_apex)
+        zone.freeze()
+        # The apex, a name above it and every owner's spelling in
+        # another case ride along with the drawn questions.
+        for qname, qtype in questions + [
+            (ORIGIN, RRType.NS),
+            (Name.from_text("nl."), RRType.A),
+        ] + [
+            (Name.from_text(owner.to_text().swapcase()), RRType.TXT)
+            for owner, _rrtype, _pick in adds
+        ]:
+            _assert_same_result(
+                zone.lookup(qname, qtype),
+                _reference_lookup(zone, qname, qtype),
+                (adds, qname, qtype),
             )
-            zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
-        for mutation, questions in steps:
-            _apply(zone, mutation)
-            # The apex, a name above it and every owner's spelling in
-            # another case ride along with the drawn questions.
-            for qname, qtype in questions + [
-                (ORIGIN, RRType.NS),
-                (Name.from_text("nl."), RRType.A),
-                (Name.from_text(mutation[1].to_text().swapcase()), RRType.TXT),
-            ]:
-                _assert_same_result(
-                    zone.lookup(qname, qtype),
-                    _reference_lookup(zone, qname, qtype),
-                    (mutation, qname, qtype),
-                )
 
     def test_wildcard_below_a_cut_is_hidden_by_the_referral(self):
-        zone = Zone(ORIGIN)
-        zone.add("sub.example.nl.", RRType.NS, NS(Name.from_text("ns.example.org.")))
-        zone.add("*.sub.example.nl.", RRType.TXT, TXT.from_value("occluded"))
+        wildcard = (Name.from_text("*.sub.example.nl."), RRType.TXT, 0)
+        cut = (Name.from_text("sub.example.nl."), RRType.NS, 0)
         qname = Name.from_text("x.sub.example.nl.")
-        result = zone.lookup(qname, RRType.TXT)
-        assert result.status == LookupStatus.DELEGATION
-        _assert_same_result(
-            result, _reference_lookup(zone, qname, RRType.TXT), "occluded wildcard"
-        )
-        zone.delete_rrset(Name.from_text("sub.example.nl."), RRType.NS)
-        result = zone.lookup(qname, RRType.TXT)
-        assert result.status == LookupStatus.SUCCESS  # the wildcard, uncovered
-        _assert_same_result(
-            result, _reference_lookup(zone, qname, RRType.TXT), "uncovered wildcard"
-        )
+        for adds, status in (
+            ([cut, wildcard], LookupStatus.DELEGATION),  # occluded
+            ([wildcard], LookupStatus.SUCCESS),  # the same wildcard, uncovered
+        ):
+            zone = _build(adds, with_apex=False)
+            result = zone.lookup(qname, RRType.TXT)
+            assert result.status == status
+            _assert_same_result(
+                result, _reference_lookup(zone, qname, RRType.TXT), status
+            )
 
 
 # -- a long-lived server against a freshly built one -------------------------
 
 
-def _fresh_rdata(rdata):
-    """An equal rdata object that has never been encoded."""
-    return dataclasses.replace(rdata)
-
-
-def _mutate(zone, mutation, fresh: bool) -> None:
-    """Apply one drawn edit: the zone's API, an RFC 2136 UPDATE, or an
-    out-of-band change followed by ``bump_version``."""
-    action, owner, rrtype, pick = mutation
-    rdata = _RDATA[rrtype][pick % len(_RDATA[rrtype])]
-    if fresh:
-        rdata = _fresh_rdata(rdata)
-    if action == "retune":
-        # An out-of-band edit, announced the documented way.
-        rrset = zone.get_rrset(owner, rrtype)
-        if rrset is not None:
-            rrset.ttl += 7
-            zone.bump_version()
-        return
-    if action in ("update-add", "update-remove"):
-        # RFC 2136: class IN adds an RR, class NONE removes one RR.
-        rrclass = RRClass.IN if action == "update-add" else RRClass.NONE
-        update = make_update(
-            ORIGIN, additions=[ResourceRecord(owner, rrtype, rrclass, 60, rdata)]
-        )
-    elif action == "update-delete":  # class ANY: the whole RRset
-        update = make_update(ORIGIN, deletions=[(owner, rrtype)])
-    else:
-        _apply(zone, (action, owner, rrtype, pick))
-        return
-    engine = AuthoritativeServer("updater", [zone])
-    UpdateHandler(engine, UpdatePolicy(allow_any=True)).handle(update)
-
-
-# Few owners, so that edits pile up on the same RRsets between queries:
-# an apex wildcard, a cut with a name below it, a wildcard under an empty
-# non-terminal, another spelling of a name.
+# Few owners, so that adds pile up on the same RRsets: an apex wildcard,
+# a cut with a name below it, a wildcard under an empty non-terminal,
+# another spelling of a name.
 _edited_owner = st.sampled_from([
     Name.from_text(text) for text in (
         "a.example.nl.", "*.example.nl.", "sub.example.nl.", "a.sub.example.nl.",
@@ -325,13 +283,7 @@ _edited_owner = st.sampled_from([
     )
 ])
 _edit = st.tuples(
-    st.sampled_from([
-        "add", "add", "delete_rrset", "remove_rdata",
-        "update-add", "update-delete", "update-remove", "retune",
-    ]),
-    _edited_owner,
-    _stored_type,
-    st.integers(min_value=0, max_value=1),
+    _edited_owner, _stored_type, st.integers(min_value=0, max_value=1)
 )
 #: a second spelling of a question: EDNS payload (or none), RD, and
 #: which letters of the suffix are upper case (bit i: i-th suffix byte)
@@ -345,23 +297,22 @@ _asked = st.tuples(_owner, _qtype, st.booleans(), st.booleans(), _respelling)
 _BIG = Name.from_text("q.big.example.nl.")
 
 
-def _questions(mutation, asked, respelling):
-    """The drawn questions plus the edited owner's (every stored type,
-    ANY, a name below it: wildcards, cuts) and one under ``_BIG``'s
-    wildcard — each as drawn, then in its second spelling."""
-    _action, owner, _rrtype, pick = mutation
+def _questions(owner, edns: bool, asked, respelling):
+    """The drawn questions plus ``owner``'s (every stored type, ANY, a
+    name below it: wildcards, cuts) and one under ``_BIG``'s wildcard —
+    each as drawn, then in its second spelling."""
     below = owner.child(b"q")
-    around = [(owner, rrtype, bool(pick), False) for rrtype in _RDATA] + [
+    around = [(owner, rrtype, edns, False) for rrtype in _RDATA] + [
         (owner, RRType.ANY, False, True),
         (below, RRType.A, False, False), (below, RRType.TXT, True, True),
         (_BIG, RRType.TXT, True, False),
     ]
     wires = []
-    for qname, qtype, edns, swapcase, *drawn in asked + around:
+    for qname, qtype, with_edns, swapcase, *drawn in asked + around:
         payload, rd, mask = drawn[0] if drawn else respelling
         if swapcase:
             qname = Name.from_text(qname.to_text().swapcase())
-        wires.append(_wire(qname, qtype, 1232 if edns else None, True))
+        wires.append(_wire(qname, qtype, 1232 if with_edns else None, True))
         wires.append(_wire(_recased(qname, mask), qtype, payload, rd))
     return wires
 
@@ -384,77 +335,68 @@ def _wire(qname, qtype, payload: int | None, rd: bool) -> bytes:
     return query.to_wire()
 
 
-def _seeded_zone(history, fresh: bool) -> Zone:
-    zone = Zone(ORIGIN)
-    zone.add(
-        ORIGIN,
-        RRType.SOA,
-        SOA(Name.from_text("ns1.example.nl."), Name.from_text("h.example.nl."),
-            1, 2, 3, 4, 300),
-    )
-    zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.example.nl.")))
+def _seeded_zone(edits, fresh: bool) -> Zone:
+    """The drawn adds, then an apex wildcard and a big one."""
+    zone = _build(edits, fresh=fresh)
     zone.add("*.example.nl.", RRType.TXT, TXT.from_value("wild"))
     for index in range(3):
         zone.add("*.big.example.nl.", RRType.TXT, TXT.from_value(str(index) * 200))
-    for mutation in history:
-        _mutate(zone, mutation, fresh)
     return zone
 
 
 class TestServerAnswersTrackZoneVersion:
-    """Whatever a server keeps from earlier answers dies with the zone
-    version: after any edit between two queries, a long-lived server
-    (plain, and under a limiter that never limits) sends, counts and
-    logs exactly what a freshly built slow-path server over a freshly
-    built zone does.  Every question goes out twice, so that the second
-    send meets whatever the first one left (a template, an alias), and
-    in a second spelling (suffix case, EDNS payload, RD)."""
+    """Whatever a server keeps from earlier answers holds for every
+    later one: a long-lived server (plain, and under a limiter that
+    never limits) sends, counts and logs exactly what a freshly built
+    slow-path server over a freshly built copy of its zone does.  The
+    drawn edits all land before the servers take the zone, which they
+    freeze.  Every question goes out twice, so that the second send
+    meets whatever the first one left (a template, an alias), and in a
+    second spelling (suffix case, EDNS payload, RD)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.tuples(_edit, st.lists(_asked, max_size=3), _respelling),
-                 min_size=1, max_size=12),
+        st.lists(_edit, max_size=12),
+        st.lists(
+            st.tuples(_edited_owner, st.booleans(),
+                      st.lists(_asked, max_size=3), _respelling),
+            min_size=1, max_size=12,
+        ),
     )
-    # The in-place edits, always tried: one RR out of a cached two-RR set,
-    # and an out-of-band TTL change on the wildcard a synthesis copies.
-    @example([
-        (("add", Name.from_text("a.example.nl."), RRType.A, 0), [], (None, True, 0)),
-        (("add", Name.from_text("a.example.nl."), RRType.A, 1), [], (512, True, 0)),
-        (("remove_rdata", Name.from_text("a.example.nl."), RRType.A, 0), [],
-         (1232, False, 0)),
-        (("update-remove", Name.from_text("a.example.nl."), RRType.A, 1), [],
-         (4096, True, 1)),
-    ])
-    @example([(("retune", Name.from_text("*.example.nl."), RRType.TXT, 0), [],
-               (None, False, 0))])
-    def test_handle_wire_equals_a_fresh_server_after_every_edit(self, steps):
-        zone = _seeded_zone([], fresh=False)
+    # A cached two-RR set, always tried.
+    @example(
+        [(Name.from_text("a.example.nl."), RRType.A, 0),
+         (Name.from_text("a.example.nl."), RRType.A, 1)],
+        [(Name.from_text("a.example.nl."), True, [], (512, True, 0)),
+         (Name.from_text("a.example.nl."), False, [], (4096, True, 1))],
+    )
+    def test_handle_wire_equals_a_fresh_server_after_every_edit(self, edits, steps):
+        zone = _seeded_zone(edits, fresh=False)
         plain = AuthoritativeServer("srv", [zone])
         limited = AuthoritativeServer(
             "srv", [zone],
             rate_limiter=ResponseRateLimiter(responses_per_second=10**9),
         )
-        history = []
-        for mutation, asked, respelling in steps:
-            wires = _questions(mutation, asked, respelling)
+        fresh_zone = _seeded_zone(edits, fresh=True)
+        for step, (owner, edns, asked, respelling) in enumerate(steps):
+            wires = _questions(owner, edns, asked, respelling)
             for wire in wires * 2:  # warm whatever the servers keep
                 plain.handle_wire(wire, "192.0.2.1")
                 limited.handle_wire(wire, "192.0.2.1")
-            _mutate(zone, mutation, fresh=False)
-            history.append(mutation)
-            fresh = AuthoritativeServer("srv", [_seeded_zone(history, fresh=True)])
+            fresh = AuthoritativeServer("srv", [fresh_zone])
             fresh._parse_fast_query = lambda wire: None
             for server in (plain, limited):
                 server.stats = ServerStats()
                 server.query_log.clear()
+            context = (edits, steps[: step + 1])
             for wire in wires:
                 for _ in range(2):
                     want = fresh.handle_wire(wire, "192.0.2.1")
-                    assert plain.handle_wire(wire, "192.0.2.1") == want, history
-                    assert limited.handle_wire(wire, "192.0.2.1") == want, history
+                    assert plain.handle_wire(wire, "192.0.2.1") == want, context
+                    assert limited.handle_wire(wire, "192.0.2.1") == want, context
                 want = fresh.handle_wire_tcp(wire, "192.0.2.1")
-                assert plain.handle_wire_tcp(wire, "192.0.2.1") == want, history
-                assert limited.handle_wire_tcp(wire, "192.0.2.1") == want, history
-            assert plain.stats == limited.stats == fresh.stats, history
+                assert plain.handle_wire_tcp(wire, "192.0.2.1") == want, context
+                assert limited.handle_wire_tcp(wire, "192.0.2.1") == want, context
+            assert plain.stats == limited.stats == fresh.stats, context
             log = list(fresh.query_log)
-            assert list(plain.query_log) == log == list(limited.query_log), history
+            assert list(plain.query_log) == log == list(limited.query_log), context

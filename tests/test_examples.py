@@ -64,11 +64,6 @@ class TestExamples:
         assert "catchment" in result.stdout
         assert "resolver-10.53.0.1" in result.stdout
 
-    def test_secondary_sync(self):
-        result = run_example("secondary_sync.py")
-        assert result.returncode == 0, result.stderr
-        assert "hello v2" in result.stdout
-
     def test_public_resolver_study(self):
         result = run_example(
             "public_resolver_study.py", "--probes", "50"
