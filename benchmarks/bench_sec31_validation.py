@@ -3,19 +3,24 @@
 The paper confirms middleboxes do not distort its client-side analysis
 by recomputing the preference distributions from the authoritative-side
 captures (recursives with ≥5 queries): "the two graphs are basically
-equivalent".  This bench runs the comparison on a full 2C campaign.
+equivalent".  This bench runs the comparison on a full 2C campaign,
+traced: its ``auth.query`` spans are the authoritative-side capture.
 """
 
 from repro.analysis.report import render_table
 from repro.analysis.validation import compare_views
 from repro.core.experiment import run_combination
+from repro.telemetry import Telemetry
 
 from .conftest import BENCH_PROBES, BENCH_SEED
 
 
 def run_validation():
-    result = run_combination("2C", num_probes=BENCH_PROBES // 2, seed=BENCH_SEED)
-    return compare_views(result.observations, result.deployment)
+    telemetry = Telemetry.enabled_bundle()
+    result = run_combination(
+        "2C", num_probes=BENCH_PROBES // 2, seed=BENCH_SEED, telemetry=telemetry
+    )
+    return compare_views(result.observations, telemetry.tracer)
 
 
 def test_sec31_view_equivalence(benchmark):

@@ -82,7 +82,6 @@ OWNERS: list[tuple[str, str, str]] = [
      "the catchment study (§3.1 CHAOS / NSID)"),
     ("analysis/preference.py",
      r"analyze_strengthening|StrengtheningResult\..*", "§4.3 analysis"),
-    ("analysis/validation.py", r"server_side_shares_from_trace", "§3.1 analysis"),
     ("telemetry/events.py", r"ViewComparisonEvent\.to_record", "§3.1 analysis"),
     ("analysis/stats.py", r"bootstrap_ci", "ROADMAP item 5: per-claim "
      "seed-spread intervals"),
@@ -126,7 +125,6 @@ OWNERS: list[tuple[str, str, str]] = [
     ("dns/message.py", r"Question\.to_wire|Message\.question", VALUE),
     ("dns/name.py", r".*", VALUE + " (`Name` algebra and ordering)"),
     ("dns/records.py", r".*", VALUE),
-    ("dns/server.py", r"BoundedQueryLog\..*", VALUE + " (the query log is a list)"),
     ("dns/zone.py", r"Zone\.get_rrset", VALUE),
     ("netsim/adversary.py", r"AttackProfile\.(to_dict|save)", VALUE
      + ": the writer beside `load_profile`, the API's way to write a "
@@ -459,7 +457,7 @@ def render(every: list[Function], missed: list[Function], previous: str) -> str:
         "  `atlas/public.py` (the parked ECS scenario family),",
         "  `atlas/catchment.py` and CHAOS (the catchment study), and the",
         "  paper-section analyses",
-        "  `analyze_strengthening` (§4.3) and `server_side_shares_from_trace`",
+        "  `analyze_strengthening` (§4.3) and the `view_comparison` record",
         "  (§3.1).",
         "- **Reference implementations that a test compares against.**",
         "- **Code reached from kept code** on a path no driver takes: a",

@@ -23,5 +23,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "stats": "BoxplotStats bootstrap_ci median quantile",
     "streams": "iter_observation_fields site_completion_times",
     "validation": "ViewComparison client_side_shares compare_views "
-    "server_side_shares server_side_shares_from_trace",
+    "server_side_shares_from_trace",
 })

@@ -4,7 +4,8 @@ The paper checks that middleboxes do not distort its client-side data by
 recomputing the preference distribution from the authoritative-side
 packet captures (recursives sending ≥5 queries) and comparing: "the two
 graphs are basically equivalent".  This module performs the same
-comparison on a finished experiment.
+comparison on a finished experiment; the server-side capture is the
+``auth.query`` spans its telemetry tracer kept.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
-from ..core.deployment import Deployment
 from .stats import quantile
 
 
@@ -29,38 +29,16 @@ def client_side_shares(
     return _normalize(counts, min_queries)
 
 
-def server_side_shares(
-    deployment: Deployment, min_queries: int = 5
-) -> dict[str, dict[str, float]]:
-    """Per recursive address: site shares, from the authoritative logs.
-
-    The server only sees the recursive's address and the site that
-    logged the query — the paper's passive vantage.  Note the query log
-    is a bounded ring buffer: on very long runs prefer the telemetry
-    trace vantage (:func:`server_side_shares_from_trace`), which does
-    not depend on log retention.
-    """
-    counts: dict[str, dict[str, int]] = {}
-    for deployed in deployment.deployed:
-        for site_code, engine in deployed.engines.items():
-            site = site_code  # marker convention: site code per engine
-            for entry in engine.query_log:
-                recursive = entry.client
-                per_site = counts.setdefault(recursive, {})
-                per_site[site] = per_site.get(site, 0) + 1
-    return _normalize(counts, min_queries)
-
-
 def server_side_shares_from_trace(
     tracer, min_queries: int = 5
 ) -> dict[str, dict[str, float]]:
     """Per recursive address: site shares, from query-lifecycle traces.
 
     The telemetry tracer's ``auth.query`` spans carry exactly what a
-    server-side capture records — which recursive asked which site — so
-    this is the trace-native replacement for scraping ``query_log``.
-    ``tracer`` is a :class:`repro.telemetry.Tracer` (or any iterable of
-    root spans).
+    server-side capture records — which recursive asked which site, the
+    paper's passive vantage; the engines themselves keep nothing per
+    query.  ``tracer`` is a :class:`repro.telemetry.Tracer` (or any
+    iterable of root spans).
     """
     roots = tracer.traces() if hasattr(tracer, "traces") else tracer
     counts: dict[str, dict[str, int]] = {}
@@ -109,26 +87,20 @@ class ViewComparison:
 
 def compare_views(
     observations: list[QueryObservation],
-    deployment: Deployment | None = None,
+    tracer,
     min_queries: int = 5,
-    tracer=None,
     sink=None,
 ) -> ViewComparison:
     """Compare the two vantages, as the paper does for Figure 4.
 
-    The server-side vantage comes from the telemetry ``tracer`` when
-    one is given (the preferred capture mechanism), otherwise from the
-    deployment's authoritative query logs.  ``sink`` is an optional
-    event-log writer: the result is appended to it as a
-    ``view_comparison`` event for offline analysis.
+    The server-side vantage is the telemetry ``tracer``'s ``auth.query``
+    spans (see :func:`server_side_shares_from_trace`), so the campaign
+    must run with tracing on.  ``sink`` is an optional event-log writer:
+    the result is appended to it as a ``view_comparison`` event for
+    offline analysis.
     """
     client = client_side_shares(observations, min_queries)
-    if tracer is not None:
-        server = server_side_shares_from_trace(tracer, min_queries)
-    elif deployment is not None:
-        server = server_side_shares(deployment, min_queries)
-    else:
-        raise ValueError("compare_views needs a deployment or a tracer")
+    server = server_side_shares_from_trace(tracer, min_queries)
     common = sorted(set(client) & set(server))
     divergences = []
     for recursive in common:
@@ -161,6 +133,6 @@ def compare_views(
             "client_only": comparison.client_only,
             "server_only": comparison.server_only,
             "min_queries": min_queries,
-            "vantage": "tracer" if tracer is not None else "query_log",
+            "vantage": "tracer",
         }))
     return comparison

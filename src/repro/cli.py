@@ -684,8 +684,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         zone = parse_zone_text(Path(args.zone).read_text(), args.origin)
         zone.validate()
-        # No command reads a live server's query log: keep none.
-        engine = AuthoritativeServer(args.server_id, [zone], log_queries=False)
+        engine = AuthoritativeServer(args.server_id, [zone])
         listener = Listener(engine, host=args.host, port=args.port)
     except (DnsError, OSError) as exc:
         raise CliError(f"serve: {args.zone}: {exc}") from None

@@ -9,8 +9,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "rdata": "A AAAA CAA CNAME GenericRdata MX NS OPT PTR Rdata SOA SRV TXT",
     "records": "RRset ResourceRecord",
     "rrl": "ResponseRateLimiter RrlAction",
-    "server": "AXFR_TYPE_CODE DEFAULT_QUERY_LOG_MAX AuthoritativeServer "
-    "BoundedQueryLog QueryLogEntry ServerStats build_axfr_response",
+    "server": "AXFR_TYPE_CODE AuthoritativeServer ServerStats build_axfr_response",
     "types": "Opcode RRClass RRType Rcode",
     "zone": "LookupResult LookupStatus Zone",
     "zonefile": "parse_zone_text zone_to_text",

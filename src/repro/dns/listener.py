@@ -39,7 +39,8 @@ class Listener:
 
     :meth:`serve_forever` runs the loop on the calling thread; as a
     context manager it runs on one background thread (:meth:`start` /
-    :meth:`stop`).  Query-log stamps come from the injectable ``clock``.
+    :meth:`stop`).  Each query's arrival time (its ``auth.query`` span's
+    start) comes from the injectable ``clock``.
     A socket error on one datagram or connection is counted in
     :attr:`errors` and skipped.
     """

@@ -321,7 +321,7 @@ class Message:
             # Query shape: one question, at most one additional.  Nothing
             # can point back into a name decoded before the question, so
             # no pointer memo; an uncompressed question name keeps the
-            # bytes it was read from as its wire form (the query log's).
+            # bytes it was read from as its wire form.
             name, cursor = Name.from_wire(wire, HEADER_STRUCT.size)
             if cursor + 4 > len(wire):
                 raise TruncatedMessageError("question truncated")

@@ -2,19 +2,17 @@
 
 :class:`AuthoritativeServer` is transport-agnostic: it maps a request
 :class:`Message` to a response :class:`Message`.  Transports (simulated
-network, real UDP and TCP) feed it bytes or messages.  It also keeps a
-query log, which plays the role of the paper's server-side packet
-captures.  Its zones are fixed when it is built and frozen from then on;
-over TCP it also serves them whole, as AXFR zone transfers (RFC 5936).
+network, real UDP and TCP) feed it bytes or messages.  It keeps nothing
+per query: with telemetry on, each query is an ``auth.query`` span, which
+plays the role of the paper's server-side packet captures.  Its zones are
+fixed when it is built and frozen from then on; over TCP it also serves
+them whole, as AXFR zone transfers (RFC 5936).
 """
 
 from __future__ import annotations
 
-import logging
-from array import array
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..telemetry import NULL_TELEMETRY
 from .errors import ZoneError
@@ -28,16 +26,12 @@ from .types import (
     FLAG_QR,
     FLAG_RD,
     MAX_UDP_PAYLOAD,
-    RCODE_BY_CODE,
-    RRTYPE_BY_CODE,
     Opcode,
     Rcode,
     RRClass,
     RRType,
 )
 from .zone import LookupStatus, Zone
-
-log = logging.getLogger("repro.dns.server")
 
 CHAOS_ID_SERVER = Name.from_text("id.server.")
 CHAOS_HOSTNAME_BIND = Name.from_text("hostname.bind.")
@@ -67,31 +61,6 @@ class _ResponseTemplate:
     header_tail: bytes  # response bytes 2..12 (flags + section counts)
     tail: bytes  # everything after the question name: qtype, qclass, RRs
     rcode: Rcode
-    log_rrtype: RRType
-
-#: default query-log capacity — high enough that no tracked experiment
-#: drops entries, low enough to bound memory on week-long runs: a full
-#: log is ~60 MB per engine at ~60 B/entry (columns, see
-#: :class:`BoundedQueryLog`; a dataclass + ``Name`` per entry was ~570 B,
-#: 570 MB per engine).
-DEFAULT_QUERY_LOG_MAX = 1_000_000
-
-#: entries per column chunk.  The ring sheds whole chunks, so at most
-#: one chunk's worth of already-evicted entries is ever retained; a
-#: chunk's distinct clients can never outnumber its entries, which keeps
-#: their ids inside an ``array('H')``.
-_LOG_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class QueryLogEntry:
-    """One received query, as a server-side capture would record it."""
-
-    timestamp: float
-    client: str
-    qname: Name
-    qtype: RRType
-    rcode: Rcode
 
 
 @dataclass(slots=True)
@@ -107,158 +76,6 @@ class ServerStats:
     chaos: int = 0
 
 
-class _LogChunk:
-    """Up to ``_LOG_CHUNK`` consecutive log entries, one column per field.
-
-    A chunk is self-contained (its own client table and qname blob), so
-    dropping the oldest chunk frees everything its entries held.
-    """
-
-    __slots__ = (
-        "timestamps", "clients", "client_ids",
-        "qnames", "qname_ends", "qtypes", "rcodes",
-    )
-
-    def __init__(self) -> None:
-        self.timestamps = array("d")
-        #: client string -> id; ids are handed out in insertion order,
-        #: so ``list(clients)`` is the id -> string table.
-        self.clients: dict[str, int] = {}
-        self.client_ids = array("H")
-        #: uncompressed qname wire forms (case as received), back to
-        #: back, with cumulative end offsets.
-        self.qnames = bytearray()
-        self.qname_ends = array("I")
-        self.qtypes = array("H")
-        self.rcodes = array("H")
-
-    def entries(self, start: int, stop: int) -> Iterator[QueryLogEntry]:
-        """Materialise entries ``start..stop-1``."""
-        clients = list(self.clients)
-        begin = self.qname_ends[start - 1] if start else 0
-        for index in range(start, stop):
-            end = self.qname_ends[index]
-            qtype, rcode = self.qtypes[index], self.rcodes[index]
-            yield QueryLogEntry(
-                timestamp=self.timestamps[index],
-                client=clients[self.client_ids[index]],
-                qname=Name.from_wire(bytes(self.qnames[begin:end]), 0)[0],
-                qtype=RRTYPE_BY_CODE.get(qtype, qtype),
-                rcode=RCODE_BY_CODE.get(rcode, rcode),
-            )
-            begin = end
-
-
-class BoundedQueryLog:
-    """A ring buffer of :class:`QueryLogEntry` with a drop counter.
-
-    Long campaigns used to grow the query log without bound; the log is
-    now capped (oldest entries evicted first) and counts what it sheds
-    in :attr:`dropped`.  It behaves like a read-only list for existing
-    consumers (iteration, indexing, ``len``, equality).
-
-    Entries are stored as columns (timestamps, per-chunk interned client
-    ids, qname wire bytes in one blob, qtype and rcode codes) in chunks
-    of ``_LOG_CHUNK``; a :class:`QueryLogEntry` with its case-preserved
-    :class:`Name` exists only while a reader holds it.
-    """
-
-    def __init__(self, maxlen: int | None = DEFAULT_QUERY_LOG_MAX):
-        if maxlen is not None and maxlen <= 0:
-            raise ValueError(f"query log capacity must be positive, got {maxlen}")
-        self.maxlen = maxlen
-        self._chunks: deque[_LogChunk] = deque()
-        #: entries at the front of ``_chunks[0]`` already evicted
-        self._head = 0
-        self._len = 0
-        self.dropped = 0
-
-    def append(self, entry: QueryLogEntry) -> bool:
-        """Record one entry; returns True when an old entry was evicted."""
-        return self.record(
-            entry.timestamp, entry.client, entry.qname.to_wire(),
-            entry.qtype, entry.rcode,
-        )
-
-    def record(
-        self, timestamp: float, client: str, qname_wire: bytes,
-        qtype: int, rcode: int,
-    ) -> bool:
-        """:meth:`append` from bare fields (``qname_wire`` uncompressed)."""
-        chunks = self._chunks
-        evicting = self._len == self.maxlen
-        if evicting:
-            if self.dropped == 0:
-                log.warning(
-                    "query log full (maxlen=%d): evicting oldest entries",
-                    self.maxlen,
-                )
-            self.dropped += 1
-            self._head += 1
-            if self._head == len(chunks[0].timestamps):
-                chunks.popleft()
-                self._head = 0
-        else:
-            self._len += 1
-        if not chunks or len(chunks[-1].timestamps) == _LOG_CHUNK:
-            chunks.append(_LogChunk())
-        chunk = chunks[-1]
-        client_id = chunk.clients.get(client)
-        if client_id is None:
-            client_id = chunk.clients[client] = len(chunk.clients)
-        chunk.timestamps.append(timestamp)
-        chunk.client_ids.append(client_id)
-        chunk.qnames += qname_wire
-        chunk.qname_ends.append(len(chunk.qnames))
-        chunk.qtypes.append(qtype)
-        chunk.rcodes.append(rcode)
-        return evicting
-
-    def clear(self) -> None:
-        self._chunks.clear()
-        self._head = 0
-        self._len = 0
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator[QueryLogEntry]:
-        start = self._head
-        for chunk in self._chunks:
-            yield from chunk.entries(start, len(chunk.timestamps))
-            start = 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("query log index out of range")
-        # Every chunk but the last is full, so only the first (partly
-        # evicted) one needs a look before plain division finds the rest.
-        position = self._head + index
-        number, first = 0, len(self._chunks[0].timestamps)
-        if position >= first:
-            number, position = divmod(position - first, _LOG_CHUNK)
-            number += 1
-        return next(self._chunks[number].entries(position, position + 1))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BoundedQueryLog):
-            return list(self) == list(other)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"BoundedQueryLog(len={self._len}, "
-            f"maxlen={self.maxlen}, dropped={self.dropped})"
-        )
-
-
 class AuthoritativeServer:
     """Serves one or more zones authoritatively.
 
@@ -271,12 +88,6 @@ class AuthoritativeServer:
         The zones it serves, fixed for its lifetime; each is frozen
         (:meth:`Zone.freeze`), so whatever the server keeps from one
         answer holds for every later one.
-    log_queries:
-        When true, every query is appended to :attr:`query_log`.
-    query_log_max:
-        Ring-buffer capacity of the query log (``None`` = unbounded);
-        evictions are counted in ``query_log.dropped`` and, when
-        telemetry is live, in ``authoritative_query_log_dropped_total``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; when enabled the
         engine exports per-server query/response counters and joins
@@ -287,9 +98,7 @@ class AuthoritativeServer:
         self,
         server_id: str,
         zones: Iterable[Zone] = (),
-        log_queries: bool = True,
         rate_limiter=None,
-        query_log_max: int | None = DEFAULT_QUERY_LOG_MAX,
         telemetry=None,
     ):
         self.server_id = server_id
@@ -302,8 +111,6 @@ class AuthoritativeServer:
         #: label count of the deepest origin
         self._deepest_origin = max(map(len, self._zones), default=0)
         self.stats = ServerStats()
-        self.query_log = BoundedQueryLog(maxlen=query_log_max)
-        self.log_queries = log_queries
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: optional :class:`repro.dns.rrl.ResponseRateLimiter`
         self.rate_limiter = rate_limiter
@@ -363,7 +170,7 @@ class AuthoritativeServer:
         When no rate limiter is set, a template fast path may answer
         without decoding the query into a :class:`Message` at all — from
         an alias of the query's bytes, else from a parsed question; its
-        output, and what it books in stats, query log and telemetry, are
+        output, and what it books in stats and telemetry, are
         identical to the slow path's (see :class:`_ResponseTemplate`).  A
         miss whose alias bytes are known to map to no template is
         decoded once, not parsed.
@@ -453,7 +260,7 @@ class AuthoritativeServer:
         """TCP variant of :meth:`handle_wire`: no size cap, no TC bit.
 
         TCP also carries zone transfers (:meth:`_answer_tcp`), booked in
-        stats, query log and telemetry like any other answer.
+        stats and telemetry like any other answer.
         """
         try:
             query = Message.from_wire(wire)
@@ -498,11 +305,11 @@ class AuthoritativeServer:
         """:meth:`handle_query` with ``answer`` building the response."""
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return self._handle_query(query, client, now, answer)
+            return self._handle_query(query, answer)
         qname = query.questions[0].name.to_text() if query.questions else ""
         span = self._start_query_span(qname, client, now)
         try:
-            response = self._handle_query(query, client, now, answer)
+            response = self._handle_query(query, answer)
             span.set(rcode=getattr(response.rcode, "name", str(response.rcode)))
             return response
         finally:
@@ -514,9 +321,7 @@ class AuthoritativeServer:
             "auth.query", at=now, server=self.server_id, client=client, qname=qname
         )
 
-    def _handle_query(
-        self, query: Message, client: str, now: float, answer
-    ) -> Message:
+    def _handle_query(self, query: Message, answer) -> Message:
         stats = self.stats
         stats.queries += 1
         response = answer(query)
@@ -534,20 +339,8 @@ class AuthoritativeServer:
         elif response.rcode == Rcode.NXDOMAIN:
             stats.nxdomain += 1
         stats.responses += 1
-        dropped = False
-        if self.log_queries and response.questions:
-            question = response.questions[0]
-            dropped = self.query_log.record(
-                now,
-                client,
-                question.name.to_wire(),
-                question.rrtype
-                if isinstance(question.rrtype, RRType)
-                else RRType.ANY,
-                response.rcode,
-            )
         if self.telemetry.enabled:
-            self._count_response(response.rcode, dropped)
+            self._count_response(response.rcode)
         return response
 
     def _answer(self, query: Message) -> Message:
@@ -631,7 +424,7 @@ class AuthoritativeServer:
         else:
             response.rcode = Rcode.REFUSED
 
-    def _count_response(self, rcode, dropped: bool) -> None:
+    def _count_response(self, rcode) -> None:
         """Per-server registry counters for one answered query."""
         registry = self.telemetry.registry
         registry.counter(
@@ -646,12 +439,6 @@ class AuthoritativeServer:
         ).labels(
             server=self.server_id, rcode=getattr(rcode, "name", str(rcode))
         ).inc()
-        if dropped:
-            registry.counter(
-                "authoritative_query_log_dropped_total",
-                "query-log entries evicted by the ring buffer",
-                ("server",),
-            ).labels(server=self.server_id).inc()
 
     # -- response-template fast path ---------------------------------------
 
@@ -797,18 +584,13 @@ class AuthoritativeServer:
         if entry.rcode == Rcode.NXDOMAIN:
             stats.nxdomain += 1
         stats.responses += 1
-        dropped = False
-        if self.log_queries:
-            dropped = self.query_log.record(
-                now, client, qname_wire, entry.log_rrtype, entry.rcode
-            )
         telemetry = self.telemetry
         if telemetry.enabled:
             qname = Name.from_wire(qname_wire, 0)[0]
             span = self._start_query_span(qname.to_text(), client, now)
             span.set(rcode=entry.rcode.name)
             telemetry.tracer.finish_span(span, at=now)
-            self._count_response(entry.rcode, dropped)
+            self._count_response(entry.rcode)
         costs = telemetry.costs
         if costs.enabled:
             costs.count("template_hit")
@@ -854,7 +636,6 @@ class AuthoritativeServer:
             return  # qname at the length limit; not worth caching
         if canary in zone._names or canary._folded in self._zones:
             return
-        log_rrtype = rrtype if isinstance(rrtype, RRType) else RRType.ANY
         probe = Message(msg_id=0)
         probe.questions.append(Question(canary, rrtype, RRClass.IN))
         probe.recursion_desired = rd
@@ -884,7 +665,6 @@ class AuthoritativeServer:
             header_tail=wire_out[2:12],
             tail=wire_out[name_end:],
             rcode=Rcode(wire_out[3] & 0x0F),
-            log_rrtype=log_rrtype,
         )
 
 

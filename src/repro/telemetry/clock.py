@@ -2,10 +2,11 @@
 
 Simulated components share a :class:`~repro.netsim.clock.SimClock` and
 never read wall-clock time.  The *real* sockets
-(:class:`repro.dns.listener.Listener`) historically stamped query-log
-entries with ``time.time()``, which is neither monotonic nor injectable;
-they now take a clock from this module instead: :class:`MonotonicClock`
-by default, or any :class:`Clock` a caller drives by hand.
+(:class:`repro.dns.listener.Listener`) pass each query's arrival time
+to the engine (the start of its ``auth.query`` span); they take it from
+a clock of this module, not ``time.time()``, which is neither monotonic
+nor injectable: :class:`MonotonicClock` by default, or any
+:class:`Clock` a caller drives by hand.
 
 A "clock" here is any object with a ``now() -> float`` method returning
 seconds.
@@ -42,7 +43,7 @@ class MonotonicClock:
 
 
 #: process-wide default for real sockets; shared so that listeners and
-#: clients stamping into one engine's query log agree on the timeline.
+#: clients stamping one engine's queries agree on the timeline.
 DEFAULT_CLOCK = MonotonicClock()
 
 

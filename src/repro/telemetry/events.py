@@ -95,9 +95,23 @@ def encode_trace(root: Span) -> list[list]:
 
 
 def decode_trace(rows: list[list]) -> Span:
-    """The root span of the trace :func:`encode_trace` laid out."""
+    """The root span of the trace :func:`encode_trace` laid out.
+
+    Raises :class:`EventLogError` for an empty trace, a row that is not
+    six fields, or a parent that is not −1 or an earlier row.
+    """
+    if not isinstance(rows, list) or not rows:
+        raise EventLogError("a trace needs at least one span row")
     spans: list[Span] = []
-    for parent, name, start, end, attributes, events in rows:
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 6:
+            raise EventLogError(f"span row {index} is not six fields: {row!r:.80}")
+        parent, name, start, end, attributes, events = row
+        if type(parent) is not int or not -1 <= parent < index:
+            raise EventLogError(
+                f"span row {index}: parent {parent!r} is neither -1 "
+                "nor an earlier row"
+            )
         span = Span(name, start, spans[parent] if parent >= 0 else None)
         span.end = end
         span.attributes = attributes
@@ -208,17 +222,22 @@ class RawEvent:
 
 
 def _event_from_record(record: dict):
+    """The typed event of one record; :class:`EventLogError` when a known
+    kind lacks a field it needs or holds a malformed trace."""
     kind = record.get("kind")
-    if kind == TraceEvent.kind:
-        return TraceEvent(root=decode_trace(record["spans"]))
-    if kind == MetricsSnapshot.kind:
-        return MetricsSnapshot(metrics=record["metrics"], at=record.get("at"))
-    if kind == CostsEvent.kind:
-        return CostsEvent(costs=record["costs"])
-    if kind == RunMeta.kind:
-        return RunMeta(run=record["run"], at=record.get("at"))
-    if kind == ViewComparisonEvent.kind:
-        return ViewComparisonEvent(comparison=record["comparison"])
+    try:
+        if kind == TraceEvent.kind:
+            return TraceEvent(root=decode_trace(record["spans"]))
+        if kind == MetricsSnapshot.kind:
+            return MetricsSnapshot(metrics=record["metrics"], at=record.get("at"))
+        if kind == CostsEvent.kind:
+            return CostsEvent(costs=record["costs"])
+        if kind == RunMeta.kind:
+            return RunMeta(run=record["run"], at=record.get("at"))
+        if kind == ViewComparisonEvent.kind:
+            return ViewComparisonEvent(comparison=record["comparison"])
+    except KeyError as exc:
+        raise EventLogError(f"{kind} record without {exc}") from None
     if kind == Note.kind:
         return Note(
             name=record.get("name", ""),
@@ -371,16 +390,17 @@ def _validate_header(path: Path, header_line: str) -> dict:
 
 
 def _parse_lines(
-    path: object, raw_lines: Iterable[str]
-) -> Iterator[tuple[str, dict]]:
-    """The one JSONL line parser: ``(line, record)`` per non-blank line.
+    path: object, raw_lines: Iterable[str], start: int = 1
+) -> Iterator[tuple[int, str, dict]]:
+    """The one JSONL line parser: ``(number, line, record)`` per
+    non-blank line, numbered from ``start``.
 
     A truncated *final* line (no trailing newline — a writer that died
     mid-append, or a log still being written) is skipped with a
     warning; a corrupt line anywhere else raises
     :class:`EventLogError`.
     """
-    for raw in raw_lines:
+    for number, raw in enumerate(raw_lines, start):
         line = raw.strip()
         if not line:
             continue
@@ -394,27 +414,40 @@ def _parse_lines(
                 )
                 return
             raise EventLogError(
-                f"{path}: corrupt event line: {line[:80]!r}"
+                f"{path}: corrupt event line {number}: {line[:80]!r}"
             ) from None
-        yield line, record
+        yield number, line, record
 
 
-def _iter_log(path: str | Path) -> Iterator[tuple[str, dict]]:
-    """``(line, record)`` for every record of a log file, header validated."""
+def _typed_events(
+    path: object, numbered: Iterable[tuple[int, str, dict]]
+) -> Iterator[object]:
+    """:func:`_event_from_record` over :func:`_parse_lines` output; a
+    malformed record's error names its path and line."""
+    for number, _, record in numbered:
+        try:
+            yield _event_from_record(record)
+        except EventLogError as exc:
+            raise EventLogError(f"{path}: line {number}: {exc}") from None
+
+
+def _iter_log(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """``(number, line, record)`` for every record of a log file,
+    header (line 1) validated."""
     path = Path(path)
     with path.open() as fh:
         _validate_header(path, fh.readline())
-        yield from _parse_lines(path, fh)
+        yield from _parse_lines(path, fh, 2)
 
 
 def iter_raw_records(path: str | Path) -> Iterator[dict]:
     """Stream an event log's records as plain dicts, in write order."""
-    return (record for _, record in _iter_log(path))
+    return (record for _, _, record in _iter_log(path))
 
 
 def read_events(path: str | Path) -> Iterator[object]:
     """Yield typed events from an event-log file, in write order."""
-    return (_event_from_record(record) for _, record in _iter_log(path))
+    return _typed_events(path, _iter_log(path))
 
 
 def parse_event(line: str):
@@ -444,7 +477,7 @@ def merge_shard_logs(
             else _iter_log(source)
         )
         records = []
-        for line, record in pairs:
+        for _, line, record in pairs:
             if record.get("kind") == TraceEvent.kind:
                 keyed.append((record["spans"][0][2], line))
             else:
@@ -479,6 +512,8 @@ class EventLogFollower:
         self.meta: dict = self.header.get("meta", {})
         self.events_read = 0
         self._pending = ""
+        #: file line number of the next complete line
+        self._line = 2
         self._closed = False
 
     def poll(self) -> list:
@@ -488,13 +523,14 @@ class EventLogFollower:
         chunk = self._fh.read()
         if not chunk:
             return []
-        complete, _, self._pending = (self._pending + chunk).rpartition("\n")
-        events = [
-            _event_from_record(record)
-            for _, record in _parse_lines(
-                self.path, (line + "\n" for line in complete.split("\n"))
-            )
-        ]
+        complete, newline, self._pending = (self._pending + chunk).rpartition("\n")
+        if not newline:
+            return []
+        lines = complete.split("\n")
+        events = list(_typed_events(self.path, _parse_lines(
+            self.path, (line + "\n" for line in lines), self._line
+        )))
+        self._line += len(lines)
         self.events_read += len(events)
         return events
 
@@ -526,10 +562,7 @@ class EventLog:
         path = Path(path)
         with path.open() as fh:
             header = _validate_header(path, fh.readline())
-            events = [
-                _event_from_record(record)
-                for _, record in _parse_lines(path, fh)
-            ]
+            events = list(_typed_events(path, _parse_lines(path, fh, 2)))
         return cls(path=path, meta=header.get("meta", {}), events=events)
 
     def __len__(self) -> int:

@@ -149,14 +149,6 @@ class CampaignMonitor:
     # -- derived ------------------------------------------------------------
 
     @property
-    def query_log_dropped(self) -> int:
-        """Server query-log ring-buffer evictions (closing snapshot);
-        nonzero means the per-server forensic log is partial."""
-        return int(
-            _counter_total(self.metrics, "authoritative_query_log_dropped_total")
-        )
-
-    @property
     def answer_rate(self) -> float:
         return self.answered / self.queries if self.queries else 1.0
 
@@ -315,10 +307,6 @@ class CampaignMonitor:
             "failed measurements",
             _counter_total(metrics, "measurement_failures_total"),
         ])
-        # Ring-buffer evictions mean the per-server forensic log is partial;
-        # silent loss is the one thing a health panel may not hide.
-        if self.query_log_dropped:
-            health.append(["query-log entries dropped", self.query_log_dropped])
         sections.append(_table(
             ["signal", "count"],
             [[signal, str(int(count))] for signal, count in health],

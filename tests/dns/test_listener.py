@@ -36,6 +36,7 @@ from repro.dns.server import AuthoritativeServer
 from repro.dns.types import MAX_UDP_PAYLOAD, Rcode, RRClass, RRType
 from repro.dns.zone import Zone
 from repro.netsim.adversary import AttackPlan, resolve_attack
+from repro.telemetry import Telemetry
 
 from .test_codec_fuzz import SEED, _random_message
 
@@ -59,6 +60,19 @@ def victim_zone() -> Zone:
 @pytest.fixture
 def engine() -> AuthoritativeServer:
     return AuthoritativeServer("gru", [victim_zone()])
+
+
+@pytest.fixture
+def traced() -> AuthoritativeServer:
+    """The engine with a tracer: its ``auth.query`` spans are what a
+    capture at the server would record."""
+    return AuthoritativeServer(
+        "gru", [victim_zone()], telemetry=Telemetry.enabled_bundle()
+    )
+
+
+def captured(engine: AuthoritativeServer, attribute: str) -> list[str]:
+    return [root.attributes[attribute] for root in engine.telemetry.tracer.traces()]
 
 
 def probe(label: str, msg_id: int = 1) -> bytes:
@@ -85,10 +99,10 @@ class TestUdpSurvivesSocketErrors:
 
 
 class TestOneThread:
-    def test_udp_and_tcp_clients_at_once_are_each_booked_once(self, engine):
+    def test_udp_and_tcp_clients_at_once_are_each_booked_once(self, traced):
         sent: list[str] = []
         failures: list[BaseException] = []
-        with Listener(engine) as listener:
+        with Listener(traced) as listener:
 
             def client(ask, prefix: str) -> None:
                 try:
@@ -115,9 +129,8 @@ class TestOneThread:
                 sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
-        assert len(sent) == 160 and engine.stats.queries == 160
-        logged = Counter(entry.qname.to_text() for entry in engine.query_log)
-        assert logged == Counter(sent)
+        assert len(sent) == 160 and traced.stats.queries == 160
+        assert Counter(captured(traced, "qname")) == Counter(sent)
 
 
 def _hostile_wires() -> list[bytes]:
@@ -355,9 +368,9 @@ class TestBinding:
             with pytest.raises(OSError):
                 Listener(engine, port=first.address[1])
 
-    def test_each_datagram_is_booked_under_its_source_address(self, engine):
-        with Listener(engine) as listener:
+    def test_each_datagram_is_booked_under_its_source_address(self, traced):
+        with Listener(traced) as listener:
             for index in range(5):  # each query_udp is a fresh source port
                 query_udp(listener.address, f"c{index}.probe.{ORIGIN}", RRType.TXT)
-        clients = {entry.client for entry in engine.query_log}
+        clients = set(captured(traced, "client"))
         assert len(clients) == 5 and all(c.startswith("127.0.0.1:") for c in clients)

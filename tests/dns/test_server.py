@@ -5,9 +5,10 @@ import pytest
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT, A
-from repro.dns.server import AuthoritativeServer
+from repro.dns.server import AuthoritativeServer, ServerStats
 from repro.dns.types import Opcode, Rcode, RRClass, RRType
 from repro.dns.zone import Zone
+from repro.telemetry import Telemetry
 
 ORIGIN = Name.from_text("ourtestdomain.nl.")
 
@@ -117,14 +118,18 @@ class TestWireInterface:
 
 
 class TestLoggingAndStats:
-    def test_query_log_records_client_and_qname(self, server):
-        query = Message.make_query("probe.ourtestdomain.nl.", RRType.TXT)
+    def test_query_span_records_client_and_qname(self):
+        server = AuthoritativeServer(
+            "fra", [make_zone()], telemetry=Telemetry.enabled_bundle()
+        )
+        query = Message.make_query("Probe.OurTestDomain.nl.", RRType.TXT)
         server.handle_query(query, client="203.0.113.5", now=12.5)
-        entry = server.query_log[0]
-        assert entry.client == "203.0.113.5"
-        assert entry.timestamp == 12.5
-        assert entry.qname == Name.from_text("probe.ourtestdomain.nl.")
-        assert entry.rcode == Rcode.NOERROR
+        (span,) = server.telemetry.tracer.traces()
+        assert (span.name, span.start, span.end) == ("auth.query", 12.5, 12.5)
+        assert span.attributes == {
+            "server": "fra", "client": "203.0.113.5",
+            "qname": "Probe.OurTestDomain.nl.", "rcode": "NOERROR",
+        }
 
     def test_stats_counters(self, server):
         server.handle_query(Message.make_query("probe.ourtestdomain.nl.", RRType.TXT))
@@ -134,7 +139,21 @@ class TestLoggingAndStats:
         assert server.stats.nxdomain == 1
         assert server.stats.refused == 1
 
-    def test_log_disabled(self):
-        server = AuthoritativeServer("x", [make_zone()], log_queries=False)
+
+class TestServerStats:
+    def test_defaults_to_zero(self):
+        stats = ServerStats()
+        assert (
+            stats.queries, stats.responses, stats.nxdomain, stats.refused,
+            stats.formerr, stats.notimp, stats.chaos,
+        ) == (0, 0, 0, 0, 0, 0, 0)
+
+    def test_counts_track_query_mix(self, server):
         server.handle_query(Message.make_query("probe.ourtestdomain.nl.", RRType.TXT))
-        assert server.query_log == []
+        server.handle_query(Message.make_query("gone.ourtestdomain.nl.", RRType.A))
+        server.handle_query(Message.make_query("other.org.", RRType.A))
+        stats = server.stats
+        assert stats.queries == 3
+        assert stats.responses == 3
+        assert stats.nxdomain == 1
+        assert stats.refused == 1

@@ -2,7 +2,8 @@
 
 A server's zones are frozen, so nothing it caches from one answer can go
 stale; these tests hold the fast path to the slow path's bytes and
-bookkeeping, query by query.
+bookkeeping, query by query.  The server-side capture of a query is its
+``auth.query`` span, so the servers compared run traced.
 """
 
 from repro.dns import AuthoritativeServer, Message, Name, Zone
@@ -37,6 +38,28 @@ def slow_server(zones: list[Zone], **options) -> AuthoritativeServer:
     return server
 
 
+def traced_pair(zones: list[Zone]):
+    """A fast and a slow server, each with its own tracer."""
+    return (
+        AuthoritativeServer("site-a", zones, telemetry=Telemetry.enabled_bundle()),
+        slow_server(zones, telemetry=Telemetry.enabled_bundle()),
+    )
+
+
+def captured(server: AuthoritativeServer) -> list[tuple]:
+    """What a capture at ``server`` recorded, query by query: server,
+    client, qname as spelled on the wire, rcode and time."""
+    return [
+        (
+            span.attributes["server"], span.attributes["client"],
+            span.attributes["qname"], span.attributes["rcode"], span.start,
+        )
+        for root in server.telemetry.tracer.traces()
+        for span in root.trace
+        if span.name == "auth.query"
+    ]
+
+
 def queries():
     for tick in range(30):
         yield Message.make_query(
@@ -59,26 +82,24 @@ def queries():
 
 def test_fast_path_is_byte_identical_to_slow_path():
     zone = build_zone()
-    fast = AuthoritativeServer("site-a", [zone])
-    slow = slow_server([zone])
+    fast, slow = traced_pair([zone])
     for query in queries():
         wire = query.to_wire()
         assert fast.handle_wire(wire) == slow.handle_wire(wire)
     assert fast._templates  # the hot wildcard lookups did get cached
     # Identical bookkeeping on both paths.
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
+    assert captured(fast) == captured(slow)
 
 
 def test_fast_path_logs_what_the_slow_path_logs_case_included():
-    """The template path records bare fields, the slow path a decoded
-    question: same entries, same DNS-0x20 spelling, for the same wires."""
+    """The template path spans the spliced qname wire, the slow path a
+    decoded question: same spans, same DNS-0x20 spelling, for the same
+    wires."""
     zone = build_zone()
-    ledger = Telemetry.enabled_bundle(
-        metrics=False, tracing=False, profiling=False, costs=True
-    )
+    ledger = Telemetry.enabled_bundle(costs=True)
     fast = AuthoritativeServer("site-a", [zone], telemetry=ledger)
-    slow = slow_server([zone])
+    slow = slow_server([zone], telemetry=Telemetry.enabled_bundle())
     names = [
         "m-3-0.probe.example.org.",
         "M-3-1.pRoBe.eXaMpLe.OrG.",
@@ -90,13 +111,9 @@ def test_fast_path_logs_what_the_slow_path_logs_case_included():
         for server in (fast, slow):
             server.handle_wire(wire, client=f"10.0.0.{tick % 3}", now=tick * 0.5)
     assert ledger.costs.totals()["template_hit"] >= 6
-    fast_log, slow_log = list(fast.query_log), list(slow.query_log)
-    assert fast_log == slow_log
-    spelled = [Name.from_text(name).labels for name in names]
-    assert [entry.qname.labels for entry in fast_log] == spelled
-    assert [entry.qname.labels for entry in slow_log] == spelled
-    assert [entry.client for entry in fast_log] == [
-        f"10.0.0.{tick % 3}" for tick in range(len(names))
+    assert captured(fast) == captured(slow) == [
+        ("site-a", f"10.0.0.{tick % 3}", name, "NOERROR", tick * 0.5)
+        for tick, name in enumerate(names)
     ]
 
 
@@ -110,7 +127,6 @@ def test_template_survives_repeats_and_counts_queries():
     assert first == second
     assert server.stats.queries == 2
     assert server.stats.responses == 2
-    assert len(server.query_log) == 2
 
 
 def test_exact_names_never_served_from_template():
@@ -153,7 +169,7 @@ def test_traced_fast_path_books_what_the_traced_slow_path_books():
 
     The same stream against a traced server and a traced server forced
     onto the slow path: same bytes, same spans, same counters, same
-    stats and query log.
+    stats.
     """
     zone = build_zone()
     zone.add(
@@ -165,13 +181,7 @@ def test_traced_fast_path_books_what_the_traced_slow_path_books():
             TXT.from_value(str(index) * 200), ttl=5,
         )
 
-    # A small ring so evictions (the dropped counter) happen too.
-    fast = AuthoritativeServer(
-        "site-a", [zone], query_log_max=6, telemetry=Telemetry.enabled_bundle()
-    )
-    slow = slow_server(
-        [zone], query_log_max=6, telemetry=Telemetry.enabled_bundle()
-    )
+    fast, slow = traced_pair([zone])
 
     stream = list(queries())  # hits, a miss per key, an existing name, NSID
     for tick, payload in enumerate((4096, 4096, 600)):
@@ -197,12 +207,7 @@ def test_traced_fast_path_books_what_the_traced_slow_path_books():
     assert len(fast_spans) == len(stream) + 1
     assert {name for ((_, name, *_),) in fast_spans} == {"auth.query"}
     assert fast.telemetry.registry.as_dict() == slow.telemetry.registry.as_dict()
-    dropped = fast.telemetry.registry.get(
-        "authoritative_query_log_dropped_total"
-    )
-    assert dropped.labels(server="site-a").value == len(stream) + 1 - 6
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
 
 
 def _count_parses(server: AuthoritativeServer) -> list[int]:
@@ -232,11 +237,9 @@ def _alias_stream() -> list[bytes]:
 
 def test_alias_hits_book_what_the_parsed_path_books():
     zone = build_zone()
-    ledger = Telemetry.enabled_bundle(
-        metrics=False, tracing=False, profiling=False, costs=True
-    )
+    ledger = Telemetry.enabled_bundle(costs=True)
     fast = AuthoritativeServer("site-a", [zone], telemetry=ledger)
-    slow = slow_server([zone])
+    slow = slow_server([zone], telemetry=Telemetry.enabled_bundle())
     parses = _count_parses(fast)
     stream = _alias_stream()
     for tick, wire in enumerate(stream):
@@ -249,9 +252,9 @@ def test_alias_hits_book_what_the_parsed_path_books():
     assert totals["template_hit"] == len(stream) - 1
     assert totals["template_miss"] == 1
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
-    assert [entry.qname.labels[0] for entry in fast.query_log][2:4] == [
-        b"MiXeD-Case", b"x",
+    assert captured(fast) == captured(slow)
+    assert [qname for _, _, qname, _, _ in captured(fast)][2:4] == [
+        "MiXeD-Case.probe.example.org.", "x.probe.example.org.",
     ]
     # The reference idiom switches templates off, and aliases with them.
     assert not slow._templates and not slow._aliases
@@ -259,8 +262,7 @@ def test_alias_hits_book_what_the_parsed_path_books():
 
 def test_traced_alias_hits_book_the_spans_of_the_traced_slow_path():
     zone = build_zone()
-    fast = AuthoritativeServer("site-a", [zone], telemetry=Telemetry.enabled_bundle())
-    slow = slow_server([zone], telemetry=Telemetry.enabled_bundle())
+    fast, slow = traced_pair([zone])
     parses = _count_parses(fast)
     for tick, wire in enumerate(_alias_stream()):
         client, now = f"10.0.0.{tick % 3}", tick * 0.5
@@ -273,7 +275,6 @@ def test_traced_alias_hits_book_the_spans_of_the_traced_slow_path():
     ]
     assert fast.telemetry.registry.as_dict() == slow.telemetry.registry.as_dict()
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
 
 
 def test_alias_refuses_what_its_template_may_not_answer():
@@ -288,8 +289,7 @@ def test_alias_refuses_what_its_template_may_not_answer():
                  TXT.from_value(str(index) * 200), ttl=5)
     child = Zone("origin.probe.example.org.")
     child.add("origin.probe.example.org.", RRType.TXT, TXT.from_value("apex"))
-    fast = AuthoritativeServer("site-a", [zone, child])
-    slow = slow_server([zone, child])
+    fast, slow = traced_pair([zone, child])
     # 244 suffix bytes: a first label of up to ten bytes fits in 255.
     long_suffix = ".".join(["s" * 63] * 3 + ["s" * 32]) + ".probe.example.org."
 
@@ -318,7 +318,7 @@ def test_alias_refuses_what_its_template_may_not_answer():
     assert ask(too_long) is None
     assert parses[0] == 5  # the five refusals; the two that fit were aliases
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
+    assert captured(fast) == captured(slow)
 
 
 def _count_answers(server: AuthoritativeServer) -> list[int]:
@@ -437,13 +437,11 @@ def _odd_wires() -> list[bytes]:
 
 def test_odd_queries_fall_back_and_answer_like_the_slow_path():
     zone = build_zone()
-    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server([zone])
+    fast, slow = traced_pair([zone])
     for wire in _odd_wires() * 2:  # the second round meets warm caches
         assert fast.handle_wire(wire) == slow.handle_wire(wire), wire
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
-    unknown = [entry for entry in fast.query_log if entry.qtype == RRType.ANY]
-    assert len(unknown) == 2  # type 99 is logged as ANY, both times
+    assert captured(fast) == captured(slow)
     assert fast.handle_wire_tcp(b"\x00\x01garbage") is None
     assert fast.stats.formerr == slow.stats.formerr + 1
 
@@ -464,7 +462,7 @@ def test_a_miss_without_a_template_parses_once_then_only_decodes():
     then on — one full decode per query, bytes and bookkeeping as the slow
     path's — until a template is stored."""
     zone = build_zone()
-    fast, slow = AuthoritativeServer("site-a", [zone]), slow_server([zone])
+    fast, slow = traced_pair([zone])
     parses = _count_parses(fast)
 
     def ask(name: str, rrtype: RRType, msg_id: int) -> None:
@@ -481,4 +479,4 @@ def test_a_miss_without_a_template_parses_once_then_only_decodes():
     ask("www.example.org.", RRType.A, 51)
     assert parses[0] == 4 and fast._untemplated
     assert fast.stats == slow.stats
-    assert list(fast.query_log) == list(slow.query_log)
+    assert captured(fast) == captured(slow)

@@ -9,6 +9,7 @@ from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
 from repro.dns.types import Rcode, RRClass, RRType
 from repro.dns.zone import Zone
+from repro.telemetry import Telemetry
 
 ORIGIN = Name.from_text("ourtestdomain.nl.")
 
@@ -31,7 +32,7 @@ def engine():
     )
     zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.ourtestdomain.nl.")))
     zone.add("probe.ourtestdomain.nl.", RRType.TXT, TXT.from_value("site-GRU"), ttl=5)
-    return AuthoritativeServer("gru", [zone])
+    return AuthoritativeServer("gru", [zone], telemetry=Telemetry.enabled_bundle())
 
 
 class TestUdpServer:
@@ -56,8 +57,8 @@ class TestUdpServer:
     def test_server_logs_real_client(self, engine):
         with Listener(engine) as server:
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
-        assert engine.query_log
-        assert engine.query_log[0].client.startswith("127.0.0.1:")
+        (span,) = engine.telemetry.tracer.traces()
+        assert span.attributes["client"].startswith("127.0.0.1:")
 
     def test_multiple_sequential_queries(self, engine):
         with Listener(engine) as server:

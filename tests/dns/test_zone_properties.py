@@ -12,6 +12,7 @@ from repro.dns.rrl import ResponseRateLimiter
 from repro.dns.server import AuthoritativeServer, ServerStats
 from repro.dns.types import RRType
 from repro.dns.zone import WILDCARD_LABEL, LookupResult, LookupStatus, Zone
+from repro.telemetry import Telemetry
 
 ORIGIN = Name.from_text("example.nl.")
 
@@ -344,10 +345,21 @@ def _seeded_zone(edits, fresh: bool) -> Zone:
     return zone
 
 
+def _query_spans(server: AuthoritativeServer) -> list[tuple[dict, float]]:
+    """The attributes and start of every ``auth.query`` span ``server``
+    booked: its capture of the queries it answered."""
+    return [
+        (span.attributes, span.start)
+        for root in server.telemetry.tracer.traces()
+        for span in root.trace
+        if span.name == "auth.query"
+    ]
+
+
 class TestServerAnswersTrackZoneVersion:
     """Whatever a server keeps from earlier answers holds for every
     later one: a long-lived server (plain, and under a limiter that
-    never limits) sends, counts and logs exactly what a freshly built
+    never limits) sends, counts and spans exactly what a freshly built
     slow-path server over a freshly built copy of its zone does.  The
     drawn edits all land before the servers take the zone, which they
     freeze.  Every question goes out twice, so that the second send
@@ -372,9 +384,11 @@ class TestServerAnswersTrackZoneVersion:
     )
     def test_handle_wire_equals_a_fresh_server_after_every_edit(self, edits, steps):
         zone = _seeded_zone(edits, fresh=False)
-        plain = AuthoritativeServer("srv", [zone])
+        plain = AuthoritativeServer(
+            "srv", [zone], telemetry=Telemetry.enabled_bundle()
+        )
         limited = AuthoritativeServer(
-            "srv", [zone],
+            "srv", [zone], telemetry=Telemetry.enabled_bundle(),
             rate_limiter=ResponseRateLimiter(responses_per_second=10**9),
         )
         fresh_zone = _seeded_zone(edits, fresh=True)
@@ -383,11 +397,13 @@ class TestServerAnswersTrackZoneVersion:
             for wire in wires * 2:  # warm whatever the servers keep
                 plain.handle_wire(wire, "192.0.2.1")
                 limited.handle_wire(wire, "192.0.2.1")
-            fresh = AuthoritativeServer("srv", [fresh_zone])
+            fresh = AuthoritativeServer(
+                "srv", [fresh_zone], telemetry=Telemetry.enabled_bundle()
+            )
             fresh._parse_fast_query = lambda wire: None
             for server in (plain, limited):
                 server.stats = ServerStats()
-                server.query_log.clear()
+                server.telemetry.tracer.roots.clear()
             context = (edits, steps[: step + 1])
             for wire in wires:
                 for _ in range(2):
@@ -398,5 +414,5 @@ class TestServerAnswersTrackZoneVersion:
                 assert plain.handle_wire_tcp(wire, "192.0.2.1") == want, context
                 assert limited.handle_wire_tcp(wire, "192.0.2.1") == want, context
             assert plain.stats == limited.stats == fresh.stats, context
-            log = list(fresh.query_log)
-            assert list(plain.query_log) == log == list(limited.query_log), context
+            spans = _query_spans(fresh)
+            assert _query_spans(plain) == spans == _query_spans(limited), context

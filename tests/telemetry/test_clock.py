@@ -8,6 +8,7 @@ from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
+from repro.telemetry import Telemetry
 from repro.telemetry.clock import DEFAULT_CLOCK, Clock, MonotonicClock
 
 ORIGIN = Name.from_text("ourtestdomain.nl.")
@@ -47,7 +48,12 @@ def engine():
     )
     zone.add(ORIGIN, RRType.NS, NS(Name.from_text("ns1.ourtestdomain.nl.")))
     zone.add("probe.ourtestdomain.nl.", RRType.TXT, TXT.from_value("site-GRU"), ttl=5)
-    return AuthoritativeServer("gru", [zone])
+    return AuthoritativeServer("gru", [zone], telemetry=Telemetry.enabled_bundle())
+
+
+def stamps(engine: AuthoritativeServer) -> list[float]:
+    """When each query's ``auth.query`` span says it arrived."""
+    return [root.start for root in engine.telemetry.tracer.traces()]
 
 
 class TestClockImplementations:
@@ -78,27 +84,26 @@ class TestClockImplementations:
 
 
 class TestTransportClockInjection:
-    def test_udp_stamps_query_log_from_injected_clock(self, engine):
+    def test_udp_stamps_query_spans_from_injected_clock(self, engine):
         clock = ManualClock(start=1000.0)
         with Listener(engine, clock=clock) as server:
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
             clock.advance(60.0)
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
-        stamps = [entry.timestamp for entry in engine.query_log]
-        assert stamps == [1000.0, 1060.0]
+        assert stamps(engine) == [1000.0, 1060.0]
 
-    def test_tcp_stamps_query_log_from_injected_clock(self, engine):
+    def test_tcp_stamps_query_spans_from_injected_clock(self, engine):
         clock = ManualClock(start=500.0)
         with Listener(engine, clock=clock) as server:
             query_tcp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
-        assert engine.query_log[0].timestamp == 500.0
+        assert stamps(engine) == [500.0]
 
     def test_udp_and_tcp_share_default_monotonic_clock(self, engine):
         clock = ManualClock(start=7.0)
         with Listener(engine, clock=clock) as server:
             query_udp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
             query_tcp(server.address, "probe.ourtestdomain.nl.", RRType.TXT)
-        assert [entry.timestamp for entry in engine.query_log] == [7.0, 7.0]
+        assert stamps(engine) == [7.0, 7.0]
         listener = Listener(engine)
         listener.close()  # never started; the sockets are released
         assert listener.clock is DEFAULT_CLOCK
@@ -112,6 +117,6 @@ class TestTransportClockInjection:
                     server.address, "probe.ourtestdomain.nl.", RRType.TXT,
                     msg_id=index + 1,
                 )
-        stamps = [entry.timestamp for entry in engine.query_log]
-        assert stamps == sorted(stamps)
-        assert all(stamp < 1e6 for stamp in stamps)
+        seen = stamps(engine)
+        assert len(seen) == 3 and seen == sorted(seen)
+        assert all(stamp < 1e6 for stamp in seen)

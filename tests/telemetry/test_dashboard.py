@@ -1,7 +1,6 @@
 """The run scorecard (once the `dashboard` command, now `top`'s finished
 frame): a live registry and a saved event log render identically."""
 
-import re
 
 import pytest
 
@@ -73,36 +72,3 @@ class TestLiveLogParity:
         text = replay_monitor(list(read_events(path))).render()
         assert "seed=3" in text
         assert "probes=10" in text
-
-
-class TestQueryLogDropRow:
-    """Ring-buffer evictions must show up in the health panel."""
-
-    DROP_METRICS = {
-        "authoritative_query_log_dropped_total": {
-            "samples": [
-                {"labels": {"server": "ns1"}, "value": 5.0},
-                {"labels": {"server": "ns2"}, "value": 2.0},
-            ]
-        }
-    }
-
-    def test_drop_counter_surfaces_in_health_rows(self):
-        text = render_scorecard(self.DROP_METRICS)
-        assert re.search(r"^query-log entries dropped +7$", text, re.M)
-
-    def test_row_absent_when_nothing_dropped(self):
-        metrics = {"sim_lost_total": {"samples": [{"labels": {}, "value": 1.0}]}}
-        text = render_scorecard(metrics)
-        assert "Loss and failure" in text
-        assert "query-log entries dropped" not in text
-
-    def test_row_absent_when_counter_is_zero(self):
-        metrics = {
-            "authoritative_query_log_dropped_total": {
-                "samples": [{"labels": {"server": "ns1"}, "value": 0.0}]
-            }
-        }
-        text = render_scorecard(metrics)
-        assert "Loss and failure" in text
-        assert "query-log entries dropped" not in text

@@ -15,9 +15,19 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import compare_views, server_side_shares_from_trace
+from repro.analysis import (
+    client_side_shares,
+    compare_views,
+    server_side_shares_from_trace,
+)
 from repro.core.experiment import run_combination
-from repro.telemetry import NULL_TELEMETRY, Telemetry, render_trace
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    EventLogWriter,
+    Telemetry,
+    parse_event,
+    render_trace,
+)
 
 RUN_KWARGS = dict(num_probes=30, duration_s=600.0, seed=20170412)
 
@@ -106,20 +116,23 @@ class TestTraceCompleteness:
 
 
 class TestAnalysisAdapter:
-    def test_trace_view_agrees_with_query_log_view(self, instrumented):
+    def test_trace_view_feeds_compare_views(self, instrumented):
         telemetry, result = instrumented
         from_trace = server_side_shares_from_trace(telemetry.tracer)
-        from_logs = compare_views(result.observations, result.deployment)
-        from_tracer = compare_views(result.observations, tracer=telemetry.tracer)
+        client = client_side_shares(result.observations)
+        sink = EventLogWriter()
+        comparison = compare_views(result.observations, telemetry.tracer, sink=sink)
         assert from_trace, "trace vantage saw no recursives"
-        assert from_tracer.recursives_compared == from_logs.recursives_compared
-        assert from_tracer.mean_divergence == pytest.approx(
-            from_logs.mean_divergence
-        )
+        assert comparison.recursives_compared == len(set(client) & set(from_trace))
+        assert comparison.views_equivalent
+        (event,) = [parse_event(line) for line in sink.lines]
+        assert event.comparison["vantage"] == "tracer"
+        assert event.comparison["recursives_compared"] == comparison.recursives_compared
 
     def test_compare_views_requires_some_server_vantage(self, instrumented):
+        # The tracer is the only server-side vantage, and it has no default.
         _, result = instrumented
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             compare_views(result.observations)
 
 

@@ -19,8 +19,10 @@ from repro.telemetry import (
     Telemetry,
     TraceEvent,
     Tracer,
+    EventLogFollower,
     decode_trace,
     encode_trace,
+    parse_event,
     read_events,
 )
 
@@ -135,6 +137,66 @@ class TestSpanRoundTrip:
         assert encode_trace(rebuilt) == encode_trace(root)
         assert rebuilt.trace[1].parent is rebuilt
         assert rebuilt.find("resolver.exchange").events[0].name == "udp.sent"
+
+
+ROOT_ROW = [-1, "auth.query", 0.0, 0.0, {}, []]
+
+
+class TestMalformedTraceRecords:
+    """A trace record the writer could not have produced is an
+    :class:`EventLogError`, never a ``KeyError`` or ``IndexError``; a
+    reader names the line that holds it."""
+
+    def test_a_trace_without_spans(self):
+        with pytest.raises(EventLogError, match="trace record without 'spans'"):
+            parse_event('{"kind": "trace"}')
+
+    def test_a_trace_with_no_span_rows(self):
+        with pytest.raises(EventLogError, match="at least one span row"):
+            parse_event('{"kind": "trace", "spans": []}')
+
+    def test_a_parent_past_its_row(self):
+        rows = [ROOT_ROW, [1, "net.round_trip", 0.0, 0.0, {}, []]]
+        with pytest.raises(EventLogError, match="span row 1: parent 1"):
+            parse_event(json.dumps({"kind": "trace", "spans": rows}))
+        with pytest.raises(EventLogError, match="span row 0: parent 0"):
+            decode_trace([[0, "auth.query", 0.0, 0.0, {}, []]])
+
+    def test_a_row_of_two_fields(self):
+        with pytest.raises(EventLogError, match="span row 0 is not six fields"):
+            parse_event('{"kind": "trace", "spans": [[-1, "auth.query"]]}')
+
+    def test_readers_name_the_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        header = {"kind": EVENT_LOG_KIND, "version": EVENT_SCHEMA_VERSION}
+        good = {"kind": "trace", "spans": [ROOT_ROW]}
+        path.write_text("".join(
+            json.dumps(record) + "\n"
+            for record in (header, good, good, {"kind": "trace", "spans": []})
+        ))
+        where = f"{path}: line 4: a trace needs"
+        with pytest.raises(EventLogError, match=where):
+            list(read_events(path))
+        with pytest.raises(EventLogError, match=where):
+            EventLog.load(path)
+        with EventLogFollower(path) as follower:
+            with pytest.raises(EventLogError, match=where):
+                follower.poll()
+
+    def test_the_follower_counts_lines_across_polls(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        EventLogWriter(path).close()
+        good = json.dumps({"kind": "trace", "spans": [ROOT_ROW]}) + "\n"
+        with EventLogFollower(path) as follower:
+            with path.open("a") as fh:
+                fh.write(good + "\n" + good[:10])
+            assert len(follower.poll()) == 1
+            with path.open("a") as fh:
+                fh.write(good[10:] + '{"kind": "metrics"}\n')
+            with pytest.raises(
+                EventLogError, match=f"{path}: line 5: metrics record without"
+            ):
+                follower.poll()
 
 
 class TestSeededRunRoundTrip:

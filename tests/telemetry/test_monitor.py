@@ -1,7 +1,6 @@
 """Tests for the live campaign monitor and its event-log transport."""
 
 import math
-import re
 
 from repro.telemetry import (
     CampaignMonitor,
@@ -190,30 +189,3 @@ class TestHeartbeatPlumbing:
         # the monitor costs nothing in the canonical output: byte
         # identity holds with heartbeats enabled, any worker count
         assert serial == parallel
-
-
-class TestQueryLogDropCounter:
-    """Satellite: the closing snapshot's forensic-loss counter in `top`."""
-
-    DROP_METRICS = {
-        "authoritative_query_log_dropped_total": {
-            "samples": [
-                {"labels": {"server": "ns1"}, "value": 4.0},
-                {"labels": {"server": "ns2"}, "value": 3.0},
-            ]
-        }
-    }
-
-    def test_snapshot_sets_drop_counter(self):
-        monitor = CampaignMonitor()
-        monitor.consume([MetricsSnapshot(metrics=self.DROP_METRICS, at=600.0)])
-        assert monitor.query_log_dropped == 7
-        assert re.search(
-            r"^query-log entries dropped +7$", monitor.render(), re.M
-        )
-
-    def test_render_silent_without_drops(self):
-        monitor = CampaignMonitor()
-        monitor.consume([MetricsSnapshot(metrics={}, at=600.0)])
-        assert monitor.query_log_dropped == 0
-        assert "query-log entries dropped" not in monitor.render()

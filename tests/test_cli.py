@@ -965,13 +965,19 @@ class TestObservabilityCommands:
             middle = len(lines) // 2
             lines[middle] = lines[middle][:40] + "\n"
             return "".join(lines)
+        if kind == "malformed-trace":
+            middle = len(lines) // 2
+            assert json.loads(lines[middle])["kind"] == "trace"
+            lines[middle] = '{"kind": "trace", "spans": []}\n'
+            return "".join(lines)
         assert kind == "truncated-tail"
         # a writer that died mid-append: a record cut mid-line at the end
         return good + lines[len(lines) // 2][:40]
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     @pytest.mark.parametrize(
-        "kind", ["empty", "not-json", "wrong-version", "corrupt-middle"]
+        "kind",
+        ["empty", "not-json", "wrong-version", "corrupt-middle", "malformed-trace"],
     )
     def test_readers_report_a_malformed_log_and_exit_two(
         self, capsys, tmp_path, fault_log, reader, kind

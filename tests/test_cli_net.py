@@ -92,25 +92,6 @@ class TestServeAndDig:
         assert code == 1
         assert "NXDOMAIN" in capsys.readouterr().out
 
-    def test_served_engine_keeps_no_query_log(self, zone_file, capsys, monkeypatch):
-        # Nothing reads a live server's log, and its ring would grow to
-        # DEFAULT_QUERY_LOG_MAX entries in a long-running server.
-        engines = []
-
-        class Recording(Listener):
-            def __init__(self, engine, **options):
-                engines.append(engine)
-                super().__init__(engine, **options)
-
-        monkeypatch.setattr("repro.dns.listener.Listener", Recording)
-        server, port = start_serve(zone_file, capsys)
-        assert main(["dig", "127.0.0.1", "t.example.test.", "TXT", "-p", str(port)]) == 0
-        server.join(timeout=5.0)
-        assert not server.is_alive()
-        [engine] = engines
-        assert engine.stats.queries == 1
-        assert len(engine.query_log) == 0
-
     def test_serve_rejects_invalid_zone(self, tmp_path, capsys):
         bad = tmp_path / "bad.zone"
         bad.write_text("$TTL 60\n@ IN A 192.0.2.1\n")  # no SOA/NS
