@@ -21,8 +21,9 @@ Tests and ``examples/`` are not drivers.  Usage::
 The report is a ledger: a function it listed as unreached that has since
 left the tree keeps its row, marked *deleted*, with the span it had.
 Every other unreached function must match a rule of :data:`OWNERS`;
-``--check`` fails when one does not, or when the committed report does
-not list it as owned.  Stdlib only (``coverage`` is not required).
+``--check`` fails when one does not, when the committed report does
+not list it as owned, or when an owner cites a ROADMAP item that is no
+longer under its Open items.  Stdlib only (``coverage`` is not required).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 REPORT = ROOT / "docs" / "reachability.md"
+ROADMAP = ROOT / "ROADMAP.md"
 
 SUITE = "the frozen suite patches it by name (`benchmarks/suite/layers.py`)"
 SAFETY = "safety: decodes or validates bytes or files from outside the program"
@@ -90,8 +92,6 @@ OWNERS: list[tuple[str, str, str]] = [
     ("dns/server.py", r"build_axfr_response", CALLER + "AXFR over TCP"),
     ("dns/message.py", r"Message\._truncated", CALLER + "a UDP answer whose "
      "question alone overruns"),
-    ("dns/rrl.py", r"ResponseRateLimiter\.prune", CALLER + "the limiter's "
-     "self-prune cadence"),
     ("netsim/adversary.py", r"water_torture_label", CALLER + "water-torture "
      "profiles"),
     ("netsim/faults.py", r"LossRate\.rate_at|FaultPlan\.pair_draw", CALLER
@@ -491,9 +491,22 @@ def render(every: list[Function], missed: list[Function], previous: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check(missed: list[Function], report: str) -> list[str]:
+def open_items(roadmap: str) -> set[str]:
+    """The numbers of the ``- **N.`` items under ROADMAP's ``## Open items``."""
+    section = roadmap.partition("\n## Open items\n")[2].split("\n## ", 1)[0]
+    return set(re.findall(r"^- \*\*(\d+)\.", section, re.MULTILINE))
+
+
+def check(missed: list[Function], report: str, roadmap: str) -> list[str]:
     rows, _ = parse_report(report)
-    problems = []
+    items = open_items(roadmap)
+    problems = [
+        f"{module} {pattern}: the owner cites ROADMAP item {item}, which is "
+        f"not under Open items"
+        for module, pattern, owner in OWNERS
+        for item in re.findall(r"ROADMAP item (\d+)", owner)
+        if item not in items
+    ]
     for f in missed:
         where = f"{f.module}:{f.first} {f.qualname}"
         if owner_of(f) is None:
@@ -509,7 +522,8 @@ def main() -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail on an unreached function that is neither deleted nor "
-        "listed as owned in the committed report; write nothing",
+        "listed as owned in the committed report, or on an owner citing a "
+        "ROADMAP item no longer open; write nothing",
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
@@ -523,7 +537,7 @@ def main() -> int:
             return 1
     previous = REPORT.read_text() if REPORT.exists() else ""
     if args.check:
-        problems = check(missed, previous)
+        problems = check(missed, previous, ROADMAP.read_text())
         for problem in problems:
             print(problem)
         print(f"{len(missed)} unreached functions, {len(problems)} problems")

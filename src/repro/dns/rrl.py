@@ -48,6 +48,15 @@ class ResponseRateLimiter:
         two dotted-quad IPv4 clients share buckets when their first
         ``ipv4_prefix_len`` bits agree, for any length 0-32.  Other
         clients (IPv6, opaque names) are bucketed per address.
+
+    Stale buckets go on virtual time: the first check at or past the next
+    prune time drops every bucket two windows old and sets the next prune
+    two windows on, so no bucket outlives four windows.  That moves no
+    decision while ``now`` steps back by less than ``window_s`` (a pruned
+    bucket restarts on its next touch anyway).  The kernel steps it back,
+    as the handler runs at ``send + rtt/2`` and deliveries in ``send +
+    rtt`` order: ≤ 0.29 s on the suite's hostile campaign, more under an
+    uncapped latency spike.
     """
 
     responses_per_second: int = 5
@@ -57,15 +66,7 @@ class ResponseRateLimiter:
     _buckets: dict[tuple[str, Hashable], _Bucket] = field(default_factory=dict)
     dropped: int = 0
     slipped: int = 0
-    _checks_since_prune: int = 0
-
-    #: self-prune cadence: every N checks, expire stale buckets so a
-    #: long water-torture campaign (one bucket per unique NOERROR qname)
-    #: cannot grow memory without bound.  Pruning is behaviour-neutral —
-    #: any pruned bucket is past its window and would be reset on its
-    #: next touch anyway — so the cadence being traffic-dependent does
-    #: not perturb deterministic slip/drop decisions.
-    PRUNE_EVERY = 4096
+    _next_prune: float = field(default=float("-inf"), init=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.ipv4_prefix_len <= 32:
@@ -88,9 +89,7 @@ class ResponseRateLimiter:
 
     def check(self, client: str, response_key: Hashable, now: float) -> RrlAction:
         """Account one response; returns how to treat it."""
-        self._checks_since_prune += 1
-        if self._checks_since_prune >= self.PRUNE_EVERY:
-            self._checks_since_prune = 0
+        if now >= self._next_prune:
             self.prune(now)
         key = (self._client_network(client), response_key)
         bucket = self._buckets.get(key)
@@ -110,11 +109,12 @@ class ResponseRateLimiter:
 
     def prune(self, now: float) -> int:
         """Drop stale buckets; returns how many were removed."""
-        stale = [
-            key
-            for key, bucket in self._buckets.items()
-            if now - bucket.window_start >= 2 * self.window_s
-        ]
-        for key in stale:
-            del self._buckets[key]
-        return len(stale)
+        horizon = 2 * self.window_s
+        buckets = self._buckets
+        self._buckets = {
+            key: bucket
+            for key, bucket in buckets.items()
+            if now - bucket.window_start < horizon
+        }
+        self._next_prune = now + horizon
+        return len(buckets) - len(self._buckets)

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ExperimentConfig, run_parallel
+from repro.core import ExperimentConfig, run_campaign, run_parallel
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT
 from repro.dns.server import AuthoritativeServer
@@ -328,3 +328,28 @@ class TestAttackCampaignDeterminism:
             for shards in (1, 3)
         ]
         assert results[0].run.observations == results[1].run.observations
+
+
+class TestRrlConservation:
+    """``rrl_check`` = pass + slip + drop, against the limiters themselves."""
+
+    def test_ledger_agrees_with_the_limiters(self):
+        telemetry = Telemetry.enabled_bundle(
+            metrics=False, tracing=False, costs=True
+        )
+        profile = AttackProfile(name="nxns-rrl", vector="nxns", rrl_qps=1)
+        result = run_campaign(attack_config(attack=profile), telemetry=telemetry)
+        limiters = [
+            engine.rate_limiter
+            for deployed in result.deployment.deployed
+            for engine in deployed.engines.values()
+        ]
+        assert limiters and all(limiter is not None for limiter in limiters)
+        totals = telemetry.costs.totals()
+        slipped = sum(limiter.slipped for limiter in limiters)
+        dropped = sum(limiter.dropped for limiter in limiters)
+        assert totals.get("rrl_slip", 0) == slipped
+        assert totals.get("rrl_drop", 0) == dropped
+        assert totals["rrl_check"] >= slipped + dropped
+        # Pinned: how the limiters age their buckets moves no decision.
+        assert (totals["rrl_check"], slipped, dropped) == (245, 10, 77)

@@ -52,19 +52,17 @@ def test_campaign_state_does_not_grow_per_observation(monkeypatch):
     assert len(platform.network.response_memo._entries) <= 32
 
 
-def test_an_engine_keeps_no_per_query_state(monkeypatch):
-    """What the authoritative engines allocate over a campaign does not
-    grow with its length: three times the ticks, three times the
-    queries, the same few KiB (templates, aliases, counters).  Anything
-    kept per query shows: 60 B a query is ≈ 50 KiB at 10 ticks and
-    ≈ 110 KiB at 30."""
+def heap_growth_across_measure(monkeypatch, files, **campaign) -> list[int]:
+    """What ``files`` (under ``repro/``) still hold after ``measure`` that
+    they did not hold before it, for a 60-probe 4B campaign at 10 and at
+    30 ticks."""
     growth = []
     measure = AtlasPlatform.measure
-    server_py = [tracemalloc.Filter(True, "*/repro/dns/server.py")]
+    filters = [tracemalloc.Filter(True, f"*/repro/{name}") for name in files]
 
     def snapshot():
         gc.collect()  # what is still referenced, not cyclic garbage
-        return tracemalloc.take_snapshot().filter_traces(server_py)
+        return tracemalloc.take_snapshot().filter_traces(filters)
 
     def measure_and_trace(platform, *args, **kwargs):
         tracemalloc.start()
@@ -83,11 +81,37 @@ def test_an_engine_keeps_no_per_query_state(monkeypatch):
     for ticks in (10, TICKS):
         run_combination(
             "4B", num_probes=PROBES, interval_s=120.0,
-            duration_s=ticks * 120.0, seed=3,
+            duration_s=ticks * 120.0, seed=3, **campaign,
         )
+    return growth
+
+
+def test_an_engine_keeps_no_per_query_state(monkeypatch):
+    """What the authoritative engines allocate over a campaign does not
+    grow with its length: three times the ticks, three times the
+    queries, the same few KiB (templates, aliases, counters).  Anything
+    kept per query shows: 60 B a query is ≈ 50 KiB at 10 ticks and
+    ≈ 110 KiB at 30."""
+    growth = heap_growth_across_measure(monkeypatch, ["dns/server.py"])
     short, long = growth
     assert abs(long - short) <= 4 * 1024, growth
     assert max(short, long) < 16 * 1024, growth
+
+
+def test_an_attacked_engines_limiter_keeps_no_per_query_state(monkeypatch):
+    """Under an NXNS bomb with RRL on, no limiter bucket outlives four
+    windows, so what the engines and their limiters hold at the end does
+    not grow with the campaign.  Buckets kept to the end of the campaign
+    read ≈ 180 KiB at 10 ticks and ≈ 520 KiB at 30."""
+    from repro.netsim.adversary import AttackProfile
+
+    growth = heap_growth_across_measure(
+        monkeypatch, ["dns/rrl.py", "dns/server.py"], scenario="ns-flap",
+        attack=AttackProfile(name="nxns-rrl", vector="nxns", rrl_qps=9),
+    )
+    short, long = growth
+    assert abs(long - short) <= 8 * 1024, growth
+    assert max(short, long) < 64 * 1024, growth
 
 
 def test_an_in_flight_query_holds_few_tracked_objects(monkeypatch):

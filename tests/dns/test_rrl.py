@@ -1,6 +1,8 @@
 """Tests for response rate limiting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dns.message import Message
 from repro.dns.name import Name
@@ -57,10 +59,15 @@ class TestLimiter:
         assert over == [RrlAction.DROP] * 3
 
     def test_prune(self):
+        # The check at 5.0 is past the prune time the first check set
+        # (2.0), so it collects the stale 1.2.3.4 bucket itself.
         limiter = ResponseRateLimiter(window_s=1.0)
         limiter.check("1.2.3.4", "k", now=0.0)
         limiter.check("5.6.7.8", "k", now=5.0)
-        assert limiter.prune(now=5.0) == 1
+        assert len(limiter._buckets) == 1
+        assert limiter.check("1.2.3.4", "k", now=5.0) is RrlAction.SEND
+        assert limiter.prune(now=7.0) == 2
+        assert not limiter._buckets
 
 
 class TestWindowEdges:
@@ -218,32 +225,53 @@ class TestPrefixLengths:
             ResponseRateLimiter(ipv4_prefix_len=prefix_len)
 
 
-class TestSelfPrune:
-    def test_self_prune_is_behaviour_neutral(self):
-        # Two limiters fed the identical stream, one force-pruned every
-        # check: decisions and counters must match exactly (pruned
-        # buckets are past-window, so they'd have been reset anyway).
-        plain = ResponseRateLimiter(responses_per_second=2, slip_ratio=2)
-        pruned = ResponseRateLimiter(responses_per_second=2, slip_ratio=2)
-        pruned.PRUNE_EVERY = 1
-        import random
+class _NeverPrunes(ResponseRateLimiter):
+    def prune(self, now: float) -> int:
+        return 0
 
-        rng = random.Random(17)
-        now = 0.0
-        for _ in range(500):
-            now += rng.choice([0.0, 0.1, 1.5])
-            client = f"10.0.0.{rng.randrange(4)}"
-            key = rng.choice(["a", "b"])
-            assert plain.check(client, key, now) == pruned.check(client, key, now)
-        assert (plain.slipped, plain.dropped) == (pruned.slipped, pruned.dropped)
+
+#: (advance of the time frontier, step back from it, client, key)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5]),
+        st.one_of(st.sampled_from([0.0, 0.3, 0.6, 0.9]), st.floats(0.0, 0.9)),
+        st.integers(0, 1),
+        st.sampled_from(["a", "b"]),
+    ),
+    max_size=200,
+)
+
+
+class TestSelfPrune:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_STEPS, window_s=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_self_prune_is_behaviour_neutral(self, steps, window_s):
+        # The kernel steps a limiter's `now` back by less than a window
+        # (handler at send + rtt/2, deliveries in send + rtt order).
+        # Within that, a limiter that prunes decides exactly as one that
+        # never does: a pruned bucket would restart on its next touch.
+        kept = _NeverPrunes(responses_per_second=1, slip_ratio=2, window_s=window_s)
+        pruned = ResponseRateLimiter(
+            responses_per_second=1, slip_ratio=2, window_s=window_s
+        )
+        frontier = 0.0
+        for advance, back, client, key in steps:
+            frontier += advance * window_s
+            now = frontier - back * window_s
+            client = f"10.0.{client}.1"
+            assert pruned.check(client, key, now) == kept.check(client, key, now)
+        assert (pruned.slipped, pruned.dropped) == (kept.slipped, kept.dropped)
 
     def test_self_prune_bounds_bucket_count(self):
-        limiter = ResponseRateLimiter(window_s=1.0)
-        limiter.PRUNE_EVERY = 64
+        # Unique keys (a water-torture NOERROR stream), time moving on:
+        # only the keys first seen in the last four windows may be live.
+        window_s = 1.0
+        limiter = ResponseRateLimiter(window_s=window_s)
         for index in range(1000):
-            # Unique keys (a water-torture NOERROR stream), time moving
-            # on: stale buckets must be collected along the way.
-            limiter.check("1.2.3.4", f"q{index}", now=index * 0.1)
+            now = index * 0.1
+            limiter.check("1.2.3.4", f"q{index}", now=now)
+            recent = sum(now - seen * 0.1 <= 4 * window_s for seen in range(index + 1))
+            assert len(limiter._buckets) <= recent, index
         assert len(limiter._buckets) < 1000
 
 
