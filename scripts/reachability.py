@@ -105,9 +105,9 @@ OWNERS: list[tuple[str, str, str]] = [
     ("telemetry/events.py", r"iter_raw_records", CALLER
      + "`EventLogWriter.iter_records`"),
     # null twins
-    ("telemetry/registry.py", r"_NullChild\..*|NullRegistry\..*", TWIN),
-    ("telemetry/profiling.py", r"NullProfiler\..*", TWIN),
-    ("telemetry/tracing.py", r"NullTracer\..*|_NullSpan\..*", TWIN),
+    ("telemetry/bundle.py",
+     r"_NullChild\..*|NullRegistry\..*|NullProfiler\..*|NullTracer\..*|"
+     r"_NullSpan\..*", TWIN),
     # examples
     ("dns/listener.py", r"Listener\.(start|stop|__enter__|__exit__)",
      "tests and `examples/quickstart.py` run the loop in-process; `stop` "
@@ -462,7 +462,7 @@ def render(every: list[Function], missed: list[Function], previous: str) -> str:
         "- **Reference implementations that a test compares against.**",
         "- **Code reached from kept code** on a path no driver takes: a",
         "  referral, a drop, a fault ramp, an AXFR.  It has a caller under `src/`.",
-        "- **Null twins** (`telemetry/`): what a site guarded on",
+        "- **Null twins** (`telemetry/bundle.py`): what a site guarded on",
         "  `telemetry.enabled` reaches when one pillar is off.",
         "- **What an example calls.** `examples/` are not drivers, but every",
         "  example must keep running; tests and `examples/quickstart.py` run",

@@ -53,7 +53,7 @@ class _Query:
         self.finish(self, result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VantagePoint:
     """One (probe, recursive) pair — a VP in the paper's terminology."""
 
@@ -202,6 +202,7 @@ class AtlasPlatform:
         if isinstance(origin, str):
             origin = Name.from_text(origin)
         origin = origin.intern()  # parse once, share across all resolvers
+        addresses = tuple(addresses)  # one tuple, shared as well
         seen: set[int] = set()
         for vp in self.vantage_points:
             if id(vp.resolver) not in seen:

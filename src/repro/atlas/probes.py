@@ -20,7 +20,7 @@ from ..netsim.geo import (
 from ..seeding import derive_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """One vantage point host (the CL in the paper's Figure 1).
 

@@ -12,7 +12,6 @@ paper's §7 "Other Considerations".
 from __future__ import annotations
 
 import enum
-import socket
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -56,7 +55,8 @@ class ResponseRateLimiter:
     bucket restarts on its next touch anyway).  The kernel steps it back,
     as the handler runs at ``send + rtt/2`` and deliveries in ``send +
     rtt`` order: ≤ 0.29 s on the suite's hostile campaign, more under an
-    uncapped latency spike.
+    uncapped latency spike.  ``tests/core/test_adversary_properties.py``
+    (``test_a_limiters_clock_steps_back_by_less_than_a_window``) checks it.
     """
 
     responses_per_second: int = 5
@@ -81,6 +81,10 @@ class ResponseRateLimiter:
         prefix_len = self.ipv4_prefix_len
         if prefix_len == 32:
             return client  # every address its own network; no parsing
+        # Here, not at module level: `socket` is heavy and only a
+        # limiter that aggregates networks parses an address.
+        import socket
+
         try:
             packed = socket.inet_pton(socket.AF_INET, client)
         except OSError:

@@ -32,9 +32,8 @@ class ServerSelector(abc.ABC):
     alpha: float = 0.3
     #: SRTT a timed-out server is raised to at least (doubling otherwise)
     timeout_floor_ms: float = 400.0
-    #: telemetry bundle; the owning resolver overwrites this when it is
-    #: itself instrumented (class-level default keeps it zero-cost)
-    telemetry = NULL_TELEMETRY
+
+    __slots__ = ("rng", "telemetry")
 
     def __init__(self, rng: random.Random | CounterStream | None = None):
         # Namespaced per selector family: two different selector classes
@@ -44,6 +43,8 @@ class ServerSelector(abc.ABC):
             rng if rng is not None
             else default_rng("resolvers.selector", type(self).name)
         )
+        #: the owning resolver's bundle when that one is instrumented
+        self.telemetry = NULL_TELEMETRY
 
     @abc.abstractmethod
     def select(

@@ -24,6 +24,8 @@ class BindSelector(ServerSelector):
     #: EWMA weight of a new sample
     alpha = 0.3
 
+    __slots__ = ("decay_factor",)
+
     def __init__(self, rng=None, decay_factor: float = 0.98):
         super().__init__(rng)
         #: multiplicative decay applied to servers that were not selected

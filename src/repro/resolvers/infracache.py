@@ -31,7 +31,7 @@ class InfraEntry:
         return now >= self.expires_at
 
 
-@dataclass
+@dataclass(slots=True)
 class InfrastructureCache:
     """SRTT store with per-entry expiry.
 

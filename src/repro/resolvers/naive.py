@@ -18,6 +18,8 @@ class RandomSelector(ServerSelector):
     name = "random"
     uses_infra_cache = False
 
+    __slots__ = ()
+
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:
@@ -29,6 +31,8 @@ class RoundRobinSelector(ServerSelector):
 
     name = "roundrobin"
     uses_infra_cache = False
+
+    __slots__ = ("_index",)
 
     def __init__(self, rng=None):
         super().__init__(rng)
@@ -60,6 +64,8 @@ class StickySelector(ServerSelector):
     #: consecutive failures of the current server before switching —
     #: isolated packet loss does not move a dnsmasq-style forwarder
     failure_streak_to_switch = 3
+
+    __slots__ = ("_choice", "_failures")
 
     def __init__(self, rng=None):
         super().__init__(rng)

@@ -21,6 +21,8 @@ class PowerDnsSelector(ServerSelector):
     #: EWMA weight of a new sample
     alpha = 0.4
 
+    __slots__ = ("explore_probability",)
+
     def __init__(self, rng=None, explore_probability: float = 1.0 / 16.0):
         super().__init__(rng)
         #: probability that a query is a speed-test of a non-best server

@@ -101,6 +101,13 @@ class ResolutionResult:
 class RecursiveResolver:
     """A recursive resolver attached to the simulated network."""
 
+    __slots__ = (
+        "address", "location", "network", "selector", "telemetry",
+        "infra_cache", "record_cache", "record_exchanges", "timeout_ms",
+        "max_retries", "rng", "stub_zones", "queries_sent", "max_fetch",
+        "max_fetch_per_delegation", "ns_fetches", "_response_memo",
+    )
+
     def __init__(
         self,
         address: str,
@@ -149,7 +156,7 @@ class RecursiveResolver:
             else default_rng("resolvers.resolver", address)
         )
         #: zone origin -> authoritative service addresses
-        self.stub_zones: dict[Name, list[str]] = {}
+        self.stub_zones: dict[Name, tuple[str, ...]] = {}
         self.queries_sent = 0
         #: MaxFetch-style mitigations (NXNSAttack): total glueless-NS
         #: sub-resolutions allowed per client query, and how many NS
@@ -165,16 +172,19 @@ class RecursiveResolver:
 
     # -- configuration -----------------------------------------------------
 
-    def add_stub_zone(self, origin: Name | str, addresses: list[str]) -> None:
+    def add_stub_zone(
+        self, origin: Name | str, addresses: list[str] | tuple[str, ...]
+    ) -> None:
         """Teach the resolver the NS addresses of a zone (like cached NS)."""
         if isinstance(origin, str):
             origin = Name.from_text(origin)
         # Interned: every resolver shares one origin object (and its
-        # cached hash/wire), so suffix walks and cache keys stay cheap.
-        self.stub_zones[origin.intern()] = list(addresses)
+        # cached hash/wire), so suffix walks and cache keys stay cheap;
+        # a tuple of addresses is shared as it is, not copied.
+        self.stub_zones[origin.intern()] = tuple(addresses)
 
-    def _deepest_known_zone(self, qname: Name) -> tuple[Name, list[str]] | None:
-        best: tuple[Name, list[str]] | None = None
+    def _deepest_known_zone(self, qname: Name) -> tuple[Name, tuple] | None:
+        best: tuple[Name, tuple] | None = None
         for origin, addresses in self.stub_zones.items():
             if qname.is_subdomain_of(origin):
                 if best is None or len(origin) > len(best[0]):

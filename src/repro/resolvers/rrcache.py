@@ -30,7 +30,7 @@ class NegativeEntry:
     expires_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordCache:
     """TTL-driven cache of positive and negative answers.
 

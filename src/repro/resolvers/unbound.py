@@ -30,6 +30,8 @@ class UnboundSelector(ServerSelector):
     #: EWMA weight of a new sample
     alpha = 0.5
 
+    __slots__ = ()
+
     def select(
         self, addresses: list[str], cache: InfrastructureCache, now: float
     ) -> str:

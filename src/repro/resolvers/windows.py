@@ -20,6 +20,8 @@ class WindowsSelector(ServerSelector):
     reprobe_interval_s = 900.0
     alpha = 0.5
 
+    __slots__ = ("_favorite", "_next_reprobe_at", "_probing")
+
     def __init__(self, rng=None):
         super().__init__(rng)
         self._favorite: str | None = None

@@ -22,10 +22,11 @@ Five pillars, one bundle:
 
 A :class:`Telemetry` object carries all five.  Every instrumented
 component takes ``telemetry=None`` and defaults to :data:`NULL_TELEMETRY`,
-whose parts are no-ops.  ``telemetry.enabled`` gates *recording*, never
-*dispatch*: switching it on adds spans and counters to the code that
-runs and selects no other code, and a disabled run pays one attribute
-check per operation::
+whose parts are the pillars' no-op twins, kept in ``bundle`` beside it:
+a disabled run loads no pillar module.  ``telemetry.enabled`` gates
+*recording*, never *dispatch*: switching it on adds spans and counters
+to the code that runs and selects no other code, and a disabled run
+pays one attribute check per operation::
 
     from repro.telemetry import Telemetry
     from repro.core.experiment import ExperimentConfig, TestbedExperiment
@@ -42,19 +43,20 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "analysis": "FaultWindow TraceAnalytics critical_path fault_windows_from_notes "
     "render_forensics",
-    "bundle": "NULL_EVENT_SINK NULL_TELEMETRY NullEventSink Telemetry",
+    "bundle": "NULL_COSTS NULL_EVENT_SINK NULL_SPAN NULL_TELEMETRY NullCostLedger "
+    "NullEventSink NullProfiler NullRegistry NullTracer Telemetry",
     "clock": "DEFAULT_CLOCK Clock MonotonicClock",
-    "costs": "COSTS_SCHEMA NULL_COSTS CostLedger NullCostLedger",
+    "costs": "COSTS_SCHEMA CostLedger",
     "events": "EVENT_LOG_KIND EVENT_SCHEMA_VERSION CostsEvent "
     "EventLog EventLogError EventLogFollower EventLogWriter MetricsSnapshot Note "
     "RawEvent RunMeta TraceEvent ViewComparisonEvent decode_trace "
     "encode_trace iter_raw_records merge_shard_logs parse_event read_events",
     "monitor": "CampaignMonitor replay_monitor",
-    "profiling": "NullProfiler RunProfiler",
+    "profiling": "RunProfiler",
     "registry": "DEFAULT_RTT_BUCKETS_MS Counter Gauge Histogram MetricError "
-    "MetricsRegistry NullRegistry Sample prometheus_text",
+    "MetricsRegistry Sample prometheus_text",
     "sketch": "EXPORTED_QUANTILES P2Quantile quantile_from_buckets",
     "slo": "SLO Alert DetectionScore SLOError burn_alerts default_slos "
     "evaluate_slos render_slo_report score_alerts",
-    "tracing": "NULL_SPAN NullTracer Span SpanEvent Tracer render_trace",
+    "tracing": "Span SpanEvent Tracer render_trace",
 })

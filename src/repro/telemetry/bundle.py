@@ -1,16 +1,158 @@
-"""The :class:`Telemetry` bundle every instrumented component takes.
+"""The :class:`Telemetry` bundle every instrumented component takes, and
+the null twins of its pillars.
 
-The null event sink lives here, with the bundle that defaults to it, so
-that code running without an event log (``NULL_TELEMETRY``, ``repro-dns
-serve``) never loads :mod:`repro.telemetry.events`.
+The twins live here, with the bundle that defaults to them: the
+registry's, the tracer's (and ``NULL_SPAN``), the profiler's, the cost
+ledger's and the event sink.  So code that runs with telemetry off
+(``NULL_TELEMETRY``: every plain campaign, the passive generator,
+``repro-dns serve``) loads none of the pillar modules;
+:meth:`Telemetry.enabled_bundle` imports them when it builds a live one.
 """
 
 from __future__ import annotations
 
-from .costs import NULL_COSTS, CostLedger
-from .profiling import NullProfiler, RunProfiler
-from .registry import MetricsRegistry, NullRegistry
-from .tracing import NullTracer, Tracer
+
+class _NullChild:
+    """Absorbs what a guarded call site records: counts, observations."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+    def labels(self, **labelvalues):
+        return self
+
+
+_NULL_CHILD = _NullChild()
+
+
+class NullRegistry:
+    """The disabled :class:`MetricsRegistry`, all no-ops.
+
+    The default registry everywhere: components instrument themselves
+    against this and pay one ``enabled`` check when telemetry is off.
+    It keeps what a site guarded on ``telemetry.enabled`` reaches when
+    tracing is on and metrics are off, plus the exports.
+    """
+
+    enabled = False
+
+    def counter(self, name: str, help: str = "", labelnames=()) -> _NullChild:
+        return _NULL_CHILD
+
+    def histogram(
+        self, name: str, help: str = "", labelnames=(), buckets=()
+    ) -> _NullChild:
+        return _NULL_CHILD
+
+    def families(self) -> list:
+        return []
+
+    def to_events(self, at: float | None = None) -> list:
+        return []
+
+    def as_dict(self) -> dict:
+        return {}
+
+
+class _NullSpan:
+    """Absorbs what a guarded call site does to a span: set, event."""
+
+    __slots__ = ()
+    name = ""
+    trace: list = []
+    events: list = []
+    attributes: dict = {}
+    start = 0.0
+    end = None
+    finished = False
+
+    def set(self, **attributes) -> "_NullSpan":
+        return self
+
+    def event(self, name: str, at: float, **attributes) -> "_NullSpan":
+        return self
+
+
+NULL_SPAN = _NullSpan()
+
+
+class NullTracer:
+    """The disabled :class:`Tracer`: what call sites reach with tracing
+    off, all no-ops."""
+
+    enabled = False
+    roots: list = []
+    dropped_traces = 0
+    dropped_unstreamed = 0
+    active = None
+    sink = None
+
+    def start_span(self, name: str, at: float, parent=None, **attributes) -> _NullSpan:
+        return NULL_SPAN
+
+    def finish_span(self, span, at: float) -> None:
+        pass
+
+    def activate(self, span) -> None:
+        pass
+
+    def deactivate(self, span) -> None:
+        pass
+
+
+class _NullPhase:
+    """The null profiler's and null ledger's phase: a no-op context."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+
+_NULL_PHASE = _NullPhase()
+
+
+class NullProfiler:
+    """The disabled :class:`RunProfiler`: phases and counts, all no-ops."""
+
+    enabled = False
+    phases: dict = {}
+    counters: dict = {}
+    values: dict = {}
+    total_seconds = 0.0
+
+    def phase(self, name: str) -> _NullPhase:
+        return _NULL_PHASE
+
+    def count(self, name: str, amount: float = 1.0) -> None:
+        pass
+
+
+class NullCostLedger:
+    """The disabled :class:`CostLedger`: ``enabled=False``, and only what
+    call sites reach without checking it (phases, the event export)."""
+
+    enabled = False
+    phases: dict = {}
+    queries = 0
+
+    def phase(self, name: str) -> _NullPhase:
+        return _NULL_PHASE
+
+    def to_events(self) -> list:
+        return []
+
+
+#: shared zero-cost default — ``NULL_TELEMETRY.costs``.
+NULL_COSTS = NullCostLedger()
 
 
 class NullEventSink:
@@ -68,7 +210,11 @@ class Telemetry:
         ``costs=True`` attaches a deterministic :class:`CostLedger`; it
         does not flip ``enabled``.
         """
+        from .costs import CostLedger
         from .events import EventLogWriter
+        from .profiling import RunProfiler
+        from .registry import MetricsRegistry
+        from .tracing import Tracer
 
         if event_log is None:
             sink = NULL_EVENT_SINK
@@ -149,4 +295,7 @@ class Telemetry:
 NULL_TELEMETRY = Telemetry.disabled_bundle()
 
 
-__all__ = ["NULL_EVENT_SINK", "NULL_TELEMETRY", "NullEventSink", "Telemetry"]
+__all__ = [
+    "NULL_COSTS", "NULL_EVENT_SINK", "NULL_SPAN", "NULL_TELEMETRY", "NullCostLedger",
+    "NullEventSink", "NullProfiler", "NullRegistry", "NullTracer", "Telemetry",
+]

@@ -202,40 +202,8 @@ class CostLedger:
         return f"CostLedger(queries={self.queries})"
 
 
-class NullCostLedger:
-    """The disabled :class:`CostLedger`: ``enabled=False``, and only what
-    call sites reach without checking it (phases, the event export)."""
-
-    enabled = False
-    phases: dict = {}
-    queries = 0
-
-    class _NullPhase:
-        __slots__ = ()
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            pass
-
-    _NULL_PHASE = _NullPhase()
-
-    def phase(self, name: str) -> "_NullPhase":
-        return self._NULL_PHASE
-
-    def to_events(self) -> list:
-        return []
-
-
-#: shared zero-cost default — ``NULL_TELEMETRY.costs``.
-NULL_COSTS = NullCostLedger()
-
-
 __all__ = [
     "COSTS_SCHEMA",
     "COUNTERS",
     "CostLedger",
-    "NULL_COSTS",
-    "NullCostLedger",
 ]

@@ -5,7 +5,8 @@ Where the registry and tracer measure the *simulated* system,
 component counters (deploy, build VPs, measure, analyze).  Every run
 carries the result as ``ExperimentResult.profile``; the benchmark suite
 reads its phases.  Wall-clock numbers never enter an event log: a log
-holds only what the seeded simulation determines.  :class:`NullProfiler` is the disabled twin.
+holds only what the seeded simulation determines.  The disabled twin,
+:class:`~repro.telemetry.bundle.NullProfiler`, lives beside the bundle.
 
 Function-level questions go to ``cProfile`` and layer-level ones to
 ``benchmarks/suite`` (docs/performance.md §1).
@@ -84,31 +85,3 @@ class RunProfiler:
             "counters": dict(sorted(self.counters.items())),
             "values": dict(sorted(self.values.items(), key=lambda kv: kv[0])),
         }
-
-
-
-class NullProfiler:
-    """The disabled :class:`RunProfiler`: phases and counts, all no-ops."""
-
-    enabled = False
-    phases: dict = {}
-    counters: dict = {}
-    values: dict = {}
-    total_seconds = 0.0
-
-    class _NullPhase:
-        __slots__ = ()
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            pass
-
-    _NULL_PHASE = _NullPhase()
-
-    def phase(self, name: str) -> "_NullPhase":
-        return self._NULL_PHASE
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        pass

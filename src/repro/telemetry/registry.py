@@ -17,9 +17,10 @@ registry) and :meth:`MetricsRegistry.to_json` (a machine-readable
 sidecar).  An event log's metrics snapshot is that document, so a saved
 run exports the same bytes as the live registry.
 
-:class:`NullRegistry` is its disabled twin, all no-ops, so that
-instrumented components pay only an attribute check when telemetry is
-disabled (the ``enabled`` flag callers guard on).
+:class:`~repro.telemetry.bundle.NullRegistry` is its disabled twin, all
+no-ops, so that instrumented components pay only an attribute check
+when telemetry is disabled (the ``enabled`` flag callers guard on); it
+lives beside the bundle, so a disabled run never loads this module.
 """
 
 from __future__ import annotations
@@ -530,53 +531,6 @@ def prometheus_text(metrics: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _NullChild:
-    """Absorbs what a guarded call site records: counts, observations."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, **labelvalues):
-        return self
-
-
-_NULL_CHILD = _NullChild()
-
-
-class NullRegistry:
-    """The disabled :class:`MetricsRegistry`, all no-ops.
-
-    The default registry everywhere: components instrument themselves
-    against this and pay one ``enabled`` check when telemetry is off.
-    It keeps what a site guarded on ``telemetry.enabled`` reaches when
-    tracing is on and metrics are off, plus the exports.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labelnames=()) -> _NullChild:
-        return _NULL_CHILD
-
-    def histogram(
-        self, name: str, help: str = "", labelnames=(), buckets=()
-    ) -> _NullChild:
-        return _NULL_CHILD
-
-    def families(self) -> list:
-        return []
-
-    def to_events(self, at: float | None = None) -> list:
-        return []
-
-    def as_dict(self) -> dict:
-        return {}
-
-
 __all__ = [
     "Counter",
     "DEFAULT_RTT_BUCKETS_MS",
@@ -584,7 +538,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NullRegistry",
     "Sample",
     "prometheus_text",
 ]

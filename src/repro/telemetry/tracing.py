@@ -22,8 +22,9 @@ the trace in start order, root first, each pointing at its ``parent``.
 Readers that filter spans by name iterate that list; the two that need
 children (:func:`render_trace`, ``critical_path``) index it locally.
 
-:class:`NullTracer` is the zero-cost default; components guard their
-instrumentation on ``tracer.enabled``.
+:class:`~repro.telemetry.bundle.NullTracer` is the zero-cost default,
+beside the bundle; components guard their instrumentation on
+``tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -220,52 +221,6 @@ class Tracer:
         return list(self.roots)
 
 
-class _NullSpan:
-    """Absorbs what a guarded call site does to a span: set, event."""
-
-    __slots__ = ()
-    name = ""
-    trace: list = []
-    events: list = []
-    attributes: dict = {}
-    start = 0.0
-    end = None
-    finished = False
-
-    def set(self, **attributes) -> "_NullSpan":
-        return self
-
-    def event(self, name: str, at: float, **attributes) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled :class:`Tracer`: what call sites reach with tracing
-    off, all no-ops."""
-
-    enabled = False
-    roots: list = []
-    dropped_traces = 0
-    dropped_unstreamed = 0
-    active = None
-    sink = None
-
-    def start_span(self, name: str, at: float, parent=None, **attributes) -> _NullSpan:
-        return NULL_SPAN
-
-    def finish_span(self, span, at: float) -> None:
-        pass
-
-    def activate(self, span) -> None:
-        pass
-
-    def deactivate(self, span) -> None:
-        pass
-
-
 def _format_attrs(span: Span) -> str:
     if not span.attributes:
         return ""
@@ -322,8 +277,6 @@ def render_trace(root: Span) -> str:
 
 
 __all__ = [
-    "NULL_SPAN",
-    "NullTracer",
     "Span",
     "SpanEvent",
     "Tracer",

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ExperimentConfig, run_campaign, run_parallel
 from repro.dns.name import Name
 from repro.dns.rdata import NS, SOA, TXT
+from repro.dns.rrl import ResponseRateLimiter
 from repro.dns.server import AuthoritativeServer
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
@@ -353,3 +354,29 @@ class TestRrlConservation:
         assert totals["rrl_check"] >= slipped + dropped
         # Pinned: how the limiters age their buckets moves no decision.
         assert (totals["rrl_check"], slipped, dropped) == (245, 10, 77)
+
+    def test_a_limiters_clock_steps_back_by_less_than_a_window(self, monkeypatch):
+        """The precondition under which pruning moves no decision: the
+        handler runs at ``send + rtt/2`` but deliveries run in ``send +
+        rtt`` order, so a limiter's ``now`` steps back, and it must step
+        back by less than ``window_s`` (see ``ResponseRateLimiter``)."""
+        limiters, latest, step_back = {}, {}, {}
+        check = ResponseRateLimiter.check
+
+        def watched(limiter, client, response_key, now):
+            key = id(limiter)
+            limiters[key] = limiter
+            if key in latest:
+                step_back[key] = max(step_back.get(key, 0.0), latest[key] - now)
+            latest[key] = max(latest.get(key, now), now)
+            return check(limiter, client, response_key, now)
+
+        monkeypatch.setattr(ResponseRateLimiter, "check", watched)
+        profile = AttackProfile(name="nxns-rrl", vector="nxns", rrl_qps=1)
+        run_campaign(attack_config(attack=profile, scenario="ns-flap"))
+        assert limiters
+        worst = {key: step_back.get(key, 0.0) for key in limiters}
+        assert max(worst.values()) > 0.0  # the kernel does step back
+        assert all(
+            worst[key] < limiter.window_s for key, limiter in limiters.items()
+        ), worst

@@ -12,6 +12,8 @@ import random
 import sys
 import tracemalloc
 
+import pytest
+
 from repro.atlas.platform import AtlasPlatform
 from repro.core.experiment import run_combination
 from repro.resolvers.resolver import RecursiveResolver
@@ -191,3 +193,101 @@ def test_no_mersenne_state_per_pair_resolver_or_selector(monkeypatch):
         for stream in (vp.resolver.rng, vp.resolver.selector.rng):
             assert type(stream) is CounterStream
             assert sys.getsizeof(stream) <= 64
+
+
+def built_platform(monkeypatch, probes: int) -> AtlasPlatform:
+    """The platform of a one-tick 4B campaign, kept past its run."""
+    platforms = []
+    measure = AtlasPlatform.measure
+
+    def measure_and_keep(platform, *args, **kwargs):
+        platforms.append(platform)
+        return measure(platform, *args, **kwargs)
+
+    monkeypatch.setattr(AtlasPlatform, "measure", measure_and_keep)
+    run_combination(
+        "4B", num_probes=probes, interval_s=120.0, duration_s=120.0, seed=3
+    )
+    (platform,) = platforms
+    return platform
+
+
+def test_per_vp_objects_keep_no_instance_dict(monkeypatch):
+    platform = built_platform(monkeypatch, PROBES)
+    objects = []
+    for vp in platform.vantage_points:
+        resolver = vp.resolver
+        objects += [vp, vp.probe, resolver, resolver.selector,
+                    resolver.record_cache, resolver.infra_cache]
+    kinds = {type(obj).__name__ for obj in objects}
+    assert {"VantagePoint", "Probe", "RecursiveResolver", "RecordCache",
+            "InfrastructureCache"} <= kinds
+    assert len(kinds) >= 7  # several selector families
+    assert [type(obj) for obj in objects if hasattr(obj, "__dict__")] == []
+
+    class Instrumented(type(platform.vantage_points[0].resolver.selector)):
+        pass
+
+    assert hasattr(Instrumented(), "__dict__")  # a subclass still may
+
+
+def per_vp_heap(probes: int) -> tuple[int, int, int]:
+    """VPs, and the heap a 4B campaign holds after building its VPs and
+    teaching them the zone, then after one tick, both against the heap
+    before ``build_vantage_points``."""
+    held = []
+    build = AtlasPlatform.build_vantage_points
+    measure = AtlasPlatform.measure
+    skip = [tracemalloc.Filter(False, tracemalloc.__file__)]
+
+    def snapshot():
+        gc.collect()
+        return tracemalloc.take_snapshot().filter_traces(skip)
+
+    def grown(before, after) -> int:
+        return sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+
+    def build_traced(platform):
+        tracemalloc.start()
+        held.append(snapshot())
+        return build(platform)
+
+    def measure_traced(platform, *args, **kwargs):
+        try:
+            built = snapshot()
+            run = measure(platform, *args, **kwargs)
+            ticked = snapshot()
+        finally:
+            tracemalloc.stop()
+        held[:] = [
+            len(platform.vantage_points),
+            grown(held[0], built),
+            grown(held[0], ticked),
+        ]
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AtlasPlatform, "build_vantage_points", build_traced)
+        patch.setattr(AtlasPlatform, "measure", measure_traced)
+        run_combination(
+            "4B", num_probes=probes, interval_s=120.0, duration_s=120.0, seed=3
+        )
+    return tuple(held)
+
+
+def test_a_vantage_point_has_a_heap_floor():
+    """Bytes per VP, as the slope from 60 to 180 probes (fixed costs
+    cancel): what a built VP holds (its resolver, selector, caches and
+    stub zones) and that plus one tick's query state.
+
+    Pinned at this tree's reading plus 10 % (1 175 and 3 016 B on
+    CPython 3.11).  With an instance dict per resolver, selector, cache
+    and VP, and a list of NS addresses per resolver, they read 1 382 and
+    3 223 B: one tick's query state (cache entry, path slot, row) is
+    most of the second, so only the first tells the two apart."""
+    small, large = per_vp_heap(PROBES), per_vp_heap(3 * PROBES)
+    vps = large[0] - small[0]
+    built = (large[1] - small[1]) / vps
+    ticked = (large[2] - small[2]) / vps
+    assert built < 1290, built
+    assert ticked < 3315, ticked

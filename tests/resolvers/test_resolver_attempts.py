@@ -15,11 +15,9 @@ from repro.netsim.latency import LatencyModel, LatencyParameters
 from repro.netsim.network import SimNetwork
 from repro.resolvers.resolver import RecursiveResolver
 from repro.resolvers.naive import RandomSelector
-from repro.telemetry import Telemetry
+from repro.telemetry import NullRegistry, NullTracer, Telemetry
 from repro.telemetry.costs import CostLedger
 from repro.telemetry.profiling import RunProfiler
-from repro.telemetry.registry import NullRegistry
-from repro.telemetry.tracing import NullTracer
 
 from .test_resolver import ORIGIN, make_engine
 

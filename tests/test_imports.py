@@ -30,17 +30,21 @@ ROOTS = [
 ]
 
 
-def run_fresh(code: str):
-    """The JSON that ``code`` prints from a fresh interpreter."""
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter, its output captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
+    )
+
+
+def run_fresh(code: str):
+    """The JSON that ``code`` prints from a fresh interpreter."""
+    return json.loads(fresh(code).stdout)
 
 
 def loaded_after(*modules: str) -> set[str]:
@@ -67,6 +71,57 @@ def test_serve_and_dig_load_no_simulator():
         "repro.analysis", "repro.atlas", "repro.passive", "repro.resolvers",
         "repro.core.experiment", "repro.core.parallel", "multiprocessing",
     ) == []
+
+
+PILLARS = tuple(
+    f"repro.telemetry.{pillar}"
+    for pillar in ("registry", "sketch", "tracing", "costs", "events")
+)
+
+
+def test_a_telemetry_off_campaign_loads_no_pillar_or_socket():
+    loaded = loaded_after("repro.core.experiment")
+    assert under(loaded, "socket", "selectors", *PILLARS) == []
+
+
+def test_the_passive_path_loads_no_pillar():
+    loaded = set(run_fresh(
+        "import json, sys\n"
+        "from repro.passive import generate_ditl_trace\n"
+        "generate_ditl_trace(num_recursives=12, seed=1)\n"
+        "print(json.dumps(list(sys.modules)))"
+    ))
+    assert "repro.passive.generator" in loaded
+    assert under(loaded, *PILLARS) == []
+
+
+def test_serve_and_dig_load_no_pillar():
+    loaded = loaded_after("repro.cli", "repro.dns.listener", "repro.dns.zonefile")
+    assert under(loaded, *PILLARS) == []
+
+
+def test_an_enabled_bundle_loads_what_it_builds():
+    kinds = run_fresh(
+        "import json\n"
+        "from repro.telemetry import Telemetry\n"
+        "t = Telemetry.enabled_bundle(costs=True)\n"
+        "print(json.dumps([type(t.registry).__name__, type(t.tracer).__name__,"
+        " type(t.costs).__name__, t.enabled, t.costs.enabled]))"
+    )
+    assert kinds == ["MetricsRegistry", "Tracer", "CostLedger", True, True]
+
+
+def test_the_modules_that_log_write_into_one_null_handler():
+    done = fresh(
+        "import json, logging\n"
+        "import repro.telemetry.tracing\n"
+        "import repro.telemetry.events\n"
+        "handlers = logging.getLogger('repro').handlers\n"
+        "logging.getLogger('repro.telemetry.tracing').warning('unheard')\n"
+        "print(json.dumps([type(h).__name__ for h in handlers]))"
+    )
+    assert json.loads(done.stdout) == ["NullHandler"]
+    assert done.stderr == ""
 
 
 def test_a_campaign_loads_no_analysis_planner_or_process_pool():
