@@ -28,8 +28,8 @@ public names when that name is first read (``repro.core.run_campaign``,
 DNS engine and not the simulator.
 """
 
-import importlib
 import logging
+import sys
 
 __version__ = "1.0.0"
 
@@ -45,15 +45,20 @@ def _lazy_exports(package: str, table: dict[str, str]):
     ``table`` maps each submodule (relative name) to the space-separated
     names it provides; a submodule that provides its own name is itself
     the value (how this root exposes its subpackages).
+
+    A submodule loads through ``__import__``, which ``-X importtime``
+    logs (``importlib.import_module`` is not logged there).
     """
-    namespace = vars(importlib.import_module(package))
+    namespace = vars(sys.modules[package])
     source = {name: module for module, names in table.items() for name in names.split()}
 
     def __getattr__(name: str):
         module = source.get(name)
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        loaded = importlib.import_module(f"{package}.{module}")
+        qualified = f"{package}.{module}"
+        __import__(qualified)
+        loaded = sys.modules[qualified]
         value = loaded if name == module else getattr(loaded, name)
         namespace[name] = value
         return value

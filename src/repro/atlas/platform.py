@@ -197,17 +197,27 @@ class AtlasPlatform:
         """Teach every vantage point's recursive the zone's NS addresses.
 
         Keyed by resolver *instance*, not address: anycast public
-        services run many instances behind one address.
+        services run many instances behind one address.  Resolvers that
+        knew the same zones get one new table between them.
         """
         if isinstance(origin, str):
             origin = Name.from_text(origin)
         origin = origin.intern()  # parse once, share across all resolvers
         addresses = tuple(addresses)  # one tuple, shared as well
+        tables: dict[tuple, dict] = {}
         seen: set[int] = set()
         for vp in self.vantage_points:
-            if id(vp.resolver) not in seen:
-                vp.resolver.add_stub_zone(origin, addresses)
-                seen.add(id(vp.resolver))
+            resolver = vp.resolver
+            if id(resolver) in seen:
+                continue
+            seen.add(id(resolver))
+            known = tuple(resolver.stub_zones.items())
+            table = tables.get(known)
+            if table is None:
+                resolver.add_stub_zone(origin, addresses)
+                tables[known] = resolver.stub_zones
+            else:
+                resolver.stub_zones = table
 
     # -- measurement ------------------------------------------------------------
 

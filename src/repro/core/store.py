@@ -9,8 +9,8 @@ analysis keeps working unchanged.
 
 Layout (one entry per observation):
 
-``_vp``  ``array('q')``
-    vantage-point id.
+``_vp``  ``array('i')``
+    vantage-point id (``probe_id × 2 + ordinal``, below 2³¹).
 ``_prof``  ``array('i')``
     index into the *VP profile* side table.  ``probe_id``,
     ``recursive_address``, ``impl_name`` and ``continent`` are
@@ -19,21 +19,25 @@ Layout (one entry per observation):
     small integer instead of four object references.
 ``_t`` / ``_rtt``  ``array('d')``
     issue timestamp and final-exchange RTT (NaN encodes ``None``).
-``_att`` / ``_ok``  ``array('i')`` / ``array('b')``
-    attempt count and success flag.
+``_att`` / ``_ok``  ``array('H')`` / ``array('b')``
+    attempt count (below 2¹⁶) and success flag.
 ``_site`` / ``_auth`` / ``_sfx``  ``array('i')``
     interned string ids (shared pool) for the answering site code, the
     answering service address, and the qname *suffix*.
-``_labels`` + ``_lend``  ``bytearray`` + ``array('q')``
+``_labels`` + ``_lend``  ``bytearray`` + ``array('I')``
     the qname's unique per-query label, stored as raw bytes in one
-    contiguous blob with cumulative end offsets.  A campaign qname is
-    ``label + suffix`` (``m-17-3`` + ``.probe.ourtestdomain.nl``);
+    contiguous blob with cumulative end offsets (below 4 GiB).  A
+    campaign qname is ``label + suffix`` (``m-17-3`` +
+    ``.probe.ourtestdomain.nl``);
     arbitrary qnames intern the whole string as the suffix with an
     empty label.
 
 Interning keeps a 33M-row campaign's string storage at a handful of
 pool entries (sites, service addresses, one suffix); the numeric
-columns cost ~45 bytes/row regardless of campaign size.
+columns cost 43 bytes/row regardless of campaign size.  A value past
+its column's typecode raises ``OverflowError`` (it never wraps); the
+row it was part of is then half-appended, so the store is not used
+after one.
 
 ``merge`` is order-invariant: shard stores append with their string
 and profile ids remapped into the destination pools, and
@@ -85,16 +89,16 @@ class ObservationStore:
     )
 
     def __init__(self):
-        self._vp = array("q")
+        self._vp = array("i")
         self._prof = array("i")
         self._t = array("d")
         self._rtt = array("d")
-        self._att = array("i")
+        self._att = array("H")
         self._ok = array("b")
         self._site = array("i")
         self._auth = array("i")
         self._sfx = array("i")
-        self._lend = array("q")
+        self._lend = array("I")
         self._labels = bytearray()
         #: interned string pool: id -> str, plus the reverse map.
         self._strings: list[str] = []
@@ -447,7 +451,7 @@ class ObservationStore:
         old_labels = self._labels
         old_ends = self._lend
         labels = bytearray()
-        ends = array("q")
+        ends = array(old_ends.typecode)
         for index in order:
             start = old_ends[index - 1] if index else 0
             labels.extend(old_labels[start:old_ends[index]])

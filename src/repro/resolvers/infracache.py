@@ -14,17 +14,15 @@ from dataclasses import dataclass, field
 
 @dataclass(slots=True)
 class InfraEntry:
-    """Latency state for one authoritative server address.
+    """Latency state for one authoritative server address: the two
+    fields server selection reads.
 
     Live while ``now < expires_at``; the boundary itself is expired.
     Every reader in this package tests that inline.
     """
 
     srtt_ms: float
-    updated_at: float
     expires_at: float
-    samples: int = 0
-    timeouts: int = 0
 
     def expired(self, now: float) -> bool:
         """True once ``now`` reaches ``expires_at`` (boundary is expired)."""
@@ -93,14 +91,10 @@ class InfrastructureCache:
         """Fold one RTT sample into the SRTT: new = α·sample + (1-α)·old."""
         entry = self._entries.get(address)
         if entry is None or now >= entry.expires_at:
-            entry = self._entries[address] = InfraEntry(
-                rtt_ms, now, now + self.ttl_s, 1
-            )
+            entry = self._entries[address] = InfraEntry(rtt_ms, now + self.ttl_s)
             return entry
         entry.srtt_ms = alpha * rtt_ms + (1.0 - alpha) * entry.srtt_ms
-        entry.updated_at = now
         entry.expires_at = now + self.ttl_s
-        entry.samples += 1
         return entry
 
     def observe_timeout(
@@ -109,14 +103,10 @@ class InfrastructureCache:
         """Penalize a timed-out server: double its SRTT (with a floor)."""
         entry = self._entries.get(address)
         if entry is None or now >= entry.expires_at:
-            entry = self._entries[address] = InfraEntry(
-                floor_ms, now, now + self.ttl_s
-            )
+            entry = self._entries[address] = InfraEntry(floor_ms, now + self.ttl_s)
         else:
             entry.srtt_ms = max(entry.srtt_ms * 2.0, floor_ms)
-            entry.updated_at = now
             entry.expires_at = now + self.ttl_s
-        entry.timeouts += 1
         return entry
 
     def decay(self, address: str, now: float, factor: float = 0.98) -> None:

@@ -155,7 +155,8 @@ class RecursiveResolver:
             rng if rng is not None
             else default_rng("resolvers.resolver", address)
         )
-        #: zone origin -> authoritative service addresses
+        #: zone origin -> authoritative service addresses; replaced, never
+        #: mutated, so resolvers that know the same zones share one table.
         self.stub_zones: dict[Name, tuple[str, ...]] = {}
         self.queries_sent = 0
         #: MaxFetch-style mitigations (NXNSAttack): total glueless-NS
@@ -175,13 +176,17 @@ class RecursiveResolver:
     def add_stub_zone(
         self, origin: Name | str, addresses: list[str] | tuple[str, ...]
     ) -> None:
-        """Teach the resolver the NS addresses of a zone (like cached NS)."""
+        """Teach the resolver the NS addresses of a zone (like cached NS).
+
+        The resolver gets a new table: one it shares with others is
+        left as it is.
+        """
         if isinstance(origin, str):
             origin = Name.from_text(origin)
         # Interned: every resolver shares one origin object (and its
         # cached hash/wire), so suffix walks and cache keys stay cheap;
         # a tuple of addresses is shared as it is, not copied.
-        self.stub_zones[origin.intern()] = tuple(addresses)
+        self.stub_zones = {**self.stub_zones, origin.intern(): tuple(addresses)}
 
     def _deepest_known_zone(self, qname: Name) -> tuple[Name, tuple] | None:
         best: tuple[Name, tuple] | None = None

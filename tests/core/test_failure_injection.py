@@ -72,14 +72,24 @@ class TestSingleResolverFailover:
         )
         resolver.add_stub_zone(DOMAIN, addresses)
         resolver.resolve(f"a.probe.{DOMAIN}", RRType.TXT)
+        learned = resolver.infra_cache.stale_entry(addresses[0], network.clock.now)
+        assert learned is not None
+        before = learned.srtt_ms
         network.unregister(addresses[0])
         result = resolver.resolve(f"b.probe.{DOMAIN}", RRType.TXT)
         if any(exchange.lost for exchange in result.exchanges):
-            # The dead server's SRTT was penalized.
+            # The dead server's SRTT was penalized: a timeout lifts it to
+            # at least the floor, and each later selection that passes
+            # it over decays it by at most one factor.
+            selector = resolver.selector
             entry = resolver.infra_cache.stale_entry(
                 addresses[0], network.clock.now
             )
-            assert entry is not None and entry.timeouts >= 1
+            assert entry is not None and entry.srtt_ms > before
+            assert entry.srtt_ms >= (
+                selector.timeout_floor_ms
+                * selector.decay_factor ** len(result.exchanges)
+            )
 
     def test_total_outage_is_servfail(self):
         network, deployment, addresses = build()

@@ -44,11 +44,13 @@ def test_campaign_state_does_not_grow_per_observation(monkeypatch):
     }
     assert max(len(cache) for cache in caches.values()) <= 1
 
-    # Observation store: a few array columns per row (the suite's
-    # `core.store.bytes_per_row`, same expression; ~69 at 300 probes).
+    # Observation store: a few array columns per row, each sized to its
+    # values (the suite's `core.store.bytes_per_row`, same expression).
+    # Pinned at this tree's reading plus 10 % (57.4 B; 67.6 with 8-byte
+    # vp ids and label offsets and 4-byte attempt counts).
     store = result.run.store
     store_bytes = sum(sys.getsizeof(value) for value in store.__getstate__().values())
-    assert store_bytes / len(store) <= 100
+    assert store_bytes / len(store) <= 63
 
     # Decode memo: one per network, a handful of template shapes in all.
     assert len(platform.network.response_memo._entries) <= 32
@@ -280,14 +282,37 @@ def test_a_vantage_point_has_a_heap_floor():
     cancel): what a built VP holds (its resolver, selector, caches and
     stub zones) and that plus one tick's query state.
 
-    Pinned at this tree's reading plus 10 % (1 175 and 3 016 B on
-    CPython 3.11).  With an instance dict per resolver, selector, cache
-    and VP, and a list of NS addresses per resolver, they read 1 382 and
-    3 223 B: one tick's query state (cache entry, path slot, row) is
-    most of the second, so only the first tells the two apart."""
+    Pinned at this tree's reading plus 10 % (951 and 2 713 B on
+    CPython 3.11).  With a stub-zone table per resolver and five fields
+    per infrastructure-cache entry they read 1 173 and 3 015 B; with an
+    instance dict per resolver, selector, cache and VP as well, and a
+    list of NS addresses per resolver, 1 382 and 3 223 B.  One tick's
+    query state (cache entry, path slot, row) is most of the second."""
     small, large = per_vp_heap(PROBES), per_vp_heap(3 * PROBES)
     vps = large[0] - small[0]
     built = (large[1] - small[1]) / vps
     ticked = (large[2] - small[2]) / vps
-    assert built < 1290, built
-    assert ticked < 3315, ticked
+    assert built < 1046, built
+    assert ticked < 2985, ticked
+
+
+def test_resolvers_that_know_the_same_zones_share_one_table(monkeypatch):
+    platform = built_platform(monkeypatch, PROBES)
+    resolvers = {id(vp.resolver): vp.resolver for vp in platform.vantage_points}
+    assert len(resolvers) > PROBES // 2
+    tables = {id(resolver.stub_zones): resolver.stub_zones for resolver in resolvers.values()}
+    assert len(tables) == 1
+    (table,) = tables.values()
+    assert [str(origin) for origin in table] == ["ourtestdomain.nl."]
+
+
+def test_teaching_one_resolver_a_zone_leaves_the_others_tables(monkeypatch):
+    platform = built_platform(monkeypatch, PROBES)
+    first, *others = {id(vp.resolver): vp.resolver for vp in platform.vantage_points}.values()
+    shared = first.stub_zones
+    before = dict(shared)
+    first.add_stub_zone("example.test.", ["192.0.2.53"])
+    assert first.stub_zones is not shared
+    assert len(first.stub_zones) == len(before) + 1
+    assert shared == before
+    assert all(other.stub_zones is shared for other in others)

@@ -10,6 +10,7 @@ merge + canonical sort.
 import json
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,91 @@ class TestPickle:
         clone.append_observation(make_obs(100))
         assert len(clone) == 10
         assert len(store) == 9
+
+
+def typecodes(store: ObservationStore) -> dict[str, str]:
+    return {
+        name: value.typecode
+        for name, value in store.__getstate__().items()
+        if isinstance(value, array)
+    }
+
+
+class HugeLabels(bytearray):
+    """A label blob that reports 4 GiB more than it holds: the offset
+    bound without allocating 4 GiB."""
+
+    def __len__(self):
+        return super().__len__() + 2**32
+
+
+class TestColumnBounds:
+    """Each column is sized to its values; a value past its typecode
+    raises, never wraps."""
+
+    def campaign_row(self, store, vp_id=11, attempts=1, label=b"m-11-0"):
+        suffix_id = store.intern(".probe.ourtestdomain.nl.")
+        pid = store.profile_id(7, "10.9.0.1", "bind", Continent.EU)
+        store.append(
+            vp_id, pid, 120.0, label, suffix_id, "FRA", "10.0.0.1",
+            33.0, attempts, True,
+        )
+
+    def test_the_columns_are_sized_to_their_values(self):
+        assert typecodes(ObservationStore()) == {
+            "_vp": "i", "_prof": "i", "_t": "d", "_rtt": "d", "_att": "H",
+            "_ok": "b", "_site": "i", "_auth": "i", "_sfx": "i", "_lend": "I",
+        }
+
+    @pytest.mark.parametrize("field, largest", [("vp_id", 2**31 - 1), ("attempts", 2**16 - 1)])
+    def test_a_value_past_its_column_raises(self, field, largest):
+        store = ObservationStore()
+        self.campaign_row(store, **{field: largest})
+        assert getattr(store.row(0), field) == largest
+        with pytest.raises(OverflowError):
+            self.campaign_row(ObservationStore(), **{field: largest + 1})
+
+    def test_a_label_offset_past_4_gib_raises(self):
+        store = ObservationStore()
+        store._labels = HugeLabels()
+        store._bind_append()
+        with pytest.raises(OverflowError):
+            self.campaign_row(store)
+
+    def test_a_merge_past_4_gib_of_labels_raises(self):
+        store, other = ObservationStore(), ObservationStore()
+        self.campaign_row(other)
+        store._labels = HugeLabels(b"m-10-0")
+        with pytest.raises(OverflowError):
+            store.merge(other)
+
+    def test_pickle_merge_and_sort_keep_every_typecode_and_row(self):
+        observations = [
+            make_obs(i, vp_id=2**31 - 1 - i % 3, timestamp=float(9 - i)) for i in range(9)
+        ]
+        store = ObservationStore()
+        store.extend(observations[:4])
+        self.campaign_row(store, vp_id=2**31 - 1, attempts=2**16 - 1)
+        shard = ObservationStore()
+        shard.extend(observations[4:])
+        expected = typecodes(ObservationStore())
+
+        clone = pickle.loads(pickle.dumps(store))
+        assert typecodes(clone) == expected
+        assert list(clone.iter_rows()) == list(store.iter_rows())
+
+        clone.merge(pickle.loads(pickle.dumps(shard)))
+        assert typecodes(clone) == expected
+        assert list(clone.iter_rows()) == list(store.iter_rows()) + observations[4:]
+
+        clone.sort_canonical()
+        assert typecodes(clone) == expected
+        assert sorted(clone.iter_dicts(), key=json.dumps) == sorted(
+            [*store.iter_dicts(), *shard.iter_dicts()], key=json.dumps
+        )
+        assert [(row.timestamp, row.vp_id) for row in clone.iter_rows()] == sorted(
+            (row.timestamp, row.vp_id) for row in clone.iter_rows()
+        )
 
 
 class TestObservationRows:

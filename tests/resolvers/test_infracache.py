@@ -10,7 +10,7 @@ class TestObserveRtt:
         cache = InfrastructureCache()
         entry = cache.observe_rtt("10.0.0.1", 50.0, now=0.0)
         assert entry.srtt_ms == 50.0
-        assert entry.samples == 1
+        assert entry.expires_at == 600.0
 
     def test_ewma_smoothing(self):
         cache = InfrastructureCache()
@@ -50,7 +50,7 @@ class TestTimeouts:
         cache.observe_rtt("10.0.0.1", 500.0, now=0.0)
         entry = cache.observe_timeout("10.0.0.1", now=1.0)
         assert entry.srtt_ms == 1000.0
-        assert entry.timeouts == 1
+        assert entry.expires_at == 601.0
 
     def test_timeout_floor(self):
         cache = InfrastructureCache()

@@ -35,10 +35,7 @@ def zone_addresses(servers: int) -> list[str]:
 @dataclass
 class ReferenceEntry:
     srtt_ms: float
-    updated_at: float
     expires_at: float
-    samples: int = 0
-    timeouts: int = 0
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -68,29 +65,21 @@ class ReferenceCache:
     def observe_rtt(self, address, rtt_ms, now, alpha=0.3):
         entry = self.get(address, now)
         if entry is None:
-            entry = ReferenceEntry(
-                srtt_ms=rtt_ms, updated_at=now, expires_at=now + self.ttl_s, samples=1
-            )
+            entry = ReferenceEntry(srtt_ms=rtt_ms, expires_at=now + self.ttl_s)
             self._entries[address] = entry
             return entry
         entry.srtt_ms = alpha * rtt_ms + (1.0 - alpha) * entry.srtt_ms
-        entry.updated_at = now
         entry.expires_at = now + self.ttl_s
-        entry.samples += 1
         return entry
 
     def observe_timeout(self, address, now, floor_ms=400.0):
         entry = self.get(address, now)
         if entry is None:
-            entry = ReferenceEntry(
-                srtt_ms=floor_ms, updated_at=now, expires_at=now + self.ttl_s
-            )
+            entry = ReferenceEntry(srtt_ms=floor_ms, expires_at=now + self.ttl_s)
             self._entries[address] = entry
         else:
             entry.srtt_ms = max(entry.srtt_ms * 2.0, floor_ms)
-            entry.updated_at = now
             entry.expires_at = now + self.ttl_s
-        entry.timeouts += 1
         return entry
 
     def decay(self, address, now, factor=0.98):
@@ -274,7 +263,7 @@ steps = st.lists(
 
 def entry_bits(cache) -> dict:
     return {
-        address: (e.srtt_ms, e.updated_at, e.expires_at, e.samples, e.timeouts)
+        address: (e.srtt_ms, e.expires_at)
         for address, e in cache._entries.items()
     }
 

@@ -30,14 +30,14 @@ ROOTS = [
 ]
 
 
-def fresh(code: str) -> subprocess.CompletedProcess:
+def fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
     """``code`` run by a fresh interpreter, its output captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     )
 
@@ -131,6 +131,14 @@ def test_a_campaign_loads_no_analysis_planner_or_process_pool():
         "multiprocessing", "repro.analysis", "repro.passive",
         "repro.core.planner", "repro.atlas.catchment", "repro.atlas.public",
     ) == []
+
+
+def test_importtime_logs_what_a_root_loads_on_first_use():
+    # CI's serve smoke reads `-X importtime` logs, so a module a root
+    # loads lazily must show there as well as in `sys.modules`.
+    done = fresh("import repro.dns\nrepro.dns.AuthoritativeServer", "-X", "importtime")
+    logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"repro.dns.server", "repro.telemetry.bundle"} <= logged
 
 
 @pytest.mark.parametrize("root", ROOTS)
