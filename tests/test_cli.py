@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -313,6 +314,31 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "2min" in out and "10min" in out
+
+    #: sha256 of the analysis text (Figs 2, 3, 4 and Table 2 from
+    #: ``run``; Fig 6 from ``sweep``).  A refactor of the analyses must
+    #: not move a byte of what the CLI prints.
+    ANALYSIS_TEXT_SHA256 = {
+        ("run", "0"):
+            "7d6d281c8d92a7786decad7158370d433a2c956e5e2ac76b04dccf19cd5726cd",
+        ("run", "20170412"):
+            "2c043b55dfa9bf1afad111f3536dc64d9018188588f9a919d619481115c4022c",
+        ("sweep", "0"):
+            "3d3d6e366b4c9f72bece74e56dff78e60a0c95f4b39d8dfe25561901a3125fca",
+    }
+
+    @pytest.mark.parametrize("command, seed", sorted(ANALYSIS_TEXT_SHA256))
+    def test_analysis_text_is_pinned(self, capsys, command, seed):
+        if command == "run":
+            argv = ["run", "--combo", "4B", "--probes", "40", "--seed", seed]
+        else:
+            argv = ["sweep", "--probes", "25", "--intervals", "2", "10",
+                    "--seed", seed]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            self.ANALYSIS_TEXT_SHA256[command, seed]
+        ), out
 
     def test_passive_root(self, capsys, tmp_path):
         out_file = tmp_path / "trace.jsonl"
