@@ -3,6 +3,7 @@
 from .. import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "aggregate": "VpSiteAggregate aggregate_of",
     "figures": "render_fig4_curves render_fig7_bands sparkline",
     "ground_truth": "ImplementationRow breakdown_by_implementation "
     "render_implementation_breakdown",
@@ -21,7 +22,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "rtt_sensitivity": "RttSensitivityResult SensitivityPoint "
     "analyze_rtt_sensitivity",
     "stats": "BoxplotStats bootstrap_ci median quantile",
-    "streams": "iter_observation_fields site_completion_times",
     "validation": "ViewComparison client_side_shares compare_views "
     "server_side_shares_from_trace",
 })

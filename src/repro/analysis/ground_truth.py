@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
+from .aggregate import aggregate_of
 from .preference import STRONG_THRESHOLD, WEAK_THRESHOLD, vp_preferences
 from .report import render_table
 
@@ -34,13 +35,12 @@ def breakdown_by_implementation(
     min_queries: int = 10,
 ) -> list[ImplementationRow]:
     """Per-implementation preference statistics (ground truth)."""
-    impl_of_vp: dict[int, str] = {}
-    for obs in observations:
-        impl_of_vp.setdefault(obs.vp_id, obs.impl_name)
+    agg = aggregate_of(observations)
+    impl_of_vp = dict(zip(agg.vp_id, agg.impl_name))
     vps = vp_preferences(observations, sites, min_queries=min_queries)
     grouped: dict[str, list] = {}
     for vp in vps:
-        grouped.setdefault(impl_of_vp.get(vp.vp_id, "?"), []).append(vp)
+        grouped.setdefault(impl_of_vp[vp.vp_id], []).append(vp)
 
     rows = []
     for impl_name in sorted(grouped):

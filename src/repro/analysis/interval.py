@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
 from ..netsim.geo import Continent
+from .aggregate import aggregate_of
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,15 @@ def fraction_to_site(
     observations: list[QueryObservation], site: str
 ) -> dict[Continent, tuple[float, int]]:
     """Per continent: (fraction of successful queries to ``site``, count)."""
+    agg = aggregate_of(observations)
     totals: dict[Continent, int] = {}
     hits: dict[Continent, int] = {}
-    for obs in observations:
-        if not (obs.succeeded and obs.site):
-            continue
-        totals[obs.continent] = totals.get(obs.continent, 0) + 1
-        if obs.site == site:
-            hits[obs.continent] = hits.get(obs.continent, 0) + 1
+    for vp in range(agg.vp_count):
+        counts = agg.answer_counts(vp)
+        if counts:
+            continent = agg.continent[vp]
+            totals[continent] = totals.get(continent, 0) + sum(counts.values())
+            hits[continent] = hits.get(continent, 0) + counts.get(site, 0)
     return {
         continent: (hits.get(continent, 0) / total, total)
         for continent, total in totals.items()

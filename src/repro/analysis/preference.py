@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 from ..atlas.platform import QueryObservation
 from ..netsim.geo import Continent
-from .stats import median
-from .streams import iter_observation_fields
+from .aggregate import aggregate_of
+from .stats import nan_median
 
 WEAK_THRESHOLD = 0.60
 STRONG_THRESHOLD = 0.90
@@ -74,49 +74,28 @@ def vp_preferences(
 ) -> list[VpPreference]:
     """Per-VP site shares and RTTs over the successful observations.
 
-    Single streaming pass: per-VP totals, per-site counts, and per-site
-    RTT samples accumulate as rows go by — no per-VP row lists, so a
-    store-backed campaign is aggregated without resurrecting row
-    objects.
+    VPs come in the order of their first successful answer; a VP with
+    fewer than ``min_queries`` successful answers (or none) is left out.
     """
-    totals: dict[int, int] = {}
-    continents: dict[int, Continent] = {}
-    site_counts: dict[int, dict[str, int]] = {}
-    site_rtts: dict[int, dict[str, list[float]]] = {}
-    for vp, _t, site, ok, rtt, continent in iter_observation_fields(
-        observations
-    ):
-        if not ok or not site:
-            continue
-        if vp not in totals:
-            totals[vp] = 0
-            continents[vp] = continent
-            site_counts[vp] = {}
-            site_rtts[vp] = {}
-        totals[vp] += 1
-        counts = site_counts[vp]
-        counts[site] = counts.get(site, 0) + 1
-        if rtt is not None:
-            site_rtts[vp].setdefault(site, []).append(rtt)
+    agg = aggregate_of(observations)
     preferences = []
-    for vp_id, queries in totals.items():
-        if queries < min_queries:
+    ordered, none = sorted(sites), range(0)
+    for vp in range(agg.vp_count):
+        answers = {agg.pair_site[pair]: agg.answers(pair) for pair in agg.pairs(vp)}
+        queries = sum(map(len, answers.values()))
+        if not queries or queries < min_queries:
             continue
-        counts = site_counts[vp_id]
-        rtts = site_rtts[vp_id]
-        share: dict[str, float] = {}
-        rtt_by_site: dict[str, float] = {}
-        for site in sorted(sites):
-            share[site] = counts.get(site, 0) / queries
-            samples = rtts.get(site)
-            rtt_by_site[site] = median(samples) if samples else float("nan")
         preferences.append(
             VpPreference(
-                vp_id=vp_id,
-                continent=continents[vp_id],
+                vp_id=agg.vp_id[vp],
+                continent=agg.continent[vp],
                 queries=queries,
-                share_by_site=share,
-                median_rtt_by_site=rtt_by_site,
+                share_by_site={
+                    site: len(answers.get(site, none)) / queries for site in ordered
+                },
+                median_rtt_by_site={
+                    site: nan_median(agg.rtts(answers.get(site, none))) for site in ordered
+                },
             )
         )
     return preferences
@@ -172,12 +151,7 @@ def table2_rows(
         for site in sorted(sites):
             site_queries = sum(vp.share_by_site[site] * vp.queries for vp in members)
             share[site] = 100.0 * site_queries / total_queries
-            samples = [
-                vp.median_rtt_by_site[site]
-                for vp in members
-                if vp.median_rtt_by_site[site] == vp.median_rtt_by_site[site]
-            ]
-            rtts[site] = median(samples) if samples else float("nan")
+            rtts[site] = nan_median(vp.median_rtt_by_site[site] for vp in members)
         rows.append(
             ContinentRow(
                 continent=continent,

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
+from .aggregate import aggregate_of
 from .stats import BoxplotStats
-from .streams import iter_observation_fields, site_completion_times
 
 
 @dataclass(frozen=True)
@@ -33,34 +33,21 @@ def analyze_probe_all(
 ) -> ProbeAllResult:
     """Compute the Figure 2 statistics for one combination's run.
 
-    Streaming version: rather than bucketing every row into per-VP
-    lists, pass one finds each VP's completion timestamp (any answer
-    counts here, not just successes — §4.1 counts queries, and the
-    legacy scan behaved the same) and pass two counts the rows before
-    it, which is exactly the completing row's index in timestamp order.
+    A VP's count is the ordinal of the row that completes its view of
+    ``sites`` (any answer counts here, not just successes — §4.1 counts
+    queries): the number of its queries before that one.
     """
-    completion = site_completion_times(
-        observations, sites, successful_only=False
-    )
-    row_count: dict[int, int] = {}
-    queries_before: dict[int, int] = dict.fromkeys(completion, 0)
-    for vp, t, _site, _ok, _rtt, _continent in iter_observation_fields(
-        observations
-    ):
-        row_count[vp] = row_count.get(vp, 0) + 1
-        boundary = completion.get(vp)
-        if boundary is not None and t < boundary:
-            queries_before[vp] += 1
-
+    agg = aggregate_of(observations)
     counts: list[float] = []
     eligible = 0
-    for vp, rows in row_count.items():
-        if rows < min_queries:
+    for vp in range(agg.vp_count):
+        if agg.rows[vp] < min_queries:
             continue
         eligible += 1
-        if vp in completion:
+        completed = agg.completion(vp, sites, successful=False)
+        if completed is not None:
             # Queries *after the first* until every site answered.
-            counts.append(float(queries_before[vp]))
+            counts.append(float(completed))
     if eligible == 0:
         raise ValueError("no vantage point sent enough queries")
     return ProbeAllResult(

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
-from .stats import median
-from .streams import iter_observation_fields, site_completion_times
+from .aggregate import aggregate_of
+from .stats import nan_median
 
 
 @dataclass(frozen=True)
@@ -47,42 +47,36 @@ def analyze_query_share(
     combo_id: str = "",
     hot_cache_only: bool = True,
 ) -> QueryShareResult:
-    """Streaming version: two passes, no row materialization.
+    """Per site: share of the successful answers and median RTT.
 
-    Pass one finds each VP's hot-cache boundary (the timestamp at which
-    it has been answered by every site); pass two tallies the rows past
-    it.  Accepts a plain observation list or a store-backed rows view —
-    the latter is read column-wise.
+    With ``hot_cache_only``, a VP counts only once every site has
+    answered it, and only the answers strictly past the one that
+    completed its view (that one is still warm-up).
     """
-    hot_time = (
-        site_completion_times(observations, sites) if hot_cache_only else None
-    )
+    agg = aggregate_of(observations)
     total = 0
     counts = dict.fromkeys(sites, 0)
-    rtts: dict[str, list[float]] = {site: [] for site in sites}
-    for vp, t, site, ok, rtt, _continent in iter_observation_fields(
-        observations
-    ):
-        if not ok or not site:
+    spans: dict[str, list[range]] = {site: [] for site in sites}
+    for vp in range(agg.vp_count):
+        after = agg.completion(vp, sites, successful=True) if hot_cache_only else -1
+        if after is None:
             continue
-        if hot_time is not None:
-            boundary = hot_time.get(vp)
-            # The completing row itself is still warm-up: keep only
-            # rows strictly past the boundary.
-            if boundary is None or t <= boundary:
-                continue
-        total += 1
-        if site in counts:
-            counts[site] += 1
-            if rtt is not None:
-                rtts[site].append(rtt)
+        for pair in agg.pairs(vp):
+            answers = agg.answers(pair, after)
+            total += len(answers)
+            site = agg.pair_site[pair]
+            if site in counts:
+                counts[site] += len(answers)
+                spans[site].append(answers)
     if not total:
         raise ValueError("no successful observations")
     shares = [
         SiteShare(
             site=site,
             query_share=counts[site] / total,
-            median_rtt_ms=median(rtts[site]) if rtts[site] else float("nan"),
+            median_rtt_ms=nan_median(
+                rtt for span in spans[site] for rtt in agg.rtts(span)
+            ),
             queries=counts[site],
         )
         for site in sorted(sites)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..atlas.platform import QueryObservation
 from ..netsim.geo import Continent
 from .preference import VpPreference, vp_preferences
-from .stats import median
+from .stats import nan_median
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,15 @@ def analyze_rtt_sensitivity(
             preferers = [vp for vp in members if vp.preferred_site == site]
             if not preferers:
                 continue
-            rtts = [
-                vp.median_rtt_by_site[site]
-                for vp in preferers
-                if vp.median_rtt_by_site[site] == vp.median_rtt_by_site[site]
-            ]
-            if not rtts:
+            rtt = nan_median(vp.median_rtt_by_site[site] for vp in preferers)
+            if rtt != rtt:  # no preferer measured an RTT to it
                 continue
             fraction = sum(vp.share_by_site[site] for vp in preferers) / len(preferers)
             points.append(
                 SensitivityPoint(
                     continent=continent,
                     site=site,
-                    median_rtt_ms=median(rtts),
+                    median_rtt_ms=rtt,
                     mean_query_fraction=fraction,
                     vp_count=len(preferers),
                 )

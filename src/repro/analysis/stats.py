@@ -26,6 +26,12 @@ def median(values: list[float]) -> float:
     return quantile(values, 0.5)
 
 
+def nan_median(values) -> float:
+    """Median of the values that are not NaN; NaN when none is."""
+    measured = [value for value in values if value == value]
+    return median(measured) if measured else float("nan")
+
+
 @dataclass(frozen=True)
 class BoxplotStats:
     """The five numbers of the paper's Figure 2 boxes: quartiles plus

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..atlas.platform import QueryObservation
+from .aggregate import aggregate_of
 from .stats import quantile
 
 
@@ -20,12 +21,12 @@ def client_side_shares(
     observations: list[QueryObservation], min_queries: int = 5
 ) -> dict[str, dict[str, float]]:
     """Per *recursive address*: site shares, from the VP-side data."""
+    agg = aggregate_of(observations)
     counts: dict[str, dict[str, int]] = {}
-    for obs in observations:
-        if not (obs.succeeded and obs.site):
-            continue
-        per_site = counts.setdefault(obs.recursive_address, {})
-        per_site[obs.site] = per_site.get(obs.site, 0) + 1
+    for vp in range(agg.vp_count):
+        for site, answers in agg.answer_counts(vp).items():
+            per_site = counts.setdefault(agg.recursive_address[vp], {})
+            per_site[site] = per_site.get(site, 0) + answers
     return _normalize(counts, min_queries)
 
 

@@ -4,8 +4,9 @@ The paper's methodology rests on ~33M query observations; a frozen
 dataclass per query caps campaigns far below that scale.  This module
 stores observations as parallel ``array``/bytes columns instead — O(1)
 append with **zero per-row Python objects** — while a lazy row view
-materializes :class:`QueryObservation` on access, so every existing
-analysis keeps working unchanged.
+materializes :class:`QueryObservation` on access.  The analyses read
+neither: they read a per-VP aggregate of the columns
+(:mod:`repro.analysis.aggregate`), memoised here.
 
 Layout (one entry per observation):
 
@@ -35,9 +36,8 @@ Layout (one entry per observation):
 Interning keeps a 33M-row campaign's string storage at a handful of
 pool entries (sites, service addresses, one suffix); the numeric
 columns cost 43 bytes/row regardless of campaign size.  A value past
-its column's typecode raises ``OverflowError`` (it never wraps); the
-row it was part of is then half-appended, so the store is not used
-after one.
+its column's typecode raises ``OverflowError`` (it never wraps), and
+the row it was part of is taken back out of every column.
 
 ``merge`` is order-invariant: shard stores append with their string
 and profile ids remapped into the destination pools, and
@@ -56,6 +56,8 @@ from math import isnan, nan
 from ..netsim.geo import Continent
 
 _EMPTY = b""
+#: The one-entry-per-row columns besides ``_lend`` (label end offsets).
+_ROW_COLUMNS = ("_vp", "_prof", "_t", "_rtt", "_att", "_ok", "_site", "_auth", "_sfx")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,8 +86,7 @@ class ObservationStore:
         "_site", "_auth", "_sfx", "_lend", "_labels",
         "_strings", "_string_ids",
         "_profiles", "_profile_ids",
-        "_vp_seen", "_probe_seen", "_seen_pos",
-        "_continent_of", "append",
+        "_continent_of", "_aggregate", "append",
     )
 
     def __init__(self):
@@ -106,14 +107,11 @@ class ObservationStore:
         #: VP profiles: id -> (probe_id, recursive_id, impl_id, continent_id)
         self._profiles: list[tuple[int, int, int, int]] = []
         self._profile_ids: dict[tuple[int, int, int, int], int] = {}
-        # Distinct-VP/probe counters, maintained incrementally: appends
-        # touch nothing, reads fold in only the rows added since the
-        # last read — O(1) per appended row overall, O(1) per read
-        # thereafter (the heartbeat/summary path).
-        self._vp_seen: set[int] = set()
-        self._probe_seen: set[int] = set()
-        self._seen_pos = 0
         self._continent_of: dict[int, Continent] = {}
+        #: ``(len(self), aggregate)`` for :mod:`repro.analysis.aggregate`.
+        #: Appends and merges change the length, which invalidates it;
+        #: a sort only permutes rows, which the aggregate does not see.
+        self._aggregate = None
         self._bind_append()
 
     # -- interning ---------------------------------------------------------
@@ -136,17 +134,12 @@ class ObservationStore:
     ) -> int:
         """The id of one VP's constant fields, registered once per VP."""
         value = continent.value if isinstance(continent, Continent) else continent
-        key = (
+        return self._register_profile(
             int(probe_id),
             self.intern(recursive_address),
             self.intern(impl_name),
             self.intern(value),
         )
-        pid = self._profile_ids.get(key)
-        if pid is None:
-            pid = self._profile_ids[key] = len(self._profiles)
-            self._profiles.append(key)
-        return pid
 
     # -- appending ---------------------------------------------------------
 
@@ -155,7 +148,10 @@ class ObservationStore:
 
         One closure with every column's bound ``append`` beats a method
         doing ten attribute lookups per row by ~2x — the difference
-        between missing and clearing the 1M observations/s target.
+        between missing and clearing the 1M observations/s target.  A
+        value that overflows its column truncates every column back to
+        the row count before the call (``_lend`` is appended last, so
+        its length is that count) and re-raises.
         """
         vp_a = self._vp.append
         prof_a = self._prof.append
@@ -171,6 +167,8 @@ class ObservationStore:
         labels_extend = labels.extend
         strings = self._strings
         string_ids = self._string_ids
+        ends = self._lend
+        columns = [getattr(self, name) for name in _ROW_COLUMNS]
 
         def append(
             vp_id: int,
@@ -184,26 +182,33 @@ class ObservationStore:
             attempts: int,
             succeeded: bool,
         ) -> None:
-            vp_a(vp_id)
-            prof_a(profile_id)
-            t_a(timestamp)
-            rtt_a(nan if rtt_ms is None else rtt_ms)
-            att_a(attempts)
-            ok_a(1 if succeeded else 0)
-            sid = string_ids.get(site)
-            if sid is None:
-                sid = string_ids[site] = len(strings)
-                strings.append(site)
-            site_a(sid)
-            aid = string_ids.get(authoritative)
-            if aid is None:
-                aid = string_ids[authoritative] = len(strings)
-                strings.append(authoritative)
-            auth_a(aid)
-            sfx_a(suffix_id)
-            if label:
-                labels_extend(label)
-            lend_a(len(labels))
+            try:
+                vp_a(vp_id)
+                prof_a(profile_id)
+                t_a(timestamp)
+                rtt_a(nan if rtt_ms is None else rtt_ms)
+                att_a(attempts)
+                ok_a(1 if succeeded else 0)
+                sid = string_ids.get(site)
+                if sid is None:
+                    sid = string_ids[site] = len(strings)
+                    strings.append(site)
+                site_a(sid)
+                aid = string_ids.get(authoritative)
+                if aid is None:
+                    aid = string_ids[authoritative] = len(strings)
+                    strings.append(authoritative)
+                auth_a(aid)
+                sfx_a(suffix_id)
+                if label:
+                    labels_extend(label)
+                lend_a(len(labels))
+            except OverflowError:
+                count = len(ends)
+                for column in columns:
+                    del column[count:]
+                del labels[ends[count - 1] if count else 0:]
+                raise
 
         self.append = append
 
@@ -252,32 +257,15 @@ class ObservationStore:
     def __len__(self) -> int:
         return len(self._vp)
 
-    def _refresh_seen(self) -> None:
-        pos = self._seen_pos
-        end = len(self._vp)
-        if pos >= end:
-            return
-        vp_seen = self._vp_seen
-        probe_seen = self._probe_seen
-        profiles = self._profiles
-        vp_col = self._vp
-        prof_col = self._prof
-        for index in range(pos, end):
-            vp_seen.add(vp_col[index])
-            probe_seen.add(profiles[prof_col[index]][0])
-        self._seen_pos = end
-
     @property
     def vp_count(self) -> int:
-        """Distinct vantage points observed (O(1) amortized)."""
-        self._refresh_seen()
-        return len(self._vp_seen)
+        """Distinct vantage points observed (read once per run summary)."""
+        return len(set(self._vp))
 
     @property
     def probe_count(self) -> int:
-        """Distinct probes observed (O(1) amortized)."""
-        self._refresh_seen()
-        return len(self._probe_seen)
+        """Distinct probes observed."""
+        return len({self._profiles[pid][0] for pid in set(self._prof)})
 
     # -- row access --------------------------------------------------------
 
@@ -316,32 +304,7 @@ class ObservationStore:
 
     def iter_rows(self):
         """Stream every row as a :class:`QueryObservation` (transient)."""
-        strings = self._strings
-        profiles = self._profiles
-        continent = self._continent
-        labels = self._labels
-        start = 0
-        make = QueryObservation
-        for index, end in enumerate(self._lend):
-            probe_id, rec_id, impl_id, cont_id = profiles[self._prof[index]]
-            rtt = self._rtt[index]
-            label = labels[start:end]
-            start = end
-            yield make(
-                vp_id=self._vp[index],
-                probe_id=probe_id,
-                recursive_address=strings[rec_id],
-                impl_name=strings[impl_id],
-                continent=continent(cont_id),
-                timestamp=self._t[index],
-                qname=(label.decode("ascii") if label else "")
-                + strings[self._sfx[index]],
-                site=strings[self._site[index]],
-                authoritative=strings[self._auth[index]],
-                rtt_ms=None if isnan(rtt) else rtt,
-                attempts=self._att[index],
-                succeeded=bool(self._ok[index]),
-            )
+        return map(self.row, range(len(self._vp)))
 
     def iter_dicts(self):
         """Stream rows in the :mod:`repro.core.results` JSONL schema.
@@ -441,9 +404,7 @@ class ObservationStore:
         )
         if order == list(range(count)):
             return
-        take = order.__getitem__  # noqa: F841  (readability anchor)
-        for name in ("_vp", "_prof", "_t", "_rtt", "_att", "_ok",
-                     "_site", "_auth", "_sfx"):
+        for name in _ROW_COLUMNS:
             column = getattr(self, name)
             setattr(
                 self, name, array(column.typecode, map(column.__getitem__, order))
@@ -458,24 +419,21 @@ class ObservationStore:
             ends.append(len(labels))
         self._labels = labels
         self._lend = ends
-        # Row identities did not change, only their order; the distinct
-        # sets stay valid but the scan position must cover every row.
-        self._refresh_seen()
         self._bind_append()
 
     # -- pickling (spawn workers ship stores back to the parent) -----------
 
     def __getstate__(self) -> dict:
-        self._refresh_seen()
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "append"
+            if slot not in ("append", "_aggregate")
         }
 
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._aggregate = None
         self._bind_append()
 
     def __repr__(self) -> str:

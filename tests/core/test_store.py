@@ -273,8 +273,19 @@ class TestColumnBounds:
         store = ObservationStore()
         self.campaign_row(store, **{field: largest})
         assert getattr(store.row(0), field) == largest
+        before = store.__getstate__()
+        rows = list(store.iter_rows())
         with pytest.raises(OverflowError):
-            self.campaign_row(ObservationStore(), **{field: largest + 1})
+            self.campaign_row(store, **{field: largest + 1})
+        # The failed row was taken back out of every column.
+        assert len(store) == 1
+        assert list(store.iter_rows()) == rows
+        after = store.__getstate__()
+        for name in typecodes(store):
+            assert after[name] == before[name], name
+        assert after["_labels"] == before["_labels"]
+        self.campaign_row(store, vp_id=12)
+        assert [row.vp_id for row in store.iter_rows()] == [rows[0].vp_id, 12]
 
     def test_a_label_offset_past_4_gib_raises(self):
         store = ObservationStore()
