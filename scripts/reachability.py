@@ -112,16 +112,18 @@ OWNERS: list[tuple[str, str, str]] = [
     ("dns/listener.py", r"Listener\.(start|stop|__enter__|__exit__)",
      "tests and `examples/quickstart.py` run the loop in-process; `stop` "
      "is the only end of `serve_forever` without a query limit"),
-    ("passive/trace.py", r"load_trace|_json_object|Trace\.append", EXAMPLE
+    ("passive/trace.py", r"load_trace|_open_trace|Trace\.append(_dict)?", EXAMPLE
      + "`examples/passive_analysis.py`"),
     ("telemetry/tracing.py", r"Tracer\.traces", EXAMPLE
      + "`examples/fault_detection_study.py`"),
     # value-type protocol
     ("__init__.py", r"_lazy_exports\.<locals>\.__dir__", VALUE
      + ": `dir()` of a package root lists the names it has not loaded"),
-    ("core/store.py", r"ObservationStore\.(append_observation|extend|row|"
-     r"probe_count|__repr__)|ObservationRows\..*|MeasurementRun\..*", VALUE
-     + ": the row-object view of the columnar store"),
+    ("core/columns.py", r"RowView\..*", VALUE
+     + ": the row-object view of both columnar tables"),
+    ("core/store.py", r"ObservationStore\.(extend|probe_count|__repr__)|"
+     r"MeasurementRun\..*", VALUE
+     + ": the row-object path of the columnar store"),
     ("dns/message.py", r"Question\.to_wire|Message\.question", VALUE),
     ("dns/name.py", r".*", VALUE + " (`Name` algebra and ordering)"),
     ("dns/records.py", r".*", VALUE),
@@ -137,8 +139,6 @@ OWNERS: list[tuple[str, str, str]] = [
     ("netsim/geo.py", r".*", VALUE),
     ("netsim/network.py", r"SimNetwork\.(unregister|addresses)", VALUE),
     ("netsim/sched.py", r"EventKernel\.__repr__", VALUE),
-    ("passive/trace.py", r"TraceRows\.__eq__", VALUE
-     + ": the row-object view of the columnar trace"),
     ("resolvers/base.py", r"ServerSelector\.__repr__", VALUE),
     ("resolvers/infracache.py", r".*", VALUE),
     ("resolvers/rrcache.py", r".*", VALUE),

@@ -27,6 +27,7 @@ from itertools import islice
 from math import inf, nan
 from operator import le
 
+from ..core.columns import permute
 from ..core.store import ObservationStore
 from ..netsim.geo import Continent
 
@@ -106,7 +107,7 @@ class VpSiteAggregate:
 def aggregate_of(observations) -> VpSiteAggregate:
     """The aggregate of a store-backed view (memoised on the store) or
     of a plain iterable of observations (taken into a temporary store)."""
-    store = getattr(observations, "store", None)
+    store = getattr(observations, "table", None)
     if not isinstance(store, ObservationStore):
         store = ObservationStore()
         store.extend(observations)
@@ -132,12 +133,12 @@ def build_aggregate(store: ObservationStore) -> VpSiteAggregate:
     """One pass over ``store``'s rows in time order, then a counting
     sort of the successful answers into their (VP, site) pairs."""
     columns = (store._vp, store._prof, store._t, store._site, store._ok)
-    t_col, strings = store._t, store._strings
+    t_col, strings = store._t, store.strings.values
     order = range(len(t_col))
     if not all(map(le, t_col, islice(t_col, 1, None))):  # else canonical
         order = sorted(order, key=t_col.__getitem__)
-        columns = [array(col.typecode, map(col.__getitem__, order)) for col in columns]
-    empty = store._string_ids.get("")
+        columns = [permute(col, order) for col in columns]
+    empty = store.strings.ids.get("")
     tallies: dict[int, _Tally] = {}
     pair_first: list[int] = []
     pair_answers: list[int] = []
@@ -167,16 +168,16 @@ def build_aggregate(store: ObservationStore) -> VpSiteAggregate:
             if tally.first_answer_t == inf:
                 tally.first_answer_t = t
 
+    _probe_ids, recursives, impls, continents = store._profile_columns()
     agg = VpSiteAggregate()
     cursor = [0] * len(pair_first)  # next answer position of each pair
     for vp_id, tally in sorted(
         tallies.items(), key=lambda item: (item[1].first_answer_t, item[0])
     ):
-        _probe, rec_id, impl_id, cont_id = store._profiles[tally.profile]
         agg.vp_id.append(vp_id)
-        agg.continent.append(store._continent(cont_id))
-        agg.impl_name.append(strings[impl_id])
-        agg.recursive_address.append(strings[rec_id])
+        agg.continent.append(continents[tally.profile])
+        agg.impl_name.append(impls[tally.profile])
+        agg.recursive_address.append(recursives[tally.profile])
         agg.rows.append(tally.rows)
         for site, pair in sorted((strings[sid], pair) for sid, pair in tally.pairs.items()):
             agg.pair_site.append(site)

@@ -325,7 +325,7 @@ class AtlasPlatform:
         # prepended label instead of a full text parse per query.
         suffix = Name.from_text(f"probe.{domain}").intern()
         store = run.store
-        suffix_id = store.intern(f".probe.{domain}")
+        suffix_id = store.strings.intern(f".probe.{domain}")
         profiled = self._profiled_vps(store)
         costs = self.telemetry.costs
         costs_on = costs.enabled
@@ -367,7 +367,7 @@ class AtlasPlatform:
             for vp, _ in profiled:
                 if attacking and vp.vp_id in bots:
                     qname, label, s_text = plan.query_for(vp.vp_id, tick)
-                    sid = store.intern(s_text)
+                    sid = store.strings.intern(s_text)
                     if costs_on:
                         costs.count("attack_query")
                 else:

@@ -433,7 +433,11 @@ def _print_amplification(io: CliWriter, costs) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .core import load_run
 
-    run = load_run(args.run)
+    try:
+        run = load_run(args.run)
+    except (OSError, ValueError) as exc:
+        args.io.status(f"analyze: {exc}")
+        return 2
     sites = set(args.sites)
     args.io.emit(
         f"{len(run.observations)} observations, {run.vp_count} VPs, domain {run.domain}"

@@ -12,5 +12,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "SelectionModel sidn_style_designs",
     "resilience": "AttackScenario ResilienceEvaluator ResilienceReport SiteLoad",
     "results": "load_run save_run",
-    "store": "MeasurementRun ObservationRows ObservationStore QueryObservation",
+    "store": "MeasurementRun ObservationStore QueryObservation",
 })

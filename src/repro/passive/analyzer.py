@@ -9,9 +9,12 @@ so synthetic captures can be sanity-checked against published norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..analysis.stats import quantile
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,13 @@ more, and only a few percent touching all ten observed.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..netsim.geo import PROBE_CITIES, Location
 from .generator import GeneratorConfig, PassiveTraceGenerator, ServerSet
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 ROOT_LETTERS = tuple("abcdefghijklm")
 MISSING_LETTERS = ("b", "g", "l")  # absent from the paper's DITL slice

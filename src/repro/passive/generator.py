@@ -16,13 +16,16 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..netsim.anycast import AnycastGroup, AnycastSite
 from ..netsim.geo import ATLAS_CONTINENT_WEIGHTS, Continent, Location, cities_by_continent
 from ..netsim.latency import LatencyModel
 from ..resolvers.infracache import InfrastructureCache
 from ..resolvers.population import INFRA_TTL_S, ResolverPopulation
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 #: Recursives are named inside 198.18.0.0/15 (RFC 2544), 250 a /24.
 MAX_RECURSIVES = 2 * 256 * 250
@@ -85,12 +88,6 @@ def recursive_address(index: int) -> str:
         )
     block, host = divmod(index, 250)
     return f"198.{18 + block // 256}.{block % 256}.{host + 1}"
-
-
-def _gather(column: array, order: array) -> array:
-    """``column`` permuted by ``order``, in a buffer of exactly its size."""
-    grown = array(column.typecode, map(column.__getitem__, order))
-    return array(column.typecode, grown)  # a same-typecode copy has no slack
 
 
 def _no_handler(*_args) -> None:
@@ -180,6 +177,12 @@ class PassiveTraceGenerator:
         capture's time order (ties in recursive order) without a
         full-length key list.
         """
+        # The trace and its column machinery load with the first capture,
+        # not with this module: building a generator needs neither, and
+        # loading them before it moved a gen-0 collection into the build.
+        from ..core.columns import permute
+        from .trace import Trace
+
         config = self.config
         if config.num_recursives > MAX_RECURSIVES:
             raise ValueError(
@@ -188,7 +191,7 @@ class PassiveTraceGenerator:
             )
         server_ids = self.servers.server_ids
         trace = Trace(observed_servers=self.servers.observed)
-        intern = trace.intern
+        intern = trace.strings.intern
         server_code = {server: intern(server) for server in trace.observed_servers}
         stamps, servers, owners = array("d"), array("i"), array("i")
         add_stamp, add_server = stamps.append, servers.append
@@ -247,11 +250,11 @@ class PassiveTraceGenerator:
         # Each run-order column is dropped once its capture-order one is
         # built, so at most one column is held twice.
         del add_stamp, add_server
-        trace.timestamps = _gather(stamps, order)
+        trace.timestamps = permute(stamps, order)
         del stamps
-        trace.recursive = _gather(owners, order)
+        trace.recursive = permute(owners, order)
         del owners
-        trace.server_id = _gather(servers, order)
+        trace.server_id = permute(servers, order)
         del servers
         # Generated queries carry no name of their own and are all type A.
         trace.qname = array("i", [intern("")]) * len(order)

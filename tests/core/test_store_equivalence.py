@@ -200,7 +200,7 @@ class TestAnalysisEquivalence:
         store.sort_canonical()  # a permutation keeps the memo
         assert analyze_query_share(store.rows, sites) == before
         assert len(built) == 1
-        store.append_observation(store.row(0))
+        store.append_observation(store.rows[0])
         analyze_query_share(store.rows, sites)
         assert len(built) == 2
 
