@@ -61,6 +61,7 @@ class TestPersistence:
             ('[1.0, "198.18.0.1", "a"]', "not a JSON object"),
             ('{"t": 1.0, "src"', "not JSON"),
             ('{"t": "noon", "src": "198.18.0.1", "srv": "a"}', ""),
+            ('{"t": 1.0, "src": 5, "srv": "a"}', "'src' is int"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, why):
