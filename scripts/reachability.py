@@ -119,7 +119,7 @@ OWNERS: list[tuple[str, str, str]] = [
     # value-type protocol
     ("__init__.py", r"_lazy_exports\.<locals>\.__dir__", VALUE
      + ": `dir()` of a package root lists the names it has not loaded"),
-    ("core/columns.py", r"RowView\..*", VALUE
+    ("core/columns.py", r"RowView\..*|ColumnTable\._row", VALUE
      + ": the row-object view of both columnar tables"),
     ("core/store.py", r"ObservationStore\.(extend|probe_count|__repr__)|"
      r"MeasurementRun\..*", VALUE

@@ -9,6 +9,7 @@ cache-busting unique labels.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 
@@ -357,7 +358,17 @@ class AtlasPlatform:
                 issued[appended] = None
                 appended += 1
 
+        # Each tick first moves every tracked object into the collector's
+        # permanent generation, so full collections stop re-walking what
+        # outlives a tick (VPs, resolvers, selectors, caches, path slots).
+        # A campaign makes no reference cycles, so nothing frozen is
+        # garbage only the collector could free; the drain's end unfreezes
+        # it.  A caller that froze objects itself keeps its own freeze.
+        freezing = not gc.get_freeze_count()
+
         def tick_event(tick: int) -> None:
+            if freezing:
+                gc.freeze()
             if costs_on:
                 costs.count("timer_event")
             now = clock.now
@@ -385,8 +396,12 @@ class AtlasPlatform:
         if heartbeat_every:
             for tick in range(heartbeat_every, ticks + 1, heartbeat_every):
                 kernel.call_at(epoch + tick * interval_s, heartbeat, tick)
-        with self.telemetry.profiler.phase("platform.measure"):
-            kernel.run()
+        try:
+            with self.telemetry.profiler.phase("platform.measure"):
+                kernel.run()
+        finally:
+            if freezing:
+                gc.unfreeze()
         end = epoch + ticks * interval_s
         if end > clock.now:
             clock.advance_to(end)

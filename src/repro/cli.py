@@ -207,12 +207,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.no_analyze:
         sites = set(COMBINATIONS[args.combo].sites)
         ticks = int(config.duration_s // config.interval_s)
-        _print_analyses(io, result.observations, sites, args.combo, ticks)
+        try:
+            blocks = _analyses(result.observations, sites, args.combo, ticks)
+        except ValueError as exc:  # a run too short to analyse
+            io.status(f"run: {exc}")
+            return 2
+        _print_blocks(io, blocks)
     _print_injections(io, config, result, gap=not args.no_analyze)
     return 0
 
 
-def _print_analyses(io: CliWriter, observations, sites, combo_id, ticks: int = 30) -> None:
+def _analyses(observations, sites, combo_id, ticks: int = 30) -> list[str]:
+    """The four analyses a campaign prints, rendered, each one block.
+
+    Raises ``ValueError`` when no VP sent enough queries for them."""
     from .analysis import (
         analyze_preference,
         analyze_probe_all,
@@ -226,26 +234,24 @@ def _print_analyses(io: CliWriter, observations, sites, combo_id, ticks: int = 3
 
     # Short campaigns need a lower per-VP query threshold.
     min_queries = max(3, min(10, ticks - 2))
-    io.emit()
-    io.emit(
+    return [
         render_probe_all(
             [analyze_probe_all(observations, sites, combo_id, min_queries=min_queries)]
-        )
-    )
-    io.emit()
-    io.emit(render_query_share([analyze_query_share(observations, sites, combo_id)]))
-    io.emit()
-    io.emit(
+        ),
+        render_query_share([analyze_query_share(observations, sites, combo_id)]),
         render_preference(
             [analyze_preference(observations, sites, combo_id, min_queries=min_queries)]
-        )
-    )
-    io.emit()
-    io.emit(
+        ),
         render_table2(
             {combo_id: table2_rows(observations, sites, min_queries=min_queries)}
-        )
-    )
+        ),
+    ]
+
+
+def _print_blocks(io: CliWriter, blocks: list[str]) -> None:
+    for block in blocks:
+        io.emit()
+        io.emit(block)
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -438,12 +444,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         args.io.status(f"analyze: {exc}")
         return 2
-    sites = set(args.sites)
+    ticks = int(run.duration_s // run.interval_s) if run.interval_s else 30
+    try:
+        blocks = _analyses(run.observations, set(args.sites), args.combo, ticks)
+    except ValueError as exc:  # a run too short to analyse
+        args.io.status(f"analyze: {args.run}: {exc}")
+        return 2
     args.io.emit(
         f"{len(run.observations)} observations, {run.vp_count} VPs, domain {run.domain}"
     )
-    ticks = int(run.duration_s // run.interval_s) if run.interval_s else 30
-    _print_analyses(args.io, run.observations, sites, args.combo, ticks)
+    _print_blocks(args.io, blocks)
     return 0
 
 

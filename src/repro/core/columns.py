@@ -101,7 +101,7 @@ class RowView:
         position = index + count if index < 0 else index
         if not 0 <= position < count:
             raise IndexError(f"row {index} of {count}")
-        return next(self._rows(slice(position, position + 1)))
+        return self.table._row(position)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RowView, list)):
@@ -136,6 +136,15 @@ class ColumnTable:
 
     def __len__(self) -> int:
         return len(getattr(self, self.COLUMNS[0][0]))
+
+    def _row(self, position: int):
+        """Row ``position`` (in range): each column read at it, as a
+        one-value column for ``_fields``."""
+        fields = self._fields(
+            [(column[position],) for column in self.columns],
+            slice(position, position + 1),
+        )
+        return tuple.__new__(self.ROW, next(zip(*fields)))
 
     #: the table's :class:`RowView`
     rows = property(RowView)

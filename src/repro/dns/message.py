@@ -465,12 +465,12 @@ class ResponseDecodeMemo:
             section = list(items)
             for index in swaps:
                 item = items[index]
+                # A record shares the kept entry's packed tail, so the
+                # record cache stores it without packing it again.
                 section[index] = (
                     Question(qname, item.rrtype, item.rrclass)
                     if type(item) is Question
-                    else ResourceRecord(
-                        qname, item.rrtype, item.rrclass, item.ttl, item.rdata
-                    )
+                    else item._with_owner(qname)
                 )
             sections.append(section)
         questions, answers, authorities, additionals = sections

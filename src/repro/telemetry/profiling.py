@@ -14,24 +14,30 @@ Function-level questions go to ``cProfile`` and layer-level ones to
 
 from __future__ import annotations
 
+import gc
 import time
 
 
 class _PhaseTimer:
-    __slots__ = ("profiler", "name", "_started")
+    __slots__ = ("profiler", "name", "_started", "_collector")
 
     def __init__(self, profiler: "RunProfiler", name: str):
         self.profiler = profiler
         self.name = name
         self._started = 0.0
+        self._collector: list[dict] = []
 
     def __enter__(self) -> "_PhaseTimer":
+        # Counters read at the edges: a ``gc.callbacks`` hook would
+        # allocate inside the phase and move its collections.
+        self._collector = gc.get_stats()
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        elapsed = time.perf_counter() - self._started
         self.profiler._record_phase(
-            self.name, time.perf_counter() - self._started
+            self.name, elapsed, self._collector, gc.get_stats()
         )
 
 
@@ -39,7 +45,9 @@ class RunProfiler:
     """Accumulates phase wall-clock times, counters, and free-form values.
 
     Phases nest and repeat: re-entering a phase name adds to its total
-    and bumps its invocation count.
+    and bumps its invocation count.  Each phase also carries ``gc``: per
+    collector generation, the ``collections`` run and the objects they
+    ``collected`` inside it (``gc.get_stats()`` deltas).
     """
 
     enabled = True
@@ -57,10 +65,18 @@ class RunProfiler:
         """Time a phase: ``with profiler.phase("measure"): ...``"""
         return _PhaseTimer(self, name)
 
-    def _record_phase(self, name: str, elapsed_s: float) -> None:
-        entry = self.phases.setdefault(name, {"seconds": 0.0, "calls": 0})
+    def _record_phase(
+        self, name: str, elapsed_s: float, gc_before: list, gc_after: list
+    ) -> None:
+        entry = self.phases.setdefault(name, {
+            "seconds": 0.0, "calls": 0,
+            "gc": [{"collections": 0, "collected": 0} for _ in gc_after],
+        })
         entry["seconds"] += elapsed_s
         entry["calls"] += 1
+        for total, before, after in zip(entry["gc"], gc_before, gc_after):
+            for key in total:
+                total[key] += after[key] - before[key]
 
     def count(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + amount
@@ -80,7 +96,8 @@ class RunProfiler:
         return {
             "total_seconds": self.total_seconds,
             "phases": {
-                name: dict(entry) for name, entry in sorted(self.phases.items())
+                name: {**entry, "gc": [dict(gen) for gen in entry["gc"]]}
+                for name, entry in sorted(self.phases.items())
             },
             "counters": dict(sorted(self.counters.items())),
             "values": dict(sorted(self.values.items(), key=lambda kv: kv[0])),

@@ -373,6 +373,18 @@ class TestObservationRows:
         assert len(rows) == 7
         assert rows[-1] == make_obs(77)
 
+    @given(st.lists(observation_strategy, max_size=20), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_an_index_reads_what_iteration_reads(self, observations, labelled):
+        store = ObservationStore()
+        store.extend(observations)
+        if labelled:  # campaign rows: a label blob beside the suffix
+            suffix_id = store.strings.intern(".probe.x.nl.")
+            pid = store.profile_id(1, "10.9.0.1", "bind", Continent.EU)
+            store.append(1, pid, 0.0, b"m-1-0", suffix_id, "FRA", "a", 9.5, 2, True)
+        rows = store.rows
+        assert [rows[i] for i in range(len(rows))] == list(rows)
+
     def test_empty_rows_are_falsy(self):
         assert not ObservationStore().rows
         assert ObservationStore().rows == []

@@ -101,10 +101,13 @@ class CacheVsReference(RuleBasedStateMachine):
             (self.positive, self.cache._positive),
             (self.negative, self.cache._negative),
         ):
-            for key in reference:
-                if self.expected(reference, key) is not None:
+            for (name, rrtype), (_, expires_at) in reference.items():
+                if self.expected(reference, (name, rrtype)) is not None:
                     alive += 1
-                    assert table[key].expires_at == reference[key][1]
+                    # An entry is ``(expires_at, payload)`` under one bytes
+                    # key: the case-folded owner wire and the type.
+                    key = name.to_wire().lower() + rrtype.to_bytes(2, "big")
+                    assert table[key][0] == expires_at
         # Live entries, plus what expired since the last put swept.
         assert alive <= len(self.cache) <= len(self.positive) + len(self.negative)
         assert len(self.cache._expiry) <= 2 * len(self.cache) + 65

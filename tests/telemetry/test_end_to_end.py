@@ -11,6 +11,7 @@ The ISSUE's acceptance criteria, as tests:
   uninstrumented run (zero behavioural cost).
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -164,5 +165,11 @@ class TestDisabledTelemetryIsFree:
 
     def test_profile_sidecar_always_present(self):
         result = run_combination("2C", **RUN_KWARGS)
-        assert result.profile["phases"]["experiment.measure"]["calls"] == 1
+        measure = result.profile["phases"]["experiment.measure"]
+        assert measure["calls"] == 1
         assert result.profile["counters"]["experiment.runs"] == 1
+        # Collector work inside the phase, per generation.
+        assert len(measure["gc"]) == len(gc.get_stats())
+        for generation in measure["gc"]:
+            assert set(generation) == {"collections", "collected"}
+            assert all(type(n) is int and n >= 0 for n in generation.values())

@@ -299,6 +299,27 @@ class TestCommands:
         assert "Table 2" in analyze_output
         assert "GRU" in analyze_output
 
+    def test_analyze_reports_a_run_too_short_to_analyse(self, capsys, tmp_path):
+        out_file = tmp_path / "run.jsonl"
+        assert main(["--quiet", "run", "--combo", "2A", "--probes", "5",
+                     "--duration", "4", "--no-analyze", "--out", str(out_file)]) == 0
+        header, row = out_file.read_text().splitlines()[:2]
+        out_file.write_text(f"{header}\n{row}\n")
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out_file), "--sites", "GRU"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"analyze: {out_file}: no vantage point sent enough queries\n"
+        )
+
+    def test_run_reports_a_campaign_too_short_to_analyse(self, capsys):
+        assert main(["run", "--combo", "2A", "--probes", "5",
+                     "--duration", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "Table 2" not in captured.out
+        assert captured.err.endswith("\nrun: no vantage point sent enough queries\n")
+
     def test_run_ipv6(self, capsys):
         code = main(
             ["run", "--combo", "2B", "--probes", "40", "--duration", "10",
