@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 
 from ..dns.message import ResponseDecodeMemo
@@ -62,37 +63,28 @@ class RoundTrip:
     served_by: str             # site/host code that answered ("" when lost)
 
 
-class _PathSlot(CounterStream):
-    """Everything one exchange needs from its (client address,
-    destination) pair, behind one table probe.
-
-    The slot *is* the pair's latency stream, advanced in place, so every
-    location that sends from one address — the instances of a public
-    resolver service — draws from one stream, as the pair's n-th
-    exchange must.  The rest is the path from one client location: the
-    route, the base RTT and the path-diversity multiplier.  It holds
-    while ``location`` is the sender's and ``params`` the latency
-    model's; :meth:`SimNetwork.sample_path` re-places the slot otherwise.
-    """
-
-    __slots__ = (
-        "location", "params", "handler", "code", "is_anycast",
-        "base_rtt_ms", "sigma", "multiplier",
-    )
-
-    def __init__(self, stream: CounterStream):
-        self.state = stream.state
-        self.location: Location | None = None
-        self.params: LatencyParameters | None = None
-        self.sigma: float | None = None
-
-
 class DeliveryError(Exception):
     """The destination address is not registered in the simulation."""
 
 
 class SimNetwork:
-    """Registry of hosts plus the query/response transport."""
+    """Registry of hosts plus the query/response transport.
+
+    What an exchange needs from its (client address, destination) pair
+    lives in typed columns indexed by a pair id, which a per-destination
+    table maps the client address to: that table's slot is the only
+    Python object a pair has.  The columns hold the pair's latency
+    stream state (so every location that sends from one address — the
+    instances of a public resolver service — draws from one stream, as
+    the pair's n-th exchange must), the base RTT and the path-diversity
+    multiplier, beside two lists of shared references: the route (one
+    ``(handler, code, is_anycast)`` per destination site) and the
+    sender location the row was placed for.  A row holds while the
+    sender is at that location and ``latency.params`` is what the
+    columns were placed under; :meth:`sample_path` re-places it
+    otherwise.  Exchanges draw through one reusable
+    :class:`~repro.seeding.CounterStream` loaded with the row's state.
+    """
 
     def __init__(
         self,
@@ -108,8 +100,18 @@ class SimNetwork:
         self.faults = None
         self._unicast: dict[str, UnicastHost] = {}
         self._anycast: dict[str, AnycastGroup] = {}
-        #: (client address, destination) -> the pair's stream and path
-        self._paths: dict[tuple[str, str], _PathSlot] = {}
+        #: destination -> {client address -> pair id}
+        self._pair_ids: dict[str, dict[str, int]] = {}
+        #: per-pair columns, indexed by pair id (see the class docstring)
+        self._states = array("Q")
+        self._base_rtt = array("d")
+        self._multiplier = array("d")   # NaN until derived under the sigma
+        self._routes: list[tuple | None] = []
+        self._placed: list[Location | None] = []
+        #: (destination, site code) -> the route every pair to it shares
+        self._route_table: dict[tuple[str, str], tuple] = {}
+        self._placed_params = self.latency.params
+        self._stream = CounterStream(0)
         #: decode memo shared by every resolver on this network: its key
         #: is the wire minus id and first-label content and each entry
         #: is certified from the wire alone, so nothing in it belongs to
@@ -136,9 +138,11 @@ class SimNetwork:
         self._unicast.pop(address, None)
         self._anycast.pop(address, None)
         # Routes to the address go with it; the pairs' streams stay.
-        for (_client, dst), slot in self._paths.items():
-            if dst == address:
-                slot.location = None
+        placed = self._placed
+        for pair in self._pair_ids.get(address, {}).values():
+            placed[pair] = None
+        for key in [key for key in self._route_table if key[0] == address]:
+            del self._route_table[key]
 
     def knows(self, address: str) -> bool:
         return address in self._unicast or address in self._anycast
@@ -202,8 +206,8 @@ class SimNetwork:
         count depends only on which faults are active (a pure function
         of ``(dst_address, now)``), never on outcomes.
 
-        Per-pair state is one :class:`_PathSlot`; its route is reused
-        only while no site of the destination is withdrawn.
+        A pair's row (see the class docstring) keeps its route only
+        while no site of the destination is withdrawn.
         """
         # The cost ledger is independent of `telemetry.enabled`: it
         # counts work whether or not spans are recorded.  Never draws RNG.
@@ -220,22 +224,24 @@ class SimNetwork:
                     return (True, None, None, "", "ns_outage", False, False)
                 withdrawn = active.withdrawn
         latency = self.latency
-        slot = self._paths.get((client_address, dst_address))
-        if slot is None:
-            slot = self._paths[client_address, dst_address] = _PathSlot(
-                latency.pair_stream(client_address, dst_address)
-            )
-        if (
-            withdrawn
-            or slot.location is not client_location
-            or slot.params is not latency.params
-        ):
-            self._place(slot, client_location, client_address, dst_address, withdrawn)
-        rtt_ms = latency.sample_exchange(slot, slot.base_rtt_ms)
+        if latency.params is not self._placed_params:
+            self._unplace_all()
+        pairs = self._pair_ids.get(dst_address)
+        if pairs is None:
+            pairs = self._pair_ids[dst_address] = {}
+        pair = pairs.get(client_address)
+        if pair is None:
+            pair = pairs[client_address] = self._add_pair(client_address, dst_address)
+        if withdrawn or self._placed[pair] is not client_location:
+            self._place(pair, client_location, client_address, dst_address, withdrawn)
+        stream = self._stream
+        stream.state = self._states[pair]
+        rtt_ms = latency.sample_exchange(stream, self._base_rtt[pair])
+        self._states[pair] = stream.state
         lost = rtt_ms is None
         if costs_on:
             costs.count("rng_draw")
-        handler, code = slot.handler, slot.code
+        handler, code, is_anycast = self._routes[pair]
         fault_drop = None
         if active is not None:
             # One draw per active probabilistic fault, outcomes
@@ -254,47 +260,70 @@ class SimNetwork:
                 if costs_on:
                     costs.count("rng_draw")
         if lost:
-            return (True, None, handler, code, fault_drop, slot.is_anycast, False)
-        rtt_ms *= slot.multiplier
+            return (True, None, handler, code, fault_drop, is_anycast, False)
+        rtt_ms *= self._multiplier[pair]
         latency_fault = False
         if active is not None and (
             active.latency_multiplier != 1.0 or active.latency_extra_ms != 0.0
         ):
             rtt_ms = rtt_ms * active.latency_multiplier + active.latency_extra_ms
             latency_fault = True
-        return (False, rtt_ms, handler, code, fault_drop, slot.is_anycast, latency_fault)
+        return (False, rtt_ms, handler, code, fault_drop, is_anycast, latency_fault)
+
+    def _add_pair(self, client_address: str, dst_address: str) -> int:
+        """Append a row for a new pair, its stream at its start."""
+        self._states.append(
+            self.latency.pair_stream(client_address, dst_address).state
+        )
+        self._base_rtt.append(0.0)
+        self._multiplier.append(math.nan)
+        self._routes.append(None)
+        self._placed.append(None)
+        return len(self._placed) - 1
+
+    def _unplace_all(self) -> None:
+        """New latency parameters: every row is re-placed at its next
+        exchange, and re-derives its multiplier if the sigma moved."""
+        params = self.latency.params
+        rows = len(self._placed)
+        self._placed = [None] * rows
+        if params.path_diversity_sigma != self._placed_params.path_diversity_sigma:
+            self._multiplier = array("d", [math.nan]) * rows
+        self._placed_params = params
 
     def _place(
         self,
-        slot: _PathSlot,
+        pair: int,
         client_location: Location,
         client_address: str,
         dst_address: str,
         withdrawn: frozenset | None,
     ) -> None:
-        """Route ``slot``'s pair from ``client_location`` and derive its
-        base RTT and path multiplier under the current parameters.
+        """Route ``pair`` from ``client_location`` and derive its base
+        RTT (and, once per sigma, its multiplier) under the current
+        parameters.
 
         A route found around withdrawn sites serves one exchange only:
-        the slot is left unplaced, so the next exchange routes again.
+        the row is left unplaced, so the next exchange routes again.
         """
         latency = self.latency
-        params = latency.params
-        site_location, slot.handler, slot.code = self.route(
+        site_location, handler, code = self.route(
             client_location, client_address, dst_address, exclude_sites=withdrawn
         )
-        slot.is_anycast = dst_address in self._anycast
-        slot.base_rtt_ms = latency.base_rtt_ms(
+        route = self._route_table.get((dst_address, code))
+        if route is None or route[0] is not handler:
+            route = self._route_table[dst_address, code] = (
+                handler, code, dst_address in self._anycast
+            )
+        self._routes[pair] = route
+        self._base_rtt[pair] = latency.base_rtt_ms(
             client_location.point, site_location.point
         )
-        sigma = params.path_diversity_sigma
-        if slot.sigma != sigma:
-            slot.multiplier = _path_diversity_multiplier(
-                client_address, dst_address, sigma
+        if math.isnan(self._multiplier[pair]):
+            self._multiplier[pair] = _path_diversity_multiplier(
+                client_address, dst_address, latency.params.path_diversity_sigma
             )
-            slot.sigma = sigma
-        slot.params = params
-        slot.location = None if withdrawn else client_location
+        self._placed[pair] = None if withdrawn else client_location
 
     def round_trip(
         self,

@@ -101,14 +101,19 @@ class RecordCache:
     The explicit-``now`` methods remain for unbound use.
 
     Memory is bounded by what is *alive*, not by what was ever asked:
-    an expiry-ordered heap sits beside the two tables, every
-    :meth:`put`/:meth:`put_negative` first drops whatever has expired at
-    its ``now``, and ``max_entries`` caps positive and negative entries
-    together (the earliest-expiring entry goes first).  An expired entry
-    already reads as a miss, so sweeping it is invisible to readers —
-    **provided ``now`` never decreases** from one call to the next, which
-    the simulation clock guarantees; a caller that rewinds ``now`` may
-    miss an entry a later-stamped put already swept.
+    an expiry-ordered heap sits beside the two tables, every read and
+    every store first drops whatever has expired at its ``now``, and
+    ``max_entries`` caps positive and negative entries together (the
+    earliest-expiring entry goes first).  A sweep that empties both
+    tables clears all three containers, since a dict keeps its grown
+    table after its last key is deleted.  Sweeping at the read is what
+    keeps a campaign's peak free of last tick's entries: a resolution
+    looks its name up before it allocates anything in flight.  An
+    expired entry already reads as a miss, so sweeping it is invisible
+    to readers — **provided ``now`` never decreases** from one call to
+    the next.  The kernel's clock is monotone, and so is every resolver's
+    view of it; a caller that rewinds ``now`` may miss an entry a
+    later-stamped call already swept.
     """
 
     max_entries: int = 100_000
@@ -138,31 +143,22 @@ class RecordCache:
         return self.get_negative(name, rrtype, self.clock.now)
 
     def get(self, name: Name, rrtype: RRType, now: float) -> CacheEntry | None:
-        key = _key(name, rrtype)
-        entry = self._positive.get(key)
+        if self._expiry and self._expiry[0][0] <= now:
+            self._sweep(now)
+        entry = self._positive.get(_key(name, rrtype))
         if entry is None:
-            self.misses += 1
-            return None
-        expires_at, wire = entry
-        if now >= expires_at:
-            del self._positive[key]
             self.misses += 1
             return None
         self.hits += 1
-        return CacheEntry(_wire_records(wire), expires_at)
+        return CacheEntry(_wire_records(entry[1]), entry[0])
 
     def get_negative(self, name: Name, rrtype: RRType, now: float) -> NegativeEntry | None:
+        if self._expiry and self._expiry[0][0] <= now:
+            self._sweep(now)
         if not self._negative:  # the common case; spares building the key
             return None
-        key = _key(name, rrtype)
-        entry = self._negative.get(key)
-        if entry is None:
-            return None
-        expires_at, nxdomain = entry
-        if now >= expires_at:
-            del self._negative[key]
-            return None
-        return NegativeEntry(nxdomain, expires_at)
+        entry = self._negative.get(_key(name, rrtype))
+        return None if entry is None else NegativeEntry(entry[1], entry[0])
 
     def put(
         self, name: Name, rrtype: RRType, records: list[ResourceRecord], now: float
@@ -186,10 +182,10 @@ class RecordCache:
     ) -> None:
         """Sweep what expired at ``now``, make room, then store the entry."""
         heap = self._expiry
+        if heap and heap[0][0] <= now:
+            self._sweep(now)
         positive, negative = self._positive, self._negative
         table = negative if index else positive
-        while heap and heap[0][0] <= now:
-            self._pop_earliest()
         if key not in table:
             while heap and len(positive) + len(negative) >= self.max_entries:
                 self._pop_earliest()
@@ -209,6 +205,15 @@ class RecordCache:
                 for seq, (expires_at, index, key) in enumerate(live)
             ]
             heapq.heapify(heap)
+
+    def _sweep(self, now: float) -> None:
+        """Drop every entry expired at ``now``; free the containers once
+        nothing is left (an entry never outlives its TTL by a tick)."""
+        heap = self._expiry
+        while heap and heap[0][0] <= now:
+            self._pop_earliest()
+        if not (self._positive or self._negative):
+            self.flush()
 
     def _pop_earliest(self) -> None:
         """Pop the heap's head and drop its entry if that entry is still it."""

@@ -187,10 +187,13 @@ def test_no_mersenne_state_per_pair_resolver_or_selector(monkeypatch):
 
     (platform,) = seen
     network = platform.network
-    latency_states = [slot.state for slot in network._paths.values()]
-    for states in (latency_states, list(network.faults._pair_streams.values())):
-        assert len(states) > PROBES // 2  # one entry per pair that talked
-        assert all(type(state) is int for state in states)
+    # One entry per pair that talked: a machine word in the network's
+    # state column, a bare int in the fault plan's table.
+    assert network._states.typecode == "Q"
+    assert len(network._states) > PROBES // 2
+    fault_states = list(network.faults._pair_streams.values())
+    assert len(fault_states) > PROBES // 2
+    assert all(type(state) is int for state in fault_states)
     for vp in platform.vantage_points:
         for stream in (vp.resolver.rng, vp.resolver.selector.rng):
             assert type(stream) is CounterStream

@@ -250,12 +250,27 @@ class TestPairStreams:
         assert abs(correlation(every_first, every_second)) < 0.3
 
     def test_pair_table_holds_bare_integers(self):
-        # The network keeps one slot per pair; the slot's stream state
-        # is one integer.
+        # One row per pair in typed columns: the stream state is a
+        # machine word, and the pair's only Python object is its slot in
+        # one destination's table.
         network = SimNetwork(latency=LatencyModel(seed=9))
         for dst in {dst for _, dst in PAIRS}:
             network.register_host(dst, DATACENTERS["FRA"], lambda *args: b"")
         for pair in PAIRS:
             network.sample_path(PROBE_CITIES["AMS"], *pair)
-        assert set(network._paths) == set(PAIRS)
-        assert all(type(slot.state) is int for slot in network._paths.values())
+        ids = {
+            (client, dst): pair
+            for dst, table in network._pair_ids.items()
+            for client, pair in table.items()
+        }
+        assert set(ids) == set(PAIRS)
+        assert sorted(ids.values()) == list(range(len(PAIRS)))
+        columns = (network._states, network._base_rtt, network._multiplier)
+        assert [column.typecode for column in columns] == ["Q", "d", "d"]
+        assert all(len(column) == len(PAIRS) for column in columns)
+        # The n-th state is the pair's stream after one exchange.
+        model = LatencyModel(seed=9)
+        for (client, dst), pair in ids.items():
+            stream = model.pair_stream(client, dst)
+            model.sample_exchange(stream, 1.0)
+            assert network._states[pair] == stream.state
