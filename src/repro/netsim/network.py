@@ -226,12 +226,10 @@ class SimNetwork:
         latency = self.latency
         if latency.params is not self._placed_params:
             self._unplace_all()
-        pairs = self._pair_ids.get(dst_address)
-        if pairs is None:
-            pairs = self._pair_ids[dst_address] = {}
-        pair = pairs.get(client_address)
-        if pair is None:
-            pair = pairs[client_address] = self._add_pair(client_address, dst_address)
+        try:
+            pair = self._pair_ids[dst_address][client_address]
+        except KeyError:
+            pair = self._add_pair(client_address, dst_address)
         if withdrawn or self._placed[pair] is not client_location:
             self._place(pair, client_location, client_address, dst_address, withdrawn)
         stream = self._stream
@@ -272,6 +270,8 @@ class SimNetwork:
 
     def _add_pair(self, client_address: str, dst_address: str) -> int:
         """Append a row for a new pair, its stream at its start."""
+        pair = len(self._placed)
+        self._pair_ids.setdefault(dst_address, {})[client_address] = pair
         self._states.append(
             self.latency.pair_stream(client_address, dst_address).state
         )
@@ -279,7 +279,7 @@ class SimNetwork:
         self._multiplier.append(math.nan)
         self._routes.append(None)
         self._placed.append(None)
-        return len(self._placed) - 1
+        return pair
 
     def _unplace_all(self) -> None:
         """New latency parameters: every row is re-placed at its next

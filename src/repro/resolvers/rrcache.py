@@ -105,15 +105,18 @@ class RecordCache:
     every store first drops whatever has expired at its ``now``, and
     ``max_entries`` caps positive and negative entries together (the
     earliest-expiring entry goes first).  A sweep that empties both
-    tables clears all three containers, since a dict keeps its grown
-    table after its last key is deleted.  Sweeping at the read is what
-    keeps a campaign's peak free of last tick's entries: a resolution
-    looks its name up before it allocates anything in flight.  An
-    expired entry already reads as a miss, so sweeping it is invisible
-    to readers — **provided ``now`` never decreases** from one call to
-    the next.  The kernel's clock is monotone, and so is every resolver's
-    view of it; a caller that rewinds ``now`` may miss an entry a
-    later-stamped call already swept.
+    tables replaces all three containers with fresh ones, since a dict
+    keeps its grown table after its last key is deleted.  Sweeping at
+    the read is what keeps a campaign's peak free of last tick's
+    entries: a resolution looks its name up before it allocates
+    anything in flight.  An expired entry already reads as a miss, so
+    sweeping it is invisible to readers — **provided ``now`` never
+    decreases** from one call to the next.  A resolver binds the
+    network clock, which the event kernel only moves forward; the
+    arrival time an authoritative handler is stamped with can step
+    back, but it is another clock and never reaches this cache.  A
+    caller that rewinds ``now`` may miss an entry a later-stamped call
+    already swept.
     """
 
     max_entries: int = 100_000
@@ -181,10 +184,9 @@ class RecordCache:
         self, index: int, key: bytes, expires_at: float, payload, now: float
     ) -> None:
         """Sweep what expired at ``now``, make room, then store the entry."""
-        heap = self._expiry
-        if heap and heap[0][0] <= now:
+        if self._expiry and self._expiry[0][0] <= now:
             self._sweep(now)
-        positive, negative = self._positive, self._negative
+        heap, positive, negative = self._expiry, self._positive, self._negative
         table = negative if index else positive
         if key not in table:
             while heap and len(positive) + len(negative) >= self.max_entries:
@@ -213,7 +215,8 @@ class RecordCache:
         while heap and heap[0][0] <= now:
             self._pop_earliest()
         if not (self._positive or self._negative):
-            self.flush()
+            # Fresh containers free what the emptied ones had grown to.
+            self._positive, self._negative, self._expiry = {}, {}, []
 
     def _pop_earliest(self) -> None:
         """Pop the heap's head and drop its entry if that entry is still it."""

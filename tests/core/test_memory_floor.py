@@ -285,20 +285,62 @@ def test_a_vantage_point_has_a_heap_floor():
     cancel): what a built VP holds (its resolver, selector, caches and
     stub zones) and that plus one tick's query state.
 
-    Pinned at this tree's reading plus 10 % (951 and 2 385 B on
-    CPython 3.11).  With the record cache's entry kept as a name, a
-    record, a list and an entry object the second read 2 713 B; with a
-    stub-zone table per resolver and five fields per
-    infrastructure-cache entry as well, 1 173 and 3 015 B; with an
-    instance dict per resolver, selector, cache and VP as well, and a
-    list of NS addresses per resolver, 1 382 and 3 223 B.  One tick's
-    query state (cache entry, path slot, row) is most of the second."""
+    Pinned at this tree's reading plus 10 % (951 and 2 083 B on
+    CPython 3.11).  With one path-slot object per (client, destination)
+    pair, in a dict keyed by an address-string pair, the second read
+    2 385 B; with the record cache's entry kept as a name, a record, a
+    list and an entry object as well, 2 713 B; with a stub-zone table
+    per resolver and five fields per infrastructure-cache entry as well,
+    1 173 and 3 015 B; with an instance dict per resolver, selector,
+    cache and VP as well, and a list of NS addresses per resolver, 1 382
+    and 3 223 B.  One tick's query state (cache entry, path row, row) is
+    most of the second."""
     small, large = per_vp_heap(PROBES), per_vp_heap(3 * PROBES)
     vps = large[0] - small[0]
     built = (large[1] - small[1]) / vps
     ticked = (large[2] - small[2]) / vps
     assert built < 1046, built
-    assert ticked < 2624, ticked
+    assert ticked < 2291, ticked
+
+
+def in_measure_peak(probes: int, ticks: int) -> tuple[int, int]:
+    """VPs, and the heap's peak inside ``measure`` of a 4B campaign
+    above what it held at entry."""
+    held = []
+    measure = AtlasPlatform.measure
+
+    def measure_traced(platform, *args, **kwargs):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run = measure(platform, *args, **kwargs)
+            held[:] = [len(platform.vantage_points), tracemalloc.get_traced_memory()[1]]
+        finally:
+            tracemalloc.stop()
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AtlasPlatform, "measure", measure_traced)
+        run_combination(
+            "4B", num_probes=probes, interval_s=120.0,
+            duration_s=ticks * 120.0, seed=3,
+        )
+    return tuple(held)
+
+
+def test_a_vantage_point_has_an_in_measure_peak_floor():
+    """Bytes per VP at the heap's peak inside ``measure``, as the slope
+    from 60 to 180 probes over three ticks.  The peak falls mid-tick,
+    with every VP's query in flight, so whatever a VP keeps between
+    exchanges adds to it.
+
+    Pinned at this tree's reading plus 10 % (2 376 B on CPython 3.11).
+    With last tick's record-cache entry swept only at the next put
+    (after the tick's in-flight state was allocated) and one path-slot
+    object per pair, it read 3 241 B."""
+    small, large = in_measure_peak(PROBES, 3), in_measure_peak(3 * PROBES, 3)
+    per_vp = (large[1] - small[1]) / (large[0] - small[0])
+    assert per_vp < 2614, per_vp
 
 
 def test_resolvers_that_know_the_same_zones_share_one_table(monkeypatch):

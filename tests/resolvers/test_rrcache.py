@@ -1,9 +1,12 @@
 """Tests for the record (answer) cache."""
 
+import sys
+
 from repro.dns.name import Name
 from repro.dns.rdata import TXT, A
 from repro.dns.records import ResourceRecord
 from repro.dns.types import RRClass, RRType
+from repro.netsim.clock import SimClock
 from repro.resolvers.rrcache import RecordCache
 
 NAME = Name.from_text("probe.ourtestdomain.nl.")
@@ -156,3 +159,32 @@ class TestEviction:
         cache.flush()
         assert len(cache) == 0
         assert cache.get_negative(NAME, RRType.A, now=0.0) is None
+
+
+class TestSweep:
+    def test_an_expired_entry_is_gone_after_the_next_lookup(self):
+        # The campaign's pattern: a unique name per tick, so the next
+        # lookup is of another name; it must still free last tick's
+        # entries and every container that held them.
+        clock = SimClock()
+        cache = RecordCache()
+        cache.bind_clock(clock)
+        cache.put(NAME, RRType.TXT, [record(ttl=5)], now=0.0)
+        cache.put_negative(NAME, RRType.A, nxdomain=True, ttl=5, now=0.0)
+        clock.advance(120.0)
+        assert cache.lookup(Name.from_text("next.ourtestdomain.nl."), RRType.TXT) is None
+        assert len(cache) == 0
+        assert sys.getsizeof(cache._positive) == sys.getsizeof({})
+        assert sys.getsizeof(cache._negative) == sys.getsizeof({})
+        assert cache._expiry == [] and sys.getsizeof(cache._expiry) == sys.getsizeof([])
+
+    def test_a_live_entry_survives_the_sweep(self):
+        clock = SimClock()
+        cache = RecordCache()
+        cache.bind_clock(clock)
+        cache.put(NAME, RRType.TXT, [record(ttl=5)], now=0.0)
+        cache.put(NAME, RRType.A, [record(ttl=300)], now=0.0)
+        clock.advance(120.0)
+        assert cache.lookup(NAME, RRType.TXT) is None
+        assert len(cache) == 1
+        assert cache.lookup(NAME, RRType.A) is not None

@@ -1,9 +1,10 @@
 """Stateful differential test: the evicting cache vs a never-evicting dict.
 
-Sweeping expired entries on ``put`` must be invisible to readers as long
-as ``now`` never decreases: every ``get``/``get_negative``/``lookup``
-result and the ``hits``/``misses`` counters have to match a reference
-that keeps everything forever and only compares ``now`` to the expiry.
+Sweeping expired entries on every read and ``put`` must be invisible
+to readers as long as ``now`` never decreases: every
+``get``/``get_negative``/``lookup`` result and the ``hits``/``misses``
+counters have to match a reference that keeps everything forever and
+only compares ``now`` to the expiry.
 TTLs and clock steps share a small grid so expiry lands exactly on
 ``now`` often.
 """
@@ -108,7 +109,7 @@ class CacheVsReference(RuleBasedStateMachine):
                     # key: the case-folded owner wire and the type.
                     key = name.to_wire().lower() + rrtype.to_bytes(2, "big")
                     assert table[key][0] == expires_at
-        # Live entries, plus what expired since the last put swept.
+        # Live entries, plus what expired since the last sweep.
         assert alive <= len(self.cache) <= len(self.positive) + len(self.negative)
         assert len(self.cache._expiry) <= 2 * len(self.cache) + 65
 
