@@ -97,6 +97,8 @@ OWNERS: list[tuple[str, str, str]] = [
     ("netsim/faults.py", r"LossRate\.rate_at|FaultPlan\.pair_draw", CALLER
      + "loss ramps and probabilistic faults"),
     ("netsim/network.py", r"SimNetwork\.knows", CALLER + "referrals"),
+    ("netsim/network.py", r"SimNetwork\._unplace_all", CALLER + "latency "
+     "parameters swapped between exchanges"),
     ("passive/generator.py", r"_no_handler", CALLER + "passive sites, which "
      "are never delivered to"),
     ("telemetry/registry.py",

@@ -311,7 +311,7 @@ class SimNetwork:
             client_location, client_address, dst_address, exclude_sites=withdrawn
         )
         route = self._route_table.get((dst_address, code))
-        if route is None or route[0] is not handler:
+        if route is None or route[0] is not handler:  # codes need not be unique
             route = self._route_table[dst_address, code] = (
                 handler, code, dst_address in self._anycast
             )

@@ -177,14 +177,3 @@ class TestSweep:
         assert sys.getsizeof(cache._positive) == sys.getsizeof({})
         assert sys.getsizeof(cache._negative) == sys.getsizeof({})
         assert cache._expiry == [] and sys.getsizeof(cache._expiry) == sys.getsizeof([])
-
-    def test_a_live_entry_survives_the_sweep(self):
-        clock = SimClock()
-        cache = RecordCache()
-        cache.bind_clock(clock)
-        cache.put(NAME, RRType.TXT, [record(ttl=5)], now=0.0)
-        cache.put(NAME, RRType.A, [record(ttl=300)], now=0.0)
-        clock.advance(120.0)
-        assert cache.lookup(NAME, RRType.TXT) is None
-        assert len(cache) == 1
-        assert cache.lookup(NAME, RRType.A) is not None
