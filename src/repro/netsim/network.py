@@ -20,7 +20,7 @@ from ..telemetry import NULL_TELEMETRY
 from .anycast import AnycastGroup, AnycastSite, DatagramHandler
 from .clock import SimClock
 from .geo import Location
-from .latency import LatencyModel, LatencyParameters
+from .latency import LatencyModel
 
 
 def _path_diversity_multiplier(client_key: str, dst_address: str, sigma: float) -> float:

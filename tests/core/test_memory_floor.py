@@ -334,13 +334,13 @@ def test_a_vantage_point_has_an_in_measure_peak_floor():
     with every VP's query in flight, so whatever a VP keeps between
     exchanges adds to it.
 
-    Pinned at this tree's reading plus 10 % (2 376 B on CPython 3.11).
+    Pinned at this tree's reading plus 10 % (2 397 B on CPython 3.11).
     With last tick's record-cache entry swept only at the next put
     (after the tick's in-flight state was allocated) and one path-slot
-    object per pair, it read 3 241 B."""
+    object per pair, it read 3 261 B."""
     small, large = in_measure_peak(PROBES, 3), in_measure_peak(3 * PROBES, 3)
     per_vp = (large[1] - small[1]) / (large[0] - small[0])
-    assert per_vp < 2614, per_vp
+    assert per_vp < 2637, per_vp
 
 
 def test_resolvers_that_know_the_same_zones_share_one_table(monkeypatch):
